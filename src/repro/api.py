@@ -38,7 +38,7 @@ from .constants import DEFAULT_WINDOW_GSNP, DEFAULT_WINDOW_SOAPSNP
 from .core.likelihood import ALL_VARIANTS, LikelihoodVariant
 from .core.pipeline import GsnpPipeline
 from .faults.plan import FaultPlan, FaultSpec
-from .gpusim.launchplan import MEGABATCH_WINDOWS
+from .gpusim.launchplan import FUSION_DEFAULT, MEGABATCH_WINDOWS
 from .soapsnp.pipeline import SoapsnpPipeline
 
 
@@ -277,11 +277,12 @@ class JobSpec:
         help="disable persistent device residency (re-upload score tables "
         "on every run/shard instead of once per worker)",
     ))
-    fusion: bool = field(default=False, metadata=_cli(
+    fusion: bool = field(default=FUSION_DEFAULT, metadata=_cli(
         "throughput", "--fusion", action="boolean_optional",
-        help="fused ragged-megabatch launching: concatenate windows into "
-        "one launch plan so each kernel chain launches once per megabatch "
-        "(gsnp engine only; results are bitwise identical either way)",
+        help="fused ragged-megabatch launching (default): one launch plan "
+        "and one kernel chain per megabatch of windows; --no-fusion runs "
+        "the per-window chain kept as the parity oracle (gsnp engine "
+        "only; results are bitwise identical either way)",
     ))
     megabatch: int = field(default=MEGABATCH_WINDOWS, metadata=_cli(
         "throughput", "--megabatch", type=int,
@@ -606,9 +607,10 @@ def create_pipeline(
 
     Registered extension factories keep the legacy 4-argument signature —
     the throughput toggles are applied as attributes only when the built
-    pipeline exposes them, and a requested non-default toggle the engine
-    does not expose raises a ``RuntimeWarning`` instead of being silently
-    dropped.
+    pipeline exposes them.  Asking an engine to switch *on* a toggle it
+    does not expose (a legacy kwarg, or a non-default spec value) raises a
+    ``RuntimeWarning`` instead of being silently dropped; defaults and
+    "off" describe what such an engine does anyway and stay silent.
     """
     legacy = {
         "window_size": window_size, "variant": variant, "prefetch": prefetch,
@@ -647,7 +649,9 @@ def create_pipeline(
         value = getattr(spec, attr)
         if hasattr(pipe, attr):
             setattr(pipe, attr, value)
-        elif value != getattr(_SPEC_DEFAULTS, attr):
+        elif value and (
+            attr in explicit or value != getattr(_SPEC_DEFAULTS, attr)
+        ):
             warnings.warn(
                 f"engine {spec.engine!r} does not expose {attr!r}; the "
                 f"requested {attr}={value!r} is ignored",

@@ -105,7 +105,9 @@ def soapsnp_result(name: str, fraction: float | None = None):
 def gsnp_result(name: str, mode: str = "gpu", fraction: float | None = None):
     ds = bench_dataset(name, fraction)
     window = min(256_000, ds.n_sites)
-    return GsnpPipeline(window_size=window, mode=mode).run(ds)
+    # Paper tables/figures measure the paper's system: the per-window
+    # launch chain, not this repo's fused megabatch default.
+    return GsnpPipeline(window_size=window, mode=mode, fusion=False).run(ds)
 
 
 @lru_cache(maxsize=8)
@@ -477,7 +479,8 @@ def exp_fig11(
     out = {}
     for w in windows:
         w = min(w, ds.n_sites)
-        res = GsnpPipeline(window_size=w, mode="gpu").run(ds)
+        # Per-window chain: megabatching would flatten the figure.
+        res = GsnpPipeline(window_size=w, mode="gpu", fusion=False).run(ds)
         fs = extrapolate(res.profile, spec)
         out[w] = {
             "time": fs.total,
@@ -507,7 +510,7 @@ def exp_fig12(fraction: float = 0.05, engines=("soapsnp", "gsnp_cpu", "gsnp")) -
         row = {}
         for engine in engines:
             pipe = create_pipeline(
-                spec=JobSpec(engine=engine, window=ds.n_sites)
+                spec=JobSpec(engine=engine, window=ds.n_sites, fusion=False)
             )
             res = pipe.run(ds)
             row[get_engine_spec(engine).label] = extrapolate(

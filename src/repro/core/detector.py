@@ -173,7 +173,7 @@ class GsnpDetector:
         sanitize: bool = False,
         prefetch: bool = True,
         cache: bool = True,
-        fusion: bool = False,
+        fusion: bool = JobSpec.fusion,
         shard_timeout: Optional[float] = None,
         journal_dir=None,
         resume: bool = False,

@@ -25,26 +25,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constants import GENOTYPES, MAX_READ_LEN, N_GENOTYPES, N_STRANDS
+from ..constants import N_GENOTYPES
 from ..gpusim.device import Device
 from ..gpusim.launchplan import LaunchPlan
-from ..gpusim.memory import DeviceArray
 from ..soapsnp.observe import Observations
-from ..soapsnp.p_matrix import p_matrix_index
-from ..sortnet.multipass import MULTIPASS_BOUNDS, size_class_of
-from .base_word import extract_words
+from ..sortnet.multipass import MULTIPASS_BOUNDS
 from .likelihood import (
-    _INSTR_ADJUST,
-    _INSTR_DEP_RESET,
-    _INSTR_EXTRACT,
-    _INSTR_LOG10,
-    _INSTR_PER_GENOTYPE,
     GsnpTables,
     LikelihoodVariant,
     OPTIMIZED,
+    _launch_comp,
 )
 from .posterior import RESULT_ROW_BYTES
-from .score_table import new_p_index
 
 
 def merge_observations(
@@ -97,81 +89,6 @@ def merge_observations(
     )
 
 
-def _fused_comp_kernel(
-    ctx,
-    words_dev: DeviceArray,
-    starts: np.ndarray,
-    lens: np.ndarray,
-    width: int,
-    tables: GsnpTables,
-    dep_dev: DeviceArray,
-    variant: LikelihoodVariant,
-    acc_out: np.ndarray,
-):
-    """One bucket launch of the fused likelihood_comp + posterior kernel.
-
-    The j-loop is the unfused ``_comp_kernel`` walk over each site's
-    sorted base_words, but ``s_type_likely`` never leaves shared memory:
-    there is no ``tl_dev`` parameter, no global accumulate traffic for
-    the non-shared variants, and no end-of-kernel copy-out — the
-    posterior epilogue consumes the shared tile in-kernel (accounted by
-    :func:`fused_posterior_tail`).  The accumulation order over j is
-    unchanged, so ``acc_out`` is bitwise identical to the unfused pair.
-    """
-    n = ctx.n_threads
-    tid = ctx.tid
-    acc = np.zeros((n, N_GENOTYPES), dtype=np.float64)
-    dep = np.zeros((n, N_STRANDS * MAX_READ_LEN), dtype=np.int32)
-    last_base = np.zeros(n, dtype=np.int64)
-    for j in range(width):
-        word_idx = starts + j
-        active = (j < lens) & (word_idx < words_dev.size)
-        w = ctx.gload(words_dev, word_idx, active=active)
-        base, score, coord, strand = extract_words(w)
-        base_i = base.astype(np.int64)
-        ctx.instr(_INSTR_EXTRACT, active=active)
-
-        newbase = active & (base_i > last_base)
-        if newbase.any():
-            dep[newbase] = 0
-            ctx.instr(_INSTR_DEP_RESET, active=newbase)
-        last_base = np.where(active, np.maximum(last_base, base_i), last_base)
-
-        slot = strand.astype(np.int64) * MAX_READ_LEN + coord
-        dep_idx = tid * (N_STRANDS * MAX_READ_LEN) + slot
-        _ = ctx.gload(dep_dev, dep_idx, active=active)
-        dep[np.arange(n)[active], slot[active]] += 1
-        k = dep[np.arange(n), slot]
-        ctx.gstore(dep_dev, dep_idx, k.astype(dep_dev.dtype), active=active)
-
-        pen = ctx.cload(
-            tables.penalty_dev,
-            np.minimum(k - 1, tables.penalty_host.size - 1).clip(min=0),
-            active=active,
-        )
-        q_adj = np.maximum(0, score.astype(np.int64) - pen.astype(np.int64))
-        ctx.instr(_INSTR_ADJUST, active=active)
-
-        for gi, (a1, a2) in enumerate(GENOTYPES):
-            if variant.use_table:
-                idx = new_p_index(q_adj, coord, base_i, gi)
-                val = ctx.gload(tables.newp_dev, idx, active=active)
-            else:
-                i1 = p_matrix_index(q_adj, coord, a1, base_i)
-                i2 = p_matrix_index(q_adj, coord, a2, base_i)
-                p1 = ctx.gload(tables.pm_dev, i1, active=active)
-                p2 = ctx.gload(tables.pm_dev, i2, active=active)
-                with np.errstate(divide="ignore"):
-                    val = np.log10(0.5 * p1 + 0.5 * p2)  # gsnp-lint: disable=GSNP102 (het strands average in probability space; log_table only covers single-p lookups)
-                ctx.instr(_INSTR_LOG10, active=active)
-            contribution = np.where(active, val, 0.0)
-            ctx.note_shared(loads=1, stores=1, active=active)
-            acc[:, gi] += contribution
-            ctx.instr(_INSTR_PER_GENOTYPE, active=active)
-
-    acc_out[:] = acc
-
-
 def gsnp_likelihood_posterior_fused(
     device: Device,
     words_sorted: np.ndarray,
@@ -182,52 +99,18 @@ def gsnp_likelihood_posterior_fused(
 ) -> np.ndarray:
     """Fused likelihood_comp + posterior over a megabatch's flat sites.
 
-    Size buckets span *all* windows of the megabatch (``offsets`` is the
-    flat-axis segment table), so each bucket launches once per megabatch.
-    Returns the (n_sites, 10) ``type_likely`` matrix — identical to
-    :func:`gsnp_likelihood_comp` output — which the host then slices per
-    window for ``summarize_window``.
+    The same kernel body as :func:`gsnp_likelihood_comp`, launched with
+    ``s_type_likely`` resident in shared memory (no global ``type_likely``
+    array).  Size buckets span *all* windows of the megabatch (``offsets``
+    is the flat-axis segment table), so each bucket launches once per
+    megabatch.  Returns the (n_sites, 10) ``type_likely`` matrix —
+    identical to :func:`gsnp_likelihood_comp` output — which the host then
+    slices per window for ``summarize_window``.
     """
-    n_sites = offsets.size - 1
-    out = np.zeros((n_sites, N_GENOTYPES), dtype=np.float64)
-    lengths = np.diff(offsets)
-    if words_sorted.size == 0 or n_sites == 0:
-        return out
-    words_dev = device.to_device(words_sorted, "base_word")
-    classes = size_class_of(lengths, bounds)
-    uppers = list(bounds) + [int(lengths.max(initial=1))]
-    # One 256-thread block keeps its s_type_likely tile (256 sites x 16
-    # padded genotype slots x 8 bytes = 32 KB) in shared memory for the
-    # kernel's whole lifetime — within the 48 KB/block budget.
-    shared_bytes = 256 * 16 * 8
-    for ci in range(len(bounds) + 1):
-        rows = np.nonzero((classes == ci) & (lengths > 0))[0]
-        if rows.size == 0:
-            continue
-        width = int(uppers[ci])
-        n = rows.size
-        dep_dev = device.alloc(
-            n * N_STRANDS * MAX_READ_LEN, np.int32, "dep_count"
-        )
-        acc = np.empty((n, N_GENOTYPES), dtype=np.float64)
-        device.launch(
-            _fused_comp_kernel,
-            n,
-            words_dev,
-            offsets[:-1][rows],
-            lengths[rows],
-            width,
-            tables,
-            dep_dev,
-            variant,
-            acc,
-            name=f"likelihood_posterior_fused_{variant.name}",
-            shared_bytes=shared_bytes,
-        )
-        out[rows] = acc
-        device.free(dep_dev)
-    device.free(words_dev)
-    return out
+    return _launch_comp(
+        device, words_sorted, offsets, tables, variant, bounds,
+        f"likelihood_posterior_fused_{variant.name}", fused=True,
+    )
 
 
 def fused_posterior_tail(

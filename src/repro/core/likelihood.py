@@ -34,11 +34,13 @@ import numpy as np
 from ..constants import (
     GENOTYPES,
     MAX_READ_LEN,
+    N_BASES,
     N_GENOTYPES,
     N_STRANDS,
 )
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
+from ..soapsnp.likelihood import occurrence_ordinals
 from ..soapsnp.p_matrix import p_matrix_index
 from ..sortnet.multipass import MULTIPASS_BOUNDS, SortStats, multipass_sort, size_class_of
 from .base_word import canonical_keys, decode_keys, extract_words
@@ -52,6 +54,11 @@ _INSTR_ADJUST = 6
 _INSTR_PER_GENOTYPE = 8
 _INSTR_LOG10 = 6
 _INSTR_DEP_RESET = 32
+
+# One 256-thread block of the fused launch keeps its s_type_likely tile
+# (256 sites x 16 padded genotype slots x 8 bytes = 32 KB) in shared memory
+# for the kernel's whole lifetime — within the 48 KB/block budget.
+_FUSED_TILE_BYTES = 256 * 16 * 8
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,23 @@ def gsnp_likelihood_sort(
     return decode_keys(sorted_keys), stats
 
 
+def dep_count_ranks(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The value ``dep_count`` holds right after each word is counted.
+
+    Algorithm 4 zeroes a lane's ``dep_count`` when its base advances past
+    the lane's running maximum (lines 8-10; for sorted words, the base
+    itself), then bumps slot ``strand*read_len + coord``: the value read
+    back is the word's 1-based rank among the lane's words sharing (base
+    epoch, strand, coord) — no per-lane 512-slot mirror needed.
+    """
+    base, _, coord, strand = extract_words(words)
+    site = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    lane_base = site * N_BASES
+    epoch = np.maximum.accumulate(lane_base + base) - lane_base
+    ranks = occurrence_ordinals(site, epoch, coord, strand) + 1
+    return ranks.astype(np.int32)
+
+
 def _comp_kernel(
     ctx,
     words_dev: DeviceArray,
@@ -178,8 +202,9 @@ def _comp_kernel(
     lens: np.ndarray,
     width: int,
     tables: GsnpTables,
-    tl_dev: DeviceArray,
+    tl_dev: DeviceArray | None,
     dep_dev: DeviceArray,
+    dep_rank: np.ndarray,
     variant: LikelihoodVariant,
     acc_out: np.ndarray,
 ):
@@ -188,11 +213,21 @@ def _comp_kernel(
     ``acc_out`` (rows, 10) receives the per-site log-likelihood sums;
     the lockstep j-loop walks each site's sorted base_words sequentially,
     so accumulation order matches the dense CPU algorithm bit for bit.
+
+    ``tl_dev=None`` is the fused likelihood_comp + posterior launch:
+    ``s_type_likely`` never leaves shared memory (no global accumulate
+    traffic, no copy-out); the posterior epilogue consumes the tile
+    in-kernel, accounted by :func:`repro.core.fused.fused_posterior_tail`.
+
+    ``dep_rank`` (:func:`dep_count_ranks`, indexed like ``words_dev``) is
+    what the ``dep_count`` read-modify-write yields.  The load and store
+    on ``dep_dev`` are still issued, so counters and the sanitizer see
+    the real traffic while the host keeps no mirror of the array.
     """
     n = ctx.n_threads
     tid = ctx.tid
+    in_shared = tl_dev is None or variant.use_shared
     acc = np.zeros((n, N_GENOTYPES), dtype=np.float64)
-    dep = np.zeros((n, N_STRANDS * MAX_READ_LEN), dtype=np.int32)
     last_base = np.zeros(n, dtype=np.int64)
     for j in range(width):
         # Out-of-range lanes are masked inactive, never clamped: a clamped
@@ -206,24 +241,21 @@ def _comp_kernel(
         ctx.instr(_INSTR_EXTRACT, active=active)
 
         # Algorithm 4 lines 8-10: reset dep_count when the base advances.
-        newbase = active & (base_i > last_base)
-        if newbase.any():
-            dep[newbase] = 0
-            ctx.instr(_INSTR_DEP_RESET, active=newbase)
-        last_base = np.where(active, np.maximum(last_base, base_i), last_base)
+        ctx.instr(_INSTR_DEP_RESET, active=active & (base_i > last_base))
+        # Masked lanes read base 0, which never raises the maximum.
+        last_base = np.maximum(last_base, base_i)
 
         # dep_count[strand*read_len + coord] += 1 (global memory array).
         slot = strand.astype(np.int64) * MAX_READ_LEN + coord
         dep_idx = tid * (N_STRANDS * MAX_READ_LEN) + slot
         _ = ctx.gload(dep_dev, dep_idx, active=active)
-        dep[np.arange(n)[active], slot[active]] += 1
-        k = dep[np.arange(n), slot]
-        ctx.gstore(dep_dev, dep_idx, k.astype(dep_dev.dtype), active=active)
+        k = dep_rank[np.where(active, word_idx, 0)]
+        ctx.gstore(dep_dev, dep_idx, k, active=active)
 
         # adjust(): penalty table lives in constant memory (log_table).
         pen = ctx.cload(
             tables.penalty_dev,
-            np.minimum(k - 1, tables.penalty_host.size - 1).clip(min=0),
+            np.minimum(k - 1, tables.penalty_host.size - 1),
             active=active,
         )
         q_adj = np.maximum(0, score.astype(np.int64) - pen.astype(np.int64))
@@ -241,10 +273,10 @@ def _comp_kernel(
                 with np.errstate(divide="ignore"):
                     # The baseline variant computes log10 on the fly — the
                     # very cost the log-free score table removes (Table III).
-                    val = np.log10(0.5 * p1 + 0.5 * p2)  # gsnp-lint: disable=GSNP102
+                    val = np.log10(0.5 * p1 + 0.5 * p2)  # gsnp-lint: disable=GSNP102 (het strands average in probability space; log_table only covers single-p lookups)
                 ctx.instr(_INSTR_LOG10, active=active)
             contribution = np.where(active, val, 0.0)
-            if variant.use_shared:
+            if in_shared:
                 ctx.note_shared(loads=1, stores=1, active=active)
                 acc[:, gi] += contribution
             else:
@@ -254,7 +286,7 @@ def _comp_kernel(
                 ctx.gstore(tl_dev, tl_idx, acc[:, gi], active=active)
             ctx.instr(_INSTR_PER_GENOTYPE, active=active)
 
-    if variant.use_shared:
+    if tl_dev is not None and variant.use_shared:
         # Copy s_type_likely to global memory through coalesced writes;
         # every lane participates, hence the explicit full-warp mask.
         for gi in range(N_GENOTYPES):
@@ -263,26 +295,26 @@ def _comp_kernel(
     acc_out[:] = acc
 
 
-def gsnp_likelihood_comp(
+def _launch_comp(
     device: Device,
     words_sorted: np.ndarray,
     offsets: np.ndarray,
     tables: GsnpTables,
-    variant: LikelihoodVariant = OPTIMIZED,
-    bounds=MULTIPASS_BOUNDS,
-    kernel_name: str = "likelihood_comp",
+    variant: LikelihoodVariant,
+    bounds,
+    name: str,
+    fused: bool,
 ) -> np.ndarray:
-    """Run likelihood_comp over all sites; returns (n_sites, 10) float64.
-
-    Sites are launched in multipass-style size buckets so lockstep lanes
-    stay balanced, mirroring the sort's bucketing.
-    """
+    """Launch ``_comp_kernel`` once per multipass-style size bucket, so
+    lockstep lanes stay balanced; ``fused`` launches without a global
+    ``type_likely`` array (see ``_comp_kernel``)."""
     n_sites = offsets.size - 1
     out = np.zeros((n_sites, N_GENOTYPES), dtype=np.float64)
     lengths = np.diff(offsets)
     if words_sorted.size == 0 or n_sites == 0:
         return out
     words_dev = device.to_device(words_sorted, "base_word")
+    dep_rank = dep_count_ranks(words_sorted, offsets)
     classes = size_class_of(lengths, bounds)
     uppers = list(bounds) + [int(lengths.max(initial=1))]
     for ci in range(len(bounds) + 1):
@@ -291,10 +323,12 @@ def gsnp_likelihood_comp(
             continue
         width = int(uppers[ci])
         n = rows.size
-        tl_dev = device.alloc(n * 16, np.float64, "type_likely")
-        # The kernel stores the real global-memory output here (charged as
-        # traffic); the simulator hands results back through ``acc``.
-        tl_dev.mark_consumed()
+        tl_dev = None
+        if not fused:
+            tl_dev = device.alloc(n * 16, np.float64, "type_likely")
+            # The kernel stores the real global-memory output here (charged
+            # as traffic); the simulator hands results back through ``acc``.
+            tl_dev.mark_consumed()
         dep_dev = device.alloc(
             n * N_STRANDS * MAX_READ_LEN, np.int32, "dep_count"
         )
@@ -309,15 +343,34 @@ def gsnp_likelihood_comp(
             tables,
             tl_dev,
             dep_dev,
+            dep_rank,
             variant,
             acc,
-            name=f"{kernel_name}_{variant.name}",
+            name=name,
+            shared_bytes=_FUSED_TILE_BYTES if fused else 0,
         )
         out[rows] = acc
-        device.free(tl_dev)
+        if tl_dev is not None:
+            device.free(tl_dev)
         device.free(dep_dev)
     device.free(words_dev)
     return out
+
+
+def gsnp_likelihood_comp(
+    device: Device,
+    words_sorted: np.ndarray,
+    offsets: np.ndarray,
+    tables: GsnpTables,
+    variant: LikelihoodVariant = OPTIMIZED,
+    bounds=MULTIPASS_BOUNDS,
+    kernel_name: str = "likelihood_comp",
+) -> np.ndarray:
+    """Run likelihood_comp over all sites; returns (n_sites, 10) float64."""
+    return _launch_comp(
+        device, words_sorted, offsets, tables, variant, bounds,
+        f"{kernel_name}_{variant.name}", fused=False,
+    )
 
 
 def gpu_dense_likelihood_counters(

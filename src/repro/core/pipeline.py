@@ -32,6 +32,7 @@ from ..compress.columnar import encode_alignments, encode_table
 from ..gpusim.counters import KernelCounters
 from ..gpusim.device import Device
 from ..gpusim.launchplan import (
+    FUSION_DEFAULT,
     MEGABATCH_WINDOWS,
     LaunchTally,
     build_cohort_plan,
@@ -180,7 +181,7 @@ class GsnpPipeline:
         device: Optional[Device] = None,
         prefetch: bool = True,
         cache: bool = True,
-        fusion: bool = False,
+        fusion: bool = FUSION_DEFAULT,
         megabatch: int = MEGABATCH_WINDOWS,
     ) -> None:
         if mode not in ("gpu", "cpu"):

@@ -104,7 +104,7 @@ class ExecConfig:
     cache: bool = True
     #: Fused ragged-megabatch launching inside each shard run (GPU engine
     #: only; off under degradation, like the other throughput toggles).
-    fusion: bool = False
+    fusion: bool = JobSpec.fusion
     #: Modeled devices in the pool; ``> 1`` routes the job through the
     #: heterogeneous work-stealing scheduler (:mod:`repro.exec.hetero`).
     devices: int = 1

@@ -31,6 +31,10 @@ import numpy as np
 #: amortising launch overhead ~16x for the per-window kernel chain.
 MEGABATCH_WINDOWS = 16
 
+#: Whether a job runs the fused megabatch path when it does not say.  The
+#: per-window chain (``fusion=False``) stays as the parity oracle.
+FUSION_DEFAULT = True
+
 #: Host-side launcher functions whose device work the fused path
 #: replaces with a single megabatch launch sequence.  gsnp-lint rule
 #: GSNP107 flags calls to these names inside a per-window loop.

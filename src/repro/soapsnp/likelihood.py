@@ -96,13 +96,15 @@ def occurrence_ordinals(
     m = site.size
     if m == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.lexsort((strand, coord, base, site))
     key = (
-        site[order].astype(np.int64) << 20
-        | base[order].astype(np.int64) << 18
-        | coord[order].astype(np.int64) << 2
-        | strand[order].astype(np.int64)
+        site.astype(np.int64) << 20
+        | base.astype(np.int64) << 18
+        | coord.astype(np.int64) << 2
+        | strand.astype(np.int64)
     )
+    # Stable, so position-in-run is the ordinal in input order.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     change = np.concatenate([[True], key[1:] != key[:-1]])
     run_id = np.cumsum(change) - 1
     run_start = np.nonzero(change)[0]

@@ -14,7 +14,7 @@ import numpy as np
 from ..constants import GENOTYPES, N_BASES, N_GENOTYPES
 from ..formats.cns import NO_BASE, ResultTable
 from ..seqsim.datasets import KnownSnpPrior
-from ..stats.ranksum import rank_sum_pvalue
+from ..stats.ranksum import rank_sum_pvalues_segmented
 from .model import CallingParams, genotype_log_priors
 from .observe import Observations
 
@@ -69,20 +69,21 @@ def summarize_window(
     positions = window_start + np.arange(n, dtype=np.int64)
 
     # --- allele statistics -------------------------------------------------
-    count_all = np.zeros((n, N_BASES), dtype=np.int64)
-    count_uni = np.zeros((n, N_BASES), dtype=np.int64)
-    qual_sum_uni = np.zeros((n, N_BASES), dtype=np.int64)
-    hits_sum = np.zeros(n, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    if obs.n_obs:
-        np.add.at(count_all, (obs.site, obs.base), 1)
-        np.add.at(depth, obs.site, 1)
-        np.add.at(hits_sum, obs.site, obs.hits.astype(np.int64))
-        u = obs.unique
-        np.add.at(count_uni, (obs.site[u], obs.base[u]), 1)
-        np.add.at(
-            qual_sum_uni, (obs.site[u], obs.base[u]), obs.score[u].astype(np.int64)
-        )
+    # bincount on the flat (site, base) key; weighted sums come back as
+    # float64, exact for these small integers.
+    cell = obs.site * N_BASES + obs.base
+    u = obs.unique
+    u_site, u_base, u_score = obs.site[u], obs.base[u], obs.score[u]
+    ucell = cell[u]
+    count_all = np.bincount(cell, minlength=n * N_BASES).reshape(n, N_BASES)
+    count_uni = np.bincount(ucell, minlength=n * N_BASES).reshape(n, N_BASES)
+    qual_sum_uni = np.bincount(
+        ucell, weights=u_score, minlength=n * N_BASES
+    ).astype(np.int64).reshape(n, N_BASES)
+    hits_sum = np.bincount(
+        obs.site, weights=obs.hits, minlength=n
+    ).astype(np.int64)
+    depth = np.bincount(obs.site, minlength=n)
 
     # Best and second-best allele by unique count, ties broken by quality
     # mass then base code (deterministic in every implementation).
@@ -113,25 +114,15 @@ def summarize_window(
     genotype, quality, _ = call_posterior(type_likely, ref_codes, rates, params)
 
     # --- rank-sum test on best vs second allele qualities -------------------
-    rank_sum = np.ones(n, dtype=np.float32)
-    het_sites = np.nonzero((cu_second > 0) & (cu_best > 0))[0]
-    if het_sites.size and obs.n_obs:
-        u_idx = np.nonzero(obs.unique)[0]
-        u_site = obs.site[u_idx]
-        u_base = obs.base[u_idx]
-        u_score = obs.score[u_idx]
-        # Group unique observations by site for fast per-site slicing.
-        site_order = np.argsort(u_site, kind="stable")
-        sorted_site = u_site[site_order]
-        starts = np.searchsorted(sorted_site, np.arange(n), "left")
-        ends = np.searchsorted(sorted_site, np.arange(n), "right")
-        for s in het_sites:
-            sl = site_order[starts[s] : ends[s]]
-            b = u_base[sl]
-            q = u_score[sl]
-            x = q[b == best_base[s]]
-            y = q[b == second_base[s]]
-            rank_sum[s] = rank_sum_pvalue(x, y)
+    # Unique observations of the two alleles at het candidates, all sites
+    # in one segmented pass; every other site keeps p = 1.
+    is_best = u_base == best_base[u_site]
+    keep = (cu_best > 0)[u_site] & (cu_second > 0)[u_site] & (
+        is_best | (u_base == second_base[u_site])
+    )
+    rank_sum = rank_sum_pvalues_segmented(
+        u_site[keep], u_score[keep], is_best[keep], n
+    ).astype(np.float32)
     rank_sum = np.round(rank_sum.astype(np.float64), 2).astype(np.float32)
 
     copy_num = np.zeros(n, dtype=np.float64)

@@ -1,10 +1,20 @@
 """GSNP likelihood kernels: the consistency property and counter shapes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.base_word import words_from_observations
+from repro.constants import MAX_READ_LEN, MULTIPASS_BOUNDS, N_STRANDS
+from repro.core.base_word import (
+    canonical_keys,
+    decode_keys,
+    extract_words,
+    pack_words,
+    words_from_observations,
+)
 from repro.core.counting import gsnp_counting
+from repro.core.fused import gsnp_likelihood_posterior_fused
 from repro.core.likelihood import (
     ALL_VARIANTS,
     BASELINE,
@@ -12,12 +22,19 @@ from repro.core.likelihood import (
     WITH_SHARED,
     WITH_TABLE,
     GsnpTables,
+    dep_count_ranks,
     gsnp_likelihood_comp,
     gsnp_likelihood_sort,
 )
+from repro.core.score_table import table_contributions
 from repro.gpusim.costmodel import GpuCostModel
 from repro.gpusim.device import Device
-from repro.soapsnp.likelihood import window_type_likely
+from repro.soapsnp.likelihood import (
+    adjust_scores,
+    sequential_site_sums,
+    window_type_likely,
+)
+from repro.sortnet.cpu_sort import quicksort_per_site
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +178,128 @@ class TestCountingKernel:
         words, offsets = gsnp_counting(device, obs)
         assert words.size == 0
         assert offsets.size == 6
+
+
+def _mirror_walk_ranks(words, offsets):
+    """Test-only oracle: the dense (n_sites, 512) host ``dep_count`` mirror
+    the comp kernel used to carry, walked in lockstep as Algorithm 4 does
+    (zero the lane's row when its base advances, bump the slot, read it)."""
+    n = offsets.size - 1
+    lens = np.diff(offsets)
+    dep = np.zeros((n, N_STRANDS * MAX_READ_LEN), dtype=np.int32)
+    last_base = np.zeros(n, dtype=np.int64)
+    out = np.zeros(words.size, dtype=np.int32)
+    for j in range(int(lens.max(initial=0))):
+        rows = np.nonzero(j < lens)[0]
+        idx = offsets[:-1][rows] + j
+        base, _, coord, strand = extract_words(words[idx])
+        base = base.astype(np.int64)
+        dep[rows[base > last_base[rows]]] = 0
+        last_base[rows] = np.maximum(last_base[rows], base)
+        slot = strand.astype(np.int64) * MAX_READ_LEN + coord
+        dep[rows, slot] += 1
+        out[idx] = dep[rows, slot]
+    return out
+
+
+def _random_lanes(seed, read_len=8):
+    """Random per-site words (arrival order) with zero-length lanes, lanes
+    at every size-class bound and one lane beyond the top bound; few
+    distinct coords so dependency groups hold many duplicates."""
+    rng = np.random.default_rng(seed)
+    top = MULTIPASS_BOUNDS[-1]
+    lens = np.concatenate([
+        [0, 0, top * 3],
+        MULTIPASS_BOUNDS,
+        rng.integers(0, 2 * top, 40),
+    ])
+    rng.shuffle(lens)
+    offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    m = int(offsets[-1])
+    words = pack_words(
+        rng.integers(0, 4, m), rng.integers(0, 41, m),
+        rng.integers(0, read_len, m), rng.integers(0, 2, m),
+    )
+    return words, offsets
+
+
+def _sorted_lanes(words, offsets):
+    return decode_keys(quicksort_per_site(canonical_keys(words), offsets))
+
+
+class TestDepCountRanks:
+    """The closed-form ranks replace the host dep_count mirror exactly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_mirror_walk(self, seed):
+        words, offsets = _random_lanes(seed)
+        wsorted = _sorted_lanes(words, offsets)
+        assert np.array_equal(
+            dep_count_ranks(wsorted, offsets),
+            _mirror_walk_ranks(wsorted, offsets),
+        )
+        # Unsorted input still follows Algorithm 4's "base advances" reset.
+        assert np.array_equal(
+            dep_count_ranks(words, offsets),
+            _mirror_walk_ranks(words, offsets),
+        )
+
+    def test_empty(self):
+        ranks = dep_count_ranks(
+            np.zeros(0, dtype=np.uint32), np.zeros(4, dtype=np.int64)
+        )
+        assert ranks.size == 0
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_kernel_applies_mirror_walk_ranks(
+        self, sanitize, fused, small_pm_flat, small_penalty
+    ):
+        words, offsets = _random_lanes(11)
+        wsorted = _sorted_lanes(words, offsets)
+        device = Device(sanitize=sanitize)
+        tables = GsnpTables.load(
+            device, small_pm_flat, small_penalty, cache=False
+        )
+        launcher = (
+            gsnp_likelihood_posterior_fused if fused else gsnp_likelihood_comp
+        )
+        got = launcher(device, wsorted, offsets, tables, OPTIMIZED)
+        tables.free(device)
+        if sanitize:
+            assert device.sanitize_teardown(strict=True) == []
+
+        base, score, coord, _ = extract_words(wsorted)
+        q_adj = adjust_scores(
+            score, _mirror_walk_ranks(wsorted, offsets) - 1, small_penalty
+        )
+        want = sequential_site_sums(
+            table_contributions(tables.newp_host, q_adj, coord, base), offsets
+        )
+        assert np.array_equal(got, want)
+
+    def test_comp_launch_keeps_no_host_mirror(
+        self, small_pm_flat, small_penalty
+    ):
+        """One 20k-site launch allocates the simulated ``dep_count`` array
+        plus per-lane vectors and transaction memos (~1.45x in all); a
+        dense (n, 512) host copy of it, even an int16 one, breaks 1.75x."""
+        n = 20_000
+        rng = np.random.default_rng(5)
+        offsets = np.arange(0, 4 * n + 1, 4, dtype=np.int64)
+        words = pack_words(
+            rng.integers(0, 4, 4 * n), rng.integers(0, 41, 4 * n),
+            rng.integers(0, 8, 4 * n), rng.integers(0, 2, 4 * n),
+        )
+        wsorted = _sorted_lanes(words, offsets)
+        device = Device()
+        tables = GsnpTables.load(device, small_pm_flat, small_penalty)
+        dep_bytes = n * N_STRANDS * MAX_READ_LEN * 4
+        tracemalloc.start()
+        try:
+            gsnp_likelihood_comp(device, wsorted, offsets, tables, OPTIMIZED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert device.counters.get("likelihood_comp_optimized").launches == 1
+        assert peak < 1.75 * dep_bytes

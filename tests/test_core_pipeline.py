@@ -126,8 +126,15 @@ class TestAccounting:
         assert gpu.extras["peak_gpu_bytes"] < 3 * 1024**3
 
     def test_sort_stats_per_window(self, three_results, small_dataset):
+        # One SortStats per sort launch chain: per megabatch on the default
+        # fused path, per window on the fusion=False oracle.
         _, _, gpu = three_results
-        assert len(gpu.sort_stats) == -(-small_dataset.n_sites // 2000)
+        assert len(gpu.sort_stats) == 1
+        oracle = GsnpPipeline(
+            window_size=2000, mode="gpu", fusion=False
+        ).run(small_dataset)
+        assert len(oracle.sort_stats) == -(-small_dataset.n_sites // 2000)
+        assert oracle.table.equals(gpu.table)
 
 
 class TestValidation:

@@ -39,9 +39,16 @@ def _counters(profile):
     return out
 
 
-def _serial(engine, dataset, output_path=None):
-    pipe = create_pipeline(engine, window_size=WINDOW)
+def _serial(engine, dataset, output_path=None, **toggles):
+    pipe = create_pipeline(engine, window_size=WINDOW, **toggles)
     return pipe.run(dataset, output_path=output_path)
+
+
+#: gsnp *event counters* are compared on the per-window oracle: a sharded
+#: fused run and a serial fused run cut megabatches at different window
+#: boundaries, so their launch counts legitimately differ.  Result bytes
+#: are compared on the default (fused) path.
+PER_WINDOW = {"fusion": False}
 
 
 class TestPlanShards:
@@ -99,6 +106,12 @@ class TestParity:
         )
         assert par_path.read_bytes() == serial_path.read_bytes()
         assert par.output_bytes == serial.output_bytes
+        if engine == "gsnp":
+            serial = _serial(engine, small_dataset, **PER_WINDOW)
+            par = execute(
+                small_dataset, engine, window_size=WINDOW, workers=workers,
+                **PER_WINDOW,
+            )
         assert _counters(par.profile) == _counters(serial.profile)
 
     def test_compressed_roundtrip(self, small_dataset, tmp_path):
@@ -124,6 +137,11 @@ class TestParity:
         assert par.extras["exec"]["streaming"]
         assert par.table.equals(serial.table)
         assert par.compressed_output == serial.compressed_output
+        serial = _serial("gsnp", small_dataset, **PER_WINDOW)
+        par = execute(
+            small_dataset, "gsnp", window_size=WINDOW,
+            soap_path=soap, workers=2, **PER_WINDOW,
+        )
         assert _counters(par.profile) == _counters(serial.profile)
 
     def test_serial_fallback_identical(self, small_dataset):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.align.records import AlignmentBatch
-from repro.api import create_pipeline
+from repro.api import JobSpec, create_pipeline
 from repro.core.detector import GsnpDetector
 from repro.core.fused import merge_observations
 from repro.core.counting import gsnp_counting
@@ -80,6 +80,29 @@ class TestBitwiseParity:
                            cache=False)
         res = det.run(ds)  # strict teardown inside run()
         assert res.table.n_sites == ds.n_sites
+
+
+class TestDefaultPathParity:
+    """A plain ``JobSpec()`` takes the fused path; the explicitly
+    requested ``fusion=False`` per-window chain is its parity oracle."""
+
+    @pytest.fixture(scope="class")
+    def ds36k(self):
+        return generate_dataset(DatasetSpec(
+            name="fusion-default", n_sites=36_000, depth=3.0, coverage=0.85,
+            seed=47,
+        ))
+
+    # 12 windows of 3000 sites (one megabatch), then one default window.
+    @pytest.mark.parametrize("job", [{"window": 3_000}, {}], ids=str)
+    def test_default_equals_per_window_oracle(self, ds36k, job):
+        assert JobSpec().fusion is True
+        default = GsnpDetector(spec=JobSpec(**job)).run(ds36k)
+        oracle = GsnpDetector(spec=JobSpec(fusion=False, **job)).run(ds36k)
+        assert "fusion" in default.extras
+        assert "fusion" not in oracle.extras
+        assert default.table.equals(oracle.table)
+        assert default.compressed_output == oracle.compressed_output
 
 
 class TestLaunchReduction:

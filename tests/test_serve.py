@@ -23,6 +23,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -183,8 +184,18 @@ class TestDeprecationShim:
         assert res.table.n_sites == small_dataset.n_sites
 
     def test_unexposed_toggle_warns_instead_of_silent_drop(self):
-        with pytest.warns(RuntimeWarning, match="does not expose"):
-            create_pipeline(spec=JobSpec(engine="soapsnp", fusion=True))
+        # A non-default "on" request the engine cannot honour warns ...
+        with pytest.warns(RuntimeWarning, match="does not expose 'megabatch'"):
+            create_pipeline(spec=JobSpec(engine="soapsnp", megabatch=4))
+        with pytest.warns(RuntimeWarning, match="does not expose 'fusion'"):
+            with pytest.warns(DeprecationWarning):
+                create_pipeline("soapsnp", fusion=True)
+        # ... defaults and the off value describe what it does anyway.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            create_pipeline(spec=JobSpec(engine="soapsnp"))
+            create_pipeline(spec=JobSpec(engine="soapsnp", fusion=False))
+            create_pipeline(spec=JobSpec(engine="soapsnp", cache=False))
 
 
 class TestLintLegacyKwargs:

@@ -14,6 +14,7 @@ from repro.stats import (
     rank_sum_pvalue,
     rank_sum_statistic,
 )
+from repro.stats.ranksum import rank_sum_pvalues_segmented
 
 
 class TestLogTable:
@@ -115,3 +116,51 @@ class TestRankSum:
             y = rng.integers(0, 41, rng.integers(1, 20)).astype(float)
             p = rank_sum_pvalue(x, y)
             assert 0.0 <= p <= 1.0
+
+
+class TestRankSumSegmented:
+    """One segmented pass == the scalar test applied segment by segment."""
+
+    # Each segment is a pair of samples; tiny value ranges force heavy
+    # ties, and empty / single-element / all-tied samples are all drawn.
+    _sample = st.lists(st.integers(0, 5), min_size=0, max_size=12)
+    _segments = st.lists(st.tuples(_sample, _sample), min_size=0, max_size=8)
+
+    @staticmethod
+    def _flatten(segments, rng):
+        seg, val, in_x = [], [], []
+        for i, (x, y) in enumerate(segments):
+            seg += [i] * (len(x) + len(y))
+            val += x + y
+            in_x += [True] * len(x) + [False] * len(y)
+        order = rng.permutation(len(seg))  # element order must not matter
+        return (
+            np.array(seg, dtype=np.int64)[order],
+            np.array(val, dtype=np.uint8)[order],
+            np.array(in_x, dtype=bool)[order],
+        )
+
+    @given(_segments, st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_per_segment_scalar(self, segments, seed):
+        seg, val, in_x = self._flatten(segments, np.random.default_rng(seed))
+        got = rank_sum_pvalues_segmented(seg, val, in_x, len(segments))
+        want = np.array(
+            [rank_sum_pvalue(np.array(x), np.array(y)) for x, y in segments],
+            dtype=np.float64,
+        )
+        assert np.array_equal(got, want)
+
+    def test_named_degenerate_segments(self):
+        segments = [
+            ([], [3, 3]),            # empty sample
+            ([7] * 5, [7] * 4),      # all values tied
+            ([2], [9]),              # single elements
+            ([], []),                # nothing at all
+            ([1, 1, 2, 40], [1, 2, 2, 2, 3]),
+        ]
+        seg, val, in_x = self._flatten(segments, np.random.default_rng(0))
+        got = rank_sum_pvalues_segmented(seg, val, in_x, len(segments))
+        assert got[0] == got[1] == got[3] == 1.0
+        for i, (x, y) in enumerate(segments):
+            assert got[i] == rank_sum_pvalue(np.array(x), np.array(y))
