@@ -526,9 +526,9 @@ class _FusableLoopChecker(ast.NodeVisitor):
     :data:`repro.gpusim.launchplan.FUSABLE_LAUNCHERS` are flagged: that
     device work has a megabatch equivalent on the fused path, and a
     per-window launch chain silently reintroduces the launch-granularity
-    cost the launch-plan scheduler exists to remove.  The reference
-    per-window pipeline (kept as the fusion parity baseline) carries
-    explicit suppressions.
+    cost the launch-plan scheduler exists to remove.  (The per-window
+    parity oracle is a launch batch of one on the same plan-driven loop,
+    not a window loop of its own.)
     """
 
     def __init__(self, path: str) -> None:
@@ -586,12 +586,10 @@ class _SampleLoopChecker(ast.NodeVisitor):
     containing ``sample`` or ``cohort`` (``for b in sample_reads``).
     Calls inside such a loop to any launcher in
     :data:`repro.gpusim.launchplan.FUSABLE_LAUNCHERS` are flagged: the
-    sample-major cohort launch plan (``build_cohort_plan``) evaluates all
+    sample-major launch plan (``build_launch_plan(..., samples=)``) runs all
     S samples in one launch chain per megabatch, so a Python loop over
     samples around device launches silently reintroduces the
     O(S x megabatches) launch cost the cohort mode exists to remove.
-    (A loop over whole solo *runs* — the parity baseline — never calls a
-    launcher directly and is not flagged.)
     """
 
     _LOOP_WORDS = ("sample", "cohort")
@@ -636,8 +634,9 @@ class _SampleLoopChecker(ast.NodeVisitor):
                         message=(
                             f"fusable launcher '{name}' called inside a "
                             "per-sample loop; build a sample-major cohort "
-                            "launch plan (build_cohort_plan) so all "
-                            "samples share one launch chain per megabatch"
+                            "launch plan (build_launch_plan(..., samples=)) "
+                            "so all samples share one launch chain per "
+                            "megabatch"
                         ),
                     ))
         self.generic_visit(node)

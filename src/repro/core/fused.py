@@ -51,11 +51,11 @@ def merge_observations(
     the concatenation of the per-window (words, offsets) results.
 
     The same holds for a sample-major cohort plan
-    (:func:`repro.gpusim.launchplan.build_cohort_plan`): segments are
-    sequentially indexed whether they came from one sample's W windows
-    or S samples' S*W copies of them, so neither this merge nor any
-    downstream segment kernel needs a sample special case — the sample
-    axis is pure layout.
+    (:func:`repro.gpusim.launchplan.build_launch_plan` with
+    ``samples=``): segments are sequentially indexed whether they came
+    from one sample's W windows or S samples' S*W copies of them, so
+    neither this merge nor any downstream segment kernel needs a sample
+    special case — the sample axis is pure layout.
     """
     if len(obs_list) != plan.n_windows:
         raise ValueError("observation list does not match launch plan")

@@ -16,7 +16,9 @@ GSNP) produce bitwise identical result tables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -29,13 +31,13 @@ from ..formats.cns import ResultTable
 from ..formats.soap import soap_line_bytes
 from ..formats.window import WindowReader
 from ..compress.columnar import encode_alignments, encode_table
+from ..compress.fusedcodec import encode_tables_fused
 from ..gpusim.counters import KernelCounters
 from ..gpusim.device import Device
 from ..gpusim.launchplan import (
     FUSION_DEFAULT,
     MEGABATCH_WINDOWS,
     LaunchTally,
-    build_cohort_plan,
     build_launch_plan,
     chunk_windows,
 )
@@ -68,7 +70,7 @@ from .fused import (
     merge_observations,
 )
 from .posterior import gsnp_posterior
-from .prefetch import PREFETCH_DEPTH, OutputDrain, prefetched_windows
+from .prefetch import PREFETCH_DEPTH, prefetched_windows
 from .recycle import gsnp_recycle
 from .score_table import cached_new_p_matrix, table_contributions
 
@@ -167,6 +169,31 @@ class _PhaseScope:
             )
             self.record.transfer_bytes += xfer_now - self._xfer
         return False
+
+
+def _host_likelihood(
+    rec: PhaseRecord,
+    words: np.ndarray,
+    offsets: np.ndarray,
+    calibration: GsnpCalibration,
+) -> np.ndarray:
+    """``mode='cpu'`` likelihood for one window: quicksort for the sort
+    half, the table lookups evaluated on the host for the comp half; the
+    work is charged to ``rec``."""
+    keys = canonical_keys(words)
+    skeys = quicksort_per_site(keys, offsets)
+    base, score, coord, strand = extract_words(decode_keys(skeys))
+    site = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    ordinal = occurrence_ordinals(site, base, coord, strand)
+    q_adj = adjust_scores(score, ordinal, calibration.penalty)
+    contrib = table_contributions(calibration.new_p_flat, q_adj, coord, base)
+    m = words.size
+    lens = np.diff(offsets)
+    nl = lens[lens > 1]
+    rec.cpu.instructions += int((nl * np.log2(nl) * 12).sum()) + 30 * m
+    rec.cpu.random_accesses += 10 * m + 2 * m
+    rec.cpu.seq_read_bytes += 8 * m
+    return sequential_site_sums(contrib, offsets)
 
 
 class GsnpPipeline:
@@ -276,338 +303,20 @@ class GsnpPipeline:
         calibration phase is neither re-run nor re-charged here; ``reads``
         overrides the alignment batch (e.g. a streamed shard batch holding
         only the reads overlapping ``site_range``).
+
+        A solo run is a cohort of one: its only sample's result, carrying
+        the run's profile and extras.
         """
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
-        profile = RunProfile(
-            pipeline="gsnp" if self.mode == "gpu" else "gsnp_cpu"
+        cohort = self._run_plan(
+            dataset, [reads],
+            None if output_path is None else [output_path],
+            site_range, calibration,
         )
-        device = self.device
-        if self.mode == "gpu" and device is None:
-            # Persistent residency: reuse one device (and its uploaded
-            # tables) across run() calls; without caching, each run gets a
-            # fresh device exactly as before.
-            if self.cache and self._cached_device is not None:
-                device = self._cached_device
-            else:
-                device = acquire_device()
-                if self.cache:
-                    self._cached_device = device
-
-        own_calibration = calibration is None
-        if own_calibration:
-            calibration = self.calibrate(dataset, reads=reads)
-            profile.records["cal_p_matrix"] = calibration.record
-        params = calibration.params
-        pm_flat = calibration.pm_flat
-        penalty = calibration.penalty
-        newp_flat = calibration.new_p_flat
-        temp_len = calibration.temp_len
-        total_reads = calibration.total_reads
-        # Residency stays off on sanitizing devices: the strict teardown
-        # leak check must see every allocation of the run freed.
-        use_cache = self.cache and not (
-            device is not None and device.sanitizer is not None
+        return replace(
+            cohort.samples[0], profile=cohort.profile, extras=cohort.extras
         )
-        if self.mode == "gpu":
-            # Shared-calibration runs load outside any phase scope: the one
-            # serial-equivalent upload is already charged to the record.
-            # With caching, repeat runs hit the device-resident bundle and
-            # transfer nothing — also outside any scope, so per-phase
-            # records are identical either way.
-            tables = GsnpTables.load(device, pm_flat, penalty, cache=use_cache)
-
-        start, stop = site_range if site_range is not None else (0, dataset.n_sites)
-        reader = WindowReader(
-            reads, dataset.n_sites, self.window_size, start=start, stop=stop
-        )
-        use_fusion = self.fusion and self.mode == "gpu"
-        # With fusion the compute loop consumes a whole megabatch at a
-        # time, so the decode pipeline must run at least that far ahead.
-        depth = max(PREFETCH_DEPTH, self.megabatch) if use_fusion else PREFETCH_DEPTH
-        windows = prefetched_windows(reader, self.prefetch, depth=depth)
-        tables_out: list[ResultTable] = []
-        sort_stats = []
-        blobs: list[bytes] = []
-        out_f = None
-        out_cm = None
-        drain = None
-        if output_path is not None:
-            if self.prefetch:
-                drain = OutputDrain(output_path)
-            else:
-                # Same crash-safety as the drain: write <path>.part and
-                # rename only once every window's blob is flushed.
-                from ..faults.journal import atomic_output
-
-                out_cm = atomic_output(output_path)
-                out_f = out_cm.__enter__()
-        out_committed = False
-        fusion_info = None
-        try:
-            if use_fusion:
-                fusion_info = self._run_fused(
-                    windows, device, tables, profile, dataset, params,
-                    temp_len, total_reads, out_f, drain,
-                    tables_out, sort_stats, blobs,
-                )
-                windows = ()  # the fused loop consumed the window stream
-            for window in windows:
-                frac = window.reads.n_reads / max(total_reads, 1)
-
-                # ---- read_site: decompress the temp input ------------------
-                rec = profile.phase("read_site")
-                with _PhaseScope(rec, device):
-                    win_reads = window.reads
-                rec.disk.read_buffered_bytes += int(temp_len * frac)
-                rec.cpu.instructions += win_reads.n_reads * 8
-
-                # ---- counting: per-site base_word segments -----------------
-                # The per-window launch chain below is the fusion parity
-                # baseline (and the mode='cpu' path); GSNP107 suppressions
-                # mark each launcher the megabatch path replaces.
-                rec = profile.phase("counting")
-                with _PhaseScope(rec, device):
-                    obs = extract_observations(window)
-                    if self.mode == "gpu":
-                        words, offsets = gsnp_counting(device, obs)  # gsnp-lint: disable=GSNP107 (per-window parity baseline for fusion)
-                    else:
-                        words, offsets = words_from_observations(obs)
-                rec.cpu.instructions += obs.n_obs * 4
-                if self.mode == "cpu":
-                    rec.cpu.random_accesses += obs.n_obs
-
-                # ---- likelihood: sort + comp --------------------------------
-                rec = profile.phase("likelihood")
-                with _PhaseScope(rec, device):
-                    if self.mode == "gpu":
-                        wsorted, stats = gsnp_likelihood_sort(  # gsnp-lint: disable=GSNP107 (per-window parity baseline for fusion)
-                            device, words, offsets
-                        )
-                        sort_stats.append(stats)
-                        type_likely = gsnp_likelihood_comp(  # gsnp-lint: disable=GSNP107 (per-window parity baseline for fusion)
-                            device, wsorted, offsets, tables, self.variant
-                        )
-                    else:
-                        keys = canonical_keys(words)
-                        skeys = quicksort_per_site(keys, offsets)
-                        wsorted = decode_keys(skeys)
-                        base, score, coord, strand = extract_words(wsorted)
-                        site = np.repeat(
-                            np.arange(offsets.size - 1), np.diff(offsets)
-                        )
-                        ordinal = occurrence_ordinals(site, base, coord, strand)
-                        q_adj = adjust_scores(score, ordinal, penalty)
-                        contrib = table_contributions(
-                            newp_flat, q_adj, coord, base
-                        )
-                        type_likely = sequential_site_sums(contrib, offsets)
-                if self.mode == "cpu":
-                    m = words.size
-                    lens = np.diff(offsets)
-                    nl = lens[lens > 1]
-                    rec.cpu.instructions += int(
-                        (nl * np.log2(nl) * 12).sum()
-                    ) + 30 * m
-                    rec.cpu.random_accesses += 10 * m + 2 * m
-                    rec.cpu.seq_read_bytes += 8 * m
-
-                # ---- posterior ------------------------------------------------
-                rec = profile.phase("posterior")
-                with _PhaseScope(rec, device):
-                    ref_codes = dataset.reference.codes[
-                        window.start : window.end
-                    ]
-                    if self.mode == "gpu":
-                        table = gsnp_posterior(  # gsnp-lint: disable=GSNP107 (per-window parity baseline for fusion)
-                            device, obs, window.start, ref_codes,
-                            dataset.prior, type_likely, params,
-                            chrom=dataset.reference.name,
-                        )
-                    else:
-                        table = summarize_window(
-                            obs, window.start, ref_codes, dataset.prior,
-                            type_likely, params,
-                            chrom=dataset.reference.name,
-                        )
-                        rec.cpu.instructions += window.n_sites * 100
-                        rec.cpu.random_accesses += window.n_sites * 5
-
-                # ---- output: customized columnar compression ----------------
-                rec = profile.phase("output")
-                with _PhaseScope(rec, device):
-                    blob = encode_table(  # gsnp-lint: disable=GSNP107 (per-window parity baseline for fusion)
-                        table, device=device if self.mode == "gpu" else None
-                    )
-                    if out_f is not None:
-                        out_f.write(blob)
-                    elif drain is not None:
-                        drain.submit(blob)
-                blobs.append(blob)
-                rec.disk.write_bytes += len(blob)
-                if self.mode == "gpu":
-                    # Compressed blob comes back over PCIe.
-                    rec.transfer_bytes += len(blob)
-                else:
-                    # CPU codecs: sequential-scan compression cost.
-                    raw = table.n_sites * 40
-                    rec.cpu.instructions += int(
-                        raw * (2.0e9 / CPU_COMPRESS_BW)
-                    )
-                tables_out.append(table)
-
-                # ---- recycle -------------------------------------------------
-                rec = profile.phase("recycle")
-                with _PhaseScope(rec, device):
-                    if self.mode == "gpu":
-                        gsnp_recycle(device, words.size, window.n_sites)  # gsnp-lint: disable=GSNP107 (per-window parity baseline for fusion)
-                if self.mode == "cpu":
-                    rec.cpu.seq_write_bytes += words.size * 4 + window.n_sites * 88
-        except BaseException as exc:
-            # A failed window can leave partial allocations on the device;
-            # drop the persistent residency rather than reuse that device.
-            if self.mode == "gpu" and use_cache:
-                self.release_cache()
-            if out_cm is not None:
-                # Abandon the partial .part file — never a torn output.
-                out_committed = True
-                out_cm.__exit__(type(exc), exc, exc.__traceback__)
-            raise
-        finally:
-            if out_cm is not None and not out_committed:
-                out_cm.__exit__(None, None, None)
-            if drain is not None:
-                drain.close()
-            if self.mode == "gpu" and not use_cache:
-                tables.free(device)
-
-        full = tables_out[0]
-        for t in tables_out[1:]:
-            full = full.concat(t)
-        compressed = b"".join(blobs)
-        return GsnpResult(
-            table=full,
-            profile=profile,
-            compressed_output=compressed,
-            output_bytes=len(compressed),
-            temp_input_bytes=temp_len,
-            sort_stats=sort_stats,
-            extras={
-                "input_bytes": calibration.input_bytes,
-                "device": device,
-                "peak_gpu_bytes": device.peak_global_used if device else 0,
-                **({"fusion": fusion_info} if fusion_info is not None else {}),
-            },
-        )
-
-    def _run_fused(
-        self,
-        windows,
-        device: Device,
-        tables: GsnpTables,
-        profile: RunProfile,
-        dataset: SimulatedDataset,
-        params: CallingParams,
-        temp_len: int,
-        total_reads: int,
-        out_f,
-        drain,
-        tables_out: list,
-        sort_stats: list,
-        blobs: list,
-    ) -> dict:
-        """Fused megabatch loop: one launch chain per ``megabatch`` windows.
-
-        Phase names and per-phase accounting match the per-window loop —
-        each :class:`_PhaseScope` just covers a megabatch's worth of the
-        phase at once — so phase-level event records stay comparable
-        across the fusion toggle while the device sees ~``megabatch``x
-        fewer launches.
-        """
-        from ..compress.fusedcodec import encode_tables_fused
-
-        tally = LaunchTally()
-        n_megabatches = 0
-        fused_name = f"likelihood_posterior_fused_{self.variant.name}"
-        for group in chunk_windows(windows, self.megabatch):
-            n_megabatches += 1
-
-            # ---- read_site: decompress the temp input ----------------------
-            rec = profile.phase("read_site")
-            with _PhaseScope(rec, device):
-                group_reads = [w.reads for w in group]
-            for win_reads in group_reads:
-                frac = win_reads.n_reads / max(total_reads, 1)
-                rec.disk.read_buffered_bytes += int(temp_len * frac)
-                rec.cpu.instructions += win_reads.n_reads * 8
-
-            # ---- counting: merged megabatch base_word segments -------------
-            rec = profile.phase("counting")
-            with _PhaseScope(rec, device):
-                obs_list = [extract_observations(w) for w in group]
-                plan = build_launch_plan(group, [o.n_obs for o in obs_list])
-                merged = merge_observations(obs_list, plan)
-                with tally.measure(device, "counting", plan.n_windows):
-                    words, offsets = gsnp_counting(device, merged)
-            rec.cpu.instructions += merged.n_obs * 4
-
-            # ---- likelihood: cross-window sort + fused comp+posterior ------
-            rec = profile.phase("likelihood")
-            with _PhaseScope(rec, device):
-                with tally.measure(device, "likelihood_sort", plan.n_windows):
-                    wsorted, stats = gsnp_likelihood_sort(
-                        device, words, offsets
-                    )
-                sort_stats.append(stats)
-                with tally.measure(device, fused_name, plan.n_windows):
-                    type_likely = gsnp_likelihood_posterior_fused(
-                        device, wsorted, offsets, tables, self.variant
-                    )
-
-            # ---- posterior: host summaries + in-kernel epilogue charge -----
-            rec = profile.phase("posterior")
-            with _PhaseScope(rec, device):
-                group_tables = []
-                for seg, obs_w in zip(plan.segments, obs_list):
-                    ref_codes = dataset.reference.codes[seg.start:seg.end]
-                    group_tables.append(summarize_window(
-                        obs_w, seg.start, ref_codes, dataset.prior,
-                        type_likely[seg.site_slice], params,
-                        chrom=dataset.reference.name,
-                    ))
-                    fused_posterior_tail(
-                        device, fused_name, seg.n_sites, obs_w.n_obs
-                    )
-
-            # ---- output: segmented columnar compression --------------------
-            rec = profile.phase("output")
-            with _PhaseScope(rec, device):
-                with tally.measure(device, "output_compress", plan.n_windows):
-                    group_blobs = encode_tables_fused(device, group_tables)
-                for blob in group_blobs:
-                    if out_f is not None:
-                        out_f.write(blob)
-                    elif drain is not None:
-                        drain.submit(blob)
-            for blob in group_blobs:
-                blobs.append(blob)
-                rec.disk.write_bytes += len(blob)
-                rec.transfer_bytes += len(blob)
-            tables_out.extend(group_tables)
-
-            # ---- recycle ---------------------------------------------------
-            rec = profile.phase("recycle")
-            with _PhaseScope(rec, device):
-                with tally.measure(device, "recycle", plan.n_windows):
-                    gsnp_recycle_fused(
-                        device, words.size, plan.n_sites, plan.n_windows
-                    )
-        return {
-            "megabatch_windows": self.megabatch,
-            "megabatches": n_megabatches,
-            "launches": tally.total_launches(),
-            "stages": tally.summary(),
-        }
 
     def run_cohort(
         self,
@@ -626,269 +335,319 @@ class GsnpPipeline:
         launch chain per megabatch, so launches per stage stay
         O(megabatches) rather than O(S * megabatches).
 
-        Without fusion (or in CPU mode) the cohort degrades to S solo
-        :meth:`run` calls sharing the pooled calibration; that loop *is*
-        the bitwise parity baseline the fused path is tested against.
-
         ``output_paths``, when given, supplies one output file per
         sample (entries may be None).  Returns a
         :class:`repro.core.cohort.CohortResult`.
         """
+        return self._run_plan(
+            dataset, list(sample_reads), output_paths, site_range,
+            calibration,
+        )
+
+    def _run_plan(
+        self,
+        dataset: SimulatedDataset,
+        sample_reads: list,
+        output_paths,
+        site_range: Optional[tuple[int, int]],
+        calibration: Optional[GsnpCalibration],
+    ):
+        """The one run loop (Figure 2), driven by launch plans.
+
+        S lockstep :class:`WindowReader` streams — window boundaries
+        depend only on ``(n_sites, window_size, start, stop)``, so every
+        step's S windows cover the same reference window — are chunked
+        into groups of ``megabatch`` reference windows (one when not
+        fused).  Each group is flattened sample-major and split into
+        *launch batches*: the whole group when fused, one (window,
+        sample) each otherwise.  A batch is laid out on one
+        :func:`build_launch_plan` and runs counting -> likelihood ->
+        posterior -> output -> recycle once; the kernels are
+        segment-local and never tell a sample boundary from a window
+        boundary, so the fused / per-window-GPU / host difference is a
+        branch at each launcher call, not a loop of its own.  The batch
+        of one *is* the per-window parity oracle.
+
+        Phase names and accounting are the same on every chain — a
+        :class:`_PhaseScope` just covers a batch's worth of the phase at
+        once.  The tally counts *reference* windows, so ``launches /
+        windows`` exposes the cost the sample axis amortises.
+        """
+        from ..faults.journal import atomic_output
         from .cohort import CohortResult, pooled_batch
 
-        sample_reads = list(sample_reads)
         n_samples = len(sample_reads)
         if n_samples == 0:
             raise PipelineError("cohort needs at least one sample")
         if output_paths is not None and len(output_paths) != n_samples:
             raise PipelineError("output_paths must align with samples")
-        profile = RunProfile(
-            pipeline="gsnp" if self.mode == "gpu" else "gsnp_cpu"
-        )
-        own_calibration = calibration is None
-        if own_calibration:
+        gpu = self.mode == "gpu"
+        fused = self.fusion and gpu
+        profile = RunProfile(pipeline="gsnp" if gpu else "gsnp_cpu")
+        if calibration is None:
             calibration = self.calibrate(
-                dataset, reads=pooled_batch(sample_reads)
+                dataset,
+                reads=(
+                    sample_reads[0] if n_samples == 1
+                    else pooled_batch(sample_reads)
+                ),
             )
             profile.records["cal_p_matrix"] = calibration.record
-
-        use_fusion = self.fusion and self.mode == "gpu"
-        if not use_fusion:
-            # Parity baseline: S solo runs sharing the pooled calibration
-            # (the per-sample loop GSNP111 exists to flag is a loop over
-            # *launchers*; a loop over whole runs is the baseline, not
-            # the anti-pattern).
-            sample_results = []
-            for si, batch in enumerate(sample_reads):
-                res = self.run(
-                    dataset,
-                    output_path=(
-                        output_paths[si] if output_paths is not None else None
-                    ),
-                    site_range=site_range,
-                    calibration=calibration,
-                    reads=batch,
-                )
-                profile.merge(res.profile)
-                sample_results.append(res)
-            return CohortResult(
-                samples=sample_results,
-                profile=profile,
-                extras={
-                    "cohort": {"samples": n_samples, "fused": False},
-                    "input_bytes": calibration.input_bytes,
-                },
-            )
+        params = calibration.params
+        temp_len = calibration.temp_len
+        total_reads = max(calibration.total_reads, 1)
+        reference = dataset.reference
 
         device = self.device
-        if device is None:
+        if gpu and device is None:
+            # Persistent residency: reuse one device (and its uploaded
+            # tables) across runs; without caching, each run gets a
+            # fresh device.
             if self.cache and self._cached_device is not None:
                 device = self._cached_device
             else:
                 device = acquire_device()
                 if self.cache:
                     self._cached_device = device
+        # Residency stays off on sanitizing devices: the strict teardown
+        # leak check must see every allocation of the run freed.
         use_cache = self.cache and not (
             device is not None and device.sanitizer is not None
         )
-        tables = GsnpTables.load(
-            device, calibration.pm_flat, calibration.penalty, cache=use_cache
-        )
+        if gpu:
+            # Loaded outside any phase scope: the one serial-equivalent
+            # upload is already charged to the calibration record, and
+            # with caching repeat runs hit the device-resident bundle and
+            # transfer nothing — per-phase records are identical either
+            # way.
+            tables = GsnpTables.load(
+                device, calibration.pm_flat, calibration.penalty,
+                cache=use_cache,
+            )
+
         start, stop = (
             site_range if site_range is not None else (0, dataset.n_sites)
         )
-        # Window boundaries depend only on (n_sites, window_size, start,
-        # stop), so S lockstep readers always agree on the reference
-        # window each step covers.
-        readers = [
-            WindowReader(
-                batch, dataset.n_sites, self.window_size,
-                start=start, stop=stop,
+        group_size = self.megabatch if fused else 1
+        # The compute loop consumes a whole group at a time, so the
+        # decode pipeline must run at least that far ahead.
+        depth = max(PREFETCH_DEPTH, group_size)
+        streams = [
+            prefetched_windows(
+                WindowReader(
+                    batch, dataset.n_sites, self.window_size,
+                    start=start, stop=stop,
+                ),
+                self.prefetch, depth=depth,
             )
             for batch in sample_reads
         ]
-        depth = max(PREFETCH_DEPTH, self.megabatch)
-        streams = [
-            prefetched_windows(r, self.prefetch, depth=depth) for r in readers
-        ]
+        tally = LaunchTally()
+        fused_name = f"likelihood_posterior_fused_{self.variant.name}"
+        n_groups = 0
         per_tables: list[list] = [[] for _ in range(n_samples)]
         per_blobs: list[list[bytes]] = [[] for _ in range(n_samples)]
-        sort_stats: list = []
+        per_stats: list[list] = [[] for _ in range(n_samples)]
         try:
-            fusion_info = self._run_cohort_fused(
-                zip(*streams), n_samples, device, tables, profile, dataset,
-                calibration.params, calibration.temp_len,
-                calibration.total_reads, per_tables, sort_stats, per_blobs,
-            )
+            for group in chunk_windows(zip(*streams), group_size):
+                n_groups += 1
+                # Fused stages tally their launches against the group's
+                # reference windows; the unfused chains keep no tally
+                # (``nullcontext(stage)`` is a no-op).
+                measure = (
+                    partial(tally.measure, device, windows=len(group))
+                    if fused else nullcontext
+                )
+
+                # ---- read_site: decompress the temp input ------------------
+                rec = profile.phase("read_site")
+                with _PhaseScope(rec, device):
+                    group_reads = [
+                        [w.reads.n_reads for w in tup] for tup in group
+                    ]
+                for counts in group_reads:
+                    # One rounded temp-input share per reference window
+                    # when fused, one per (window, sample) otherwise.
+                    for n in [sum(counts)] if fused else counts:
+                        rec.disk.read_buffered_bytes += int(
+                            temp_len * (n / total_reads)
+                        )
+                    rec.cpu.instructions += sum(counts) * 8
+
+                flat = [
+                    (si, tup[si]) for si in range(n_samples) for tup in group
+                ]
+                for batch in [flat] if fused else [[item] for item in flat]:
+                    sample_ids, windows = zip(*batch)
+
+                    # ---- counting: per-site base_word segments -------------
+                    rec = profile.phase("counting")
+                    with _PhaseScope(rec, device):
+                        obs_list = [extract_observations(w) for w in windows]
+                        plan = build_launch_plan(
+                            windows, [o.n_obs for o in obs_list], sample_ids
+                        )
+                        obs = (
+                            merge_observations(obs_list, plan) if fused
+                            else obs_list[0]
+                        )
+                        if gpu:
+                            with measure("counting"):
+                                words, offsets = gsnp_counting(device, obs)
+                        else:
+                            words, offsets = words_from_observations(obs)
+                    rec.cpu.instructions += obs.n_obs * 4
+                    if not gpu:
+                        rec.cpu.random_accesses += obs.n_obs
+
+                    # ---- likelihood: sort + comp ---------------------------
+                    rec = profile.phase("likelihood")
+                    with _PhaseScope(rec, device):
+                        if gpu:
+                            with measure("likelihood_sort"):
+                                wsorted, stats = gsnp_likelihood_sort(
+                                    device, words, offsets
+                                )
+                            # A fused batch's stats ride on sample 0: the
+                            # shared sort is not faked per sample.
+                            per_stats[plan.segments[0].sample].append(stats)
+                        if fused:
+                            with measure(fused_name):
+                                type_likely = gsnp_likelihood_posterior_fused(
+                                    device, wsorted, offsets, tables,
+                                    self.variant,
+                                )
+                        elif gpu:
+                            type_likely = gsnp_likelihood_comp(
+                                device, wsorted, offsets, tables, self.variant
+                            )
+                        else:
+                            type_likely = _host_likelihood(
+                                rec, words, offsets, calibration
+                            )
+
+                    # ---- posterior -----------------------------------------
+                    rec = profile.phase("posterior")
+                    with _PhaseScope(rec, device):
+                        seg_tables = []
+                        for seg, seg_obs in zip(plan.segments, obs_list):
+                            args = (
+                                seg_obs, seg.start,
+                                reference.codes[seg.start:seg.end],
+                                dataset.prior, type_likely[seg.site_slice],
+                                params,
+                            )
+                            if fused:
+                                # Host summary + the in-kernel epilogue's
+                                # charge.
+                                table = summarize_window(
+                                    *args, chrom=reference.name
+                                )
+                                fused_posterior_tail(
+                                    device, fused_name, seg.n_sites,
+                                    seg_obs.n_obs,
+                                )
+                            elif gpu:
+                                table = gsnp_posterior(
+                                    device, *args, chrom=reference.name
+                                )
+                            else:
+                                table = summarize_window(
+                                    *args, chrom=reference.name
+                                )
+                                rec.cpu.instructions += seg.n_sites * 100
+                                rec.cpu.random_accesses += seg.n_sites * 5
+                            seg_tables.append(table)
+
+                    # ---- output: customized columnar compression -----------
+                    rec = profile.phase("output")
+                    with _PhaseScope(rec, device):
+                        if fused:
+                            with measure("output_compress"):
+                                blobs = encode_tables_fused(device, seg_tables)
+                        else:
+                            blobs = [
+                                encode_table(t, device=device if gpu else None)
+                                for t in seg_tables
+                            ]
+                    for seg, table, blob in zip(
+                        plan.segments, seg_tables, blobs
+                    ):
+                        per_tables[seg.sample].append(table)
+                        per_blobs[seg.sample].append(blob)
+                        rec.disk.write_bytes += len(blob)
+                        if gpu:
+                            # Compressed blob comes back over PCIe.
+                            rec.transfer_bytes += len(blob)
+                        else:
+                            # CPU codecs: sequential-scan compression cost.
+                            rec.cpu.instructions += int(
+                                table.n_sites * 40 * (2.0e9 / CPU_COMPRESS_BW)
+                            )
+
+                    # ---- recycle -------------------------------------------
+                    rec = profile.phase("recycle")
+                    with _PhaseScope(rec, device):
+                        if fused:
+                            with measure("recycle"):
+                                gsnp_recycle_fused(
+                                    device, words.size, plan.n_sites,
+                                    plan.n_windows,
+                                )
+                        elif gpu:
+                            gsnp_recycle(device, words.size, plan.n_sites)
+                    if not gpu:
+                        rec.cpu.seq_write_bytes += (
+                            words.size * 4 + plan.n_sites * 88
+                        )
         except BaseException:
-            if use_cache:
+            # A failed batch can leave partial allocations on the device;
+            # drop the persistent residency rather than reuse that device.
+            if gpu and use_cache:
                 self.release_cache()
             raise
         finally:
-            if not use_cache:
+            if gpu and not use_cache:
                 tables.free(device)
 
-        if output_paths is not None:
-            from ..faults.journal import atomic_output
-
-            for si, path in enumerate(output_paths):
-                if path is None:
-                    continue
+        # Every blob is held for ``compressed_output`` anyway, so files
+        # are written once, complete, after the last window: a run that
+        # raised above leaves no file under any sample's name.
+        for path, sample_blobs in zip(output_paths or (), per_blobs):
+            if path is not None:
                 with atomic_output(path) as f:
-                    for blob in per_blobs[si]:
-                        f.write(blob)
+                    f.writelines(sample_blobs)
 
-        sample_results = []
-        for si in range(n_samples):
-            full = per_tables[si][0]
-            for t in per_tables[si][1:]:
-                full = full.concat(t)
-            compressed = b"".join(per_blobs[si])
-            sample_results.append(
-                GsnpResult(
-                    table=full,
-                    # Cohort-level events live on the cohort profile; the
-                    # shared launch chain is not faked per sample.
-                    profile=RunProfile(pipeline="gsnp"),
-                    compressed_output=compressed,
-                    output_bytes=len(compressed),
-                    temp_input_bytes=calibration.temp_len,
-                    sort_stats=sort_stats if si == 0 else [],
-                )
-            )
-        return CohortResult(
-            samples=sample_results,
-            profile=profile,
-            extras={
-                "cohort": {"samples": n_samples, "fused": True},
-                "fusion": fusion_info,
-                "input_bytes": calibration.input_bytes,
-                "device": device,
-                "peak_gpu_bytes": device.peak_global_used if device else 0,
-            },
-        )
-
-    def _run_cohort_fused(
-        self,
-        window_tuples,
-        n_samples: int,
-        device: Device,
-        tables: GsnpTables,
-        profile: RunProfile,
-        dataset: SimulatedDataset,
-        params: CallingParams,
-        temp_len: int,
-        total_reads: int,
-        per_tables: list,
-        sort_stats: list,
-        per_blobs: list,
-    ) -> dict:
-        """Sample-major fused megabatch loop for a cohort.
-
-        ``window_tuples`` yields S-tuples of :class:`Window`, one per
-        sample, all covering the same reference window.  Each megabatch
-        flattens its W reference windows x S samples sample-major onto
-        one flat site axis (:func:`build_cohort_plan`); from there the
-        launch chain is byte-for-byte the solo fused chain — the kernels
-        are segment-local and never distinguish a sample boundary from a
-        window boundary.  The tally counts *reference* windows, so
-        ``launches / windows`` exposes the per-reference-window cost the
-        sample axis amortises.
-        """
-        from ..compress.fusedcodec import encode_tables_fused
-
-        tally = LaunchTally()
-        n_megabatches = 0
-        fused_name = f"likelihood_posterior_fused_{self.variant.name}"
-        for group in chunk_windows(window_tuples, self.megabatch):
-            n_megabatches += 1
-            n_ref_windows = len(group)
-
-            # ---- read_site: decompress the pooled temp input ---------------
-            rec = profile.phase("read_site")
-            with _PhaseScope(rec, device):
-                group_reads = [[w.reads for w in tup] for tup in group]
-            for tup_reads in group_reads:
-                n = sum(r.n_reads for r in tup_reads)
-                frac = n / max(total_reads, 1)
-                rec.disk.read_buffered_bytes += int(temp_len * frac)
-                rec.cpu.instructions += n * 8
-
-            # ---- counting: sample-major merged megabatch -------------------
-            rec = profile.phase("counting")
-            with _PhaseScope(rec, device):
-                flat_windows = [
-                    group[wi][si]
-                    for si in range(n_samples)
-                    for wi in range(n_ref_windows)
-                ]
-                flat_samples = [
-                    si
-                    for si in range(n_samples)
-                    for _ in range(n_ref_windows)
-                ]
-                obs_list = [extract_observations(w) for w in flat_windows]
-                plan = build_cohort_plan(
-                    flat_windows, [o.n_obs for o in obs_list], flat_samples
-                )
-                merged = merge_observations(obs_list, plan)
-                with tally.measure(device, "counting", n_ref_windows):
-                    words, offsets = gsnp_counting(device, merged)
-            rec.cpu.instructions += merged.n_obs * 4
-
-            # ---- likelihood: cross-sample sort + fused comp+posterior ------
-            rec = profile.phase("likelihood")
-            with _PhaseScope(rec, device):
-                with tally.measure(device, "likelihood_sort", n_ref_windows):
-                    wsorted, stats = gsnp_likelihood_sort(
-                        device, words, offsets
-                    )
-                sort_stats.append(stats)
-                with tally.measure(device, fused_name, n_ref_windows):
-                    type_likely = gsnp_likelihood_posterior_fused(
-                        device, wsorted, offsets, tables, self.variant
-                    )
-
-            # ---- posterior: host summaries + in-kernel epilogue charge -----
-            rec = profile.phase("posterior")
-            with _PhaseScope(rec, device):
-                seg_tables = []
-                for seg, obs_w in zip(plan.segments, obs_list):
-                    ref_codes = dataset.reference.codes[seg.start:seg.end]
-                    seg_tables.append(summarize_window(
-                        obs_w, seg.start, ref_codes, dataset.prior,
-                        type_likely[seg.site_slice], params,
-                        chrom=dataset.reference.name,
-                    ))
-                    fused_posterior_tail(
-                        device, fused_name, seg.n_sites, obs_w.n_obs
-                    )
-
-            # ---- output: segmented compression, routed per sample ----------
-            rec = profile.phase("output")
-            with _PhaseScope(rec, device):
-                with tally.measure(device, "output_compress", n_ref_windows):
-                    group_blobs = encode_tables_fused(device, seg_tables)
-            for seg, table, blob in zip(plan.segments, seg_tables, group_blobs):
-                per_tables[seg.sample].append(table)
-                per_blobs[seg.sample].append(blob)
-                rec.disk.write_bytes += len(blob)
-                rec.transfer_bytes += len(blob)
-
-            # ---- recycle ---------------------------------------------------
-            rec = profile.phase("recycle")
-            with _PhaseScope(rec, device):
-                with tally.measure(device, "recycle", n_ref_windows):
-                    gsnp_recycle_fused(
-                        device, words.size, plan.n_sites, plan.n_windows
-                    )
-        return {
-            "megabatch_windows": self.megabatch,
-            "megabatches": n_megabatches,
-            "samples": n_samples,
-            "launches": tally.total_launches(),
-            "stages": tally.summary(),
+        samples = []
+        for tables_out, sample_blobs, stats in zip(
+            per_tables, per_blobs, per_stats
+        ):
+            compressed = b"".join(sample_blobs)
+            samples.append(GsnpResult(
+                table=reduce(ResultTable.concat, tables_out),
+                # Events live on the run's profile; the shared launch
+                # chain is not faked per sample.
+                profile=RunProfile(pipeline=profile.pipeline),
+                compressed_output=compressed,
+                output_bytes=len(compressed),
+                temp_input_bytes=temp_len,
+                sort_stats=stats,
+            ))
+        extras = {
+            "cohort": {"samples": n_samples, "fused": fused},
+            "input_bytes": calibration.input_bytes,
+            "device": device,
+            "peak_gpu_bytes": device.peak_global_used if device else 0,
         }
+        if fused:
+            extras["fusion"] = {
+                "megabatch_windows": self.megabatch,
+                "megabatches": n_groups,
+                "samples": n_samples,
+                "launches": tally.total_launches(),
+                "stages": tally.summary(),
+            }
+        return CohortResult(samples=samples, profile=profile, extras=extras)
 
     def release_cache(self) -> None:
         """Free the persistent residency: resident tables + cached device.

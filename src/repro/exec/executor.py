@@ -307,33 +307,8 @@ def _run_shard(task) -> ShardResult:
             finally:
                 set_fast_paths(prev_fast)
         wall = time.perf_counter() - t0
-    if cohort_samples is not None:
-        return ShardResult(
-            shard=shard,
-            table=result.samples[0].table,
-            profile=result.profile,
-            compressed=result.samples[0].compressed_output,
-            output_bytes=result.output_bytes,
-            sort_stats=result.samples[0].sort_stats,
-            peak_gpu_bytes=result.extras.get("peak_gpu_bytes", 0),
-            wall=wall,
-            attempts=attempt + 1,
-            pid=os.getpid(),
-            sample_tables=[s.table for s in result.samples],
-            sample_compressed=[s.compressed_output for s in result.samples],
-        )
-    return ShardResult(
-        shard=shard,
-        table=result.table,
-        profile=result.profile,
-        compressed=getattr(result, "compressed_output", b""),
-        output_bytes=result.output_bytes,
-        sort_stats=getattr(result, "sort_stats", []),
-        nnz=getattr(result, "nnz", None),
-        peak_gpu_bytes=result.extras.get("peak_gpu_bytes", 0),
-        wall=wall,
-        attempts=attempt + 1,
-        pid=os.getpid(),
+    return ShardResult.from_run(
+        shard, result, wall=wall, attempts=attempt + 1, pid=os.getpid()
     )
 
 

@@ -100,6 +100,32 @@ class ShardResult:
     #: ``sample_tables``.
     sample_compressed: Optional[list] = None
 
+    @classmethod
+    def from_run(
+        cls, shard: Shard, result, *, wall: float, attempts: int, pid: int
+    ) -> "ShardResult":
+        """Package a pipeline result (solo or ``CohortResult``) for the
+        parent; a cohort's ``table``/``compressed`` mirror sample 0."""
+        samples = getattr(result, "samples", None)
+        primary = samples[0] if samples else result
+        return cls(
+            shard=shard,
+            table=primary.table,
+            profile=result.profile,
+            compressed=getattr(primary, "compressed_output", b""),
+            output_bytes=result.output_bytes,
+            sort_stats=getattr(primary, "sort_stats", []),
+            nnz=getattr(result, "nnz", None),
+            peak_gpu_bytes=result.extras.get("peak_gpu_bytes", 0),
+            wall=wall,
+            attempts=attempts,
+            pid=pid,
+            sample_tables=[s.table for s in samples] if samples else None,
+            sample_compressed=(
+                [s.compressed_output for s in samples] if samples else None
+            ),
+        )
+
     @property
     def sites_per_second(self) -> float:
         return self.shard.n_sites / self.wall if self.wall > 0 else 0.0

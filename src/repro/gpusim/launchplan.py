@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,49 +120,28 @@ class LaunchPlan:
         return np.repeat(np.arange(self.n_windows, dtype=np.int32), counts)
 
 
-def build_launch_plan(windows: Sequence, obs_counts: Sequence[int]) -> LaunchPlan:
-    """Lay a batch of windows out on flat site/observation axes."""
-    if len(windows) != len(obs_counts):
-        raise ValueError("windows and obs_counts must align")
-    segments: List[WindowSegment] = []
-    site_off = 0
-    obs_off = 0
-    for i, (window, n_obs) in enumerate(zip(windows, obs_counts)):
-        segments.append(
-            WindowSegment(
-                index=i,
-                start=window.start,
-                end=window.end,
-                n_sites=window.n_sites,
-                site_offset=site_off,
-                obs_offset=obs_off,
-            )
-        )
-        site_off += window.n_sites
-        obs_off += int(n_obs)
-    return LaunchPlan(segments=tuple(segments), n_sites=site_off, n_obs=obs_off)
-
-
-def build_cohort_plan(
+def build_launch_plan(
     windows: Sequence,
     obs_counts: Sequence[int],
-    samples: Sequence[int],
+    samples: Optional[Sequence[int]] = None,
 ) -> LaunchPlan:
-    """Lay a sample-major cohort megabatch out on one flat axis.
+    """Lay a batch of windows out on flat site/observation axes.
 
-    ``windows``/``obs_counts``/``samples`` are parallel and already in
-    sample-major order: all of sample 0's windows for this megabatch,
-    then all of sample 1's, and so on.  Segment indices stay sequential
-    (0 .. S*W-1) because the flat-axis machinery — ``site_offsets``,
-    :func:`repro.core.fused.merge_observations`, the segmented
-    primitives — is segment-count agnostic; the ``sample`` tag exists
+    ``samples`` (default: all sample 0) tags each window with its cohort
+    sample; a cohort batch arrives sample-major — all of sample 0's
+    windows, then all of sample 1's, and so on.  Segment indices stay
+    sequential (0 .. S*W-1) because the flat-axis machinery —
+    ``site_offsets``, :func:`repro.core.fused.merge_observations`, the
+    segmented primitives — is segment-count agnostic; the tag exists
     only so the host epilogue can route each window's result table back
     to its own sample's output stream.
     """
+    if samples is None:
+        samples = [0] * len(windows)
     if not len(windows) == len(obs_counts) == len(samples):
         raise ValueError("windows, obs_counts and samples must align")
     if list(samples) != sorted(samples):
-        raise ValueError("cohort plan segments must be sample-major")
+        raise ValueError("launch plan segments must be sample-major")
     segments: List[WindowSegment] = []
     site_off = 0
     obs_off = 0
@@ -250,7 +229,6 @@ __all__ = [
     "LaunchTally",
     "MEGABATCH_WINDOWS",
     "WindowSegment",
-    "build_cohort_plan",
     "build_launch_plan",
     "chunk_windows",
 ]

@@ -483,7 +483,7 @@ class TestGsnp111PerSampleLauncherLoop:
         )
         assert [d.rule for d in diags] == ["GSNP111"]
         assert "gsnp_counting" in diags[0].message
-        assert "build_cohort_plan" in diags[0].message
+        assert "build_launch_plan(..., samples=)" in diags[0].message
 
     def test_cohort_iterable_flagged(self):
         diags = _lint(

@@ -170,6 +170,22 @@ class TestLaunchPlan:
         assert plan.segments[1].site_offset == 100
         assert plan.segments[1].obs_offset == 40
         assert plan.segments[2].site_slice == slice(250, 260)
+        assert plan.n_samples == 1
+        assert plan.sample_segments(0) == plan.segments
+
+        # A sample axis is pure layout: same offsets, tagged segments.
+        cohort = build_launch_plan(windows, [40, 90, 3], samples=[0, 0, 1])
+        assert cohort.n_samples == 2
+        assert [s.index for s in cohort.segments] == [0, 1, 2]
+        assert list(cohort.site_offsets) == list(plan.site_offsets)
+        assert cohort.sample_segments(1) == (cohort.segments[2],)
+        assert cohort.segments[2].obs_offset == 130
+        with pytest.raises(ValueError, match="sample-major"):
+            build_launch_plan(windows, [40, 90, 3], samples=[0, 1, 0])
+        with pytest.raises(ValueError, match="must align"):
+            build_launch_plan(windows, [40, 90, 3], samples=[0, 0])
+        with pytest.raises(ValueError, match="must align"):
+            build_launch_plan(windows, [40, 90])
 
     def test_chunk_windows(self):
         groups = list(chunk_windows(iter(range(7)), 3))

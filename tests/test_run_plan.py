@@ -1,0 +1,202 @@
+"""The one plan-driven run loop: what folding four loops into one must
+not move.
+
+``GsnpPipeline.run`` is ``_run_plan`` at S=1 and ``run_cohort`` is
+``_run_plan`` as is; the fused chain is a launch batch per megabatch and
+the per-window chains (GPU and host) are launch batches of one.  These
+tests pin the accounting that differs *between* those chains (and so
+could silently drift once they share a body) and the output-file
+contract of the single write-at-end path.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.align.records import AlignmentBatch
+from repro.api import JobSpec, create_pipeline
+from repro.core import pipeline as pipeline_mod
+from repro.core.pipeline import GsnpPipeline
+from repro.exec.shard import Shard, ShardResult
+from repro.formats.window import WindowReader
+from repro.seqsim.datasets import DatasetSpec, generate_dataset
+from repro.seqsim.reads import simulate_reads
+
+WINDOW = 256
+N_WINDOWS = 7  # ceil(1600 / 256)
+
+
+@pytest.fixture(scope="module")
+def ds():
+    return generate_dataset(DatasetSpec(
+        name="plan-t", n_sites=1600, depth=6.0, coverage=0.92,
+        read_len=40, seed=31,
+    ))
+
+
+@pytest.fixture(scope="module")
+def batches(ds):
+    """Three cohort members: the dataset's reads + two fresh runs."""
+    out = [AlignmentBatch.from_read_set(ds.reads)]
+    for seed in (1031, 2031):
+        out.append(AlignmentBatch.from_read_set(simulate_reads(
+            ds.diploid, depth=6.0, coverage=0.92, read_len=40, seed=seed,
+        )))
+    return out
+
+
+def _pipe(**job):
+    job.setdefault("engine", "gsnp")
+    return create_pipeline(spec=JobSpec(window=WINDOW, **job))
+
+
+def _events(profile):
+    """Per-phase records with the measured wall clock blanked: gpu
+    counters, cpu, disk, transfer bytes and fixed seconds all compare."""
+    return {k: replace(r, wall=0.0) for k, r in profile.records.items()}
+
+
+class TestSoloIsCohortOfOne:
+    @pytest.mark.parametrize("megabatch", [1, 3, 16])
+    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("engine", ["gsnp", "gsnp_cpu"])
+    def test_records_bytes_and_sort_stats_identical(
+        self, ds, batches, engine, fusion, megabatch
+    ):
+        pipe = _pipe(engine=engine, fusion=fusion, megabatch=megabatch)
+        cal = pipe.calibrate(ds, reads=batches[0])
+        for kw in ({}, {"site_range": (512, 1280), "calibration": cal}):
+            solo = pipe.run(ds, **kw)
+            cohort = pipe.run_cohort(ds, [batches[0]], **kw)
+            member = cohort.samples[0]
+            assert _events(solo.profile) == _events(cohort.profile), kw
+            assert solo.compressed_output == member.compressed_output, kw
+            assert solo.table.equals(member.table), kw
+            assert solo.sort_stats == member.sort_stats, kw
+            assert solo.temp_input_bytes == member.temp_input_bytes, kw
+        pipe.release_cache()
+
+    def test_solo_calibration_is_fed_the_reads_themselves(
+        self, ds, batches, monkeypatch
+    ):
+        """No pooled copy (and no re-sort) of a single sample."""
+        seen = []
+        real = GsnpPipeline.calibrate
+
+        def spy(self, dataset, reads=None):
+            seen.append(reads)
+            return real(self, dataset, reads=reads)
+
+        monkeypatch.setattr(GsnpPipeline, "calibrate", spy)
+        pipe = _pipe()
+        pipe.run(ds, reads=batches[1])
+        pipe.run_cohort(ds, [batches[1]])
+        pipe.release_cache()
+        assert seen[0] is batches[1] and seen[1] is batches[1]
+
+
+class TestChainAccounting:
+    """What legitimately differs between a megabatch launch batch and a
+    launch batch of one."""
+
+    @pytest.fixture(scope="class")
+    def cohort_runs(self, ds, batches):
+        out = {}
+        for fusion in (False, True):
+            pipe = _pipe(fusion=fusion, megabatch=3)
+            out[fusion] = pipe.run_cohort(ds, batches)
+            pipe.release_cache()
+        return out
+
+    def test_read_site_charge_rounds_once_per_launch_batch_member(
+        self, ds, batches, cohort_runs
+    ):
+        """The temp-input share ``int(temp_len * n / total_reads)`` is
+        rounded once per *reference window* (pooled over samples) when
+        fused and once per *(window, sample)* when not."""
+        per_window = [
+            [w.reads.n_reads for w in WindowReader(b, ds.n_sites, WINDOW)]
+            for b in batches
+        ]
+        total = sum(b.n_reads for b in batches)
+        temp_len = cohort_runs[True].samples[0].temp_input_bytes
+        pooled = sum(
+            int(temp_len * (sum(ns) / total)) for ns in zip(*per_window)
+        )
+        split = sum(
+            int(temp_len * (n / total)) for ns in per_window for n in ns
+        )
+        assert pooled != split  # the dataset tells the two roundings apart
+        read = {
+            fusion: res.profile.records["read_site"].disk.read_buffered_bytes
+            for fusion, res in cohort_runs.items()
+        }
+        assert read == {True: pooled, False: split}
+
+    def test_tally_counts_reference_windows(self, cohort_runs):
+        info = cohort_runs[True].extras["fusion"]
+        assert info["samples"] == 3
+        assert info["megabatches"] == 3  # ceil(7 / 3)
+        for stage in info["stages"].values():
+            assert stage["windows"] == N_WINDOWS  # not 3 * N_WINDOWS
+            assert stage["batches"] == 3
+        assert "fusion" not in cohort_runs[False].extras
+
+    def test_fused_sort_stats_ride_on_sample_zero(self, cohort_runs):
+        fused = [len(s.sort_stats) for s in cohort_runs[True].samples]
+        assert fused == [3, 0, 0]  # one shared sort per megabatch
+        unfused = [len(s.sort_stats) for s in cohort_runs[False].samples]
+        assert unfused == [N_WINDOWS] * 3
+
+    def test_unfused_cohort_reports_its_device(self, cohort_runs):
+        """Regression: the degraded rung's cohort shards used to read
+        ``peak_gpu_bytes == 0`` because the unfused cohort path dropped
+        ``device`` / ``peak_gpu_bytes`` from ``extras``."""
+        res = cohort_runs[False]
+        sr = ShardResult.from_run(
+            Shard(0, 0, 1600), res, wall=1.0, attempts=1, pid=0
+        )
+        assert sr.peak_gpu_bytes == res.extras["device"].peak_global_used > 0
+        assert [t.n_sites for t in sr.sample_tables] == [1600] * 3
+        assert sr.compressed == res.samples[0].compressed_output
+
+
+class TestOutputFiles:
+    """One write path: every sample's file appears complete, after the
+    last window, or not at all."""
+
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_written_once_complete_or_not_at_all(
+        self, ds, batches, tmp_path, monkeypatch, prefetch, fusion, n_samples
+    ):
+        paths = [tmp_path / f"out.s{i}.gsnp" for i in range(n_samples)]
+
+        def run(pipe):
+            if n_samples == 1:
+                return [pipe.run(ds, paths[0], reads=batches[0])]
+            return pipe.run_cohort(ds, batches[:n_samples], paths).samples
+
+        pipe = _pipe(prefetch=prefetch, fusion=fusion, megabatch=2)
+        results = run(pipe)
+        for path, res in zip(paths, results):
+            assert path.read_bytes() == res.compressed_output
+            path.unlink()
+
+        # Fail the fifth window decoded: earlier launch batches have
+        # already produced output blobs on every configuration.
+        real = pipeline_mod.extract_observations
+        calls = []
+
+        def flaky(window):
+            calls.append(window)
+            if len(calls) == 5:
+                raise RuntimeError("window 5 failed")
+            return real(window)
+
+        monkeypatch.setattr(pipeline_mod, "extract_observations", flaky)
+        with pytest.raises(RuntimeError, match="window 5 failed"):
+            run(pipe)
+        pipe.release_cache()
+        assert list(tmp_path.iterdir()) == []  # no file, no .part litter

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.analyze import lint_source
 from repro.api import create_pipeline
-from repro.core.prefetch import OutputDrain, prefetched_windows
+from repro.core.prefetch import prefetched_windows
 from repro.core.score_table import new_p_build_count, reset_new_p_cache
 from repro.exec import execute
 from repro.formats.stream import PrefetchIterator
@@ -268,21 +268,6 @@ class TestPrefetchPrimitives:
         assert next(it) == 1
         with pytest.raises(ValueError, match="decode failed"):
             next(it)
-
-    def test_output_drain_writes_in_order(self, tmp_path):
-        path = tmp_path / "out.bin"
-        drain = OutputDrain(path)
-        blobs = [bytes([i]) * (i + 1) for i in range(20)]
-        for blob in blobs:
-            drain.submit(blob)
-        drain.close()
-        assert path.read_bytes() == b"".join(blobs)
-
-    def test_output_drain_reraises_write_error(self, tmp_path):
-        drain = OutputDrain(tmp_path)  # a directory: open() fails
-        drain.submit(b"data")
-        with pytest.raises(OSError):
-            drain.close()
 
 
 class TestLintEnqueueDiscovery:
