@@ -47,7 +47,7 @@ from .seqsim import (
     generate_dataset,
     whole_genome_specs,
 )
-from .exec import ExecConfig, execute
+from .exec import execute
 from .soapsnp import CallingParams, SoapsnpPipeline, SoapsnpResult
 from .validate import VerificationReport, verify_engines
 
@@ -62,7 +62,6 @@ __all__ = [
     "DatasetSpec",
     "Device",
     "Engine",
-    "ExecConfig",
     "GENOTYPES",
     "GENOTYPE_IUPAC",
     "GpuCostModel",

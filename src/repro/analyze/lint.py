@@ -37,11 +37,11 @@ GSNP107   fusable-in-window-loop  a launcher registered in
                                 called inside a per-window loop — per-window
                                 kernel chains belong on the fused megabatch
                                 path (module-level rule, not kernel-scoped)
-GSNP108   legacy-pipeline-kwargs  ``create_pipeline`` / ``execute`` /
-                                ``ExecConfig`` called with raw legacy keyword
-                                arguments instead of a ``spec=JobSpec(...)``;
-                                the JobSpec dataclass is the single source of
-                                truth for job knobs (module-level rule)
+GSNP108   legacy-pipeline-kwargs  ``create_pipeline`` called with raw legacy
+                                keyword arguments instead of a
+                                ``spec=JobSpec(...)``; the JobSpec dataclass
+                                is the single source of truth for job knobs
+                                (module-level rule)
 GSNP109   suppression-without-rationale  a ``# gsnp-lint: disable=`` comment
                                 with no explanatory comment on the same line
                                 or within two lines (opt-in via
@@ -646,21 +646,14 @@ class _LegacySpecChecker(ast.NodeVisitor):
     """GSNP108: job knobs travel as a JobSpec, not loose kwargs.
 
     Module-level (not kernel-scoped).  Flags any call to
-    ``create_pipeline``, ``execute`` or ``ExecConfig`` that passes one of
-    the superseded per-knob keyword arguments without also passing
-    ``spec=``.  Those spellings still work (through the deprecation
-    shim), but every knob has exactly one home — a
+    ``create_pipeline`` that passes one of the superseded per-knob keyword
+    arguments (:data:`repro.api.LEGACY_PIPELINE_KWARGS`) without also
+    passing ``spec=``.  Those spellings still work (through the
+    deprecation shim), but every knob has exactly one home — a
     :class:`repro.api.JobSpec` field — and new call sites must use it.
-    The shim itself carries an explicit suppression.
+    (``execute`` takes only ``spec=``: a loose job kwarg there is a
+    ``TypeError``, not a lint finding.)
     """
-
-    _TARGETS = ("create_pipeline", "execute", "ExecConfig")
-    _LEGACY = frozenset({
-        "window_size", "variant", "prefetch", "cache", "fusion",
-        "megabatch", "workers", "shard_size", "shard_timeout",
-        "journal_dir", "resume", "quarantine", "faults", "max_retries",
-        "backlog", "force_serial", "backoff_base", "inject_failures",
-    })
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -673,9 +666,11 @@ class _LegacySpecChecker(ast.NodeVisitor):
             name = func.id
         elif isinstance(func, ast.Attribute):
             name = func.attr
-        if name in self._TARGETS:
+        if name == "create_pipeline":
+            from ..api import LEGACY_PIPELINE_KWARGS
+
             kwargs = {kw.arg for kw in node.keywords if kw.arg}
-            legacy = sorted(kwargs & self._LEGACY)
+            legacy = sorted(kwargs & set(LEGACY_PIPELINE_KWARGS))
             if legacy and "spec" not in kwargs:
                 self.diags.append(Diagnostic(
                     path=self.path,

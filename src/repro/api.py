@@ -13,18 +13,19 @@ harness all dispatch through one code path instead of per-engine branches.
 One frozen dataclass feeds all four former spellings:
 
 * ``create_pipeline(spec=...)`` builds a pipeline from it;
-* ``repro.exec.execute(spec=...)`` derives its ``ExecConfig`` from it;
+* ``repro.exec.execute(spec=...)`` reads it directly — the lane scheduler
+  has no configuration object of its own;
 * the CLI argument groups of ``gsnp-call``/``gsnp-submit`` are generated
   from its field metadata (:meth:`JobSpec.add_cli_args`);
 * the ``gsnp-serve`` daemon uses its JSON form (:meth:`JobSpec.to_wire`)
   as the submit protocol's wire payload.
 
-Legacy keyword spellings (``create_pipeline(window_size=...)``,
-``execute(ds, workers=4)``) keep working through a thin shim that emits a
-``DeprecationWarning``; ``gsnp-lint``'s GSNP108 rule flags new code using
-them.  The registry is open: :func:`register_engine` admits additional
-engines (e.g. an experimental backend) and every error message and CLI
-choice list derives from it.
+The legacy keyword spelling ``create_pipeline(window_size=...)`` keeps
+working through a thin shim that emits a ``DeprecationWarning``;
+``gsnp-lint``'s GSNP108 rule flags new code using it.  The registry is
+open: :func:`register_engine` admits additional engines (e.g. an
+experimental backend) and every error message and CLI choice list derives
+from it.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class JobSpec:
     """One calling job, fully described: the single source of truth.
 
     Every knob that was previously spelled independently in
-    ``create_pipeline`` kwargs, ``exec.ExecConfig``,
+    ``create_pipeline`` kwargs, the executor's own config object,
     ``GsnpDetector.from_files`` and ~15 CLI flags lives here exactly once.
     The dataclass is frozen (use :func:`dataclasses.replace` to derive
     variants), picklable (it ships to executor workers), and JSON-safe via
@@ -383,7 +384,7 @@ class JobSpec:
 
     @property
     def uses_device_pool(self) -> bool:
-        """Whether this job runs the heterogeneous multi-device scheduler."""
+        """Whether this job's scheduler lanes are a device pool."""
         return self.devices > 1 or self.cpu_steal
 
     @property
@@ -398,6 +399,8 @@ class JobSpec:
     def validate(self, require_inputs: bool = False) -> "JobSpec":
         """Raise ``ValueError`` on incoherent field combinations.
 
+        This is the only place a field combination is rejected: every
+        spec that passes runs, on every lane kind of the executor.
         Returns ``self`` so call sites can chain
         ``spec.validate().normalized()``.
         """

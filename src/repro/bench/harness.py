@@ -582,7 +582,7 @@ def exp_multidevice(
     cost model (slowest lane's compute + the serialized shared-link
     time), plus launch/transfer/steal counts and bitwise consistency
     against the serial run.  Every arm — the 1-device baseline included —
-    runs the heterogeneous scheduler over one shared shard plan and one
+    runs device-pool lanes over one shared shard plan and one
     shared calibration, so the d-vs-1 ratio isolates parallel compute and
     link contention instead of shard-granularity effects; the plain
     serial fused pipeline is run once purely as the bitwise oracle.  The
@@ -593,7 +593,7 @@ def exp_multidevice(
     from dataclasses import replace
 
     from ..align.records import AlignmentBatch
-    from ..exec import ExecConfig, merge_shard_results, plan_shards, run_hetero
+    from ..exec import merge_shard_results, plan_shards, run_shards
 
     ds = bench_dataset(name, fraction)
     if window_size is None:
@@ -633,10 +633,11 @@ def exp_multidevice(
                 cpu_steal=steal,
                 variant=base.resolved_variant(),
             )
-            results, h = run_hetero(
+            results, meta = run_shards(
                 ds, spec, None, calibration.strip(), list(shards),
-                ExecConfig.from_spec(spec),
+                device_pool=True,
             )
+            h = meta["hetero"]
             res = merge_shard_results(results, calibration)
             ok = (
                 res.table.equals(serial.table)

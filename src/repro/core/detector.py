@@ -136,8 +136,8 @@ class GsnpDetector:
         bitwise identical to the serial path.
     devices, cpu_steal:
         ``devices > 1`` runs on a modeled :class:`~repro.gpusim.pool
-        .DevicePool` through the heterogeneous work-stealing scheduler
-        (:mod:`repro.exec.hetero`); ``cpu_steal=True`` adds the sparse
+        .DevicePool` as work-stealing lanes of the shard scheduler
+        (:mod:`repro.exec.executor`); ``cpu_steal=True`` adds the sparse
         host engine as an extra stealing lane.  Output stays bitwise
         identical for any device count and steal schedule.
     shard_timeout:

@@ -1,33 +1,32 @@
 """Sharded parallel execution of SNP-calling pipelines.
 
-Splits a calling job into window-aligned shards, dispatches them to a
-worker pool (multiprocessing, or a serial fallback sharing the same
-interface), and reassembles calls, compressed output and event counters
-into a result bitwise identical to the serial run.  Entry point:
-:func:`execute`.
+Splits a calling job into window-aligned shards, runs them on the lanes
+of one deque scheduler (device-pool lanes, worker-process lanes, or the
+serial lane on the calling thread), and reassembles calls, compressed
+output and event counters into a result bitwise identical to the serial
+run.  Entry point: :func:`execute`.
 """
 
-from .executor import ExecConfig, execute, release_resident, resident_stats
-from .hetero import pool_stats, run_hetero
+from .executor import (
+    execute,
+    pool_stats,
+    release_resident,
+    resident_stats,
+    run_shards,
+)
 from .merge import merge_profiles, merge_shard_results
-from .pool import PoolBroken, ProcessPool, SerialPool, make_pool
 from .shard import Shard, ShardResult, align_shard_size, plan_shards
 
 __all__ = [
-    "ExecConfig",
-    "PoolBroken",
-    "ProcessPool",
-    "SerialPool",
     "Shard",
     "ShardResult",
     "align_shard_size",
     "execute",
-    "make_pool",
     "merge_profiles",
     "merge_shard_results",
     "plan_shards",
     "pool_stats",
     "release_resident",
     "resident_stats",
-    "run_hetero",
+    "run_shards",
 ]

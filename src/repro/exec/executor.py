@@ -1,24 +1,43 @@
-"""Sharded execution: dispatch window-aligned shards to a worker pool.
+"""Sharded execution: one lane scheduler over window-aligned shards.
 
 The execution model mirrors SNAP/SOAP3-dp-style genome sharding: the
 parent runs the one-time ``cal_p_matrix`` pass, splits the site range into
-window-aligned shards (:mod:`repro.exec.shard`), and dispatches them to a
-pool (:mod:`repro.exec.pool`) — ``multiprocessing`` workers, or the serial
-fallback with the identical interface.  Shard inputs either reference the
-dataset shipped once per worker, or stream incrementally from a SOAP file
-(:class:`~repro.formats.stream.ShardBatchReader`) through the bounded
-submission queue, so at most ``workers * backlog`` shard batches are ever
-resident.  Completed shards merge back in genomic order
-(:mod:`repro.exec.merge`).
+window-aligned shards (:mod:`repro.exec.shard`), deals them onto per-lane
+deques, and merges the completed shards back in genomic order
+(:mod:`repro.exec.merge`).  SOAP3-dp drives several GPUs *and* the host
+CPU from one dispatcher; here every execution shape is a set of **lanes**
+of one deque scheduler.  A lane is something that owns a pipeline plus a
+deque:
+
+* a **pool lane** — one per :class:`~repro.gpusim.pool.DevicePool` device,
+  plus the optional ``gsnp_cpu`` host-engine lane (``devices > 1`` or
+  ``cpu_steal``);
+* a **process lane** — a worker process of its own (``workers > 1``): the
+  lane's thread ships ``(shard, attempt)`` down a pipe to *its* child and
+  waits, so a dying or overrunning worker costs exactly the shard it held;
+* the **serial lane** — ``workers == 1``, ``force_serial``, ``resident``,
+  or the ``pool-serial-fallback`` rung: exactly one lane, run on the
+  calling thread (no thread is spawned, so the serve daemon's per-thread
+  resident pipelines keep hitting).
+
+Each lane drains its own deque from the front while idle lanes steal from
+the *back* of the fullest deque (the classic owner-pops-head /
+thief-pops-tail discipline).  Two policies differ by what the scheduler
+can observe, not by a second code path.  Pool lanes have a modeled device
+clock: their initial deal comes from the roofline cost model
+(:func:`~repro.gpusim.costmodel.predict_split` — lanes receive shards in
+proportion to their predicted rates, and stealing corrects whatever the
+prediction got wrong, so a slow device or the CPU path picks up straggler
+windows instead of gating the run) and steals are arbitrated on modeled
+lane clocks.  Lanes without a device clock are dealt evenly and steal
+whenever a victim has backlog.
 
 Jobs are described by a :class:`~repro.api.JobSpec` —
-``execute(dataset, spec=spec)`` is the canonical entry point, and
-:meth:`ExecConfig.from_spec` derives the executor's knobs from the same
-object.  The legacy kwarg spelling (``execute(ds, engine, workers=4)``)
-keeps working through a shim that emits a ``DeprecationWarning``.
+``execute(dataset, spec=spec)`` is the only spelling, and the scheduler
+reads the spec's fields directly.
 
 Long-lived callers (the ``gsnp-serve`` daemon) pass ``resident=True`` and
-an optional precomputed ``calibration``: the in-process worker pipeline is
+an optional precomputed ``calibration``: the serial lane's pipeline is
 then kept in a per-thread resident cache across ``execute`` calls, so a
 repeated job over the same dataset skips both the calibration pass and the
 device score-table upload (the hit/miss counters surface through
@@ -26,148 +45,90 @@ device score-table upload (the hit/miss counters surface through
 
 Failure handling (exercised deliberately by :mod:`repro.faults`):
 
-* a failing shard is re-dispatched with deterministic, jitter-free
-  exponential backoff (``backoff_base * 2**attempt``) up to
-  ``max_retries`` times, then surfaced as
-  :class:`~repro.errors.ShardError` chaining the last worker exception;
-* with ``shard_timeout`` set (process pools only), a shard that overruns
-  its deadline has its worker killed and is retried like any failure;
-* a worker ``AllocationError`` steps the worker down a degradation rung
-  (residency, prefetch and simulator fast paths off) and re-runs the
-  shard in place — results are bitwise identical either way;
-* with ``journal_dir`` set, every completed shard is checkpointed
-  atomically (:class:`~repro.faults.journal.ShardJournal`); ``resume``
-  skips committed shards on a re-invocation after process death, with a
+* a failing shard is re-queued at the head of its lane's deque after a
+  deterministic, jitter-free exponential backoff
+  (``backoff_base * 2**attempt``) up to ``max_retries`` times, then
+  surfaced as :class:`~repro.errors.ShardError` chaining the last
+  exception;
+* with ``shard_timeout`` set (process lanes only), a shard that overruns
+  its deadline has its lane's worker killed and is retried like any
+  failure; a worker that dies outright is restarted the same way;
+* an ``AllocationError`` on a lane without a device clock steps the lane
+  down the ``device-degraded`` rung (residency, prefetch and simulator
+  fast paths off) and re-runs the shard in place;
+* a pool lane whose device dies (a real ``AllocationError`` or the seeded
+  ``gpusim.device.fail`` chaos site) takes the ``device-failed`` rung: it
+  announces itself, pushes its in-hand shard back on its deque and retires
+  — surviving lanes steal the orphaned work.  If *every* lane dies, the
+  coordinator finishes the leftovers on a fresh host-engine pipeline, so
+  the job completes with identical bytes as long as any compute resource
+  remains;
+* with ``journal`` set, every completed shard is checkpointed atomically
+  (:class:`~repro.faults.journal.ShardJournal`); ``resume`` skips
+  committed shards on a re-invocation after process death, with a
   bitwise-identical final merge.
 
-Determinism: shard boundaries are window boundaries and the merge is
-order-restoring, so calls, event counters and compressed bytes are bitwise
-identical to a serial run for all three engines, at any worker count —
+Determinism: shard boundaries are window boundaries, every lane produces
+the same bytes for a given shard (the three engines are bitwise-identical
+by construction), results are keyed by shard index and the merge is
+order-restoring — never completion order.  Calls, event counters and
+compressed bytes are therefore bitwise identical to a serial run for all
+three engines, at any worker or device count, under any steal schedule —
 with or without injected faults, retries and resumes.
+
+Modeled time: pool lanes compute concurrently but share one PCIe/host
+link, so the pool makespan is ``max(lane compute) + serialized link time``
+(:class:`~repro.gpusim.costmodel.PoolCostModel`) — the number
+``gsnp-bench``'s multi-device arm reports against the paper's
+cluster-scale tables.
 """
 
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
 import threading
 import time
-import warnings
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Optional
 
-import numpy as np
-
-from ..api import Engine, JobSpec, create_pipeline, effective_window
-from ..errors import AllocationError, PipelineError, ShardError, ShardTimeout
+from ..align.records import AlignmentBatch
+from ..api import JobSpec, create_pipeline, effective_window
+from ..errors import (
+    AllocationError,
+    InjectedFault,
+    PipelineError,
+    ShardError,
+    ShardTimeout,
+)
 from ..faults.degrade import degrade, logger as fault_logger
 from ..faults.journal import ShardJournal, run_fingerprint
 from ..faults.plan import (
-    FaultPlan,
-    FaultSpec,
     fault_plan,
     fault_point,
+    install_plan,
     scope as fault_scope,
 )
-from ..formats.stream import ShardBatchReader
-from ..align.records import AlignmentBatch
-from ..seqsim.reads import ReadSet
+from ..gpusim.costmodel import (
+    GpuCostModel,
+    LaneUsage,
+    PoolCostModel,
+    predict_lane_rates,
+    predict_split,
+)
+from ..gpusim.device import Device
+from ..gpusim.pool import DevicePool
 from .merge import merge_shard_results
-from .pool import PoolBroken, make_pool
-from .shard import ShardResult, plan_shards
+from .shard import Shard, ShardResult, plan_shards
 
-
-@dataclass(frozen=True)
-class ExecConfig:
-    """Knobs of the sharded executor.
-
-    Job-level fields mirror :class:`~repro.api.JobSpec` — build this via
-    :meth:`from_spec` rather than spelling them again.  The remaining
-    fields (retry budget, queue depth, pool selection, backoff) are
-    executor tuning that no job should need to carry on the wire.
-    """
-
-    workers: int = 1
-    #: Sites per shard; ``None`` = ~4 shards per worker.  Snapped up to a
-    #: multiple of the window size (determinism requires aligned shards).
-    shard_size: Optional[int] = None
-    #: Times a failed shard is re-executed before the run is aborted.
-    max_retries: int = 2
-    #: In-flight shards per worker (the bounded queue's depth factor).
-    backlog: int = 2
-    #: Use the serial fallback executor even for ``workers > 1``.
-    force_serial: bool = False
-    #: Double-buffered window streaming inside each shard run.
-    prefetch: bool = True
-    #: Persistent device residency: each worker keeps one pipeline (and its
-    #: uploaded score tables) across all the shards it executes.
-    cache: bool = True
-    #: Fused ragged-megabatch launching inside each shard run (GPU engine
-    #: only; off under degradation, like the other throughput toggles).
-    fusion: bool = JobSpec.fusion
-    #: Modeled devices in the pool; ``> 1`` routes the job through the
-    #: heterogeneous work-stealing scheduler (:mod:`repro.exec.hetero`).
-    devices: int = 1
-    #: Add the sparse host engine as an extra work-stealing lane.
-    cpu_steal: bool = False
-    #: Per-shard wall-clock deadline in seconds (process pools only): an
-    #: overrunning shard's worker is killed and the shard retried.
-    shard_timeout: Optional[float] = None
-    #: Base of the deterministic, jitter-free retry backoff: a shard's
-    #: k-th retry is delayed ``backoff_base * 2**(k-1)`` seconds.
-    backoff_base: float = 0.02
-    #: Chaos schedule installed in the parent and every worker.
-    faults: Optional[FaultPlan] = None
-    #: Checkpoint directory: completed shards commit here atomically.
-    journal_dir: Optional[str] = None
-    #: Skip shards already committed to ``journal_dir`` by a prior run.
-    resume: bool = False
-    #: Quarantine file for malformed streamed input records (streaming
-    #: mode); ``None`` keeps the fail-fast behaviour.
-    quarantine: Optional[str] = None
-    #: Back-compat shorthand: shard index -> number of times it must fail
-    #: (translated onto the ``exec.shard.error`` fault site).
-    inject_failures: Mapping[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_spec(cls, spec: JobSpec) -> "ExecConfig":
-        """The executor knobs a :class:`~repro.api.JobSpec` pins.
-
-        This is the one sanctioned translation from job description to
-        executor configuration (``gsnp-lint`` GSNP108 flags ad-hoc
-        re-spellings elsewhere).
-        """
-        return cls(  # gsnp-lint: disable=GSNP108 (the sanctioned JobSpec translation site)
-            workers=spec.workers,
-            shard_size=spec.shard_size,
-            prefetch=spec.prefetch,
-            cache=spec.cache,
-            fusion=spec.fusion,
-            devices=spec.devices,
-            cpu_steal=spec.cpu_steal,
-            shard_timeout=spec.shard_timeout,
-            faults=spec.faults,
-            journal_dir=spec.journal,
-            resume=spec.resume,
-            quarantine=spec.quarantine,
-        )
-
-
-# Worker-side state, installed by the pool initializer.  Thread-local
-# rather than a bare module global: the serve daemon runs several serial
-# in-process jobs on concurrent threads, each with its own state.
-_WORKER_TLS = threading.local()
-
-# Resident worker pipelines that outlive a single ``execute`` call, keyed
+# Resident lane pipelines that outlive a single ``execute`` call, keyed
 # by thread ident then pipeline identity.  Devices are only ever touched
 # by their owning thread; the lock guards the outer map so a stats reader
 # on another thread can aggregate the counters safely.
 _RESIDENT_LOCK = threading.Lock()
 _RESIDENT: dict[int, dict] = {}
-
-
-def _worker_state() -> dict:
-    return _WORKER_TLS.state
 
 
 def _resident_pipelines() -> dict:
@@ -184,7 +145,7 @@ def _resident_key(spec: JobSpec) -> tuple:
 
 
 def resident_stats() -> dict:
-    """Aggregate counters over every thread's resident worker pipelines.
+    """Aggregate counters over every thread's resident lane pipelines.
 
     ``table_hits``/``table_misses`` come from the underlying
     :class:`~repro.gpusim.residency.DeviceResidency` caches — a hit means
@@ -204,6 +165,12 @@ def resident_stats() -> dict:
     return stats
 
 
+def _release(pipeline) -> None:
+    release = getattr(pipeline, "release_cache", None)
+    if release is not None:
+        release()
+
+
 def release_resident() -> None:
     """Drop every thread's resident pipelines (and their device caches)."""
     with _RESIDENT_LOCK:
@@ -211,79 +178,143 @@ def release_resident() -> None:
         _RESIDENT.clear()
     for pipes in per_thread:
         for pipe in pipes.values():
-            release = getattr(pipe, "release_cache", None)
-            if release is not None:
-                release()
+            _release(pipe)
 
 
-def _init_worker(state: dict) -> None:
-    _WORKER_TLS.state = state
-    if state.get("faults") is not None:
-        from ..faults.plan import install_plan
-
-        install_plan(state["faults"])
+#: Lane id of the host-engine (gsnp_cpu) steal lane.
+CPU_LANE = -1
 
 
-def _pipeline_spec(spec: JobSpec, *, degraded: bool = False) -> JobSpec:
-    """The worker pipeline's view of the job (degradation rung applied)."""
-    if degraded:
-        return replace(spec, prefetch=False, cache=False, fusion=False)
-    return spec
+@dataclass
+class _Lane:
+    """One scheduler lane: something that owns a pipeline, plus its deque."""
+
+    lane_id: int  # device_id, CPU_LANE for the host lane, else an ordinal
+    kind: str  # pool lanes "gpu" | "cpu"; else "process" | "serial"
+    device: Optional[Device] = None
+    deque: "deque[tuple[Shard, int]]" = field(default_factory=deque)
+    #: Built on first use wherever the lane's shards run (the parent, or
+    #: a process lane's child) and kept for every later shard.
+    pipeline: object = None
+    calibration: object = None
+    #: The serial lane of a long-lived caller: keep the pipeline in the
+    #: per-thread resident cache instead of releasing it with the job.
+    resident: bool = False
+    #: Process lanes: the lane's own child and the parent end of its pipe.
+    proc: object = None
+    conn: object = None
+    dead: bool = False
+    #: Roofline-predicted modeled seconds per shard, set at deal time;
+    #: the steal arbiter's stand-in until the lane has observed costs.
+    predicted_cost: float = 0.0
+    #: Shards this lane completed / stole from other lanes.
+    shards_run: int = 0
+    steals: int = 0
+    #: Modeled seconds of the shards this lane ran (incl. transfer time).
+    modeled_seconds: float = 0.0
+    #: Host<->device bytes this lane's shards moved.
+    transfer_bytes: int = 0
+    wall: float = 0.0
+
+    @property
+    def name(self) -> str:
+        if self.kind in ("cpu", "serial"):
+            return self.kind
+        return f"{self.kind}{self.lane_id}"
+
+    @property
+    def pooled(self) -> bool:
+        """Whether the lane belongs to a device pool: its shards report
+        the lane id as ``pid``, and a device that cannot allocate retires
+        the lane instead of degrading it."""
+        return self.kind in ("gpu", "cpu")
 
 
-def _make_pipeline(st: dict, *, degraded: bool = False):
-    return create_pipeline(
-        spec=_pipeline_spec(st["spec"], degraded=degraded),
-        params=st["params"],
-    )
+@dataclass(frozen=True)
+class _Job:
+    """What a lane needs to run any shard of the job; ships once to each
+    process lane's child."""
+
+    dataset: object
+    spec: JobSpec
+    params: object
+    calibration: object
+    #: Cohort mode: full per-sample alignment batches (sample 0 first);
+    #: every lane windows all S samples for its shard range.
+    sample_reads: Optional[list]
 
 
-def _run_shard(task) -> ShardResult:
-    """Execute one shard in the worker; the unit the pool retries."""
-    shard, batch, attempt = task
-    st = _worker_state()
-    spec: JobSpec = st["spec"]
-    resident = bool(st.get("resident")) and spec.cache
+def _lane_pipeline(job: _Job, lane: _Lane):
+    """The lane's pipeline, built on first use and kept for its shards:
+    the device score tables upload exactly once per lane.  (With
+    ``cache=False`` the pipeline itself acquires a fresh device per run,
+    so keeping the object costs nothing and uploads stay per-shard.)"""
+    if lane.pipeline is not None:
+        return lane.pipeline
+    spec = job.spec
+    lane.calibration = job.calibration
+    if lane.kind == "cpu":
+        # The host steal lane is the sparse CPU engine; fusion is a
+        # device-side concept and stays off there.  The shared calibration
+        # was produced by the GPU engine, which leaves the expanded host
+        # tables unbuilt; the CPU lane expands them once (memoized by
+        # pm_flat fingerprint) and reuses the rest.
+        from ..core.score_table import cached_new_p_matrix
+
+        spec = replace(spec, engine="gsnp_cpu", fusion=False)
+        lane.calibration = replace(
+            job.calibration,
+            new_p_flat=cached_new_p_matrix(job.calibration.pm_flat),
+        )
+    if lane.resident:
+        # Outlive this job: a later job with the same pipeline shape
+        # reuses the device and its uploaded tables.
+        lane.pipeline = _resident_pipelines().get(_resident_key(spec))
+    if lane.pipeline is None:
+        lane.pipeline = create_pipeline(
+            spec=spec, params=job.params, device=lane.device
+        )
+        if lane.resident:
+            _resident_pipelines()[_resident_key(spec)] = lane.pipeline
+    return lane.pipeline
+
+
+def _invoke(job: _Job, pipeline, calibration, shard: Shard):
+    where = dict(site_range=(shard.start, shard.end), calibration=calibration)
+    if job.sample_reads is not None:
+        return pipeline.run_cohort(job.dataset, job.sample_reads, **where)
+    return pipeline.run(job.dataset, **where)
+
+
+def _run_shard(
+    job: _Job, lane: _Lane, shard: Shard, attempt: int
+) -> ShardResult:
+    """Execute one shard on the lane's pipeline; the unit a lane retries.
+
+    Runs wherever the lane's pipeline lives — the parent for pool and
+    serial lanes, the lane's child for process lanes.
+    """
     with fault_scope(shard=shard.index, attempt=attempt):
         fault_point("exec.worker.crash", key=shard.index)
+        if lane.device is not None:
+            # Chaos site: a scheduled plan kills this device outright;
+            # the lane retires and the other lanes steal its work.
+            fault_point("gpusim.device.fail", key=lane.lane_id)
         fault_point("exec.shard.error", key=shard.index)
         fault_point("exec.shard.slow", key=shard.index)
-        pipeline = st.get("pipeline")
-        if pipeline is None and resident:
-            # Outlive this job: a later job with the same pipeline shape
-            # reuses the device and its uploaded tables.
-            pipeline = _resident_pipelines().get(_resident_key(spec))
-        if pipeline is None:
-            pipeline = _make_pipeline(st)
-        if spec.cache:
-            # Persist across this worker's shards: the device score
-            # tables upload exactly once per worker process.
-            st["pipeline"] = pipeline
-            if resident:
-                _resident_pipelines()[_resident_key(spec)] = pipeline
-        cohort_samples = st.get("samples")
-
-        def _invoke(pipe):
-            if cohort_samples is not None:
-                return pipe.run_cohort(
-                    st["dataset"],
-                    cohort_samples,
-                    site_range=(shard.start, shard.end),
-                    calibration=st["calibration"],
-                )
-            return pipe.run(
-                st["dataset"],
-                site_range=(shard.start, shard.end),
-                calibration=st["calibration"],
-                reads=batch,
-            )
-
+        pipeline = _lane_pipeline(job, lane)
         t0 = time.perf_counter()
         try:
-            result = _invoke(pipeline)
+            result = _invoke(job, pipeline, lane.calibration, shard)
         except AllocationError as exc:
+            if lane.pooled:
+                # A pool device that cannot even allocate is treated as
+                # failed hardware, not a footprint to shrink: the
+                # multi-device rung is redistribution (``_retire``), and
+                # the shard reruns identically on a surviving lane.
+                raise
             # Degradation rung: the device could not satisfy the resident
-            # footprint.  Rebuild this worker's pipeline with residency,
+            # footprint.  Rebuild this lane's pipeline with residency,
             # prefetch and simulator fast paths disabled and re-run the
             # shard in place; results are bitwise identical either way.
             degrade(
@@ -294,262 +325,656 @@ def _run_shard(task) -> ShardResult:
                 shard=shard.index,
                 attempt=attempt,
             )
-            st.pop("pipeline", None)
-            if resident:
-                _resident_pipelines().pop(_resident_key(spec), None)
+            lane.pipeline = None
+            if lane.resident:
+                _resident_pipelines().pop(_resident_key(job.spec), None)
             from ..gpusim.memory import set_fast_paths
 
             prev_fast = set_fast_paths(False)
             try:
                 with fault_scope(degraded=True):
-                    pipeline = _make_pipeline(st, degraded=True)
-                    result = _invoke(pipeline)
+                    degraded = create_pipeline(
+                        spec=replace(
+                            job.spec, prefetch=False, cache=False,
+                            fusion=False,
+                        ),
+                        params=job.params,
+                    )
+                    result = _invoke(job, degraded, job.calibration, shard)
             finally:
                 set_fast_paths(prev_fast)
         wall = time.perf_counter() - t0
     return ShardResult.from_run(
-        shard, result, wall=wall, attempts=attempt + 1, pid=os.getpid()
+        shard, result, wall=wall, attempts=attempt + 1,
+        pid=lane.lane_id if lane.pooled else os.getpid(),
     )
 
 
-def _drain(pool, tasks, config: ExecConfig):
-    """Pump tasks through the pool with a bounded in-flight window.
+def _worker_main(job: _Job, lane_id: int, conn, parent_end) -> None:
+    """A process lane's child: run the shards its lane thread ships."""
+    parent_end.close()  # inherited by fork; EOF must mean the parent left
+    install_plan(job.spec.faults)
+    lane = _Lane(lane_id=lane_id, kind="process")
+    with contextlib.suppress(EOFError):  # the parent left without a word
+        for task in iter(conn.recv, None):
+            try:
+                outcome = ("ok", _run_shard(job, lane, *task))
+            except Exception as exc:  # noqa: BLE001 — forwarded to retry
+                outcome = ("err", exc)
+            conn.send(outcome)
 
-    ``tasks`` yields ``(shard, batch_or_None)`` lazily — with a streaming
-    source this bounds resident shard batches to ``workers * backlog``.
-    Yields :class:`ShardResult` in completion order; re-dispatches failed
-    shards after a deterministic exponential backoff (counting attempts),
-    kills and retries shards that overrun ``shard_timeout``, and raises
-    :class:`ShardError` chaining the last worker exception once a shard
-    exhausts its budget.
-    """
-    max_retries = config.max_retries
-    limit = max(1, pool.workers * config.backlog)
-    enforce_deadline = (
-        config.shard_timeout is not None and pool.kind == "process"
+
+def _is_device_death(exc: BaseException) -> bool:
+    """Whether an exception marks the lane's device as failed hardware."""
+    return isinstance(exc, AllocationError) or (
+        isinstance(exc, InjectedFault) and exc.site == "gpusim.device.fail"
     )
-    if config.shard_timeout is not None and not enforce_deadline:
-        fault_logger.info(
-            "shard_timeout=%s ignored: the serial pool executes tasks "
-            "eagerly and cannot preempt a running shard",
-            config.shard_timeout,
+
+
+class _Scheduler:
+    """State of one sharded execution (lanes, lock, results)."""
+
+    def __init__(
+        self,
+        job: _Job,
+        shards: list[Shard],
+        journal,
+        *,
+        resident: bool,
+        max_retries: int,
+        backoff_base: float,
+        force_serial: bool,
+        device_pool: bool,
+    ) -> None:
+        self.job = job
+        self.shards = shards
+        self.journal = journal
+        self.max_retries = max_retries
+        self.backoff_base = backoff_base
+        self.lock = threading.Lock()
+        self.results: dict[int, ShardResult] = {}
+        self.error: Optional[BaseException] = None
+        self.pool: Optional[DevicePool] = None
+        spec = job.spec
+        # Lane construction — the one place devices/cpu_steal/workers are
+        # read; everything after it only sees lanes.
+        if device_pool or spec.uses_device_pool:
+            self.pool = DevicePool(spec.devices, sanitize=spec.sanitize)
+            self.lanes = [
+                _Lane(lane_id=dev.device_id, kind="gpu", device=dev)
+                for dev in self.pool
+            ]
+            if spec.cpu_steal:
+                self.lanes.append(_Lane(lane_id=CPU_LANE, kind="cpu"))
+        elif force_serial or resident or spec.workers <= 1:
+            # A resident pipeline's device must stay thread-confined, so
+            # ``resident`` implies the serial lane.
+            self.lanes = [_Lane(
+                lane_id=0, kind="serial", resident=resident and spec.cache,
+            )]
+        else:
+            self.lanes = [
+                _Lane(lane_id=i, kind="process") for i in range(spec.workers)
+            ]
+            self._start_workers()
+        if spec.shard_timeout is not None and self.lanes[0].kind != "process":
+            fault_logger.info(
+                "shard_timeout=%s ignored: in-process lanes run a shard "
+                "on their own thread and cannot preempt it",
+                spec.shard_timeout,
+            )
+        # Lane concurrency: by default every lane runs at once; on a
+        # device pool an explicit --workers N caps the number of
+        # simultaneously busy lanes (the deques and steal policy are
+        # unchanged, so output is identical).
+        busy = len(self.lanes)
+        if self.pool is not None and spec.workers > 1:
+            busy = min(spec.workers, busy)
+        self.busy_sem = threading.BoundedSemaphore(busy)
+
+    # -- process lanes ---------------------------------------------------
+
+    def _start_workers(self) -> None:
+        """Start every process lane's child here — on the coordinator
+        thread, before any lane thread exists.
+
+        Falling back from multiprocessing to the serial lane is the first
+        rung of the degradation ladder and is never silent.  It fires only
+        for the two ways a platform can lack working multiprocessing —
+        ``OSError`` (no usable synchronization primitives / insufficient
+        resources) and ``ImportError`` (no ``_multiprocessing``).
+        Anything else (e.g. a ``ValueError`` from a bad ``workers`` count)
+        is a programming error and propagates.
+        """
+        try:
+            for lane in self.lanes:
+                self._start_worker(lane)
+        except (OSError, ImportError) as exc:
+            self._stop_workers()
+            degrade(
+                "pool-serial-fallback",
+                action=f"running {len(self.lanes)}-worker job in-process, "
+                "serially",
+                reason=f"multiprocessing unavailable: {exc!r}",
+                workers=len(self.lanes),
+            )
+            self.lanes = [_Lane(lane_id=0, kind="serial")]
+        except BaseException:
+            self._stop_workers()
+            raise
+
+    def _start_worker(self, lane: _Lane) -> None:
+        ctx = multiprocessing.get_context()
+        parent_end, child_end = ctx.Pipe()
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(self.job, lane.lane_id, child_end, parent_end),
+            name=f"gsnp-worker-{lane.lane_id}",
+            daemon=True,
         )
-    task_iter = iter(tasks)
-    exhausted = False
-    retry_q: list = []  # (ready_at, shard, batch, attempt)
-    in_flight: dict = {}  # handle -> (shard, batch, attempt, deadline)
-    retries_used = 0
+        try:
+            proc.start()
+        except BaseException:
+            parent_end.close()
+            raise
+        finally:
+            # The child holds its own copy: EOF on the parent end must
+            # mean the child is gone.
+            child_end.close()
+        lane.proc, lane.conn = proc, parent_end
 
-    def fail(shard, batch, attempt: int, last_exc: BaseException):
-        """Schedule a retry, or give up with the root cause chained."""
-        nonlocal retries_used
-        if attempt >= max_retries:
-            raise ShardError(
-                f"{shard} failed after {attempt + 1} attempts; last "
-                f"error: {last_exc!r}",
-                shard_index=shard.index,
-                site_range=(shard.start, shard.end),
-                attempts=attempt + 1,
-            ) from last_exc
-        delay = config.backoff_base * (2 ** attempt)
+    def _stop_worker(self, lane: _Lane, kill: bool = False) -> None:
+        """Dismiss (or kill) the lane's child and **join** it, so its
+        CPU/RSS is charged to the caller that used it rather than to
+        whoever reaps it later."""
+        if lane.proc is None:
+            return
+        if not kill:
+            with contextlib.suppress(OSError):
+                lane.conn.send(None)
+            lane.proc.join(timeout=5.0)
+        if kill or lane.proc.is_alive():
+            lane.proc.kill()
+            lane.proc.join(timeout=5.0)
+        lane.conn.close()
+        lane.proc = lane.conn = None
+
+    def _stop_workers(self) -> None:
+        for lane in self.lanes:
+            self._stop_worker(lane)
+
+    def _ship(self, lane: _Lane, shard: Shard, attempt: int) -> ShardResult:
+        """Run one shard on the lane's own child and wait for it."""
+        timeout = self.job.spec.shard_timeout
+        if lane.proc is None:
+            self._start_worker(lane)  # the previous child died or was killed
+        try:
+            lane.conn.send((shard, attempt))
+            if not lane.conn.poll(timeout):
+                # The overrunning shard is running arbitrary code and
+                # cannot be cancelled cooperatively: kill its process —
+                # this lane's only, so no other lane's in-flight shard is
+                # disturbed.
+                self._stop_worker(lane, kill=True)
+                raise ShardTimeout(
+                    f"{shard} exceeded its {timeout}s deadline "
+                    f"(attempt {attempt + 1})",
+                    shard_index=shard.index,
+                    deadline=timeout,
+                )
+            kind, value = lane.conn.recv()
+        except (EOFError, OSError) as exc:
+            # The worker died outright; the lane's next shard restarts it.
+            self._stop_worker(lane, kill=True)
+            raise PipelineError(
+                f"worker process died while executing {shard}"
+            ) from exc
+        if kind == "err":
+            raise value
+        return value
+
+    # -- initial deal ----------------------------------------------------
+
+    def deal(self) -> list[int]:
+        """Seed the lane deques: from the cost model's predicted split on
+        a device pool, evenly where no lane has a device clock."""
+        # No device clock to predict from: equal unit rates, which
+        # predict_split apportions as the even deal.
+        gpu_rate = cpu_rate = 1.0
+        if self.pool is not None:
+            gpu_rate, cpu_rate = predict_lane_rates(
+                self.job.dataset.n_sites,
+                self.job.calibration.total_reads
+                * (self.job.dataset.reads.read_len or 100),
+            )
+        host_lane = self.lanes[-1].kind == "cpu"
+        counts = predict_split(
+            len(self.shards), len(self.lanes) - host_lane, host_lane,
+            gpu_rate, cpu_rate,
+        )
+        avg_sites = (
+            sum(s.n_sites for s in self.shards) / len(self.shards)
+            if self.shards
+            else 0.0
+        )
+        for lane in self.lanes:
+            rate = cpu_rate if lane.kind == "cpu" else gpu_rate
+            lane.predicted_cost = avg_sites / rate
+        # Interleaved deal: lane quotas are consumed round-robin over the
+        # shard list so every lane's deque spans the genome (ragged read
+        # depth then averages out within each lane).
+        remaining = list(counts)
+        lane_idx = 0
+        for shard in self.shards:
+            while remaining[lane_idx] == 0:
+                lane_idx = (lane_idx + 1) % len(self.lanes)
+            self.lanes[lane_idx].deque.append((shard, 0))
+            remaining[lane_idx] -= 1
+            lane_idx = (lane_idx + 1) % len(self.lanes)
+        return counts
+
+    # -- the work-stealing loop ------------------------------------------
+
+    def _steal_helps(self, thief: _Lane, victim: _Lane) -> bool:
+        """Whether a steal improves the *modeled* finish time.
+
+        Lanes race in Python wall time, which bears no relation to the
+        modeled hardware speeds (a simulated kernel is slower to emulate
+        than the sparse host loop is to run).  On a device pool stealing
+        is therefore arbitrated on modeled lane clocks: the thief takes a
+        shard only if it would finish it before the victim would have
+        drained its own deque.  A thief that has not run a shard yet has
+        no observed cost — its first steal is allowed whenever the victim
+        has a backlog to spare, which bootstraps its cost estimate (and
+        guarantees an idle CPU lane's first act is a steal).
+
+        Lanes with no device clock (worker processes) have nothing to
+        model: wall time is the only clock, so an idle lane steals
+        whenever a victim has backlog.
+        """
+        if self.pool is None:
+            return True
+        if not thief.shards_run:
+            return len(victim.deque) >= (2 if thief.kind == "cpu" else 1)
+        thief_cost = thief.modeled_seconds / thief.shards_run
+        # An unobserved victim's backlog is priced from the roofline
+        # predictor, not the thief's own cost — a CPU thief pricing a GPU
+        # deque at CPU rates would justify stealing the whole queue.
+        victim_cost = (
+            victim.modeled_seconds / victim.shards_run
+            if victim.shards_run
+            else victim.predicted_cost
+        )
+        return (
+            thief.modeled_seconds + thief_cost
+            <= victim.modeled_seconds + len(victim.deque) * victim_cost
+        )
+
+    def _next_task(self, lane: _Lane) -> Optional[tuple[Shard, int]]:
+        """Pop the lane's next shard, stealing when its deque is empty.
+
+        Owner pops from the head of its own deque; a thief takes from the
+        *tail* of the fullest other deque (including a dead lane's — that
+        is how orphaned work drains).  A steal grabs *half the victim's
+        backlog* (at least one shard), Cilk-style: the thief runs the
+        first stolen shard now and queues the rest on its own deque, so
+        an imbalance is corrected in O(log n) steals instead of one
+        lock-contended steal per shard.  Tail order is preserved, which
+        keeps the schedule deterministic for a given interleaving —
+        output bytes are schedule-independent regardless.  Returns
+        ``(shard, attempt)`` or ``None`` when every deque is empty or no
+        steal would help.
+        """
+        with self.lock:
+            if self.error is not None:
+                return None
+            if lane.deque and not lane.dead:
+                return lane.deque.popleft()
+            victims = [
+                other
+                for other in self.lanes
+                if other is not lane and other.deque
+            ]
+            if not victims or lane.dead:
+                return None
+            victim = max(victims, key=lambda o: (len(o.deque), -o.lane_id))
+            if not self._steal_helps(lane, victim) and not victim.dead:
+                return None
+            grab = max(1, len(victim.deque) // 2)
+            taken = [victim.deque.pop() for _ in range(grab)]
+            lane.steals += grab
+            # ``taken`` came off the tail newest-first; re-queue the
+            # surplus on the thief preserving the victim's order.
+            for entry in reversed(taken[:-1]):
+                lane.deque.append(entry)
+            return taken[-1]
+
+    def _record(self, lane: _Lane, sr: ShardResult) -> None:
+        profile = sr.profile
+        xfer = sum(r.transfer_bytes for r in profile.records.values())
+        with self.lock:
+            self.results[sr.shard.index] = sr
+            lane.shards_run += 1
+            lane.modeled_seconds += profile.total_modeled()
+            lane.transfer_bytes += xfer
+            if self.journal is not None:
+                self.journal.commit(sr)
+
+    def _retire(self, lane: _Lane, shard: Shard, attempt: int,
+                exc: BaseException) -> None:
+        """The device-failed rung: give the shard back and kill the lane."""
+        with self.lock:
+            lane.deque.appendleft((shard, attempt))
+            lane.dead = True
+            survivors = [
+                o.name for o in self.lanes if not o.dead and o is not lane
+            ]
         degrade(
-            "shard-retry",
-            action=f"re-dispatching in {delay:.3f}s "
-            f"(attempt {attempt + 2}/{max_retries + 1})",
-            reason=repr(last_exc),
+            "device-failed",
+            action="retiring lane %s; %s steal its remaining shards"
+            % (lane.name, "/".join(survivors) or "the coordinator fallback"),
+            reason=repr(exc),
+            lane=lane.name,
             shard=shard.index,
         )
-        retries_used += 1
-        retry_q.append((time.monotonic() + delay, shard, batch, attempt + 1))
 
-    while True:
-        # -- submission: fill the bounded window ---------------------------
-        while len(in_flight) < limit:
-            now = time.monotonic()
-            ready = next(
-                (i for i, e in enumerate(retry_q) if e[0] <= now), None
-            )
-            if ready is not None:
-                _, shard, batch, attempt = retry_q.pop(ready)
-            elif not exhausted:
+    def _lane_main(self, lane: _Lane) -> None:
+        """Drain the lane: the one retry/backoff/``ShardError`` loop."""
+        t0 = time.perf_counter()
+        try:
+            while True:
+                task = self._next_task(lane)
+                if task is None:
+                    return
+                shard, attempt = task
                 try:
-                    shard, batch = next(task_iter)
-                    attempt = 0
-                except StopIteration:
-                    exhausted = True
-                    continue
-            else:
-                break
-            handle = pool.submit(_run_shard, (shard, batch, attempt))
-            deadline = (
-                time.monotonic() + config.shard_timeout
-                if enforce_deadline
-                else None
-            )
-            in_flight[handle] = (shard, batch, attempt, deadline)
-
-        if not in_flight:
-            if exhausted and not retry_q:
-                return retries_used
-            # Nothing running and every retry still backing off: sleep to
-            # the earliest ready time (deterministic schedule, no jitter).
-            wake = min(e[0] for e in retry_q) - time.monotonic()
-            if wake > 0:
-                time.sleep(wake)
-            continue
-
-        # -- completion wait (bounded by the earliest deadline) ------------
-        timeout = None
-        if enforce_deadline:
-            next_deadline = min(
-                d for (*_, d) in in_flight.values() if d is not None
-            )
-            timeout = max(0.0, next_deadline - time.monotonic())
-        for handle in pool.wait_any(list(in_flight), timeout=timeout):
-            shard, batch, attempt, _dl = in_flight.pop(handle)
-            try:
-                kind, value = handle.outcome()
-            except PoolBroken as exc:
-                # The worker died outright; rebuild and re-dispatch.
-                pool.restart()
-                crash = PipelineError(
-                    f"worker process died while executing {shard}"
-                )
-                crash.__cause__ = exc
-                kind, value = "err", crash
-            if kind == "ok":
-                yield value
-                continue
-            fail(shard, batch, attempt, value)
-
-        # -- deadline sweep ------------------------------------------------
-        if enforce_deadline:
-            now = time.monotonic()
-            expired = [
-                h
-                for h, (_s, _b, _a, d) in in_flight.items()
-                if d is not None and d <= now
-            ]
-            if expired:
-                for handle in expired:
-                    shard, batch, attempt, _dl = in_flight.pop(handle)
-                    fail(
-                        shard, batch, attempt,
-                        ShardTimeout(
-                            f"{shard} exceeded its "
-                            f"{config.shard_timeout}s deadline "
-                            f"(attempt {attempt + 1})",
-                            shard_index=shard.index,
-                            deadline=config.shard_timeout,
-                        ),
+                    with self.busy_sem:
+                        if lane.kind == "process":
+                            sr = self._ship(lane, shard, attempt)
+                        else:
+                            sr = _run_shard(self.job, lane, shard, attempt)
+                except Exception as exc:  # noqa: BLE001 — retried below
+                    if self.pool is not None and _is_device_death(exc):
+                        self._retire(lane, shard, attempt, exc)
+                        return
+                    if attempt >= self.max_retries:
+                        with self.lock:
+                            if self.error is None:
+                                self.error = ShardError(
+                                    f"{shard} failed after {attempt + 1} "
+                                    f"attempts on lane {lane.name}; last "
+                                    f"error: {exc!r}",
+                                    shard_index=shard.index,
+                                    site_range=(shard.start, shard.end),
+                                    attempts=attempt + 1,
+                                )
+                                self.error.__cause__ = exc
+                        return
+                    delay = self.backoff_base * (2 ** attempt)
+                    degrade(
+                        "shard-retry",
+                        action=f"re-queueing on lane {lane.name} in "
+                        f"{delay:.3f}s (attempt {attempt + 2}/"
+                        f"{self.max_retries + 1})",
+                        reason=repr(exc),
+                        shard=shard.index,
                     )
-                # The overrunning workers cannot be cancelled cooperatively:
-                # kill the pool.  Collateral in-flight handles surface
-                # PoolBroken above and re-dispatch.
-                pool.kill()
+                    time.sleep(delay)
+                    with self.lock:
+                        lane.deque.appendleft((shard, attempt + 1))
+                    continue
+                self._record(lane, sr)
+        except BaseException as exc:
+            # Not a shard failure (e.g. the journal commit raised): stop
+            # every lane; the coordinator re-raises it.
+            with self.lock:
+                if self.error is None:
+                    self.error = exc
+        finally:
+            lane.wall = time.perf_counter() - t0
+
+    # -- coordinator -----------------------------------------------------
+
+    def run(self) -> None:
+        """Drain every deque: a single lane on the calling thread, several
+        on one thread each."""
+        if len(self.lanes) == 1:
+            self._lane_main(self.lanes[0])
+        else:
+            threads = [
+                threading.Thread(
+                    target=self._lane_main, args=(lane,),
+                    name=f"gsnp-lane-{lane.name}", daemon=True,
+                )
+                for lane in self.lanes
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        if self.error is not None:
+            raise self.error
+        self._fallback_leftovers()
+
+    def _fallback_leftovers(self) -> None:
+        """Run shards no lane completed on a fresh host-engine pipeline."""
+        missing = [s for s in self.shards if s.index not in self.results]
+        if not missing:
+            return
+        degrade(
+            "device-failed",
+            action=f"running {len(missing)} leftover shard(s) on a fresh "
+            "host-engine pipeline",
+            reason="no surviving scheduler lane",
+            shards=[s.index for s in missing],
+        )
+        lane = _Lane(lane_id=CPU_LANE, kind="cpu")
+        for shard in missing:
+            self._record(lane, _run_shard(self.job, lane, shard, 0))
+        self.lanes.append(lane)
+
+    def lane_usages(self) -> list[LaneUsage]:
+        """Per-lane modeled usage with transfers separated onto the link."""
+        gpu_model = GpuCostModel(self.pool.spec)
+        usages = []
+        for lane in self.lanes:
+            compute = lane.modeled_seconds - gpu_model.transfer_time(
+                lane.transfer_bytes
+            )
+            usages.append(
+                LaneUsage(
+                    compute_seconds=max(compute, 0.0),
+                    transfer_bytes=lane.transfer_bytes,
+                    transfer_count=(
+                        lane.device.transfers.h2d_count
+                        + lane.device.transfers.d2h_count
+                        if lane.device is not None
+                        else 0
+                    ),
+                )
+            )
+        return usages
+
+    def meta(self, counts: list[int]) -> dict:
+        """Scheduler metadata; the ``hetero`` block (per-lane stats, steal
+        counts, link traffic, modeled makespan) exists only for device
+        pools — consumers switch their modeled-time formula on it — and
+        is also what :func:`pool_stats` accumulates."""
+        if self.pool is None:
+            return {"pool": self.lanes[0].kind}
+        pool_model = PoolCostModel(self.pool.link.spec)
+        usages = self.lane_usages()
+        link_total = self.pool.link.total()
+        lanes_meta = [
+            {
+                "lane": lane.name,
+                "kind": lane.kind,
+                "shards": lane.shards_run,
+                "steals": lane.steals,
+                "dead": lane.dead,
+                "modeled_seconds": lane.modeled_seconds,
+                "compute_seconds": usage.compute_seconds,
+                "transfer_bytes": lane.transfer_bytes,
+                "wall": lane.wall,
+            }
+            for lane, usage in zip(self.lanes, usages)
+        ]
+        hetero = {
+            "devices": self.job.spec.devices,
+            "cpu_steal": self.job.spec.cpu_steal,
+            "initial_split": list(counts),
+            "steals": sum(l.steals for l in self.lanes),
+            "lanes": lanes_meta,
+            "per_device": self.pool.per_device_stats(),
+            "link": {
+                "h2d_bytes": link_total.h2d_bytes,
+                "d2h_bytes": link_total.d2h_bytes,
+                "h2d_count": link_total.h2d_count,
+                "d2h_count": link_total.d2h_count,
+                "launches": link_total.launches,
+                "serialized_seconds": self.pool.link.serialized_seconds(),
+            },
+            "pool_launches": self.pool.total_counters().launches,
+            "modeled": {
+                "makespan_seconds": pool_model.makespan(usages),
+                "link_seconds": pool_model.link_seconds(usages),
+                "compute_seconds_max": max(
+                    (u.compute_seconds for u in usages), default=0.0
+                ),
+            },
+        }
+        _note_job(hetero)
+        return {"pool": "hetero", "hetero": hetero}
+
+    def close(self) -> None:
+        """Join worker processes, release every non-resident lane pipeline
+        and the pool's residency; leak-check sanitized devices that
+        survived the run."""
+        with self.lock:
+            # Lane threads that outlived an interrupted coordinator stop
+            # at their next shard instead of draining the job unattended.
+            self.error = self.error or PipelineError("scheduler closed")
+        self._stop_workers()
+        for lane in self.lanes:
+            if not lane.resident:
+                _release(lane.pipeline)
+        if self.pool is None:
+            return
+        for dev in self.pool:
+            if dev.sanitizer is not None and not any(
+                lane.dead for lane in self.lanes
+                if lane.device is dev
+            ):
+                dev.resident.clear()
+                dev.sanitize_teardown(strict=True)
+        self.pool.release()
 
 
-def _dataset_without_reads(dataset):
-    """The dataset container minus its read set (streaming-shard mode):
-    workers receive reference/prior once and shard batches incrementally."""
-    rs = dataset.reads
-    empty = ReadSet(
-        chrom=rs.chrom,
-        read_len=rs.read_len,
-        pos=np.empty(0, dtype=np.int64),
-        strand=np.empty(0, dtype=np.uint8),
-        hits=np.empty(0, dtype=np.uint8),
-        bases=np.empty((0, rs.read_len), dtype=np.uint8),
-        quals=np.empty((0, rs.read_len), dtype=np.uint8),
-    )
-    return replace(dataset, reads=empty)
+def run_shards(
+    dataset,
+    spec: JobSpec,
+    params,
+    calibration,
+    shards: list[Shard],
+    *,
+    journal=None,
+    sample_reads=None,
+    resident: bool = False,
+    max_retries: int = 2,
+    backoff_base: float = 0.02,
+    force_serial: bool = False,
+    device_pool: bool = False,
+) -> tuple[list[ShardResult], dict]:
+    """Execute ``shards`` on the lanes ``spec`` describes.
+
+    Returns the completed :class:`ShardResult` list (unordered — the
+    caller's merge restores genomic order) and the scheduler metadata dict
+    (``pool`` kind; for device pools also the ``hetero`` block).  Raises
+    :class:`~repro.errors.ShardError` if any shard exhausts its retry
+    budget.  ``device_pool=True`` runs pool lanes even for one device
+    without a CPU lane — the harness's 1-device baseline arm, the only
+    caller that wants a pool of one.
+    """
+    job = _Job(dataset, spec, params, calibration, sample_reads)
+    # Installing the plan is process-global; skip the install entirely for
+    # plan-free jobs so concurrent serve threads don't clear each other's
+    # schedules.
+    ambient = contextlib.nullcontext()
+    if spec.faults is not None:
+        ambient = fault_plan(spec.faults)
+    with ambient:
+        run = _Scheduler(
+            job, shards, journal, resident=resident, max_retries=max_retries,
+            backoff_base=backoff_base, force_serial=force_serial,
+            device_pool=device_pool,
+        )
+        try:
+            counts = run.deal()
+            run.run()
+            return list(run.results.values()), run.meta(counts)
+        finally:
+            run.close()
 
 
-def _effective_plan(config: ExecConfig) -> Optional[FaultPlan]:
-    """The configured plan, with legacy ``inject_failures`` folded in as
-    ``exec.shard.error`` specs (the registry is the only injection path)."""
-    specs = tuple(
-        FaultSpec(site="exec.shard.error", key=int(idx), times=int(n))
-        for idx, n in sorted(dict(config.inject_failures).items())
-        if n > 0
-    )
-    if not specs:
-        return config.faults
-    if config.faults is None:
-        return FaultPlan(specs)
-    return FaultPlan(config.faults.specs + specs, seed=config.faults.seed)
+# -- cumulative pool stats (the serve daemon's /stats "devices" section) ---
+
+_STATS_LOCK = threading.Lock()
+_POOL_STATS: dict = {"jobs": 0, "shards": 0, "steals": 0, "last": None}
 
 
-#: ``execute`` kwargs that survive the JobSpec redesign: pure executor
-#: tuning with no JobSpec field, allowed alongside ``spec=``.
-_EXECUTOR_ONLY_KWARGS = (
-    "max_retries", "backlog", "force_serial", "backoff_base",
-    "inject_failures",
-)
+def _note_job(meta: dict) -> None:
+    with _STATS_LOCK:
+        _POOL_STATS["jobs"] += 1
+        _POOL_STATS["shards"] += sum(l["shards"] for l in meta["lanes"])
+        _POOL_STATS["steals"] += meta["steals"]
+        _POOL_STATS["last"] = {
+            "devices": meta["devices"],
+            "cpu_steal": meta["cpu_steal"],
+            "steals": meta["steals"],
+            "per_device": meta["per_device"],
+            "modeled": meta["modeled"],
+        }
 
 
-def _legacy_spec(engine, window_size, variant, config: ExecConfig) -> JobSpec:
-    """Fold the legacy ``execute`` spelling into a JobSpec."""
-    values: dict = {
-        "engine": str(engine) if engine is not None else Engine.GSNP.value,
-        "prefetch": config.prefetch,
-        "cache": config.cache,
-        "fusion": config.fusion,
-        "workers": config.workers,
-        "shard_size": config.shard_size,
-        "devices": config.devices,
-        "cpu_steal": config.cpu_steal,
-        "shard_timeout": config.shard_timeout,
-        "journal": config.journal_dir,
-        "resume": config.resume,
-        "quarantine": config.quarantine,
-        "faults": config.faults,
-    }
-    if window_size is not None:
-        values["window"] = window_size
-    if variant is not None:
-        values["variant"] = variant
-    return JobSpec(**values)
+def pool_stats() -> dict:
+    """Cumulative multi-device scheduler stats (plus the last job's
+    per-device breakdown), for ``gsnp-serve`` ``/stats``."""
+    with _STATS_LOCK:
+        return dict(_POOL_STATS)
 
 
 def execute(
     dataset,
-    engine: Engine | str | None = None,
     *,
-    spec: Optional[JobSpec] = None,
+    spec: JobSpec,
     params=None,
-    window_size: Optional[int] = None,
-    variant=None,
     output_path=None,
-    soap_path=None,
-    config: Optional[ExecConfig] = None,
     calibration=None,
     resident: bool = False,
     sample_reads=None,
-    **config_kwargs,
+    max_retries: int = 2,
+    backoff_base: float = 0.02,
+    force_serial: bool = False,
 ):
-    """Run a calling job as parallel window-aligned shards.
+    """Run a calling job as window-aligned shards on the lane scheduler.
 
-    The canonical call is ``execute(dataset, spec=JobSpec(...))`` — the
-    spec carries every job-level knob and :meth:`ExecConfig.from_spec`
-    derives the executor configuration; executor-only tuning
-    (``max_retries``, ``backlog``, ``force_serial``, ``backoff_base``,
-    ``inject_failures``) may still be passed as keywords.  The legacy
-    spelling (``engine`` plus ``window_size``/``variant``/job keywords)
-    keeps working through a shim that emits a ``DeprecationWarning``.
+    ``spec`` carries every job-level knob.  The remaining keywords are
+    executor tuning that no job should need to carry on the wire:
+    ``max_retries`` (times a failed shard is re-executed before the run
+    is aborted), ``backoff_base`` (a shard's k-th retry is delayed
+    ``backoff_base * 2**(k-1)`` seconds — deterministic, jitter-free) and
+    ``force_serial`` (one in-process lane even for ``workers > 1``).
 
     Returns the engine's own result type with tables, compressed output
     and merged event counters bitwise/exactly equal to the serial path;
     ``extras['shards']`` carries per-shard timing/throughput metrics and
-    ``extras['exec']`` the pool configuration.  ``soap_path`` switches the
-    shard inputs to incremental streaming from that SOAP file via
-    :class:`~repro.formats.stream.ShardBatchReader`.
+    ``extras['exec']`` the scheduler configuration.
 
     Long-lived callers pass ``calibration=`` (a previously computed
     calibration for this dataset/engine/params, skipping the input pass)
-    and ``resident=True`` (keep the in-process worker pipeline, device and
-    uploaded tables in a per-thread cache across calls; implies the serial
-    pool so the resident device stays thread-confined).
+    and ``resident=True`` (keep the serial lane's pipeline, device and
+    uploaded tables in a per-thread cache across calls; implies
+    ``force_serial`` so the resident device stays thread-confined).
 
     ``sample_reads`` switches the job to cohort mode: a list of full
     alignment batches (sample 0 first) that every shard slices by its own
@@ -561,44 +986,7 @@ def execute(
     merged outputs are bitwise identical to S solo runs sharing the
     pooled calibration.
     """
-    if spec is not None:
-        stray = {
-            k: v for k, v in config_kwargs.items()
-            if k not in _EXECUTOR_ONLY_KWARGS
-        }
-        if engine is not None or window_size is not None \
-                or variant is not None or config is not None or stray:
-            raise ValueError(
-                "execute(spec=...) does not combine with the legacy "
-                "engine/window_size/variant/config kwargs: set those "
-                "fields on the JobSpec instead"
-            )
-        spec = spec.validate().normalized()
-        config = ExecConfig.from_spec(spec)
-        if resident:
-            config_kwargs.setdefault("force_serial", True)
-        if config_kwargs:
-            config = replace(config, **config_kwargs)
-    else:
-        legacy = [k for k in config_kwargs if k not in _EXECUTOR_ONLY_KWARGS]
-        if window_size is not None:
-            legacy.append("window_size")
-        if variant is not None:
-            legacy.append("variant")
-        if legacy:
-            warnings.warn(
-                "execute(" + ", ".join(f"{k}=..." for k in sorted(legacy))
-                + ") is deprecated; pass spec=JobSpec(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if config is None:
-            config = ExecConfig(**config_kwargs)
-        elif config_kwargs:
-            config = replace(config, **config_kwargs)
-        spec = _legacy_spec(engine, window_size, variant, config)
-    plan = _effective_plan(config)
-
+    spec = spec.validate().normalized()
     eff_window = effective_window(spec.engine, spec.window)
     variant_obj = spec.resolved_variant()
 
@@ -609,18 +997,12 @@ def execute(
 
         sample_reads = [AlignmentBatch.from_read_set(dataset.reads)]
         for path in spec.samples:
-            sample_reads.append(
-                read_soap(path, quarantine=config.quarantine)
-            )
+            sample_reads.append(read_soap(path, quarantine=spec.quarantine))
     if sample_reads is not None:
         sample_reads = list(sample_reads)
         if not sample_reads:
             raise ValueError("sample_reads must name at least one sample")
-        if soap_path is not None:
-            raise ValueError(
-                "streaming shard input (soap_path) does not combine with "
-                "cohort mode: every shard windows all S resident batches"
-            )
+    n_samples = len(sample_reads) if sample_reads is not None else 1
 
     # The one-time calibration pass — skipped entirely when the caller
     # supplies a cached calibration for this dataset/engine/params.  A
@@ -637,13 +1019,12 @@ def execute(
         else:
             reads = AlignmentBatch.from_read_set(dataset.reads)
         calibration = pipeline.calibrate(dataset, reads=reads)
-    # The multi-device scheduler needs enough shards for every lane (N
-    # devices + the optional host lane) to hold a deque worth stealing
-    # from, so lanes count as workers for planning purposes.
-    n_lanes = config.devices + (1 if config.cpu_steal else 0)
+    # A device pool needs enough shards for every lane (N devices + the
+    # optional host lane) to hold a deque worth stealing from, so lanes
+    # count as workers for planning purposes.
     shards = plan_shards(
-        dataset.n_sites, eff_window, config.shard_size,
-        max(config.workers, n_lanes),
+        dataset.n_sites, eff_window, spec.shard_size,
+        max(spec.workers, spec.devices + spec.cpu_steal),
     )
 
     # Crash-safe checkpointing: the journal is keyed by a fingerprint of
@@ -651,7 +1032,7 @@ def execute(
     # results from a different input/engine/calibration into the merge.
     journal = None
     committed: dict[int, ShardResult] = {}
-    if config.journal_dir is not None:
+    if spec.journal is not None:
         fingerprint = run_fingerprint(
             spec.engine,
             eff_window,
@@ -659,10 +1040,10 @@ def execute(
             dataset.n_sites,
             [(s.start, s.end) for s in shards],
             calibration,
-            n_samples=len(sample_reads) if sample_reads is not None else 1,
+            n_samples=n_samples,
         )
-        journal = ShardJournal(config.journal_dir, fingerprint)
-        if config.resume:
+        journal = ShardJournal(spec.journal, fingerprint)
+        if spec.resume:
             committed = journal.load(shards)
             if committed:
                 fault_logger.info(
@@ -671,128 +1052,35 @@ def execute(
                     len(committed), len(shards), journal.dir,
                 )
 
-    if config.devices > 1 or config.cpu_steal:
-        # Multi-device jobs run on the heterogeneous work-stealing
-        # scheduler: one lane per pool device (plus the optional host
-        # lane), deque-seeded by the cost model and merged in genomic
-        # order — bytes identical to every other execution mode.
-        if soap_path is not None:
-            raise ValueError(
-                "streaming shard input (soap_path) does not combine with "
-                "the multi-device scheduler: shards are dealt to lane "
-                "deques up front, so the whole read set must be resident"
-            )
-        from .hetero import run_hetero
-
-        pending = [s for s in shards if s.index not in committed]
-        run_spec = replace(
-            spec, window=eff_window, variant=variant_obj, faults=None
-        )
-        t0 = time.perf_counter()
-        ambient = (
-            fault_plan(plan) if plan is not None else contextlib.nullcontext()
-        )
-        with ambient:
-            hetero_results, hetero_meta = run_hetero(
-                dataset, run_spec, params, calibration.strip(), pending,
-                config, journal=journal, sample_reads=sample_reads,
-            )
-        results = list(committed.values()) + hetero_results
-        exec_meta = {
-            "workers": config.workers,
-            "pool": "hetero",
-            "shard_size": shards[0].n_sites if shards else 0,
-            "n_shards": len(shards),
-            "streaming": False,
-            "prefetch": config.prefetch,
-            "cache": config.cache,
-            "fusion": config.fusion,
-            "retries": sum(sr.attempts - 1 for sr in hetero_results),
-            "resumed": len(committed),
-            "shard_timeout": config.shard_timeout,
-            "samples": len(sample_reads) if sample_reads is not None else 1,
-            "wall": time.perf_counter() - t0,
-            "hetero": hetero_meta,
-        }
-        return merge_shard_results(
-            results, calibration, output_path=output_path,
-            exec_meta=exec_meta,
-        )
-
-    streaming = soap_path is not None
-    state = {
-        "spec": replace(
-            spec, window=eff_window, variant=variant_obj, faults=None
-        ),
-        "params": params,
-        "dataset": _dataset_without_reads(dataset) if streaming else dataset,
-        "calibration": calibration.strip(),
-        "faults": plan,
-        "resident": resident,
-    }
-    if sample_reads is not None:
-        state["samples"] = sample_reads
-    if streaming:
-        batches = ShardBatchReader(
-            soap_path,
-            [(s.start, s.end) for s in shards],
-            dataset.n_sites,
-            chrom=dataset.reference.name,
-            quarantine=config.quarantine,
-        )
-        tasks = (
-            (shard, batch)
-            for shard, (_, _, batch) in zip(shards, batches)
-            if shard.index not in committed
-        )
-    else:
-        tasks = (
-            (shard, None) for shard in shards if shard.index not in committed
-        )
-
     t0 = time.perf_counter()
-    results: list[ShardResult] = list(committed.values())
-    retries_used = 0
-    # Installing the plan is process-global; skip the install entirely for
-    # plan-free jobs so concurrent serve threads don't clear each other's
-    # schedules.
-    ambient = fault_plan(plan) if plan is not None else contextlib.nullcontext()
-    with ambient:
-        pool = make_pool(
-            config.workers,
-            initializer=_init_worker,
-            initargs=(state,),
-            force_serial=config.force_serial,
-        )
-        try:
-            drain = _drain(pool, tasks, config)
-            while True:
-                try:
-                    sr = next(drain)
-                except StopIteration as stop:
-                    retries_used = stop.value or 0
-                    break
-                if journal is not None:
-                    journal.commit(sr)
-                results.append(sr)
-        finally:
-            pool.shutdown()
-
+    ran, sched_meta = run_shards(
+        dataset,
+        replace(spec, window=eff_window, variant=variant_obj),
+        params,
+        calibration.strip(),
+        [s for s in shards if s.index not in committed],
+        journal=journal,
+        sample_reads=sample_reads,
+        resident=resident,
+        max_retries=max_retries,
+        backoff_base=backoff_base,
+        force_serial=force_serial,
+    )
     exec_meta = {
-        "workers": config.workers,
-        "pool": pool.kind,
+        "workers": spec.workers,
         "shard_size": shards[0].n_sites if shards else 0,
         "n_shards": len(shards),
-        "streaming": streaming,
-        "prefetch": config.prefetch,
-        "cache": config.cache,
-        "fusion": config.fusion,
-        "retries": retries_used,
+        "prefetch": spec.prefetch,
+        "cache": spec.cache,
+        "fusion": spec.fusion,
+        "retries": sum(sr.attempts - 1 for sr in ran),
         "resumed": len(committed),
-        "shard_timeout": config.shard_timeout,
-        "samples": len(sample_reads) if sample_reads is not None else 1,
+        "shard_timeout": spec.shard_timeout,
+        "samples": n_samples,
         "wall": time.perf_counter() - t0,
+        **sched_meta,
     }
     return merge_shard_results(
-        results, calibration, output_path=output_path, exec_meta=exec_meta
+        list(committed.values()) + ran, calibration,
+        output_path=output_path, exec_meta=exec_meta,
     )

@@ -34,8 +34,6 @@ class _SoapRecordStream:
     Exploits the position-sorted order: :meth:`pull_past` parses just far
     enough that everything overlapping a range boundary is resident, and
     :meth:`take_overlapping` drops records entirely behind the range front.
-    Shared by the window-granularity :class:`StreamingSoapReader` and the
-    shard-granularity :class:`ShardBatchReader`.
     """
 
     def __init__(
@@ -230,55 +228,6 @@ class StreamingSoapReader:
                     reads=_batch_from_records(
                         overlap, rs.chrom, rs.read_len or self.window_size
                     ),
-                )
-
-
-class ShardBatchReader:
-    """Stream per-range alignment batches from a position-sorted SOAP file.
-
-    Given contiguous, sorted ``(start, end)`` site ranges (shards), yields
-    ``(start, end, AlignmentBatch)`` with exactly the reads overlapping
-    each range — boundary-spanning reads are delivered to both ranges, the
-    same contract as window iteration.  Only the reads overlapping the
-    current range are ever resident, so the sharded executor can pump a
-    huge input file through its bounded queue with O(shard) memory.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        ranges,
-        n_sites: int,
-        chrom: str | None = None,
-        quarantine=None,
-    ) -> None:
-        self.path = Path(path)
-        self.ranges = list(ranges)
-        self.n_sites = n_sites
-        self.chrom = chrom
-        self.quarantine = quarantine
-        self.bytes_read = 0
-        last = 0
-        for start, end in self.ranges:
-            if start != last or end <= start or end > n_sites:
-                raise PipelineError(
-                    f"shard ranges must tile [0, {n_sites}) contiguously; "
-                    f"got [{start}, {end}) after {last}"
-                )
-            last = end
-
-    def __iter__(self) -> Iterator[tuple[int, int, AlignmentBatch]]:
-        with open(self.path, "rb") as f:
-            rs = _SoapRecordStream(
-                f, self.path, self.n_sites, self.chrom,
-                quarantine=self.quarantine,
-            )
-            for start, end in self.ranges:
-                rs.pull_past(end)
-                overlap = rs.take_overlapping(start, end)
-                self.bytes_read = rs.bytes_read
-                yield start, end, _batch_from_records(
-                    overlap, rs.chrom, rs.read_len or 1
                 )
 
 

@@ -26,7 +26,7 @@ The simulator executes kernels eagerly and deterministically, so the
 pool does not interleave device execution in real time; contention is a
 *model* applied by :class:`~repro.gpusim.costmodel.PoolCostModel` when
 converting accumulated charges into seconds.  Scheduling across the pool
-lives in :mod:`repro.exec.hetero`.
+lives in :mod:`repro.exec.executor`.
 """
 
 from __future__ import annotations

@@ -130,6 +130,24 @@ class TestBitwiseParity:
         )
         _assert_parity(res, solo[4], "devices=2")
 
+    @pytest.mark.parametrize("lanes,pool", [
+        ({"workers": 2}, "process"),  # real worker-process lanes
+        ({"workers": 2, "devices": 2}, "hetero"),  # pool lanes, both busy
+    ])
+    def test_cohort_on_concurrent_lanes_matches_solo_runs(
+        self, lanes, pool, ds, batches, solo
+    ):
+        res = execute(
+            ds,
+            spec=JobSpec(
+                engine="gsnp", window=WINDOW, fusion=True, shard_size=1024,
+                **lanes,
+            ),
+            sample_reads=batches[:2],
+        )
+        assert res.extras["exec"]["pool"] == pool
+        _assert_parity(res, solo[2], lanes)
+
     def test_sanitized_cohort_matches_solo_runs(self, ds, batches, solo):
         det = GsnpDetector(
             engine="gsnp", window_size=WINDOW, fusion=True, sanitize=True,

@@ -7,18 +7,11 @@ identical to a serial run's — for all three engines.
 
 import pytest
 
-from repro.align.records import AlignmentBatch
-from repro.api import Engine, create_pipeline
+from repro.api import Engine, JobSpec, create_pipeline
 from repro.core.detector import GsnpDetector
 from repro.errors import PipelineError, ShardError
-from repro.exec import (
-    ExecConfig,
-    SerialPool,
-    align_shard_size,
-    execute,
-    plan_shards,
-)
-from repro.formats.soap import write_soap
+from repro.exec import align_shard_size, execute, plan_shards
+from repro.faults import FaultPlan, FaultSpec
 
 WINDOW = 512
 ENGINES = ("gsnp", "gsnp_cpu", "soapsnp")
@@ -40,8 +33,30 @@ def _counters(profile):
 
 
 def _serial(engine, dataset, output_path=None, **toggles):
-    pipe = create_pipeline(engine, window_size=WINDOW, **toggles)
+    pipe = create_pipeline(
+        spec=JobSpec(engine=engine, window=WINDOW, **toggles)
+    )
     return pipe.run(dataset, output_path=output_path)
+
+
+#: ``execute`` keywords that are executor tuning, not JobSpec fields.
+_TUNING = ("max_retries", "backoff_base", "force_serial")
+
+
+def _execute(dataset, engine, output_path=None, **kw):
+    """``execute`` with JobSpec fields and executor tuning mixed in ``kw``."""
+    tuning = {k: kw.pop(k) for k in _TUNING if k in kw}
+    return execute(
+        dataset, spec=JobSpec(engine=engine, window=WINDOW, **kw),
+        output_path=output_path, **tuning,
+    )
+
+
+def _fail(shard: int, times: int) -> FaultPlan:
+    """A plan failing ``shard``'s first ``times`` attempts."""
+    return FaultPlan(
+        (FaultSpec(site="exec.shard.error", key=shard, times=times),)
+    )
 
 
 #: gsnp *event counters* are compared on the per-window oracle: a sharded
@@ -93,12 +108,8 @@ class TestParity:
         serial_path = tmp_path / "serial.out"
         par_path = tmp_path / "par.out"
         serial = _serial(engine, small_dataset, output_path=serial_path)
-        par = execute(
-            small_dataset,
-            engine,
-            window_size=WINDOW,
-            output_path=par_path,
-            workers=workers,
+        par = _execute(
+            small_dataset, engine, output_path=par_path, workers=workers
         )
         assert par.table.equals(serial.table)
         assert getattr(par, "compressed_output", b"") == getattr(
@@ -108,9 +119,8 @@ class TestParity:
         assert par.output_bytes == serial.output_bytes
         if engine == "gsnp":
             serial = _serial(engine, small_dataset, **PER_WINDOW)
-            par = execute(
-                small_dataset, engine, window_size=WINDOW, workers=workers,
-                **PER_WINDOW,
+            par = _execute(
+                small_dataset, engine, workers=workers, **PER_WINDOW
             )
         assert _counters(par.profile) == _counters(serial.profile)
 
@@ -118,46 +128,21 @@ class TestParity:
         from repro.compress.reader import CompressedResultReader
 
         path = tmp_path / "calls.gsnp"
-        par = execute(
-            small_dataset, "gsnp", window_size=WINDOW,
-            output_path=path, workers=2,
-        )
+        par = _execute(small_dataset, "gsnp", output_path=path, workers=2)
         table = CompressedResultReader(path).read_all()
         assert table.equals(par.table)
 
-    def test_streaming_soap_input(self, small_dataset, tmp_path):
-        """ShardBatchReader-fed workers match the in-memory path."""
-        soap = tmp_path / "reads.soap"
-        write_soap(soap, AlignmentBatch.from_read_set(small_dataset.reads))
-        serial = _serial("gsnp", small_dataset)
-        par = execute(
-            small_dataset, "gsnp", window_size=WINDOW,
-            soap_path=soap, workers=2,
-        )
-        assert par.extras["exec"]["streaming"]
-        assert par.table.equals(serial.table)
-        assert par.compressed_output == serial.compressed_output
-        serial = _serial("gsnp", small_dataset, **PER_WINDOW)
-        par = execute(
-            small_dataset, "gsnp", window_size=WINDOW,
-            soap_path=soap, workers=2, **PER_WINDOW,
-        )
-        assert _counters(par.profile) == _counters(serial.profile)
-
     def test_serial_fallback_identical(self, small_dataset):
         serial = _serial("gsnp_cpu", small_dataset)
-        par = execute(
-            small_dataset, "gsnp_cpu", window_size=WINDOW,
-            workers=4, force_serial=True,
+        par = _execute(
+            small_dataset, "gsnp_cpu", workers=4, force_serial=True
         )
         assert par.extras["exec"]["pool"] == "serial"
         assert par.table.equals(serial.table)
         assert _counters(par.profile) == _counters(serial.profile)
 
     def test_engine_enum_accepted(self, small_dataset):
-        par = execute(
-            small_dataset, Engine.GSNP_CPU, window_size=WINDOW, workers=2
-        )
+        par = _execute(small_dataset, Engine.GSNP_CPU, workers=2)
         assert par.table.equals(_serial("gsnp_cpu", small_dataset).table)
 
     def test_detector_workers_path(self, small_dataset):
@@ -172,9 +157,8 @@ class TestParity:
         assert "exec" in par.extras
 
     def test_shard_metrics_reported(self, small_dataset):
-        par = execute(
-            small_dataset, "gsnp_cpu", window_size=WINDOW,
-            workers=2, shard_size=1024,
+        par = _execute(
+            small_dataset, "gsnp_cpu", workers=2, shard_size=1024
         )
         shards = par.extras["shards"]
         assert len(shards) == 4  # 4000 sites / 1024-aligned shards
@@ -190,10 +174,9 @@ class TestParity:
 class TestRetries:
     def test_injected_failure_retried(self, small_dataset):
         serial = _serial("gsnp_cpu", small_dataset)
-        par = execute(
-            small_dataset, "gsnp_cpu", window_size=WINDOW,
-            workers=2, shard_size=1024,
-            config=ExecConfig(inject_failures={1: 1}),
+        par = _execute(
+            small_dataset, "gsnp_cpu", workers=2, shard_size=1024,
+            faults=_fail(1, 1),
         )
         assert par.table.equals(serial.table)
         assert _counters(par.profile) == _counters(serial.profile)
@@ -206,10 +189,9 @@ class TestRetries:
 
     def test_exhausted_retries_surface_shard_context(self, small_dataset):
         with pytest.raises(ShardError) as err:
-            execute(
-                small_dataset, "gsnp_cpu", window_size=WINDOW,
-                workers=2, shard_size=1024, max_retries=1,
-                inject_failures={2: 10},
+            _execute(
+                small_dataset, "gsnp_cpu", workers=2, shard_size=1024,
+                max_retries=1, faults=_fail(2, 10),
             )
         assert err.value.shard_index == 2
         assert err.value.site_range == (2048, 3072)
@@ -217,9 +199,9 @@ class TestRetries:
         assert "shard 2" in str(err.value)
 
     def test_retry_in_serial_pool(self, small_dataset):
-        par = execute(
-            small_dataset, "gsnp_cpu", window_size=WINDOW,
-            workers=1, shard_size=1024, inject_failures={0: 2},
+        par = _execute(
+            small_dataset, "gsnp_cpu", workers=1, shard_size=1024,
+            faults=_fail(0, 2),
         )
         serial = _serial("gsnp_cpu", small_dataset)
         assert par.table.equals(serial.table)
@@ -227,20 +209,6 @@ class TestRetries:
             s["index"]: s["attempts"] for s in par.extras["shards"]
         }
         assert attempts[0] == 3
-
-
-class TestPools:
-    def test_serial_pool_interface(self):
-        ran = []
-        pool = SerialPool(initializer=lambda v: ran.append(v), initargs=(7,))
-        assert ran == [7]
-        h = pool.submit(lambda x: x * 2, 21)
-        assert pool.wait_any([h]) == [h]
-        assert h.outcome() == ("ok", 42)
-        h2 = pool.submit(lambda x: 1 / x, 0)
-        kind, exc = h2.outcome()
-        assert kind == "err" and isinstance(exc, ZeroDivisionError)
-        pool.shutdown()
 
 
 @pytest.mark.tier2

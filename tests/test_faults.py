@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import JobSpec
 from repro.errors import (
     AllocationError,
     FormatError,
@@ -37,14 +38,18 @@ from repro.faults import (
 WINDOW = 512
 
 
-def _run(dataset, output, engine="gsnp_cpu", **kwargs):
-    """Sharded run, in-process by default (deterministic, no process
-    pool); the ``gpusim.device.alloc`` site needs ``engine="gsnp"``."""
-    kwargs.setdefault("force_serial", True)
-    kwargs.setdefault("workers", 2)
+def _run(dataset, output, engine="gsnp_cpu", *, force_serial=True,
+         max_retries=2, journal_dir=None, **spec_kwargs):
+    """Sharded run, in-process by default (deterministic, no worker
+    processes); the ``gpusim.device.alloc`` site needs ``engine="gsnp"``."""
+    spec_kwargs.setdefault("workers", 2)
+    spec = JobSpec(
+        engine=engine, window=WINDOW, shard_size=1024, journal=journal_dir,
+        **spec_kwargs,
+    )
     return execute(
-        dataset, engine, window_size=WINDOW, output_path=output,
-        shard_size=1024, **kwargs
+        dataset, spec=spec, output_path=output,
+        force_serial=force_serial, max_retries=max_retries,
     )
 
 
@@ -189,7 +194,29 @@ class TestFaultedExecutionParity:
                 force_serial=False, workers=2,
             )
         assert out.read_bytes() == base_bytes
-        assert res.extras["exec"]["retries"] >= 1
+        assert res.extras["exec"]["retries"] == 1
+
+    def test_dead_worker_charges_only_its_own_shard(self, tmp_path):
+        """A worker process is a lane of its own: its death costs the one
+        shard it held a retry, never the shards in flight on other lanes
+        (a shared pool broke every pending future and charged each one)."""
+        from repro.seqsim.datasets import DatasetSpec, generate_dataset
+
+        ds = generate_dataset(DatasetSpec(
+            name="chrCrash", n_sites=8000, depth=6.0, coverage=0.9, seed=101,
+        ))
+        plan = FaultPlan([
+            FaultSpec(site="exec.worker.crash", kind="crash", key=0),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            res = _run(
+                ds, tmp_path / "crash.out", faults=plan,
+                force_serial=False, workers=2,
+            )
+        attempts = {s["index"]: s["attempts"] for s in res.extras["shards"]}
+        assert attempts == {0: 2, **{i: 1 for i in range(1, 8)}}
+        assert res.extras["exec"]["retries"] == 1
 
     def test_exhausted_budget_chains_cause(self, small_dataset, tmp_path):
         plan = FaultPlan([FaultSpec(site="exec.shard.error", key=1,
@@ -306,34 +333,55 @@ class TestAtomicOutput:
 
 
 class TestDegradationLadder:
-    def test_pool_fallback_names_the_cause(self, monkeypatch):
-        import repro.exec.pool as pool_mod
+    def test_pool_fallback_names_the_cause(
+        self, monkeypatch, small_dataset, baseline, tmp_path
+    ):
+        import repro.exec.executor as executor
 
-        def broken(*a, **k):
+        def broken(self, lane):
             raise OSError("no semaphores on this platform")
 
-        monkeypatch.setattr(pool_mod, "ProcessPool", broken)
+        monkeypatch.setattr(executor._Scheduler, "_start_worker", broken)
+        _, base_bytes = baseline
+        out = tmp_path / "fallback.out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DegradationWarning)
-            pool = pool_mod.make_pool(4)
-        assert pool.kind == "serial"
+            res = _run(small_dataset, out, force_serial=False, workers=4)
+        assert res.extras["exec"]["pool"] == "serial"
+        assert out.read_bytes() == base_bytes
         msgs = [w.message for w in caught
                 if isinstance(w.message, DegradationWarning)]
         assert len(msgs) == 1
         assert msgs[0].rung == "pool-serial-fallback"
         assert "no semaphores" in str(msgs[0])
 
-    def test_value_error_still_propagates(self, monkeypatch):
+    def test_value_error_still_propagates(
+        self, monkeypatch, small_dataset, tmp_path
+    ):
         # Only OSError/ImportError mean "no multiprocessing here";
         # programming errors must not be eaten by the fallback.
-        import repro.exec.pool as pool_mod
+        import repro.exec.executor as executor
 
-        def broken(*a, **k):
+        def broken(self, lane):
             raise ValueError("bad workers count")
 
-        monkeypatch.setattr(pool_mod, "ProcessPool", broken)
+        monkeypatch.setattr(executor._Scheduler, "_start_worker", broken)
         with pytest.raises(ValueError):
-            pool_mod.make_pool(4)
+            _run(small_dataset, tmp_path / "never.out",
+                 force_serial=False, workers=4)
+
+    @pytest.mark.parametrize("lanes", [{}, {"engine": "gsnp", "devices": 2}])
+    def test_shard_timeout_ignored_on_in_process_lanes(
+        self, lanes, small_dataset, tmp_path, caplog
+    ):
+        """Only a worker process can be preempted; the serial lane and
+        device-pool lanes say once that the deadline does nothing."""
+        with caplog.at_level("INFO", logger="repro.faults"):
+            _run(small_dataset, tmp_path / "t.out", shard_timeout=5.0,
+                 **lanes)
+        ignored = [r for r in caplog.records
+                   if "shard_timeout=5.0 ignored" in r.getMessage()]
+        assert len(ignored) == 1
 
     def test_quarantine_collects_coordinates(self, tmp_path):
         from repro.align.records import AlignmentBatch

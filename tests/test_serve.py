@@ -10,8 +10,8 @@ The load-bearing guarantees (ISSUE acceptance):
 * a daemon killed mid-job resumes it on restart from the ledger + shard
   journal and still produces bitwise-identical output;
 * :class:`repro.api.JobSpec` round-trips CLI args -> spec -> wire ->
-  spec, and the legacy kwarg spellings keep working via a deprecation
-  shim that ``gsnp-lint`` GSNP108 flags.
+  spec, and the legacy ``create_pipeline`` kwarg spelling keeps working
+  via a deprecation shim that ``gsnp-lint`` GSNP108 flags.
 """
 
 import argparse
@@ -178,11 +178,6 @@ class TestDeprecationShim:
         with pytest.raises(ValueError, match="does not combine"):
             create_pipeline(spec=JobSpec(), window_size=512)
 
-    def test_execute_legacy_kwargs_warn(self, small_dataset):
-        with pytest.warns(DeprecationWarning, match="spec=JobSpec"):
-            res = execute(small_dataset, "gsnp", window_size=512, workers=2)
-        assert res.table.n_sites == small_dataset.n_sites
-
     def test_unexposed_toggle_warns_instead_of_silent_drop(self):
         # A non-default "on" request the engine cannot honour warns ...
         with pytest.warns(RuntimeWarning, match="does not expose 'megabatch'"):
@@ -202,11 +197,13 @@ class TestLintLegacyKwargs:
     def test_flags_legacy_call_sites(self):
         src = (
             "pipe = create_pipeline('gsnp', window_size=512, cache=False)\n"
-            "cfg = ExecConfig(workers=4, journal_dir='j')\n"
+            "pipe = api.create_pipeline(megabatch=4)\n"
+            # execute takes only spec=: a loose kwarg is a TypeError at
+            # run time, not a lint finding.
             "res = execute(ds, 'gsnp', workers=2)\n"
         )
         diags = [d for d in lint_source(src) if d.rule == "GSNP108"]
-        assert len(diags) == 3
+        assert [d.line for d in diags] == [1, 2]
 
     def test_spec_call_sites_are_clean(self):
         src = (
@@ -217,7 +214,7 @@ class TestLintLegacyKwargs:
 
     def test_suppression_comment(self):
         src = (
-            "cfg = ExecConfig(workers=4)"
+            "pipe = create_pipeline(window_size=512)"
             "  # gsnp-lint: disable=GSNP108\n"
         )
         assert not [d for d in lint_source(src) if d.rule == "GSNP108"]
@@ -283,6 +280,36 @@ class TestResidentCaches:
             > stats0["resident"]["table_hits"]
         )
         assert out.read_bytes() == serve_inputs["ref_bytes"]
+
+    def test_serial_lane_runs_on_the_callers_thread(
+        self, small_dataset, monkeypatch
+    ):
+        """The resident cache is keyed by thread ident, so the serial lane
+        must run where ``execute`` was called: no lane thread, one cache
+        entry however many jobs, and the repeat job's tables are a hit."""
+        from repro.core.pipeline import GsnpPipeline
+
+        seen = []
+        run = GsnpPipeline.run
+
+        def spying_run(self, *args, **kwargs):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(GsnpPipeline, "run", spying_run)
+        release_resident()
+        spec = JobSpec(engine="gsnp", window=512, prefetch=False)
+        n_threads = threading.active_count()
+        try:
+            execute(small_dataset, spec=spec, resident=True)
+            stats0 = resident_stats()
+            execute(small_dataset, spec=spec, resident=True)
+            stats1 = resident_stats()
+        finally:
+            release_resident()
+        assert set(seen) == {(threading.get_ident(), n_threads)}
+        assert stats1["pipelines"] == stats0["pipelines"] == 1
+        assert stats1["table_hits"] > stats0["table_hits"]
 
 
 class TestAdmission:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analyze import lint_source
-from repro.api import create_pipeline
+from repro.api import JobSpec, create_pipeline
 from repro.core.prefetch import prefetched_windows
 from repro.core.score_table import new_p_build_count, reset_new_p_cache
 from repro.exec import execute
@@ -53,14 +53,16 @@ class TestTogglesParity:
         on_path = tmp_path / "on.gsnp"
         off_path = tmp_path / "off.gsnp"
         on = execute(
-            small_dataset, "gsnp", window_size=WINDOW,
-            output_path=on_path, workers=workers,
-            prefetch=True, cache=True,
+            small_dataset,
+            spec=JobSpec(engine="gsnp", window=WINDOW, workers=workers,
+                         prefetch=True, cache=True),
+            output_path=on_path,
         )
         off = execute(
-            small_dataset, "gsnp", window_size=WINDOW,
-            output_path=off_path, workers=workers,
-            prefetch=False, cache=False,
+            small_dataset,
+            spec=JobSpec(engine="gsnp", window=WINDOW, workers=workers,
+                         prefetch=False, cache=False),
+            output_path=off_path,
         )
         assert on.table.equals(off.table)
         assert on.compressed_output == off.compressed_output
@@ -129,9 +131,10 @@ class TestResidency:
         # force_serial keeps all 4 shards in-process: one worker state,
         # one pipeline, one upload — despite four shard runs.
         execute(
-            small_dataset, "gsnp", window_size=WINDOW,
-            workers=2, shard_size=1024, force_serial=True,
-            prefetch=True, cache=True,
+            small_dataset,
+            spec=JobSpec(engine="gsnp", window=WINDOW, workers=2,
+                         shard_size=1024, prefetch=True, cache=True),
+            force_serial=True,
         )
         assert counts["new_p_matrix"] == 1
         assert new_p_build_count() == 1
@@ -140,9 +143,10 @@ class TestResidency:
         counts = self._upload_counter(monkeypatch)
         reset_new_p_cache()
         execute(
-            small_dataset, "gsnp", window_size=WINDOW,
-            workers=2, shard_size=1024, force_serial=True,
-            prefetch=True, cache=False,
+            small_dataset,
+            spec=JobSpec(engine="gsnp", window=WINDOW, workers=2,
+                         shard_size=1024, prefetch=True, cache=False),
+            force_serial=True,
         )
         assert counts["new_p_matrix"] == 4  # one per shard
         assert new_p_build_count() == 1  # host-side build still memoized
