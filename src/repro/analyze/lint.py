@@ -37,11 +37,6 @@ GSNP107   fusable-in-window-loop  a launcher registered in
                                 called inside a per-window loop — per-window
                                 kernel chains belong on the fused megabatch
                                 path (module-level rule, not kernel-scoped)
-GSNP108   legacy-pipeline-kwargs  ``create_pipeline`` called with raw legacy
-                                keyword arguments instead of a
-                                ``spec=JobSpec(...)``; the JobSpec dataclass
-                                is the single source of truth for job knobs
-                                (module-level rule)
 GSNP109   suppression-without-rationale  a ``# gsnp-lint: disable=`` comment
                                 with no explanatory comment on the same line
                                 or within two lines (opt-in via
@@ -92,7 +87,6 @@ RULES: dict[str, str] = {
     "GSNP105": "device-fancy-index",
     "GSNP106": "adhoc-fault-site",
     "GSNP107": "fusable-in-window-loop",
-    "GSNP108": "legacy-pipeline-kwargs",
     "GSNP109": "suppression-without-rationale",
     "GSNP110": "direct-device-instantiation",
     "GSNP111": "per-sample-launcher-loop",
@@ -642,51 +636,6 @@ class _SampleLoopChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class _LegacySpecChecker(ast.NodeVisitor):
-    """GSNP108: job knobs travel as a JobSpec, not loose kwargs.
-
-    Module-level (not kernel-scoped).  Flags any call to
-    ``create_pipeline`` that passes one of the superseded per-knob keyword
-    arguments (:data:`repro.api.LEGACY_PIPELINE_KWARGS`) without also
-    passing ``spec=``.  Those spellings still work (through the
-    deprecation shim), but every knob has exactly one home — a
-    :class:`repro.api.JobSpec` field — and new call sites must use it.
-    (``execute`` takes only ``spec=``: a loose job kwarg there is a
-    ``TypeError``, not a lint finding.)
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.diags: list[Diagnostic] = []
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "create_pipeline":
-            from ..api import LEGACY_PIPELINE_KWARGS
-
-            kwargs = {kw.arg for kw in node.keywords if kw.arg}
-            legacy = sorted(kwargs & set(LEGACY_PIPELINE_KWARGS))
-            if legacy and "spec" not in kwargs:
-                self.diags.append(Diagnostic(
-                    path=self.path,
-                    line=getattr(node, "lineno", 1),
-                    col=getattr(node, "col_offset", 0) + 1,
-                    rule="GSNP108",
-                    message=(
-                        f"'{name}' called with legacy kwarg(s) "
-                        f"{', '.join(legacy)}; pass spec=JobSpec(...) — "
-                        "the JobSpec dataclass is the single source of "
-                        "truth for job knobs"
-                    ),
-                ))
-        self.generic_visit(node)
-
-
 class _DeviceInstantiationChecker(ast.NodeVisitor):
     """GSNP110: devices are acquired from the pool, not constructed.
 
@@ -810,7 +759,6 @@ def lint_source(
         _FaultSiteChecker(path),
         _FusableLoopChecker(path),
         _SampleLoopChecker(path),
-        _LegacySpecChecker(path),
         _DeviceInstantiationChecker(path),
     ):
         checker.visit(tree)

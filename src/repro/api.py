@@ -15,23 +15,22 @@ One frozen dataclass feeds all four former spellings:
 * ``create_pipeline(spec=...)`` builds a pipeline from it;
 * ``repro.exec.execute(spec=...)`` reads it directly — the lane scheduler
   has no configuration object of its own;
-* the CLI argument groups of ``gsnp-call``/``gsnp-submit`` are generated
+* the CLI argument groups of ``gsnp call``/``gsnp submit`` are generated
   from its field metadata (:meth:`JobSpec.add_cli_args`);
 * the ``gsnp-serve`` daemon uses its JSON form (:meth:`JobSpec.to_wire`)
   as the submit protocol's wire payload.
 
-The legacy keyword spelling ``create_pipeline(window_size=...)`` keeps
-working through a thin shim that emits a ``DeprecationWarning``;
-``gsnp-lint``'s GSNP108 rule flags new code using it.  The registry is
-open: :func:`register_engine` admits additional engines (e.g. an
-experimental backend) and every error message and CLI choice list derives
-from it.
+There is no second spelling: a loose engine name or config keyword is a
+``TypeError`` in both calls, and ``GsnpDetector`` holds a :class:`JobSpec`
+rather than mirroring its fields.  The registry is open:
+:func:`register_engine` admits additional engines (e.g. an experimental
+backend) and every error message and CLI choice list derives from it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
@@ -347,11 +346,17 @@ class JobSpec:
         if isinstance(self.engine, Engine):
             object.__setattr__(self, "engine", self.engine.value)
         # Wire payloads and argparse both deliver lists; keep the frozen
-        # spec hashable/picklable with a tuple either way.
-        if self.samples is None:
-            object.__setattr__(self, "samples", ())
-        elif not isinstance(self.samples, tuple):
-            object.__setattr__(self, "samples", tuple(self.samples))
+        # spec hashable/picklable with a tuple either way.  A bare string
+        # is one path, not its characters.
+        samples = self.samples or ()
+        if isinstance(samples, str):
+            samples = (samples,)
+        try:
+            object.__setattr__(self, "samples", tuple(samples))
+        except TypeError:
+            raise ValueError(
+                f"samples must be a sequence of SOAP paths, got {samples!r}"
+            ) from None
 
     # -- derived views -----------------------------------------------------
 
@@ -408,6 +413,22 @@ class JobSpec:
         self.resolved_variant()
         if self.resume and not self.journal:
             raise ValueError("resume=True requires a journal directory")
+        # Counts first: every clause below compares them, and the window
+        # reader / shard planner divide by them.
+        counts = ("window", "workers", "devices", "megabatch", "shard_size")
+        for name in counts:
+            value = getattr(self, name)
+            if name == "shard_size" and value is None:
+                continue
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.shard_timeout is not None and not (
+            isinstance(self.shard_timeout, (int, float))
+            and self.shard_timeout > 0
+        ):
+            raise ValueError("shard_timeout must be a number of seconds > 0")
         if (
             self.sanitize
             and not self.uses_device_pool
@@ -420,18 +441,12 @@ class JobSpec:
                 "--cpu-steal) does support the sanitizer — its lanes are "
                 "thread-confined"
             )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.devices < 1:
-            raise ValueError("devices must be >= 1")
         if self.uses_device_pool and self.engine != Engine.GSNP.value:
             raise ValueError(
                 "devices>1 / cpu_steal require the gsnp engine: the "
                 "heterogeneous scheduler pairs the device pool with the "
                 "gsnp_cpu steal lane"
             )
-        if self.megabatch < 1:
-            raise ValueError("megabatch must be >= 1")
         if self.is_cohort and self.engine not in (
             Engine.GSNP.value, Engine.GSNP_CPU.value
         ):
@@ -471,13 +486,7 @@ class JobSpec:
             elif f.name == "faults" and value is not None:
                 value = {
                     "seed": value.seed,
-                    "specs": [
-                        {
-                            "site": s.site, "kind": s.kind, "key": s.key,
-                            "after": s.after, "times": s.times, "arg": s.arg,
-                        }
-                        for s in value.specs
-                    ],
+                    "specs": [asdict(s) for s in value.specs],
                 }
             out[f.name] = value
         return out
@@ -525,7 +534,7 @@ class JobSpec:
         Flags, defaults, choice lists and help strings all derive from the
         field metadata, so the CLI can never drift from the dataclass.
         ``inputs=False`` skips the positional ``fasta``/``soap`` operands
-        (``gsnp-submit --stats`` style invocations take no inputs).
+        (``gsnp submit --stats`` style invocations take no inputs).
         """
         import argparse
 
@@ -546,12 +555,10 @@ class JobSpec:
                 kwargs["choices"] = engine_names()
             elif f.name == "variant":
                 kwargs["choices"] = tuple(VARIANTS_BY_NAME)
-            if cli["positional"]:
-                group.add_argument(*cli["flags"], **kwargs)
-            else:
+            if not cli["positional"]:
                 kwargs.setdefault("default", f.default)
                 kwargs.setdefault("dest", f.name)
-                group.add_argument(*cli["flags"], **kwargs)
+            group.add_argument(*cli["flags"], **kwargs)
 
     @classmethod
     def from_cli_args(cls, namespace) -> "JobSpec":
@@ -566,84 +573,31 @@ class JobSpec:
 #: Field defaults, for "was a non-default value requested?" checks.
 _SPEC_DEFAULTS = JobSpec()
 
-#: The create_pipeline kwargs superseded by JobSpec (the GSNP108 set).
-LEGACY_PIPELINE_KWARGS = (
-    "window_size", "variant", "prefetch", "cache", "fusion", "megabatch",
-)
-
-
-def _spec_from_legacy(engine, window_size, variant, toggles: dict) -> JobSpec:
-    """The deprecation shim: fold legacy kwargs into a JobSpec."""
-    values: dict = {"engine": str(resolve_engine(engine))}
-    if window_size is not None:
-        values["window"] = window_size
-    if variant is not None:
-        values["variant"] = variant
-    for name, value in toggles.items():
-        if value is not None:
-            values[name] = value
-    return JobSpec(**values)
-
 
 def create_pipeline(
-    engine: Engine | str | None = None,
-    *,
-    spec: Optional[JobSpec] = None,
-    params=None,
-    device=None,
-    window_size: Optional[int] = None,
-    variant: Optional[LikelihoodVariant] = None,
-    prefetch: Optional[bool] = None,
-    cache: Optional[bool] = None,
-    fusion: Optional[bool] = None,
-    megabatch: Optional[int] = None,
+    spec: Optional[JobSpec] = None, *, params=None, device=None
 ) -> Pipeline:
-    """Build the pipeline for an engine through the registry.
+    """Build the pipeline a :class:`JobSpec` describes, through the registry.
 
-    The preferred call is ``create_pipeline(spec=JobSpec(...))`` —
-    ``params`` (a :class:`~repro.soapsnp.model.CallingParams`) and
-    ``device`` (a prebuilt simulated device) stay separate because they
-    are runtime objects, not job configuration.  The legacy spelling
-    (``engine`` plus ``window_size``/``variant``/toggle kwargs) keeps
-    working through a shim that emits a ``DeprecationWarning``;
-    ``gsnp-lint`` GSNP108 flags it in new code.
+    ``create_pipeline(spec=JobSpec(...))`` is the only spelling (no spec
+    is the default job) — ``params`` (a
+    :class:`~repro.soapsnp.model.CallingParams`) and ``device`` (a prebuilt
+    simulated device) stay separate because they are runtime objects, not
+    job configuration.  A loose engine name or config keyword is a
+    ``TypeError``.
 
-    Registered extension factories keep the legacy 4-argument signature —
-    the throughput toggles are applied as attributes only when the built
+    Registered extension factories keep the 4-argument signature — the
+    throughput toggles are applied as attributes only when the built
     pipeline exposes them.  Asking an engine to switch *on* a toggle it
-    does not expose (a legacy kwarg, or a non-default spec value) raises a
-    ``RuntimeWarning`` instead of being silently dropped; defaults and
-    "off" describe what such an engine does anyway and stay silent.
+    does not expose (a non-default spec value) raises a ``RuntimeWarning``
+    instead of being silently dropped; defaults and "off" describe what
+    such an engine does anyway and stay silent.
     """
-    legacy = {
-        "window_size": window_size, "variant": variant, "prefetch": prefetch,
-        "cache": cache, "fusion": fusion, "megabatch": megabatch,
-    }
-    explicit = {k for k, v in legacy.items() if v is not None}
-    if spec is not None:
-        if engine is not None or explicit:
-            raise ValueError(
-                "create_pipeline(spec=...) does not combine with the "
-                "legacy engine/config kwargs: set those fields on the "
-                "JobSpec instead"
-            )
-    else:
-        if explicit:
-            warnings.warn(
-                "create_pipeline("
-                + ", ".join(f"{k}=..." for k in sorted(explicit))
-                + ") is deprecated; pass spec=JobSpec(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        spec = _spec_from_legacy(
-            engine if engine is not None else Engine.GSNP,
-            window_size,
-            variant,
-            {
-                "prefetch": prefetch, "cache": cache,
-                "fusion": fusion, "megabatch": megabatch,
-            },
+    if spec is None:
+        spec = _SPEC_DEFAULTS
+    elif not isinstance(spec, JobSpec):
+        raise TypeError(
+            f"create_pipeline takes a JobSpec, got {type(spec).__name__}"
         )
     engine_spec = get_engine_spec(spec.engine)
     window = effective_window(spec.engine, spec.window)
@@ -652,9 +606,7 @@ def create_pipeline(
         value = getattr(spec, attr)
         if hasattr(pipe, attr):
             setattr(pipe, attr, value)
-        elif value and (
-            attr in explicit or value != getattr(_SPEC_DEFAULTS, attr)
-        ):
+        elif value and value != getattr(_SPEC_DEFAULTS, attr):
             warnings.warn(
                 f"engine {spec.engine!r} does not expose {attr!r}; the "
                 f"requested {attr}={value!r} is ignored",
@@ -669,7 +621,6 @@ __all__ = [
     "EngineSpec",
     "JOBSPEC_WIRE_VERSION",
     "JobSpec",
-    "LEGACY_PIPELINE_KWARGS",
     "Pipeline",
     "VARIANTS_BY_NAME",
     "create_pipeline",

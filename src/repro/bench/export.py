@@ -1,6 +1,6 @@
 """Export experiment data as CSV for external plotting.
 
-``gsnp-bench`` (or :func:`export_all`) re-runs the evaluation drivers and
+``gsnp bench`` (or :func:`export_all`) re-runs the evaluation drivers and
 writes one CSV per table/figure into a results directory — the series a
 plotting script needs to redraw the paper's figures from this
 reproduction's numbers.

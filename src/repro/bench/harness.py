@@ -592,8 +592,12 @@ def exp_multidevice(
     """
     from dataclasses import replace
 
-    from ..align.records import AlignmentBatch
-    from ..exec import merge_shard_results, plan_shards, run_shards
+    from ..exec import (
+        calibrate_job,
+        merge_shard_results,
+        plan_shards,
+        run_shards,
+    )
 
     ds = bench_dataset(name, fraction)
     if window_size is None:
@@ -613,12 +617,7 @@ def exp_multidevice(
     # the widest sweep configuration, so each arm schedules identical
     # shards and differs only in lanes and link contention).
     base = JobSpec(engine="gsnp", window=window, fusion=True)
-    cal_pipe = create_pipeline(spec=base)
-    calibration = cal_pipe.calibrate(
-        ds, reads=AlignmentBatch.from_read_set(ds.reads)
-    )
-    if hasattr(cal_pipe, "release_cache"):
-        cal_pipe.release_cache()
+    calibration = calibrate_job(ds, base)
     max_lanes = max(devices) + 1
     shards = plan_shards(ds.n_sites, window, None, max_lanes)
 

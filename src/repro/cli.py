@@ -1,17 +1,20 @@
-"""Command-line tools: simulate, call, serve, decompress, bench, lint.
+"""Command-line front end: ``gsnp <action> [args]``.
 
-The entry points mirror how the original system is operated:
+One console script over one table (:data:`ACTIONS`) of the
+``main_<action>(argv)`` functions below; bare ``gsnp`` (or ``python -m
+repro.cli``) prints it.  The actions mirror how the original system is
+operated:
 
-* ``gsnp-simulate`` — generate a synthetic dataset (reference FASTA, SOAP
+* ``gsnp simulate`` — generate a synthetic dataset (reference FASTA, SOAP
   alignment file, known-SNP prior file).
-* ``gsnp-call`` — run SNP detection over those files with any engine
+* ``gsnp call`` — run SNP detection over those files with any engine
   (``gsnp``, ``gsnp_cpu`` or ``soapsnp``) and write text or compressed
   output.  Every knob is one :class:`~repro.api.JobSpec` field; the
   argument groups here derive from the dataclass metadata.
-* ``gsnp-serve`` / ``gsnp-submit`` — the resident calling service: a
+* ``gsnp serve`` / ``gsnp submit`` — the resident calling service: a
   daemon that keeps calibration and device state warm across jobs, and
   the client that submits :class:`~repro.api.JobSpec` jobs to it.
-* ``gsnp-decompress`` — the decompression tool of Section V-B: convert a
+* ``gsnp decompress`` — the decompression tool of Section V-B: convert a
   compressed result back to SOAPsnp text, optionally filtered.
 """
 
@@ -34,11 +37,17 @@ from .formats.soap import write_soap
 from .seqsim.datasets import DatasetSpec, generate_dataset
 
 
+def _parser(action, **kwargs) -> argparse.ArgumentParser:
+    """One action's parser: ``gsnp <action>``, described by its docstring."""
+    name = action.__name__.removeprefix("main_")
+    return argparse.ArgumentParser(
+        prog=f"gsnp {name}", description=action.__doc__, **kwargs
+    )
+
+
 def main_simulate(argv=None) -> int:
     """Generate a synthetic dataset and write its three input files."""
-    p = argparse.ArgumentParser(
-        prog="gsnp-simulate", description=main_simulate.__doc__
-    )
+    p = _parser(main_simulate)
     p.add_argument("--name", default="chrSim")
     p.add_argument("--sites", type=int, default=50_000)
     p.add_argument("--depth", type=float, default=10.0)
@@ -79,7 +88,7 @@ def main_simulate(argv=None) -> int:
 
 def main_call(argv=None) -> int:
     """Run SNP detection over (fasta, soap, prior) input files."""
-    p = argparse.ArgumentParser(prog="gsnp-call", description=main_call.__doc__)
+    p = _parser(main_call)
     JobSpec.add_cli_args(p)
     args = p.parse_args(argv)
     try:
@@ -108,9 +117,7 @@ def main_call(argv=None) -> int:
 
 def main_serve(argv=None) -> int:
     """Run the resident gsnp-serve daemon on a Unix socket."""
-    p = argparse.ArgumentParser(
-        prog="gsnp-serve", description=main_serve.__doc__
-    )
+    p = _parser(main_serve)
     p.add_argument(
         "--socket", default="gsnp-serve.sock",
         help="Unix socket path to listen on (the OS caps it at ~107 bytes)",
@@ -188,9 +195,7 @@ def main_serve(argv=None) -> int:
 
 def main_submit(argv=None) -> int:
     """Submit a calling job to a running gsnp-serve daemon."""
-    p = argparse.ArgumentParser(
-        prog="gsnp-submit", description=main_submit.__doc__
-    )
+    p = _parser(main_submit)
     p.add_argument(
         "--socket", default="gsnp-serve.sock",
         help="Unix socket of the daemon",
@@ -231,7 +236,7 @@ def main_submit(argv=None) -> int:
             return 0
         if args.shutdown:
             client.shutdown(drain=True)
-            print("gsnp-submit: daemon stopping")
+            print("gsnp submit: daemon stopping")
             return 0
         try:
             spec = JobSpec.from_cli_args(args).validate(require_inputs=True)
@@ -241,11 +246,11 @@ def main_submit(argv=None) -> int:
             spec, tenant=args.tenant, priority=args.priority, wait=args.wait
         )
     except (OSError, ProtocolError) as exc:
-        print(f"gsnp-submit: {exc}", file=sys.stderr)
+        print(f"gsnp submit: {exc}", file=sys.stderr)
         return 1
     if result.status == "rejected":
         print(
-            f"gsnp-submit: rejected ({result.code}): {result.error}",
+            f"gsnp submit: rejected ({result.code}): {result.error}",
             file=sys.stderr,
         )
         return 1
@@ -254,7 +259,7 @@ def main_submit(argv=None) -> int:
         return 0
     if result.status != "done":
         print(
-            f"gsnp-submit: job {result.job_id} failed: {result.error}",
+            f"gsnp submit: job {result.job_id} failed: {result.error}",
             file=sys.stderr,
         )
         return 1
@@ -270,9 +275,7 @@ def main_submit(argv=None) -> int:
 
 def main_decompress(argv=None) -> int:
     """Decompress a GSNP result file back to SOAPsnp text."""
-    p = argparse.ArgumentParser(
-        prog="gsnp-decompress", description=main_decompress.__doc__
-    )
+    p = _parser(main_decompress)
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None, help="default: stdout")
     p.add_argument("--snps-only", action="store_true")
@@ -285,7 +288,10 @@ def main_decompress(argv=None) -> int:
 
     reader = CompressedResultReader(args.input)
     if args.range:
-        lo, hi = (int(x) for x in args.range.split(":"))
+        try:
+            lo, hi = (int(x) for x in args.range.split(":"))
+        except ValueError:
+            p.error("--range takes LO:HI")
         table = reader.query_range(lo, hi)
     elif args.snps_only:
         table = reader.query_snps()
@@ -303,9 +309,7 @@ def main_decompress(argv=None) -> int:
 
 def main_bench(argv=None) -> int:
     """Regenerate the paper's tables/figures as CSV files."""
-    p = argparse.ArgumentParser(
-        prog="gsnp-bench", description=main_bench.__doc__
-    )
+    p = _parser(main_bench)
     p.add_argument("-o", "--out-dir", default="results")
     p.add_argument(
         "--fraction", type=float, default=None,
@@ -471,9 +475,7 @@ def main_bench(argv=None) -> int:
 
 def main_verify(argv=None) -> int:
     """Run the cross-engine consistency audit on a simulated dataset."""
-    p = argparse.ArgumentParser(
-        prog="gsnp-verify", description=main_verify.__doc__
-    )
+    p = _parser(main_verify)
     p.add_argument("--sites", type=int, default=10_000)
     p.add_argument("--depth", type=float, default=10.0)
     p.add_argument("--coverage", type=float, default=0.9)
@@ -499,12 +501,12 @@ def main_verify(argv=None) -> int:
 
 
 def main_chaos(argv=None) -> int:
-    """Run the pipeline under a deterministic fault schedule and assert
-    bitwise output parity (crash + truncated record + allocation failure,
-    then kill-mid-stream + resume, then the quarantine rung)."""
-    p = argparse.ArgumentParser(
-        prog="gsnp-chaos", description=main_chaos.__doc__
-    )
+    """Assert bitwise output parity under a deterministic fault schedule.
+
+    One cycle per seed: crash + truncated record + allocation failure,
+    then kill-mid-stream + resume, then the quarantine rung.
+    """
+    p = _parser(main_chaos)
     p.add_argument(
         "--seeds", default="0",
         help="comma-separated fault-schedule seeds (one full cycle each)",
@@ -567,9 +569,7 @@ def _add_analyzer_args(p: argparse.ArgumentParser) -> None:
 
 def main_lint(argv=None) -> int:
     """Statically check kernel code for SIMT-discipline violations."""
-    p = argparse.ArgumentParser(
-        prog="gsnp-lint", description=main_lint.__doc__
-    )
+    p = _parser(main_lint)
     _add_analyzer_args(p)
     p.add_argument(
         "--require-rationale", action="store_true",
@@ -612,9 +612,8 @@ def main_audit(argv=None) -> int:
     tier-1 kernels under the simulator and cross-checks every proven
     coalescing verdict against the runtime transaction counters.
     """
-    p = argparse.ArgumentParser(
-        prog="gsnp-audit", description=main_audit.__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    p = _parser(
+        main_audit, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     _add_analyzer_args(p)
     p.add_argument(
@@ -693,5 +692,27 @@ def main_audit(argv=None) -> int:
     return 0 if ok else 1
 
 
+#: The ``gsnp <action>`` table, in help order: action name (the function's
+#: name minus ``main_``) -> entry function.
+ACTIONS = {fn.__name__.removeprefix("main_"): fn for fn in (
+    main_simulate, main_call, main_decompress, main_verify, main_bench,
+    main_lint, main_audit, main_chaos, main_serve, main_submit,
+)}
+
+
+def main(argv=None) -> int:
+    """Dispatch ``gsnp <action> [args]`` over the :data:`ACTIONS` table."""
+    action, *rest = (sys.argv[1:] if argv is None else argv) or [None]
+    if action in ACTIONS:
+        return ACTIONS[action](rest)
+    help_asked = action in ("-h", "--help")
+    if action is not None and not help_asked:
+        print(f"gsnp: unknown action {action!r}", file=sys.stderr)
+    print("usage: gsnp <action> [args]   (gsnp <action> -h for its flags)\n")
+    for name, fn in ACTIONS.items():
+        print(f"  {name:<12}{fn.__doc__.strip().splitlines()[0]}")
+    return 0 if help_asked else 2
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main_call())
+    sys.exit(main())

@@ -64,11 +64,12 @@ def pooled_batch(sample_reads: Sequence[AlignmentBatch]) -> AlignmentBatch:
     return pooled.select(order)
 
 
-def load_sample_batches(spec) -> List[AlignmentBatch]:
-    """Parse a cohort JobSpec's pileup inputs (primary soap first)."""
+def load_sample_batches(dataset, spec) -> List[AlignmentBatch]:
+    """A cohort job's alignment batches: the dataset's own reads (the
+    primary soap input) are sample 0, then one parse per ``spec.samples``."""
     from ..formats.soap import read_soap
 
-    batches = [read_soap(spec.soap, quarantine=spec.quarantine)]
+    batches = [AlignmentBatch.from_read_set(dataset.reads)]
     for path in spec.samples:
         batches.append(read_soap(path, quarantine=spec.quarantine))
     return batches

@@ -1,10 +1,11 @@
 """High-level public API: one call from aligned reads to SNP calls.
 
 :class:`GsnpDetector` is the facade downstream users program against; the
-examples and CLI are built on it.  It wires any registered engine
-(:mod:`repro.api`) — serially, or through the sharded parallel executor
-(:mod:`repro.exec`) when ``workers``/``shard_size`` are set — and exposes
-the calls, the compressed output, and truth-scoring helpers.
+examples and CLI are built on it.  It holds one :class:`~repro.api.JobSpec`
+and runs it on any registered engine (:mod:`repro.api`) — serially, or
+through the sharded parallel executor (:mod:`repro.exec`) when the spec asks
+for workers, shards or a device pool — and exposes the calls, the compressed
+output, and truth-scoring helpers.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..api import Engine, JobSpec, create_pipeline, resolve_engine
-from ..constants import DEFAULT_WINDOW_GSNP
+from ..api import JobSpec, create_pipeline
 from ..formats.cns import ResultTable
 from ..seqsim.datasets import DatasetSpec, KnownSnpPrior, SimulatedDataset
 from ..soapsnp.model import CallingParams
 from ..soapsnp.posterior import is_snp_call
-from .likelihood import OPTIMIZED, LikelihoodVariant
 
 
 def dataset_from_alignments(
@@ -123,110 +122,55 @@ class Accuracy:
 class GsnpDetector:
     """Facade over the registered SNP-calling engines.
 
+    A detector holds one frozen :class:`~repro.api.JobSpec` (``self.spec``,
+    validated once at construction) plus the runtime ``params``; every job
+    knob has exactly one home, the spec field of that name, and is
+    documented there.
+
     Parameters
     ----------
-    engine:
-        An :class:`~repro.api.Engine` member or its string name —
-        ``"gsnp"`` (simulated GPU, default), ``"gsnp_cpu"`` (sparse CPU),
-        or ``"soapsnp"`` (dense baseline).  All engines produce identical
-        calls.
-    workers, shard_size:
-        When ``workers > 1`` or a ``shard_size`` is set, runs through the
-        sharded parallel executor (:func:`repro.exec.execute`) — output is
-        bitwise identical to the serial path.
-    devices, cpu_steal:
-        ``devices > 1`` runs on a modeled :class:`~repro.gpusim.pool
-        .DevicePool` as work-stealing lanes of the shard scheduler
-        (:mod:`repro.exec.executor`); ``cpu_steal=True`` adds the sparse
-        host engine as an extra stealing lane.  Output stays bitwise
-        identical for any device count and steal schedule.
-    shard_timeout:
-        Per-shard wall-clock deadline in seconds (process pools only); an
-        expired shard is killed and retried with exponential backoff.
-    journal_dir, resume:
-        Crash-safe checkpointing.  With ``journal_dir`` set, every
-        completed shard is committed to a content-hashed journal; with
-        ``resume=True`` a re-run skips committed shards and merges to
-        bitwise-identical output.
-    quarantine:
-        File collecting malformed input records (sharded runs only;
-        applies to the streaming reader).
-    faults:
-        A :class:`~repro.faults.plan.FaultPlan` to run under (chaos
-        testing).
     spec:
-        A :class:`~repro.api.JobSpec` carrying all of the above in one
-        object; individual keyword arguments must not be combined with it.
+        The :class:`~repro.api.JobSpec` to run; must not be combined with
+        field keywords.
+    params:
+        A :class:`~repro.soapsnp.model.CallingParams` (a runtime object,
+        not job configuration).
+    **fields:
+        ``JobSpec`` field names: ``GsnpDetector(engine="gsnp_cpu",
+        workers=4)`` is ``GsnpDetector(spec=JobSpec(engine="gsnp_cpu",
+        workers=4))`` (an unknown name is a ``TypeError``), except that a
+        detector built from fields reports every call (``min_quality=0``)
+        unless asked to filter.  All engines produce identical calls, and
+        output is bitwise identical whichever route the spec selects:
+        ``workers``/``shard_size`` run the sharded parallel executor
+        (:func:`repro.exec.execute`), ``devices``/``cpu_steal`` its
+        work-stealing :class:`~repro.gpusim.pool.DevicePool` lanes,
+        ``journal``/``resume`` its crash-safe checkpointing, ``faults`` a
+        :class:`~repro.faults.plan.FaultPlan` chaos schedule.
+
+    Cohort mode: ``samples`` names additional sample SOAP paths (the
+    primary soap input is sample 0); prebuilt batches go in the
+    ``sample_batches`` attribute instead.
     """
 
     def __init__(
         self,
-        engine: Engine | str = Engine.GSNP,
-        params: Optional[CallingParams] = None,
-        window_size: int = DEFAULT_WINDOW_GSNP,
-        variant: LikelihoodVariant = OPTIMIZED,
-        min_quality: int = 0,
-        workers: int = 1,
-        shard_size: Optional[int] = None,
-        devices: int = 1,
-        cpu_steal: bool = False,
-        sanitize: bool = False,
-        prefetch: bool = True,
-        cache: bool = True,
-        fusion: bool = JobSpec.fusion,
-        shard_timeout: Optional[float] = None,
-        journal_dir=None,
-        resume: bool = False,
-        quarantine=None,
-        faults=None,
-        samples: tuple = (),
+        *,
         spec: Optional[JobSpec] = None,
+        params: Optional[CallingParams] = None,
+        **fields,
     ) -> None:
-        if spec is not None:
-            spec.validate()
-            engine = spec.engine
-            samples = spec.samples
-            window_size = spec.window
-            variant = spec.variant
-            min_quality = spec.min_quality
-            workers = spec.workers
-            shard_size = spec.shard_size
-            devices = spec.devices
-            cpu_steal = spec.cpu_steal
-            sanitize = spec.sanitize
-            prefetch = spec.prefetch
-            cache = spec.cache
-            fusion = spec.fusion
-            shard_timeout = spec.shard_timeout
-            journal_dir = spec.journal
-            resume = spec.resume
-            quarantine = spec.quarantine
-            faults = spec.faults
-        self.engine = resolve_engine(engine)
+        if spec is None:
+            fields.setdefault("min_quality", 0)
+            spec = JobSpec(**fields)
+        elif fields:
+            raise ValueError(
+                "GsnpDetector(spec=...) does not combine with JobSpec "
+                f"field keywords ({', '.join(sorted(fields))}): set them "
+                "on the spec instead"
+            )
+        self.spec = spec.validate()
         self.params = params
-        self.window_size = window_size
-        self.variant = variant
-        self.min_quality = min_quality
-        self.workers = workers
-        self.shard_size = shard_size
-        self.devices = devices
-        self.cpu_steal = cpu_steal
-        self.sanitize = sanitize
-        #: Throughput-engine toggles (double-buffered streaming, persistent
-        #: device tables, fused megabatch launching); results are bitwise
-        #: identical under every combination.
-        self.prefetch = prefetch
-        self.cache = cache
-        self.fusion = fusion
-        #: Robustness knobs, forwarded to the sharded executor.
-        self.shard_timeout = shard_timeout
-        self.journal_dir = journal_dir
-        self.resume = resume
-        self.quarantine = quarantine
-        self.faults = faults
-        #: Cohort mode: additional sample SOAP paths (the primary soap
-        #: input is sample 0), or prebuilt batches via ``sample_batches``.
-        self.samples = tuple(samples)
         self.sample_batches = None
         self.dataset: Optional[SimulatedDataset] = None
         self.last_result = None
@@ -239,32 +183,9 @@ class GsnpDetector:
         its :meth:`run` then needs no dataset argument."""
         det = cls(**kwargs)
         det.dataset = dataset_from_files(
-            fasta_path, soap_path, prior_path, quarantine=det.quarantine
+            fasta_path, soap_path, prior_path, quarantine=det.spec.quarantine
         )
         return det
-
-    def job_spec(self) -> JobSpec:
-        """The detector's current knobs as a :class:`~repro.api.JobSpec`."""
-        return JobSpec(
-            engine=str(self.engine),
-            samples=self.samples,
-            window=self.window_size,
-            variant=self.variant,
-            min_quality=self.min_quality,
-            workers=self.workers,
-            shard_size=self.shard_size,
-            devices=self.devices,
-            cpu_steal=self.cpu_steal,
-            sanitize=self.sanitize,
-            prefetch=self.prefetch,
-            cache=self.cache,
-            fusion=self.fusion,
-            shard_timeout=self.shard_timeout,
-            journal=self.journal_dir,
-            resume=self.resume,
-            quarantine=self.quarantine,
-            faults=self.faults,
-        )
 
     def run(
         self, dataset: Optional[SimulatedDataset] = None, output_path=None
@@ -277,17 +198,12 @@ class GsnpDetector:
                 "no dataset: pass one to run() or build the detector "
                 "with from_files()"
             )
-        spec = self.job_spec().validate()
+        spec = self.spec
         sample_reads = self.sample_batches
         if sample_reads is None and spec.is_cohort:
-            from ..align.records import AlignmentBatch
-            from ..formats.soap import read_soap
+            from .cohort import load_sample_batches
 
-            sample_reads = [AlignmentBatch.from_read_set(dataset.reads)]
-            for path in self.samples:
-                sample_reads.append(
-                    read_soap(path, quarantine=self.quarantine)
-                )
+            sample_reads = load_sample_batches(dataset, spec)
         if spec.uses_executor:
             from ..exec import execute
 
@@ -297,7 +213,7 @@ class GsnpDetector:
             )
         else:
             device = None
-            if self.sanitize:
+            if spec.sanitize:
                 from ..gpusim.pool import acquire_device
 
                 device = acquire_device(sanitize=True)
@@ -331,7 +247,7 @@ class GsnpDetector:
 
     def calls(self, table: ResultTable) -> list[SnpCall]:
         """Variant rows passing the quality filter."""
-        mask = is_snp_call(table) & (table.quality >= self.min_quality)
+        mask = is_snp_call(table) & (table.quality >= self.spec.min_quality)
         idx = np.nonzero(mask)[0]
         return [
             SnpCall(
@@ -378,12 +294,10 @@ class GsnpDetector:
 
 
 def detect_snps(
-    dataset: SimulatedDataset,
-    engine: Engine | str = Engine.GSNP,
-    min_quality: int = 0,
-    **kwargs,
+    dataset: SimulatedDataset, **fields
 ) -> tuple[ResultTable, list[SnpCall]]:
-    """One-shot convenience: run a detector and return (table, calls)."""
-    det = GsnpDetector(engine=engine, min_quality=min_quality, **kwargs)
+    """One-shot convenience: run a detector built from ``JobSpec`` field
+    keywords and return (table, calls)."""
+    det = GsnpDetector(**fields)
     result = det.run(dataset)
     return result.table, det.calls(result.table)

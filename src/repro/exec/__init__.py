@@ -8,6 +8,7 @@ run.  Entry point: :func:`execute`.
 """
 
 from .executor import (
+    calibrate_job,
     execute,
     pool_stats,
     release_resident,
@@ -21,6 +22,7 @@ __all__ = [
     "Shard",
     "ShardResult",
     "align_shard_size",
+    "calibrate_job",
     "execute",
     "merge_profiles",
     "merge_shard_results",

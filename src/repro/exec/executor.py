@@ -79,7 +79,7 @@ with or without injected faults, retries and resumes.
 Modeled time: pool lanes compute concurrently but share one PCIe/host
 link, so the pool makespan is ``max(lane compute) + serialized link time``
 (:class:`~repro.gpusim.costmodel.PoolCostModel`) — the number
-``gsnp-bench``'s multi-device arm reports against the paper's
+``gsnp bench``'s multi-device arm reports against the paper's
 cluster-scale tables.
 """
 
@@ -94,7 +94,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..align.records import AlignmentBatch
 from ..api import JobSpec, create_pipeline, effective_window
 from ..errors import (
     AllocationError,
@@ -943,6 +942,21 @@ def pool_stats() -> dict:
         return dict(_POOL_STATS)
 
 
+def calibrate_job(dataset, spec: JobSpec, params=None, sample_reads=None):
+    """The one-time ``cal_p_matrix`` input pass for one job.
+
+    A cohort calibrates over the pooled reads of all samples: one pm_flat
+    fingerprint, one resident score-table set per device.
+    """
+    reads = None  # the dataset's own reads
+    if sample_reads is not None:
+        from ..core.cohort import pooled_batch
+
+        reads = pooled_batch(sample_reads)
+    pipeline = create_pipeline(spec=spec, params=params)
+    return pipeline.calibrate(dataset, reads=reads)
+
+
 def execute(
     dataset,
     *,
@@ -990,35 +1004,20 @@ def execute(
     eff_window = effective_window(spec.engine, spec.window)
     variant_obj = spec.resolved_variant()
 
-    if sample_reads is None and spec.samples:
-        # Parse the extra cohort inputs; sample 0 is always the
-        # dataset's own reads (the primary soap input).
-        from ..formats.soap import read_soap
+    if sample_reads is None and spec.is_cohort:
+        from ..core.cohort import load_sample_batches
 
-        sample_reads = [AlignmentBatch.from_read_set(dataset.reads)]
-        for path in spec.samples:
-            sample_reads.append(read_soap(path, quarantine=spec.quarantine))
+        sample_reads = load_sample_batches(dataset, spec)
     if sample_reads is not None:
         sample_reads = list(sample_reads)
         if not sample_reads:
             raise ValueError("sample_reads must name at least one sample")
     n_samples = len(sample_reads) if sample_reads is not None else 1
 
-    # The one-time calibration pass — skipped entirely when the caller
-    # supplies a cached calibration for this dataset/engine/params.  A
-    # cohort calibrates over the pooled reads of all samples: one
-    # pm_flat fingerprint, one resident score-table set per device.
+    # Skipped entirely when the caller supplies a cached calibration for
+    # this dataset/engine/params.
     if calibration is None:
-        pipeline = create_pipeline(
-            spec=replace(spec, faults=None), params=params
-        )
-        if sample_reads is not None:
-            from ..core.cohort import pooled_batch
-
-            reads = pooled_batch(sample_reads)
-        else:
-            reads = AlignmentBatch.from_read_set(dataset.reads)
-        calibration = pipeline.calibrate(dataset, reads=reads)
+        calibration = calibrate_job(dataset, spec, params, sample_reads)
     # A device pool needs enough shards for every lane (N devices + the
     # optional host lane) to hold a deque worth stealing from, so lanes
     # count as workers for planning purposes.

@@ -10,7 +10,7 @@ Three submodules, importable without pulling in the pipeline:
 * :mod:`repro.faults.journal` — atomic output files, the content-hashed
   shard journal backing ``--resume``, and run fingerprints.
 
-The ``gsnp-chaos`` harness lives in :mod:`repro.faults.chaos`; it is
+The ``gsnp chaos`` harness lives in :mod:`repro.faults.chaos`; it is
 imported lazily (by the CLI) because it drives the full executor stack.
 """
 

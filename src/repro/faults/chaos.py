@@ -1,4 +1,4 @@
-"""``gsnp-chaos``: run the pipeline under a fault schedule, assert parity.
+"""``gsnp chaos``: run the pipeline under a fault schedule, assert parity.
 
 The tentpole's own acceptance harness.  One invocation:
 
@@ -84,24 +84,16 @@ def _load_dataset(fasta, soap, prior, max_attempts: int = 3):
     ) from last
 
 
-def _execute(
-    dataset, engine, *, workers, output, faults=None, journal_dir=None,
-    resume=False, shard_timeout=None, **exec_kwargs,
-):
+def _execute(dataset, output, *, max_retries: int = 2, **fields):
+    """One chaos job: ``fields`` are ``JobSpec`` fields on the harness's
+    fixed window/shard shape."""
     from ..api import JobSpec
     from ..exec import execute
 
-    spec = JobSpec(
-        engine=engine,
-        window=WINDOW,
-        workers=workers,
-        shard_size=SHARD_SIZE,
-        faults=faults,
-        journal=journal_dir,
-        resume=resume,
-        shard_timeout=shard_timeout,
+    spec = JobSpec(window=WINDOW, shard_size=SHARD_SIZE, **fields)
+    return execute(
+        dataset, spec=spec, output_path=output, max_retries=max_retries
     )
-    return execute(dataset, spec=spec, output_path=output, **exec_kwargs)
 
 
 def _demo_plan(seed: int, n_shards: int, *, timeout_demo: bool) -> FaultPlan:
@@ -155,7 +147,7 @@ def run_chaos(
         # -- reference: fault-free run --------------------------------
         baseline_out = tmp / "baseline.out"
         dataset = _load_dataset(fasta, soap, prior)
-        base = _execute(dataset, engine, workers=workers, output=baseline_out)
+        base = _execute(dataset, baseline_out, engine=engine, workers=workers)
         base_bytes = baseline_out.read_bytes()
         report["n_shards"] = n_shards
 
@@ -168,7 +160,7 @@ def run_chaos(
             with fault_plan(plan):
                 chaos_ds = _load_dataset(fasta, soap, prior)
             chaos = _execute(
-                chaos_ds, engine, workers=workers, output=chaos_out,
+                chaos_ds, chaos_out, engine=engine, workers=workers,
                 faults=plan,
                 shard_timeout=4.0 if timeout_demo else None,
             )
@@ -199,8 +191,8 @@ def run_chaos(
         resume_out = tmp / "resume.out"
         try:
             _execute(
-                dataset, engine, workers=workers, output=resume_out,
-                faults=poison, journal_dir=str(journal_dir), max_retries=1,
+                dataset, resume_out, engine=engine, workers=workers,
+                faults=poison, journal=str(journal_dir), max_retries=1,
             )
             died = False
         except ShardError:
@@ -208,8 +200,8 @@ def run_chaos(
         journal = next(journal_dir.iterdir())
         committed_before = len(list(journal.glob("shard-*.pkl")))
         resumed = _execute(
-            dataset, engine, workers=workers, output=resume_out,
-            journal_dir=str(journal_dir), resume=True,
+            dataset, resume_out, engine=engine, workers=workers,
+            journal=str(journal_dir), resume=True,
         )
         resume_bytes = resume_out.read_bytes()
         report["resume"] = {

@@ -7,7 +7,7 @@ are paid once per *dataset*: :class:`GsnpServer` listens on a Unix
 socket, admits :class:`~repro.api.JobSpec` jobs through a multi-tenant
 priority scheduler, executes them on worker threads with cross-job
 caches (:class:`ResidentRunner`), and streams results back to
-:class:`ServeClient` (``gsnp-submit``).
+:class:`ServeClient` (``gsnp submit``).
 
 Guarantees: served output is bitwise identical to the one-shot CLI
 (jobs route through the sharded executor's parity-checked path), and a

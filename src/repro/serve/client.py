@@ -1,4 +1,4 @@
-"""Client side of the gsnp-serve protocol (the gsnp-submit library).
+"""Client side of the gsnp-serve protocol (the gsnp submit library).
 
 :class:`ServeClient` opens one Unix-socket connection per request, speaks
 the line-JSON protocol (:mod:`repro.serve.protocol`), and exposes the

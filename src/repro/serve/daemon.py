@@ -289,7 +289,7 @@ class GsnpServer:
             if spec.sanitize:
                 raise ValueError(
                     "sanitize jobs are not served (thread-confined device "
-                    "audit); run gsnp-call --sanitize instead"
+                    "audit); run gsnp call --sanitize instead"
                 )
             if spec.journal or spec.resume:
                 raise ValueError(

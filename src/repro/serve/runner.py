@@ -18,7 +18,7 @@ that state resident between jobs:
   :mod:`repro.gpusim.residency`) survives across jobs on each worker
   thread.
 
-Output rendering is shared with ``gsnp-call`` (:func:`write_job_output`,
+Output rendering is shared with ``gsnp call`` (:func:`write_job_output`,
 :func:`job_summary`): the daemon and the one-shot CLI post-process results
 through literally the same code, which is what makes served bytes
 bitwise identical to CLI bytes.
@@ -37,7 +37,7 @@ from pathlib import Path
 
 from ..api import JobSpec
 from ..core.detector import dataset_from_files
-from ..exec import execute
+from ..exec import calibrate_job, execute
 from ..faults.journal import atomic_output
 
 #: On-disk calibration entry format version.
@@ -71,50 +71,36 @@ def job_input_key(spec: JobSpec) -> tuple:
 
 
 def write_job_output(result, spec: JobSpec) -> bytes:
-    """Render a job's output bytes exactly as ``gsnp-call`` would.
+    """Render a job's output bytes exactly as ``gsnp call`` would.
 
     Returns the rendered bytes (compressed blob or CNS text) and, when
-    the spec names an output path, writes them there atomically.
+    the spec names an output path, writes them there atomically.  A solo
+    result renders as a cohort of one: one file per sample (sample 0 at
+    spec.output, sample i at <output>.s<i>); the returned inline bytes
+    are the per-sample renderings concatenated in cohort order.
     """
-    samples = getattr(result, "samples", None)
-    if samples is not None:
-        # Cohort job: one file per sample (sample 0 at spec.output,
-        # sample i at <output>.s<i>); the returned inline bytes are the
-        # per-sample renderings concatenated in cohort order.
-        from ..core.cohort import cohort_output_path
-        from ..formats.cns import format_rows
+    from ..core.cohort import cohort_output_path
+    from ..formats.cns import format_rows
 
-        blobs = []
-        for si, sres in enumerate(samples):
-            if spec.compressed:
-                sample_blob = sres.compressed_output
-            else:
-                sample_blob = format_rows(sres.table)
-            blobs.append(sample_blob)
-            if spec.output:
-                with atomic_output(cohort_output_path(spec.output, si)) as f:
-                    f.write(sample_blob)
-        return b"".join(blobs)
-    table = result.table
-    if spec.compressed:
-        if spec.engine == "soapsnp":
+    blobs = []
+    for si, sres in enumerate(getattr(result, "samples", None) or [result]):
+        if not spec.compressed:
+            blob = format_rows(sres.table)
+        elif spec.engine == "soapsnp":
             from ..compress.columnar import encode_table
 
-            blob = encode_table(table)
+            blob = encode_table(sres.table)
         else:
-            blob = result.compressed_output
-    else:
-        from ..formats.cns import format_rows
-
-        blob = format_rows(table)
-    if spec.output:
-        with atomic_output(spec.output) as f:
-            f.write(blob)
-    return blob
+            blob = sres.compressed_output
+        blobs.append(blob)
+        if spec.output:
+            with atomic_output(cohort_output_path(spec.output, si)) as f:
+                f.write(blob)
+    return b"".join(blobs)
 
 
 def job_summary(result, spec: JobSpec, wall: float) -> str:
-    """The one-line human summary ``gsnp-call`` prints."""
+    """The one-line human summary ``gsnp call`` prints."""
     from ..soapsnp.posterior import is_snp_call
 
     table = result.table
@@ -139,6 +125,23 @@ class DatasetCache:
         self.hits = 0
         self.misses = 0
 
+    def _lookup(self, key: tuple, parse):
+        """The entry under ``key``, calling ``parse()`` on a miss (outside
+        the lock: concurrent misses may parse twice, never block)."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return self._entries[key]
+        value = parse()
+        with self._lock:
+            self.misses += 1
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+        return value
+
     def get(self, spec: JobSpec, key: tuple):
         """The parsed dataset for a job (parsing on miss).
 
@@ -149,19 +152,9 @@ class DatasetCache:
             return dataset_from_files(
                 spec.fasta, spec.soap, spec.prior, quarantine=spec.quarantine
             )
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return self._entries[key]
-        dataset = dataset_from_files(spec.fasta, spec.soap, spec.prior)
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = dataset
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return dataset
+        return self._lookup(
+            key, lambda: dataset_from_files(spec.fasta, spec.soap, spec.prior)
+        )
 
     def get_sample(self, path, fingerprint: str, quarantine=None):
         """A parsed cohort sample batch, keyed by content fingerprint.
@@ -174,20 +167,7 @@ class DatasetCache:
 
         if quarantine:
             return read_soap(path, quarantine=quarantine)
-        key = ("sample", fingerprint)
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return self._entries[key]
-        batch = read_soap(path)
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = batch
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return batch
+        return self._lookup(("sample", fingerprint), lambda: read_soap(path))
 
     def stats(self) -> dict:
         """Hit/miss counters and current size."""
@@ -340,19 +320,9 @@ class ResidentRunner:
         cal_key = self.calibrations.cache_key(spec, input_key)
         calibration = self.calibrations.get(cal_key)
         if calibration is None:
-            from ..align.records import AlignmentBatch
-            from ..api import create_pipeline
-
-            pipe = create_pipeline(
-                spec=replace(spec, faults=None, sanitize=False)
-            )
-            if sample_reads is not None:
-                from ..core.cohort import pooled_batch
-
-                reads = pooled_batch(sample_reads)
-            else:
-                reads = AlignmentBatch.from_read_set(dataset.reads)
-            calibration = pipe.calibrate(dataset, reads=reads).strip()
+            calibration = calibrate_job(
+                dataset, spec, sample_reads=sample_reads
+            ).strip()
             self.calibrations.put(cal_key, calibration)
 
         jdir = self.journal_dir(job.job_id)

@@ -4,7 +4,7 @@
 freshly simulated dataset and asserts the tentpole guarantees:
 
 * two identical jobs (different tenants) produce output bytes **bitwise
-  identical** to a one-shot ``gsnp-call`` over the same inputs;
+  identical** to a one-shot ``gsnp call`` over the same inputs;
 * an over-quota submission is rejected at admission with ``code=quota``;
 * a repeated job hits the resident caches — nonzero calibration-cache and
   device score-table hit counters in ``/stats``;
@@ -80,7 +80,7 @@ def run_smoke(keep_dir=None, verbose: bool = True) -> dict:
             fasta, soap, "--prior", prior,
             "--window", str(SMOKE_WINDOW), "-o", ref_out,
         ])
-        check("one-shot gsnp-call", rc == 0)
+        check("one-shot gsnp call", rc == 0)
         ref_bytes = Path(ref_out).read_bytes()
 
         sock = str(root / "s.sock")

@@ -675,14 +675,6 @@ _RULE_CASES = {
                 gsnp_counting(device, window)  # gsnp-lint: disable=GSNP107
         """,
     ),
-    "GSNP108": (
-        """
-        p = create_pipeline(window_size=512, fusion=True)
-        """,
-        """
-        p = create_pipeline(window_size=512, fusion=True)  # gsnp-lint: disable=GSNP108
-        """,
-    ),
     "GSNP109": (
         """
         def k_kernel(ctx, arr):
@@ -841,8 +833,8 @@ class TestDiagnostic:
     def test_rule_table_complete(self):
         assert set(RULES) == {
             "GSNP100", "GSNP101", "GSNP102", "GSNP103", "GSNP104",
-            "GSNP105", "GSNP106", "GSNP107", "GSNP108", "GSNP109",
-            "GSNP110", "GSNP111",
+            "GSNP105", "GSNP106", "GSNP107", "GSNP109", "GSNP110",
+            "GSNP111",
             "GSNP201", "GSNP202", "GSNP203", "GSNP204", "GSNP205",
         }
 

@@ -354,15 +354,15 @@ class TestEndToEnd:
     def test_detector_sanitize_flag(self, small_dataset):
         from repro.core.detector import GsnpDetector
 
-        det = GsnpDetector(engine="gsnp", window_size=2000, sanitize=True)
-        plain = GsnpDetector(engine="gsnp", window_size=2000)
+        det = GsnpDetector(engine="gsnp", window=2000, sanitize=True)
+        plain = GsnpDetector(engine="gsnp", window=2000)
         assert det.run(small_dataset).table.equals(
             plain.run(small_dataset).table
         )
 
-    def test_detector_sanitize_rejects_sharded(self, small_dataset):
+    def test_detector_sanitize_rejects_sharded(self):
         from repro.core.detector import GsnpDetector
 
-        det = GsnpDetector(engine="gsnp", workers=2, sanitize=True)
+        # The spec is validated once, at construction.
         with pytest.raises(ValueError, match="serial"):
-            det.run(small_dataset)
+            GsnpDetector(engine="gsnp", workers=2, sanitize=True)

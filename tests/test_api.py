@@ -5,6 +5,7 @@ import pytest
 from repro.api import (
     Engine,
     EngineSpec,
+    JobSpec,
     Pipeline,
     create_pipeline,
     effective_window,
@@ -53,14 +54,20 @@ class TestRegistry:
             effective_window("soapsnp", 1_000_000) == DEFAULT_WINDOW_SOAPSNP
         )
         assert effective_window("gsnp", 1_000_000) == 1_000_000
-        pipe = create_pipeline("soapsnp", window_size=1_000_000)
+        pipe = create_pipeline(
+            spec=JobSpec(engine="soapsnp", window=1_000_000)
+        )
         assert pipe.window_size == DEFAULT_WINDOW_SOAPSNP
 
     def test_create_pipeline_types(self):
-        assert isinstance(create_pipeline(Engine.GSNP), GsnpPipeline)
-        assert isinstance(create_pipeline(Engine.SOAPSNP), SoapsnpPipeline)
-        assert create_pipeline(Engine.GSNP).mode == "gpu"
-        assert create_pipeline(Engine.GSNP_CPU).mode == "cpu"
+        def build(engine):
+            return create_pipeline(spec=JobSpec(engine=engine))
+
+        assert isinstance(create_pipeline(), GsnpPipeline)  # default job
+        assert isinstance(build(Engine.GSNP), GsnpPipeline)
+        assert isinstance(build(Engine.SOAPSNP), SoapsnpPipeline)
+        assert build(Engine.GSNP).mode == "gpu"
+        assert build(Engine.GSNP_CPU).mode == "cpu"
 
     def test_extension_engine_registration(self):
         name = "test_ext_engine"
@@ -73,7 +80,7 @@ class TestRegistry:
         try:
             assert name in engine_names()
             assert resolve_engine(name) == name  # no enum member: raw name
-            pipe = create_pipeline(name, window_size=2000)
+            pipe = create_pipeline(spec=JobSpec(engine=name, window=2000))
             assert pipe.window_size == 2000
         finally:
             from repro import api
@@ -90,7 +97,7 @@ class TestProtocol:
         """One loop over the registry, zero per-engine branches."""
         tables = []
         for name in ("gsnp", "gsnp_cpu", "soapsnp"):
-            pipe = create_pipeline(name, window_size=1000)
+            pipe = create_pipeline(spec=JobSpec(engine=name, window=1000))
             calib = pipe.calibrate(tiny_dataset)
             result = pipe.run(tiny_dataset, calibration=calib)
             tables.append(result.table)
@@ -128,11 +135,11 @@ class TestDetectorApi:
         )
 
         det = GsnpDetector.from_files(
-            fasta, soap, prior, engine="gsnp_cpu", window_size=1000
+            fasta, soap, prior, engine="gsnp_cpu", window=1000
         )
         result = det.run()  # dataset bound by from_files
         direct = GsnpDetector(
-            engine="gsnp_cpu", window_size=1000
+            engine="gsnp_cpu", window=1000
         ).run(tiny_dataset)
         assert result.table.equals(direct.table)
 

@@ -1,11 +1,14 @@
 """CLI entry points, end to end through real files."""
 
+import importlib
 import os
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cli import main_call, main_decompress, main_simulate
+from repro.cli import ACTIONS, main, main_call, main_decompress, main_simulate
 from repro.formats.cns import read_cns
 
 
@@ -67,6 +70,21 @@ class TestCall:
         ).stat().st_size
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "0", "--workers", "2"], "window must be >= 1"),
+        (["--window", "0"], "window must be >= 1"),
+        (["--shard-size", "0"], "shard_size must be >= 1"),
+        (["--shard-timeout", "0", "--workers", "2"], "shard_timeout must be"),
+    ])
+    def test_out_of_range_flags_are_usage_errors(
+        self, simulated, capsys, flags, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main_call(["demo.fa", "demo.soap", *flags])
+        assert exc.value.code == 2
+        assert f"gsnp call: error: {message}" in capsys.readouterr().err
+
+
 class TestDecompress:
     def test_full_roundtrip(self, simulated):
         main_call(["demo.fa", "demo.soap", "--prior", "demo.prior",
@@ -86,6 +104,55 @@ class TestDecompress:
         t = read_cns(simulated / "r.cns")
         assert t.n_sites == 100
 
+    @pytest.mark.parametrize("bad", ["5", "a:b", "1:2:3"])
+    def test_malformed_range_is_a_usage_error(self, simulated, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main_decompress(["c.gsnp", "--range", bad])
+        assert exc.value.code == 2
+        assert "--range takes LO:HI" in capsys.readouterr().err
+
     def test_snps_only(self, simulated, capsys):
         rc = main_decompress(["c.gsnp", "--snps-only", "-o", "s.cns"])
         assert rc == 0
+
+
+class TestActionTable:
+    """``gsnp <action>``: one console script dispatching one table."""
+
+    def test_every_action_is_a_documented_main_function(self):
+        assert len(ACTIONS) == 10
+        for name, fn in ACTIONS.items():
+            assert fn.__name__ == f"main_{name}"
+            assert fn.__doc__ and fn.__doc__.strip()
+
+    def test_bare_gsnp_prints_the_table(self, capsys):
+        assert main([]) == 2
+        listed = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        ]
+        assert listed == list(ACTIONS)
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.count("\n  ") == len(ACTIONS)
+
+    def test_unknown_action_is_a_usage_error(self, capsys):
+        assert main(["demo.fa", "demo.soap"]) == 2
+        assert "unknown action 'demo.fa'" in capsys.readouterr().err
+
+    def test_dispatch_writes_the_bytes_main_call_writes(self, simulated):
+        argv = ["demo.fa", "demo.soap", "--engine", "gsnp_cpu", "-o"]
+        assert main(["call", *argv, "dispatched.cns"]) == 0
+        assert main_call([*argv, "direct.cns"]) == 0
+        assert (simulated / "dispatched.cns").read_bytes() == (
+            simulated / "direct.cns"
+        ).read_bytes()
+
+    def test_console_script_is_the_table(self):
+        # The package is not installed in the sandbox, so nothing else
+        # would notice a dangling entry point.
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"gsnp": "repro.cli:main"}
+        module, _, attr = scripts["gsnp"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is main

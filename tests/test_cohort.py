@@ -150,7 +150,7 @@ class TestBitwiseParity:
 
     def test_sanitized_cohort_matches_solo_runs(self, ds, batches, solo):
         det = GsnpDetector(
-            engine="gsnp", window_size=WINDOW, fusion=True, sanitize=True,
+            engine="gsnp", window=WINDOW, fusion=True, sanitize=True,
         )
         det.sample_batches = batches[:4]
         res = det.run(ds)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import JobSpec
 from repro.core.detector import Accuracy, GsnpDetector, detect_snps
 
 
@@ -37,7 +38,7 @@ class TestDetector:
     def test_all_engines_same_calls(self, small_dataset):
         tables = {}
         for engine in ("soapsnp", "gsnp_cpu", "gsnp"):
-            det = GsnpDetector(engine=engine, window_size=2000)
+            det = GsnpDetector(engine=engine, window=2000)
             tables[engine] = det.run(small_dataset).table
         assert tables["soapsnp"].equals(tables["gsnp_cpu"])
         assert tables["soapsnp"].equals(tables["gsnp"])
@@ -46,10 +47,51 @@ class TestDetector:
         with pytest.raises(ValueError):
             GsnpDetector(engine="fpga")
 
+    def test_detector_holds_one_jobspec(self):
+        det = GsnpDetector(engine="gsnp_cpu", window=1000)
+        # Built from fields, calls() stays unfiltered; JobSpec's own
+        # min_quality default (the CLI summary cutoff) is untouched.
+        assert det.spec == JobSpec(
+            engine="gsnp_cpu", window=1000, min_quality=0
+        )
+        assert JobSpec().min_quality == 13
+        spec = JobSpec(engine="gsnp_cpu", window=1000)
+        assert GsnpDetector(spec=spec).spec is spec
+        assert not hasattr(det, "window_size") and not hasattr(det, "engine")
+
+    def test_only_jobspec_field_names_are_accepted(self):
+        with pytest.raises(TypeError, match="window_size"):
+            GsnpDetector(window_size=1000)
+        with pytest.raises(TypeError, match="journal_dir"):
+            GsnpDetector(journal_dir="j")
+        with pytest.raises(TypeError):
+            GsnpDetector("gsnp")  # spec is keyword-only
+        with pytest.raises(ValueError, match="does not combine"):
+            GsnpDetector(spec=JobSpec(), window=1000)
+
+    def test_field_built_equals_spec_built(self, small_dataset):
+        by_fields = GsnpDetector(engine="gsnp", window=2000).run(small_dataset)
+        by_spec = GsnpDetector(
+            spec=JobSpec(engine="gsnp", window=2000)
+        ).run(small_dataset)
+        assert by_fields.table.equals(by_spec.table)
+        assert by_fields.compressed_output == by_spec.compressed_output
+
+    def test_every_spec_field_reaches_the_pipeline(self, small_dataset):
+        # The old facade re-packed 18 of JobSpec's fields and dropped the
+        # rest: a spec's megabatch never reached the engine.
+        def launches(megabatch):
+            res = GsnpDetector(
+                spec=JobSpec(window=500, megabatch=megabatch)
+            ).run(small_dataset)
+            return res.extras["device"].counters.total().launches
+
+        assert launches(1) > launches(8)
+
     def test_detect_snps_convenience(self, small_dataset):
         table, calls = detect_snps(
             small_dataset, engine="gsnp_cpu", min_quality=20,
-            window_size=2000,
+            window=2000,
         )
         assert table.n_sites == small_dataset.n_sites
         assert isinstance(calls, list)

@@ -147,10 +147,10 @@ class TestParity:
 
     def test_detector_workers_path(self, small_dataset):
         serial = GsnpDetector(
-            engine="gsnp", window_size=WINDOW
+            engine="gsnp", window=WINDOW
         ).run(small_dataset)
         par = GsnpDetector(
-            engine="gsnp", window_size=WINDOW, workers=2
+            engine="gsnp", window=WINDOW, workers=2
         ).run(small_dataset)
         assert par.table.equals(serial.table)
         assert par.compressed_output == serial.compressed_output

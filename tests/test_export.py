@@ -1,4 +1,4 @@
-"""CSV export of experiment data (gsnp-bench)."""
+"""CSV export of experiment data (gsnp bench)."""
 
 import csv
 

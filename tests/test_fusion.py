@@ -36,7 +36,7 @@ def ds():
 
 
 def _run(ds, **kw):
-    pipe = create_pipeline("gsnp", window_size=256, **kw)
+    pipe = create_pipeline(spec=JobSpec(engine="gsnp", window=256, **kw))
     res = pipe.run(ds)
     if hasattr(pipe, "release_cache"):
         pipe.release_cache()
@@ -64,11 +64,11 @@ class TestBitwiseParity:
             assert res.compressed_output == base.compressed_output, mb
 
     def test_workers_parity(self, ds):
-        serial = GsnpDetector(window_size=256, prefetch=False,
+        serial = GsnpDetector(window=256, prefetch=False,
                               cache=False, fusion=False).run(ds)
         for workers in (1, 2):
             det = GsnpDetector(
-                window_size=256, workers=workers, shard_size=600,
+                window=256, workers=workers, shard_size=600,
                 fusion=True,
             )
             res = det.run(ds)
@@ -76,7 +76,7 @@ class TestBitwiseParity:
             assert res.compressed_output == serial.compressed_output
 
     def test_sanitizer_clean_with_fusion(self, ds):
-        det = GsnpDetector(window_size=256, sanitize=True, fusion=True,
+        det = GsnpDetector(window=256, sanitize=True, fusion=True,
                            cache=False)
         res = det.run(ds)  # strict teardown inside run()
         assert res.table.n_sites == ds.n_sites

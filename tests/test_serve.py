@@ -3,15 +3,16 @@
 The load-bearing guarantees (ISSUE acceptance):
 
 * jobs served by the resident daemon — including concurrent ones — are
-  bitwise identical to a one-shot ``gsnp-call`` over the same inputs;
+  bitwise identical to a one-shot ``gsnp call`` over the same inputs;
 * a repeated job hits the cross-job caches (calibration fingerprint and
   device score-table residency), visible in ``/stats``;
 * per-tenant admission quotas reject at submit time;
 * a daemon killed mid-job resumes it on restart from the ledger + shard
   journal and still produces bitwise-identical output;
 * :class:`repro.api.JobSpec` round-trips CLI args -> spec -> wire ->
-  spec, and the legacy ``create_pipeline`` kwarg spelling keeps working
-  via a deprecation shim that ``gsnp-lint`` GSNP108 flags.
+  spec and is the only spelling of a job: ``validate`` rejects every
+  incoherent field at admission, and a loose ``create_pipeline`` engine
+  name or config keyword is a ``TypeError``.
 """
 
 import argparse
@@ -23,12 +24,13 @@ import sys
 import tempfile
 import threading
 import time
+import types
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.analyze.lint import lint_source
 from repro.api import JobSpec, create_pipeline
 from repro.cli import main_call
 from repro.exec import execute, release_resident, resident_stats
@@ -162,6 +164,29 @@ class TestJobSpecApi:
         with pytest.raises(ValueError, match="inputs"):
             JobSpec().validate(require_inputs=True)
 
+    @pytest.mark.parametrize("wire, match", [
+        ({"window": 0}, "window must be >= 1"),
+        ({"window": 0, "workers": 2}, "window must be >= 1"),
+        ({"shard_size": 0}, "shard_size must be >= 1"),
+        ({"megabatch": 2.5}, "megabatch must be an integer"),
+        ({"window": "abc"}, "window must be an integer"),
+        ({"workers": "2", "sanitize": True}, "workers must be an integer"),
+        ({"shard_timeout": 0, "workers": 2}, "shard_timeout"),
+        ({"shard_timeout": "soon"}, "shard_timeout"),
+    ])
+    def test_validate_rejects_out_of_range_fields(self, wire, match):
+        with pytest.raises(ValueError, match=match):
+            JobSpec.from_wire(wire).validate()
+
+    def test_samples_is_a_tuple_of_paths_or_a_value_error(self):
+        assert JobSpec(samples="a.soap").samples == ("a.soap",)
+        assert JobSpec(samples=["a.soap", "b.soap"]).samples == (
+            "a.soap", "b.soap",
+        )
+        assert JobSpec(samples=None).samples == ()
+        with pytest.raises(ValueError, match="samples"):
+            JobSpec.from_wire({"samples": 5})
+
     def test_normalized_gives_serial_journal_shards(self):
         spec = JobSpec(window=512, journal="j").normalized()
         assert spec.shard_size == 512
@@ -169,55 +194,27 @@ class TestJobSpecApi:
 
 
 class TestDeprecationShim:
-    def test_create_pipeline_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="spec=JobSpec"):
-            pipe = create_pipeline("gsnp", window_size=512)
-        assert pipe.window_size == 512
+    """The shim is gone: ``create_pipeline`` takes a JobSpec and nothing
+    else about the job."""
 
-    def test_create_pipeline_spec_plus_legacy_is_an_error(self):
-        with pytest.raises(ValueError, match="does not combine"):
-            create_pipeline(spec=JobSpec(), window_size=512)
+    def test_loose_engine_and_kwargs_are_type_errors(self):
+        with pytest.raises(TypeError):
+            create_pipeline("gsnp", window_size=512)
+        with pytest.raises(TypeError):
+            create_pipeline(spec=JobSpec(), fusion=True)
+        with pytest.raises(TypeError, match="takes a JobSpec"):
+            create_pipeline("gsnp")
 
     def test_unexposed_toggle_warns_instead_of_silent_drop(self):
         # A non-default "on" request the engine cannot honour warns ...
         with pytest.warns(RuntimeWarning, match="does not expose 'megabatch'"):
             create_pipeline(spec=JobSpec(engine="soapsnp", megabatch=4))
-        with pytest.warns(RuntimeWarning, match="does not expose 'fusion'"):
-            with pytest.warns(DeprecationWarning):
-                create_pipeline("soapsnp", fusion=True)
         # ... defaults and the off value describe what it does anyway.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             create_pipeline(spec=JobSpec(engine="soapsnp"))
             create_pipeline(spec=JobSpec(engine="soapsnp", fusion=False))
             create_pipeline(spec=JobSpec(engine="soapsnp", cache=False))
-
-
-class TestLintLegacyKwargs:
-    def test_flags_legacy_call_sites(self):
-        src = (
-            "pipe = create_pipeline('gsnp', window_size=512, cache=False)\n"
-            "pipe = api.create_pipeline(megabatch=4)\n"
-            # execute takes only spec=: a loose kwarg is a TypeError at
-            # run time, not a lint finding.
-            "res = execute(ds, 'gsnp', workers=2)\n"
-        )
-        diags = [d for d in lint_source(src) if d.rule == "GSNP108"]
-        assert [d.line for d in diags] == [1, 2]
-
-    def test_spec_call_sites_are_clean(self):
-        src = (
-            "pipe = create_pipeline(spec=JobSpec(window=512))\n"
-            "res = execute(ds, spec=spec, resident=True)\n"
-        )
-        assert not [d for d in lint_source(src) if d.rule == "GSNP108"]
-
-    def test_suppression_comment(self):
-        src = (
-            "pipe = create_pipeline(window_size=512)"
-            "  # gsnp-lint: disable=GSNP108\n"
-        )
-        assert not [d for d in lint_source(src) if d.rule == "GSNP108"]
 
 
 class TestServeParity:
@@ -346,15 +343,26 @@ class TestAdmission:
         assert journaled.code == "invalid"
         assert "daemon" in journaled.error
 
+    def test_out_of_range_fields_rejected_at_admission(
+        self, serve_inputs, server_factory
+    ):
+        server, client = server_factory()
+        # Fields validate() rejects never reach a worker ...
+        zero = client.submit(replace(_spec(serve_inputs), window=0))
+        assert zero.status == "rejected" and zero.code == "invalid"
+        # ... and neither does a payload JobSpec cannot even hold.
+        raw = {**_spec(serve_inputs).to_wire(), "samples": 5}
+        bad = client.submit(types.SimpleNamespace(to_wire=lambda: raw))
+        assert bad.status == "rejected" and bad.code == "invalid"
+        assert "samples" in bad.error
+
 
 class TestCrashRecovery:
     def _daemon_argv(self, sock, state):
-        code = (
-            "import sys; from repro.cli import main_serve; "
-            f"sys.exit(main_serve(['--socket', {str(sock)!r}, "
-            f"'--state-dir', {str(state)!r}, '--workers', '1']))"
-        )
-        return [sys.executable, "-c", code]
+        return [
+            sys.executable, "-m", "repro.cli", "serve", "--socket", str(sock),
+            "--state-dir", str(state), "--workers", "1",
+        ]
 
     def _env(self):
         env = dict(os.environ)

@@ -70,12 +70,12 @@ class TestTogglesParity:
         assert _counters(on.profile) == _counters(off.profile)
 
     def test_serial_pipeline_on_vs_off(self, small_dataset, tmp_path):
-        on_pipe = create_pipeline(
-            "gsnp", window_size=WINDOW, prefetch=True, cache=True
-        )
-        off_pipe = create_pipeline(
-            "gsnp", window_size=WINDOW, prefetch=False, cache=False
-        )
+        on_pipe = create_pipeline(spec=JobSpec(
+            engine="gsnp", window=WINDOW, prefetch=True, cache=True
+        ))
+        off_pipe = create_pipeline(spec=JobSpec(
+            engine="gsnp", window=WINDOW, prefetch=False, cache=False
+        ))
         on_path = tmp_path / "on.gsnp"
         off_path = tmp_path / "off.gsnp"
         try:
@@ -96,13 +96,12 @@ class TestTogglesParity:
 
     def test_fast_paths_off_matches_on(self, small_dataset):
         """The simulator fast paths change wall clock only, not counters."""
-        fast = create_pipeline("gsnp", window_size=WINDOW).run(small_dataset)
+        spec = JobSpec(engine="gsnp", window=WINDOW)
+        fast = create_pipeline(spec=spec).run(small_dataset)
         assert fast_paths_enabled()
         set_fast_paths(False)
         try:
-            slow = create_pipeline("gsnp", window_size=WINDOW).run(
-                small_dataset
-            )
+            slow = create_pipeline(spec=spec).run(small_dataset)
         finally:
             set_fast_paths(True)
         assert fast.table.equals(slow.table)
@@ -152,7 +151,9 @@ class TestResidency:
         assert new_p_build_count() == 1  # host-side build still memoized
 
     def test_release_cache_frees_resident_tables(self, small_dataset):
-        pipe = create_pipeline("gsnp", window_size=WINDOW, cache=True)
+        pipe = create_pipeline(
+            spec=JobSpec(engine="gsnp", window=WINDOW, cache=True)
+        )
         pipe.run(small_dataset)
         device = pipe._cached_device
         assert device is not None and len(device.resident) == 1
