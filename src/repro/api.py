@@ -292,7 +292,8 @@ class JobSpec:
     # -- parallel execution ------------------------------------------------
     workers: int = field(default=1, metadata=_cli(
         "execution", "--workers", type=int,
-        help="worker processes; >1 runs the sharded parallel executor",
+        help="worker processes; >1 runs the sharded parallel executor "
+        "(ignored by a --devices/--cpu-steal pool: its lanes are simulated)",
     ))
     shard_size: Optional[int] = field(default=None, metadata=_cli(
         "execution", "--shard-size", type=int,
@@ -307,8 +308,8 @@ class JobSpec:
         "execution", "--devices", type=int,
         help="modeled GPU devices; >1 runs the heterogeneous multi-device "
         "scheduler (work-stealing shard deques over a DevicePool sharing "
-        "one PCIe link; gsnp engine only, output bitwise identical to "
-        "serial for any count)",
+        "one PCIe link, simulated in modeled-clock order; gsnp engine "
+        "only, output bitwise identical to serial for any count)",
     ))
     cpu_steal: bool = field(default=False, metadata=_cli(
         "execution", "--cpu-steal", action="boolean_optional",
@@ -438,8 +439,8 @@ class JobSpec:
                 "sanitize=True requires the serial engine (workers=1, no "
                 "shard_size): the sharded executor owns its per-shard "
                 "devices.  The multi-device scheduler (--devices/"
-                "--cpu-steal) does support the sanitizer — its lanes are "
-                "thread-confined"
+                "--cpu-steal) does support the sanitizer — its lanes run "
+                "one shard at a time on the calling thread"
             )
         if self.uses_device_pool and self.engine != Engine.GSNP.value:
             raise ValueError(

@@ -11,7 +11,8 @@ deque:
 
 * a **pool lane** — one per :class:`~repro.gpusim.pool.DevicePool` device,
   plus the optional ``gsnp_cpu`` host-engine lane (``devices > 1`` or
-  ``cpu_steal``);
+  ``cpu_steal``), stepped one shard at a time on the calling thread in
+  modeled-clock order: a discrete-event simulation, no lane threads;
 * a **process lane** — a worker process of its own (``workers > 1``): the
   lane's thread ships ``(shard, attempt)`` down a pipe to *its* child and
   waits, so a dying or overrunning worker costs exactly the shard it held;
@@ -21,16 +22,17 @@ deque:
   resident pipelines keep hitting).
 
 Each lane drains its own deque from the front while idle lanes steal from
-the *back* of the fullest deque (the classic owner-pops-head /
-thief-pops-tail discipline).  Two policies differ by what the scheduler
-can observe, not by a second code path.  Pool lanes have a modeled device
-clock: their initial deal comes from the roofline cost model
+the *back* of a dead lane's deque, else the fullest (the classic
+owner-pops-head / thief-pops-tail discipline).  Two policies differ by
+what the scheduler can observe, not by a second code path.  Pool lanes
+have a modeled clock: their initial deal comes from the roofline cost model
 (:func:`~repro.gpusim.costmodel.predict_split` — lanes receive shards in
 proportion to their predicted rates, and stealing corrects whatever the
 prediction got wrong, so a slow device or the CPU path picks up straggler
-windows instead of gating the run) and steals are arbitrated on modeled
-lane clocks.  Lanes without a device clock are dealt evenly and steal
-whenever a victim has backlog.
+windows instead of gating the run), and both the step order and the
+steals are arbitrated on modeled lane clocks — the schedule is a pure
+function of the job.  Lanes without a device clock are dealt evenly and
+steal whenever a victim has backlog.
 
 Jobs are described by a :class:`~repro.api.JobSpec` —
 ``execute(dataset, spec=spec)`` is the only spelling, and the scheduler
@@ -419,17 +421,14 @@ class _Scheduler:
         if spec.shard_timeout is not None and self.lanes[0].kind != "process":
             fault_logger.info(
                 "shard_timeout=%s ignored: in-process lanes run a shard "
-                "on their own thread and cannot preempt it",
+                "on the calling thread and cannot preempt it",
                 spec.shard_timeout,
             )
-        # Lane concurrency: by default every lane runs at once; on a
-        # device pool an explicit --workers N caps the number of
-        # simultaneously busy lanes (the deques and steal policy are
-        # unchanged, so output is identical).
-        busy = len(self.lanes)
         if self.pool is not None and spec.workers > 1:
-            busy = min(spec.workers, busy)
-        self.busy_sem = threading.BoundedSemaphore(busy)
+            fault_logger.info(
+                "workers=%s ignored on pool lanes: they are stepped one at "
+                "a time on the calling thread", spec.workers,
+            )
 
     # -- process lanes ---------------------------------------------------
 
@@ -577,15 +576,13 @@ class _Scheduler:
     def _steal_helps(self, thief: _Lane, victim: _Lane) -> bool:
         """Whether a steal improves the *modeled* finish time.
 
-        Lanes race in Python wall time, which bears no relation to the
-        modeled hardware speeds (a simulated kernel is slower to emulate
-        than the sparse host loop is to run).  On a device pool stealing
-        is therefore arbitrated on modeled lane clocks: the thief takes a
-        shard only if it would finish it before the victim would have
-        drained its own deque.  A thief that has not run a shard yet has
-        no observed cost — its first steal is allowed whenever the victim
-        has a backlog to spare, which bootstraps its cost estimate (and
-        guarantees an idle CPU lane's first act is a steal).
+        On a device pool stealing is arbitrated on modeled lane clocks:
+        the thief takes a shard only if it would finish it before the
+        victim would have drained its own deque.  A thief that has not
+        run a shard yet has no observed cost — its first steal is allowed
+        whenever the victim has a backlog to spare, which bootstraps its
+        cost estimate (and guarantees an idle CPU lane's first act is a
+        steal).
 
         Lanes with no device clock (worker processes) have nothing to
         model: wall time is the only clock, so an idle lane steals
@@ -613,16 +610,16 @@ class _Scheduler:
         """Pop the lane's next shard, stealing when its deque is empty.
 
         Owner pops from the head of its own deque; a thief takes from the
-        *tail* of the fullest other deque (including a dead lane's — that
-        is how orphaned work drains).  A steal grabs *half the victim's
-        backlog* (at least one shard), Cilk-style: the thief runs the
-        first stolen shard now and queues the rest on its own deque, so
-        an imbalance is corrected in O(log n) steals instead of one
-        lock-contended steal per shard.  Tail order is preserved, which
-        keeps the schedule deterministic for a given interleaving —
-        output bytes are schedule-independent regardless.  Returns
-        ``(shard, attempt)`` or ``None`` when every deque is empty or no
-        steal would help.
+        *tail* of another deque — a dead lane's before any live one's
+        (orphaned work is always stealable: nobody else will drain it),
+        else the fullest.  A steal grabs *half the victim's backlog* (at
+        least one shard), Cilk-style: the thief runs the first stolen
+        shard now and queues the rest on its own deque, so an imbalance
+        is corrected in O(log n) steals instead of one steal per shard.
+        Tail order is preserved, which keeps the schedule deterministic
+        for a given step order — output bytes are schedule-independent
+        regardless.  Returns ``(shard, attempt)`` or ``None`` when every
+        deque is empty or no steal would help.
         """
         with self.lock:
             if self.error is not None:
@@ -636,8 +633,10 @@ class _Scheduler:
             ]
             if not victims or lane.dead:
                 return None
-            victim = max(victims, key=lambda o: (len(o.deque), -o.lane_id))
-            if not self._steal_helps(lane, victim) and not victim.dead:
+            victim = max(
+                victims, key=lambda o: (o.dead, len(o.deque), -o.lane_id)
+            )
+            if not victim.dead and not self._steal_helps(lane, victim):
                 return None
             grab = max(1, len(victim.deque) // 2)
             taken = [victim.deque.pop() for _ in range(grab)]
@@ -677,72 +676,86 @@ class _Scheduler:
             shard=shard.index,
         )
 
-    def _lane_main(self, lane: _Lane) -> None:
-        """Drain the lane: the one retry/backoff/``ShardError`` loop."""
+    def _step(self, lane: _Lane) -> bool:
+        """One step of a lane: take its next shard, run it, then record
+        it, re-queue it (the one retry/backoff/``ShardError`` rung) or
+        retire the lane.  Returns whether the lane is still schedulable."""
         t0 = time.perf_counter()
         try:
-            while True:
-                task = self._next_task(lane)
-                if task is None:
-                    return
-                shard, attempt = task
-                try:
-                    with self.busy_sem:
-                        if lane.kind == "process":
-                            sr = self._ship(lane, shard, attempt)
-                        else:
-                            sr = _run_shard(self.job, lane, shard, attempt)
-                except Exception as exc:  # noqa: BLE001 — retried below
-                    if self.pool is not None and _is_device_death(exc):
-                        self._retire(lane, shard, attempt, exc)
-                        return
-                    if attempt >= self.max_retries:
-                        with self.lock:
-                            if self.error is None:
-                                self.error = ShardError(
-                                    f"{shard} failed after {attempt + 1} "
-                                    f"attempts on lane {lane.name}; last "
-                                    f"error: {exc!r}",
-                                    shard_index=shard.index,
-                                    site_range=(shard.start, shard.end),
-                                    attempts=attempt + 1,
-                                )
-                                self.error.__cause__ = exc
-                        return
-                    delay = self.backoff_base * (2 ** attempt)
-                    degrade(
-                        "shard-retry",
-                        action=f"re-queueing on lane {lane.name} in "
-                        f"{delay:.3f}s (attempt {attempt + 2}/"
-                        f"{self.max_retries + 1})",
-                        reason=repr(exc),
-                        shard=shard.index,
-                    )
-                    time.sleep(delay)
+            task = self._next_task(lane)
+            if task is None:
+                return False
+            shard, attempt = task
+            try:
+                if lane.kind == "process":
+                    sr = self._ship(lane, shard, attempt)
+                else:
+                    sr = _run_shard(self.job, lane, shard, attempt)
+            except Exception as exc:  # noqa: BLE001 — retried below
+                if self.pool is not None and _is_device_death(exc):
+                    self._retire(lane, shard, attempt, exc)
+                    return False
+                if attempt >= self.max_retries:
                     with self.lock:
-                        lane.deque.appendleft((shard, attempt + 1))
-                    continue
-                self._record(lane, sr)
+                        if self.error is None:
+                            self.error = ShardError(
+                                f"{shard} failed after {attempt + 1} "
+                                f"attempts on lane {lane.name}; last "
+                                f"error: {exc!r}",
+                                shard_index=shard.index,
+                                site_range=(shard.start, shard.end),
+                                attempts=attempt + 1,
+                            )
+                            self.error.__cause__ = exc
+                    return False
+                delay = self.backoff_base * (2 ** attempt)
+                degrade(
+                    "shard-retry",
+                    action=f"re-queueing on lane {lane.name} in "
+                    f"{delay:.3f}s (attempt {attempt + 2}/"
+                    f"{self.max_retries + 1})",
+                    reason=repr(exc),
+                    shard=shard.index,
+                )
+                time.sleep(delay)
+                with self.lock:
+                    lane.deque.appendleft((shard, attempt + 1))
+                return True
+            self._record(lane, sr)
+            return True
         except BaseException as exc:
             # Not a shard failure (e.g. the journal commit raised): stop
             # every lane; the coordinator re-raises it.
             with self.lock:
                 if self.error is None:
                     self.error = exc
+            return False
         finally:
-            lane.wall = time.perf_counter() - t0
+            lane.wall += time.perf_counter() - t0
+
+    def _run_lanes(self, lanes: list[_Lane]) -> None:
+        """Step ``lanes`` on this thread until none is schedulable: the
+        next step goes to the smallest modeled clock (the one
+        ``_steal_helps`` arbitrates on), never to whichever lane the
+        simulator emulated fastest.  Ties go to the earlier lane (devices
+        by id, the host lane last), so every owner pops its own head
+        before the host lane's bootstrap steal looks at the deques.
+        """
+        live = list(lanes)
+        while live:
+            lane = min(live, key=lambda l: l.modeled_seconds)
+            if not self._step(lane):
+                live.remove(lane)
 
     # -- coordinator -----------------------------------------------------
 
     def run(self) -> None:
-        """Drain every deque: a single lane on the calling thread, several
-        on one thread each."""
-        if len(self.lanes) == 1:
-            self._lane_main(self.lanes[0])
-        else:
+        """Drain every deque: in-process lanes on the calling thread,
+        process lanes (which block on their children) on one each."""
+        if self.lanes[0].kind == "process":
             threads = [
                 threading.Thread(
-                    target=self._lane_main, args=(lane,),
+                    target=self._run_lanes, args=([lane],),
                     name=f"gsnp-lane-{lane.name}", daemon=True,
                 )
                 for lane in self.lanes
@@ -751,6 +764,8 @@ class _Scheduler:
                 t.start()
             for t in threads:
                 t.join()
+        else:
+            self._run_lanes(self.lanes)
         if self.error is not None:
             raise self.error
         self._fallback_leftovers()

@@ -26,13 +26,12 @@ The simulator executes kernels eagerly and deterministically, so the
 pool does not interleave device execution in real time; contention is a
 *model* applied by :class:`~repro.gpusim.costmodel.PoolCostModel` when
 converting accumulated charges into seconds.  Scheduling across the pool
-lives in :mod:`repro.exec.executor`.
+lives in :mod:`repro.exec.executor` (one thread: nothing here is locked).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from ..errors import DeviceError
@@ -64,13 +63,12 @@ class LinkUsage:
 class HostLink:
     """The shared, contended host<->device interconnect of a pool.
 
-    Thread-safe: scheduler lanes run on concurrent threads, each driving
-    its own device, and all of them charge the same link.
+    Not locked: the scheduler steps pool lanes one at a time on a single
+    thread, so every charge to the link is already serialized.
     """
 
     def __init__(self, spec: Optional[HostLinkSpec] = None) -> None:
         self.spec = spec or HostLinkSpec()
-        self._lock = threading.Lock()
         self._usage: dict[int, LinkUsage] = {}
 
     def _entry(self, device_id: int) -> LinkUsage:
@@ -83,44 +81,31 @@ class HostLink:
         """Record one transfer by ``device_id`` (called by the device)."""
         if direction not in ("h2d", "d2h"):
             raise DeviceError(f"unknown transfer direction {direction!r}")
-        with self._lock:
-            entry = self._entry(device_id)
-            if direction == "h2d":
-                entry.h2d_bytes += nbytes
-                entry.h2d_count += 1
-            else:
-                entry.d2h_bytes += nbytes
-                entry.d2h_count += 1
+        entry = self._entry(device_id)
+        if direction == "h2d":
+            entry.h2d_bytes += nbytes
+            entry.h2d_count += 1
+        else:
+            entry.d2h_bytes += nbytes
+            entry.d2h_count += 1
 
     def note_launch(self, device_id: int) -> None:
         """Record one kernel-launch command crossing the link."""
-        with self._lock:
-            self._entry(device_id).launches += 1
+        self._entry(device_id).launches += 1
 
     def usage(self, device_id: int) -> LinkUsage:
         """A snapshot of one device's accumulated link traffic."""
-        with self._lock:
-            entry = self._usage.get(device_id)
-            if entry is None:
-                return LinkUsage()
-            return LinkUsage(
-                h2d_bytes=entry.h2d_bytes,
-                d2h_bytes=entry.d2h_bytes,
-                h2d_count=entry.h2d_count,
-                d2h_count=entry.d2h_count,
-                launches=entry.launches,
-            )
+        return replace(self._usage.get(device_id) or LinkUsage())
 
     def total(self) -> LinkUsage:
         """Aggregate traffic over every device on the link."""
         out = LinkUsage()
-        with self._lock:
-            for entry in self._usage.values():
-                out.h2d_bytes += entry.h2d_bytes
-                out.d2h_bytes += entry.d2h_bytes
-                out.h2d_count += entry.h2d_count
-                out.d2h_count += entry.d2h_count
-                out.launches += entry.launches
+        for entry in self._usage.values():
+            out.h2d_bytes += entry.h2d_bytes
+            out.d2h_bytes += entry.d2h_bytes
+            out.h2d_count += entry.h2d_count
+            out.d2h_count += entry.d2h_count
+            out.launches += entry.launches
         return out
 
     def serialized_seconds(self) -> float:
@@ -137,8 +122,7 @@ class HostLink:
         )
 
     def reset(self) -> None:
-        with self._lock:
-            self._usage.clear()
+        self._usage.clear()
 
 
 class DevicePool:

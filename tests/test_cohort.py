@@ -121,18 +121,41 @@ class TestBitwiseParity:
         assert res.extras["exec"]["samples"] == s
 
     def test_multidevice_cohort_matches_solo_runs(self, ds, batches, solo):
-        res = execute(
-            ds,
-            spec=JobSpec(
-                engine="gsnp", window=WINDOW, fusion=True, devices=2,
-            ),
-            sample_reads=batches[:4],
-        )
-        _assert_parity(res, solo[4], "devices=2")
+        self._check_multidevice_cohort(ds, batches, solo, dying=())
+
+    @pytest.mark.parametrize("dying", [(1,), (0, 1)])
+    def test_multidevice_cohort_survives_device_death(
+        self, dying, ds, batches, solo
+    ):
+        self._check_multidevice_cohort(ds, batches, solo, dying)
+
+    def _check_multidevice_cohort(self, ds, batches, solo, dying):
+        """A sanitized cohort on pool lanes stepped in modeled-clock
+        order, with the ``dying`` devices failing under it."""
+        plan = FaultPlan(tuple(
+            FaultSpec(site="gpusim.device.fail", key=k, kind="alloc",
+                      after=k)
+            for k in dying
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            res = execute(
+                ds,
+                spec=JobSpec(
+                    engine="gsnp", window=WINDOW, fusion=True, devices=2,
+                    sanitize=True, faults=plan,
+                ),
+                sample_reads=batches[:4],
+            )
+        _assert_parity(res, solo[4], ("devices=2", dying))
+        lanes = res.extras["exec"]["hetero"]["lanes"]
+        assert [l["lane"] for l in lanes if l["dead"]] \
+            == [f"gpu{k}" for k in dying]
+        assert max(l["wall"] for l in lanes) > 0
 
     @pytest.mark.parametrize("lanes,pool", [
         ({"workers": 2}, "process"),  # real worker-process lanes
-        ({"workers": 2, "devices": 2}, "hetero"),  # pool lanes, both busy
+        ({"workers": 2, "devices": 2}, "hetero"),  # pool lanes: workers ignored
     ])
     def test_cohort_on_concurrent_lanes_matches_solo_runs(
         self, lanes, pool, ds, batches, solo

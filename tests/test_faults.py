@@ -375,13 +375,16 @@ class TestDegradationLadder:
         self, lanes, small_dataset, tmp_path, caplog
     ):
         """Only a worker process can be preempted; the serial lane and
-        device-pool lanes say once that the deadline does nothing."""
+        device-pool lanes say once that the deadline does nothing.  Pool
+        lanes are stepped on the calling thread, so they also say once
+        that ``workers`` (2 here) buys no concurrency."""
         with caplog.at_level("INFO", logger="repro.faults"):
             _run(small_dataset, tmp_path / "t.out", shard_timeout=5.0,
                  **lanes)
-        ignored = [r for r in caplog.records
-                   if "shard_timeout=5.0 ignored" in r.getMessage()]
-        assert len(ignored) == 1
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("shard_timeout=5.0 ignored" in m for m in messages) == 1
+        assert sum("workers=2 ignored on pool lanes" in m
+                   for m in messages) == ("devices" in lanes)
 
     def test_quarantine_collects_coordinates(self, tmp_path):
         from repro.align.records import AlignmentBatch

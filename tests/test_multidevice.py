@@ -7,14 +7,16 @@ single-device run — the scheduler only ever changes *where* a shard
 runs, never what it produces.
 """
 
+import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.api import JobSpec, create_pipeline
-from repro.errors import DeviceError
-from repro.exec import execute, pool_stats
+from repro.errors import DeviceError, ShardError
+from repro.exec import execute, plan_shards, pool_stats
 from repro.faults.degrade import DegradationWarning
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.gpusim.costmodel import (
@@ -54,6 +56,24 @@ def _assert_parity(res, serial):
     assert res.compressed_output == serial.compressed_output
 
 
+def _schedule(hetero):
+    """The per-lane block minus its one wall-clock field."""
+    return [
+        {k: v for k, v in lane.items() if k != "wall"}
+        for lane in hetero["lanes"]
+    ]
+
+
+#: (lane kwargs, initial_split, steals, makespan_seconds) of three pools.
+PINNED_ARMS = [
+    ({"devices": 2}, [4, 4], 0, 0.015341549390785907),
+    ({"devices": 2, "cpu_steal": True},
+     [4, 4, 0], 2, 0.01573091491904762),
+    ({"devices": 4, "cpu_steal": True, "workers": 2},
+     [4, 4, 4, 3, 0], 2, 0.01825383661409214),
+]
+
+
 class TestParityMatrix:
     """devices x workers x fusion x steal, all bitwise identical."""
 
@@ -79,28 +99,54 @@ class TestParityMatrix:
         assert sum(h["initial_split"]) == res.extras["exec"]["n_shards"]
         assert len(h["per_device"]) == devices
 
-    @pytest.mark.parametrize("lanes,split,steals,makespan", [
-        ({"devices": 2}, [4, 4], 0, 0.015341549390785907),
-        ({"devices": 2, "cpu_steal": True},
-         [4, 4, 0], 1, 0.01573091491904762),
-        ({"devices": 4, "cpu_steal": True, "workers": 2},
-         [4, 4, 4, 3, 0], 1, 0.01825383661409214),
-    ])
+    @pytest.mark.parametrize("lanes,split,steals,makespan", PINNED_ARMS)
     def test_pool_schedule_is_pinned(
         self, dataset, lanes, split, steals, makespan
     ):
-        """The cost-model deal, the modeled-clock steal arbitration and
-        the makespan they produce are part of the benchmark's exact
-        ``modeled_s``: a change to the deal, the victim choice, the
-        half-backlog grab or the steal inequality moves these literals."""
-        h = _run(dataset, **lanes).extras["exec"]["hetero"]
+        """The cost-model deal, the modeled-clock step order and steal
+        arbitration and the makespan they produce are part of the
+        benchmark's exact ``modeled_s``: a change to the deal, the event
+        order or its tie-break, the victim choice, the half-backlog grab
+        or the steal inequality moves these literals.  The schedule is a
+        function of the job alone, so repeated runs report the identical
+        per-lane block."""
+        runs = [
+            _run(dataset, **lanes).extras["exec"]["hetero"] for _ in range(3)
+        ]
+        h = runs[0]
         assert h["initial_split"] == split
         assert h["steals"] == steals
         assert h["modeled"]["makespan_seconds"] == makespan
+        assert all(_schedule(r) == _schedule(h) for r in runs[1:])
+
+    def test_wall_speed_does_not_reach_the_schedule(
+        self, dataset, monkeypatch
+    ):
+        """Slowing one lane's shards down in wall time changes neither
+        the step order nor the steal arbiter's verdicts."""
+        import repro.exec.executor as executor
+
+        lanes, _, steals, makespan = PINNED_ARMS[1]
+        fast = _run(dataset, **lanes).extras["exec"]["hetero"]
+        run_shard = executor._run_shard
+
+        def slow_gpu0(job, lane, shard, attempt):
+            if lane.name == "gpu0":
+                time.sleep(0.05)
+            return run_shard(job, lane, shard, attempt)
+
+        monkeypatch.setattr(executor, "_run_shard", slow_gpu0)
+        slow = _run(dataset, **lanes).extras["exec"]["hetero"]
+        assert _schedule(slow) == _schedule(fast)
+        assert slow["steals"] == steals
+        assert slow["modeled"]["makespan_seconds"] == makespan
 
     def test_sanitizer_on(self, dataset, serial):
         res = _run(dataset, devices=2, cpu_steal=True, sanitize=True)
         _assert_parity(res, serial)
+        # A lane's wall is the sum of its steps on the calling thread.
+        lanes = res.extras["exec"]["hetero"]["lanes"]
+        assert all(l["wall"] > 0 for l in lanes if l["shards"])
 
     def test_cpu_lane_steals(self, dataset, serial):
         """The host lane starts with zero shards (the roofline predicts
@@ -130,26 +176,72 @@ class TestDeviceFailure:
     """A lane dying mid-run degrades the ladder, never the bytes."""
 
     def test_one_device_dies(self, dataset, serial):
+        self._check_one_device_dies(dataset, serial, after=0)
+
+    @pytest.mark.parametrize("after,shard_size", [
+        (2, None),
+        (3, WINDOW),  # the dying lane was dealt the shorter deque: [8, 7, 0]
+    ])
+    def test_one_device_dies_mid_run(
+        self, dataset, serial, after, shard_size
+    ):
+        self._check_one_device_dies(
+            dataset, serial, after=after, shard_size=shard_size,
+        )
+
+    def _check_one_device_dies(self, dataset, serial, after, **kw):
         plan = FaultPlan((FaultSpec(
             site="gpusim.device.fail", key=1, times=1, kind="alloc",
+            after=after,
         ),))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = _run(dataset, devices=2, cpu_steal=True, faults=plan)
+            res = _run(dataset, devices=2, cpu_steal=True, faults=plan, **kw)
         _assert_parity(res, serial)
         h = res.extras["exec"]["hetero"]
-        dead = [l["lane"] for l in h["lanes"] if l["dead"]]
-        assert dead == ["gpu1"]
+        dead = [l for l in h["lanes"] if l["dead"]]
+        assert [l["lane"] for l in dead] == ["gpu1"]
+        assert dead[0]["shards"] == after and dead[0]["wall"] > 0
         rungs = [
             w for w in caught if issubclass(w.category, DegradationWarning)
         ]
         assert any("device-failed" in str(w.message) for w in rungs)
-        # Survivors absorbed the dead lane's deque.
+        # Survivors absorbed the dead lane's deque; no fallback rung.
+        assert not any("host-engine" in str(w.message) for w in rungs)
         survivors = [l for l in h["lanes"] if not l["dead"]]
         assert sum(l["shards"] for l in survivors) \
-            == res.extras["exec"]["n_shards"] - sum(
-                l["shards"] for l in h["lanes"] if l["dead"]
-            )
+            == res.extras["exec"]["n_shards"] - after
+
+    def test_dead_lane_is_raided_before_a_fuller_live_one(self, dataset):
+        """Orphaned shards are always stealable: an idle lane takes a dead
+        lane's even when a live lane holds more and raiding *that* would
+        not help — otherwise it exits and the orphans wait for the
+        coordinator's fallback though a scheduler lane survived."""
+        from repro.exec.executor import _Job, _Scheduler
+
+        job = _Job(
+            dataset, JobSpec(engine="gsnp", window=WINDOW, devices=3),
+            None, None, None,
+        )
+        shards = plan_shards(dataset.n_sites, WINDOW, None, 3)
+        sched = _Scheduler(
+            job, shards, None, resident=False, max_retries=0,
+            backoff_base=0.0, force_serial=False, device_pool=False,
+        )
+        try:
+            thief, live, dead = sched.lanes
+            live.deque.extend((s, 0) for s in shards[:3])
+            live.predicted_cost = 1.0
+            dead.deque.append((shards[3], 0))
+            dead.dead = True
+            # An observed thief far ahead in modeled time.
+            thief.shards_run, thief.modeled_seconds = 1, 10.0
+            assert not sched._steal_helps(thief, live)
+            assert sched._next_task(thief) == (shards[3], 0)
+            assert sched._next_task(thief) is None
+            assert len(live.deque) == 3
+        finally:
+            sched.close()
 
     def test_error_kind_also_retires(self, dataset, serial):
         plan = FaultPlan((FaultSpec(
@@ -197,6 +289,31 @@ class TestDeviceFailure:
             if issubclass(w.category, DegradationWarning)
         )
         assert res.extras["exec"]["retries"] == 1
+        # The retried shard stayed on a pool lane (no lane died).
+        retried = [r for r in res.extras["shards"] if r["attempts"] == 2]
+        assert [r["index"] for r in retried] == [2]
+        assert retried[0]["pid"] in (0, 1)
+
+    def test_journal_resume_on_pool(self, dataset, serial, tmp_path):
+        spec = JobSpec(
+            engine="gsnp", window=WINDOW, devices=2, cpu_steal=True,
+            journal=str(tmp_path / "journal"),
+        )
+        poison = FaultPlan((FaultSpec(
+            site="exec.shard.error", key=7, times=99,
+        ),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            with pytest.raises(ShardError):
+                execute(
+                    dataset, spec=replace(spec, faults=poison),
+                    max_retries=0,
+                )
+        committed = len(list((tmp_path / "journal").rglob("shard-*.pkl")))
+        res = execute(dataset, spec=replace(spec, resume=True))
+        assert 0 < committed < res.extras["exec"]["n_shards"]
+        assert res.extras["exec"]["resumed"] == committed
+        _assert_parity(res, serial)
 
 
 class TestResidencyKeying:
