@@ -389,7 +389,7 @@ class JobSpec:
         return 1 + len(self.samples)
 
     @property
-    def uses_device_pool(self) -> bool:
+    def uses_pool(self) -> bool:
         """Whether this job's scheduler lanes are a device pool."""
         return self.devices > 1 or self.cpu_steal
 
@@ -399,7 +399,7 @@ class JobSpec:
         return (
             self.workers > 1
             or self.shard_size is not None
-            or self.uses_device_pool
+            or self.uses_pool
         )
 
     def validate(self, require_inputs: bool = False) -> "JobSpec":
@@ -432,7 +432,7 @@ class JobSpec:
             raise ValueError("shard_timeout must be a number of seconds > 0")
         if (
             self.sanitize
-            and not self.uses_device_pool
+            and not self.uses_pool
             and (self.workers > 1 or self.shard_size is not None)
         ):
             raise ValueError(
@@ -442,7 +442,7 @@ class JobSpec:
                 "--cpu-steal) does support the sanitizer — its lanes run "
                 "one shard at a time on the calling thread"
             )
-        if self.uses_device_pool and self.engine != Engine.GSNP.value:
+        if self.uses_pool and self.engine != Engine.GSNP.value:
             raise ValueError(
                 "devices>1 / cpu_steal require the gsnp engine: the "
                 "heterogeneous scheduler pairs the device pool with the "

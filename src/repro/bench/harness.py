@@ -67,14 +67,6 @@ from .scale import TABLE1_PAPER, TABLE4_PAPER, extrapolate
 #: Default bench fractions keep the simulated-GPU runs to a few seconds.
 DEFAULT_FRACTIONS = {"ch1-sim": 0.2, "ch21-sim": 0.5}
 
-#: Cohort batching must keep launches per fused stage (near-)independent
-#: of S.  The sort/likelihood/recycle stages are exactly constant; the
-#: counting and codec stages carry data-sized sub-chains (tree reduce,
-#: sort passes) that grow ~logarithmically with pileup volume, so the
-#: per-stage launch ratio S-vs-1 is bounded well below S — an unfused
-#: per-sample loop would sit at exactly S.
-LAUNCH_STAGE_RATIO_BOUND = 1.5
-
 _SPECS = {"ch1-sim": CH1_SPEC, "ch21-sim": CH21_SPEC}
 
 
@@ -567,373 +559,3 @@ def exp_parallel_scaling(
             ),
         }
     return out
-
-
-def exp_multidevice(
-    name: str = "ch1-sim",
-    fraction: float | None = None,
-    window_size: int | None = None,
-    devices=(1, 2, 4),
-) -> dict:
-    """Multi-device pool scaling: modeled end-to-end seconds per arm.
-
-    Sweeps ``devices`` with and without the CPU steal lane on the fused
-    GSNP path and reports each arm's *modeled* makespan from the pool
-    cost model (slowest lane's compute + the serialized shared-link
-    time), plus launch/transfer/steal counts and bitwise consistency
-    against the serial run.  Every arm — the 1-device baseline included —
-    runs device-pool lanes over one shared shard plan and one
-    shared calibration, so the d-vs-1 ratio isolates parallel compute and
-    link contention instead of shard-granularity effects; the plain
-    serial fused pipeline is run once purely as the bitwise oracle.  The
-    numbers are modeled hardware seconds, not Python wall time: the
-    simulator executes lanes eagerly, so wall time measures the
-    emulation, not the M2050s being modeled.
-    """
-    from dataclasses import replace
-
-    from ..exec import (
-        calibrate_job,
-        merge_shard_results,
-        plan_shards,
-        run_shards,
-    )
-
-    ds = bench_dataset(name, fraction)
-    if window_size is None:
-        # Enough windows that a 4-lane pool still has ~4 shards per lane.
-        window_size = max(ds.n_sites // 16, 256)
-    window = min(effective_window("gsnp", window_size), ds.n_sites)
-
-    serial_pipe = create_pipeline(
-        spec=JobSpec(engine="gsnp", window=window, fusion=True)
-    )
-    serial = serial_pipe.run(ds)
-    if hasattr(serial_pipe, "release_cache"):
-        serial_pipe.release_cache()
-    serial_comp = serial.compressed_output
-
-    # One calibration and one shard plan shared by every arm (planned for
-    # the widest sweep configuration, so each arm schedules identical
-    # shards and differs only in lanes and link contention).
-    base = JobSpec(engine="gsnp", window=window, fusion=True)
-    calibration = calibrate_job(ds, base)
-    max_lanes = max(devices) + 1
-    shards = plan_shards(ds.n_sites, window, None, max_lanes)
-
-    arms = []
-    consistent = True
-    baseline = None
-    for d in devices:
-        for steal in (False, True):
-            spec = replace(
-                base,
-                devices=d,
-                cpu_steal=steal,
-                variant=base.resolved_variant(),
-            )
-            results, meta = run_shards(
-                ds, spec, None, calibration.strip(), list(shards),
-                device_pool=True,
-            )
-            h = meta["hetero"]
-            res = merge_shard_results(results, calibration)
-            ok = (
-                res.table.equals(serial.table)
-                and res.compressed_output == serial_comp
-            )
-            consistent = consistent and ok
-            makespan = h["modeled"]["makespan_seconds"]
-            if d == 1 and not steal:
-                baseline = makespan
-            link = h["link"]
-            arms.append({
-                "devices": d,
-                "cpu_steal": steal,
-                "modeled_seconds": makespan,
-                "speedup_vs_1dev": (
-                    baseline / makespan
-                    if baseline is not None and makespan > 0
-                    else 0.0
-                ),
-                "launches": h["pool_launches"],
-                "h2d_count": link["h2d_count"],
-                "d2h_count": link["d2h_count"],
-                "transfer_bytes": link["h2d_bytes"] + link["d2h_bytes"],
-                "link_seconds": h["modeled"]["link_seconds"],
-                "steals": h["steals"],
-                "initial_split": h["initial_split"],
-                "consistent": ok,
-            })
-    top = max(devices)
-    speedup_top = next(
-        a["speedup_vs_1dev"]
-        for a in arms
-        if a["devices"] == top and not a["cpu_steal"]
-    )
-    return {
-        "dataset": name,
-        "n_sites": ds.n_sites,
-        "window_size": window,
-        "fusion": True,
-        "arms": arms,
-        "speedup_max_devices": speedup_top,
-        "max_devices": top,
-        "hetero_steals": sum(
-            a["steals"] for a in arms
-            if a["devices"] > 1 or a["cpu_steal"]
-        ),
-        "consistent": consistent,
-    }
-
-
-def exp_e2e_throughput(
-    name: str = "ch1-sim",
-    fraction: float | None = None,
-    window_size: int | None = None,
-    repeats: int = 2,
-) -> dict:
-    """End-to-end wall-clock of the throughput engine vs the legacy path.
-
-    Runs the same multi-window GSNP job three ways: *baseline* with
-    prefetching, persistent residency, and the simulator's coalescing fast
-    paths all disabled (the pre-engine behavior), *optimized* with all
-    three enabled, and *fused* adding the ragged-megabatch launch plan on
-    top of the optimized arm.  Each arm reports its best of ``repeats``
-    runs (the steady-state number — repeat runs are where persistent
-    residency pays).  Kernel launch counts per arm come from dedicated
-    fresh single runs (no cache, no prefetch) so the device counter
-    reflects exactly one pass over the dataset.  Reports sites/sec all
-    three ways, the speedups, the launch reduction from fusion, and
-    whether calls and compressed bytes are bitwise identical across every
-    arm (they must be).
-    """
-    from ..gpusim.memory import set_fast_paths
-
-    ds = bench_dataset(name, fraction)
-    if window_size is None:
-        # Enough windows that the double-buffered streaming has overlap.
-        window_size = max(ds.n_sites // 16, 256)
-    window = min(effective_window("gsnp", window_size), ds.n_sites)
-
-    def run_once(
-        prefetch: bool, cache: bool, fast: bool, fusion: bool = False
-    ):
-        prev = set_fast_paths(fast)
-        try:
-            pipe = create_pipeline(spec=JobSpec(
-                engine="gsnp", window=window, prefetch=prefetch,
-                cache=cache, fusion=fusion,
-            ))
-            best, result = None, None
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                result = pipe.run(ds)
-                wall = time.perf_counter() - t0
-                best = wall if best is None else min(best, wall)
-            if hasattr(pipe, "release_cache"):
-                pipe.release_cache()
-            return result, best
-        finally:
-            set_fast_paths(prev)
-
-    def count_launches(fusion: bool) -> int:
-        # Fresh single run, no residency or prefetch, so the device's
-        # cumulative launch counter is exactly one pass over the dataset.
-        prev = set_fast_paths(True)
-        try:
-            pipe = create_pipeline(spec=JobSpec(
-                engine="gsnp", window=window, prefetch=False,
-                cache=False, fusion=fusion,
-            ))
-            res = pipe.run(ds)
-            return int(res.extras["device"].counters.total().launches)
-        finally:
-            set_fast_paths(prev)
-
-    base_res, base_wall = run_once(prefetch=False, cache=False, fast=False)
-    opt_res, opt_wall = run_once(prefetch=True, cache=True, fast=True)
-    fus_res, fus_wall = run_once(
-        prefetch=True, cache=True, fast=True, fusion=True
-    )
-    opt_launches = count_launches(fusion=False)
-    fus_launches = count_launches(fusion=True)
-    n_sites = ds.n_sites
-    return {
-        "dataset": name,
-        "n_sites": n_sites,
-        "n_windows": -(-n_sites // window),
-        "window_size": window,
-        "repeats": max(1, repeats),
-        "baseline": {
-            "wall": base_wall,
-            "sites_per_sec": n_sites / base_wall if base_wall > 0 else 0.0,
-        },
-        "optimized": {
-            "wall": opt_wall,
-            "sites_per_sec": n_sites / opt_wall if opt_wall > 0 else 0.0,
-            "launches": opt_launches,
-        },
-        "fused": {
-            "wall": fus_wall,
-            "sites_per_sec": n_sites / fus_wall if fus_wall > 0 else 0.0,
-            "launches": fus_launches,
-        },
-        "speedup": base_wall / opt_wall if opt_wall > 0 else 0.0,
-        "speedup_fused": base_wall / fus_wall if fus_wall > 0 else 0.0,
-        "speedup_fused_vs_optimized": (
-            opt_wall / fus_wall if fus_wall > 0 else 0.0
-        ),
-        "launch_reduction": (
-            opt_launches / fus_launches if fus_launches > 0 else 0.0
-        ),
-        "consistent": (
-            opt_res.table.equals(base_res.table)
-            and opt_res.compressed_output == base_res.compressed_output
-            and fus_res.table.equals(base_res.table)
-            and fus_res.compressed_output == base_res.compressed_output
-        ),
-    }
-
-
-def cohort_batches(ds: SimulatedDataset, n_samples: int):
-    """Alignment batches for an ``n_samples`` cohort over one dataset.
-
-    Sample 0 is the dataset's own read set; further samples are fresh
-    simulated sequencing runs of the *same* diploid individual under the
-    same depth/coverage model (distinct deterministic seeds) — the
-    shared-reference cohort the batched execution mode targets.
-    """
-    from ..seqsim.reads import simulate_reads
-
-    batches = [AlignmentBatch.from_read_set(ds.reads)]
-    spec = ds.spec
-    for i in range(1, n_samples):
-        rs = simulate_reads(
-            ds.diploid,
-            depth=spec.depth,
-            coverage=spec.coverage,
-            read_len=spec.read_len,
-            multihit_fraction=spec.multihit_fraction,
-            seed=spec.seed * 7 + 3 + 1000 * i,
-        )
-        batches.append(AlignmentBatch.from_read_set(rs))
-    return batches
-
-
-def exp_cohort(
-    name: str = "ch1-sim",
-    fraction: float | None = None,
-    samples=(1, 2, 4),
-    window_size: int | None = None,
-) -> dict:
-    """Cohort batching: modeled per-sample cost of fused S-sample runs.
-
-    Sweeps the cohort size S with the fused sample-major path and reports
-    each arm's modeled end-to-end seconds (one pooled ``cal_p_matrix``
-    pass plus the run profile), the per-sample share, the per-sample
-    throughput speedup over the S=1 arm, and the fused launch counts per
-    stage.  The batching wins come from amortization — one input pass,
-    one calibration, one resident table set, one launch chain per
-    megabatch — so per-sample cost must *fall* as S grows while launches
-    per stage stay bounded (``LAUNCH_STAGE_RATIO_BOUND``) instead of
-    scaling with S.
-
-    Every arm is checked bitwise: each cohort member's table and
-    compressed stream must equal a solo *non-fused* serial run of that
-    sample sharing the pooled calibration (the strongest cross-path
-    oracle available — different layout, different launch chain, same
-    bytes).
-    """
-    from ..core.cohort import pooled_batch
-
-    ds = bench_dataset(name, fraction)
-    if window_size is None:
-        # Enough windows that megabatching has something to fuse.
-        window_size = max(ds.n_sites // 16, 256)
-    window = min(effective_window("gsnp", window_size), ds.n_sites)
-    sweep = sorted(set(samples) | {1})
-    all_batches = cohort_batches(ds, max(sweep))
-
-    arms = []
-    consistent = True
-    base_per_sample = None
-    base_stages: dict | None = None
-    for s in sweep:
-        batches = all_batches[:s]
-        pipe = create_pipeline(
-            spec=JobSpec(engine="gsnp", window=window, fusion=True)
-        )
-        cal = pipe.calibrate(ds, reads=pooled_batch(batches))
-        res = pipe.run_cohort(ds, batches, calibration=cal)
-        if hasattr(pipe, "release_cache"):
-            pipe.release_cache()
-        total = cal.record.modeled_time() + res.profile.total_modeled()
-        per_sample = total / s
-
-        solo_pipe = create_pipeline(
-            spec=JobSpec(engine="gsnp", window=window, fusion=False)
-        )
-        ok = True
-        for si, batch in enumerate(batches):
-            solo = solo_pipe.run(ds, calibration=cal, reads=batch)
-            sres = res.sample_result(si)
-            ok = ok and (
-                sres.table.equals(solo.table)
-                and sres.compressed_output == solo.compressed_output
-            )
-        if hasattr(solo_pipe, "release_cache"):
-            solo_pipe.release_cache()
-        consistent = consistent and ok
-
-        fusion = res.extras["fusion"]
-        stages = {
-            k: int(v["launches"]) for k, v in fusion["stages"].items()
-        }
-        if s == 1:
-            base_per_sample = per_sample
-            base_stages = stages
-        ratio = (
-            max(
-                stages[k] / base_stages[k]
-                for k in stages
-                if base_stages.get(k)
-            )
-            if base_stages
-            else 1.0
-        )
-        arms.append({
-            "samples": s,
-            "modeled_seconds": total,
-            "per_sample_seconds": per_sample,
-            "per_sample_sites_per_sec": (
-                ds.n_sites / per_sample if per_sample > 0 else 0.0
-            ),
-            "speedup_per_sample": (
-                base_per_sample / per_sample
-                if base_per_sample and per_sample > 0
-                else 1.0
-            ),
-            "launches": fusion["launches"],
-            "megabatches": fusion["megabatches"],
-            "stages": stages,
-            "launch_stage_ratio_max": ratio,
-            "consistent": ok,
-        })
-    top = max(sweep)
-    top_arm = next(a for a in arms if a["samples"] == top)
-    return {
-        "dataset": name,
-        "n_sites": ds.n_sites,
-        "window_size": window,
-        "fusion": True,
-        "samples": sweep,
-        "arms": arms,
-        "max_samples": top,
-        "speedup_max_samples": top_arm["speedup_per_sample"],
-        "launch_stage_ratio_max": top_arm["launch_stage_ratio_max"],
-        "launches_stage_bounded": (
-            top_arm["launch_stage_ratio_max"] <= LAUNCH_STAGE_RATIO_BOUND
-        ),
-        "consistent": consistent,
-    }

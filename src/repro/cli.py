@@ -325,124 +325,7 @@ def main_bench(argv=None) -> int:
         help="run the parallel-scaling benchmark on a tiny dataset and "
         "exit non-zero if any worker count breaks serial parity",
     )
-    p.add_argument(
-        "--e2e",
-        action="store_true",
-        help="measure end-to-end sites/sec with the throughput engine off "
-        "vs on vs fused, sweep the multi-device pool over 1/2/4 devices "
-        "with and without the CPU steal lane, sweep cohort sizes (see "
-        "--samples), write BENCH_e2e.json, BENCH_multidev.json and "
-        "BENCH_cohort.json to the output dir, and exit non-zero if any "
-        "arm's results differ, fusion does not reduce kernel launches, "
-        "multi-device throughput regresses below 1 device, or cohort "
-        "batching fails its per-sample speedup / bounded-launch gates",
-    )
-    p.add_argument(
-        "--samples", type=int, nargs="+", default=(1, 2, 4),
-        metavar="S",
-        help="cohort sizes for the --e2e cohort sweep (an S=1 baseline "
-        "arm is always included; default: 1 2 4)",
-    )
     args = p.parse_args(argv)
-
-    if args.e2e:
-        import json
-        import os
-
-        from .bench.harness import (
-            exp_cohort,
-            exp_e2e_throughput,
-            exp_multidevice,
-        )
-
-        row = exp_e2e_throughput("ch1-sim", fraction=args.fraction)
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "BENCH_e2e.json")
-        with open(path, "w") as f:
-            json.dump(row, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(
-            f"{row['dataset']}: {row['n_windows']} windows, baseline "
-            f"{row['baseline']['sites_per_sec']:.0f} sites/s -> optimized "
-            f"{row['optimized']['sites_per_sec']:.0f} sites/s "
-            f"({row['speedup']:.2f}x) -> fused "
-            f"{row['fused']['sites_per_sec']:.0f} sites/s "
-            f"({row['speedup_fused']:.2f}x, "
-            f"{row['speedup_fused_vs_optimized']:.2f}x over optimized), "
-            f"consistent={'yes' if row['consistent'] else 'NO'}"
-        )
-        print(
-            f"kernel launches: {row['optimized']['launches']} unfused -> "
-            f"{row['fused']['launches']} fused "
-            f"({row['launch_reduction']:.1f}x fewer)"
-        )
-        print(f"wrote {path}")
-        launches_down = (
-            row["fused"]["launches"] < row["optimized"]["launches"]
-        )
-
-        multi = exp_multidevice("ch1-sim", fraction=args.fraction)
-        mpath = os.path.join(args.out_dir, "BENCH_multidev.json")
-        with open(mpath, "w") as f:
-            json.dump(multi, f, indent=2, sort_keys=True)
-            f.write("\n")
-        for arm in multi["arms"]:
-            lane = f"{arm['devices']}dev" + (
-                "+cpu" if arm["cpu_steal"] else ""
-            )
-            print(
-                f"{lane}: modeled={arm['modeled_seconds'] * 1e3:.2f}ms "
-                f"({arm['speedup_vs_1dev']:.2f}x) "
-                f"launches={arm['launches']} "
-                f"transfers={arm['h2d_count'] + arm['d2h_count']} "
-                f"steals={arm['steals']} "
-                f"consistent={'yes' if arm['consistent'] else 'NO'}"
-            )
-        print(
-            f"multi-device: {multi['max_devices']} devices "
-            f"{multi['speedup_max_devices']:.2f}x over 1 device, "
-            f"{multi['hetero_steals']} steals, "
-            f"consistent={'yes' if multi['consistent'] else 'NO'}"
-        )
-        print(f"wrote {mpath}")
-        multi_ok = (
-            multi["consistent"] and multi["speedup_max_devices"] >= 1.0
-        )
-
-        cohort = exp_cohort(
-            "ch1-sim", fraction=args.fraction,
-            samples=tuple(args.samples),
-        )
-        cpath = os.path.join(args.out_dir, "BENCH_cohort.json")
-        with open(cpath, "w") as f:
-            json.dump(cohort, f, indent=2, sort_keys=True)
-            f.write("\n")
-        for arm in cohort["arms"]:
-            print(
-                f"S={arm['samples']}: per-sample "
-                f"{arm['per_sample_sites_per_sec']:.0f} sites/s "
-                f"({arm['speedup_per_sample']:.2f}x vs S=1) "
-                f"launches={arm['launches']} "
-                f"stage-ratio={arm['launch_stage_ratio_max']:.2f} "
-                f"consistent={'yes' if arm['consistent'] else 'NO'}"
-            )
-        print(
-            f"cohort: S={cohort['max_samples']} "
-            f"{cohort['speedup_max_samples']:.2f}x per-sample over S=1, "
-            f"stage launch ratio {cohort['launch_stage_ratio_max']:.2f} "
-            f"(bound met: {'yes' if cohort['launches_stage_bounded'] else 'NO'}), "
-            f"consistent={'yes' if cohort['consistent'] else 'NO'}"
-        )
-        print(f"wrote {cpath}")
-        # The per-sample speedup gate only binds once there is real
-        # batching to amortize (S >= 2 in the sweep).
-        cohort_ok = cohort["consistent"] and cohort["launches_stage_bounded"]
-        if cohort["max_samples"] >= 2:
-            cohort_ok = cohort_ok and cohort["speedup_max_samples"] >= 1.5
-
-        return 0 if (
-            row["consistent"] and launches_down and multi_ok and cohort_ok
-        ) else 1
 
     if args.smoke:
         from .bench.harness import exp_parallel_scaling

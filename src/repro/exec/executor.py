@@ -56,8 +56,8 @@ Failure handling (exercised deliberately by :mod:`repro.faults`):
   its deadline has its lane's worker killed and is retried like any
   failure; a worker that dies outright is restarted the same way;
 * an ``AllocationError`` on a lane without a device clock steps the lane
-  down the ``device-degraded`` rung (residency, prefetch and simulator
-  fast paths off) and re-runs the shard in place;
+  down the ``device-degraded`` rung (residency, prefetch and fusion off,
+  on a pipeline of its own) and re-runs the shard in place;
 * a pool lane whose device dies (a real ``AllocationError`` or the seeded
   ``gpusim.device.fail`` chaos site) takes the ``device-failed`` rung: it
   announces itself, pushes its in-hand shard back on its deque and retires
@@ -80,9 +80,8 @@ with or without injected faults, retries and resumes.
 
 Modeled time: pool lanes compute concurrently but share one PCIe/host
 link, so the pool makespan is ``max(lane compute) + serialized link time``
-(:class:`~repro.gpusim.costmodel.PoolCostModel`) — the number
-``gsnp bench``'s multi-device arm reports against the paper's
-cluster-scale tables.
+(:class:`~repro.gpusim.costmodel.PoolCostModel`), reported as
+``hetero["modeled"]["makespan_seconds"]``.
 """
 
 from __future__ import annotations
@@ -316,12 +315,13 @@ def _run_shard(
                 raise
             # Degradation rung: the device could not satisfy the resident
             # footprint.  Rebuild this lane's pipeline with residency,
-            # prefetch and simulator fast paths disabled and re-run the
-            # shard in place; results are bitwise identical either way.
+            # prefetch and fusion disabled (the smallest footprint) and
+            # re-run the shard in place; results are bitwise identical
+            # either way.  Lane-local: no process-global state is touched.
             degrade(
                 "device-degraded",
-                action="re-running shard with residency/prefetch/fast "
-                "paths disabled",
+                action="re-running shard with residency/prefetch/fusion "
+                "disabled",
                 reason=repr(exc),
                 shard=shard.index,
                 attempt=attempt,
@@ -329,21 +329,14 @@ def _run_shard(
             lane.pipeline = None
             if lane.resident:
                 _resident_pipelines().pop(_resident_key(job.spec), None)
-            from ..gpusim.memory import set_fast_paths
-
-            prev_fast = set_fast_paths(False)
-            try:
-                with fault_scope(degraded=True):
-                    degraded = create_pipeline(
-                        spec=replace(
-                            job.spec, prefetch=False, cache=False,
-                            fusion=False,
-                        ),
-                        params=job.params,
-                    )
-                    result = _invoke(job, degraded, job.calibration, shard)
-            finally:
-                set_fast_paths(prev_fast)
+            with fault_scope(degraded=True):
+                degraded = create_pipeline(
+                    spec=replace(
+                        job.spec, prefetch=False, cache=False, fusion=False,
+                    ),
+                    params=job.params,
+                )
+                result = _invoke(job, degraded, job.calibration, shard)
         wall = time.perf_counter() - t0
     return ShardResult.from_run(
         shard, result, wall=wall, attempts=attempt + 1,
@@ -385,7 +378,6 @@ class _Scheduler:
         max_retries: int,
         backoff_base: float,
         force_serial: bool,
-        device_pool: bool,
     ) -> None:
         self.job = job
         self.shards = shards
@@ -399,7 +391,7 @@ class _Scheduler:
         spec = job.spec
         # Lane construction — the one place devices/cpu_steal/workers are
         # read; everything after it only sees lanes.
-        if device_pool or spec.uses_device_pool:
+        if spec.uses_pool:
             self.pool = DevicePool(spec.devices, sanitize=spec.sanitize)
             self.lanes = [
                 _Lane(lane_id=dev.device_id, kind="gpu", device=dev)
@@ -897,7 +889,6 @@ def run_shards(
     max_retries: int = 2,
     backoff_base: float = 0.02,
     force_serial: bool = False,
-    device_pool: bool = False,
 ) -> tuple[list[ShardResult], dict]:
     """Execute ``shards`` on the lanes ``spec`` describes.
 
@@ -905,9 +896,7 @@ def run_shards(
     caller's merge restores genomic order) and the scheduler metadata dict
     (``pool`` kind; for device pools also the ``hetero`` block).  Raises
     :class:`~repro.errors.ShardError` if any shard exhausts its retry
-    budget.  ``device_pool=True`` runs pool lanes even for one device
-    without a CPU lane — the harness's 1-device baseline arm, the only
-    caller that wants a pool of one.
+    budget.
     """
     job = _Job(dataset, spec, params, calibration, sample_reads)
     # Installing the plan is process-global; skip the install entirely for
@@ -920,7 +909,6 @@ def run_shards(
         run = _Scheduler(
             job, shards, journal, resident=resident, max_retries=max_retries,
             backoff_base=backoff_base, force_serial=force_serial,
-            device_pool=device_pool,
         )
         try:
             counts = run.deal()

@@ -40,7 +40,7 @@ SITES: dict[str, str] = {
     "exec.shard.error": "shard body raises a PipelineError (retry path)",
     "exec.shard.slow": "shard body stalls (deadline/timeout path)",
     "gpusim.device.alloc": "device allocation raises AllocationError "
-    "(residency/fast-path degradation rung)",
+    "(device-degraded rung: residency/prefetch/fusion off)",
     "gpusim.device.fail": "a pool device dies outright mid-run "
     "(device-failed rung: the lane retires and surviving lanes/CPU "
     "steal its remaining shards)",

@@ -22,12 +22,7 @@ from .costmodel import (
 )
 from .device import Device, TransferLog
 from .kernel import KernelContext
-from .memory import (
-    DeviceArray,
-    count_transactions,
-    fast_paths_enabled,
-    set_fast_paths,
-)
+from .memory import DeviceArray, count_transactions
 from .pool import DevicePool, HostLink, LinkUsage, acquire_device
 from .residency import DeviceResidency, array_fingerprint
 from .spec import (
@@ -68,8 +63,6 @@ __all__ = [
     "acquire_device",
     "array_fingerprint",
     "count_transactions",
-    "fast_paths_enabled",
     "predict_lane_rates",
     "predict_split",
-    "set_fast_paths",
 ]

@@ -26,7 +26,6 @@ import numpy as np
 
 from ..errors import KernelError
 from .counters import KernelCounters
-from . import memory as _gmem
 from .memory import DeviceArray, count_transactions
 
 
@@ -111,25 +110,23 @@ class KernelContext:
     ) -> tuple[Optional[np.ndarray], int]:
         """(bool mask or None, active-warp count), memoized per mask object.
 
-        Under the fast paths, a mask with every lane live collapses to
-        ``None``: masking with an all-true vector is the identity, so the
-        downstream ops can take their unmasked shortcut (results and
-        counters are unchanged — every warp has an active lane either way).
+        A mask with every lane live collapses to ``None``: masking with an
+        all-true vector is the identity, so the downstream ops can take
+        their unmasked shortcut (results and counters are unchanged — every
+        warp has an active lane either way).
         """
         if active is None:
             return None, self.n_warps
-        fast = _gmem._FAST_PATHS
-        if fast:
-            memo = self._mask_memo.get(id(active))
-            if memo is not None and memo[0] is active:
-                return memo[1], memo[2]
+        memo = self._mask_memo.get(id(active))
+        if memo is not None and memo[0] is active:
+            return memo[1], memo[2]
         act = np.asarray(active, dtype=bool).ravel()
         if act.size != self.n_threads:
             raise KernelError(
                 f"active mask has {act.size} lanes, launch has "
                 f"{self.n_threads} threads"
             )
-        if fast and act.all():
+        if act.all():
             out: tuple[Optional[np.ndarray], int] = (None, self.n_warps)
         else:
             pad = (-act.size) % self.warp_size
@@ -138,8 +135,7 @@ class KernelContext:
                 padded = np.concatenate([act, np.zeros(pad, dtype=bool)])
             warps = int(padded.reshape(-1, self.warp_size).any(axis=1).sum())
             out = (act, warps)
-        if fast:
-            self._mask_memo[id(active)] = (active, out[0], out[1])
+        self._mask_memo[id(active)] = (active, out[0], out[1])
         return out
 
     def _active_warps(self, active: Optional[np.ndarray]) -> int:
@@ -179,8 +175,7 @@ class KernelContext:
             )
         if act is None:
             if (
-                _gmem._FAST_PATHS
-                and self.sanitizer is None
+                self.sanitizer is None
                 and idx.size
                 and (is_tid or int(idx.min()) >= 0)
             ):

@@ -22,16 +22,16 @@ SPACES = ("global", "constant")
 
 _SENTINEL_SEG = np.iinfo(np.int64).max
 
-# -- fast-path switch --------------------------------------------------------
+# -- engines ------------------------------------------------------------------
 #
 # The coalescing analysis below has two algebraically-equivalent engines: the
 # reference sentinel-sort (always correct, O(n log w) per call) and fast
 # paths for the access shapes kernels actually issue (monotonic live
-# indices; repeated patterns).  The switch exists so benchmarks can measure
-# the fast engine against the faithful original, and so parity tests can
-# prove both return identical counts on every input.
+# indices; repeated patterns).  :func:`count_transactions` always takes the
+# fast paths and falls back to the reference only for scattered patterns
+# with dead lanes; the reference is also the oracle the property tests
+# compare the fast engine against.
 
-_FAST_PATHS = True
 _TX_CACHE: dict[tuple, int] = {}
 _TX_CACHE_MAX = 8192
 #: Patterns at most this many lanes are memoized by exact bytes even when
@@ -51,20 +51,6 @@ def _warp_boundaries(n: int, warp_size: int) -> np.ndarray:
             _BOUNDARY_CACHE.clear()
         _BOUNDARY_CACHE[key] = b
     return b
-
-
-def set_fast_paths(enabled: bool) -> bool:
-    """Toggle the simulator fast paths; returns the previous setting."""
-    global _FAST_PATHS
-    prev = _FAST_PATHS
-    _FAST_PATHS = bool(enabled)
-    _TX_CACHE.clear()
-    return prev
-
-
-def fast_paths_enabled() -> bool:
-    """Whether the simulator fast paths are currently active."""
-    return _FAST_PATHS
 
 
 def _count_transactions_reference(
@@ -190,10 +176,6 @@ def count_transactions(
     n = idx.size
     if n == 0:
         return 0
-    if not _FAST_PATHS:
-        return _count_transactions_reference(
-            idx, itemsize, warp_size, segment_bytes
-        )
     key = None
     if n <= _TX_MEMO_MAX_LANES:
         # Small launches (scan levels, histogram bins, per-block passes)

@@ -488,8 +488,8 @@ class TestGsnp111PerSampleLauncherLoop:
     def test_cohort_iterable_flagged(self):
         diags = _lint(
             """
-            def run(device, cohort_batches):
-                for b in cohort_batches:
+            def run(device, cohort_reads):
+                for b in cohort_reads:
                     gsnp_posterior(device, b)
             """
         )

@@ -26,6 +26,14 @@ from repro.seqsim.reads import simulate_reads
 WINDOW = 512
 SEED = 77
 
+#: Cohort batching must keep launches per fused stage (near-)independent
+#: of S.  The sort/likelihood/recycle stages are exactly constant; the
+#: counting and codec stages carry data-sized sub-chains (tree reduce,
+#: sort passes) that grow ~logarithmically with pileup volume, so the
+#: per-stage launch ratio S-vs-1 is bounded well below S — an unfused
+#: per-sample loop would sit at exactly S.
+LAUNCH_STAGE_RATIO_BOUND = 1.5
+
 
 @pytest.fixture(scope="module")
 def ds():
@@ -192,6 +200,34 @@ class TestBitwiseParity:
         assert paths[2].name == "cohort.cns.s2"
         for si, (_, blob) in enumerate(solo[4]):
             assert paths[si].read_bytes() == blob, si
+
+
+class TestAmortization:
+    def test_fused_cohort_amortizes_modeled_cost(self, ds, batches, cals):
+        """S=4 fused against S=1 on the modeled clock (exact, so a tier-1
+        assertion): one input pass, one calibration, one resident table
+        set and one launch chain per megabatch make the per-sample cost
+        fall, while launches per fused stage stay bounded instead of
+        scaling with S."""
+        per_sample, stages = {}, {}
+        for s in (1, 4):
+            pipe = create_pipeline(
+                spec=JobSpec(engine="gsnp", window=WINDOW, fusion=True)
+            )
+            res = pipe.run_cohort(ds, batches[:s], calibration=cals[s])
+            pipe.release_cache()
+            total = cals[s].record.modeled_time() + res.profile.total_modeled()
+            per_sample[s] = total / s
+            stages[s] = {
+                k: int(v["launches"])
+                for k, v in res.extras["fusion"]["stages"].items()
+            }
+        assert per_sample[1] / per_sample[4] >= 1.5
+        assert stages[4].keys() == stages[1].keys()
+        for stage, launches in stages[4].items():
+            assert launches / stages[1][stage] <= LAUNCH_STAGE_RATIO_BOUND, (
+                stage
+            )
 
 
 class TestResidency:

@@ -179,6 +179,43 @@ class TestFaultedExecutionParity:
         assert "device-degraded" in rungs
         assert out.read_bytes() == base_out.read_bytes()
 
+    def test_degraded_rung_leaves_simulator_state_alone(
+        self, small_dataset, tmp_path
+    ):
+        """The rung only rebuilds the lane's pipeline: bytes and per-phase
+        counters equal the fault-free ``fusion=False`` run, and the shared
+        transaction memo survives.  Serve worker threads are serial lanes
+        of one process, so a rung that toggled process-global simulator
+        state from inside a lane could race another thread's rung."""
+        from repro.gpusim import memory
+
+        def counters(res):
+            return {
+                name: (rec.gpu.as_dict(), vars(rec.cpu), vars(rec.disk),
+                       rec.transfer_bytes)
+                for name, rec in res.profile.records.items()
+            }
+
+        base_out = tmp_path / "base.out"
+        base = _run(small_dataset, base_out, engine="gsnp", fusion=False)
+        last = len(plan_shards(small_dataset.n_sites, WINDOW, 1024, 2)) - 1
+        plan = FaultPlan([
+            FaultSpec(site="gpusim.device.alloc", kind="alloc", key=last),
+        ])
+        out = tmp_path / "degraded.out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegradationWarning)
+            res = _run(
+                small_dataset, out, engine="gsnp", fusion=False, faults=plan,
+            )
+        rung = [w.message for w in caught
+                if isinstance(w.message, DegradationWarning)]
+        assert [w.rung for w in rung] == ["device-degraded"]
+        assert "fast paths" not in str(rung[0])
+        assert out.read_bytes() == base_out.read_bytes()
+        assert counters(res) == counters(base)
+        assert memory._TX_CACHE
+
     def test_worker_crash_in_process_pool(
         self, small_dataset, baseline, tmp_path
     ):

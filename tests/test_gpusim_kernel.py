@@ -201,3 +201,41 @@ class TestInstructionAccounting:
             assert ctx.n_warps == 3
 
         device.launch(k, 65)
+
+
+class TestAllTrueMaskCollapse:
+    """An all-true ``active`` mask collapses to ``active=None``: same
+    values, same counters, on every op kind, with and without the
+    sanitizer (whose hooks keep the live mask materialized)."""
+
+    N = 70  # not a warp multiple: the padded tail warp must not count
+
+    def _run(self, sanitize, make_mask):
+        device = Device(sanitize=sanitize)
+        src = device.to_device(np.arange(4 * self.N, dtype=np.int32))
+        table = device.to_constant(np.arange(16, dtype=np.int32))
+        out = device.alloc(self.N, np.int64)
+        hist = device.alloc(8, np.int64)
+
+        def k(ctx):
+            act = make_mask(ctx)
+            ctx.instr(3, active=act)
+            a = ctx.gload(src, ctx.tid, active=act)
+            b = ctx.gload(src, (ctx.tid * 37) % src.size, active=act)
+            c = ctx.cload(table, ctx.tid % 16, active=act)
+            ctx.gstore(out, ctx.tid, a + b + c, active=act)
+            ctx.gatomic_add(hist, ctx.tid % 8, 1, active=act)
+
+        device.launch(k, self.N, name="mask")
+        counters = device.counters.get("mask").as_dict()
+        return counters, out.data.copy(), hist.data.copy()
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_all_true_mask_matches_none(self, sanitize):
+        unmasked = self._run(sanitize, lambda ctx: None)
+        masked = self._run(
+            sanitize, lambda ctx: np.ones(ctx.n_threads, dtype=bool)
+        )
+        assert masked[0] == unmasked[0]
+        assert np.array_equal(masked[1], unmasked[1])
+        assert np.array_equal(masked[2], unmasked[2])

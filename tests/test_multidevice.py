@@ -73,6 +73,13 @@ PINNED_ARMS = [
      [4, 4, 4, 3, 0], 2, 0.01825383661409214),
 ]
 
+#: devices -> (initial_split, makespan_seconds) with ``shard_size=WINDOW``
+#: (15 one-window shards): the modeled pool must scale from 2 to 4 devices.
+PINNED_SCALING = {
+    2: ([8, 7], 0.02622351425474255),
+    4: ([4, 4, 4, 3], 0.019087827864498648),
+}
+
 
 class TestParityMatrix:
     """devices x workers x fusion x steal, all bitwise identical."""
@@ -118,6 +125,20 @@ class TestParityMatrix:
         assert h["steals"] == steals
         assert h["modeled"]["makespan_seconds"] == makespan
         assert all(_schedule(r) == _schedule(h) for r in runs[1:])
+
+    def test_more_devices_shorten_the_modeled_makespan(self, dataset, serial):
+        """Four devices finish the same one-window shards sooner than two
+        on the modeled clock (the paper's Tables III/IV clock, which is
+        deterministic, so the makespans are exact)."""
+        makespan = {}
+        for devices, (split, pinned) in PINNED_SCALING.items():
+            res = _run(dataset, devices=devices, shard_size=WINDOW)
+            _assert_parity(res, serial)
+            h = res.extras["exec"]["hetero"]
+            makespan[devices] = h["modeled"]["makespan_seconds"]
+            assert h["initial_split"] == split
+            assert makespan[devices] == pinned
+        assert makespan[4] < makespan[2]
 
     def test_wall_speed_does_not_reach_the_schedule(
         self, dataset, monkeypatch
@@ -226,7 +247,7 @@ class TestDeviceFailure:
         shards = plan_shards(dataset.n_sites, WINDOW, None, 3)
         sched = _Scheduler(
             job, shards, None, resident=False, max_retries=0,
-            backoff_base=0.0, force_serial=False, device_pool=False,
+            backoff_base=0.0, force_serial=False,
         )
         try:
             thief, live, dead = sched.lanes

@@ -1,11 +1,13 @@
-"""Throughput engine: residency, prefetch and fast paths never change results.
+"""Throughput engine: residency and prefetch never change results.
 
 The window-pipelined engine (persistent device tables, double-buffered
-streaming, simulator fast paths) is a pure wall-clock optimization: every
-toggle combination must produce bitwise-identical tables, compressed
-output and per-phase event counters.  These tests pin that invariant at
-every layer — sharded executor, serial pipeline, transaction counter —
-plus the once-per-worker residency guarantee and the lint integration.
+streaming) is a pure wall-clock optimization: every toggle combination
+must produce bitwise-identical tables, compressed output and per-phase
+event counters, and the simulator's fast transaction engine must agree
+with the reference sentinel sort and a brute-force oracle.  These tests
+pin that invariant at every layer — sharded executor, serial pipeline,
+transaction counter — plus the once-per-worker residency guarantee and
+the lint integration.
 """
 
 import numpy as np
@@ -23,8 +25,6 @@ from repro.gpusim.device import Device
 from repro.gpusim.memory import (
     _count_transactions_reference,
     count_transactions,
-    fast_paths_enabled,
-    set_fast_paths,
 )
 
 WINDOW = 512
@@ -93,20 +93,6 @@ class TestTogglesParity:
         assert on_path.read_bytes() == off_path.read_bytes()
         assert _counters(on.profile) == _counters(off.profile)
         assert _counters(on2.profile) == _counters(off.profile)
-
-    def test_fast_paths_off_matches_on(self, small_dataset):
-        """The simulator fast paths change wall clock only, not counters."""
-        spec = JobSpec(engine="gsnp", window=WINDOW)
-        fast = create_pipeline(spec=spec).run(small_dataset)
-        assert fast_paths_enabled()
-        set_fast_paths(False)
-        try:
-            slow = create_pipeline(spec=spec).run(small_dataset)
-        finally:
-            set_fast_paths(True)
-        assert fast.table.equals(slow.table)
-        assert fast.compressed_output == slow.compressed_output
-        assert _counters(fast.profile) == _counters(slow.profile)
 
 
 class TestResidency:
@@ -229,24 +215,6 @@ class TestTransactionFastPaths:
             idx = idx[::-1].copy()
         got = count_transactions(idx, itemsize, all_live=True)
         assert got == _oracle(idx, itemsize, 32)
-
-    def test_toggle_off_identical(self):
-        """set_fast_paths(False) routes to the reference: same answers."""
-        rng = np.random.default_rng(7)
-        cases = [
-            rng.integers(-1, 4000, size=int(rng.integers(1, 300)))
-            for _ in range(40)
-        ]
-        fast = [count_transactions(c, 4) for c in cases]
-        assert fast_paths_enabled()
-        set_fast_paths(False)
-        try:
-            assert not fast_paths_enabled()
-            slow = [count_transactions(c, 4) for c in cases]
-        finally:
-            set_fast_paths(True)
-        assert fast == slow
-        assert fast == [_oracle(c, 4, 32) for c in cases]
 
     def test_memo_survives_repeat_queries(self):
         idx = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int64)
