@@ -1,18 +1,21 @@
 """Static and runtime analysis enforcing the simulator's SIMT discipline.
 
-Three complementary tools guard the property every paper-level claim
+Two complementary layers guard the property every paper-level claim
 rests on — that *all* simulated kernel memory traffic is routed through
 :class:`~repro.gpusim.kernel.KernelContext` and follows the lockstep idiom:
 
-* :mod:`repro.analyze.lint` — the ``gsnp-lint`` static AST checker that
-  discovers kernel bodies and flags SIMT-discipline violations with
-  ``file:line`` diagnostics.
-* :mod:`repro.analyze.dataflow` (with :mod:`repro.analyze.ir`) — the
-  ``gsnp-audit`` whole-kernel dataflow analyzer: abstract interpretation
-  over an affine-in-tid lattice that *proves* coalescing class per memory
-  op (GSNP201), provable static races (GSNP202), uninitialized global
-  reads (GSNP203), missing-barrier hazards (GSNP204), and says
-  ``unproven`` out loud when it cannot decide (GSNP205).
+* ``gsnp audit`` — one static analyzer over one IR.
+  :mod:`repro.analyze.ir` lowers every kernel body to its routed memory
+  ops plus a record of each construct the routed model cannot express;
+  :mod:`repro.analyze.dataflow` runs abstract interpretation over an
+  affine-in-tid lattice and answers every kernel rule as a query over
+  that IR: raw accesses, runtime logs, per-thread loops, dropped masks
+  and NumPy device indexing (GSNP101-105), the coalescing class of each
+  memory op (GSNP201), provable static races (GSNP202), uninitialized
+  global reads (GSNP203), missing-barrier hazards (GSNP204), and
+  ``unproven`` said out loud (GSNP205).  :mod:`repro.analyze.lint` holds
+  the shared rule table, diagnostics and suppression grammar plus the
+  module-level rules (GSNP106 fault sites, GSNP109 rationales);
   :mod:`repro.analyze.calibrate` cross-checks every proven coalescing
   verdict against the simulator's runtime transaction counters.
 * :mod:`repro.analyze.sanitize` — the runtime sanitizer behind
@@ -20,9 +23,9 @@ rests on — that *all* simulated kernel memory traffic is routed through
   races, read-after-write hazards, store/atomic mixing, uninitialized
   reads, and device-teardown leak checks.
 
-Kernel discovery (definitions, launch sites, and aliases) is shared
-between the tools via :mod:`repro.analyze.discover`; output formats
-(text / json / github) via :mod:`repro.analyze.report`.
+Kernel discovery (definitions, launch sites, and aliases) is shared by
+the audit and the calibrator via :mod:`repro.analyze.discover`; output
+formats (text / json / github) via :mod:`repro.analyze.report`.
 """
 
 from .calibrate import CalibrationReport, run_calibration, transaction_bound
@@ -36,8 +39,8 @@ from .dataflow import (
     audit_source,
 )
 from .discover import DiscoveredKernels, discover_kernels, iter_python_files
-from .ir import KernelIR, KernelOp, extract_kernel_ir, extract_module_ir
-from .lint import Diagnostic, RULES, lint_file, lint_paths, lint_source
+from .ir import KernelIR, KernelOp, Site, extract_kernel_ir, extract_module_ir
+from .lint import Diagnostic, RULES
 from .report import FORMATS, render_diagnostics
 from .sanitize import Sanitizer, SanitizerIssue
 
@@ -55,6 +58,7 @@ __all__ = [
     "RULES",
     "Sanitizer",
     "SanitizerIssue",
+    "Site",
     "audit_file",
     "audit_paths",
     "audit_source",
@@ -62,9 +66,6 @@ __all__ = [
     "extract_kernel_ir",
     "extract_module_ir",
     "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "render_diagnostics",
     "run_calibration",
     "transaction_bound",

@@ -1,6 +1,6 @@
 """Runtime calibration of the static coalescing verdicts.
 
-``gsnp-audit --calibrate`` is the soundness test that keeps the static
+``gsnp audit --calibrate`` is the soundness test that keeps the static
 analyzer honest: it installs a per-op observer on the simulator
 (:func:`repro.gpusim.kernel.set_op_observer`), replays the tier-1 kernel
 surface — the GSNP pipeline in its optimized and fused configurations
@@ -35,8 +35,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..gpusim.device import Device
 from ..gpusim.kernel import OpRecord, set_op_observer
+from ..gpusim.pool import acquire_device
 from .dataflow import OpVerdict, VERDICT_COALESCED, collect_op_verdicts
 
 #: Line-distance tolerance when matching a runtime frame to a static op
@@ -163,7 +163,7 @@ def _run_pipeline_workloads(n_sites: int, seed: int) -> None:
                             (BASELINE, False)):
         # Calibration probes run one isolated sanitized device per
         # variant on purpose; pool link accounting is irrelevant here.
-        device = Device(sanitize=True)  # gsnp-lint: disable=GSNP110
+        device = acquire_device(sanitize=True)
         GsnpPipeline(
             window_size=window, mode="gpu", variant=variant, device=device,
             prefetch=False, cache=False, fusion=fusion,
@@ -186,7 +186,7 @@ def _run_primitive_probes(seed: int) -> None:
     rng = np.random.default_rng(seed)
     # Isolated sanitized probe device: microbenchmark counters must not
     # mix with any pool's shared-link or residency state.
-    device = Device(sanitize=True)  # gsnp-lint: disable=GSNP110
+    device = acquire_device(sanitize=True)
 
     keys = rng.integers(0, 1 << 20, size=2000).astype(np.uint32)
     keys_dev = device.to_device(keys, "cal_keys")
@@ -237,7 +237,7 @@ def run_calibration(
 ) -> CalibrationReport:
     """Replay tier-1 kernels and check every proven coalescing verdict.
 
-    ``paths`` are the audited sources (the same argument ``gsnp-audit``
+    ``paths`` are the audited sources (the same argument ``gsnp audit``
     received); runtime ops from files outside them are ignored.
     """
     verdicts = collect_op_verdicts(paths)

@@ -1,4 +1,4 @@
-"""Abstract interpretation over kernel IR: the ``gsnp-audit`` analyzer.
+"""Abstract interpretation and rule queries over kernel IR: ``gsnp audit``.
 
 The paper's throughput claims rest on *provable* memory-access
 structure: §IV's coalescing discipline (82 vs 3.2 GB/s), Table III's
@@ -42,9 +42,16 @@ Only *coalesced* verdicts are load-bearing claims — ``--calibrate``
 runtime transaction counters stay within the proven bound for every one
 of them.
 
-Static checks (severity *error*):
+Static checks (severity *error*).  GSNP101-105 are queries over the
+IR's sites and store ops; GSNP202-205 are proofs over the lattice:
 
 ========  =====================  ==========================================
+GSNP100   parse-error            the file does not decode or parse
+GSNP101   kernel-data-access     ``.data``/``flat_view()``/``copy_to_host()``
+GSNP102   kernel-log-call        ``np.log*``/``math.log*`` (not ``log_table``)
+GSNP103   per-thread-loop        a loop over ``ctx.tid``/``ctx.n_threads``
+GSNP104   dropped-active-mask    a store with no ``active`` after a mask binds
+GSNP105   device-fancy-index     NumPy indexing of a device array
 GSNP202   static-race            two ops on the same array in the same
                                  barrier region (or across iterations of a
                                  barrier-free loop) with *provably*
@@ -65,25 +72,36 @@ GSNP205   unproven-access        an index the lattice cannot classify
 Races and hazards are reported only when *provable* (concrete witness
 thread ids); everything symbolic stays the runtime sanitizer's job —
 the two layers are complementary by design, and DESIGN.md documents the
-soundness contract.
+soundness contract.  The module-level rules GSNP106/GSNP109 live in
+:mod:`repro.analyze.lint`; :func:`audit_source` runs every rule.
 """
 
 from __future__ import annotations
 
 import ast
+import tokenize
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .discover import discover_kernels, iter_python_files
+from .discover import iter_python_files
 from .ir import (
     CTX_MEM_METHODS,
+    MASK_FULL_DEFAULT,
+    MASK_MASKED,
     KernelIR,
     KernelOp,
-    MASK_MASKED,
-    extract_kernel_ir,
+    Site,
+    extract_module_ir,
+    source_text,
 )
-from .lint import Diagnostic, _is_suppressed, _suppressions, normalize_rules
+from .lint import (
+    Diagnostic,
+    _is_suppressed,
+    _suppressions,
+    module_diagnostics,
+    normalize_rules,
+)
 
 # ---------------------------------------------------------------------------
 # Abstract values
@@ -98,6 +116,12 @@ UNKNOWN = "unknown"
 #: concrete affine index maps, if they exist at all, show up among the
 #: first few hundred thread ids.
 _WITNESS_RANGE = 257
+
+#: Largest |int| the evaluator folds, and the largest shift it folds.
+#: Strides and offsets only ever address memory; a value past the bound
+#: is ``unknown`` (GSNP205), never an unbounded int.
+_MAX_FOLD = 1 << 64
+_MAX_SHIFT = 64
 
 
 @dataclass(frozen=True)
@@ -138,12 +162,14 @@ class AbstractValue:
 
 def uniform(value: Optional[int] = None, why: str = "") -> AbstractValue:
     """A warp-uniform value: affine with stride 0 (offset = the value)."""
-    return AbstractValue(AFFINE, stride=0, offset=value, why=why)
+    return affine(0, value, why=why)
 
 
 def affine(stride: Optional[int], offset: Optional[int],
            clamped: bool = False, why: str = "") -> AbstractValue:
     """An affine-in-tid value ``stride * ctx.tid + offset``."""
+    if any(v is not None and abs(v) > _MAX_FOLD for v in (stride, offset)):
+        return unknown("constant folded past 2**64")
     return AbstractValue(AFFINE, stride=stride, offset=offset,
                          clamped=clamped, why=why)
 
@@ -244,6 +270,8 @@ class ExprEvaluator:
         ):
             return uniform(why=f"constant {node.value!r}")
         if isinstance(node.value, int):
+            if abs(node.value) > _MAX_FOLD:
+                return unknown("integer constant past 2**64")
             return uniform(node.value, why=f"constant {node.value}")
         return uniform(why=f"constant {node.value!r}")
 
@@ -269,7 +297,7 @@ class ExprEvaluator:
         if base.kind == UNKNOWN:
             # An attribute of a host object (params object, tables
             # bundle) is host data: data-dependent, never tid-affine.
-            return datadep(f"host attribute '{ast.unparse(node)}'")
+            return datadep(f"host attribute '{source_text(node)}'")
         return _worst(base)
 
     # -- arithmetic --------------------------------------------------------
@@ -291,6 +319,8 @@ class ExprEvaluator:
         if isinstance(op, ast.LShift):
             if right.is_uniform:
                 if right.offset is not None and left.stride is not None:
+                    if not 0 <= right.offset <= _MAX_SHIFT:
+                        return unknown(f"shift by {right.offset}")
                     return affine(
                         left.stride << right.offset,
                         None if left.offset is None
@@ -307,7 +337,7 @@ class ExprEvaluator:
                 return uniform(why="uniform arithmetic")
             # A non-linear op applied to a tid-affine value yields a
             # deterministic per-thread permutation, not an affine map.
-            return tidperm(f"'{ast.unparse(node)}' is non-affine in tid")
+            return tidperm(f"'{source_text(node)}' is non-affine in tid")
         return _worst(left, right)
 
     @staticmethod
@@ -406,7 +436,7 @@ class ExprEvaluator:
         if w.is_affine and not w.is_uniform:
             # arr[affine-in-tid] is a per-thread selection from host
             # data: data-dependent, not affine.
-            return datadep(f"subscript '{ast.unparse(node)}'")
+            return datadep(f"subscript '{source_text(node)}'")
         return w
 
     def _eval_Call(self, node: ast.Call) -> AbstractValue:
@@ -421,12 +451,12 @@ class ExprEvaluator:
 
         # Routed loads produce data-dependent values.
         if fname in CTX_MEM_METHODS:
-            arr = ast.unparse(node.args[0]) if node.args else "?"
+            arr = source_text(node.args[0]) if node.args else "?"
             return datadep(f"loaded from '{arr}'")
         if isinstance(func, ast.Name) and func.id in self.env:
             aliased = self.env[func.id]
             if aliased.kind == DATADEP and aliased.why.startswith("ctx-mem"):
-                arr = ast.unparse(node.args[0]) if node.args else "?"
+                arr = source_text(node.args[0]) if node.args else "?"
                 return datadep(f"loaded from '{arr}'")
 
         if fname in _CLAMP_FUNCS:
@@ -526,7 +556,7 @@ def _param_value(arg: ast.arg) -> AbstractValue:
     """Initial abstract value for one kernel parameter."""
     ann = arg.annotation
     if ann is not None:
-        text = ast.unparse(ann)
+        text = source_text(ann)
         if text in _INT_ANNOTATIONS:
             return uniform(why=f"scalar param '{arg.arg}'")
         if "ndarray" in text or "DeviceArray" in text:
@@ -551,11 +581,8 @@ class KernelAnalysis:
             self.env[a.arg] = _param_value(a)
         for a in args.kwonlyargs:
             self.env[a.arg] = _param_value(a)
-        # Parameters used as the *array* operand of a routed call are
-        # device arrays, not index sources; keep them datadep.
         self.evaluator = ExprEvaluator(self.env, kir.ctx_name)
         self.index_values: dict[int, AbstractValue] = {}
-        self.mask_values: dict[int, AbstractValue] = {}
 
     # -- environment construction -----------------------------------------
 
@@ -569,8 +596,6 @@ class KernelAnalysis:
             self._exec_block(self.ir.func.body)
         for op in self.ir.mem_ops():
             self.index_values[id(op)] = self.evaluator.eval(op.index)
-            if op.mask.kind == MASK_MASKED and op.mask.node is not None:
-                self.mask_values[id(op)] = self.evaluator.eval(op.mask.node)
 
     def _assign(self, target: ast.expr, value: AbstractValue) -> None:
         if isinstance(target, ast.Name):
@@ -602,16 +627,14 @@ class KernelAnalysis:
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             self._assign(stmt.target, ev.eval(stmt.value))
         elif isinstance(stmt, ast.AugAssign):
-            value = ev.eval(stmt.value)
             if isinstance(stmt.target, ast.Name):
-                prev = self.env.get(stmt.target.id,
-                                    unknown(f"unbound '{stmt.target.id}'"))
-                combined = _worst(prev, value) if not (
-                    prev.is_affine and value.is_affine
-                ) else ExprEvaluator._affine_add(prev, value, 1)
-                self.env[stmt.target.id] = combined
+                # ``x op= v`` is ``x = x op v``: the operator decides.
+                self.env[stmt.target.id] = ev.eval(ast.BinOp(
+                    left=ast.Name(id=stmt.target.id, ctx=ast.Load()),
+                    op=stmt.op, right=stmt.value,
+                ))
             else:
-                self._assign(stmt.target, value)
+                self._assign(stmt.target, ev.eval(stmt.value))
         elif isinstance(stmt, ast.For):
             self._assign(stmt.target, self._loop_target_value(stmt))
             self._exec_block(stmt.body)
@@ -627,7 +650,7 @@ class KernelAnalysis:
         elif isinstance(stmt, ast.Expr):
             ev.eval(stmt.value) if isinstance(stmt.value, ast.expr) else None
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs audited separately if they are kernels
+            return  # helper ops carry no verdict (see KernelOp.in_helper)
         elif isinstance(stmt, (ast.Try,)):
             self._exec_block(stmt.body)
             for h in stmt.handlers:
@@ -710,7 +733,6 @@ class KernelAudit:
     ir: KernelIR
     verdicts: list[OpVerdict]
     diagnostics: list[Diagnostic]
-    index_values: dict[int, AbstractValue]
 
 
 # ---------------------------------------------------------------------------
@@ -764,15 +786,53 @@ def _find_witness(
     return None
 
 
+_BYPASS = (
+    "bypasses transaction counting; route the access through "
+    "ctx.gload/ctx.gstore"
+)
+_NO_LOGS = (
+    "scores must come from the precomputed log_table (ctx.cload), not "
+    "runtime logs"
+)
+
+#: Site kind -> (rule, message); ``{text}`` is the site's accessor, log
+#: function or array, ``{kernel}`` the kernel's name.
+_SITE_RULES: dict[str, tuple[str, str]] = {
+    "data": (
+        "GSNP101", "direct '.data' access inside kernel '{kernel}' " + _BYPASS
+    ),
+    "raw-call": (
+        "GSNP101", "'{text}()' inside kernel '{kernel}' " + _BYPASS
+    ),
+    "log": ("GSNP102", "'{text}' in kernel '{kernel}': " + _NO_LOGS),
+    "bare-log": (
+        "GSNP102", "'{text}' call in kernel '{kernel}': " + _NO_LOGS
+    ),
+    "thread-loop": (
+        "GSNP103",
+        "per-thread Python loop in kernel '{kernel}' (iterates over ctx.tid "
+        "/ ctx.n_threads); write the body as one lockstep vector operation "
+        "instead",
+    ),
+    "subscript": (
+        "GSNP105",
+        "NumPy indexing of device array '{text}' in kernel '{kernel}' "
+        "bypasses coalescing analysis; use ctx.gload/ctx.gstore with an "
+        "index vector",
+    ),
+}
+
+
 class _AuditChecks:
-    """GSNP202/204/205 checks over one analyzed kernel."""
+    """GSNP101-105 and GSNP202/204/205 checks over one analyzed kernel."""
 
     def __init__(self, analysis: KernelAnalysis) -> None:
         self.ir = analysis.ir
         self.values = analysis.index_values
         self.diags: list[Diagnostic] = []
 
-    def _flag(self, op: KernelOp, rule: str, message: str) -> None:
+    def _flag(self, op: Union[KernelOp, Site], rule: str,
+              message: str) -> None:
         self.diags.append(Diagnostic(
             path=self.ir.path, line=op.line, col=op.col,
             rule=rule, message=message,
@@ -780,10 +840,38 @@ class _AuditChecks:
 
     def run(self) -> list[Diagnostic]:
         mem = self.ir.mem_ops()
+        self._check_sites()
+        self._check_dropped_masks()
         self._check_unproven(mem)
         self._check_races(mem)
         self._check_missing_barrier(mem)
         return self.diags
+
+    # -- GSNP101/102/103/105 -----------------------------------------------
+
+    def _check_sites(self) -> None:
+        for site in self.ir.sites:
+            rule, message = _SITE_RULES[site.kind]
+            self._flag(
+                site, rule, message.format(text=site.text, kernel=self.ir.name)
+            )
+
+    # -- GSNP104 -----------------------------------------------------------
+
+    def _check_dropped_masks(self) -> None:
+        for op in self.ir.ops:
+            if (
+                op.is_store
+                and op.mask.kind == MASK_FULL_DEFAULT
+                and op.live_masks
+            ):
+                live = ", ".join(repr(m) for m in op.live_masks)
+                self._flag(
+                    op, "GSNP104",
+                    f"'{op.kind}' drops the live active mask ({live}) in "
+                    f"kernel '{self.ir.name}'; pass active=<mask>, or "
+                    "active=None to assert a deliberate full-warp store",
+                )
 
     # -- GSNP205 -----------------------------------------------------------
 
@@ -990,8 +1078,8 @@ def _check_uninit_reads(
         if not tainted:
             continue
         stored: set[str] = set()
-        for op in kir.ops:
-            if op.kind in CTX_MEM_METHODS and op.array_param in tainted:
+        for op in kir.mem_ops():
+            if op.array_param in tainted:
                 if op.is_store:
                     stored.add(op.array_param)
                 elif op.is_load and op.array_param not in stored:
@@ -1015,7 +1103,8 @@ def _check_uninit_reads(
 # ---------------------------------------------------------------------------
 
 def audit_kernel(kir: KernelIR) -> KernelAudit:
-    """Analyze one kernel: verdicts for every mem op + GSNP202/204/205."""
+    """Analyze one kernel: verdicts for every mem op + GSNP101-105 and
+    GSNP202/204/205."""
     analysis = KernelAnalysis(kir)
     analysis.run()
     verdicts: list[OpVerdict] = []
@@ -1040,10 +1129,7 @@ def audit_kernel(kir: KernelIR) -> KernelAudit:
             ),
         ))
     diags.extend(_AuditChecks(analysis).run())
-    return KernelAudit(
-        ir=kir, verdicts=verdicts, diagnostics=diags,
-        index_values=analysis.index_values,
-    )
+    return KernelAudit(ir=kir, verdicts=verdicts, diagnostics=diags)
 
 
 @dataclass
@@ -1059,41 +1145,53 @@ class ModuleAudit:
         return [v for k in self.kernels for v in k.verdicts]
 
 
+def _gsnp100(path: str, message: str, line: int = 1,
+             col: int = 1) -> Diagnostic:
+    return Diagnostic(path=path, line=line, col=col, rule="GSNP100",
+                      message=message)
+
+
 def audit_source(source: str, path: str = "<string>") -> ModuleAudit:
-    """Audit one module's source (suppression-filtered diagnostics)."""
+    """Audit one module's source: every rule, suppression-filtered.
+
+    Never raises on what it is given: a module that does not parse, or
+    that nests deeper than the analyzer can recurse, is one GSNP100.
+    """
     suppressions = _suppressions(source)
+    mod = ModuleAudit(path=path)
     try:
         tree = ast.parse(source, filename=path)
+        for kir in extract_module_ir(tree, path):
+            mod.kernels.append(audit_kernel(kir))
+        diags = [d for k in mod.kernels for d in k.diagnostics]
+        diags += _check_uninit_reads(tree, [k.ir for k in mod.kernels])
+        diags += module_diagnostics(tree, source, path)
     except SyntaxError as exc:
-        diag = Diagnostic(
-            path=path, line=exc.lineno or 1, col=(exc.offset or 0) + 1,
-            rule="GSNP100", message=f"file does not parse: {exc.msg}",
-        )
-        mod = ModuleAudit(path=path)
-        if not _is_suppressed(diag, suppressions):
-            mod.diagnostics.append(diag)
-        return mod
-    kernel_irs = [
-        extract_kernel_ir(func, path)
-        for func in discover_kernels(tree).kernels
-    ]
-    mod = ModuleAudit(path=path)
-    all_diags: list[Diagnostic] = []
-    for kir in kernel_irs:
-        ka = audit_kernel(kir)
-        mod.kernels.append(ka)
-        all_diags.extend(ka.diagnostics)
-    all_diags.extend(_check_uninit_reads(tree, kernel_irs))
+        diags = [_gsnp100(path, f"file does not parse: {exc.msg}",
+                          exc.lineno or 1, (exc.offset or 0) + 1)]
+    except RecursionError:
+        mod.kernels = []
+        diags = [_gsnp100(path, "file nests too deeply to analyse")]
     mod.diagnostics = sorted(
-        d for d in all_diags if not _is_suppressed(d, suppressions)
+        d for d in diags if not _is_suppressed(d, suppressions)
     )
     return mod
 
 
 def audit_file(path: Union[str, Path]) -> ModuleAudit:
-    """Audit one ``.py`` file."""
+    """Audit one ``.py`` file, decoded as Python decodes it (PEP 263).
+
+    A file that does not decode is a GSNP100 at ``path:1:1``.
+    """
     p = Path(path)
-    return audit_source(p.read_text(encoding="utf-8"), str(p))
+    try:
+        with tokenize.open(p) as fh:
+            source = fh.read()
+    except (SyntaxError, UnicodeDecodeError) as exc:
+        return ModuleAudit(path=str(p), diagnostics=[
+            _gsnp100(str(p), f"file does not decode: {exc}")
+        ])
+    return audit_source(source, str(p))
 
 
 def audit_paths(
@@ -1101,7 +1199,12 @@ def audit_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> list[ModuleAudit]:
-    """Audit files / directory trees; rule filters match lint_paths."""
+    """Audit files / directory trees.
+
+    ``select`` restricts to, and ``ignore`` drops, the given rule ids or
+    names (e.g. ``["GSNP104"]`` or ``["dropped-active-mask"]``); an
+    unknown rule is a ``ValueError``.
+    """
     sel = normalize_rules(select)
     ign = normalize_rules(ignore) or set()
     out: list[ModuleAudit] = []

@@ -1,7 +1,7 @@
-"""Shared kernel discovery for the static analyzers.
+"""Kernel discovery for ``gsnp audit``.
 
-``gsnp-lint`` and ``gsnp-audit`` both need the same answer to "which
-functions in this module are simulated kernel bodies?".  A kernel is
+Every kernel rule of the audit needs the same answer to "which functions
+in this module are simulated kernel bodies?".  A kernel is
 
 * any function whose name ends in ``_kernel`` (the naming convention), or
 * any function passed to a launch site — ``Device.launch(...)`` or
@@ -11,7 +11,7 @@ functions in this module are simulated kernel bodies?".  A kernel is
 
 The runtime sanitizer (:mod:`repro.analyze.sanitize`) hooks the same
 launch sites dynamically; this module is the static mirror of that
-contract, factored out so the two linters can never drift apart on what
+contract, so the static and runtime layers never drift apart on what
 counts as a kernel.
 """
 
@@ -46,12 +46,8 @@ def _callable_name(node: ast.expr) -> str | None:
 class DiscoveredKernels:
     """The kernel inventory of one module."""
 
-    #: Every function definition in the module (including nested ones).
-    defs: list[ast.FunctionDef] = field(default_factory=list)
     #: Names referenced at launch sites, before alias resolution.
     launched: set[str] = field(default_factory=set)
-    #: ``launched`` with local aliases followed to their targets.
-    launched_resolved: set[str] = field(default_factory=set)
     #: Simple ``alias = target`` assignments seen in the module.
     aliases: dict[str, str] = field(default_factory=dict)
     #: The function definitions classified as kernel bodies.
@@ -120,9 +116,7 @@ def discover_kernels(tree: ast.AST) -> DiscoveredKernels:
         if d.name.endswith("_kernel") or d.name in resolved
     ]
     return DiscoveredKernels(
-        defs=finder.defs,
         launched=finder.launched,
-        launched_resolved=resolved,
         aliases=dict(finder.aliases),
         kernels=kernels,
     )

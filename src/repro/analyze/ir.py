@@ -1,6 +1,6 @@
-"""Per-kernel IR extraction for the static dataflow auditor.
+"""Per-kernel IR extraction for ``gsnp audit``.
 
-``gsnp-audit`` does not analyze raw ASTs: it first lowers every kernel
+The analyzer does not query raw ASTs: it first lowers every kernel
 body into a flat list of :class:`KernelOp` records — one per routed
 memory operation (``ctx.gload`` / ``ctx.gstore`` / ``ctx.gatomic_add`` /
 ``ctx.cload``), shared-memory note (``ctx.note_shared``) and barrier
@@ -9,7 +9,8 @@ memory operation (``ctx.gload`` / ``ctx.gstore`` / ``ctx.gatomic_add`` /
 * the *symbolic index expression* (the untouched AST of the index
   operand, plus its source text for messages),
 * the *active mask* discipline (absent, explicit ``active=None``
-  full-warp assertion, or a real mask expression),
+  full-warp assertion, or a real mask expression), plus the mask names
+  already bound when the op runs,
 * the *barrier region* (a counter that increments at every
   ``syncthreads`` on the same straight-line path),
 * the innermost containing loop (and whether that loop body contains a
@@ -17,8 +18,18 @@ memory operation (``ctx.gload`` / ``ctx.gstore`` / ``ctx.gatomic_add`` /
 * the conditional-branch path (which arm of which ``if`` the op sits
   in; host-uniform branches are mutually exclusive within one launch).
 
-The abstract interpreter in :mod:`repro.analyze.dataflow` consumes this
-IR.  Extraction is purely syntactic: no values are evaluated here.
+Beside the ops, every construct the routed-op model *cannot* express is
+one :class:`Site` record: a raw ``.data`` / ``flat_view()`` /
+``copy_to_host()`` access, NumPy indexing of a device array, a runtime
+``log*`` call, or a Python loop over ``ctx.tid`` / ``ctx.n_threads``.
+
+Helper defs nested in a kernel body are kernel code too: their sites
+and ops are recorded, but their ops are marked ``in_helper`` and carry
+no verdict (their indices are bound by the helper's own parameters).
+
+The abstract interpreter and the rule queries in
+:mod:`repro.analyze.dataflow` consume this IR.  Extraction is purely
+syntactic: no values are evaluated here.
 
 One simulator-specific subtlety handled here is *ctx-method aliasing*::
 
@@ -57,6 +68,11 @@ MASK_FULL_DEFAULT = "full-default"   # no active argument at all
 MASK_FULL_ASSERT = "full-assert"     # explicit active=None
 MASK_MASKED = "masked"               # a real mask expression
 
+_RAW_ACCESSORS = frozenset({"flat_view", "copy_to_host"})
+_LOG_FUNCS = frozenset({"log", "log10", "log2", "log1p"})
+_LOG_MODULES = frozenset({"np", "numpy", "math"})
+_THREAD_ATTRS = frozenset({"tid", "n_threads"})
+
 
 @dataclass(frozen=True)
 class MaskInfo:
@@ -92,6 +108,8 @@ class KernelOp:
     loop_has_barrier: bool = False
     branch_path: tuple[tuple[int, int], ...] = ()
     alias_of: Optional[str] = None  # local name when called via an alias
+    live_masks: tuple[str, ...] = ()  # mask names bound before this op
+    in_helper: bool = False        # inside a def nested in the kernel
 
     @property
     def is_load(self) -> bool:
@@ -100,6 +118,19 @@ class KernelOp:
     @property
     def is_store(self) -> bool:
         return self.kind in CTX_STORES
+
+
+@dataclass(frozen=True)
+class Site:
+    """One construct the routed-op model cannot express."""
+
+    kind: str       # data (``x.data``) | raw-call (``flat_view()`` /
+                    # ``copy_to_host()``) | subscript (NumPy indexing of
+                    # a device array) | log (``np.log*``) | bare-log
+                    # (``log*(...)``) | thread-loop (``for`` over tid)
+    line: int
+    col: int
+    text: str = ""  # the accessor, log function or array it names
 
 
 @dataclass
@@ -114,12 +145,19 @@ class KernelIR:
     ops: list[KernelOp]
     n_barriers: int
     func: ast.FunctionDef = field(repr=False)
+    sites: list[Site] = field(default_factory=list)
 
     def mem_ops(self) -> list[KernelOp]:
-        return [op for op in self.ops if op.kind in CTX_MEM_METHODS]
+        """The kernel's own routed memory ops (the ones given verdicts)."""
+        return [
+            op for op in self.ops
+            if op.kind in CTX_MEM_METHODS and not op.in_helper
+        ]
 
 
-def _source_text(node: Optional[ast.AST]) -> str:
+def source_text(node: Optional[ast.AST]) -> str:
+    """Source text of a node for messages; never raises (an int past the
+    str-conversion digit limit, say, prints as ``<unprintable>``)."""
     if node is None:
         return ""
     try:
@@ -176,7 +214,7 @@ def _pick_alias_kind(methods: frozenset[str]) -> str:
 
 
 class _IRExtractor:
-    """Walk one kernel body in source order, emitting KernelOps."""
+    """Walk one kernel body in source order, emitting ops and sites."""
 
     def __init__(self, func: ast.FunctionDef, path: str) -> None:
         self.func = func
@@ -188,7 +226,33 @@ class _IRExtractor:
         collector = _CtxAliasCollector(self.ctx_name)
         collector.visit(func)
         self.ctx_aliases = collector.aliases
+        every_arg = args.posonlyargs + args.args + args.kwonlyargs
+        self.param_ids = {a.arg for a in every_arg}
+        routed = [
+            n for n in ast.walk(func)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr in CTX_MEM_METHODS
+        ]
+        # A mask is ``active`` or any name ever passed as ``active=<name>``.
+        self.mask_names = {"active"} | {
+            kw.value.id for c in routed for kw in c.keywords
+            if kw.arg == "active" and isinstance(kw.value, ast.Name)
+        }
+        # Device-array params: annotated DeviceArray, or the array operand
+        # of a routed call.
+        self.device_params = {
+            a.arg for a in every_arg
+            if "DeviceArray" in source_text(a.annotation)
+        } | {
+            c.args[0].id for c in routed
+            if c.args and isinstance(c.args[0], ast.Name)
+            and c.args[0].id in self.param_ids
+        }
         self.ops: list[KernelOp] = []
+        self.sites: list[Site] = []
+        self.live_masks: list[str] = []
+        self.in_helper = False
         self.region = 0
         self.n_barriers = 0
         self.loop_stack: list[ast.AST] = []
@@ -207,10 +271,29 @@ class _IRExtractor:
             loop_id=id(loop) if loop is not None else None,
             loop_line=getattr(loop, "lineno", None),
             branch_path=tuple(self.branch_stack),
+            live_masks=tuple(self.live_masks),
+            in_helper=self.in_helper,
             **kw,  # type: ignore[arg-type]
         )
         self.ops.append(op)
         return op
+
+    def _site(self, node: ast.AST, kind: str, text: str = "") -> None:
+        self.sites.append(Site(
+            kind,
+            line=getattr(node, "lineno", self.func.lineno),
+            col=getattr(node, "col_offset", 0) + 1,
+            text=text,
+        ))
+
+    def _note_masks(self, target: ast.AST) -> None:
+        for n in ast.walk(target):
+            if (
+                isinstance(n, ast.Name)
+                and n.id in self.mask_names
+                and n.id not in self.live_masks
+            ):
+                self.live_masks.append(n.id)
 
     def _mask_info(self, call: ast.Call, kind: str) -> MaskInfo:
         active: Optional[ast.expr] = None
@@ -227,7 +310,7 @@ class _IRExtractor:
             return MaskInfo(MASK_FULL_DEFAULT, "")
         if isinstance(active, ast.Constant) and active.value is None:
             return MaskInfo(MASK_FULL_ASSERT, "None")
-        return MaskInfo(MASK_MASKED, _source_text(active), node=active)
+        return MaskInfo(MASK_MASKED, source_text(active), node=active)
 
     def _emit_mem(self, call: ast.Call, kind: str,
                   alias_of: Optional[str] = None) -> None:
@@ -243,10 +326,10 @@ class _IRExtractor:
             array_param = arr.id
         self._emit(
             call, kind,
-            array_text=_source_text(arr),
+            array_text=source_text(arr),
             array_param=array_param,
             index=idx,
-            index_text=_source_text(idx),
+            index_text=source_text(idx),
             mask=self._mask_info(call, kind),
             alias_of=alias_of,
         )
@@ -269,15 +352,26 @@ class _IRExtractor:
             ops=ops,
             n_barriers=self.n_barriers,
             func=self.func,
+            sites=self.sites,
         )
 
     def _visit(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node is not self.func:
-                return  # nested defs get their own IR if they are kernels
+            # A helper nested in the kernel body runs as kernel code.
+            outer, self.in_helper = self.in_helper, True
             for stmt in node.body:
                 self._visit(stmt)
+            self.in_helper = outer
             return
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                self._note_masks(t)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+            self._note_masks(node.target)
+        elif isinstance(node, ast.Attribute) and node.attr == "data":
+            self._site(node, "data")
+        elif isinstance(node, ast.Subscript):
+            self._visit_subscript(node)
         if isinstance(node, (ast.For, ast.While)):
             self._visit_loop(node)
             return
@@ -290,12 +384,30 @@ class _IRExtractor:
         for child in ast.iter_child_nodes(node):
             self._visit(child)
 
+    def _visit_subscript(self, node: ast.Subscript) -> None:
+        base = node.value
+        if not isinstance(base, ast.Name) or base.id not in self.param_ids:
+            return
+        # A known device array, or any param indexed per thread (the
+        # subscript itself is the evidence).
+        tid_indexed = any(
+            isinstance(n, ast.Attribute) and n.attr == "tid"
+            for n in ast.walk(node.slice)
+        )
+        if base.id in self.device_params or tid_indexed:
+            self._site(node, "subscript", base.id)
+
     def _visit_loop(self, node: ast.AST) -> None:
         self.loop_stack.append(node)
         barriers_before = self.n_barriers
         body = getattr(node, "body", [])
         orelse = getattr(node, "orelse", [])
         if isinstance(node, ast.For):
+            if any(
+                isinstance(n, ast.Attribute) and n.attr in _THREAD_ATTRS
+                for n in ast.walk(node.iter)
+            ):
+                self._site(node, "thread-loop")
             self._visit(node.iter)
         elif isinstance(node, ast.While):
             self._visit(node.test)
@@ -330,17 +442,29 @@ class _IRExtractor:
             if func.attr in CTX_MEM_METHODS:
                 self._emit_mem(node, func.attr)
             elif func.attr == "syncthreads":
-                self.n_barriers += 1
                 self._emit(node, "syncthreads")
-                self.region += 1
+                if not self.in_helper:  # not on the kernel's own path
+                    self.n_barriers += 1
+                    self.region += 1
             elif func.attr == "note_shared":
                 self._emit(
                     node, "note_shared",
                     mask=self._mask_info(node, "note_shared"),
                 )
-        elif isinstance(func, ast.Name) and func.id in self.ctx_aliases:
-            kind = _pick_alias_kind(self.ctx_aliases[func.id])
-            self._emit_mem(node, kind, alias_of=func.id)
+            elif func.attr in _RAW_ACCESSORS:
+                self._site(node, "raw-call", func.attr)
+            elif (
+                func.attr in _LOG_FUNCS
+                and isinstance(func.value, ast.Name)
+                and func.value.id in _LOG_MODULES
+            ):
+                self._site(node, "log", f"{func.value.id}.{func.attr}")
+        elif isinstance(func, ast.Name):
+            if func.id in self.ctx_aliases:
+                kind = _pick_alias_kind(self.ctx_aliases[func.id])
+                self._emit_mem(node, kind, alias_of=func.id)
+            elif func.id in _LOG_FUNCS:
+                self._site(node, "bare-log", func.id)
         for child in ast.iter_child_nodes(node):
             self._visit(child)
 
@@ -368,6 +492,8 @@ __all__ = [
     "MaskInfo",
     "KernelOp",
     "KernelIR",
+    "Site",
+    "source_text",
     "extract_kernel_ir",
     "extract_module_ir",
 ]

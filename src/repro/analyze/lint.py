@@ -1,70 +1,36 @@
-"""``gsnp-lint``: static AST enforcement of the SIMT kernel discipline.
+"""The rule table, diagnostics and suppressions of ``gsnp audit``.
 
 Every paper-level claim this repo reproduces (Table III counters, the
 82 vs 3.2 GB/s coalescing gap, bitwise CPU/GPU score consistency) is only
 valid if every simulated kernel routes its memory traffic through
 :class:`~repro.gpusim.kernel.KernelContext` and follows the lockstep
-idiom.  This linter discovers kernel bodies — functions named
-``*_kernel`` or passed to ``Device.launch`` / ``DeviceStream.enqueue`` —
-and flags violations:
+idiom.  ``gsnp audit`` is the one analyzer that checks it; this module
+holds what all of its rules share — the :data:`RULES` table, the
+:class:`Diagnostic` record and the ``# gsnp-lint: disable=`` suppression
+grammar — plus the two module-level rules, which look at a whole file
+rather than at a kernel body:
 
-========  ====================  ==============================================
-rule id   name                  what it catches
-========  ====================  ==============================================
-GSNP100   parse-error           file does not parse (reported, not raised)
-GSNP101   kernel-data-access    direct ``.data`` / ``flat_view()`` /
-                                ``copy_to_host()`` access inside a kernel —
-                                traffic the transaction counters never see
-GSNP102   kernel-log-call       ``np.log*`` / ``math.log*`` in a kernel body;
-                                scores must come from the precomputed
-                                ``log_table`` (the paper's contribution 3)
-GSNP103   per-thread-loop       Python loops over ``ctx.tid`` /
-                                ``range(ctx.n_threads)`` — the anti-lockstep
-                                pattern (one iteration per thread)
-GSNP104   dropped-active-mask   ``gstore`` / ``gatomic_add`` without an
-                                ``active`` argument while a live mask is in
-                                scope (write ``active=None`` to assert a
-                                deliberate full-warp store)
-GSNP105   device-fancy-index    NumPy subscripting of a device array inside
-                                a kernel instead of ``ctx.gload``/``gstore``
-GSNP106   adhoc-fault-site      fault injection outside the chaos registry:
-                                ``fault_point`` with a non-literal or
-                                unregistered site, ad-hoc ``if FAULT:``-style
-                                flags, or ``FAULT``/``CHAOS`` environment
-                                lookups (module-level rule, not kernel-scoped)
-GSNP107   fusable-in-window-loop  a launcher registered in
-                                ``repro.gpusim.launchplan.FUSABLE_LAUNCHERS``
-                                called inside a per-window loop — per-window
-                                kernel chains belong on the fused megabatch
-                                path (module-level rule, not kernel-scoped)
+========  =============================  =====================================
+rule id   name                           what it catches
+========  =============================  =====================================
+GSNP106   adhoc-fault-site               fault injection outside the chaos
+                                         registry: ``fault_point`` with a
+                                         non-literal or unregistered site,
+                                         ad-hoc ``if FAULT:``-style flags, or
+                                         ``FAULT``/``CHAOS`` environment
+                                         lookups
 GSNP109   suppression-without-rationale  a ``# gsnp-lint: disable=`` comment
-                                with no explanatory comment on the same line
-                                or within two lines (opt-in via
-                                ``--require-rationale``; enforced in CI)
-GSNP110   direct-device-instantiation  ``Device(...)`` constructed directly
-                                instead of acquired through
-                                ``repro.gpusim.pool`` (``acquire_device`` /
-                                ``DevicePool``) — bare devices bypass the
-                                shared-link accounting and the pool's
-                                residency keying (module-level rule)
-GSNP111   per-sample-launcher-loop  a launcher registered in
-                                ``FUSABLE_LAUNCHERS`` called inside a
-                                per-sample/cohort loop; the sample-major
-                                cohort launch plan batches all samples into
-                                one launch chain — a Python loop over samples
-                                reintroduces O(S x megabatches) launches
-                                (module-level rule)
-========  ====================  ==============================================
+                                         with no explanatory comment on the
+                                         same line or within two lines
+========  =============================  =====================================
 
-Rules GSNP201–GSNP205 are registered here but emitted by the static
-dataflow auditor (:mod:`repro.analyze.dataflow`, the ``gsnp-audit`` CLI);
-see that module for their semantics.  All rules share one id space, one
-``RULES`` registry, and one suppression mechanism.
+The entry points in :mod:`repro.analyze.dataflow` report GSNP100 (a
+file that does not decode or parse) and answer the kernel rules
+GSNP101-105 and GSNP201-205 as queries over the kernel IR.
 
 Suppress a finding with ``# gsnp-lint: disable=GSNP101`` (rule ids or
-names, comma-separated, or ``all``) on the offending line; suppressions
-are expected to carry a rationale comment nearby (GSNP109 enforces this
-when asked).
+names, comma-separated, or ``all``) on the offending line, with a
+rationale comment nearby (GSNP109).
 """
 
 from __future__ import annotations
@@ -72,12 +38,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-from .discover import discover_kernels, iter_python_files
-
-#: rule id -> short name (shared by gsnp-lint and gsnp-audit)
+#: rule id -> short name
 RULES: dict[str, str] = {
     "GSNP100": "parse-error",
     "GSNP101": "kernel-data-access",
@@ -86,11 +49,7 @@ RULES: dict[str, str] = {
     "GSNP104": "dropped-active-mask",
     "GSNP105": "device-fancy-index",
     "GSNP106": "adhoc-fault-site",
-    "GSNP107": "fusable-in-window-loop",
     "GSNP109": "suppression-without-rationale",
-    "GSNP110": "direct-device-instantiation",
-    "GSNP111": "per-sample-launcher-loop",
-    # -- emitted by gsnp-audit (repro.analyze.dataflow) --------------------
     "GSNP201": "access-pattern-verdict",
     "GSNP202": "static-race",
     "GSNP203": "static-uninit-read",
@@ -98,26 +57,9 @@ RULES: dict[str, str] = {
     "GSNP205": "unproven-access",
 }
 
-#: Rules emitted by ``gsnp-lint`` itself (the rest belong to ``gsnp-audit``).
-LINT_RULES: frozenset[str] = frozenset(
-    r for r in RULES if r < "GSNP200"
-)
-
-#: Rules emitted by ``gsnp-audit`` (the dataflow analyzer).
-AUDIT_RULES: frozenset[str] = frozenset(
-    r for r in RULES if r >= "GSNP200"
-)
-
 _RULE_BY_NAME = {name: rid for rid, name in RULES.items()}
 
 _SUPPRESS_RE = re.compile(r"#\s*gsnp-lint:\s*disable=([A-Za-z0-9_\-, ]+)")
-
-_LOG_FUNCS = {"log", "log10", "log2", "log1p"}
-_LOG_MODULES = {"np", "numpy", "math"}
-_CTX_STORES = {"gstore", "gatomic_add"}
-_CTX_MEM = {"gload", "cload", "gstore", "gatomic_add"}
-_RAW_ACCESSORS = {"flat_view", "copy_to_host"}
-_THREAD_ATTRS = {"tid", "n_threads"}
 
 
 @dataclass(frozen=True, order=True)
@@ -198,203 +140,6 @@ def _is_suppressed(
         or diag.rule in toks
         or RULES.get(diag.rule, "") in toks
     )
-
-
-def _annotation_names(node: Optional[ast.expr]) -> set[str]:
-    if node is None:
-        return set()
-    return {
-        n.id for n in ast.walk(node) if isinstance(n, ast.Name)
-    } | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
-
-
-def _call_is_ctx_mem(node: ast.Call) -> Optional[str]:
-    """Return the method name when ``node`` is a ``<recv>.g{load,store,...}``
-    routed-memory call."""
-    if isinstance(node.func, ast.Attribute) and node.func.attr in _CTX_MEM:
-        return node.func.attr
-    return None
-
-
-class _KernelChecker:
-    """Scan one kernel body in source order (pre-order traversal)."""
-
-    def __init__(self, kernel: ast.FunctionDef, path: str) -> None:
-        self.kernel = kernel
-        self.path = path
-        self.diags: list[Diagnostic] = []
-        self.mask_names = self._collect_mask_names()
-        args = kernel.args
-        self.param_ids = {
-            a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
-        }
-        self.device_names = self._collect_device_names()
-        self.seen_masks: list[str] = []
-
-    # -- pre-passes --------------------------------------------------------
-
-    def _collect_mask_names(self) -> set[str]:
-        """Names ever passed as ``active=<name>`` in a routed call, plus the
-        conventional name ``active`` itself."""
-        names = {"active"}
-        for node in ast.walk(self.kernel):
-            if isinstance(node, ast.Call) and _call_is_ctx_mem(node):
-                for kw in node.keywords:
-                    if kw.arg == "active" and isinstance(kw.value, ast.Name):
-                        names.add(kw.value.id)
-        return names
-
-    def _collect_device_names(self) -> set[str]:
-        """Kernel parameters that are device arrays: annotated DeviceArray,
-        or used as the array operand of a routed memory call."""
-        args = self.kernel.args
-        params = args.posonlyargs + args.args + args.kwonlyargs
-        names = {
-            a.arg
-            for a in params
-            if "DeviceArray" in _annotation_names(a.annotation)
-        }
-        for node in ast.walk(self.kernel):
-            if isinstance(node, ast.Call) and _call_is_ctx_mem(node):
-                if node.args and isinstance(node.args[0], ast.Name):
-                    if node.args[0].id in self.param_ids:
-                        names.add(node.args[0].id)
-        return names
-
-    # -- reporting ---------------------------------------------------------
-
-    def _flag(self, node: ast.AST, rule: str, message: str) -> None:
-        self.diags.append(Diagnostic(
-            path=self.path,
-            line=getattr(node, "lineno", self.kernel.lineno),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule=rule,
-            message=message,
-        ))
-
-    # -- traversal ---------------------------------------------------------
-
-    def run(self) -> list[Diagnostic]:
-        for stmt in self.kernel.body:
-            self._visit(stmt)
-        return self.diags
-
-    def _note_mask_binding(self, target: ast.AST) -> None:
-        for n in ast.walk(target):
-            if isinstance(n, ast.Name) and n.id in self.mask_names:
-                if n.id not in self.seen_masks:
-                    self.seen_masks.append(n.id)
-
-    def _visit(self, node: ast.AST) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested defs are kernel helper code: scan their bodies too.
-            for stmt in node.body:
-                self._visit(stmt)
-            return
-        if isinstance(node, ast.Assign):
-            for t in node.targets:
-                self._note_mask_binding(t)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            self._note_mask_binding(node.target)
-        elif isinstance(node, ast.NamedExpr):
-            self._note_mask_binding(node.target)
-        elif isinstance(node, ast.For):
-            self._check_for(node)
-        elif isinstance(node, ast.Call):
-            self._check_call(node)
-        elif isinstance(node, ast.Attribute):
-            self._check_attribute(node)
-        elif isinstance(node, ast.Subscript):
-            self._check_subscript(node)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child)
-
-    # -- rules -------------------------------------------------------------
-
-    def _check_attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "data":
-            self._flag(
-                node, "GSNP101",
-                "direct '.data' access inside kernel "
-                f"'{self.kernel.name}' bypasses transaction counting; "
-                "route the access through ctx.gload/ctx.gstore",
-            )
-
-    def _check_call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in _RAW_ACCESSORS:
-                self._flag(
-                    node, "GSNP101",
-                    f"'{func.attr}()' inside kernel '{self.kernel.name}' "
-                    "bypasses transaction counting; route the access "
-                    "through ctx.gload/ctx.gstore",
-                )
-            if (
-                func.attr in _LOG_FUNCS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in _LOG_MODULES
-            ):
-                self._flag(
-                    node, "GSNP102",
-                    f"'{func.value.id}.{func.attr}' in kernel "
-                    f"'{self.kernel.name}': scores must come from the "
-                    "precomputed log_table (ctx.cload), not runtime logs",
-                )
-            if func.attr in _CTX_STORES:
-                self._check_store_mask(node, func.attr)
-        elif isinstance(func, ast.Name) and func.id in _LOG_FUNCS:
-            self._flag(
-                node, "GSNP102",
-                f"'{func.id}' call in kernel '{self.kernel.name}': scores "
-                "must come from the precomputed log_table (ctx.cload), "
-                "not runtime logs",
-            )
-
-    def _check_store_mask(self, node: ast.Call, method: str) -> None:
-        has_active = len(node.args) >= 4 or any(
-            kw.arg == "active" for kw in node.keywords
-        )
-        if not has_active and self.seen_masks:
-            live = ", ".join(repr(m) for m in self.seen_masks)
-            self._flag(
-                node, "GSNP104",
-                f"'{method}' drops the live active mask ({live}) in kernel "
-                f"'{self.kernel.name}'; pass active=<mask>, or active=None "
-                "to assert a deliberate full-warp store",
-            )
-
-    def _check_for(self, node: ast.For) -> None:
-        offenders = [
-            n for n in ast.walk(node.iter)
-            if isinstance(n, ast.Attribute) and n.attr in _THREAD_ATTRS
-        ]
-        if offenders:
-            self._flag(
-                node, "GSNP103",
-                f"per-thread Python loop in kernel '{self.kernel.name}' "
-                "(iterates over ctx.tid / ctx.n_threads); write the body "
-                "as one lockstep vector operation instead",
-            )
-
-    def _check_subscript(self, node: ast.Subscript) -> None:
-        if not isinstance(node.value, ast.Name):
-            return
-        # Either a known device array, or any kernel parameter indexed by a
-        # per-thread expression (the subscript itself is the evidence).
-        tid_indexed = node.value.id in self.param_ids and any(
-            isinstance(n, ast.Attribute) and n.attr == "tid"
-            for n in ast.walk(node.slice)
-        )
-        if node.value.id in self.device_names or tid_indexed:
-            self._flag(
-                node, "GSNP105",
-                f"NumPy indexing of device array '{node.value.id}' in "
-                f"kernel '{self.kernel.name}' bypasses coalescing "
-                "analysis; use ctx.gload/ctx.gstore with an index vector",
-            )
 
 
 class _FaultSiteChecker(ast.NodeVisitor):
@@ -510,173 +255,6 @@ class _FaultSiteChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class _FusableLoopChecker(ast.NodeVisitor):
-    """GSNP107: fusable launchers must not run once per window.
-
-    Module-level (not kernel-scoped).  A *window loop* is a ``for`` whose
-    target binds a window-like name (``for window in ...``) or whose
-    iterable is a bare name/attribute containing ``window``
-    (``for w in windows``).  Calls inside such a loop to any launcher in
-    :data:`repro.gpusim.launchplan.FUSABLE_LAUNCHERS` are flagged: that
-    device work has a megabatch equivalent on the fused path, and a
-    per-window launch chain silently reintroduces the launch-granularity
-    cost the launch-plan scheduler exists to remove.  (The per-window
-    parity oracle is a launch batch of one on the same plan-driven loop,
-    not a window loop of its own.)
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.diags: list[Diagnostic] = []
-
-    @staticmethod
-    def _is_window_loop(node: ast.For) -> bool:
-        names = [
-            n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)
-        ]
-        it = node.iter
-        if isinstance(it, ast.Name):
-            names.append(it.id)
-        elif isinstance(it, ast.Attribute):
-            names.append(it.attr)
-        return any("window" in nm.lower() for nm in names)
-
-    def visit_For(self, node: ast.For) -> None:
-        if self._is_window_loop(node):
-            from ..gpusim.launchplan import FUSABLE_LAUNCHERS
-
-            for sub in ast.walk(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                func = sub.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name in FUSABLE_LAUNCHERS:
-                    self.diags.append(Diagnostic(
-                        path=self.path,
-                        line=getattr(sub, "lineno", node.lineno),
-                        col=getattr(sub, "col_offset", 0) + 1,
-                        rule="GSNP107",
-                        message=(
-                            f"fusable launcher '{name}' called inside a "
-                            "per-window loop; route this work through the "
-                            "megabatch launch plan "
-                            "(repro.gpusim.launchplan) instead of "
-                            "launching once per window"
-                        ),
-                    ))
-        self.generic_visit(node)
-
-
-class _SampleLoopChecker(ast.NodeVisitor):
-    """GSNP111: fusable launchers must not run once per cohort sample.
-
-    Module-level (not kernel-scoped); the cohort-mode sibling of GSNP107.
-    A *sample loop* is a ``for`` whose target binds a sample-like name
-    (``for sample in ...``) or whose iterable is a bare name/attribute
-    containing ``sample`` or ``cohort`` (``for b in sample_reads``).
-    Calls inside such a loop to any launcher in
-    :data:`repro.gpusim.launchplan.FUSABLE_LAUNCHERS` are flagged: the
-    sample-major launch plan (``build_launch_plan(..., samples=)``) runs all
-    S samples in one launch chain per megabatch, so a Python loop over
-    samples around device launches silently reintroduces the
-    O(S x megabatches) launch cost the cohort mode exists to remove.
-    """
-
-    _LOOP_WORDS = ("sample", "cohort")
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.diags: list[Diagnostic] = []
-
-    @classmethod
-    def _is_sample_loop(cls, node: ast.For) -> bool:
-        names = [
-            n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)
-        ]
-        it = node.iter
-        if isinstance(it, ast.Name):
-            names.append(it.id)
-        elif isinstance(it, ast.Attribute):
-            names.append(it.attr)
-        return any(
-            word in nm.lower() for nm in names for word in cls._LOOP_WORDS
-        )
-
-    def visit_For(self, node: ast.For) -> None:
-        if self._is_sample_loop(node):
-            from ..gpusim.launchplan import FUSABLE_LAUNCHERS
-
-            for sub in ast.walk(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                func = sub.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name in FUSABLE_LAUNCHERS:
-                    self.diags.append(Diagnostic(
-                        path=self.path,
-                        line=getattr(sub, "lineno", node.lineno),
-                        col=getattr(sub, "col_offset", 0) + 1,
-                        rule="GSNP111",
-                        message=(
-                            f"fusable launcher '{name}' called inside a "
-                            "per-sample loop; build a sample-major cohort "
-                            "launch plan (build_launch_plan(..., samples=)) "
-                            "so all samples share one launch chain per "
-                            "megabatch"
-                        ),
-                    ))
-        self.generic_visit(node)
-
-
-class _DeviceInstantiationChecker(ast.NodeVisitor):
-    """GSNP110: devices are acquired from the pool, not constructed.
-
-    Module-level (not kernel-scoped).  Flags any call spelled
-    ``Device(...)`` or ``<mod>.Device(...)``: a bare device has no
-    :class:`~repro.gpusim.pool.HostLink` (its transfers escape the
-    shared-link contention accounting) and no pool device id (its
-    residency cache can collide with a pool device's).  Acquire through
-    :func:`repro.gpusim.pool.acquire_device` or
-    :class:`repro.gpusim.pool.DevicePool` instead; the pool module's own
-    constructor calls carry explicit suppressions, as do harness/test
-    sites that deliberately measure an unpooled device.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.diags: list[Diagnostic] = []
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "Device":
-            self.diags.append(Diagnostic(
-                path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                rule="GSNP110",
-                message=(
-                    "direct Device(...) instantiation bypasses the device "
-                    "pool; acquire through repro.gpusim.pool.acquire_device"
-                    " (or DevicePool) so transfers share the modeled host "
-                    "link and residency is keyed by device identity"
-                ),
-            ))
-        self.generic_visit(node)
-
-
 _MIN_RATIONALE_WORDS = 3
 _RATIONALE_WINDOW_ABOVE = 2
 _RATIONALE_WINDOW_BELOW = 1
@@ -694,7 +272,7 @@ def _comment_words(text: str) -> int:
     return len(_WORD_RE.findall(comment))
 
 
-def rationale_diagnostics(source: str, path: str) -> list[Diagnostic]:
+def _rationale_diagnostics(source: str, path: str) -> list[Diagnostic]:
     """GSNP109: every suppression directive must carry a rationale.
 
     A rationale is a comment with at least :data:`_MIN_RATIONALE_WORDS`
@@ -732,78 +310,11 @@ def rationale_diagnostics(source: str, path: str) -> list[Diagnostic]:
     return diags
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    require_rationale: bool = False,
+def module_diagnostics(
+    tree: ast.Module, source: str, path: str
 ) -> list[Diagnostic]:
-    """Lint one module's source; returns sorted, suppression-filtered
-    diagnostics (a syntax error yields a single GSNP100 diagnostic)."""
-    suppressions = _suppressions(source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        parse_diag = Diagnostic(
-            path=path, line=exc.lineno or 1, col=(exc.offset or 0) + 1,
-            rule="GSNP100", message=f"file does not parse: {exc.msg}",
-        )
-        if _is_suppressed(parse_diag, suppressions):
-            return []
-        return [parse_diag]
-    diags: set[Diagnostic] = set()
-    for kernel in discover_kernels(tree).kernels:
-        for d in _KernelChecker(kernel, path).run():
-            if not _is_suppressed(d, suppressions):
-                diags.add(d)
-    for checker in (
-        _FaultSiteChecker(path),
-        _FusableLoopChecker(path),
-        _SampleLoopChecker(path),
-        _DeviceInstantiationChecker(path),
-    ):
-        checker.visit(tree)
-        for d in checker.diags:
-            if not _is_suppressed(d, suppressions):
-                diags.add(d)
-    if require_rationale:
-        for d in rationale_diagnostics(source, path):
-            if not _is_suppressed(d, suppressions):
-                diags.add(d)
-    return sorted(diags)
-
-
-def lint_file(
-    path: Union[str, Path], require_rationale: bool = False
-) -> list[Diagnostic]:
-    """Lint one ``.py`` file."""
-    p = Path(path)
-    return lint_source(
-        p.read_text(encoding="utf-8"), str(p),
-        require_rationale=require_rationale,
-    )
-
-
-def lint_paths(
-    paths: Sequence[Union[str, Path]],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    require_rationale: bool = False,
-) -> list[Diagnostic]:
-    """Lint files and/or directory trees of ``.py`` files.
-
-    ``select`` restricts to, and ``ignore`` drops, the given rule ids or
-    names (e.g. ``["GSNP104"]`` or ``["dropped-active-mask"]``).
-    ``require_rationale`` additionally fires GSNP109 on suppression
-    directives with no nearby explanatory comment.
-    """
-    sel = normalize_rules(select)
-    ign = normalize_rules(ignore) or set()
-    out: list[Diagnostic] = []
-    for f in iter_python_files(paths):
-        for d in lint_file(f, require_rationale=require_rationale):
-            if sel is not None and d.rule not in sel:
-                continue
-            if d.rule in ign:
-                continue
-            out.append(d)
-    return out
+    """The module-level rules: GSNP106 over the tree, GSNP109 over the
+    suppression comments (unfiltered; the caller applies suppressions)."""
+    checker = _FaultSiteChecker(path)
+    checker.visit(tree)
+    return checker.diags + _rationale_diagnostics(source, path)

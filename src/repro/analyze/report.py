@@ -1,4 +1,4 @@
-"""Shared diagnostic output formats for ``gsnp-lint`` and ``gsnp-audit``.
+"""Diagnostic output formats for ``gsnp audit``.
 
 Three formats, selected with ``--format``:
 
@@ -6,7 +6,7 @@ Three formats, selected with ``--format``:
     the classic ``path:line:col: RULE [name] message`` lines;
 ``json``
     one machine-readable document (``{"tool", "diagnostics", "count"}``
-    plus tool-specific extras) for dashboards and scripted gates;
+    plus the audit's extras) for dashboards and scripted gates;
 ``github``
     GitHub Actions workflow commands (``::error file=...,line=...``) so
     CI failures render as per-line annotations on the PR diff instead of
@@ -41,7 +41,6 @@ def _github_line(diag: Diagnostic) -> str:
 def render_diagnostics(
     diags: Sequence[Diagnostic],
     fmt: str = "text",
-    tool: str = "gsnp-lint",
     extra: Optional[dict[str, object]] = None,
 ) -> str:
     """Render diagnostics in the requested format (one printable blob).
@@ -51,7 +50,7 @@ def render_diagnostics(
     """
     if fmt == "json":
         doc: dict[str, object] = {
-            "tool": tool,
+            "tool": "gsnp-audit",
             "diagnostics": [d.to_dict() for d in diags],
             "count": sum(1 for d in diags if d.severity == "error"),
         }

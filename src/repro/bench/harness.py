@@ -42,7 +42,7 @@ from ..formats.cns import format_rows
 from ..formats.soap import soap_line_bytes
 from ..formats.window import Window
 from ..gpusim.costmodel import CpuCostModel, CpuEvents, DiskEvents, DiskModel, GpuCostModel
-from ..gpusim.device import Device
+from ..gpusim.pool import acquire_device
 from ..gpusim.spec import BGI_PLATFORM
 from ..seqsim.datasets import (
     CH1_SPEC,
@@ -158,7 +158,7 @@ def exp_table3(name: str = "ch1-sim", fraction: float | None = None) -> dict:
     for variant in ALL_VARIANTS:
         # Table III counters come from one isolated device per variant;
         # pooling would mix link charges into the per-kernel numbers.
-        device = Device()  # gsnp-lint: disable=GSNP110
+        device = acquire_device()
         tables = GsnpTables.load(device, pm_flat, penalty)
         wsorted, _ = gsnp_likelihood_sort(device, words, offsets)
         device.reset_counters()  # isolate the comp kernel
@@ -240,7 +240,7 @@ def exp_fig5(name: str, fraction: float | None = None) -> dict:
     # GPU-dense strawman: analytic counters on a fresh device.
     ds, obs, words, offsets, pm_flat, penalty = window_words(name, fraction)
     # Strawman counter probe on a deliberately unpooled device.
-    device = Device()  # gsnp-lint: disable=GSNP110
+    device = acquire_device()
     gpu_dense_likelihood_counters(device, obs.n_sites, words.size)
     dense_counters = device.counters.get("likelihood_gpu_dense")
     model = GpuCostModel()
@@ -259,7 +259,7 @@ def exp_fig6(name: str, fraction: float | None = None) -> dict:
     spec = bench_spec(name, fraction)
     factor = spec.scale_factor
     # Single-kernel microbenchmark: isolated device, no link accounting.
-    device = Device()  # gsnp-lint: disable=GSNP110
+    device = acquire_device()
     tables = GsnpTables.load(device, pm_flat, penalty)
     wsorted, _ = gsnp_likelihood_sort(device, words, offsets)
     sort_counters = device.counters.total()
@@ -303,14 +303,14 @@ def exp_fig7a(sizes=(4, 8, 16, 32, 64, 128, 256), n_arrays=2048) -> dict:
     for m in sizes:
         batch = rng.integers(0, 2**17, (n_arrays, m)).astype(np.uint32)
         # Sort microbenchmark measures one device's kernel counters only.
-        device = Device()  # gsnp-lint: disable=GSNP110
+        device = acquire_device()
         batch_sort(device, batch.copy(), name="fig7a_batch")
         t_gpu = model.kernel_time(device.counters.total())
         # Sequential radix: per-array launches underutilize the chip; a
         # small sample extrapolates linearly in array count.
         sample = min(n_arrays, 32)
         # Second isolated device keeps the strawman's counters separate.
-        dev2 = Device()  # gsnp-lint: disable=GSNP110
+        dev2 = acquire_device()
         from ..gpusim.primitives.sort import sequential_radix_sort_batches
 
         sequential_radix_sort_batches(
@@ -340,7 +340,7 @@ def exp_fig7b(name: str = "ch1-sim", fraction: float | None = None) -> dict:
         (nonequal_sort, "bitonic_noneq"),
     ):
         # Per-algorithm counter isolation for the sort comparison figure.
-        device = Device()  # gsnp-lint: disable=GSNP110
+        device = acquire_device()
         sorted_words, stats = fn(words, offsets, device=device)
         t = model.kernel_time(device.counters.total())
         out[label] = {

@@ -426,8 +426,22 @@ def main_chaos(argv=None) -> int:
     return 0 if ok else 1
 
 
-def _add_analyzer_args(p: argparse.ArgumentParser) -> None:
-    """Arguments shared by gsnp-lint and gsnp-audit."""
+def main_audit(argv=None) -> int:
+    """Check kernel code statically: SIMT discipline, coalescing, races.
+
+    Lowers every kernel to a per-kernel IR and answers each rule as a
+    query over it: raw accesses, runtime logs, per-thread loops, dropped
+    masks and NumPy device indexing (GSNP101-105), the coalescing class
+    of every routed memory op (GSNP201 notes), provable races (GSNP202),
+    static uninit reads (GSNP203), missing-barrier hazards (GSNP204) and
+    unprovable indices (GSNP205); plus the module rules GSNP106 (fault
+    sites) and GSNP109 (suppression rationales).  ``--calibrate`` replays
+    tier-1 kernels under the simulator and cross-checks every proven
+    coalescing verdict against the runtime transaction counters.
+    """
+    p = _parser(
+        main_audit, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     p.add_argument(
         "paths", nargs="+", help="python files or directories to check"
     )
@@ -448,57 +462,6 @@ def _add_analyzer_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--list-rules", action="store_true", help="print the rule table"
     )
-
-
-def main_lint(argv=None) -> int:
-    """Statically check kernel code for SIMT-discipline violations."""
-    p = _parser(main_lint)
-    _add_analyzer_args(p)
-    p.add_argument(
-        "--require-rationale", action="store_true",
-        help="fire GSNP109 on suppression comments with no nearby "
-        "rationale comment",
-    )
-    args = p.parse_args(argv)
-
-    from .analyze import RULES, lint_paths
-    from .analyze.report import render_diagnostics
-
-    if args.list_rules:
-        for rid, rname in RULES.items():
-            print(f"{rid}  {rname}")
-        return 0
-    select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
-    try:
-        diags = lint_paths(
-            args.paths, select=select, ignore=ignore,
-            require_rationale=args.require_rationale,
-        )
-    except ValueError as exc:
-        p.error(str(exc))
-    out = render_diagnostics(diags, args.fmt, tool="gsnp-lint")
-    if out:
-        print(out)
-    if diags:
-        print(f"{len(diags)} problem(s) found", file=sys.stderr)
-    return 1 if diags else 0
-
-
-def main_audit(argv=None) -> int:
-    """Prove coalescing, race-freedom and barrier discipline statically.
-
-    Extracts a per-kernel IR, classifies every routed memory op on the
-    affine-in-tid lattice (GSNP201 notes), and reports provable races
-    (GSNP202), static uninit reads (GSNP203), missing-barrier hazards
-    (GSNP204) and unprovable indices (GSNP205).  ``--calibrate`` replays
-    tier-1 kernels under the simulator and cross-checks every proven
-    coalescing verdict against the runtime transaction counters.
-    """
-    p = _parser(
-        main_audit, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    _add_analyzer_args(p)
     p.add_argument(
         "-v", "--verbose", action="store_true",
         help="also print per-op GSNP201 verdict notes (text format)",
@@ -520,8 +483,7 @@ def main_audit(argv=None) -> int:
 
     if args.list_rules:
         for rid, rname in RULES.items():
-            if rid.startswith("GSNP2") or rid == "GSNP100":
-                print(f"{rid}  {rname}")
+            print(f"{rid}  {rname}")
         return 0
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
@@ -554,7 +516,7 @@ def main_audit(argv=None) -> int:
     }
     if calibration is not None:
         extra["calibration"] = calibration.to_dict()
-    out = render_diagnostics(shown, args.fmt, tool="gsnp-audit", extra=extra)
+    out = render_diagnostics(shown, args.fmt, extra=extra)
     if out:
         print(out)
     if args.fmt == "text":
@@ -579,7 +541,7 @@ def main_audit(argv=None) -> int:
 #: name minus ``main_``) -> entry function.
 ACTIONS = {fn.__name__.removeprefix("main_"): fn for fn in (
     main_simulate, main_call, main_decompress, main_verify, main_bench,
-    main_lint, main_audit, main_chaos, main_serve, main_submit,
+    main_audit, main_chaos, main_serve, main_submit,
 )}
 
 

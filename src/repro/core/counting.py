@@ -72,7 +72,7 @@ def gsnp_counting(
         obs.base[sel], obs.score[sel], obs.coord[sel], obs.strand[sel]
     )
     # Both counting kernels go through one stream: in-order like a CUDA
-    # stream, and the pipelined launch path gsnp-lint also audits.
+    # stream, and the pipelined launch path gsnp audit also checks.
     stream = DeviceStream(device)
     sites_dev = device.to_device(site_h, "obs.site")
     words_in = device.to_device(words_h, "obs.word")

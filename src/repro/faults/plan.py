@@ -5,7 +5,7 @@ to trust the retry/degradation machinery that keeps such a run alive is to
 exercise it on purpose.  This module is the chaos-engineering substrate:
 
 * :data:`SITES` — the closed registry of named injection points.  Code
-  under test calls :func:`fault_point` at each site; ``gsnp-lint``'s
+  under test calls :func:`fault_point` at each site; ``gsnp audit``'s
   GSNP106 rule enforces that no fault ever enters the system any other
   way (no ad-hoc ``if FAULT:`` flags).
 * :class:`FaultSpec` — one scheduled fault: *where* (site + key), *when*

@@ -33,7 +33,7 @@ from .memory import DeviceArray, count_transactions
 class OpRecord:
     """One routed memory op as observed at runtime.
 
-    ``gsnp-audit --calibrate`` installs an observer to collect these and
+    ``gsnp audit --calibrate`` installs an observer to collect these and
     cross-checks them against the static coalescing verdicts: the
     ``(file, line)`` pair keys the record back to the audited source op.
     """

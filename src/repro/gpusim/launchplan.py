@@ -14,6 +14,11 @@ This module is the scheduler half: it knows *where* each window lives
 inside the flat layout (:class:`LaunchPlan`) and *what* the fusion saved
 (:class:`LaunchTally`), but contains no kernels itself — those live in
 ``repro.gpusim.primitives.segmented`` and ``repro.core.fused``.
+
+The point of the plan is that a stage's launches grow with megabatches,
+not with the windows or cohort samples inside one.  The tally makes that
+a measured number, and the tests pin it per stage: windows per megabatch
+in ``tests/test_fusion.py``, samples per cohort in ``tests/test_cohort.py``.
 """
 
 from __future__ import annotations
@@ -34,22 +39,6 @@ MEGABATCH_WINDOWS = 16
 #: Whether a job runs the fused megabatch path when it does not say.  The
 #: per-window chain (``fusion=False``) stays as the parity oracle.
 FUSION_DEFAULT = True
-
-#: Host-side launcher functions whose device work the fused path
-#: replaces with a single megabatch launch sequence.  gsnp-lint rule
-#: GSNP107 flags calls to these names inside a per-window loop.
-FUSABLE_LAUNCHERS = frozenset(
-    {
-        "gsnp_counting",
-        "gsnp_likelihood_sort",
-        "gsnp_likelihood_comp",
-        "gsnp_posterior",
-        "gsnp_recycle",
-        "encode_table",
-        "rle_dict_encode_gpu",
-        "dict_encode_gpu",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -224,7 +213,6 @@ class LaunchTally:
 
 
 __all__ = [
-    "FUSABLE_LAUNCHERS",
     "LaunchPlan",
     "LaunchTally",
     "MEGABATCH_WINDOWS",

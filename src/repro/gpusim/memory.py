@@ -225,7 +225,7 @@ class DeviceArray:
     touch ``.data`` freely when staging inputs or checking outputs; *kernel*
     code must route every access through the
     :class:`~repro.gpusim.kernel.KernelContext` so transactions are counted
-    (``gsnp-lint`` enforces this statically).
+    (``gsnp audit`` enforces this statically).
 
     Under ``Device(sanitize=True)`` each array additionally carries a
     *shadow written-bitmap* (``_shadow``): one bool per element, set when a

@@ -17,10 +17,10 @@ the hardware side of that picture:
   with pool-level views that merge per-device ``KernelCounters`` and
   transfer logs into totals and summarize per-device residency (keys
   include ``device_id``, so two pool devices never alias one upload).
-* :func:`acquire_device` — the sanctioned construction funnel for
-  standalone devices.  ``gsnp-lint`` rule GSNP110 flags direct
-  ``Device(...)`` instantiation outside this module so every simulated
-  device is obtained from the pool layer (or carries a rationale).
+* :func:`acquire_device` — the construction funnel for standalone
+  devices.  This module is the only place in ``repro`` that calls
+  ``Device(...)``: every simulated device is obtained from the pool layer
+  (a test scans the package for other construction sites).
 
 The simulator executes kernels eagerly and deterministically, so the
 pool does not interleave device execution in real time; contention is a
@@ -149,7 +149,7 @@ class DevicePool:
             link_spec = HostLinkSpec(bandwidth=self.spec.pcie_bandwidth)
         self.link = HostLink(link_spec)
         self.devices: list[Device] = [
-            Device(  # gsnp-lint: disable=GSNP110 (the pool is the sanctioned device construction site)
+            Device(
                 spec=self.spec,
                 sanitize=sanitize,
                 enforce_memory=enforce_memory,
@@ -251,14 +251,14 @@ def acquire_device(
     sanitize: bool = False,
     enforce_memory: bool = True,
 ) -> Device:
-    """Obtain a standalone simulated device (the GSNP110 funnel).
+    """Obtain a standalone simulated device.
 
-    Serial pipelines and probes that genuinely need a private device use
-    this instead of instantiating :class:`Device` directly, so the pool
-    layer remains the one construction site the linter has to trust.  A
-    standalone device has ``device_id`` 0 and no shared link.
+    Serial pipelines, benchmark arms and probes that need a private
+    device use this instead of instantiating :class:`Device` directly, so
+    the pool layer stays the one construction site.  A standalone device
+    has ``device_id`` 0 and no shared link.
     """
-    return Device(  # gsnp-lint: disable=GSNP110 (acquire_device is the standalone arm of the pool construction funnel)
+    return Device(
         spec=spec or GpuSpec(),
         sanitize=sanitize,
         enforce_memory=enforce_memory,

@@ -7,7 +7,7 @@ asynchrony to model — so a stream is a thin in-order delegate to
 :meth:`~repro.gpusim.device.Device.launch` with identical counter
 semantics.  It exists so pipeline code states which launches form one
 ordered sequence (the shape real CUDA streaming requires), and so tooling
-can find kernels statically: ``gsnp-lint`` treats the first argument of
+can find kernels statically: ``gsnp audit`` treats the first argument of
 ``*.enqueue(...)`` exactly like the first argument of ``*.launch(...)``.
 """
 

@@ -1,4 +1,4 @@
-"""gsnp-audit: static dataflow proofs over the kernel IR.
+"""gsnp audit: static dataflow proofs over the kernel IR.
 
 Covers the IR extraction layer (ops, masks, barrier regions, ctx-method
 aliases), the affine-in-tid abstract interpretation (coalesced / strided
@@ -7,14 +7,21 @@ races, GSNP203 uninit reads, GSNP204 missing barriers, GSNP205 honesty),
 the runtime calibration cross-check, and the acceptance gates: the
 repo's own kernels audit with zero errors and zero unproven ops, and
 every proven coalescing verdict agrees with the simulator's transaction
-counters.
+counters.  Hostile input is a finding, never an exception: a hypothesis
+property audits mutants of every in-tree kernel body.
 """
 
 import ast
+import functools
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.analyze import discover_kernels
 from repro.analyze.calibrate import run_calibration, transaction_bound
 from repro.analyze.dataflow import (
     AFFINE,
@@ -23,6 +30,7 @@ from repro.analyze.dataflow import (
     VERDICT_GATHER,
     VERDICT_STRIDED,
     VERDICT_UNPROVEN,
+    ModuleAudit,
     affine,
     audit_source,
     classify,
@@ -109,6 +117,44 @@ class TestIRExtraction:
         )
         assert kirs[0].mem_ops()[0].index_text == "ctx.tid * 4 + 1"
 
+    def test_unroutable_constructs_are_sites(self):
+        kirs = _ir(
+            """
+            import numpy as np
+
+            def k_kernel(ctx, arr, out):
+                for t in range(ctx.n_threads):
+                    x = np.log(arr.flat_view())
+                out[ctx.tid] = arr.data
+            """
+        )
+        assert [(s.kind, s.line, s.text) for s in kirs[0].sites] == [
+            ("thread-loop", 5, ""),
+            ("log", 6, "np.log"),
+            ("raw-call", 6, "flat_view"),
+            ("subscript", 7, "out"),
+            ("data", 7, ""),
+        ]
+
+    def test_helper_ops_are_recorded_without_verdicts(self):
+        kirs = _ir(
+            """
+            def k_kernel(ctx, buf, n):
+                active = ctx.tid < n
+                def helper(i):
+                    ctx.gstore(buf, i, 0)
+                    ctx.syncthreads()
+                v = ctx.gload(buf, ctx.tid, active=active)
+            """
+        )
+        kir = kirs[0]
+        store = kir.ops[0]
+        assert store.in_helper and store.live_masks == ("active",)
+        # Only the kernel's own op is analysed, and the helper's barrier
+        # does not split the kernel's barrier regions.
+        assert [op.kind for op in kir.mem_ops()] == ["gload"]
+        assert kir.n_barriers == 0 and kir.mem_ops()[0].region == 0
+
 
 class TestLattice:
     def test_classify_table(self):
@@ -185,6 +231,18 @@ class TestLattice:
             """
         )
         assert v[(8, "gload")].verdict == VERDICT_GATHER
+
+    def test_augmented_assignment_uses_its_operator(self):
+        # ``i *= 4`` scales the stride; it is not ``i + 4``.
+        v = _verdicts(
+            """
+            def k_kernel(ctx, src):
+                i = ctx.tid
+                i *= 4
+                a = ctx.gload(src, i, active=None)
+            """
+        )
+        assert v[(5, "gload")].verdict == VERDICT_STRIDED
 
     def test_unproven_is_said_out_loud(self):
         audit = _audit(
@@ -380,6 +438,7 @@ class TestSuppression:
         audit = _audit(
             """
             def k_kernel(ctx, buf):
+                # The verdict stays on the op; only its note is hidden.
                 v = ctx.gload(buf, ctx.tid, active=None)  # gsnp-lint: disable=GSNP201
             """
         )
@@ -505,3 +564,99 @@ class TestCLI:
         out = capsys.readouterr().out
         for rid in ("GSNP201", "GSNP202", "GSNP203", "GSNP204", "GSNP205"):
             assert rid in out
+
+
+@functools.cache
+def _kernel_spans():
+    """(file, first line, end line) of every in-tree kernel body: the
+    no-crash property mutates these."""
+    root = Path(__file__).parents[1] / "src" / "repro"
+    return [
+        (path, k.lineno - 1, k.end_lineno)
+        for path in sorted(root.rglob("*.py"))
+        for k in discover_kernels(ast.parse(path.read_text())).kernels
+    ]
+
+
+_SWAPS = {
+    "operator": (
+        re.compile(r"(?<= )(?:<<|>>|//|<=|>=|==|[-+*%&|^<>])(?= )"),
+        ("+", "-", "*", "//", "%", "<<", ">>", "&", "|", "^", "<", "=="),
+    ),
+    "constant": (
+        re.compile(r"\b\d+\b"),
+        ("0", "1", "-1", "7", "64", "100000000", "(1 << 4096)",
+         "0x" + "f" * 1200),
+    ),
+}
+
+
+@st.composite
+def _kernel_mutants(draw):
+    """An in-tree kernel file whose kernel body took 1-3 line deletions,
+    line duplications, operator swaps or constant swaps."""
+    path, lo, hi = draw(st.sampled_from(_kernel_spans()))
+    lines = path.read_text().splitlines(keepends=True)
+    body = "".join(lines[lo:hi])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ("delete", "duplicate", "operator", "constant")
+        ))
+        if kind in _SWAPS:
+            regex, choices = _SWAPS[kind]
+            spans = [m.span() for m in regex.finditer(body)]
+            if spans:
+                a, b = spans[draw(st.integers(0, len(spans) - 1))]
+                body = body[:a] + draw(st.sampled_from(choices)) + body[b:]
+        else:
+            rows = body.splitlines(keepends=True)
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i:i + 1] = [] if kind == "delete" else [rows[i]] * 2
+            body = "".join(rows)
+    return path.name, "".join(lines[:lo]) + body + "".join(lines[hi:])
+
+
+class TestHostileInput:
+    """The audit reports what it cannot prove; it never raises."""
+
+    @pytest.mark.parametrize("index", [
+        "ctx.tid << 100000000",        # folds past the int->str limit
+        "ctx.tid << -1",               # negative shift count
+        "ctx.tid * 0x" + "f" * 1200,   # literal past the int->str limit
+        "(ctx.tid << 64) * (1 << 64)",
+    ])
+    def test_unbounded_constants_are_unproven(self, index):
+        audit = audit_source(
+            f"def k_kernel(ctx, a):\n    ctx.gload(a, {index})\n", "t.py"
+        )
+        assert [v.verdict for v in audit.verdicts] == [VERDICT_UNPROVEN]
+        assert "GSNP205" in {d.rule for d in audit.diagnostics}
+
+    @pytest.mark.parametrize("depth", [600, 5000])
+    def test_deep_nesting_is_a_finding(self, depth):
+        # 600 nested additions outrun the analyzer's recursion, 5000 the
+        # parser's; both are one GSNP100, not a traceback.
+        src = "def k_kernel(ctx, a):\n    ctx.gload(a, ctx.tid"
+        audit = audit_source(src + " + 1" * depth + ")\n", "deep.py")
+        assert [d.rule for d in audit.diagnostics] == ["GSNP100"]
+        assert audit.kernels == []
+
+    def test_mutants_cover_every_in_tree_kernel(self):
+        spans = _kernel_spans()
+        assert len(spans) == 17
+        assert len({path for path, _, _ in spans}) == 12
+
+    @given(_kernel_mutants())
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_kernels_audit_without_raising(self, mutant):
+        name, source = mutant
+        assert isinstance(audit_source(source, name), ModuleAudit)
+
+    @pytest.mark.tier2
+    @given(_kernel_mutants())
+    @settings(max_examples=5000, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_kernels_audit_without_raising_wide(self, mutant):
+        name, source = mutant
+        assert isinstance(audit_source(source, name), ModuleAudit)

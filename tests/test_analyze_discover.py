@@ -1,9 +1,9 @@
 """Shared kernel discovery: definitions, launch sites, and aliases.
 
-Regression tests for the discovery contract gsnp-lint and gsnp-audit
-both build on — naming convention, positional and keyword launch
-arguments, and local alias chains — so the two analyzers can never
-drift apart on what counts as a kernel.
+Regression tests for the discovery contract every audit rule builds on
+— naming convention, positional and keyword launch arguments, and local
+alias chains — so the rules can never drift apart on what counts as a
+kernel.
 """
 
 import ast
@@ -179,9 +179,9 @@ class TestIterPythonFiles:
 
 class TestLintIntegration:
     def test_keyword_launched_kernel_is_linted(self):
-        from repro.analyze import lint_source
+        from repro.analyze import audit_source
 
-        diags = lint_source(textwrap.dedent(
+        diags = audit_source(textwrap.dedent(
             """
             def body(ctx, arr):
                 x = arr.data
@@ -189,13 +189,13 @@ class TestLintIntegration:
             def run(device, arr):
                 device.launch(kernel=body, n_threads=32, args=(arr,))
             """
-        ), "t.py")
+        ), "t.py").diagnostics
         assert [d.rule for d in diags] == ["GSNP101"]
 
     def test_aliased_kernel_is_linted(self):
-        from repro.analyze import lint_source
+        from repro.analyze import audit_source
 
-        diags = lint_source(textwrap.dedent(
+        diags = audit_source(textwrap.dedent(
             """
             def body(ctx, arr):
                 x = arr.data
@@ -205,5 +205,5 @@ class TestLintIntegration:
             def run(stream, arr):
                 stream.enqueue(fn=chosen, n_threads=32, args=(arr,))
             """
-        ), "t.py")
+        ), "t.py").diagnostics
         assert [d.rule for d in diags] == ["GSNP101"]

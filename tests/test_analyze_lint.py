@@ -1,26 +1,39 @@
-"""gsnp-lint: static enforcement of the SIMT kernel discipline.
+"""gsnp audit's rule table: every rule fires, lands, and suppresses.
 
-Seeds each rule's violation into synthetic kernel source and checks the
+Seeds each rule's violation into synthetic source and checks the
 diagnostic lands on the right file:line with the right rule id — plus
-kernel discovery, suppression comments, rule filtering, the CLI exit
-codes, and the acceptance gate that the repo's own kernels lint clean.
+kernel discovery, suppression comments and their rationales, rule
+filtering, undecodable files, output formats, the CLI exit codes, and
+the acceptance gate that the repo's own code audits clean.
 """
 
 import textwrap
 
 import pytest
 
-from repro.analyze import Diagnostic, RULES, lint_paths, lint_source
-from repro.cli import main_lint
+from repro.analyze import Diagnostic, RULES, audit_paths, audit_source
+from repro.cli import main_audit
 
 
-def _lint(src):
-    return lint_source(textwrap.dedent(src), "test.py")
+def _errors(diags):
+    return [d for d in diags if d.severity == "error"]
+
+
+def _audit(src):
+    return _errors(
+        audit_source(textwrap.dedent(src), "test.py").diagnostics
+    )
+
+
+def _tree_errors(paths, **kw):
+    return _errors(
+        [d for m in audit_paths(paths, **kw) for d in m.diagnostics]
+    )
 
 
 class TestKernelDiscovery:
     def test_suffix_named_function_is_a_kernel(self):
-        diags = _lint(
+        diags = _audit(
             """
             def scatter_kernel(ctx, out):
                 x = out.data
@@ -29,7 +42,7 @@ class TestKernelDiscovery:
         assert [d.rule for d in diags] == ["GSNP101"]
 
     def test_launch_argument_is_a_kernel(self):
-        diags = _lint(
+        diags = _audit(
             """
             def body(ctx, out):
                 x = out.data
@@ -42,7 +55,7 @@ class TestKernelDiscovery:
         assert "body" in diags[0].message
 
     def test_host_code_is_not_linted(self):
-        diags = _lint(
+        diags = _audit(
             """
             import numpy as np
 
@@ -58,7 +71,7 @@ class TestKernelDiscovery:
 
 class TestRules:
     def test_gsnp101_data_access(self):
-        diags = _lint(
+        diags = _audit(
             """
             def bad_kernel(ctx, arr):
                 v = arr.data[0]
@@ -69,7 +82,7 @@ class TestRules:
         assert "transaction counting" in diags[0].message
 
     def test_gsnp101_flat_view(self):
-        diags = _lint(
+        diags = _audit(
             """
             def bad_kernel(ctx, arr):
                 v = arr.flat_view()
@@ -78,7 +91,7 @@ class TestRules:
         assert [d.rule for d in diags] == ["GSNP101"]
 
     def test_gsnp102_module_log(self):
-        diags = _lint(
+        diags = _audit(
             """
             import numpy as np
 
@@ -92,7 +105,7 @@ class TestRules:
         assert "log_table" in diags[0].message
 
     def test_gsnp102_bare_log(self):
-        diags = _lint(
+        diags = _audit(
             """
             from math import log
 
@@ -103,7 +116,7 @@ class TestRules:
         assert [d.rule for d in diags] == ["GSNP102"]
 
     def test_gsnp103_loop_over_tid(self):
-        diags = _lint(
+        diags = _audit(
             """
             def bad_kernel(ctx, arr):
                 for t in ctx.tid:
@@ -114,7 +127,7 @@ class TestRules:
         assert diags[0].line == 3
 
     def test_gsnp103_range_n_threads(self):
-        diags = _lint(
+        diags = _audit(
             """
             def bad_kernel(ctx, arr):
                 for t in range(ctx.n_threads):
@@ -124,7 +137,7 @@ class TestRules:
         assert [d.rule for d in diags] == ["GSNP103"]
 
     def test_gsnp103_lockstep_width_loop_is_fine(self):
-        diags = _lint(
+        diags = _audit(
             """
             def good_kernel(ctx, arr, width, lens):
                 for j in range(width):
@@ -134,7 +147,7 @@ class TestRules:
         assert diags == []
 
     def test_gsnp104_dropped_mask(self):
-        diags = _lint(
+        diags = _audit(
             """
             def bad_kernel(ctx, out, n):
                 active = ctx.tid < n
@@ -147,7 +160,7 @@ class TestRules:
         assert "'active'" in diags[0].message
 
     def test_gsnp104_explicit_none_suppresses(self):
-        diags = _lint(
+        diags = _audit(
             """
             def good_kernel(ctx, out, n):
                 active = ctx.tid < n
@@ -158,7 +171,7 @@ class TestRules:
         assert diags == []
 
     def test_gsnp104_no_mask_in_scope_is_fine(self):
-        diags = _lint(
+        diags = _audit(
             """
             def good_kernel(ctx, out):
                 ctx.gstore(out, ctx.tid, ctx.tid)
@@ -167,7 +180,7 @@ class TestRules:
         assert diags == []
 
     def test_gsnp104_tracks_custom_mask_names(self):
-        diags = _lint(
+        diags = _audit(
             """
             def bad_kernel(ctx, out, flags, n):
                 emit = ctx.tid < n
@@ -179,7 +192,7 @@ class TestRules:
         assert "'emit'" in diags[0].message
 
     def test_gsnp105_fancy_index(self):
-        diags = _lint(
+        diags = _audit(
             """
             def bad_kernel(ctx, src, out):
                 v = ctx.gload(src, ctx.tid, active=None)
@@ -191,7 +204,7 @@ class TestRules:
         assert "'out'" in diags[0].message
 
     def test_gsnp105_annotation_marks_device_array(self):
-        diags = _lint(
+        diags = _audit(
             """
             def bad_kernel(ctx, table: DeviceArray):
                 v = table[0]
@@ -200,7 +213,7 @@ class TestRules:
         assert [d.rule for d in diags] == ["GSNP105"]
 
     def test_gsnp105_plain_numpy_param_is_fine(self):
-        diags = _lint(
+        diags = _audit(
             """
             def good_kernel(ctx, acc, out):
                 v = ctx.gload(out, ctx.tid, active=None)
@@ -210,11 +223,24 @@ class TestRules:
         assert diags == []
 
     def test_gsnp100_syntax_error(self):
-        diags = lint_source("def broken(:\n", "bad.py")
+        diags = audit_source("def broken(:\n", "bad.py").diagnostics
         assert [d.rule for d in diags] == ["GSNP100"]
 
+    def test_violation_in_nested_helper_fires(self):
+        """A helper def nested in a kernel body is kernel code too."""
+        diags = _audit(
+            """
+            def bad_kernel(ctx, arr, out):
+                def helper(i):
+                    return arr.data[i]
+                ctx.gstore(out, ctx.tid, helper(ctx.tid), active=None)
+            """
+        )
+        assert [(d.rule, d.line) for d in diags] == [("GSNP101", 4)]
+        assert "'bad_kernel'" in diags[0].message
+
     def test_five_distinct_rules_in_one_kernel(self):
-        diags = _lint(
+        diags = _audit(
             """
             import numpy as np
 
@@ -237,41 +263,41 @@ class TestRules:
 
 class TestSuppression:
     def test_line_comment_suppresses_by_id(self):
-        diags = _lint(
+        diags = _audit(
             """
             def ok_kernel(ctx, arr):
-                v = arr.data  # gsnp-lint: disable=GSNP101
+                v = arr.data  # gsnp-lint: disable=GSNP101 (host staging copy)
             """
         )
         assert diags == []
 
     def test_line_comment_suppresses_by_name(self):
-        diags = _lint(
+        diags = _audit(
             """
             def ok_kernel(ctx, arr):
-                v = arr.data  # gsnp-lint: disable=kernel-data-access
+                v = arr.data  # gsnp-lint: disable=kernel-data-access (host staging copy)
             """
         )
         assert diags == []
 
     def test_suppression_is_rule_specific(self):
-        diags = _lint(
+        diags = _audit(
             """
             import numpy as np
 
             def bad_kernel(ctx, arr):
-                v = np.log(arr.data)  # gsnp-lint: disable=GSNP102
+                v = np.log(arr.data)  # gsnp-lint: disable=GSNP102 (baseline variant cost)
             """
         )
         assert [d.rule for d in diags] == ["GSNP101"]
 
     def test_disable_all(self):
-        diags = _lint(
+        diags = _audit(
             """
             import numpy as np
 
             def ok_kernel(ctx, arr):
-                v = np.log(arr.data)  # gsnp-lint: disable=all
+                v = np.log(arr.data)  # gsnp-lint: disable=all (host debug dump)
             """
         )
         assert diags == []
@@ -292,38 +318,54 @@ class TestPathsAndFilters:
         return tmp_path
 
     def test_directory_recursion(self, tree):
-        diags = lint_paths([tree])
+        diags = _tree_errors([tree])
         assert {d.rule for d in diags} == {"GSNP101", "GSNP102"}
         assert {d.path.endswith("a.py") for d in diags} == {True, False}
 
     def test_select(self, tree):
-        diags = lint_paths([tree], select=["GSNP102"])
+        diags = _tree_errors([tree], select=["GSNP102"])
         assert [d.rule for d in diags] == ["GSNP102"]
 
     def test_ignore_by_name(self, tree):
-        diags = lint_paths([tree], ignore=["kernel-log-call"])
+        diags = _tree_errors([tree], ignore=["kernel-log-call"])
         assert [d.rule for d in diags] == ["GSNP101"]
 
     def test_unknown_rule_raises(self, tree):
         with pytest.raises(ValueError, match="GSNP999"):
-            lint_paths([tree], select=["GSNP999"])
+            audit_paths([tree], select=["GSNP999"])
 
     def test_cli_exit_codes(self, tree, capsys):
-        assert main_lint([str(tree)]) == 1
+        assert main_audit([str(tree)]) == 1
         out = capsys.readouterr().out
         assert "GSNP101" in out and "a.py" in out
-        assert main_lint([str(tree), "--select", "GSNP104"]) == 0
+        assert main_audit([str(tree), "--select", "GSNP104"]) == 0
+
+    def test_undecodable_file_is_a_finding_not_an_abort(self, tree, capsys):
+        """A file that does not decode is one GSNP100 at its own path;
+        the rest of the tree is still audited (exit 1, not a usage
+        error)."""
+        (tree / "latin.py").write_bytes(b"x = '\xff'\n")
+        (tree / "late.py").write_bytes(b"x = 1\ny = 2\nz = '\xff'\n")
+        (tree / "cookie.py").write_bytes(
+            b"# -*- coding: latin-1 -*-\nx = '\xff'\n"
+        )
+        assert main_audit([str(tree)]) == 1
+        out = capsys.readouterr().out
+        assert "latin.py:1:1: GSNP100" in out
+        assert "late.py:1:1: GSNP100" in out
+        assert "GSNP101" in out and "a.py" in out
+        assert "cookie.py" not in out  # PEP 263 cookie decodes
 
     def test_repo_kernels_lint_clean(self):
         """The acceptance gate: the repo's own kernel code passes."""
-        assert lint_paths(["src/repro"]) == []
+        assert _tree_errors(["src/repro"]) == []
 
 
 class TestGsnp106FaultSites:
     """Fault injection must go through the chaos registry."""
 
     def test_computed_site_flagged(self):
-        diags = _lint(
+        diags = _audit(
             """
             from repro.faults.plan import fault_point
             site = "exec." + "shard.error"
@@ -334,7 +376,7 @@ class TestGsnp106FaultSites:
         assert "string literal" in diags[0].message
 
     def test_unregistered_literal_site_flagged(self):
-        diags = _lint(
+        diags = _audit(
             """
             from repro.faults.plan import fault_point
             fault_point("formats.vcf.record", key=1)
@@ -344,7 +386,7 @@ class TestGsnp106FaultSites:
         assert "formats.vcf.record" in diags[0].message
 
     def test_registered_site_is_fine(self):
-        diags = _lint(
+        diags = _audit(
             """
             from repro.faults.plan import fault_point
             fault_point("exec.shard.error", key=1)
@@ -354,7 +396,7 @@ class TestGsnp106FaultSites:
         assert diags == []
 
     def test_adhoc_fault_flag_flagged(self):
-        diags = _lint(
+        diags = _audit(
             """
             FAULT_CRASH = True
             def f():
@@ -366,7 +408,7 @@ class TestGsnp106FaultSites:
         assert "FAULT_CRASH" in diags[0].message
 
     def test_environment_switch_flagged(self):
-        diags = _lint(
+        diags = _audit(
             """
             import os
             a = os.environ.get("GSNP_CHAOS")
@@ -377,7 +419,7 @@ class TestGsnp106FaultSites:
         assert [d.rule for d in diags] == ["GSNP106"] * 3
 
     def test_lowercase_plumbing_is_fine(self):
-        diags = _lint(
+        diags = _audit(
             """
             import os
             def run(config, inject_failures=None):
@@ -391,151 +433,20 @@ class TestGsnp106FaultSites:
         assert diags == []
 
     def test_suppression_comment_works(self):
-        diags = _lint(
+        diags = _audit(
             """
             import os
-            x = os.getenv("FAULT_LEGACY")  # gsnp-lint: disable=GSNP106
-            """
-        )
-        assert diags == []
-
-
-class TestGsnp107FusableInWindowLoop:
-    """Fusable launchers belong in the megabatch plan, not per-window loops."""
-
-    def test_fusable_call_in_window_loop_flagged(self):
-        diags = _lint(
-            """
-            from repro.core.counting import gsnp_counting
-            def run(device, windows):
-                for window in windows:
-                    obs = extract(window)
-                    gsnp_counting(device, obs)
-            """
-        )
-        assert [d.rule for d in diags] == ["GSNP107"]
-        assert "gsnp_counting" in diags[0].message
-
-    def test_bare_name_iterable_flagged(self):
-        diags = _lint(
-            """
-            def run(device, windows):
-                for w in windows:
-                    gsnp_posterior(device, w)
-            """
-        )
-        assert [d.rule for d in diags] == ["GSNP107"]
-
-    def test_chunked_iterable_is_fine(self):
-        # A Call iterable (e.g. chunk_windows) is the megabatch pattern
-        # itself — only raw per-window iteration is flagged.
-        diags = _lint(
-            """
-            def run(device, windows):
-                for group in chunk_windows(windows, 16):
-                    gsnp_counting(device, group)
-            """
-        )
-        assert diags == []
-
-    def test_non_window_loop_is_fine(self):
-        diags = _lint(
-            """
-            def run(device, shards):
-                for shard in shards:
-                    gsnp_counting(device, shard)
-            """
-        )
-        assert diags == []
-
-    def test_non_fusable_call_is_fine(self):
-        diags = _lint(
-            """
-            def run(device, windows):
-                for window in windows:
-                    obs = extract_observations(window)
-            """
-        )
-        assert diags == []
-
-    def test_suppression_comment_works(self):
-        diags = _lint(
-            """
-            def run(device, windows):
-                for window in windows:
-                    gsnp_recycle(device, 1, 2)  # gsnp-lint: disable=GSNP107
-            """
-        )
-        assert diags == []
-
-
-class TestGsnp111PerSampleLauncherLoop:
-    """Fusable launchers belong in the sample-major cohort plan, not
-    per-sample Python loops."""
-
-    def test_fusable_call_in_sample_loop_flagged(self):
-        diags = _lint(
-            """
-            def run(device, samples):
-                for sample in samples:
-                    gsnp_counting(device, sample)
-            """
-        )
-        assert [d.rule for d in diags] == ["GSNP111"]
-        assert "gsnp_counting" in diags[0].message
-        assert "build_launch_plan(..., samples=)" in diags[0].message
-
-    def test_cohort_iterable_flagged(self):
-        diags = _lint(
-            """
-            def run(device, cohort_reads):
-                for b in cohort_reads:
-                    gsnp_posterior(device, b)
-            """
-        )
-        assert [d.rule for d in diags] == ["GSNP111"]
-
-    def test_non_launcher_sample_loop_is_fine(self):
-        diags = _lint(
-            """
-            def run(samples):
-                for sample in samples:
-                    process(sample)
-            """
-        )
-        assert diags == []
-
-    def test_non_sample_loop_is_fine(self):
-        diags = _lint(
-            """
-            def run(device, shards):
-                for shard in shards:
-                    gsnp_counting(device, shard)
-            """
-        )
-        assert diags == []
-
-    def test_suppression_comment_works(self):
-        diags = _lint(
-            """
-            def run(device, samples):
-                for sample in samples:
-                    gsnp_recycle(device, 1, 2)  # gsnp-lint: disable=GSNP111
+            x = os.getenv("FAULT_LEGACY")  # gsnp-lint: disable=GSNP106 (legacy switch, read only)
             """
         )
         assert diags == []
 
 
 class TestGsnp109Rationale:
-    """Suppressions must say why (opt-in via require_rationale)."""
-
-    def _lint(self, src):
-        return lint_source(
-            textwrap.dedent(src), "test.py", require_rationale=True
-        )
+    """Suppressions must say why."""
 
     def test_bare_suppression_fires(self):
-        diags = self._lint(
+        diags = _audit(
             """
             def k_kernel(ctx, arr):
                 v = arr.data  # gsnp-lint: disable=GSNP101
@@ -545,7 +456,7 @@ class TestGsnp109Rationale:
         assert diags[0].line == 3
 
     def test_same_line_rationale_is_fine(self):
-        diags = self._lint(
+        diags = _audit(
             """
             def k_kernel(ctx, arr):
                 v = arr.data  # gsnp-lint: disable=GSNP101 (host-side debug dump)
@@ -554,7 +465,7 @@ class TestGsnp109Rationale:
         assert diags == []
 
     def test_nearby_comment_rationale_is_fine(self):
-        diags = self._lint(
+        diags = _audit(
             """
             def k_kernel(ctx, arr):
                 # Reads the staging copy before upload, not device memory.
@@ -564,7 +475,7 @@ class TestGsnp109Rationale:
         assert diags == []
 
     def test_short_rationale_still_fires(self):
-        diags = self._lint(
+        diags = _audit(
             """
             def k_kernel(ctx, arr):
                 # ok
@@ -573,18 +484,11 @@ class TestGsnp109Rationale:
         )
         assert [d.rule for d in diags] == ["GSNP109"]
 
-    def test_off_by_default(self):
-        diags = _lint(
-            """
-            def k_kernel(ctx, arr):
-                v = arr.data  # gsnp-lint: disable=GSNP101
-            """
-        )
-        assert diags == []
-
     def test_repo_suppressions_carry_rationale(self):
         """CI gate: in-tree suppressions all explain themselves."""
-        assert lint_paths(["src/repro"], require_rationale=True) == []
+        assert not any(
+            d.rule == "GSNP109" for d in _tree_errors(["src/repro"])
+        )
 
 
 # One (fire, suppress) source pair per rule id.  The fire source produces
@@ -663,18 +567,6 @@ _RULE_CASES = {
         fault_point("not.a.site", key=1)  # gsnp-lint: disable=GSNP106
         """,
     ),
-    "GSNP107": (
-        """
-        def run(device, windows):
-            for window in windows:
-                gsnp_counting(device, window)
-        """,
-        """
-        def run(device, windows):
-            for window in windows:
-                gsnp_counting(device, window)  # gsnp-lint: disable=GSNP107
-        """,
-    ),
     "GSNP109": (
         """
         def k_kernel(ctx, arr):
@@ -683,28 +575,6 @@ _RULE_CASES = {
         """
         def k_kernel(ctx, arr):
             v = arr.data  # gsnp-lint: disable=GSNP101,GSNP109
-        """,
-    ),
-    "GSNP110": (
-        """
-        from repro.gpusim.device import Device
-        device = Device(sanitize=True)
-        """,
-        """
-        from repro.gpusim.device import Device
-        device = Device(sanitize=True)  # gsnp-lint: disable=GSNP110
-        """,
-    ),
-    "GSNP111": (
-        """
-        def run(device, samples):
-            for sample in samples:
-                gsnp_counting(device, sample)
-        """,
-        """
-        def run(device, samples):
-            for sample in samples:
-                gsnp_counting(device, sample)  # gsnp-lint: disable=GSNP111
         """,
     ),
     "GSNP201": (
@@ -776,17 +646,11 @@ _RULE_CASES = {
 }
 
 
-def _rules_fired(rule, src):
-    """Run the tool that owns ``rule`` and return the fired rule ids."""
-    from repro.analyze.dataflow import audit_source
-    from repro.analyze.lint import AUDIT_RULES
-
-    src = textwrap.dedent(src)
-    if rule in AUDIT_RULES:
-        return {d.rule for d in audit_source(src, "test.py").diagnostics}
+def _rules_fired(src):
+    """The rule ids the audit reports on ``src``."""
     return {
         d.rule
-        for d in lint_source(src, "test.py", require_rationale=True)
+        for d in audit_source(textwrap.dedent(src), "test.py").diagnostics
     }
 
 
@@ -797,12 +661,12 @@ class TestEveryRuleFiresAndSuppresses:
     @pytest.mark.parametrize("rule", sorted(RULES))
     def test_rule_fires(self, rule):
         fire_src, _ = _RULE_CASES[rule]
-        assert rule in _rules_fired(rule, fire_src)
+        assert rule in _rules_fired(fire_src)
 
     @pytest.mark.parametrize("rule", sorted(RULES))
     def test_rule_suppresses(self, rule):
         _, suppress_src = _RULE_CASES[rule]
-        assert rule not in _rules_fired(rule, suppress_src)
+        assert rule not in _rules_fired(suppress_src)
 
     def test_every_rule_has_a_case(self):
         assert set(_RULE_CASES) == set(RULES)
@@ -833,8 +697,7 @@ class TestDiagnostic:
     def test_rule_table_complete(self):
         assert set(RULES) == {
             "GSNP100", "GSNP101", "GSNP102", "GSNP103", "GSNP104",
-            "GSNP105", "GSNP106", "GSNP107", "GSNP109", "GSNP110",
-            "GSNP111",
+            "GSNP105", "GSNP106", "GSNP109",
             "GSNP201", "GSNP202", "GSNP203", "GSNP204", "GSNP205",
         }
 
@@ -855,10 +718,9 @@ class TestOutputFormats:
         from repro.analyze import render_diagnostics
 
         doc = json.loads(
-            render_diagnostics(diags, "json", tool="gsnp-lint",
-                               extra={"kernels": 2})
+            render_diagnostics(diags, "json", extra={"kernels": 2})
         )
-        assert doc["tool"] == "gsnp-lint"
+        assert doc["tool"] == "gsnp-audit"
         assert doc["kernels"] == 2
         assert doc["count"] == 1  # notes don't count as problems
         assert [d["rule"] for d in doc["diagnostics"]] == [
@@ -895,8 +757,8 @@ class TestOutputFormats:
         (tmp_path / "a.py").write_text(
             "def a_kernel(ctx, arr):\n    return arr.data\n"
         )
-        assert main_lint([str(tmp_path), "--format", "json"]) == 1
+        assert main_audit([str(tmp_path), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 1
-        assert main_lint([str(tmp_path), "--format", "github"]) == 1
+        assert main_audit([str(tmp_path), "--format", "github"]) == 1
         assert capsys.readouterr().out.startswith("::error ")

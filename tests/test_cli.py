@@ -120,7 +120,7 @@ class TestActionTable:
     """``gsnp <action>``: one console script dispatching one table."""
 
     def test_every_action_is_a_documented_main_function(self):
-        assert len(ACTIONS) == 10
+        assert len(ACTIONS) == 9
         for name, fn in ACTIONS.items():
             assert fn.__name__ == f"main_{name}"
             assert fn.__doc__ and fn.__doc__.strip()
@@ -139,6 +139,8 @@ class TestActionTable:
     def test_unknown_action_is_a_usage_error(self, capsys):
         assert main(["demo.fa", "demo.soap"]) == 2
         assert "unknown action 'demo.fa'" in capsys.readouterr().err
+        assert main(["lint", "src/repro"]) == 2  # every rule is in `audit`
+        assert "unknown action 'lint'" in capsys.readouterr().err
 
     def test_dispatch_writes_the_bytes_main_call_writes(self, simulated):
         argv = ["demo.fa", "demo.soap", "--engine", "gsnp_cpu", "-o"]

@@ -208,7 +208,10 @@ class TestAmortization:
         assertion): one input pass, one calibration, one resident table
         set and one launch chain per megabatch make the per-sample cost
         fall, while launches per fused stage stay bounded instead of
-        scaling with S."""
+        scaling with S.  The per-stage bound is what guards against a
+        launcher called inside a per-sample loop: such a loop makes every
+        stage's launches grow with S (``test_fusion.py`` holds the same
+        bound for windows per megabatch)."""
         per_sample, stages = {}, {}
         for s in (1, 4):
             pipe = create_pipeline(

@@ -116,6 +116,39 @@ class TestLaunchReduction:
         # small dataset must show a clear multiple.
         assert n0 / n1 > 2.0
 
+    def test_stage_launches_do_not_grow_with_windows_per_megabatch(self):
+        """Launches are O(megabatches), not O(windows): four times the
+        windows inside one megabatch add at most half again to any stage.
+        A launcher called once per window scales every stage with the
+        windows instead (``megabatch=1`` here: 3.9x in total, 4x for
+        counting)."""
+
+        def stage_launches(n_windows):
+            ds = generate_dataset(DatasetSpec(
+                name="mb-launch", n_sites=500 * n_windows, depth=12.0,
+                coverage=0.9, seed=7,
+            ))
+            res = create_pipeline(spec=JobSpec(
+                engine="gsnp", window=500, fusion=True, megabatch=12,
+                prefetch=False, cache=False,
+            )).run(ds)
+            return {
+                k: int(v["launches"])
+                for k, v in res.extras["fusion"]["stages"].items()
+            }
+
+        few, many = stage_launches(3), stage_launches(12)
+        assert few == {
+            "counting": 24, "likelihood_posterior_fused_optimized": 5,
+            "likelihood_sort": 4, "output_compress": 358, "recycle": 1,
+        }
+        assert many == {
+            "counting": 28, "likelihood_posterior_fused_optimized": 5,
+            "likelihood_sort": 4, "output_compress": 428, "recycle": 1,
+        }
+        for stage, launches in many.items():
+            assert launches <= 1.5 * few[stage], stage
+
     def test_fusion_extras_reported(self, ds):
         res = _run(ds, prefetch=False, cache=False, fusion=True)
         info = res.extras["fusion"]

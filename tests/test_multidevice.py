@@ -7,9 +7,11 @@ single-device run — the scheduler only ever changes *where* a shard
 runs, never what it produces.
 """
 
+import ast
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +376,20 @@ class TestResidencyKeying:
         dev = acquire_device(sanitize=True)
         assert dev.sanitizer is not None
         dev.sanitize_teardown(strict=True)
+
+    def test_devices_are_constructed_only_by_the_pool(self):
+        """Every simulated device in the package comes from the pool
+        layer (``DevicePool`` / ``acquire_device``), so none escapes the
+        shared-link accounting or the device-keyed residency."""
+        root = Path(__file__).parents[1] / "src" / "repro"
+        sites = set()
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if isinstance(node, ast.Call) and name == "Device":
+                    sites.add(path.relative_to(root).as_posix())
+        assert sites == {"gpusim/pool.py"}
 
 
 class TestCostModel:

@@ -7,7 +7,7 @@ event counters, and the simulator's fast transaction engine must agree
 with the reference sentinel sort and a brute-force oracle.  These tests
 pin that invariant at every layer — sharded executor, serial pipeline,
 transaction counter — plus the once-per-worker residency guarantee and
-the lint integration.
+the audit's discovery of enqueued kernels.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze import lint_source
+from repro.analyze import audit_source
 from repro.api import JobSpec, create_pipeline
 from repro.core.prefetch import prefetched_windows
 from repro.core.score_table import new_p_build_count, reset_new_p_cache
@@ -244,15 +244,15 @@ class TestPrefetchPrimitives:
 
 
 class TestLintEnqueueDiscovery:
-    """Kernels launched via DeviceStream.enqueue are linted like any other."""
+    """Kernels launched via DeviceStream.enqueue are audited like any other."""
 
     def test_enqueue_launched_kernel_is_discovered(self):
-        diags = lint_source(
+        diags = audit_source(
             "def body(ctx, out):\n"
             "    x = out.data\n"
             "\n"
             "def run(stream, out):\n"
             "    stream.enqueue(body, 32, out)\n",
             "test.py",
-        )
+        ).diagnostics
         assert "GSNP101" in [d.rule for d in diags]
