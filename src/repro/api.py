@@ -32,6 +32,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from os import PathLike
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 from .constants import DEFAULT_WINDOW_GSNP, DEFAULT_WINDOW_SOAPSNP
@@ -189,6 +190,11 @@ VARIANTS_BY_NAME: dict[str, LikelihoodVariant] = {
 
 #: JSON wire-format version of :meth:`JobSpec.to_wire` payloads.
 JOBSPEC_WIRE_VERSION = 1
+
+#: JobSpec fields naming files (``samples`` is a tuple of them).
+_PATH_FIELDS = (
+    "fasta", "soap", "samples", "prior", "output", "journal", "quarantine",
+)
 
 
 def _cli(group: str, *flags: str, positional: bool = False, **kwargs):
@@ -410,8 +416,23 @@ class JobSpec:
         Returns ``self`` so call sites can chain
         ``spec.validate().normalized()``.
         """
+        if not isinstance(self.engine, str):
+            raise ValueError(
+                f"engine must be a name, got {type(self.engine).__name__}"
+            )
+        if not isinstance(self.variant, (str, LikelihoodVariant)):
+            raise ValueError(
+                f"variant must be a name, got {type(self.variant).__name__}"
+            )
         resolve_engine(self.engine)
         self.resolved_variant()
+        for name in _PATH_FIELDS:
+            paths = getattr(self, name)
+            for path in paths if name == "samples" else (paths,):
+                if path is not None and not isinstance(path, (str, PathLike)):
+                    raise ValueError(
+                        f"{name} must be a path, got {type(path).__name__}"
+                    )
         if self.resume and not self.journal:
             raise ValueError("resume=True requires a journal directory")
         # Counts first: every clause below compares them, and the window
@@ -430,17 +451,16 @@ class JobSpec:
             and self.shard_timeout > 0
         ):
             raise ValueError("shard_timeout must be a number of seconds > 0")
-        if (
-            self.sanitize
-            and not self.uses_pool
-            and (self.workers > 1 or self.shard_size is not None)
+        if self.sanitize and not self.uses_pool and (
+            self.normalized().uses_executor
         ):
             raise ValueError(
                 "sanitize=True requires the serial engine (workers=1, no "
-                "shard_size): the sharded executor owns its per-shard "
-                "devices.  The multi-device scheduler (--devices/"
-                "--cpu-steal) does support the sanitizer — its lanes run "
-                "one shard at a time on the calling thread"
+                "shard_size, journal or shard_timeout): the sharded "
+                "executor owns its per-shard devices.  The multi-device "
+                "scheduler (--devices/--cpu-steal) does support the "
+                "sanitizer — its lanes run one shard at a time on the "
+                "calling thread"
             )
         if self.uses_pool and self.engine != Engine.GSNP.value:
             raise ValueError(
@@ -513,10 +533,7 @@ class JobSpec:
             )
         faults = data.get("faults")
         if faults is not None and not isinstance(faults, FaultPlan):
-            data["faults"] = FaultPlan(
-                tuple(FaultSpec(**s) for s in faults.get("specs", ())),
-                seed=faults.get("seed"),
-            )
+            data["faults"] = _faults_from_wire(faults)
         return cls(**data)
 
     # -- CLI derivation ----------------------------------------------------
@@ -569,6 +586,27 @@ class JobSpec:
             if hasattr(namespace, f.name):
                 values[f.name] = getattr(namespace, f.name)
         return cls(**values)
+
+
+def _faults_from_wire(payload) -> FaultPlan:
+    """The :class:`FaultPlan` of a wire ``faults`` entry; a malformed one
+    is a ``ValueError`` like every other bad field."""
+    if not isinstance(payload, dict) or set(payload) - {"seed", "specs"}:
+        raise ValueError(
+            "faults must be a {'seed': ..., 'specs': [...]} object, got "
+            f"{type(payload).__name__}"
+        )
+    specs = payload.get("specs", ())
+    if not isinstance(specs, (list, tuple)):
+        raise ValueError(
+            f"faults specs must be a list, got {type(specs).__name__}"
+        )
+    try:
+        return FaultPlan(
+            tuple(FaultSpec(**s) for s in specs), seed=payload.get("seed")
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed fault spec: {exc}") from None
 
 
 #: Field defaults, for "was a non-default value requested?" checks.

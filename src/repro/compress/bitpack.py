@@ -37,14 +37,21 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns uint64 values."""
+    """Inverse of :func:`pack_bits`; returns uint64 values.
+
+    The payload must hold ``count * width`` bits: the check runs before
+    anything is allocated, so a corrupt ``count`` cannot size the output.
+    """
     if count == 0:
         return np.empty(0, dtype=np.uint64)
+    if not 1 <= width <= 64:
+        raise CodecError(f"invalid bit width {width}", offset=0)
     total_bits = count * width
     raw = np.frombuffer(data, dtype=np.uint8)
     if raw.size * 8 < total_bits:
         raise CodecError(
-            f"bitpack payload too short: {raw.size * 8} bits < {total_bits}"
+            f"bitpack payload too short: {raw.size * 8} bits < {total_bits}",
+            offset=0,
         )
     bits = np.unpackbits(raw)[:total_bits].reshape(count, width)
     weights = (1 << np.arange(width - 1, -1, -1, dtype=np.uint64))

@@ -39,7 +39,6 @@ from ..formats.cns import NO_BASE, ResultTable
 from ..gpusim.device import Device
 from .bitpack import pack_bits, unpack_bits
 from .delta import delta_decode, delta_encode
-from .dictionary import dict_decode, dict_encode
 from .rle_dict import rle_dict_decode, rle_dict_encode, rle_dict_encode_gpu
 from .sparse import (
     exception_decode,
@@ -48,6 +47,7 @@ from .sparse import (
     sparse_encode,
 )
 from .twobit import twobit_decode, twobit_encode
+from .wire import at, read_header, read_text, take
 
 _MAGIC = b"GSNPC1"
 _MAGIC_ALN = b"GSNPA1"
@@ -66,6 +66,32 @@ RLE_DICT_COLUMNS = (
     "copy_num",
     "count_all_best",
 )
+
+#: Every RLE-DICT column (``count_uni_best`` is one, host-side only) and
+#: the sparse second-allele / known-SNP columns.
+_RLE_COLUMNS = RLE_DICT_COLUMNS + ("count_uni_best",)
+_SPARSE_COLUMNS = (
+    "second_base",
+    "avg_qual_second",
+    "count_uni_second",
+    "count_all_second",
+    "known_snp",
+)
+_COLUMNS = (
+    "ref_base", "genotype", "best_base", *_RLE_COLUMNS, *_SPARSE_COLUMNS,
+)
+
+#: Decoded column -> its largest legal value (codes index a fixed table).
+_DOMAIN = {"genotype": len(GENOTYPES) - 1, "second_base": NO_BASE}
+
+#: RLE-DICT columns restored to their ResultTable dtype after decoding.
+_CAST = {
+    "quality": np.uint8,
+    "avg_qual_best": np.uint8,
+    "count_uni_best": np.uint16,
+    "count_all_best": np.uint16,
+    "depth": np.uint16,
+}
 
 
 def _quantize100(values: np.ndarray) -> np.ndarray:
@@ -123,47 +149,75 @@ def encode_table(table: ResultTable, device: Device | None = None) -> bytes:
     return b"".join(out)
 
 
-def decode_table(data: bytes, offset: int = 0) -> tuple[ResultTable, int]:
-    """Decode one container block; returns (table, next offset)."""
-    if data[offset : offset + 6] != _MAGIC:
-        raise CodecError("bad container magic")
-    offset += 6
-    (clen,) = struct.unpack_from("<H", data, offset)
-    offset += 2
-    chrom = data[offset : offset + clen].decode()
-    offset += clen
-    n, start, n_blocks = struct.unpack_from("<IqB", data, offset)
-    offset += 13
-    payloads: dict[str, bytes] = {}
-    for _ in range(n_blocks):
-        nlen, plen = struct.unpack_from("<BI", data, offset)
-        offset += 5
-        name = data[offset : offset + nlen].decode()
-        offset += nlen
-        payloads[name] = data[offset : offset + plen]
-        offset += plen
+def _read_column(payloads: dict, name: str, decode, *args) -> np.ndarray:
+    """Decode one named column payload; a failure inside it is reported
+    at the payload's position in the container, under the column's name.
+    """
+    at_byte, payload = payloads[name]
+    with at(at_byte, column=name):
+        values = decode(payload, *args)
+        if values.dtype.kind not in "ui":
+            raise CodecError(f"decoded to non-integer {values.dtype}")
+        return values
 
-    ref_base = twobit_decode(payloads["ref_base"])
-    table = ResultTable(
-        chrom=chrom,
-        pos=start + np.arange(n, dtype=np.int64),
-        ref_base=ref_base,
-        genotype=exception_decode(payloads["genotype"], _HOM_REF[ref_base]),
-        quality=rle_dict_decode(payloads["quality"]).astype(np.uint8),
-        best_base=twobit_decode(payloads["best_base"]),
-        avg_qual_best=rle_dict_decode(payloads["avg_qual_best"]).astype(np.uint8),
-        count_uni_best=rle_dict_decode(payloads["count_uni_best"]).astype(
-            np.uint16
+
+def decode_table(data: bytes, offset: int = 0) -> tuple[ResultTable, int]:
+    """Decode one container block; returns (table, next offset).
+
+    Every failure is a :class:`CodecError` naming the byte offset and the
+    column (or header field) it was found in; each column must decode to
+    exactly the block's site count before anything the count sizes is
+    allocated.
+    """
+    if data[offset : offset + 6] != _MAGIC:
+        raise CodecError("bad container magic", offset=offset, column="header")
+    block_at = offset
+    offset += 6
+    (clen,) = read_header("<H", data, offset, "chromosome length")
+    chrom = read_text(data, offset + 2, clen, "chromosome name")
+    offset += 2 + clen
+    n, start, n_blocks = read_header("<IqB", data, offset, "block header")
+    offset += 13
+    payloads: dict[str, tuple[int, bytes]] = {}
+    for _ in range(n_blocks):
+        nlen, plen = read_header("<BI", data, offset, "column header")
+        name = read_text(data, offset + 5, nlen, "column name")
+        offset += 5 + nlen
+        payloads[name] = (offset, take(data, offset, plen, f"column {name!r}"))
+        offset += plen
+    for name in _COLUMNS:
+        if name not in payloads:
+            raise CodecError("column missing", offset=block_at, column=name)
+
+    # The sparse and RLE-DICT columns are held to the header's site count
+    # before they expand; the bit-packed ones are bounded by their bytes.
+    ref_base = _read_column(payloads, "ref_base", twobit_decode)
+    cols = {
+        "ref_base": ref_base,
+        "genotype": _read_column(
+            payloads, "genotype", exception_decode, _HOM_REF[ref_base]
         ),
-        count_all_best=rle_dict_decode(payloads["count_all_best"]).astype(np.uint16),
-        second_base=sparse_decode(payloads["second_base"]),
-        avg_qual_second=sparse_decode(payloads["avg_qual_second"]),
-        count_uni_second=sparse_decode(payloads["count_uni_second"]),
-        count_all_second=sparse_decode(payloads["count_all_second"]),
-        depth=rle_dict_decode(payloads["depth"]).astype(np.uint16),
-        rank_sum=_dequantize100(rle_dict_decode(payloads["rank_sum"])),
-        copy_num=_dequantize100(rle_dict_decode(payloads["copy_num"])),
-        known_snp=sparse_decode(payloads["known_snp"]),
+        "best_base": _read_column(payloads, "best_base", twobit_decode),
+    }
+    for name in _RLE_COLUMNS:
+        cols[name] = _read_column(payloads, name, rle_dict_decode, n)
+    for name in _SPARSE_COLUMNS:
+        cols[name] = _read_column(payloads, name, sparse_decode, n)
+    for name, values in cols.items():
+        at_byte = payloads[name][0]
+        if values.size != n:
+            raise CodecError(f"{values.size} entries in a {n}-site block",
+                             offset=at_byte, column=name)
+        if name in _DOMAIN and n and int(values.max()) > _DOMAIN[name]:
+            raise CodecError(f"value {int(values.max())} outside "
+                             f"0..{_DOMAIN[name]}", offset=at_byte,
+                             column=name)
+    for name, dtype in _CAST.items():
+        cols[name] = cols[name].astype(dtype)
+    for name in ("rank_sum", "copy_num"):
+        cols[name] = _dequantize100(cols[name])
+    table = ResultTable(
+        chrom=chrom, pos=start + np.arange(n, dtype=np.int64), **cols
     )
     return table, offset
 
@@ -200,32 +254,53 @@ def encode_alignments(batch: AlignmentBatch) -> bytes:
     return b"".join(parts)
 
 
+def _strand_decode(data: bytes) -> np.ndarray:
+    (count,) = read_header("<I", data, 0, "strand header")
+    with at(4):
+        return unpack_bits(data[4:], 1, count).astype(np.uint8)
+
+
 def decode_alignments(data: bytes) -> AlignmentBatch:
-    """Inverse of :func:`encode_alignments`."""
+    """Inverse of :func:`encode_alignments`; fails like
+    :func:`decode_table`, with a :class:`CodecError` naming byte and
+    column."""
     if data[:6] != _MAGIC_ALN:
-        raise CodecError("bad alignment container magic")
-    clen, n, read_len = struct.unpack_from("<HIH", data, 6)
-    offset = 14
-    chrom = data[offset : offset + clen].decode()
-    offset += clen
-    payloads = []
-    for _ in range(5):
-        (plen,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        payloads.append(data[offset : offset + plen])
-        offset += plen
-    pos = delta_decode(payloads[0])
-    (sn,) = struct.unpack_from("<I", payloads[1], 0)
-    strand = unpack_bits(payloads[1][4:], 1, sn).astype(np.uint8)
-    hits = sparse_decode(payloads[2])
-    bases = twobit_decode(payloads[3]).reshape(n, read_len)
-    quals = rle_dict_decode(payloads[4]).astype(np.uint8).reshape(n, read_len)
+        raise CodecError(
+            "bad alignment container magic", offset=0, column="header"
+        )
+    clen, n, read_len = read_header("<HIH", data, 6, "alignment header")
+    chrom = read_text(data, 14, clen, "chromosome name")
+    offset = 14 + clen
+    payloads = {}
+    for name in ("pos", "strand", "hits", "bases", "quals"):
+        (plen,) = read_header("<I", data, offset, f"{name} length")
+        payloads[name] = (
+            offset + 4, take(data, offset + 4, plen, f"column {name!r}")
+        )
+        offset += 4 + plen
+
+    def column(name, decode, size, *args):
+        values = _read_column(payloads, name, decode, *args)
+        if values.size != size:
+            raise CodecError(
+                f"expected {size} entries, decoded {values.size}",
+                offset=payloads[name][0], column=name,
+            )
+        return values
+
+    # The bit-packed columns vouch for the read count (and bases for
+    # n * read_len) before the sparse and RLE-DICT columns expand to it.
+    pos = column("pos", delta_decode, n)
+    strand = column("strand", _strand_decode, n)
+    bases = column("bases", twobit_decode, n * read_len)
+    hits = column("hits", sparse_decode, n, n)
+    quals = column("quals", rle_dict_decode, n * read_len, n * read_len)
     return AlignmentBatch(
         chrom=chrom,
         read_len=read_len,
         pos=pos,
         strand=strand,
         hits=hits,
-        bases=bases,
-        quals=quals,
+        bases=bases.reshape(n, read_len),
+        quals=quals.astype(np.uint8).reshape(n, read_len),
     )

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import CodecError
 from .bitpack import bits_needed, pack_bits, unpack_bits
+from .wire import at, read_header
 
 
 def delta_encode(values: np.ndarray) -> bytes:
@@ -31,12 +32,11 @@ def delta_encode(values: np.ndarray) -> bytes:
 
 def delta_decode(data: bytes) -> np.ndarray:
     """Inverse of :func:`delta_encode`."""
-    if len(data) < 13:
-        raise CodecError("truncated delta header")
-    count, first, width = struct.unpack_from("<IqB", data, 0)
+    count, first, width = read_header("<IqB", data, 0, "delta header")
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    gaps = unpack_bits(data[13:], width, count - 1).astype(np.int64)
+    with at(13):
+        gaps = unpack_bits(data[13:], width, count - 1).astype(np.int64)
     out = np.empty(count, dtype=np.int64)
     out[0] = first
     if count > 1:

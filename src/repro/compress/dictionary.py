@@ -20,6 +20,7 @@ from ..gpusim.primitives.search import device_binary_search
 from ..gpusim.primitives.sort import device_radix_sort
 from ..gpusim.primitives.unique import device_unique
 from .bitpack import bits_needed, pack_bits, unpack_bits
+from .wire import at, read_header, take
 
 #: dtype tags persisted in encoded headers.
 _DTYPES = {
@@ -44,7 +45,7 @@ def dtype_tag(dtype: np.dtype) -> int:
 def tag_dtype(tag: int) -> np.dtype:
     """Inverse of :func:`dtype_tag`."""
     if tag not in _DTYPES:
-        raise CodecError(f"unknown dtype tag {tag}")
+        raise CodecError(f"unknown dtype tag {tag}", offset=0)
     return _DTYPES[tag]
 
 
@@ -69,18 +70,20 @@ def dict_encode(values: np.ndarray) -> bytes:
 
 def dict_decode(data: bytes) -> np.ndarray:
     """Inverse of :func:`dict_encode`."""
-    if len(data) < 8:
-        raise CodecError("truncated DICT header")
-    count, tag, dict_size, width = struct.unpack_from("<IBHB", data, 0)
-    dt = tag_dtype(tag)
+    count, tag, dict_size, width = read_header("<IBHB", data, 0, "DICT header")
+    with at(4):
+        dt = tag_dtype(tag)
     off = 8
     if count == 0:
         return np.empty(0, dtype=dt)
-    table = np.frombuffer(data, dtype=dt, count=dict_size, offset=off)
+    table = np.frombuffer(
+        take(data, off, dict_size * dt.itemsize, "DICT dictionary"), dtype=dt
+    )
     off += dict_size * dt.itemsize
-    idx = unpack_bits(data[off:], width, count)
-    if idx.size and int(idx.max()) >= dict_size:
-        raise CodecError("DICT index out of range")
+    with at(off):
+        idx = unpack_bits(data[off:], width, count)
+    if int(idx.max()) >= dict_size:
+        raise CodecError("DICT index out of range", offset=off)
     return table[idx.astype(np.int64)]
 
 

@@ -20,6 +20,7 @@ from ..gpusim.memory import DeviceArray
 from ..gpusim.primitives.reduce import device_reduce
 from .dictionary import dict_decode, dict_encode, dict_encode_gpu
 from .rle import rle_decode, rle_encode
+from .wire import at, read_header, take
 
 
 def rle_dict_encode(values: np.ndarray) -> bytes:
@@ -32,15 +33,34 @@ def rle_dict_encode(values: np.ndarray) -> bytes:
     return struct.pack("<II", len(v_blob), len(l_blob)) + v_blob + l_blob
 
 
-def rle_dict_decode(data: bytes) -> np.ndarray:
-    """Inverse of :func:`rle_dict_encode`."""
-    if len(data) < 8:
-        raise CodecError("truncated RLE-DICT header")
-    nv, nl = struct.unpack_from("<II", data, 0)
-    off = 8
-    run_values = dict_decode(data[off : off + nv])
-    run_lengths = dict_decode(data[off + nv : off + nv + nl])
-    return rle_decode(run_values, run_lengths.astype(np.int64))
+def rle_dict_decode(data: bytes, count: int) -> np.ndarray:
+    """Inverse of :func:`rle_dict_encode` for a ``count``-entry column.
+
+    Run lengths that do not sum to exactly ``count`` are rejected before
+    the runs are expanded.
+    """
+    nv, nl = read_header("<II", data, 0, "RLE-DICT header")
+    v_blob = take(data, 8, nv, "RLE-DICT run values")
+    l_blob = take(data, 8 + nv, nl, "RLE-DICT run lengths")
+    with at(8):
+        run_values = dict_decode(v_blob)
+    with at(8 + nv):
+        run_lengths = dict_decode(l_blob)
+    if run_lengths.dtype.kind != "u":
+        raise CodecError(
+            f"run lengths must be unsigned, got {run_lengths.dtype}",
+            offset=8 + nv,
+        )
+    # With at most ``count`` runs of at most ``count`` entries each, the
+    # uint64 sum cannot wrap.
+    if run_lengths.size > count or (
+        run_lengths.size and int(run_lengths.max()) > count
+    ) or int(run_lengths.sum(dtype=np.uint64)) != count:
+        raise CodecError(
+            f"runs do not cover exactly {count} entries", offset=8 + nv,
+        )
+    with at(8):
+        return rle_decode(run_values, run_lengths.astype(np.int64))
 
 
 def _flag_runs_kernel(ctx, values: DeviceArray, flags: DeviceArray, n: int):

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import CodecError
 from .delta import delta_decode, delta_encode
 from .dictionary import dict_decode, dict_encode, dtype_tag, tag_dtype
+from .wire import at, read_header, take
 
 
 def _encode_exceptions(idx: np.ndarray, values: np.ndarray) -> bytes:
@@ -35,12 +36,45 @@ def _encode_exceptions(idx: np.ndarray, values: np.ndarray) -> bytes:
     )
 
 
-def _decode_exceptions(data: bytes, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    ni, nv = struct.unpack_from("<II", data, offset)
-    offset += 8
-    idx = delta_decode(data[offset : offset + ni])
-    values = dict_decode(data[offset + ni : offset + ni + nv])
+def _decode_exceptions(
+    data: bytes, offset: int, count: int, dt: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, values) of the exceptions of a ``count``-entry column,
+    checked to index it and to carry its dtype."""
+    ni, nv = read_header("<II", data, offset, "exception header")
+    idx_at, val_at = offset + 8, offset + 8 + ni
+    idx_blob = take(data, idx_at, ni, "exception positions")
+    val_blob = take(data, val_at, nv, "exception values")
+    with at(idx_at):
+        idx = delta_decode(idx_blob)
+    with at(val_at):
+        values = dict_decode(val_blob)
+    if idx.size != values.size:
+        raise CodecError(
+            f"{idx.size} exception positions but {values.size} values",
+            offset=offset,
+        )
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= count):
+        raise CodecError(
+            f"exception position outside the {count}-entry column",
+            offset=idx_at,
+        )
+    if values.dtype != dt:
+        raise CodecError(
+            f"exception values are {values.dtype}, column is {dt}",
+            offset=val_at,
+        )
     return idx, values
+
+
+def _fill_value(dt: np.dtype, default: float):
+    """``default`` as a ``dt`` scalar, if ``dt`` can hold it exactly."""
+    if dt.kind in "ui" and not (
+        float(default).is_integer()
+        and np.iinfo(dt).min <= default <= np.iinfo(dt).max
+    ):
+        raise CodecError(f"default {default!r} is not a {dt} value", offset=5)
+    return dt.type(default)
 
 
 def sparse_encode(values: np.ndarray, default) -> bytes:
@@ -54,15 +88,23 @@ def sparse_encode(values: np.ndarray, default) -> bytes:
     return header + _encode_exceptions(idx, values[idx])
 
 
-def sparse_decode(data: bytes) -> np.ndarray:
-    """Inverse of :func:`sparse_encode`."""
-    if len(data) < 13:
-        raise CodecError("truncated sparse header")
-    count, tag, default = struct.unpack_from("<IBd", data, 0)
-    dt = tag_dtype(tag)
-    idx, vals = _decode_exceptions(data, 13)
-    out = np.full(count, dt.type(default), dtype=dt)
-    out[idx.astype(np.int64)] = vals.astype(dt)
+def sparse_decode(data: bytes, count: int) -> np.ndarray:
+    """Inverse of :func:`sparse_encode` for a ``count``-entry column.
+
+    The header's length field sizes the output but no payload byte vouches
+    for it, so it must equal ``count`` before anything is allocated.
+    """
+    n, tag, default = read_header("<IBd", data, 0, "sparse header")
+    if n != count:
+        raise CodecError(
+            f"sparse column declares {n} entries, expected {count}", offset=0,
+        )
+    with at(4):
+        dt = tag_dtype(tag)
+    fill = _fill_value(dt, default)
+    idx, vals = _decode_exceptions(data, 13, n, dt)
+    out = np.full(n, fill, dtype=dt)
+    out[idx] = vals
     return out
 
 
@@ -80,16 +122,16 @@ def exception_encode(values: np.ndarray, predicted: np.ndarray) -> bytes:
 
 def exception_decode(data: bytes, predicted: np.ndarray) -> np.ndarray:
     """Inverse of :func:`exception_encode` given the same prediction."""
-    if len(data) < 5:
-        raise CodecError("truncated exception header")
-    count, tag = struct.unpack_from("<IB", data, 0)
-    dt = tag_dtype(tag)
+    count, tag = read_header("<IB", data, 0, "exception header")
+    with at(4):
+        dt = tag_dtype(tag)
     predicted = np.asarray(predicted, dtype=dt)
     if predicted.size != count:
         raise CodecError(
-            f"prediction has {predicted.size} entries, column has {count}"
+            f"prediction has {predicted.size} entries, column has {count}",
+            offset=0,
         )
-    idx, vals = _decode_exceptions(data, 5)
+    idx, vals = _decode_exceptions(data, 5, count, dt)
     out = predicted.copy()
-    out[idx.astype(np.int64)] = vals.astype(dt)
+    out[idx] = vals
     return out

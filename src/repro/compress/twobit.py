@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import CodecError
 from .bitpack import pack_bits, unpack_bits
+from .wire import at, read_header
 
 
 def twobit_encode(codes: np.ndarray) -> bytes:
@@ -24,7 +25,6 @@ def twobit_encode(codes: np.ndarray) -> bytes:
 
 def twobit_decode(data: bytes) -> np.ndarray:
     """Inverse of :func:`twobit_encode`; returns uint8 codes."""
-    if len(data) < 4:
-        raise CodecError("truncated two-bit header")
-    (count,) = struct.unpack_from("<I", data, 0)
-    return unpack_bits(data[4:], 2, count).astype(np.uint8)
+    (count,) = read_header("<I", data, 0, "two-bit header")
+    with at(4):
+        return unpack_bits(data[4:], 2, count).astype(np.uint8)

@@ -204,7 +204,9 @@ class GsnpDetector:
             from .cohort import load_sample_batches
 
             sample_reads = load_sample_batches(dataset, spec)
-        if spec.uses_executor:
+        # A serial job asking for a journal or a shard deadline is sharded
+        # (one window per shard), exactly as ``gsnp call`` runs it.
+        if spec.normalized().uses_executor:
             from ..exec import execute
 
             result = execute(

@@ -37,7 +37,27 @@ class FormatError(GsnpError):
 
 
 class CodecError(GsnpError):
-    """Raised when compressed data cannot be decoded."""
+    """Raised when compressed data cannot be decoded.
+
+    ``offset`` is the byte position of the damaged region in the buffer
+    being decoded and ``column`` names the region (a container column, or
+    a header field); both are part of the message when known, so a
+    corrupt result file can be located without a debugger.
+    """
+
+    def __init__(
+        self, reason: str, *, offset: int | None = None,
+        column: str | None = None,
+    ) -> None:
+        where = [f"column {column!r}"] if column is not None else []
+        if offset is not None:
+            where.append(f"byte {offset}")
+        super().__init__(
+            f"{', '.join(where)}: {reason}" if where else reason
+        )
+        self.reason = reason
+        self.offset = offset
+        self.column = column
 
 
 class PipelineError(GsnpError):

@@ -776,7 +776,9 @@ class _Scheduler:
         )
         lane = _Lane(lane_id=CPU_LANE, kind="cpu")
         for shard in missing:
+            t0 = time.perf_counter()
             self._record(lane, _run_shard(self.job, lane, shard, 0))
+            lane.wall += time.perf_counter() - t0
         self.lanes.append(lane)
 
     def lane_usages(self) -> list[LaneUsage]:

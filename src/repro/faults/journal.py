@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import pickle
 import threading
@@ -33,6 +34,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import GsnpError
+
+logger = logging.getLogger(__name__)
 
 #: Journal format version; bumping invalidates old entries.
 JOURNAL_VERSION = 1
@@ -70,6 +73,21 @@ def run_fingerprint(
     return h.hexdigest()[:16]
 
 
+def seal(blob: bytes) -> bytes:
+    """``blob`` behind the sha256 digest line every durable record here
+    carries (journal entries, ledger records, stored calibrations)."""
+    return hashlib.sha256(blob).hexdigest().encode() + b"\n" + blob
+
+
+def unseal(raw: bytes) -> Optional[bytes]:
+    """The blob of a :func:`seal`-ed record, or ``None`` when the record
+    is torn or any bit of it flipped."""
+    digest, _, blob = raw.partition(b"\n")
+    if hashlib.sha256(blob).hexdigest().encode() != digest:
+        return None
+    return blob
+
+
 class JournalError(GsnpError):
     """Raised when a journal entry cannot be trusted or written."""
 
@@ -104,11 +122,10 @@ class ShardJournal:
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        digest = hashlib.sha256(blob).hexdigest().encode()
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             with open(tmp, "wb") as f:
-                f.write(digest + b"\n" + blob)
+                f.write(seal(blob))
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
@@ -121,9 +138,8 @@ class ShardJournal:
 
     def _load_entry(self, path: Path) -> Optional[dict]:
         try:
-            raw = path.read_bytes()
-            digest, _, blob = raw.partition(b"\n")
-            if hashlib.sha256(blob).hexdigest().encode() != digest:
+            blob = unseal(path.read_bytes())
+            if blob is None:
                 return None  # torn/corrupt entry: treat as a miss
             entry = pickle.loads(blob)
         except (OSError, pickle.PickleError, EOFError, ValueError):
@@ -161,13 +177,6 @@ class ShardJournal:
         return out
 
 
-def atomic_write_json(path, payload: dict) -> None:
-    """Atomically serialize ``payload`` as JSON at ``path``."""
-    blob = json.dumps(payload, sort_keys=True).encode() + b"\n"
-    with atomic_output(path) as f:
-        f.write(blob)
-
-
 class JobLedger:
     """Durable record of accepted service jobs: the daemon's recovery log.
 
@@ -178,10 +187,13 @@ class JobLedger:
     it re-enqueues them (with ``resume=True`` so their shard journals are
     honoured) and produces bitwise-identical output.
 
-    One JSON file per job under ``root/`` (``<job_id>.json``), each
-    written atomically; marking done rewrites the record with
-    ``state="done"``.  Records are tiny (a JobSpec wire payload plus
-    bookkeeping), so a scan of the directory on startup is cheap.
+    One record per job under ``root/`` (``<job_id>.json``): the job's JSON
+    behind the same sha256 digest line a shard-journal entry carries
+    (:func:`seal`), written atomically; marking done rewrites the record
+    with ``state="done"``.  A torn or bit-flipped record reads as absent,
+    so recovery can never re-run a spec nobody submitted.  Records are
+    tiny (a JobSpec wire payload plus bookkeeping), so a scan of the
+    directory on startup is cheap.
     """
 
     def __init__(self, root) -> None:
@@ -191,19 +203,36 @@ class JobLedger:
     def _path(self, job_id: str) -> Path:
         return self.dir / f"{job_id}.json"
 
+    def _write(self, job_id: str, entry: dict) -> None:
+        with atomic_output(self._path(job_id)) as f:
+            f.write(seal(json.dumps(entry, sort_keys=True).encode()))
+
+    @staticmethod
+    def _load(path: Path) -> dict:
+        """The record at ``path``; a ``ValueError`` says why it is
+        unreadable."""
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise ValueError(f"cannot read: {exc}") from None
+        blob = unseal(raw)
+        if blob is None:
+            raise ValueError("torn record or sha256 digest mismatch")
+        entry = json.loads(blob)
+        if not isinstance(entry, dict):
+            raise ValueError("not a JSON object")
+        return entry
+
     def record(self, job_id: str, payload: dict) -> None:
         """Durably record an admitted job (state ``pending``)."""
-        atomic_write_json(
-            self._path(job_id),
-            {"job_id": job_id, "state": "pending", **payload},
-        )
+        self._write(job_id, {"job_id": job_id, "state": "pending", **payload})
 
     def _mark(self, job_id: str, state: str) -> None:
         entry = self.get(job_id)
         if entry is None:
             entry = {"job_id": job_id}
         entry["state"] = state
-        atomic_write_json(self._path(job_id), entry)
+        self._write(job_id, entry)
 
     def mark_done(self, job_id: str) -> None:
         """Flip a job's record to ``done`` (idempotent)."""
@@ -222,18 +251,21 @@ class JobLedger:
     def get(self, job_id: str) -> Optional[dict]:
         """One job's record, or ``None`` (torn/corrupt reads as ``None``)."""
         try:
-            return json.loads(self._path(job_id).read_text())
-        except (OSError, ValueError):
+            return self._load(self._path(job_id))
+        except ValueError:
             return None
 
     def pending(self) -> list[dict]:
-        """Every recorded job not yet marked done, oldest first."""
+        """Every readable record not yet marked done, oldest first.  An
+        unreadable one is logged and stays on disk, untouched."""
         out = []
-        for p in sorted(self.dir.glob("*.json")):
+        for path in sorted(self.dir.glob("*.json")):
             try:
-                entry = json.loads(p.read_text())
-            except (OSError, ValueError):
-                continue  # torn record: the job never finished admission
+                entry = self._load(path)
+            except ValueError as exc:
+                logger.warning("ledger record %s left on disk, not "
+                               "recovered: %s", path, exc)
+                continue
             if entry.get("state") == "pending":
                 out.append(entry)
         return out
@@ -271,6 +303,7 @@ __all__ = [
     "JournalError",
     "ShardJournal",
     "atomic_output",
-    "atomic_write_json",
     "run_fingerprint",
+    "seal",
+    "unseal",
 ]

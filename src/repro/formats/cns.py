@@ -22,6 +22,7 @@ volume, the quantity Figures 9-10 measure).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -196,53 +197,78 @@ def write_cns(path: str | Path, table: ResultTable, append: bool = False) -> int
     return len(data)
 
 
-def parse_rows(data: bytes, chrom_hint: str | None = None) -> ResultTable:
-    """Parse tab-separated rows back into a table."""
-    base_idx = {c: i for i, c in enumerate(_BASE_CHARS)}
+#: ResultTable dtype of each parsed column.
+_DTYPES = {
+    "pos": np.int64, "ref_base": np.uint8, "genotype": np.uint8,
+    "quality": np.uint8, "best_base": np.uint8, "avg_qual_best": np.uint8,
+    "count_uni_best": np.uint16, "count_all_best": np.uint16,
+    "second_base": np.uint8, "avg_qual_second": np.uint8,
+    "count_uni_second": np.uint16, "count_all_second": np.uint16,
+    "depth": np.uint16, "rank_sum": np.float32, "copy_num": np.float32,
+    "known_snp": np.uint8,
+}
+
+_BASE_CODES = {c: i for i, c in enumerate(_BASE_CHARS)}
+
+
+def _parse_field(name: str, text: str, where: str):
+    """One column value of a row, or a FormatError naming ``where``."""
+    if name in ("ref_base", "best_base", "second_base"):
+        if text not in _BASE_CODES:
+            raise FormatError(f"{where}: bad {name} {text!r}")
+        return _BASE_CODES[text]
+    if name == "genotype":
+        if text not in IUPAC_GENOTYPE:
+            raise FormatError(f"{where}: bad genotype {text!r}")
+        return GENOTYPES.index(IUPAC_GENOTYPE[text])
+    dtype = np.dtype(_DTYPES[name])
+    floating = dtype.kind == "f"
+    try:
+        value = float(text) if floating else int(text)
+    except ValueError:
+        raise FormatError(f"{where}: bad {name} value {text!r}") from None
+    if floating:
+        fits = not math.isfinite(value) or abs(value) <= np.finfo(dtype).max
+    else:
+        fits = np.iinfo(dtype).min <= value <= np.iinfo(dtype).max
+    if not fits:
+        raise FormatError(f"{where}: {name} {text!r} does not fit {dtype}")
+    return value
+
+
+def parse_rows(
+    data: bytes, chrom_hint: str | None = None, path: str | Path = "<cns>"
+) -> ResultTable:
+    """Parse tab-separated rows back into a table.
+
+    Any malformed row is a :class:`FormatError` carrying ``path:line``
+    coordinates and the offending field.
+    """
     cols: dict[str, list] = {name: [] for name in COLUMN_FIELDS}
     chrom = chrom_hint or ""
-    for lineno, line in enumerate(data.decode().splitlines(), 1):
-        if not line:
+    for lineno, raw in enumerate(data.splitlines(), 1):
+        if not raw:
             continue
+        where = f"{path}:{lineno}"
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{where}: not UTF-8 text (byte {exc.start})"
+            ) from None
         parts = line.split("\t")
         if len(parts) != N_OUTPUT_COLUMNS:
             raise FormatError(
-                f"line {lineno}: expected {N_OUTPUT_COLUMNS} columns, "
+                f"{where}: expected {N_OUTPUT_COLUMNS} columns, "
                 f"got {len(parts)}"
             )
         chrom = parts[0]
-        cols["pos"].append(int(parts[1]))
-        cols["ref_base"].append(base_idx[parts[2]])
-        g = IUPAC_GENOTYPE.get(parts[3])
-        if g is None:
-            raise FormatError(f"line {lineno}: bad genotype {parts[3]!r}")
-        cols["genotype"].append(GENOTYPES.index(g))
-        cols["quality"].append(int(parts[4]))
-        cols["best_base"].append(base_idx[parts[5]])
-        cols["avg_qual_best"].append(int(parts[6]))
-        cols["count_uni_best"].append(int(parts[7]))
-        cols["count_all_best"].append(int(parts[8]))
-        cols["second_base"].append(base_idx[parts[9]])
-        cols["avg_qual_second"].append(int(parts[10]))
-        cols["count_uni_second"].append(int(parts[11]))
-        cols["count_all_second"].append(int(parts[12]))
-        cols["depth"].append(int(parts[13]))
-        cols["rank_sum"].append(float(parts[14]))
-        cols["copy_num"].append(float(parts[15]))
-        cols["known_snp"].append(int(parts[16]))
-    dtypes = {
-        "pos": np.int64, "ref_base": np.uint8, "genotype": np.uint8,
-        "quality": np.uint8, "best_base": np.uint8, "avg_qual_best": np.uint8,
-        "count_uni_best": np.uint16, "count_all_best": np.uint16,
-        "second_base": np.uint8, "avg_qual_second": np.uint8,
-        "count_uni_second": np.uint16, "count_all_second": np.uint16,
-        "depth": np.uint16, "rank_sum": np.float32, "copy_num": np.float32,
-        "known_snp": np.uint8,
-    }
+        for name, text in zip(COLUMN_FIELDS, parts[1:]):
+            cols[name].append(_parse_field(name, text, where))
     return ResultTable(
         chrom=chrom,
         **{
-            name: np.asarray(vals, dtype=dtypes[name])
+            name: np.asarray(vals, dtype=_DTYPES[name])
             for name, vals in cols.items()
         },
     )
@@ -251,4 +277,4 @@ def parse_rows(data: bytes, chrom_hint: str | None = None) -> ResultTable:
 def read_cns(path: str | Path) -> ResultTable:
     """Read a .cns text file into a table."""
     with open(path, "rb") as f:
-        return parse_rows(f.read())
+        return parse_rows(f.read(), path=path)

@@ -28,13 +28,17 @@ from ..align.records import AlignmentBatch
 #: Phred+33 quality encoding offset (Sanger FASTQ convention).
 QUAL_OFFSET = 33
 
+#: Largest 1-based position a record may carry (positions are int64).
+_MAX_POS = int(np.iinfo(np.int64).max)
+
 _BASE_LUT = np.full(256, 255, dtype=np.uint8)
 for _i, _b in enumerate(BASES):
     _BASE_LUT[ord(_b)] = _i
 
 
 def parse_soap_record(raw: bytes, lineno: int, path) -> tuple:
-    """Parse one SOAP line into ``(pos0, strand, hits, codes, quals)``.
+    """Parse one SOAP line into ``(pos0, strand, hits, codes, quals,
+    chrom)``.
 
     Every :class:`~repro.errors.FormatError` carries ``file:line``
     coordinates plus the offending field, so a malformed record in a
@@ -50,8 +54,10 @@ def parse_soap_record(raw: bytes, lineno: int, path) -> tuple:
             f"{path}:{lineno}: expected 8 fields (tab-separated), got "
             f"{len(parts)} (truncated record?)"
         )
-    _, seq, qual, n_hits, length, strand, _chrom, pos = parts
+    _, seq, qual, n_hits, length, strand, chrom, pos = parts
     codes = _BASE_LUT[np.frombuffer(seq, dtype=np.uint8)]
+    if not codes.size:
+        raise FormatError(f"{path}:{lineno}: empty read")
     if (codes == 255).any():
         bad = seq[int(np.argmax(codes == 255))]
         raise FormatError(
@@ -79,12 +85,25 @@ def parse_soap_record(raw: bytes, lineno: int, path) -> tuple:
         )
     if strand not in (b"+", b"-"):
         raise FormatError(f"{path}:{lineno}: bad strand {strand!r}")
+    if hits < 0:
+        raise FormatError(f"{path}:{lineno}: negative hit count {hits}")
+    if not 0 <= pos0 < _MAX_POS:
+        raise FormatError(
+            f"{path}:{lineno}: position {pos0 + 1} outside [1, {_MAX_POS}]"
+        )
+    try:
+        chrom_name = chrom.decode()
+    except UnicodeDecodeError:
+        raise FormatError(
+            f"{path}:{lineno}: chromosome name {chrom!r} is not UTF-8"
+        ) from None
     return (
         pos0,
         0 if strand == b"+" else 1,
         min(hits, 255),
         codes,
         q.astype(np.uint8),
+        chrom_name,
     )
 
 
@@ -153,8 +172,8 @@ def read_soap(
             if not raw:
                 continue
             try:
-                pos0, strand, hits, codes, quals = parse_soap_record(
-                    raw, lineno, path
+                pos0, strand, hits, codes, quals, rec_chrom = (
+                    parse_soap_record(raw, lineno, path)
                 )
             except FormatError as exc:
                 if quarantine is None:
@@ -164,7 +183,7 @@ def read_soap(
                 continue
             if read_len == 0:
                 read_len = codes.size
-                chrom = raw.split(b"\t")[6].decode()
+                chrom = rec_chrom
             elif codes.size != read_len:
                 raise FormatError(
                     f"{path}:{lineno}: mixed read lengths not supported "

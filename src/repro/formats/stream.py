@@ -76,7 +76,7 @@ class _SoapRecordStream:
                 self.n_quarantined += 1
                 continue
             if not self.chrom:
-                self.chrom = raw.split(b"\t")[6].decode()
+                self.chrom = rec[5]
             if rec[0] < self._last_pos:
                 raise FormatError(
                     f"{self.path}:{lineno}: positions not sorted"

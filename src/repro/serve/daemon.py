@@ -25,6 +25,7 @@ not recovered.
 from __future__ import annotations
 
 import contextlib
+import logging
 import os
 import queue
 import socket
@@ -46,6 +47,8 @@ from .protocol import (
 )
 from .runner import ResidentRunner
 from .scheduler import AdmissionError, Job, JobScheduler
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -111,16 +114,18 @@ class GsnpServer:
         recovered = []
         for entry in self.ledger.pending():
             try:
-                spec = JobSpec.from_wire(entry["spec"])
-            except (KeyError, ValueError):
-                continue  # unreadable record: leave it pending on disk
-            job = Job(
-                entry["job_id"],
-                spec,
-                tenant=entry.get("tenant", "default"),
-                priority=int(entry.get("priority", 0)),
-                recovered=True,
-            )
+                job = Job(
+                    str(entry["job_id"]),
+                    JobSpec.from_wire(entry["spec"]),
+                    tenant=str(entry.get("tenant", "default")),
+                    priority=int(entry.get("priority", 0)),
+                    recovered=True,
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                # Unreadable record: leave it pending on disk.
+                logger.warning("ledger record %r left on disk, not "
+                               "recovered: %r", entry.get("job_id"), exc)
+                continue
             try:
                 self.scheduler.submit(job)
             except AdmissionError:
@@ -272,11 +277,15 @@ class GsnpServer:
                 write_message(wfile, {
                     "event": "error", "error": f"unknown op {op!r}",
                 })
-        except ProtocolError as exc:
-            with contextlib.suppress(OSError, ValueError):
-                write_message(wfile, {"event": "error", "error": str(exc)})
-        except (BrokenPipeError, ConnectionResetError, OSError):
+        except OSError:
             pass  # client went away mid-stream; the job continues
+        except Exception as exc:  # noqa: BLE001 — the connection boundary
+            # A malformed request gets one error event, and so does a bug
+            # it provokes (logged): the thread never dies without a reply.
+            if not isinstance(exc, ProtocolError):
+                logger.exception("request handler failed")
+            with contextlib.suppress(OSError, ProtocolError):
+                write_message(wfile, {"event": "error", "error": str(exc)})
         finally:
             for closable in (wfile, rfile, conn):
                 with contextlib.suppress(OSError):
@@ -296,6 +305,12 @@ class GsnpServer:
                     "journal/resume are managed by the daemon; submit the "
                     "job without them"
                 )
+            priority = message.get("priority", 0)
+            if not isinstance(priority, int) or isinstance(priority, bool):
+                raise ValueError(
+                    "priority must be an integer, got "
+                    f"{type(priority).__name__}"
+                )
         except ValueError as exc:
             write_message(wfile, {
                 "event": "rejected", "error": str(exc), "code": "invalid",
@@ -311,7 +326,7 @@ class GsnpServer:
             self._next_job_id(),
             spec,
             tenant=str(message.get("tenant", "default")),
-            priority=int(message.get("priority", 0)),
+            priority=priority,
             inline=spec.output is None,
         )
         ledgered = spec.output is not None

@@ -85,7 +85,7 @@ def read_message(rfile) -> Optional[dict]:
         )
     try:
         obj = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting
         raise ProtocolError(f"invalid JSON on the wire: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(

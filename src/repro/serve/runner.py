@@ -38,7 +38,7 @@ from pathlib import Path
 from ..api import JobSpec
 from ..core.detector import dataset_from_files
 from ..exec import calibrate_job, execute
-from ..faults.journal import atomic_output
+from ..faults.journal import atomic_output, seal, unseal
 
 #: On-disk calibration entry format version.
 CALIBRATION_STORE_VERSION = 1
@@ -211,9 +211,8 @@ class CalibrationCache:
 
     def _load_disk(self, key: str):
         try:
-            raw = self._path(key).read_bytes()
-            digest, _, blob = raw.partition(b"\n")
-            if hashlib.sha256(blob).hexdigest().encode() != digest:
+            blob = unseal(self._path(key).read_bytes())
+            if blob is None:
                 return None  # torn entry: recompute
             return pickle.loads(blob)
         except (OSError, pickle.PickleError, EOFError, ValueError):
@@ -221,9 +220,8 @@ class CalibrationCache:
 
     def _store_disk(self, key: str, calibration) -> None:
         blob = pickle.dumps(calibration, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(blob).hexdigest().encode()
         with atomic_output(self._path(key)) as f:
-            f.write(digest + b"\n" + blob)
+            f.write(seal(blob))
 
     def get(self, key: str):
         """The cached calibration, or ``None`` (counting the lookup)."""

@@ -167,17 +167,17 @@ class TestSparse:
         v = np.zeros(5000, dtype=np.uint16)
         idx = rng.choice(5000, 80, replace=False)
         v[idx] = rng.integers(1, 500, 80)
-        assert np.array_equal(sparse_decode(sparse_encode(v, 0)), v)
+        assert np.array_equal(sparse_decode(sparse_encode(v, 0), v.size), v)
 
     def test_nonzero_default(self, rng):
         v = np.full(1000, 4, dtype=np.uint8)
         v[5] = 2
-        out = sparse_decode(sparse_encode(v, 4))
+        out = sparse_decode(sparse_encode(v, 4), v.size)
         assert np.array_equal(out, v)
 
     def test_dense_column_still_lossless(self, rng):
         v = rng.integers(0, 255, 300).astype(np.uint8)
-        assert np.array_equal(sparse_decode(sparse_encode(v, 0)), v)
+        assert np.array_equal(sparse_decode(sparse_encode(v, 0), v.size), v)
 
     def test_sparse_much_smaller(self, rng):
         v = np.zeros(100_000, dtype=np.uint16)
@@ -187,13 +187,13 @@ class TestSparse:
     def test_float_column(self):
         v = np.full(100, 1.0, dtype=np.float32)
         v[3] = 0.5
-        assert np.array_equal(sparse_decode(sparse_encode(v, 1.0)), v)
+        assert np.array_equal(sparse_decode(sparse_encode(v, 1.0), v.size), v)
 
     @given(st.lists(st.integers(0, 3), min_size=0, max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_property_roundtrip(self, values):
         arr = np.asarray(values, dtype=np.uint8)
-        assert np.array_equal(sparse_decode(sparse_encode(arr, 0)), arr)
+        assert np.array_equal(sparse_decode(sparse_encode(arr, 0), arr.size), arr)
 
 
 class TestException:

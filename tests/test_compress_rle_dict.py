@@ -26,11 +26,11 @@ def _runny_column(rng, n=5000, n_values=40, mean_run=12):
 class TestCpu:
     def test_roundtrip(self, rng):
         col = _runny_column(rng)
-        assert np.array_equal(rle_dict_decode(rle_dict_encode(col)), col)
+        assert np.array_equal(rle_dict_decode(rle_dict_encode(col), col.size), col)
 
     def test_empty(self):
         col = np.empty(0, dtype=np.uint8)
-        out = rle_dict_decode(rle_dict_encode(col))
+        out = rle_dict_decode(rle_dict_encode(col), 0)
         assert out.size == 0
 
     def test_compresses_quality_like_columns(self, rng):
@@ -49,17 +49,17 @@ class TestCpu:
             rng.integers(0, 900, 100).astype(np.uint16),
             rng.integers(1, 30, 100),
         )
-        assert np.array_equal(rle_dict_decode(rle_dict_encode(col)), col)
+        assert np.array_equal(rle_dict_decode(rle_dict_encode(col), col.size), col)
 
     def test_truncated_rejected(self):
         with pytest.raises(CodecError):
-            rle_dict_decode(b"\x00\x00")
+            rle_dict_decode(b"\x00\x00", 0)
 
     @given(st.lists(st.integers(0, 30), min_size=0, max_size=500))
     @settings(max_examples=50, deadline=None)
     def test_property_roundtrip(self, values):
         col = np.asarray(values, dtype=np.uint8)
-        assert np.array_equal(rle_dict_decode(rle_dict_encode(col)), col)
+        assert np.array_equal(rle_dict_decode(rle_dict_encode(col), col.size), col)
 
 
 class TestGpu:

@@ -1,0 +1,336 @@
+"""One generated parity matrix: any JobSpec yields the oracle's bytes or a
+typed error — the paper's §IV-G identity, for every way a job can run.
+
+One axis table over JobSpec fields and one property over it: a spec
+``validate`` refuses makes the run raise the same ``ValueError`` and
+write nothing; any other spec gives every sample the suite's ``gsnp_cpu``
+oracle table (``verify.check``) and the serial run's bytes; a faulted run
+may instead raise a ``GsnpError`` and leave no file, and a poisoned-shard
+kill resumes to the oracle's bytes.  On regions of the table, event
+counters depend on the launch chain alone and executor/pool bookkeeping
+accounts for every shard.  The suite's accuracy is pinned here too.
+"""
+
+import sys
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.align.records import AlignmentBatch
+from repro.api import JobSpec, create_pipeline, effective_window
+from repro.compress.columnar import encode_table
+from repro.constants import DEFAULT_WINDOW_GSNP
+from repro.core.cohort import cohort_output_path, pooled_batch
+from repro.core.detector import GsnpDetector
+from repro.errors import GsnpError
+from repro.exec import plan_shards
+from repro.faults import FaultPlan, FaultSpec
+from repro.formats.cns import format_rows
+from repro.formats.soap import read_soap, write_soap
+from repro.seqsim.datasets import DatasetSpec, generate_dataset
+from repro.seqsim.reads import simulate_reads
+
+# The suite's oracle check, imported as its own tests import it (appended:
+# the suite's trace.py must not shadow the standard library's).
+sys.path.append(str(Path(__file__).parents[1] / "benchmarks" / "suite"))
+import verify  # noqa: E402
+from workloads import (  # noqa: E402
+    WORKLOADS, Inputs, Outcome, Workload, prepare, run_job,
+)
+
+N_SITES = 1600
+
+#: JobSpec field -> values, the first is the one a case shrinks to.
+#: ``samples`` is the cohort size S, ``faults`` a ``FaultPlan.generate``
+#: seed, ``resume`` a journal, a poisoned-shard kill and a resume.
+AXES = {
+    "engine": ("gsnp", "gsnp_cpu", "soapsnp"),
+    "variant": ("optimized", "baseline", "w_shared", "w_new_table"),
+    "window": (256, 450, DEFAULT_WINDOW_GSNP),
+    "fusion": (True, False), "prefetch": (True, False),
+    "cache": (True, False), "megabatch": (16, 1, 3),
+    "workers": (1, 2), "shard_size": (None, 600),
+    "devices": (1, 2, 4), "cpu_steal": (False, True),
+    "sanitize": (False, True), "samples": (1, 2, 4),
+    "faults": (None, 0, 1, 2, 3), "resume": (False, True),
+}
+#: Further values of the tier-2 profile.
+WIDE = {"window": (100, 1600, 4000), "megabatch": (2, 64), "workers": (4,),
+        "shard_size": (256, 1024, 5000), "devices": (3,),
+        "faults": tuple(range(4, 64))}
+
+
+def case(**values):
+    return {axis: options[0] for axis, options in AXES.items()} | values
+
+
+class Env:
+    """The dataset, the cohort's sample files, the memoised oracles."""
+
+    def __init__(self, root: Path) -> None:
+        self.ds = generate_dataset(DatasetSpec(
+            name="matrix", n_sites=N_SITES, depth=6.0, coverage=0.92,
+            read_len=40, seed=31,
+        ))
+        self.batches = [AlignmentBatch.from_read_set(self.ds.reads)]
+        self.paths = [str(root / f"sample{i}.soap") for i in (1, 2, 3)]
+        for i, path in enumerate(self.paths, 1):
+            write_soap(path, AlignmentBatch.from_read_set(simulate_reads(
+                self.ds.diploid, depth=6.0, coverage=0.92, read_len=40,
+                seed=1000 + i,
+            )))
+            self.batches.append(read_soap(path))
+        self.memo: dict = {}
+        self.counters: dict = {}  # launch-chain key -> first events seen
+
+    def inputs(self, s: int) -> Inputs:
+        return Inputs(Workload("job-matrix", "ch1", N_SITES), N_SITES,
+                      self.ds, self.batches[:s] if s > 1 else None)
+
+    def oracle(self, s: int) -> list:
+        """Per-sample tables of the suite's ``gsnp_cpu`` oracle."""
+        if s not in self.memo:
+            self.memo[s] = verify.build_oracle(self.inputs(s))
+        return self.memo[s]
+
+    def serial_streams(self, window: int, s: int) -> list:
+        """Per-sample compressed streams of the serial run at ``window``,
+        calibrated once over a cohort's pooled reads."""
+        if (window, s) not in self.memo:
+            pipe = create_pipeline(spec=JobSpec(engine="gsnp_cpu",
+                                                window=window))
+            reads = pooled_batch(self.batches[:s]) if s > 1 else None
+            cal = pipe.calibrate(self.ds, reads=reads)
+            self.memo[window, s] = [
+                pipe.run(self.ds, calibration=cal, reads=b).compressed_output
+                for b in self.batches[:s]
+            ]
+        return self.memo[window, s]
+
+
+@pytest.fixture(scope="module")
+def env(tmp_path_factory):
+    return Env(tmp_path_factory.mktemp("matrix"))
+
+
+def shard_bounds(spec: JobSpec) -> tuple:
+    """The shards the executor plans (one, for an in-process job)."""
+    spec = spec.normalized()
+    if not spec.uses_executor:
+        return ((0, N_SITES),)
+    return tuple((s.start, s.end) for s in plan_shards(
+        N_SITES, effective_window(spec.engine, spec.window), spec.shard_size,
+        max(spec.workers, spec.devices + spec.cpu_steal),
+    ))
+
+
+def counter_key(spec: JobSpec, s: int, bounds: tuple):
+    """What event counters are a function of; ``None`` off that region
+    (pool lanes hand shards to the host engine, and a fault's degraded
+    rung reruns a fused shard per window).  Per-window and host chains sum
+    per window, so sharding, retries and resumes drop out; a fused chain
+    cuts megabatches at shard boundaries."""
+    fused = spec.engine == "gsnp" and spec.fusion
+    if spec.uses_pool or (fused and spec.faults is not None):
+        return None
+    key = (spec.engine, effective_window(spec.engine, spec.window), s)
+    if spec.engine != "soapsnp":
+        key += (spec.variant_name,)
+    return key + ((spec.megabatch, bounds) if fused else ())
+
+
+def run(env: Env, spec: JobSpec, out=None, sample_batches=None):
+    detector = GsnpDetector(spec=spec)
+    detector.sample_batches = sample_batches
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degradation rungs, unused toggles
+        return detector.run(env.ds, output_path=out)
+
+
+def events(profile) -> dict:
+    """Per-phase event records, the measured wall clock blanked."""
+    return {k: replace(r, wall=0.0) for k, r in profile.records.items()}
+
+
+def check_job(env: Env, c: dict) -> set:
+    """The property for one case; returns what it exercised."""
+    with tempfile.TemporaryDirectory(prefix="gsnp-matrix-") as tmp:
+        root = Path(tmp)
+        out, journal = root / "out", root / "journal"
+        spec = JobSpec(
+            **{k: c[k] for k in AXES
+               if k not in ("samples", "faults", "resume")},
+            samples=env.paths[: c["samples"] - 1],
+            journal=str(journal) if c["resume"] else None,
+        )
+        try:
+            spec.validate()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                run(env, spec, out)
+            assert str(raised.value) == str(exc)
+            assert not list(root.iterdir())
+            return {"rejected"}
+        bounds = shard_bounds(spec)
+        done = {(axis, c[axis]) for axis in AXES} | {"oracle"}
+
+        def faults():  # fresh per run: a plan counts its own hits
+            if c["faults"] is not None:
+                return FaultPlan.generate(c["faults"], len(bounds))
+
+        committed = 0
+        if c["resume"]:
+            poison = FaultSpec(site="exec.shard.error",
+                               key=len(bounds) - 1, times=99)
+            with pytest.raises(GsnpError):
+                run(env, replace(spec, faults=(faults() or FaultPlan())
+                                 .with_spec(poison)), out)
+            assert not list(root.glob("out*"))
+            committed = len(list(journal.rglob("shard-*.pkl")))
+            done |= {"typed-error"} | ({"resumed"} if committed else set())
+            spec = replace(spec, resume=True)
+        spec = replace(spec, faults=faults())
+        try:
+            res = run(env, spec, out)
+        except GsnpError:
+            assert spec.faults is not None, "only a faulted run may fail"
+            assert not list(root.glob("out*"))
+            return (done - {"oracle"}) | {"typed-error"}
+
+        s, text = c["samples"], spec.engine == "soapsnp"
+        members = res.samples if s > 1 else [res]
+        blobs = [encode_table(m.table) if text else m.compressed_output
+                 for m in members]
+        failures, _ = verify.check(
+            Outcome(res, [m.table for m in members], blobs,
+                    None if text else out),
+            env.oracle(s), env.inputs(s), enforce_floors=False,
+        )
+        assert failures == []
+        want = [format_rows(env.oracle(1)[0])] if text else \
+            env.serial_streams(effective_window(spec.engine, spec.window), s)
+        for i, member in enumerate(members):
+            delivered = cohort_output_path(out, i).read_bytes()
+            assert delivered == want[i] and (text or delivered == blobs[i])
+            assert member.output_bytes == len(delivered)
+        assert len(list(root.glob("out*"))) == s
+
+    key = counter_key(spec, s, bounds)
+    if key is not None:
+        assert env.counters.setdefault(key, events(res.profile)) \
+            == events(res.profile), key
+    meta = res.extras.get("exec")
+    if not spec.normalized().uses_executor:
+        assert meta is None
+        assert ("fusion" in res.extras) == (spec.engine == "gsnp"
+                                            and spec.fusion)
+        if s == 1 and not text:  # a solo run is a cohort of one
+            one = run(env, spec, sample_batches=env.batches[:1])
+            assert events(one.profile) == events(res.profile)
+            assert one.samples[0].table.equals(res.table)
+            for field in ("compressed_output", "sort_stats",
+                          "temp_input_bytes"):
+                assert getattr(one.samples[0], field) == getattr(res, field)
+        return done
+    ran = len(bounds) - committed
+    assert (meta["resumed"], meta["n_shards"], meta["samples"]) \
+        == (committed, len(bounds), s)
+    assert meta["pool"] == ("hetero" if spec.uses_pool else "process"
+                            if spec.workers > 1 else "serial")
+    if spec.uses_pool:
+        h = meta["hetero"]
+        assert (h["devices"], h["cpu_steal"], len(h["per_device"])) \
+            == (spec.devices, spec.cpu_steal, spec.devices)
+        assert sum(h["initial_split"]) == ran
+        assert sum(lane["shards"] for lane in h["lanes"]) == ran
+        assert all(lane["wall"] > 0 for lane in h["lanes"] if lane["shards"])
+    return done
+
+
+#: Cases every tier-1 run checks.  Each crosses axes that no hand-written
+#: parity matrix crosses (those matrices still check their own corners);
+#: together they give every axis value and every outcome.
+PINNED = [
+    # a cohort on a pool, sanitized and faulted; a journaled pool with a
+    # steal lane killed, then resumed; a journaled cohort on process lanes
+    case(samples=4, devices=2, sanitize=True, faults=1),
+    case(resume=True, devices=2, cpu_steal=True, faults=3),
+    case(resume=True, workers=2, samples=2, faults=2),
+    # a kernel variant on four devices; fused cohort megabatches cut at
+    # shard bounds; a sanitized cohort one window per launch batch
+    case(variant="baseline", window=450, fusion=False, devices=4,
+         cpu_steal=True, workers=2),
+    case(variant="w_shared", megabatch=3, shard_size=600, cache=False,
+         samples=2),
+    case(megabatch=1, prefetch=False, sanitize=True, samples=4),
+    # the host engine sharded and faulted, then serial (same counters);
+    # the dense baseline on process lanes, toggles off; two rejections
+    case(engine="gsnp_cpu", variant="w_new_table", window=DEFAULT_WINDOW_GSNP,
+         shard_size=600, faults=0),
+    case(engine="gsnp_cpu", variant="w_new_table", window=DEFAULT_WINDOW_GSNP,
+         prefetch=False),
+    case(engine="soapsnp", window=450, workers=2, prefetch=False, cache=False),
+    case(window=0), case(engine="soapsnp", devices=2),
+]
+
+
+def profile(axes, n, pinned=(), derandomize=True):
+    """``@given`` over ``axes``, plus the ``pinned`` examples."""
+    strategy = st.fixed_dictionaries(
+        {a: st.sampled_from(v) for a, v in axes.items()})
+    fuzz = settings(max_examples=n, derandomize=derandomize, deadline=None,
+                    database=None, suppress_health_check=list(HealthCheck))
+
+    def decorate(fn):
+        for c in pinned:
+            fn = example(c)(fn)
+        return fuzz(given(strategy)(fn))
+    return decorate
+
+
+class TestJobMatrix:
+    def test_any_spec_is_oracle_bytes_or_typed_error(self, env):
+        exercised: set = set()
+
+        @profile(AXES, n=4, pinned=PINNED)
+        def prop(c):
+            exercised.update(check_job(env, c))
+
+        prop()
+        wanted = {(a, v) for a, values in AXES.items() for v in values}
+        assert not wanted - exercised, sorted(wanted - exercised, key=str)
+        assert {"oracle", "rejected", "typed-error", "resumed"} <= exercised
+
+    @pytest.mark.tier2
+    def test_any_spec_is_oracle_bytes_or_typed_error_wide(self, env):
+        @profile({a: v + WIDE.get(a, ()) for a, v in AXES.items()}, n=400,
+                 derandomize=False)
+        def prop(c):
+            check_job(env, c)
+
+        prop()
+
+
+#: (precision, recall) of each suite workload at seed 0, scale 8: exact
+#: for a seed, so pinned rather than floored.
+ACCURACY = {
+    "solo-smallwin": (1.0, 0.9),
+    "solo-bigwin": (1.0, 0.8),
+    "cohort-pool": (1.0, 0.8541666666666666),
+    "files-sharded": (1.0, 0.7857142857142857),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_suite_workload_accuracy_is_pinned(name, tmp_path):
+    inputs = prepare(WORKLOADS[name], seed=0, scale=8, workdir=tmp_path)
+    failures, score = verify.check(run_job(inputs),
+                                   verify.build_oracle(inputs), inputs,
+                                   enforce_floors=True)
+    assert failures == []
+    assert (score.precision, score.recall) == ACCURACY[name]

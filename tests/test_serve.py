@@ -16,9 +16,12 @@ The load-bearing guarantees (ISSUE acceptance):
 """
 
 import argparse
+import contextlib
+import json
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -41,6 +44,7 @@ from repro.serve import (
     ServeConfig,
     wait_for_server,
 )
+from repro.serve.protocol import MAX_MESSAGE_BYTES
 
 WINDOW = 400
 SITES = 1200
@@ -437,3 +441,107 @@ class TestServeStats:
             assert key in stats
         assert stats["scheduler"]["submitted"] == 0
         assert resident_stats()["pipelines"] >= 0
+
+
+
+def _raw_request(socket_path, payload: bytes) -> list:
+    """Send ``payload`` as one request and half-close; every event line
+    the daemon wrote before it closed the connection."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30.0)
+        sock.connect(str(socket_path))
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            sock.sendall(payload)  # an oversize line is cut off mid-send
+            sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(1 << 16):
+            data += chunk
+    return [json.loads(line) for line in data.splitlines()]
+
+
+def _submit(inputs, spec=(), **message) -> bytes:
+    wire = {**_spec(inputs).to_wire(), **dict(spec)}
+    return json.dumps({"op": "submit", "spec": wire, **message}).encode() \
+        + b"\n"
+
+
+#: request -> the one event it must get back.
+HOSTILE = {
+    "faults-not-a-plan": (lambda i: _submit(i, {"faults": "x"}), "rejected"),
+    "engine-not-a-name": (
+        lambda i: _submit(i, {"engine": ["gsnp"]}), "rejected"),
+    "priority-not-an-int": (
+        lambda i: _submit(i, priority="high"), "rejected"),
+    "fasta-not-a-path": (lambda i: _submit(i, {"fasta": 5}), "rejected"),
+    "wrong-wire-version": (
+        lambda i: _submit(i, {"version": 99}), "rejected"),
+    "not-an-object": (lambda i: b"[1, 2]\n", "error"),
+    "invalid-json": (lambda i: b'{"op": "sub\n', "error"),
+    "truncated": (lambda i: b'{"op": "ping"}', "error"),
+    "nested-too-deep": (lambda i: b"[" * 50_000 + b"]" * 50_000 + b"\n",
+                        "error"),
+    "oversize": (lambda i: b" " * MAX_MESSAGE_BYTES + b"{}\n", "error"),
+    "unknown-op": (lambda i: b'{"op": "reboot"}\n', "error"),
+}
+
+
+class TestHostileRequests:
+    """Every malformed request gets exactly one well-formed ``rejected``
+    or ``error`` event, and the daemon keeps answering."""
+
+    @pytest.mark.parametrize("name", list(HOSTILE))
+    def test_one_well_formed_reply(self, name, serve_inputs, server_factory):
+        request, event = HOSTILE[name]
+        server, client = server_factory()
+        events = _raw_request(client.socket_path, request(serve_inputs))
+        assert [e["event"] for e in events] == [event] and events[0]["error"]
+        assert events[0].get("code", "invalid") == "invalid"
+        assert client.ping()["event"] == "pong"
+        assert client.stats()["scheduler"]["submitted"] == 0
+
+    def test_disconnect_mid_stream(self, serve_inputs, server_factory):
+        server, client = server_factory()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(client.socket_path)
+            sock.sendall(_submit(serve_inputs))
+            accepted = json.loads(sock.makefile("rb").readline())
+        assert client.ping()["event"] == "pong"
+        done = client.wait(accepted["job_id"])  # it ran on regardless
+        assert done.output == serve_inputs["ref_bytes"]
+
+
+def test_unreadable_ledger_records_stay_on_disk_unrun(serve_inputs, tmp_path,
+                                                     caplog):
+    """A torn record, a bit flip that still parses as JSON, a field of the
+    wrong type, an unsealed plain-JSON record: none is run, none stops the
+    daemon, all stay on disk, and each is logged by name with a reason."""
+    server = GsnpServer(ServeConfig(
+        socket_path=str(tmp_path / "s.sock"), state_dir=str(tmp_path / "st"),
+    ))
+    good = _spec(serve_inputs, output=str(tmp_path / "o.cns")).to_wire()
+    for job_id, spec in (("good", good), ("torn", good), ("flip", good),
+                         ("type", {**good, "faults": "x"})):
+        server.ledger.record(job_id, {"spec": spec, "tenant": "t"})
+    jobs = server.ledger.dir
+    (jobs / "torn.json").write_bytes((jobs / "torn.json").read_bytes()[:-9])
+    raw = (jobs / "flip.json").read_bytes()
+    assert b'"window": 400' in raw
+    (jobs / "flip.json").write_bytes(
+        raw.replace(b'"window": 400', b'"window": 408'))
+    (jobs / "plain.json").write_text(json.dumps(
+        {"job_id": "plain", "state": "pending", "spec": good}))
+    records = {p: p.read_bytes() for p in jobs.iterdir()}
+    with caplog.at_level("WARNING"):
+        assert server.recover() == ["good"]
+    assert {p: p.read_bytes() for p in jobs.iterdir()} == records
+    refused = [r.getMessage() for r in caplog.records
+               if "left on disk, not recovered" in r.getMessage()]
+    for name, reason in (("torn.json", "digest mismatch"),
+                         ("flip.json", "digest mismatch"),
+                         ("plain.json", "digest mismatch"),
+                         ("'type'", "faults")):
+        assert any(name in m and reason in m for m in refused), (name, refused)
+    assert len(refused) == 4
+    server.ledger.mark_done("good")
+    assert server.ledger.get("good")["spec"]["window"] == 400
+    assert [e["job_id"] for e in server.ledger.pending()] == ["type"]
