@@ -1,7 +1,6 @@
 """Benchmark harness: events, full-scale extrapolation, experiment drivers."""
 
 from .events import COMPONENTS, PhaseRecord, RunProfile
-from .report import emit, emit_table, ratio_str
 from .scale import (
     TABLE1_PAPER,
     TABLE4_PAPER,
@@ -16,8 +15,5 @@ __all__ = [
     "RunProfile",
     "TABLE1_PAPER",
     "TABLE4_PAPER",
-    "emit",
-    "emit_table",
     "extrapolate",
-    "ratio_str",
 ]

@@ -21,6 +21,8 @@ from .harness import (
     exp_fig8,
     exp_fig9,
     exp_fig10,
+    exp_fig11,
+    exp_fig12,
     exp_table1,
     exp_table2,
     exp_table3,
@@ -29,6 +31,13 @@ from .harness import (
 
 #: Dataset names the experiments run over.
 DATASETS = ("ch1-sim", "ch21-sim")
+
+#: Experiment ids, one per table/figure of the evaluation.
+EXPERIMENTS = (
+    "table1", "table2", "table3", "table4",
+    "fig4a", "fig4b", "fig5", "fig6", "fig7a", "fig7b", "fig8",
+    "fig9", "fig10", "fig11", "fig12",
+)
 
 
 def _write(path: Path, header: list[str], rows: list[list]) -> None:
@@ -41,11 +50,7 @@ def _write(path: Path, header: list[str], rows: list[list]) -> None:
 def export_all(
     out_dir: str | Path,
     fraction: float | None = None,
-    include: tuple[str, ...] = (
-        "table1", "table2", "table3", "table4",
-        "fig4a", "fig4b", "fig5", "fig6", "fig7a", "fig7b", "fig8",
-        "fig9", "fig10",
-    ),
+    include: tuple[str, ...] = EXPERIMENTS,
 ) -> list[Path]:
     """Run the selected experiments and write their CSVs.
 
@@ -145,9 +150,8 @@ def export_all(
                 f"fig9_{name}",
                 ["scheme", "size_bytes", "speed_seconds"],
                 [
-                    [k, round(d["sizes"].get(k, 0)),
-                     round(d["speeds"].get(k, 0), 2)]
-                    for k in set(d["sizes"]) | set(d["speeds"])
+                    [k, round(d["sizes"].get(k, 0)), round(v, 2)]
+                    for k, v in d["speeds"].items()
                 ],
             )
         if "fig10" in include:
@@ -182,6 +186,27 @@ def export_all(
                 [k, round(v["time"], 3), v["padded_elements"],
                  round(v["padding_ratio"], 3), v["compare_exchanges"]]
                 for k, v in d.items()
+            ],
+        )
+    if "fig11" in include:
+        d = exp_fig11("ch1-sim", fraction)
+        emit(
+            "fig11_ch1-sim",
+            ["window_sites", "windows", "model_s", "gpu_bytes"],
+            [
+                [w, v["windows"], round(v["time"], 1), v["gpu_bytes"]]
+                for w, v in d.items()
+            ],
+        )
+    if "fig12" in include:
+        d = exp_fig12(fraction)
+        emit(
+            "fig12",
+            ["sequence", "SOAPsnp_s", "GSNP_CPU_s", "GSNP_s"],
+            [
+                [seq, round(v["SOAPsnp"]), round(v["GSNP_CPU"]),
+                 round(v["GSNP"], 1)]
+                for seq, v in d.items()
             ],
         )
     return written

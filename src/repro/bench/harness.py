@@ -2,9 +2,9 @@
 
 Each ``exp_*`` function reproduces one artifact of Section VI: it runs the
 relevant pipelines/kernels on scaled Table-II replica datasets, extrapolates
-event counts to full scale, and returns a structure the benchmark files
-render next to the paper's numbers.  Results are cached per (dataset,
-fraction) so the benchmark suite shares work.
+event counts to full scale, and returns a structure that ``gsnp bench``
+writes as CSV and ``tests/test_paper_figures.py`` pins.  Results are cached
+per (dataset, fraction) so the exports and the tests share work.
 
 ``fraction`` further shrinks a dataset below its 1/1000 default scale while
 *raising* the extrapolation factor to compensate, so full-scale modeled
@@ -64,22 +64,28 @@ from ..sortnet.multipass import multipass_sort, nonequal_sort, singlepass_sort
 from .events import RunProfile
 from .scale import TABLE1_PAPER, TABLE4_PAPER, extrapolate
 
-#: Default bench fractions keep the simulated-GPU runs to a few seconds.
-DEFAULT_FRACTIONS = {"ch1-sim": 0.2, "ch21-sim": 0.5}
+#: Default bench fractions keep the simulated-GPU runs to a few seconds;
+#: ``genome`` shrinks each of Fig. 12's 24 chromosomes.
+DEFAULT_FRACTIONS = {"ch1-sim": 0.2, "ch21-sim": 0.5, "genome": 0.05}
 
 _SPECS = {"ch1-sim": CH1_SPEC, "ch21-sim": CH21_SPEC}
 
 
-def bench_spec(name: str, fraction: float | None = None) -> DatasetSpec:
-    """A further-shrunk spec whose extrapolation still hits full scale."""
-    spec = _SPECS[name]
-    frac = fraction if fraction is not None else DEFAULT_FRACTIONS[name]
+def shrink(spec: DatasetSpec, fraction: float) -> DatasetSpec:
+    """``spec`` at ``fraction`` of its sites (at least 2000), with the
+    extrapolation factor raised so full scale stays the same."""
+    n_sites = max(int(spec.n_sites * fraction), 2000)
     return replace(
         spec,
-        n_sites=max(int(spec.n_sites * frac), 2000),
-        scale_factor=spec.scale_factor * spec.n_sites
-        / max(int(spec.n_sites * frac), 2000),
+        n_sites=n_sites,
+        scale_factor=spec.scale_factor * spec.n_sites / n_sites,
     )
+
+
+def bench_spec(name: str, fraction: float | None = None) -> DatasetSpec:
+    """A further-shrunk spec whose extrapolation still hits full scale."""
+    frac = fraction if fraction is not None else DEFAULT_FRACTIONS[name]
+    return shrink(_SPECS[name], frac)
 
 
 @lru_cache(maxsize=8)
@@ -294,6 +300,7 @@ def exp_fig6(name: str, fraction: float | None = None) -> dict:
     }
 
 
+@lru_cache(maxsize=4)
 def exp_fig7a(sizes=(4, 8, 16, 32, 64, 128, 256), n_arrays=2048) -> dict:
     """Fig 7a: batch-sort throughput of three implementations."""
     rng = np.random.default_rng(42)
@@ -460,6 +467,7 @@ def exp_fig10(name: str, fraction: float | None = None) -> dict:
     }
 
 
+@lru_cache(maxsize=4)
 def exp_fig11(
     name: str = "ch1-sim",
     fraction: float | None = None,
@@ -484,20 +492,19 @@ def exp_fig11(
     return out
 
 
-def exp_fig12(fraction: float = 0.05, engines=("soapsnp", "gsnp_cpu", "gsnp")) -> dict:
+@lru_cache(maxsize=2)
+def exp_fig12(
+    fraction: float | None = None, engines=("soapsnp", "gsnp_cpu", "gsnp")
+) -> dict:
     """Fig 12: end-to-end time for all 24 chromosomes, three systems.
 
     Engines dispatch through the registry (:mod:`repro.api`) — any
     registered engine name works, labeled by its ``EngineSpec.label``.
     """
+    frac = fraction if fraction is not None else DEFAULT_FRACTIONS["genome"]
     out = {}
     for spec in whole_genome_specs():
-        small = replace(
-            spec,
-            n_sites=max(int(spec.n_sites * fraction), 2000),
-            scale_factor=spec.scale_factor * spec.n_sites
-            / max(int(spec.n_sites * fraction), 2000),
-        )
+        small = shrink(spec, frac)
         ds = generate_dataset(small)
         row = {}
         for engine in engines:

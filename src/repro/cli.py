@@ -315,42 +315,23 @@ def main_bench(argv=None) -> int:
         "--fraction", type=float, default=None,
         help="dataset shrink factor (default: harness defaults)",
     )
+    from .bench.export import EXPERIMENTS, export_all
+
     p.add_argument(
         "--only", default=None,
-        help="comma-separated experiment ids (e.g. table1,fig5)",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the parallel-scaling benchmark on a tiny dataset and "
-        "exit non-zero if any worker count breaks serial parity",
+        help="comma-separated experiment ids out of "
+        + ",".join(EXPERIMENTS),
     )
     args = p.parse_args(argv)
 
-    if args.smoke:
-        from .bench.harness import exp_parallel_scaling
-
-        rows = exp_parallel_scaling(
-            "ch21-sim", fraction=0.1, workers=(1, 2, 4)
+    include = tuple(args.only.split(",")) if args.only else EXPERIMENTS
+    unknown = [i for i in include if i not in EXPERIMENTS]
+    if unknown:
+        p.error(
+            f"unknown experiment id(s) {','.join(unknown)}; "
+            f"valid: {','.join(EXPERIMENTS)}"
         )
-        ok = True
-        for w, row in rows.items():
-            ok = ok and row["consistent"]
-            print(
-                f"workers={w}: wall={row['wall']:.3f}s "
-                f"speedup={row['speedup']:.2f}x shards={row['shards']} "
-                f"pool={row['pool']} "
-                f"consistent={'yes' if row['consistent'] else 'NO'}"
-            )
-        print("parity:", "OK" if ok else "FAILED")
-        return 0 if ok else 1
-
-    from .bench.export import export_all
-
-    kwargs = {}
-    if args.only:
-        kwargs["include"] = tuple(args.only.split(","))
-    written = export_all(args.out_dir, fraction=args.fraction, **kwargs)
+    written = export_all(args.out_dir, fraction=args.fraction, include=include)
     for path in written:
         print(f"wrote {path}")
     return 0

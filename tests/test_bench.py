@@ -1,10 +1,9 @@
-"""Bench infrastructure: phase records, scaling, extrapolation, reports."""
+"""Bench infrastructure: phase records, scaling, extrapolation."""
 
 import numpy as np
 import pytest
 
 from repro.bench.events import COMPONENTS, PhaseRecord, RunProfile
-from repro.bench.report import ratio_str
 from repro.bench.scale import TABLE1_PAPER, TABLE4_PAPER, extrapolate
 from repro.gpusim.costmodel import CpuEvents, DiskEvents
 from repro.gpusim.counters import KernelCounters
@@ -87,12 +86,6 @@ class TestExtrapolation:
         for ds in ("ch1-sim", "ch21-sim"):
             sp = TABLE1_PAPER[ds]["total"] / TABLE4_PAPER[ds]["total"]
             assert 40 < sp < 55
-
-
-class TestReport:
-    def test_ratio_str(self):
-        assert ratio_str(2.0, 1.0) == "2.00x"
-        assert ratio_str(0.0, 1.0) == "n/a"
 
 
 class TestEndToEndCalibration:

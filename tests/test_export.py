@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from repro.bench.export import export_all
+from repro.bench.export import EXPERIMENTS, export_all
 from repro.cli import main_bench
 
 
@@ -14,7 +14,7 @@ class TestExportAll:
         out = tmp_path_factory.mktemp("results")
         files = export_all(
             out, fraction=0.05,
-            include=("table2", "fig4b", "fig5", "fig7a"),
+            include=("table2", "fig4b", "fig5", "fig7a", "fig11"),
         )
         return out, files
 
@@ -25,6 +25,7 @@ class TestExportAll:
         assert "fig4b_ch1-sim.csv" in names
         assert "fig5_ch21-sim.csv" in names
         assert "fig7a.csv" in names
+        assert "fig11_ch1-sim.csv" in names
 
     def test_csv_parses_with_header(self, exported):
         out, files = exported
@@ -47,3 +48,12 @@ class TestExportAll:
         )
         assert rc == 0
         assert (tmp_path / "r" / "table2.csv").exists()
+
+    def test_unknown_id_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_bench(["-o", str(tmp_path / "r"), "--only", "fig11,tabel1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment id(s) tabel1" in err
+        assert ",".join(EXPERIMENTS) in err
+        assert not (tmp_path / "r").exists()

@@ -1,10 +1,11 @@
 """Ragged-megabatch kernel fusion: parity, launch reduction, traffic.
 
 The fused path must be invisible in the output: ResultTable rows and
-compressed bytes bitwise identical to the per-window launch chain under
-every toggle combination (fusion x prefetch x cache x workers x
-sanitizer), while launching strictly fewer kernels and moving strictly
-fewer global-memory bytes through the likelihood/posterior stage.
+compressed bytes bitwise identical to the per-window launch chain (the
+toggle combinations — prefetch x cache, megabatch, workers, sanitizer —
+are pinned cases of ``test_job_matrix``), while launching strictly fewer
+kernels and moving strictly fewer global-memory bytes through the
+likelihood/posterior stage.
 """
 
 import numpy as np
@@ -41,45 +42,6 @@ def _run(ds, **kw):
     if hasattr(pipe, "release_cache"):
         pipe.release_cache()
     return res
-
-
-class TestBitwiseParity:
-    def test_fusion_toggle_matrix(self, ds):
-        base = _run(ds, prefetch=False, cache=False, fusion=False)
-        for prefetch in (False, True):
-            for cache in (False, True):
-                res = _run(ds, prefetch=prefetch, cache=cache, fusion=True)
-                assert res.table.equals(base.table), (prefetch, cache)
-                assert res.compressed_output == base.compressed_output, (
-                    prefetch, cache,
-                )
-
-    def test_small_megabatch_still_identical(self, ds):
-        base = _run(ds, prefetch=False, cache=False, fusion=False)
-        for mb in (1, 2, 3):
-            res = _run(
-                ds, prefetch=False, cache=False, fusion=True, megabatch=mb
-            )
-            assert res.table.equals(base.table), mb
-            assert res.compressed_output == base.compressed_output, mb
-
-    def test_workers_parity(self, ds):
-        serial = GsnpDetector(window=256, prefetch=False,
-                              cache=False, fusion=False).run(ds)
-        for workers in (1, 2):
-            det = GsnpDetector(
-                window=256, workers=workers, shard_size=600,
-                fusion=True,
-            )
-            res = det.run(ds)
-            assert res.table.equals(serial.table), workers
-            assert res.compressed_output == serial.compressed_output
-
-    def test_sanitizer_clean_with_fusion(self, ds):
-        det = GsnpDetector(window=256, sanitize=True, fusion=True,
-                           cache=False)
-        res = det.run(ds)  # strict teardown inside run()
-        assert res.table.n_sites == ds.n_sites
 
 
 class TestDefaultPathParity:

@@ -56,33 +56,3 @@ class TestCounterBook:
         book.reset()
         assert book.total().g_load == 0
         assert not book.entries
-
-
-class TestReportRendering:
-    def test_emit_table_aligns(self, capsys):
-        from repro.bench.report import emit_table
-
-        emit_table(
-            "T", ["col_a", "b"], [("x", 1.0), ("longer", 123456.0)],
-            note="n",
-        )
-        out = capsys.readouterr().out
-        assert "=== T ===" in out
-        assert "note: n" in out
-        assert "1.23e+05" in out or "123456" in out
-
-    def test_emit_to_report_file(self, tmp_path, monkeypatch, capsys):
-        from repro.bench.report import emit
-
-        target = tmp_path / "report.txt"
-        monkeypatch.setenv("REPRO_REPORT_FILE", str(target))
-        emit("hello-line")
-        assert "hello-line" in target.read_text()
-
-    def test_float_formatting(self):
-        from repro.bench.report import _fmt
-
-        assert _fmt(0) == "0"
-        assert _fmt(0.005) == "0.005"
-        assert _fmt(12.345) == "12.35" or _fmt(12.345) == "12.34"
-        assert _fmt("txt") == "txt"

@@ -252,10 +252,17 @@ def check_job(env: Env, c: dict) -> set:
     return done
 
 
-#: Cases every tier-1 run checks.  Each crosses axes that no hand-written
-#: parity matrix crosses (those matrices still check their own corners);
-#: together they give every axis value and every outcome.
+#: Cases every tier-1 run checks: the corners of hand-written parity
+#: matrices this table replaced, then cases that cross axes no such matrix
+#: crosses; together they give every axis value and every outcome.
 PINNED = [
+    # the fused chain at window 256 over prefetch x cache, one and three
+    # windows per launch batch, on process lanes, under the sanitizer
+    case(), case(prefetch=False), case(cache=False),
+    case(prefetch=False, cache=False),
+    case(megabatch=1, prefetch=False, cache=False),
+    case(megabatch=3, prefetch=False, cache=False),
+    case(workers=2, shard_size=600), case(sanitize=True, cache=False),
     # a cohort on a pool, sanitized and faulted; a journaled pool with a
     # steal lane killed, then resumed; a journaled cohort on process lanes
     case(samples=4, devices=2, sanitize=True, faults=1),
