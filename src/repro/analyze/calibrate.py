@@ -166,7 +166,7 @@ def _run_pipeline_workloads(n_sites: int, seed: int) -> None:
         device = acquire_device(sanitize=True)
         GsnpPipeline(
             window_size=window, mode="gpu", variant=variant, device=device,
-            prefetch=False, cache=False, fusion=fusion,
+            fusion=fusion,
         ).run(dataset)
 
 

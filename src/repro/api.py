@@ -273,16 +273,6 @@ class JobSpec:
     )
 
     # -- throughput engine -------------------------------------------------
-    prefetch: bool = field(default=True, metadata=_cli(
-        "throughput", "--prefetch", action="boolean_optional",
-        help="double-buffered window streaming: decode window N+1 while "
-        "window N computes (results are bitwise identical either way)",
-    ))
-    cache: bool = field(default=True, metadata=_cli(
-        "throughput", "--no-cache", action="store_false",
-        help="disable persistent device residency (re-upload score tables "
-        "on every run/shard instead of once per worker)",
-    ))
     fusion: bool = field(default=FUSION_DEFAULT, metadata=_cli(
         "throughput", "--fusion", action="boolean_optional",
         help="fused ragged-megabatch launching (default): one launch plan "
@@ -433,6 +423,18 @@ class JobSpec:
                     raise ValueError(
                         f"{name} must be a path, got {type(path).__name__}"
                     )
+        for name in ("compressed", "fusion", "cpu_steal", "resume", "sanitize"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        if isinstance(self.min_quality, bool) or not isinstance(
+            self.min_quality, int
+        ):
+            raise ValueError(
+                f"min_quality must be an integer, got {self.min_quality!r}"
+            )
+        if self.min_quality < 0:
+            raise ValueError("min_quality must be >= 0")
         if self.resume and not self.journal:
             raise ValueError("resume=True requires a journal directory")
         # Counts first: every clause below compares them, and the window
@@ -625,9 +627,9 @@ def create_pipeline(
     job configuration.  A loose engine name or config keyword is a
     ``TypeError``.
 
-    Registered extension factories keep the 4-argument signature — the
-    throughput toggles are applied as attributes only when the built
-    pipeline exposes them.  Asking an engine to switch *on* a toggle it
+    Registered extension factories keep the 4-argument signature —
+    ``fusion`` and ``megabatch`` are applied as attributes only when the
+    built pipeline exposes them.  Asking an engine to switch *on* a toggle it
     does not expose (a non-default spec value) raises a ``RuntimeWarning``
     instead of being silently dropped; defaults and "off" describe what
     such an engine does anyway and stay silent.
@@ -641,7 +643,7 @@ def create_pipeline(
     engine_spec = get_engine_spec(spec.engine)
     window = effective_window(spec.engine, spec.window)
     pipe = engine_spec.factory(params, window, spec.resolved_variant(), device)
-    for attr in ("prefetch", "cache", "fusion", "megabatch"):
+    for attr in ("fusion", "megabatch"):
         value = getattr(spec, attr)
         if hasattr(pipe, attr):
             setattr(pipe, attr, value)

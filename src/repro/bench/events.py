@@ -6,12 +6,15 @@ transfers — into a :class:`PhaseRecord`.  The cost models of
 :mod:`repro.gpusim.costmodel` turn the records into modeled seconds, and
 because all counts scale linearly with the number of sites, the same
 records extrapolate to the paper's full-scale datasets
-(:mod:`repro.bench.scale`).
+(:mod:`repro.bench.scale`).  Both pipelines time each phase with one
+:class:`PhaseScope`.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 from ..gpusim.costmodel import (
     CpuCostModel,
@@ -22,6 +25,9 @@ from ..gpusim.costmodel import (
 )
 from ..gpusim.counters import KernelCounters
 from ..gpusim.spec import BGI_PLATFORM, PlatformSpec
+
+if TYPE_CHECKING:
+    from ..gpusim.device import Device
 
 
 @dataclass
@@ -79,6 +85,46 @@ class PhaseRecord:
             wall=self.wall * factor,
             fixed_seconds=self.fixed_seconds,  # scale-independent
         )
+
+
+class PhaseScope:
+    """Add one phase's wall time to its record and, given a device, the
+    device's counter and transfer deltas over the scope."""
+
+    def __init__(self, record: PhaseRecord, device: Optional[Device]) -> None:
+        self.record = record
+        self.device = device
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        if self.device is not None:
+            self._snap = self.device.counters.total()
+            self._xfer = (
+                self.device.transfers.h2d_bytes + self.device.transfers.d2h_bytes
+            )
+        return self
+
+    def __exit__(self, *exc):
+        self.record.wall += time.perf_counter() - self.t0
+        if self.device is not None:
+            after = self.device.counters.total()
+            delta = KernelCounters(
+                name=self.record.name, num_sms=after.num_sms
+            )
+            delta.launches = after.launches - self._snap.launches
+            delta.inst_warp = after.inst_warp - self._snap.inst_warp
+            delta.g_load = after.g_load - self._snap.g_load
+            delta.g_store = after.g_store - self._snap.g_store
+            delta.g_load_bytes = after.g_load_bytes - self._snap.g_load_bytes
+            delta.g_store_bytes = after.g_store_bytes - self._snap.g_store_bytes
+            delta.s_load_warp = after.s_load_warp - self._snap.s_load_warp
+            delta.s_store_warp = after.s_store_warp - self._snap.s_store_warp
+            self.record.gpu.merge(delta)
+            xfer_now = (
+                self.device.transfers.h2d_bytes + self.device.transfers.d2h_bytes
+            )
+            self.record.transfer_bytes += xfer_now - self._xfer
+        return False
 
 
 #: Canonical component names, in Figure 1 / Table I order.

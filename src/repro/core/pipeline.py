@@ -15,7 +15,6 @@ GSNP) produce bitwise identical result tables.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
@@ -24,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..align.records import AlignmentBatch
-from ..bench.events import PhaseRecord, RunProfile
+from ..bench.events import PhaseRecord, PhaseScope, RunProfile
 from ..constants import DEFAULT_WINDOW_GSNP
 from ..errors import PipelineError
 from ..formats.cns import ResultTable
@@ -32,7 +31,6 @@ from ..formats.soap import soap_line_bytes
 from ..formats.window import WindowReader
 from ..compress.columnar import encode_alignments, encode_table
 from ..compress.fusedcodec import encode_tables_fused
-from ..gpusim.counters import KernelCounters
 from ..gpusim.device import Device
 from ..gpusim.launchplan import (
     FUSION_DEFAULT,
@@ -70,7 +68,6 @@ from .fused import (
     merge_observations,
 )
 from .posterior import gsnp_posterior
-from .prefetch import PREFETCH_DEPTH, prefetched_windows
 from .recycle import gsnp_recycle
 from .score_table import cached_new_p_matrix, table_contributions
 
@@ -132,45 +129,6 @@ class GsnpCalibration:
         )
 
 
-class _PhaseScope:
-    """Capture wall time + device counter/transfer deltas for one phase."""
-
-    def __init__(self, record: PhaseRecord, device: Optional[Device]) -> None:
-        self.record = record
-        self.device = device
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        if self.device is not None:
-            self._snap = self.device.counters.total()
-            self._xfer = (
-                self.device.transfers.h2d_bytes + self.device.transfers.d2h_bytes
-            )
-        return self
-
-    def __exit__(self, *exc):
-        self.record.wall += time.perf_counter() - self.t0
-        if self.device is not None:
-            after = self.device.counters.total()
-            delta = KernelCounters(
-                name=self.record.name, num_sms=after.num_sms
-            )
-            delta.launches = after.launches - self._snap.launches
-            delta.inst_warp = after.inst_warp - self._snap.inst_warp
-            delta.g_load = after.g_load - self._snap.g_load
-            delta.g_store = after.g_store - self._snap.g_store
-            delta.g_load_bytes = after.g_load_bytes - self._snap.g_load_bytes
-            delta.g_store_bytes = after.g_store_bytes - self._snap.g_store_bytes
-            delta.s_load_warp = after.s_load_warp - self._snap.s_load_warp
-            delta.s_store_warp = after.s_store_warp - self._snap.s_store_warp
-            self.record.gpu.merge(delta)
-            xfer_now = (
-                self.device.transfers.h2d_bytes + self.device.transfers.d2h_bytes
-            )
-            self.record.transfer_bytes += xfer_now - self._xfer
-        return False
-
-
 def _host_likelihood(
     rec: PhaseRecord,
     words: np.ndarray,
@@ -206,8 +164,6 @@ class GsnpPipeline:
         mode: str = "gpu",
         variant: LikelihoodVariant = OPTIMIZED,
         device: Optional[Device] = None,
-        prefetch: bool = True,
-        cache: bool = True,
         fusion: bool = FUSION_DEFAULT,
         megabatch: int = MEGABATCH_WINDOWS,
     ) -> None:
@@ -220,13 +176,6 @@ class GsnpPipeline:
         self.mode = mode
         self.variant = variant
         self.device = device
-        #: Double-buffered window streaming (read_site decode of window N+1
-        #: overlaps compute of window N; output writes drain in background).
-        self.prefetch = prefetch
-        #: Persistent device residency: keep the device and its uploaded
-        #: score tables across run() calls (tables load once per process
-        #: per calibration instead of once per run/shard).
-        self.cache = cache
         #: Fused ragged-megabatch execution: concatenate ``megabatch``
         #: windows into one flat launch plan so every kernel chain
         #: (counting, cross-window-rebucketed sort, fused
@@ -235,6 +184,8 @@ class GsnpPipeline:
         #: GPU mode only; results stay bitwise identical.
         self.fusion = fusion
         self.megabatch = megabatch
+        #: Persistent device residency: the device (and its uploaded score
+        #: tables) kept across run() calls until :meth:`release_cache`.
         self._cached_device: Optional[Device] = None
 
     def calibrate(
@@ -253,7 +204,7 @@ class GsnpPipeline:
         params = self.params or CallingParams(read_len=reads.read_len or 100)
         input_bytes = reads.n_reads * soap_line_bytes(reads.read_len)
         rec = PhaseRecord(name="cal_p_matrix")
-        with _PhaseScope(rec, None):
+        with PhaseScope(rec, None):
             p_matrix = build_p_matrix(reads, dataset.reference, params)
             pm_flat = flatten_p_matrix(p_matrix)
             penalty = params.penalty_table()
@@ -369,7 +320,7 @@ class GsnpPipeline:
         of one *is* the per-window parity oracle.
 
         Phase names and accounting are the same on every chain — a
-        :class:`_PhaseScope` just covers a batch's worth of the phase at
+        :class:`PhaseScope` just covers a batch's worth of the phase at
         once.  The tally counts *reference* windows, so ``launches /
         windows`` exposes the cost the sample axis amortises.
         """
@@ -401,25 +352,18 @@ class GsnpPipeline:
         device = self.device
         if gpu and device is None:
             # Persistent residency: reuse one device (and its uploaded
-            # tables) across runs; without caching, each run gets a
-            # fresh device.
-            if self.cache and self._cached_device is not None:
-                device = self._cached_device
-            else:
-                device = acquire_device()
-                if self.cache:
-                    self._cached_device = device
+            # tables) across runs.
+            if self._cached_device is None:
+                self._cached_device = acquire_device()
+            device = self._cached_device
         # Residency stays off on sanitizing devices: the strict teardown
         # leak check must see every allocation of the run freed.
-        use_cache = self.cache and not (
-            device is not None and device.sanitizer is not None
-        )
+        use_cache = device is not None and device.sanitizer is None
         if gpu:
             # Loaded outside any phase scope: the one serial-equivalent
             # upload is already charged to the calibration record, and
-            # with caching repeat runs hit the device-resident bundle and
-            # transfer nothing — per-phase records are identical either
-            # way.
+            # repeat runs hit the device-resident bundle and transfer
+            # nothing — per-phase records are identical either way.
             tables = GsnpTables.load(
                 device, calibration.pm_flat, calibration.penalty,
                 cache=use_cache,
@@ -429,16 +373,10 @@ class GsnpPipeline:
             site_range if site_range is not None else (0, dataset.n_sites)
         )
         group_size = self.megabatch if fused else 1
-        # The compute loop consumes a whole group at a time, so the
-        # decode pipeline must run at least that far ahead.
-        depth = max(PREFETCH_DEPTH, group_size)
         streams = [
-            prefetched_windows(
-                WindowReader(
-                    batch, dataset.n_sites, self.window_size,
-                    start=start, stop=stop,
-                ),
-                self.prefetch, depth=depth,
+            WindowReader(
+                batch, dataset.n_sites, self.window_size,
+                start=start, stop=stop,
             )
             for batch in sample_reads
         ]
@@ -461,7 +399,7 @@ class GsnpPipeline:
 
                 # ---- read_site: decompress the temp input ------------------
                 rec = profile.phase("read_site")
-                with _PhaseScope(rec, device):
+                with PhaseScope(rec, device):
                     group_reads = [
                         [w.reads.n_reads for w in tup] for tup in group
                     ]
@@ -482,7 +420,7 @@ class GsnpPipeline:
 
                     # ---- counting: per-site base_word segments -------------
                     rec = profile.phase("counting")
-                    with _PhaseScope(rec, device):
+                    with PhaseScope(rec, device):
                         obs_list = [extract_observations(w) for w in windows]
                         plan = build_launch_plan(
                             windows, [o.n_obs for o in obs_list], sample_ids
@@ -502,7 +440,7 @@ class GsnpPipeline:
 
                     # ---- likelihood: sort + comp ---------------------------
                     rec = profile.phase("likelihood")
-                    with _PhaseScope(rec, device):
+                    with PhaseScope(rec, device):
                         if gpu:
                             with measure("likelihood_sort"):
                                 wsorted, stats = gsnp_likelihood_sort(
@@ -528,7 +466,7 @@ class GsnpPipeline:
 
                     # ---- posterior -----------------------------------------
                     rec = profile.phase("posterior")
-                    with _PhaseScope(rec, device):
+                    with PhaseScope(rec, device):
                         seg_tables = []
                         for seg, seg_obs in zip(plan.segments, obs_list):
                             args = (
@@ -561,7 +499,7 @@ class GsnpPipeline:
 
                     # ---- output: customized columnar compression -----------
                     rec = profile.phase("output")
-                    with _PhaseScope(rec, device):
+                    with PhaseScope(rec, device):
                         if fused:
                             with measure("output_compress"):
                                 blobs = encode_tables_fused(device, seg_tables)
@@ -587,7 +525,7 @@ class GsnpPipeline:
 
                     # ---- recycle -------------------------------------------
                     rec = profile.phase("recycle")
-                    with _PhaseScope(rec, device):
+                    with PhaseScope(rec, device):
                         if fused:
                             with measure("recycle"):
                                 gsnp_recycle_fused(

@@ -56,8 +56,8 @@ Failure handling (exercised deliberately by :mod:`repro.faults`):
   its deadline has its lane's worker killed and is retried like any
   failure; a worker that dies outright is restarted the same way;
 * an ``AllocationError`` on a lane without a device clock steps the lane
-  down the ``device-degraded`` rung (residency, prefetch and fusion off,
-  on a pipeline of its own) and re-runs the shard in place;
+  down the ``device-degraded`` rung (a fresh ``fusion=False`` pipeline of
+  its own, released after the shard) and re-runs the shard in place;
 * a pool lane whose device dies (a real ``AllocationError`` or the seeded
   ``gpusim.device.fail`` chaos site) takes the ``device-failed`` rung: it
   announces itself, pushes its in-hand shard back on its deque and retires
@@ -139,8 +139,8 @@ def _resident_pipelines() -> dict:
 
 def _resident_key(spec: JobSpec) -> tuple:
     return (
-        spec.engine, spec.window, spec.variant_name,
-        spec.prefetch, spec.cache, spec.fusion, spec.megabatch,
+        spec.engine, spec.window, spec.variant_name, spec.fusion,
+        spec.megabatch,
     )
 
 
@@ -246,9 +246,7 @@ class _Job:
 
 def _lane_pipeline(job: _Job, lane: _Lane):
     """The lane's pipeline, built on first use and kept for its shards:
-    the device score tables upload exactly once per lane.  (With
-    ``cache=False`` the pipeline itself acquires a fresh device per run,
-    so keeping the object costs nothing and uploads stay per-shard.)"""
+    the device score tables upload exactly once per lane."""
     if lane.pipeline is not None:
         return lane.pipeline
     spec = job.spec
@@ -313,15 +311,14 @@ def _run_shard(
                 # multi-device rung is redistribution (``_retire``), and
                 # the shard reruns identically on a surviving lane.
                 raise
-            # Degradation rung: the device could not satisfy the resident
-            # footprint.  Rebuild this lane's pipeline with residency,
-            # prefetch and fusion disabled (the smallest footprint) and
-            # re-run the shard in place; results are bitwise identical
-            # either way.  Lane-local: no process-global state is touched.
+            # Degradation rung: the device could not satisfy the lane's
+            # footprint.  Re-run the shard in place on a fresh per-window
+            # pipeline (the smallest footprint), released straight after;
+            # results are bitwise identical either way.  Lane-local: no
+            # process-global state is touched.
             degrade(
                 "device-degraded",
-                action="re-running shard with residency/prefetch/fusion "
-                "disabled",
+                action="re-running shard on a fresh fusion=False pipeline",
                 reason=repr(exc),
                 shard=shard.index,
                 attempt=attempt,
@@ -331,12 +328,12 @@ def _run_shard(
                 _resident_pipelines().pop(_resident_key(job.spec), None)
             with fault_scope(degraded=True):
                 degraded = create_pipeline(
-                    spec=replace(
-                        job.spec, prefetch=False, cache=False, fusion=False,
-                    ),
-                    params=job.params,
+                    spec=replace(job.spec, fusion=False), params=job.params,
                 )
-                result = _invoke(job, degraded, job.calibration, shard)
+                try:
+                    result = _invoke(job, degraded, job.calibration, shard)
+                finally:
+                    _release(degraded)
         wall = time.perf_counter() - t0
     return ShardResult.from_run(
         shard, result, wall=wall, attempts=attempt + 1,
@@ -402,9 +399,7 @@ class _Scheduler:
         elif force_serial or resident or spec.workers <= 1:
             # A resident pipeline's device must stay thread-confined, so
             # ``resident`` implies the serial lane.
-            self.lanes = [_Lane(
-                lane_id=0, kind="serial", resident=resident and spec.cache,
-            )]
+            self.lanes = [_Lane(lane_id=0, kind="serial", resident=resident)]
         else:
             self.lanes = [
                 _Lane(lane_id=i, kind="process") for i in range(spec.workers)
@@ -1074,8 +1069,6 @@ def execute(
         "workers": spec.workers,
         "shard_size": shards[0].n_sites if shards else 0,
         "n_shards": len(shards),
-        "prefetch": spec.prefetch,
-        "cache": spec.cache,
         "fusion": spec.fusion,
         "retries": sum(sr.attempts - 1 for sr in ran),
         "resumed": len(committed),

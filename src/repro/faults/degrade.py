@@ -2,7 +2,7 @@
 
 The hardening rule this module enforces is *no silent fallbacks*: when the
 system steps down a rung — broken pool to serial executor, device fault to
-residency/prefetch/fusion off, malformed record to quarantine — it must say so
+a fresh per-window pipeline, malformed record to quarantine — it must say so
 in a form both humans (log line) and machines (typed warning with
 structured fields) can consume.
 
@@ -15,9 +15,9 @@ rung                      trigger -> action
                           identical work in-process, serially
 ``shard-retry``           shard failure/timeout -> deterministic
                           exponential backoff, then re-dispatch
-``device-degraded``       device ``AllocationError`` -> rebuild the lane's
-                          pipeline with residency, prefetch and fusion
-                          disabled, re-run the shard in place
+``device-degraded``       device ``AllocationError`` -> re-run the shard
+                          in place on a fresh ``fusion=False`` pipeline,
+                          released after the shard
 ``device-failed``         a pool device dies mid-run (multi-device
                           scheduler) -> retire its lane; surviving
                           device/CPU lanes steal the remaining shards, and

@@ -40,7 +40,7 @@ SITES: dict[str, str] = {
     "exec.shard.error": "shard body raises a PipelineError (retry path)",
     "exec.shard.slow": "shard body stalls (deadline/timeout path)",
     "gpusim.device.alloc": "device allocation raises AllocationError "
-    "(device-degraded rung: residency/prefetch/fusion off)",
+    "(device-degraded rung: a fresh fusion=False pipeline)",
     "gpusim.device.fail": "a pool device dies outright mid-run "
     "(device-failed rung: the lane retires and surviving lanes/CPU "
     "steal its remaining shards)",

@@ -15,10 +15,8 @@ window, exactly like the in-memory reader (tested equivalent).
 
 from __future__ import annotations
 
-import queue
-import threading
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -108,66 +106,6 @@ class _SoapRecordStream:
             r for r in self.pending if r[0] + self.read_len > start
         ]
         return [r for r in self.pending if r[0] < end]
-
-
-class PrefetchIterator:
-    """Double-buffered iteration: produce item N+1 while N is consumed.
-
-    A background thread drains ``source`` into a bounded queue (depth =
-    number of windows decoded ahead, CUDA-streams style), so the producer's
-    work — window slicing, temp-input decode, file parsing — overlaps the
-    consumer's compute.  Items are delivered in source order; producer
-    exceptions re-raise at the consumer's matching position; abandoning the
-    iterator mid-stream stops the producer promptly.
-
-    Determinism: prefetching changes *when* items are produced, never what
-    they contain or their order, so pipeline results and event counters are
-    untouched by it.
-    """
-
-    _DEPTH_DEFAULT = 2
-
-    def __init__(self, source: Iterable, depth: int = _DEPTH_DEFAULT) -> None:
-        self.source = source
-        self.depth = max(1, int(depth))
-
-    def __iter__(self) -> Iterator:
-        q: queue.Queue = queue.Queue(maxsize=self.depth)
-        stop = threading.Event()
-
-        def _put(item) -> bool:
-            while not stop.is_set():
-                try:
-                    q.put(item, timeout=0.1)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def _produce() -> None:
-            try:
-                for item in self.source:
-                    if not _put(("item", item)):
-                        return
-                _put(("done", None))
-            except BaseException as exc:  # re-raised on the consumer side
-                _put(("err", exc))
-
-        t = threading.Thread(
-            target=_produce, name="gsnp-prefetch", daemon=True
-        )
-        t.start()
-        try:
-            while True:
-                kind, payload = q.get()
-                if kind == "done":
-                    return
-                if kind == "err":
-                    raise payload
-                yield payload
-        finally:
-            stop.set()
-            t.join(timeout=5.0)
 
 
 class StreamingSoapReader:

@@ -186,7 +186,7 @@ class Device:
     ) -> DeviceArray:
         # Chaos site: a scheduled plan can make this allocation fail with
         # AllocationError, exercising the degradation rung that re-runs
-        # the shard with residency/prefetch/fusion disabled.
+        # the shard on a fresh fusion=False pipeline.
         fault_point("gpusim.device.alloc", key=arr.name)
         if arr.space == "global":
             if (

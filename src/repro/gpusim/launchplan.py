@@ -3,7 +3,7 @@
 The per-window pipeline fires a full counting -> sort -> likelihood ->
 posterior -> compress kernel chain for every ~3k-site window, so a
 chromosome run pays thousands of launches for tiny grids.  The fused
-execution path instead concatenates the windows of a prefetch batch into
+execution path instead concatenates a group of consecutive windows into
 one *ragged megabatch*: a flat site axis with CSR-style per-window
 offsets and a site -> window segment-id map.  Device work then launches
 once per megabatch — multipass sort size buckets are re-bucketed across

@@ -12,19 +12,17 @@ so the modeled breakdown reproduces Table I.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..align.records import AlignmentBatch
-from ..bench.events import PhaseRecord, RunProfile
+from ..bench.events import PhaseRecord, PhaseScope, RunProfile
 from ..constants import BASE_OCC_SIZE, DEFAULT_WINDOW_SOAPSNP, N_GENOTYPES
 from ..formats.cns import ResultTable, format_rows
 from ..formats.soap import soap_line_bytes
 from ..formats.window import WindowReader
-from ..core.prefetch import prefetched_windows
 from ..seqsim.datasets import SimulatedDataset
 from .base_occ import nonzero_counts
 from .likelihood import window_type_likely
@@ -73,13 +71,10 @@ class SoapsnpPipeline:
         params: Optional[CallingParams] = None,
         window_size: int = DEFAULT_WINDOW_SOAPSNP,
         collect_nnz: bool = False,
-        prefetch: bool = True,
     ) -> None:
         self.params = params
         self.window_size = window_size
         self.collect_nnz = collect_nnz
-        #: Decode window N+1 on a background thread while N computes.
-        self.prefetch = prefetch
 
     def calibrate(
         self, dataset: SimulatedDataset, reads: Optional[AlignmentBatch] = None
@@ -90,11 +85,10 @@ class SoapsnpPipeline:
         params = self.params or CallingParams(read_len=reads.read_len or 100)
         input_bytes = reads.n_reads * soap_line_bytes(reads.read_len)
         rec = PhaseRecord(name="cal_p_matrix")
-        t0 = time.perf_counter()
-        p_matrix = build_p_matrix(reads, dataset.reference, params)
-        pm_flat = flatten_p_matrix(p_matrix)
-        penalty = params.penalty_table()
-        rec.wall += time.perf_counter() - t0
+        with PhaseScope(rec, None):
+            p_matrix = build_p_matrix(reads, dataset.reference, params)
+            pm_flat = flatten_p_matrix(p_matrix)
+            penalty = params.penalty_table()
         rec.disk.read_bytes += input_bytes
         rec.disk.parsed_bytes += input_bytes
         rec.cpu.instructions += reads.n_reads * reads.read_len * 4
@@ -122,7 +116,11 @@ class SoapsnpPipeline:
         ``site_range``/``calibration``/``reads`` have the same contract as
         :meth:`repro.core.pipeline.GsnpPipeline.run` — they let the sharded
         executor run one shard of whole windows with a shared calibration.
+        As there, the file is written once, complete, after the last
+        window: a run that raises leaves no file under ``output_path``.
         """
+        from ..faults.journal import atomic_output
+
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
         profile = RunProfile(pipeline="soapsnp")
@@ -138,46 +136,41 @@ class SoapsnpPipeline:
         reader = WindowReader(
             reads, dataset.n_sites, self.window_size, start=start, stop=stop
         )
-        windows = prefetched_windows(reader, self.prefetch)
         tables: list[ResultTable] = []
-        nnz_parts: list[np.ndarray] = [] if self.collect_nnz else None
-        output_bytes = 0
-        out_f = open(output_path, "wb") if output_path is not None else None
-        try:
-            for window in windows:
-                # ---- read_site: second, OS-buffered pass -------------------
-                t0 = time.perf_counter()
+        texts: list[bytes] = []
+        nnz_parts: list[np.ndarray] = []
+        for window in reader:
+            # ---- read_site: second, OS-buffered pass -------------------
+            rec = profile.phase("read_site")
+            with PhaseScope(rec, None):
                 win_reads = window.reads
-                rec = profile.phase("read_site")
-                rec.wall += time.perf_counter() - t0
-                win_bytes = win_reads.n_reads * soap_line_bytes(reads.read_len)
-                rec.disk.read_buffered_bytes += win_bytes
-                rec.cpu.instructions += win_reads.n_reads * 4
+            win_bytes = win_reads.n_reads * soap_line_bytes(reads.read_len)
+            rec.disk.read_buffered_bytes += win_bytes
+            rec.cpu.instructions += win_reads.n_reads * 4
 
-                # ---- counting: fill base_occ (random stores) ----------------
-                t0 = time.perf_counter()
+            # ---- counting: fill base_occ (random stores) ----------------
+            rec = profile.phase("counting")
+            with PhaseScope(rec, None):
                 obs = extract_observations(window)
                 if self.collect_nnz:
                     nnz_parts.append(nonzero_counts(obs))
-                rec = profile.phase("counting")
-                rec.wall += time.perf_counter() - t0
-                m = obs.n_obs
-                rec.cpu.random_accesses += 2 * m
-                rec.cpu.instructions += 10 * m
+            m = obs.n_obs
+            rec.cpu.random_accesses += 2 * m
+            rec.cpu.instructions += 10 * m
 
-                # ---- likelihood: Algorithm 1 over the dense matrix ----------
-                t0 = time.perf_counter()
+            # ---- likelihood: Algorithm 1 over the dense matrix ----------
+            rec = profile.phase("likelihood")
+            with PhaseScope(rec, None):
                 type_likely = window_type_likely(obs, pm_flat, penalty)
-                rec = profile.phase("likelihood")
-                rec.wall += time.perf_counter() - t0
-                mc = int(obs.counted.sum())
-                rec.cpu.seq_read_bytes += window.n_sites * BASE_OCC_SIZE
-                rec.cpu.random_accesses += 2 * N_GENOTYPES * mc
-                rec.cpu.log_calls += N_GENOTYPES * mc
-                rec.cpu.instructions += 2 * N_GENOTYPES * mc
+            mc = int(obs.counted.sum())
+            rec.cpu.seq_read_bytes += window.n_sites * BASE_OCC_SIZE
+            rec.cpu.random_accesses += 2 * N_GENOTYPES * mc
+            rec.cpu.log_calls += N_GENOTYPES * mc
+            rec.cpu.instructions += 2 * N_GENOTYPES * mc
 
-                # ---- posterior ---------------------------------------------
-                t0 = time.perf_counter()
+            # ---- posterior ---------------------------------------------
+            rec = profile.phase("posterior")
+            with PhaseScope(rec, None):
                 ref_codes = dataset.reference.codes[window.start : window.end]
                 table = summarize_window(
                     obs,
@@ -188,32 +181,26 @@ class SoapsnpPipeline:
                     params,
                     chrom=dataset.reference.name,
                 )
-                rec = profile.phase("posterior")
-                rec.wall += time.perf_counter() - t0
-                rec.cpu.instructions += window.n_sites * 100
-                rec.cpu.random_accesses += window.n_sites * 5
+            rec.cpu.instructions += window.n_sites * 100
+            rec.cpu.random_accesses += window.n_sites * 5
 
-                # ---- output: plain-text rows --------------------------------
-                t0 = time.perf_counter()
+            # ---- output: plain-text rows --------------------------------
+            rec = profile.phase("output")
+            with PhaseScope(rec, None):
                 text = format_rows(table)
-                if out_f is not None:
-                    out_f.write(text)
-                rec = profile.phase("output")
-                rec.wall += time.perf_counter() - t0
-                output_bytes += len(text)
-                rec.disk.write_bytes += len(text)
-                rec.disk.formatted_bytes += len(text)
-                tables.append(table)
+            texts.append(text)
+            rec.disk.write_bytes += len(text)
+            rec.disk.formatted_bytes += len(text)
+            tables.append(table)
 
-                # ---- recycle: re-zero the dense buffers ---------------------
-                t0 = time.perf_counter()
-                rec = profile.phase("recycle")
-                rec.wall += time.perf_counter() - t0
-                rec.cpu.seq_write_bytes += window.n_sites * BASE_OCC_SIZE
-                rec.cpu.instructions += window.n_sites
-        finally:
-            if out_f is not None:
-                out_f.close()
+            # ---- recycle: re-zero the dense buffers (charged, not run) --
+            rec = profile.phase("recycle")
+            rec.cpu.seq_write_bytes += window.n_sites * BASE_OCC_SIZE
+            rec.cpu.instructions += window.n_sites
+
+        if output_path is not None:
+            with atomic_output(output_path) as f:
+                f.writelines(texts)
 
         full = tables[0]
         for t in tables[1:]:
@@ -222,7 +209,7 @@ class SoapsnpPipeline:
             table=full,
             profile=profile,
             nnz=np.concatenate(nnz_parts) if self.collect_nnz else None,
-            output_bytes=output_bytes,
+            output_bytes=sum(map(len, texts)),
             p_matrix=calibration.p_matrix,
             extras={"input_bytes": calibration.input_bytes},
         )

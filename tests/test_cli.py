@@ -75,6 +75,8 @@ class TestCall:
         (["--window", "0"], "window must be >= 1"),
         (["--shard-size", "0"], "shard_size must be >= 1"),
         (["--shard-timeout", "0", "--workers", "2"], "shard_timeout must be"),
+        (["--no-cache"], "unrecognized arguments: --no-cache"),
+        (["--no-prefetch"], "unrecognized arguments: --no-prefetch"),
     ])
     def test_out_of_range_flags_are_usage_errors(
         self, simulated, capsys, flags, message

@@ -239,8 +239,7 @@ class TestResidency:
         one score-table upload — the residency key is the calibration
         fingerprint, never the sample."""
         pipe = create_pipeline(
-            spec=JobSpec(engine="gsnp", window=WINDOW, fusion=True,
-                         cache=True)
+            spec=JobSpec(engine="gsnp", window=WINDOW, fusion=True)
         )
         res = pipe.run_cohort(ds, batches[:4], calibration=cals[4])
         device = res.extras["device"]
@@ -257,7 +256,7 @@ class TestResidency:
         """Four solo runs under one pooled calibration hit the same
         resident entry: the cache key is sample-independent."""
         pipe = create_pipeline(
-            spec=JobSpec(engine="gsnp", window=WINDOW, cache=True)
+            spec=JobSpec(engine="gsnp", window=WINDOW)
         )
         for batch in batches[:4]:
             res = pipe.run(ds, calibration=cals[4], reads=batch)

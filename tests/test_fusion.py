@@ -2,7 +2,7 @@
 
 The fused path must be invisible in the output: ResultTable rows and
 compressed bytes bitwise identical to the per-window launch chain (the
-toggle combinations — prefetch x cache, megabatch, workers, sanitizer —
+toggle combinations — megabatch, workers, sanitizer —
 are pinned cases of ``test_job_matrix``), while launching strictly fewer
 kernels and moving strictly fewer global-memory bytes through the
 likelihood/posterior stage.
@@ -69,8 +69,8 @@ class TestDefaultPathParity:
 
 class TestLaunchReduction:
     def test_fused_launches_strictly_lower(self, ds):
-        unfused = _run(ds, prefetch=False, cache=False, fusion=False)
-        fused = _run(ds, prefetch=False, cache=False, fusion=True)
+        unfused = _run(ds, fusion=False)
+        fused = _run(ds, fusion=True)
         n0 = unfused.extras["device"].counters.total().launches
         n1 = fused.extras["device"].counters.total().launches
         assert n1 < n0
@@ -92,7 +92,6 @@ class TestLaunchReduction:
             ))
             res = create_pipeline(spec=JobSpec(
                 engine="gsnp", window=500, fusion=True, megabatch=12,
-                prefetch=False, cache=False,
             )).run(ds)
             return {
                 k: int(v["launches"])
@@ -112,7 +111,7 @@ class TestLaunchReduction:
             assert launches <= 1.5 * few[stage], stage
 
     def test_fusion_extras_reported(self, ds):
-        res = _run(ds, prefetch=False, cache=False, fusion=True)
+        res = _run(ds, fusion=True)
         info = res.extras["fusion"]
         assert info["launches"] > 0
         assert info["megabatches"] >= 1
@@ -125,8 +124,8 @@ class TestLaunchReduction:
         # likelihoods in shared memory: the full type_likely store+load
         # round trip (n_sites * 10 genotypes * 8 bytes each way)
         # disappears from the global-traffic counters.
-        unfused = _run(ds, prefetch=False, cache=False, fusion=False)
-        fused = _run(ds, prefetch=False, cache=False, fusion=True)
+        unfused = _run(ds, fusion=False)
+        fused = _run(ds, fusion=True)
 
         def lp_bytes(res):
             tot_load = tot_store = 0

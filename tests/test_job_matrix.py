@@ -52,8 +52,7 @@ AXES = {
     "engine": ("gsnp", "gsnp_cpu", "soapsnp"),
     "variant": ("optimized", "baseline", "w_shared", "w_new_table"),
     "window": (256, 450, DEFAULT_WINDOW_GSNP),
-    "fusion": (True, False), "prefetch": (True, False),
-    "cache": (True, False), "megabatch": (16, 1, 3),
+    "fusion": (True, False), "megabatch": (16, 1, 3),
     "workers": (1, 2), "shard_size": (None, 600),
     "devices": (1, 2, 4), "cpu_steal": (False, True),
     "sanitize": (False, True), "samples": (1, 2, 4),
@@ -256,13 +255,10 @@ def check_job(env: Env, c: dict) -> set:
 #: matrices this table replaced, then cases that cross axes no such matrix
 #: crosses; together they give every axis value and every outcome.
 PINNED = [
-    # the fused chain at window 256 over prefetch x cache, one and three
-    # windows per launch batch, on process lanes, under the sanitizer
-    case(), case(prefetch=False), case(cache=False),
-    case(prefetch=False, cache=False),
-    case(megabatch=1, prefetch=False, cache=False),
-    case(megabatch=3, prefetch=False, cache=False),
-    case(workers=2, shard_size=600), case(sanitize=True, cache=False),
+    # the fused chain at window 256, one and three windows per launch
+    # batch, on process lanes, under the sanitizer
+    case(), case(megabatch=1), case(megabatch=3),
+    case(workers=2, shard_size=600), case(sanitize=True),
     # a cohort on a pool, sanitized and faulted; a journaled pool with a
     # steal lane killed, then resumed; a journaled cohort on process lanes
     case(samples=4, devices=2, sanitize=True, faults=1),
@@ -272,16 +268,14 @@ PINNED = [
     # shard bounds; a sanitized cohort one window per launch batch
     case(variant="baseline", window=450, fusion=False, devices=4,
          cpu_steal=True, workers=2),
-    case(variant="w_shared", megabatch=3, shard_size=600, cache=False,
-         samples=2),
-    case(megabatch=1, prefetch=False, sanitize=True, samples=4),
+    case(variant="w_shared", megabatch=3, shard_size=600, samples=2),
+    case(megabatch=1, sanitize=True, samples=4),
     # the host engine sharded and faulted, then serial (same counters);
-    # the dense baseline on process lanes, toggles off; two rejections
+    # the dense baseline on process lanes; two rejections
     case(engine="gsnp_cpu", variant="w_new_table", window=DEFAULT_WINDOW_GSNP,
          shard_size=600, faults=0),
-    case(engine="gsnp_cpu", variant="w_new_table", window=DEFAULT_WINDOW_GSNP,
-         prefetch=False),
-    case(engine="soapsnp", window=450, workers=2, prefetch=False, cache=False),
+    case(engine="gsnp_cpu", variant="w_new_table", window=DEFAULT_WINDOW_GSNP),
+    case(engine="soapsnp", window=450, workers=2),
     case(window=0), case(engine="soapsnp", devices=2),
 ]
 

@@ -5,10 +5,12 @@ not move.
 ``_run_plan`` as is; the fused chain is a launch batch per megabatch and
 the per-window chains (GPU and host) are launch batches of one.  These
 tests pin the accounting that differs *between* those chains (and so
-could silently drift once they share a body) and the output-file
-contract of the single write-at-end path.
+could silently drift once they share a body), the output-file contract of
+the write-at-end path every chain shares (the dense baseline's too), and
+that a serial run of any chain stays on the calling thread.
 """
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -18,9 +20,11 @@ from repro.api import JobSpec, create_pipeline
 from repro.core import pipeline as pipeline_mod
 from repro.core.pipeline import GsnpPipeline
 from repro.exec.shard import Shard, ShardResult
+from repro.formats.cns import format_rows
 from repro.formats.window import WindowReader
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
 from repro.seqsim.reads import simulate_reads
+from repro.soapsnp import pipeline as soapsnp_pipeline_mod
 
 WINDOW = 256
 N_WINDOWS = 7  # ceil(1600 / 256)
@@ -161,32 +165,50 @@ class TestChainAccounting:
         assert sr.compressed == res.samples[0].compressed_output
 
 
+#: Job fields of every run chain: the GSNP fused and per-window chains,
+#: the host chain and the dense baseline.
+CHAINS = {
+    "fused": {"fusion": True, "megabatch": 2},
+    "per-window": {"fusion": False},
+    "gsnp_cpu": {"engine": "gsnp_cpu"},
+    "soapsnp": {"engine": "soapsnp"},
+}
+
+
+def _release(pipe):
+    if hasattr(pipe, "release_cache"):
+        pipe.release_cache()
+
+
 class TestOutputFiles:
     """One write path: every sample's file appears complete, after the
     last window, or not at all."""
 
-    @pytest.mark.parametrize("n_samples", [1, 2])
-    @pytest.mark.parametrize("fusion", [False, True])
-    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("chain, n_samples", [
+        (chain, n) for chain in CHAINS for n in (1, 2)
+        if (chain, n) != ("soapsnp", 2)  # the dense baseline has no cohort
+    ])
     def test_written_once_complete_or_not_at_all(
-        self, ds, batches, tmp_path, monkeypatch, prefetch, fusion, n_samples
+        self, ds, batches, tmp_path, monkeypatch, chain, n_samples
     ):
-        paths = [tmp_path / f"out.s{i}.gsnp" for i in range(n_samples)]
+        paths = [tmp_path / f"out.s{i}" for i in range(n_samples)]
 
         def run(pipe):
             if n_samples == 1:
                 return [pipe.run(ds, paths[0], reads=batches[0])]
             return pipe.run_cohort(ds, batches[:n_samples], paths).samples
 
-        pipe = _pipe(prefetch=prefetch, fusion=fusion, megabatch=2)
-        results = run(pipe)
-        for path, res in zip(paths, results):
-            assert path.read_bytes() == res.compressed_output
+        pipe = _pipe(**CHAINS[chain])
+        text = chain == "soapsnp"
+        for path, res in zip(paths, run(pipe)):
+            want = format_rows(res.table) if text else res.compressed_output
+            assert path.read_bytes() == want
             path.unlink()
 
         # Fail the fifth window decoded: earlier launch batches have
-        # already produced output blobs on every configuration.
-        real = pipeline_mod.extract_observations
+        # already produced output on every chain.
+        module = soapsnp_pipeline_mod if text else pipeline_mod
+        real = module.extract_observations
         calls = []
 
         def flaky(window):
@@ -195,8 +217,25 @@ class TestOutputFiles:
                 raise RuntimeError("window 5 failed")
             return real(window)
 
-        monkeypatch.setattr(pipeline_mod, "extract_observations", flaky)
+        monkeypatch.setattr(module, "extract_observations", flaky)
         with pytest.raises(RuntimeError, match="window 5 failed"):
             run(pipe)
-        pipe.release_cache()
+        _release(pipe)
         assert list(tmp_path.iterdir()) == []  # no file, no .part litter
+
+
+class TestCallingThread:
+    def test_serial_run_starts_no_thread(self, ds, batches, monkeypatch):
+        """The simulator runs on the calling thread: a serial run of any
+        chain, solo or a cohort of two, starts no thread."""
+
+        def refuse(thread):
+            raise AssertionError(f"a serial run started {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for chain, job in CHAINS.items():
+            pipe = _pipe(**job)
+            pipe.run(ds)
+            if chain == "fused":
+                pipe.run_cohort(ds, batches[:2])
+            _release(pipe)

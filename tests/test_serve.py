@@ -126,14 +126,13 @@ class TestJobSpecApi:
         args = p.parse_args([
             "a.fa", "a.soap", "--prior", "a.prior", "--engine", "gsnp_cpu",
             "--window", "1000", "--workers", "3", "--shard-size", "500",
-            "--no-prefetch", "--no-cache", "--fusion", "--megabatch", "4",
+            "--fusion", "--megabatch", "4",
             "--compressed", "--min-quality", "20", "--variant", "optimized",
         ])
         spec = JobSpec.from_cli_args(args)
         assert spec.engine == "gsnp_cpu"
         assert spec.window == 1000
         assert spec.workers == 3 and spec.shard_size == 500
-        assert spec.prefetch is False and spec.cache is False
         assert spec.fusion is True and spec.megabatch == 4
         assert spec.compressed is True and spec.min_quality == 20
         assert JobSpec.from_wire(spec.to_wire()) == spec
@@ -177,6 +176,16 @@ class TestJobSpecApi:
         ({"workers": "2", "sanitize": True}, "workers must be an integer"),
         ({"shard_timeout": 0, "workers": 2}, "shard_timeout"),
         ({"shard_timeout": "soon"}, "shard_timeout"),
+        ({"fusion": "false"}, "fusion must be a bool"),
+        ({"sanitize": "false"}, "sanitize must be a bool"),
+        ({"cpu_steal": "no"}, "cpu_steal must be a bool"),
+        ({"compressed": 1}, "compressed must be a bool"),
+        ({"resume": "yes"}, "resume must be a bool"),
+        ({"min_quality": "abc"}, "min_quality must be an integer"),
+        ({"min_quality": True}, "min_quality must be an integer"),
+        ({"min_quality": -1}, "min_quality must be >= 0"),
+        ({"cache": False}, "unknown JobSpec field"),
+        ({"prefetch": True}, "unknown JobSpec field"),
     ])
     def test_validate_rejects_out_of_range_fields(self, wire, match):
         with pytest.raises(ValueError, match=match):
@@ -218,7 +227,6 @@ class TestDeprecationShim:
             warnings.simplefilter("error")
             create_pipeline(spec=JobSpec(engine="soapsnp"))
             create_pipeline(spec=JobSpec(engine="soapsnp", fusion=False))
-            create_pipeline(spec=JobSpec(engine="soapsnp", cache=False))
 
 
 class TestServeParity:
@@ -299,7 +307,7 @@ class TestResidentCaches:
 
         monkeypatch.setattr(GsnpPipeline, "run", spying_run)
         release_resident()
-        spec = JobSpec(engine="gsnp", window=512, prefetch=False)
+        spec = JobSpec(engine="gsnp", window=512)
         n_threads = threading.active_count()
         try:
             execute(small_dataset, spec=spec, resident=True)

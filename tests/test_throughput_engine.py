@@ -1,26 +1,22 @@
-"""Throughput engine: residency and prefetch never change results.
+"""Throughput engine: device residency never changes results.
 
-The window-pipelined engine (persistent device tables, double-buffered
-streaming) is a pure wall-clock optimization: every toggle combination
-must produce bitwise-identical tables, compressed output and per-phase
-event counters, and the simulator's fast transaction engine must agree
-with the reference sentinel sort and a brute-force oracle.  These tests
-pin that invariant at every layer — sharded executor, serial pipeline,
-transaction counter — plus the once-per-worker residency guarantee and
-the audit's discovery of enqueued kernels.
+Persistent device residency is a pure wall-clock optimization: a run that
+hits the resident score tables must produce bitwise-identical tables,
+compressed output and per-phase event counters to a fresh pipeline's run,
+and the simulator's fast transaction engine must agree with the reference
+sentinel sort and a brute-force oracle.  These tests pin that invariant at
+the serial pipeline and the transaction counter, plus the once-per-worker
+residency guarantee and the audit's discovery of enqueued kernels.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analyze import audit_source
 from repro.api import JobSpec, create_pipeline
-from repro.core.prefetch import prefetched_windows
 from repro.core.score_table import new_p_build_count, reset_new_p_cache
 from repro.exec import execute
-from repro.formats.stream import PrefetchIterator
 from repro.gpusim.device import Device
 from repro.gpusim.memory import (
     _count_transactions_reference,
@@ -46,53 +42,28 @@ def _counters(profile):
 
 
 class TestTogglesParity:
-    """Caching + prefetch on vs off: bitwise identical at 1/2/4 workers."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sharded_on_vs_off(self, workers, small_dataset, tmp_path):
-        on_path = tmp_path / "on.gsnp"
-        off_path = tmp_path / "off.gsnp"
-        on = execute(
-            small_dataset,
-            spec=JobSpec(engine="gsnp", window=WINDOW, workers=workers,
-                         prefetch=True, cache=True),
-            output_path=on_path,
-        )
-        off = execute(
-            small_dataset,
-            spec=JobSpec(engine="gsnp", window=WINDOW, workers=workers,
-                         prefetch=False, cache=False),
-            output_path=off_path,
-        )
-        assert on.table.equals(off.table)
-        assert on.compressed_output == off.compressed_output
-        assert on_path.read_bytes() == off_path.read_bytes()
-        assert _counters(on.profile) == _counters(off.profile)
+    """A run that hits residency is bitwise a fresh pipeline's run."""
 
     def test_serial_pipeline_on_vs_off(self, small_dataset, tmp_path):
-        on_pipe = create_pipeline(spec=JobSpec(
-            engine="gsnp", window=WINDOW, prefetch=True, cache=True
-        ))
-        off_pipe = create_pipeline(spec=JobSpec(
-            engine="gsnp", window=WINDOW, prefetch=False, cache=False
-        ))
-        on_path = tmp_path / "on.gsnp"
-        off_path = tmp_path / "off.gsnp"
+        spec = JobSpec(engine="gsnp", window=WINDOW)
+        warm = create_pipeline(spec=spec)
+        fresh = create_pipeline(spec=spec)
+        warm_path = tmp_path / "warm.gsnp"
+        fresh_path = tmp_path / "fresh.gsnp"
         try:
-            on = on_pipe.run(small_dataset, output_path=on_path)
-            # A second run on the cached pipeline hits residency and must
-            # still match the fresh uncached run bit for bit.
-            on2 = on_pipe.run(small_dataset, output_path=on_path)
-            off = off_pipe.run(small_dataset, output_path=off_path)
+            warm.run(small_dataset)
+            # The second run hits the resident tables and must still match
+            # a fresh pipeline's first run bit for bit.
+            hit = warm.run(small_dataset, output_path=warm_path)
+            assert warm._cached_device.resident.hits == 1
+            ref = fresh.run(small_dataset, output_path=fresh_path)
         finally:
-            on_pipe.release_cache()
-        assert on.table.equals(off.table)
-        assert on2.table.equals(off.table)
-        assert on.compressed_output == off.compressed_output
-        assert on2.compressed_output == off.compressed_output
-        assert on_path.read_bytes() == off_path.read_bytes()
-        assert _counters(on.profile) == _counters(off.profile)
-        assert _counters(on2.profile) == _counters(off.profile)
+            warm.release_cache()
+            fresh.release_cache()
+        assert hit.table.equals(ref.table)
+        assert hit.compressed_output == ref.compressed_output
+        assert warm_path.read_bytes() == fresh_path.read_bytes()
+        assert _counters(hit.profile) == _counters(ref.profile)
 
 
 class TestResidency:
@@ -118,27 +89,15 @@ class TestResidency:
         execute(
             small_dataset,
             spec=JobSpec(engine="gsnp", window=WINDOW, workers=2,
-                         shard_size=1024, prefetch=True, cache=True),
+                         shard_size=1024),
             force_serial=True,
         )
         assert counts["new_p_matrix"] == 1
         assert new_p_build_count() == 1
 
-    def test_cache_off_uploads_per_shard(self, small_dataset, monkeypatch):
-        counts = self._upload_counter(monkeypatch)
-        reset_new_p_cache()
-        execute(
-            small_dataset,
-            spec=JobSpec(engine="gsnp", window=WINDOW, workers=2,
-                         shard_size=1024, prefetch=True, cache=False),
-            force_serial=True,
-        )
-        assert counts["new_p_matrix"] == 4  # one per shard
-        assert new_p_build_count() == 1  # host-side build still memoized
-
     def test_release_cache_frees_resident_tables(self, small_dataset):
         pipe = create_pipeline(
-            spec=JobSpec(engine="gsnp", window=WINDOW, cache=True)
+            spec=JobSpec(engine="gsnp", window=WINDOW)
         )
         pipe.run(small_dataset)
         device = pipe._cached_device
@@ -221,26 +180,6 @@ class TestTransactionFastPaths:
         first = count_transactions(idx, 4, warp_size=4)
         again = count_transactions(idx, 4, warp_size=4)
         assert first == again == _oracle(idx, 4, 4)
-
-
-class TestPrefetchPrimitives:
-    def test_prefetched_windows_disabled_is_passthrough(self):
-        src = [1, 2, 3]
-        assert prefetched_windows(src, enabled=False) is src
-
-    def test_prefetch_preserves_order(self):
-        items = list(range(100))
-        assert list(prefetched_windows(iter(items), enabled=True)) == items
-
-    def test_prefetch_reraises_producer_error(self):
-        def boom():
-            yield 1
-            raise ValueError("decode failed")
-
-        it = iter(PrefetchIterator(boom(), depth=2))
-        assert next(it) == 1
-        with pytest.raises(ValueError, match="decode failed"):
-            next(it)
 
 
 class TestLintEnqueueDiscovery:
