@@ -184,13 +184,27 @@ class TestOutputFiles:
     """One write path: every sample's file appears complete, after the
     last window, or not at all."""
 
-    @pytest.mark.parametrize("chain, n_samples", [
-        (chain, n) for chain in CHAINS for n in (1, 2)
-        if (chain, n) != ("soapsnp", 2)  # the dense baseline has no cohort
-    ])
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("host", [False, True])
     def test_written_once_complete_or_not_at_all(
-        self, ds, batches, tmp_path, monkeypatch, chain, n_samples
+        self, ds, batches, tmp_path, monkeypatch, host, fusion, n_samples
     ):
+        """GSNP on the GPU or the host, fused or per window, solo or a
+        cohort of two."""
+        job = {"engine": "gsnp_cpu" if host else "gsnp",
+               "fusion": fusion, "megabatch": 2}
+        self._check(ds, batches, tmp_path, monkeypatch, job, n_samples)
+
+    def test_dense_baseline_written_once_complete_or_not_at_all(
+        self, ds, batches, tmp_path, monkeypatch
+    ):
+        """The dense baseline has no cohort: solo only."""
+        job = CHAINS["soapsnp"]
+        self._check(ds, batches, tmp_path, monkeypatch, job, 1)
+
+    @staticmethod
+    def _check(ds, batches, tmp_path, monkeypatch, job, n_samples):
         paths = [tmp_path / f"out.s{i}" for i in range(n_samples)]
 
         def run(pipe):
@@ -198,8 +212,8 @@ class TestOutputFiles:
                 return [pipe.run(ds, paths[0], reads=batches[0])]
             return pipe.run_cohort(ds, batches[:n_samples], paths).samples
 
-        pipe = _pipe(**CHAINS[chain])
-        text = chain == "soapsnp"
+        pipe = _pipe(**job)
+        text = job["engine"] == "soapsnp"
         for path, res in zip(paths, run(pipe)):
             want = format_rows(res.table) if text else res.compressed_output
             assert path.read_bytes() == want
