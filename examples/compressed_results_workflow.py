@@ -12,7 +12,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import DatasetSpec, GsnpPipeline, generate_dataset
+from repro import DatasetSpec, GsnpDetector, generate_dataset
 from repro.compress import CompressedResultReader, gzip_compress
 from repro.constants import BASES, GENOTYPES, GENOTYPE_IUPAC
 from repro.formats.cns import format_rows
@@ -26,7 +26,7 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="gsnp_demo_"))
     out_path = workdir / "result.gsnp"
 
-    result = GsnpPipeline(window_size=8000, mode="gpu").run(
+    result = GsnpDetector(engine="gsnp", window=8000).run(
         dataset, output_path=out_path
     )
 

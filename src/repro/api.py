@@ -30,7 +30,7 @@ backend) and every error message and CLI choice list derives from it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from os import PathLike
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
@@ -74,7 +74,6 @@ class Pipeline(Protocol):
     def run(
         self,
         dataset: Any,
-        output_path: Any = None,
         *,
         site_range: Optional[tuple[int, int]] = None,
         calibration: Any = None,
@@ -333,7 +332,8 @@ class JobSpec:
     sanitize: bool = field(default=False, metadata=_cli(
         "robustness", "--sanitize", action="store_true",
         help="run the simulated device with the kernel sanitizer enabled "
-        "(races, hazards, uninitialized reads, leaks); serial engine only",
+        "(races, hazards, uninitialized reads, leaks); not on worker "
+        "processes (--workers > 1 without --devices/--cpu-steal)",
     ))
 
     # -- chaos (no CLI flag: schedules are built programmatically) ---------
@@ -389,22 +389,12 @@ class JobSpec:
         """Whether this job's scheduler lanes are a device pool."""
         return self.devices > 1 or self.cpu_steal
 
-    @property
-    def uses_executor(self) -> bool:
-        """Whether this job routes through the sharded executor."""
-        return (
-            self.workers > 1
-            or self.shard_size is not None
-            or self.uses_pool
-        )
-
     def validate(self, require_inputs: bool = False) -> "JobSpec":
         """Raise ``ValueError`` on incoherent field combinations.
 
         This is the only place a field combination is rejected: every
         spec that passes runs, on every lane kind of the executor.
-        Returns ``self`` so call sites can chain
-        ``spec.validate().normalized()``.
+        Returns ``self`` so call sites can chain on it.
         """
         if not isinstance(self.engine, str):
             raise ValueError(
@@ -453,16 +443,13 @@ class JobSpec:
             and self.shard_timeout > 0
         ):
             raise ValueError("shard_timeout must be a number of seconds > 0")
-        if self.sanitize and not self.uses_pool and (
-            self.normalized().uses_executor
-        ):
+        if self.sanitize and self.workers > 1 and not self.uses_pool:
             raise ValueError(
-                "sanitize=True requires the serial engine (workers=1, no "
-                "shard_size, journal or shard_timeout): the sharded "
-                "executor owns its per-shard devices.  The multi-device "
-                "scheduler (--devices/--cpu-steal) does support the "
-                "sanitizer — its lanes run one shard at a time on the "
-                "calling thread"
+                "sanitize=True does not run on process lanes (workers > 1 "
+                "without --devices/--cpu-steal): each worker process would "
+                "own an unchecked device.  The serial lane and the "
+                "multi-device pool lanes support the sanitizer — they run "
+                "one shard at a time on the calling thread"
             )
         if self.uses_pool and self.engine != Engine.GSNP.value:
             raise ValueError(
@@ -479,22 +466,6 @@ class JobSpec:
             )
         if require_inputs and not (self.fasta and self.soap):
             raise ValueError("a runnable job needs fasta and soap inputs")
-        return self
-
-    def normalized(self) -> "JobSpec":
-        """The spec with executor-routing defaults applied.
-
-        Journalling and shard deadlines live in the sharded executor; a
-        serial invocation that asks for either gets enough shards to
-        checkpoint between (``shard_size = window``), exactly as the CLI
-        has always done.
-        """
-        if (
-            (self.journal or self.shard_timeout)
-            and self.workers == 1
-            and self.shard_size is None
-        ):
-            return replace(self, shard_size=self.window)
         return self
 
     # -- wire format (the gsnp-serve submit payload) -----------------------

@@ -95,7 +95,6 @@ def main_call(argv=None) -> int:
         spec = JobSpec.from_cli_args(args).validate(require_inputs=True)
     except ValueError as exc:
         p.error(str(exc))
-    spec = spec.normalized()
 
     det = GsnpDetector.from_files(spec.fasta, spec.soap, spec.prior, spec=spec)
     t0 = time.perf_counter()

@@ -2,9 +2,9 @@
 
 :class:`GsnpDetector` is the facade downstream users program against; the
 examples and CLI are built on it.  It holds one :class:`~repro.api.JobSpec`
-and runs it on any registered engine (:mod:`repro.api`) — serially, or
-through the sharded parallel executor (:mod:`repro.exec`) when the spec asks
-for workers, shards or a device pool — and exposes the calls, the compressed
+and runs it on any registered engine (:mod:`repro.api`) through the lane
+scheduler (:mod:`repro.exec`) — one serial lane, worker processes or a
+device pool, as the spec asks — and exposes the calls, the compressed
 output, and truth-scoring helpers.
 """
 
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..api import JobSpec, create_pipeline
+from ..api import JobSpec
 from ..formats.cns import ResultTable
 from ..seqsim.datasets import DatasetSpec, KnownSnpPrior, SimulatedDataset
 from ..soapsnp.model import CallingParams
@@ -140,12 +140,12 @@ class GsnpDetector:
         workers=4)`` is ``GsnpDetector(spec=JobSpec(engine="gsnp_cpu",
         workers=4))`` (an unknown name is a ``TypeError``), except that a
         detector built from fields reports every call (``min_quality=0``)
-        unless asked to filter.  All engines produce identical calls, and
-        output is bitwise identical whichever route the spec selects:
-        ``workers``/``shard_size`` run the sharded parallel executor
-        (:func:`repro.exec.execute`), ``devices``/``cpu_steal`` its
-        work-stealing :class:`~repro.gpusim.pool.DevicePool` lanes,
-        ``journal``/``resume`` its crash-safe checkpointing, ``faults`` a
+        unless asked to filter.  Every job runs on
+        :func:`repro.exec.execute`'s lane scheduler, and all engines and
+        lane shapes produce bitwise identical output: ``workers`` runs
+        worker-process lanes, ``devices``/``cpu_steal`` work-stealing
+        :class:`~repro.gpusim.pool.DevicePool` lanes, ``journal``/
+        ``resume`` crash-safe checkpointing, ``faults`` a
         :class:`~repro.faults.plan.FaultPlan` chaos schedule.
 
     Cohort mode: ``samples`` names additional sample SOAP paths (the
@@ -190,7 +190,10 @@ class GsnpDetector:
     def run(
         self, dataset: Optional[SimulatedDataset] = None, output_path=None
     ):
-        """Run the chosen engine (serial or sharded-parallel)."""
+        """Run the job on the lane scheduler (:func:`repro.exec.execute`),
+        writing the result file(s) to ``output_path`` when given."""
+        from ..exec import execute
+
         if dataset is None:
             dataset = self.dataset
         if dataset is None:
@@ -198,54 +201,11 @@ class GsnpDetector:
                 "no dataset: pass one to run() or build the detector "
                 "with from_files()"
             )
-        spec = self.spec
-        sample_reads = self.sample_batches
-        if sample_reads is None and spec.is_cohort:
-            from .cohort import load_sample_batches
-
-            sample_reads = load_sample_batches(dataset, spec)
-        # A serial job asking for a journal or a shard deadline is sharded
-        # (one window per shard), exactly as ``gsnp call`` runs it.
-        if spec.normalized().uses_executor:
-            from ..exec import execute
-
-            result = execute(
-                dataset, spec=spec, params=self.params,
-                output_path=output_path, sample_reads=sample_reads,
-            )
-        else:
-            device = None
-            if spec.sanitize:
-                from ..gpusim.pool import acquire_device
-
-                device = acquire_device(sanitize=True)
-            pipe = create_pipeline(
-                spec=spec, params=self.params, device=device
-            )
-            if sample_reads is not None:
-                from .cohort import cohort_output_path
-
-                output_paths = (
-                    [
-                        cohort_output_path(output_path, i)
-                        for i in range(len(sample_reads))
-                    ]
-                    if output_path is not None
-                    else None
-                )
-                result = pipe.run_cohort(
-                    dataset, sample_reads, output_paths=output_paths
-                )
-            else:
-                result = pipe.run(dataset, output_path=output_path)
-            if device is not None:
-                # Resident score tables are intentionally long-lived; drop
-                # them before the strict leak check.
-                if hasattr(pipe, "release_cache"):
-                    pipe.release_cache()
-                device.sanitize_teardown(strict=True)
-        self.last_result = result
-        return result
+        self.last_result = execute(
+            dataset, spec=self.spec, params=self.params,
+            output_path=output_path, sample_reads=self.sample_batches,
+        )
+        return self.last_result
 
     def calls(self, table: ResultTable) -> list[SnpCall]:
         """Variant rows passing the quality filter."""

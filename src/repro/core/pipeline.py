@@ -240,13 +240,13 @@ class GsnpPipeline:
     def run(
         self,
         dataset: SimulatedDataset,
-        output_path=None,
         *,
         site_range: Optional[tuple[int, int]] = None,
         calibration: Optional[GsnpCalibration] = None,
         reads: Optional[AlignmentBatch] = None,
     ) -> GsnpResult:
-        """Call SNPs; optionally write the compressed result file.
+        """Call SNPs; the compressed result stream is ``compressed_output``
+        (result files are written by :func:`repro.exec.execute`).
 
         ``site_range`` restricts the run to the windows covering
         ``[start, stop)`` (shard execution); ``calibration`` supplies a
@@ -260,11 +260,7 @@ class GsnpPipeline:
         """
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
-        cohort = self._run_plan(
-            dataset, [reads],
-            None if output_path is None else [output_path],
-            site_range, calibration,
-        )
+        cohort = self._run_plan(dataset, [reads], site_range, calibration)
         return replace(
             cohort.samples[0], profile=cohort.profile, extras=cohort.extras
         )
@@ -273,7 +269,6 @@ class GsnpPipeline:
         self,
         dataset: SimulatedDataset,
         sample_reads,
-        output_paths=None,
         *,
         site_range: Optional[tuple[int, int]] = None,
         calibration: Optional[GsnpCalibration] = None,
@@ -284,22 +279,17 @@ class GsnpPipeline:
         pooled calibration (one ``pm_flat`` fingerprint, one resident
         score-table set per device) and — with fusion — one sample-major
         launch chain per megabatch, so launches per stage stay
-        O(megabatches) rather than O(S * megabatches).
-
-        ``output_paths``, when given, supplies one output file per
-        sample (entries may be None).  Returns a
+        O(megabatches) rather than O(S * megabatches).  Returns a
         :class:`repro.core.cohort.CohortResult`.
         """
         return self._run_plan(
-            dataset, list(sample_reads), output_paths, site_range,
-            calibration,
+            dataset, list(sample_reads), site_range, calibration
         )
 
     def _run_plan(
         self,
         dataset: SimulatedDataset,
         sample_reads: list,
-        output_paths,
         site_range: Optional[tuple[int, int]],
         calibration: Optional[GsnpCalibration],
     ):
@@ -324,14 +314,11 @@ class GsnpPipeline:
         once.  The tally counts *reference* windows, so ``launches /
         windows`` exposes the cost the sample axis amortises.
         """
-        from ..faults.journal import atomic_output
         from .cohort import CohortResult, pooled_batch
 
         n_samples = len(sample_reads)
         if n_samples == 0:
             raise PipelineError("cohort needs at least one sample")
-        if output_paths is not None and len(output_paths) != n_samples:
-            raise PipelineError("output_paths must align with samples")
         gpu = self.mode == "gpu"
         fused = self.fusion and gpu
         profile = RunProfile(pipeline="gsnp" if gpu else "gsnp_cpu")
@@ -547,14 +534,6 @@ class GsnpPipeline:
         finally:
             if gpu and not use_cache:
                 tables.free(device)
-
-        # Every blob is held for ``compressed_output`` anyway, so files
-        # are written once, complete, after the last window: a run that
-        # raised above leaves no file under any sample's name.
-        for path, sample_blobs in zip(output_paths or (), per_blobs):
-            if path is not None:
-                with atomic_output(path) as f:
-                    f.writelines(sample_blobs)
 
         samples = []
         for tables_out, sample_blobs, stats in zip(

@@ -16,10 +16,17 @@ deque:
 * a **process lane** — a worker process of its own (``workers > 1``): the
   lane's thread ships ``(shard, attempt)`` down a pipe to *its* child and
   waits, so a dying or overrunning worker costs exactly the shard it held;
-* the **serial lane** — ``workers == 1``, ``force_serial``, ``resident``,
-  or the ``pool-serial-fallback`` rung: exactly one lane, run on the
-  calling thread (no thread is spawned, so the serve daemon's per-thread
-  resident pipelines keep hitting).
+* the **serial lane** — ``workers == 1``, ``resident``, or the
+  ``pool-serial-fallback`` rung: exactly one lane, run on the calling
+  thread (no thread is spawned, so the serve daemon's per-thread resident
+  pipelines keep hitting).  Like a pool lane it owns its device: a
+  sanitizing one when ``spec.sanitize``.
+
+``GsnpDetector.run`` and ``gsnp call`` come here for every job, so the
+shard plan has one rule (:func:`execute`): a serial job is one shard —
+fused megabatches are cut exactly where a whole-job run cuts them —
+unless it asks for a journal or a shard deadline, which need one window
+per shard to checkpoint or preempt between.
 
 Each lane drains its own deque from the front while idle lanes steal from
 the *back* of a dead lane's deque, else the fullest (the classic
@@ -57,7 +64,9 @@ Failure handling (exercised deliberately by :mod:`repro.faults`):
   failure; a worker that dies outright is restarted the same way;
 * an ``AllocationError`` on a lane without a device clock steps the lane
   down the ``device-degraded`` rung (a fresh ``fusion=False`` pipeline of
-  its own, released after the shard) and re-runs the shard in place;
+  its own, released after the shard) and re-runs the shard in place; a
+  sanitizing lane device that failed the allocation is replaced by a
+  fresh one, since the failed attempt stranded its allocations there;
 * a pool lane whose device dies (a real ``AllocationError`` or the seeded
   ``gpusim.device.fail`` chaos site) takes the ``device-failed`` rung: it
   announces itself, pushes its in-hand shard back on its deque and retires
@@ -119,7 +128,7 @@ from ..gpusim.costmodel import (
     predict_split,
 )
 from ..gpusim.device import Device
-from ..gpusim.pool import DevicePool
+from ..gpusim.pool import DevicePool, acquire_device
 from .merge import merge_shard_results
 from .shard import Shard, ShardResult, plan_shards
 
@@ -294,7 +303,7 @@ def _run_shard(
     """
     with fault_scope(shard=shard.index, attempt=attempt):
         fault_point("exec.worker.crash", key=shard.index)
-        if lane.device is not None:
+        if lane.kind == "gpu":
             # Chaos site: a scheduled plan kills this device outright;
             # the lane retires and the other lanes steal its work.
             fault_point("gpusim.device.fail", key=lane.lane_id)
@@ -326,9 +335,15 @@ def _run_shard(
             lane.pipeline = None
             if lane.resident:
                 _resident_pipelines().pop(_resident_key(job.spec), None)
+            if lane.device is not None:
+                # The failed attempt's allocations are stranded on the
+                # sanitizing device; like a retired pool device it is
+                # dropped unchecked, and the lane goes on with a fresh one.
+                lane.device = acquire_device(sanitize=True)
             with fault_scope(degraded=True):
                 degraded = create_pipeline(
                     spec=replace(job.spec, fusion=False), params=job.params,
+                    device=lane.device,
                 )
                 try:
                     result = _invoke(job, degraded, job.calibration, shard)
@@ -374,7 +389,6 @@ class _Scheduler:
         resident: bool,
         max_retries: int,
         backoff_base: float,
-        force_serial: bool,
     ) -> None:
         self.job = job
         self.shards = shards
@@ -396,10 +410,14 @@ class _Scheduler:
             ]
             if spec.cpu_steal:
                 self.lanes.append(_Lane(lane_id=CPU_LANE, kind="cpu"))
-        elif force_serial or resident or spec.workers <= 1:
+        elif resident or spec.workers <= 1:
             # A resident pipeline's device must stay thread-confined, so
             # ``resident`` implies the serial lane.
-            self.lanes = [_Lane(lane_id=0, kind="serial", resident=resident)]
+            self.lanes = [_Lane(
+                lane_id=0, kind="serial", resident=resident,
+                device=acquire_device(sanitize=True) if spec.sanitize
+                else None,
+            )]
         else:
             self.lanes = [
                 _Lane(lane_id=i, kind="process") for i in range(spec.workers)
@@ -849,10 +867,18 @@ class _Scheduler:
         _note_job(hetero)
         return {"pool": "hetero", "hetero": hetero}
 
+    def device(self) -> Optional[Device]:
+        """The device of a one-lane in-process run — what a pipeline run
+        reports as ``extras["device"]`` — else ``None``."""
+        if len(self.lanes) != 1 or self.lanes[0].kind != "serial":
+            return None
+        lane = self.lanes[0]
+        return lane.device or getattr(lane.pipeline, "_cached_device", None)
+
     def close(self) -> None:
         """Join worker processes, release every non-resident lane pipeline
-        and the pool's residency; leak-check sanitized devices that
-        survived the run."""
+        and the pool's residency; leak-check every sanitized lane device
+        that survived the run."""
         with self.lock:
             # Lane threads that outlived an interrupted coordinator stop
             # at their next shard instead of draining the job unattended.
@@ -861,16 +887,12 @@ class _Scheduler:
         for lane in self.lanes:
             if not lane.resident:
                 _release(lane.pipeline)
-        if self.pool is None:
-            return
-        for dev in self.pool:
-            if dev.sanitizer is not None and not any(
-                lane.dead for lane in self.lanes
-                if lane.device is dev
-            ):
+            dev = lane.device
+            if dev is not None and dev.sanitizer is not None and not lane.dead:
                 dev.resident.clear()
                 dev.sanitize_teardown(strict=True)
-        self.pool.release()
+        if self.pool is not None:
+            self.pool.release()
 
 
 def run_shards(
@@ -885,13 +907,13 @@ def run_shards(
     resident: bool = False,
     max_retries: int = 2,
     backoff_base: float = 0.02,
-    force_serial: bool = False,
-) -> tuple[list[ShardResult], dict]:
+) -> tuple[list[ShardResult], dict, Optional[Device]]:
     """Execute ``shards`` on the lanes ``spec`` describes.
 
     Returns the completed :class:`ShardResult` list (unordered — the
-    caller's merge restores genomic order) and the scheduler metadata dict
-    (``pool`` kind; for device pools also the ``hetero`` block).  Raises
+    caller's merge restores genomic order), the scheduler metadata dict
+    (``pool`` kind; for device pools also the ``hetero`` block) and the
+    device of a one-lane in-process run (else ``None``).  Raises
     :class:`~repro.errors.ShardError` if any shard exhausts its retry
     budget.
     """
@@ -905,12 +927,12 @@ def run_shards(
     with ambient:
         run = _Scheduler(
             job, shards, journal, resident=resident, max_retries=max_retries,
-            backoff_base=backoff_base, force_serial=force_serial,
+            backoff_base=backoff_base,
         )
         try:
             counts = run.deal()
             run.run()
-            return list(run.results.values()), run.meta(counts)
+            return list(run.results.values()), run.meta(counts), run.device()
         finally:
             run.close()
 
@@ -968,16 +990,16 @@ def execute(
     sample_reads=None,
     max_retries: int = 2,
     backoff_base: float = 0.02,
-    force_serial: bool = False,
 ):
     """Run a calling job as window-aligned shards on the lane scheduler.
 
     ``spec`` carries every job-level knob.  The remaining keywords are
     executor tuning that no job should need to carry on the wire:
     ``max_retries`` (times a failed shard is re-executed before the run
-    is aborted), ``backoff_base`` (a shard's k-th retry is delayed
-    ``backoff_base * 2**(k-1)`` seconds — deterministic, jitter-free) and
-    ``force_serial`` (one in-process lane even for ``workers > 1``).
+    is aborted) and ``backoff_base`` (a shard's k-th retry is delayed
+    ``backoff_base * 2**(k-1)`` seconds — deterministic, jitter-free).
+    Every result file is written here, by the merge, once the last shard
+    is in: a job that raises leaves no output file.
 
     Returns the engine's own result type with tables, compressed output
     and merged event counters bitwise/exactly equal to the serial path;
@@ -987,8 +1009,8 @@ def execute(
     Long-lived callers pass ``calibration=`` (a previously computed
     calibration for this dataset/engine/params, skipping the input pass)
     and ``resident=True`` (keep the serial lane's pipeline, device and
-    uploaded tables in a per-thread cache across calls; implies
-    ``force_serial`` so the resident device stays thread-confined).
+    uploaded tables in a per-thread cache across calls; implies the
+    serial lane so the resident device stays thread-confined).
 
     ``sample_reads`` switches the job to cohort mode: a list of full
     alignment batches (sample 0 first) that every shard slices by its own
@@ -1000,7 +1022,7 @@ def execute(
     merged outputs are bitwise identical to S solo runs sharing the
     pooled calibration.
     """
-    spec = spec.validate().normalized()
+    spec = spec.validate()
     eff_window = effective_window(spec.engine, spec.window)
     variant_obj = spec.resolved_variant()
 
@@ -1018,13 +1040,19 @@ def execute(
     # this dataset/engine/params.
     if calibration is None:
         calibration = calibrate_job(dataset, spec, params, sample_reads)
-    # A device pool needs enough shards for every lane (N devices + the
-    # optional host lane) to hold a deque worth stealing from, so lanes
-    # count as workers for planning purposes.
-    shards = plan_shards(
-        dataset.n_sites, eff_window, spec.shard_size,
-        max(spec.workers, spec.devices + spec.cpu_steal),
-    )
+    # The one shard-plan rule.  A device pool needs enough shards for
+    # every lane (N devices + the optional host lane) to hold a deque
+    # worth stealing from, so lanes count as workers.  A serial job is
+    # one shard, unless a journal or a deadline needs one window per
+    # shard to checkpoint or preempt between.
+    lanes = max(spec.workers, spec.devices + spec.cpu_steal)
+    shard_size = spec.shard_size
+    if shard_size is None and lanes == 1:
+        shard_size = (
+            eff_window if spec.journal or spec.shard_timeout
+            else dataset.n_sites
+        )
+    shards = plan_shards(dataset.n_sites, eff_window, shard_size, lanes)
 
     # Crash-safe checkpointing: the journal is keyed by a fingerprint of
     # everything that determines shard bytes, so resume can never splice
@@ -1052,7 +1080,7 @@ def execute(
                 )
 
     t0 = time.perf_counter()
-    ran, sched_meta = run_shards(
+    ran, sched_meta, device = run_shards(
         dataset,
         replace(spec, window=eff_window, variant=variant_obj),
         params,
@@ -1063,7 +1091,6 @@ def execute(
         resident=resident,
         max_retries=max_retries,
         backoff_base=backoff_base,
-        force_serial=force_serial,
     )
     exec_meta = {
         "workers": spec.workers,
@@ -1079,5 +1106,5 @@ def execute(
     }
     return merge_shard_results(
         list(committed.values()) + ran, calibration,
-        output_path=output_path, exec_meta=exec_meta,
+        output_path=output_path, exec_meta=exec_meta, device=device,
     )

@@ -11,6 +11,7 @@ cost models see exactly the counters a serial run would have produced
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -19,7 +20,7 @@ from ..bench.events import RunProfile
 from ..core.pipeline import GsnpResult
 from ..errors import PipelineError
 from ..faults.journal import atomic_output
-from ..formats.cns import format_rows
+from ..formats.cns import ResultTable, format_rows
 from ..soapsnp.pipeline import SoapsnpResult
 from .shard import ShardResult
 
@@ -49,117 +50,97 @@ def merge_profiles(
     return profile
 
 
-def _merge_cohort(
-    results: list[ShardResult], calibration, profile, extras, output_path
-):
-    """Reassemble a cohort run: per-sample genomic-order concatenation.
-
-    Each shard carries one table/blob per sample; sample ``i``'s merged
-    output is exactly what sample ``i``'s solo sharded run (with the
-    pooled calibration) would have produced.  Sample 0 writes to
-    ``output_path``; sample ``i`` to ``<output_path>.s<i>``.
-    """
-    from ..core.cohort import CohortResult, cohort_output_path
-
-    n_samples = len(results[0].sample_tables)
-    if any(len(sr.sample_tables or ()) != n_samples for sr in results):
-        raise PipelineError("shard results disagree on cohort size")
-    samples = []
-    for si in range(n_samples):
-        table = results[0].sample_tables[si]
-        for sr in results[1:]:
-            table = table.concat(sr.sample_tables[si])
-        compressed = b"".join(sr.sample_compressed[si] for sr in results)
-        if output_path is not None:
-            with atomic_output(cohort_output_path(output_path, si)) as f:
-                f.write(compressed)
-        samples.append(
-            GsnpResult(
-                table=table,
-                profile=RunProfile(pipeline=results[0].profile.pipeline),
-                compressed_output=compressed,
-                output_bytes=len(compressed),
-                temp_input_bytes=calibration.temp_len,
-                sort_stats=(
-                    [s for sr in results for s in sr.sort_stats]
-                    if si == 0
-                    else []
-                ),
-            )
-        )
-    extras["cohort"] = {"samples": n_samples}
-    extras["device"] = None
-    extras["peak_gpu_bytes"] = max(
-        (sr.peak_gpu_bytes for sr in results), default=0
-    )
-    return CohortResult(samples=samples, profile=profile, extras=extras)
-
-
 def merge_shard_results(
     results: list[ShardResult],
     calibration,
     output_path=None,
     exec_meta: Optional[dict] = None,
+    device=None,
 ):
     """Merge shard results into the engine's own result type.
 
-    Returns a :class:`~repro.core.pipeline.GsnpResult` or
-    :class:`~repro.soapsnp.pipeline.SoapsnpResult`, indistinguishable from
-    a serial run's except for wall-clock timings and the exec metadata in
-    ``extras``.  When ``output_path`` is given, writes the same bytes the
-    serial pipeline would have written (compressed blobs for the GSNP
-    engines, ``.cns`` text for SOAPsnp).
+    Returns a :class:`~repro.core.pipeline.GsnpResult`,
+    :class:`~repro.soapsnp.pipeline.SoapsnpResult` or (when the shards
+    carry per-sample tables) :class:`~repro.core.cohort.CohortResult`,
+    indistinguishable from a whole-job pipeline run's except for
+    wall-clock timings and the exec metadata in ``extras``; ``device`` is
+    reported as ``extras["device"]``.  Sample ``i``'s merged output is
+    exactly what its solo run (with the pooled calibration) would have
+    produced.
+
+    This is the one writer of result files.  When ``output_path`` is
+    given, every sample's bytes — compressed blobs for the GSNP engines,
+    ``.cns`` text for SOAPsnp — go to ``cohort_output_path(output_path,
+    i)`` (sample 0 at ``output_path`` itself, sample ``i`` at
+    ``<output_path>.s<i>``), each written atomically.
     """
+    from ..core.cohort import CohortResult, cohort_output_path
+
     if not results:
         raise PipelineError("no shard results to merge")
     results = _ordered(results)
+    cohort = results[0].sample_tables is not None
+    n_samples = len(results[0].sample_tables) if cohort else 1
+    if cohort and any(
+        len(sr.sample_tables or ()) != n_samples for sr in results
+    ):
+        raise PipelineError("shard results disagree on cohort size")
+    family = results[0].profile.pipeline
+    text = family not in ("gsnp", "gsnp_cpu")
 
-    table = results[0].table
-    for sr in results[1:]:
-        table = table.concat(sr.table)
-    profile = merge_profiles(results, calibration.record)
+    samples = []
+    for si in range(n_samples):
+        tables = [sr.sample_tables[si] if cohort else sr.table
+                  for sr in results]
+        table = reduce(ResultTable.concat, tables)
+        compressed = b"".join(
+            sr.sample_compressed[si] if cohort else sr.compressed
+            for sr in results
+        )
+        if output_path is not None:
+            with atomic_output(cohort_output_path(output_path, si)) as f:
+                f.writelines(map(format_rows, tables) if text
+                             else [compressed])
+        samples.append((table, compressed))
 
     extras = {
         "input_bytes": calibration.input_bytes,
         "shards": [sr.metrics() for sr in results],
+        "device": device,
+        "peak_gpu_bytes": max(sr.peak_gpu_bytes for sr in results),
     }
     if exec_meta:
         extras["exec"] = dict(exec_meta)
-
-    family = results[0].profile.pipeline
-    if results[0].sample_tables is not None:
-        return _merge_cohort(
-            results, calibration, profile, extras, output_path
-        )
-    if family in ("gsnp", "gsnp_cpu"):
-        compressed = b"".join(sr.compressed for sr in results)
-        if output_path is not None:
-            with atomic_output(output_path) as f:
-                f.write(compressed)
-        extras["device"] = None
-        extras["peak_gpu_bytes"] = max(
-            (sr.peak_gpu_bytes for sr in results), default=0
-        )
-        return GsnpResult(
+    profile = merge_profiles(results, calibration.record)
+    if text:
+        table, _ = samples[0]
+        nnz_parts = [sr.nnz for sr in results if sr.nnz is not None]
+        return SoapsnpResult(
             table=table,
             profile=profile,
+            nnz=np.concatenate(nnz_parts) if nnz_parts else None,
+            output_bytes=sum(sr.output_bytes for sr in results),
+            p_matrix=calibration.p_matrix,
+            extras=extras,
+        )
+    members = [
+        GsnpResult(
+            table=table,
+            # A cohort's events live on its own profile, as in a pipeline
+            # run; the shared launch chain is not faked per sample.
+            profile=profile if not cohort else RunProfile(pipeline=family),
             compressed_output=compressed,
             output_bytes=len(compressed),
             temp_input_bytes=calibration.temp_len,
-            sort_stats=[s for sr in results for s in sr.sort_stats],
-            extras=extras,
+            sort_stats=(
+                [s for sr in results for s in sr.sort_stats] if si == 0
+                else []
+            ),
+            extras={} if cohort else extras,
         )
-
-    if output_path is not None:
-        with atomic_output(output_path) as f:
-            for sr in results:
-                f.write(format_rows(sr.table))
-    nnz_parts = [sr.nnz for sr in results if sr.nnz is not None]
-    return SoapsnpResult(
-        table=table,
-        profile=profile,
-        nnz=np.concatenate(nnz_parts) if nnz_parts else None,
-        output_bytes=sum(sr.output_bytes for sr in results),
-        p_matrix=calibration.p_matrix,
-        extras=extras,
-    )
+        for si, (table, compressed) in enumerate(samples)
+    ]
+    if not cohort:
+        return members[0]
+    extras["cohort"] = {"samples": n_samples}
+    return CohortResult(samples=members, profile=profile, extras=extras)

@@ -2,7 +2,7 @@
 
 Table III of the paper reports five counters for ``likelihood_comp``:
 ``#inst. PW``, ``#g_load``, ``#g_store``, ``#s_load PW`` and ``#s_store PW``,
-where *PW* means the counter is normalized per warp on one multiprocessor.
+where *PW* means the counter is given per warp on one multiprocessor.
 :class:`KernelCounters` accumulates the raw quantities during simulated
 execution; the ``*_pw`` properties apply the same normalization so benchmark
 output is directly comparable with the paper's table.
@@ -100,7 +100,7 @@ class KernelCounters:
         self.s_store_warp += other.s_store_warp
         self.c_load += other.c_load
 
-    # -- Paper-style normalized views ------------------------------------
+    # -- Paper-style per-warp views -------------------------------------
 
     @property
     def inst_pw(self) -> float:

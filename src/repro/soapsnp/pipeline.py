@@ -105,22 +105,19 @@ class SoapsnpPipeline:
     def run(
         self,
         dataset: SimulatedDataset,
-        output_path=None,
         *,
         site_range: Optional[tuple[int, int]] = None,
         calibration: Optional[SoapsnpCalibration] = None,
         reads: Optional[AlignmentBatch] = None,
     ) -> SoapsnpResult:
-        """Call SNPs over a dataset; optionally write the .cns text file.
+        """Call SNPs over a dataset.
 
         ``site_range``/``calibration``/``reads`` have the same contract as
         :meth:`repro.core.pipeline.GsnpPipeline.run` — they let the sharded
         executor run one shard of whole windows with a shared calibration.
-        As there, the file is written once, complete, after the last
-        window: a run that raises leaves no file under ``output_path``.
+        As there, the ``.cns`` text file is written by
+        :func:`repro.exec.execute`; ``output_bytes`` counts its bytes.
         """
-        from ..faults.journal import atomic_output
-
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
         profile = RunProfile(pipeline="soapsnp")
@@ -137,7 +134,7 @@ class SoapsnpPipeline:
             reads, dataset.n_sites, self.window_size, start=start, stop=stop
         )
         tables: list[ResultTable] = []
-        texts: list[bytes] = []
+        output_bytes = 0
         nnz_parts: list[np.ndarray] = []
         for window in reader:
             # ---- read_site: second, OS-buffered pass -------------------
@@ -188,7 +185,7 @@ class SoapsnpPipeline:
             rec = profile.phase("output")
             with PhaseScope(rec, None):
                 text = format_rows(table)
-            texts.append(text)
+            output_bytes += len(text)
             rec.disk.write_bytes += len(text)
             rec.disk.formatted_bytes += len(text)
             tables.append(table)
@@ -198,10 +195,6 @@ class SoapsnpPipeline:
             rec.cpu.seq_write_bytes += window.n_sites * BASE_OCC_SIZE
             rec.cpu.instructions += window.n_sites
 
-        if output_path is not None:
-            with atomic_output(output_path) as f:
-                f.writelines(texts)
-
         full = tables[0]
         for t in tables[1:]:
             full = full.concat(t)
@@ -209,7 +202,7 @@ class SoapsnpPipeline:
             table=full,
             profile=profile,
             nnz=np.concatenate(nnz_parts) if self.collect_nnz else None,
-            output_bytes=sum(map(len, texts)),
+            output_bytes=output_bytes,
             p_matrix=calibration.p_matrix,
             extras={"input_bytes": calibration.input_bytes},
         )

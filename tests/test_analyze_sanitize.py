@@ -360,6 +360,33 @@ class TestEndToEnd:
             plain.run(small_dataset).table
         )
 
+    def test_detector_sanitizes_sharded_serial_jobs(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        """A serial job with shards or a journal runs sanitized on the
+        serial lane's own device, leak-checked when the scheduler
+        closes."""
+        from repro.core.detector import GsnpDetector
+        from repro.gpusim.device import Device
+
+        checks = []
+        teardown = Device.sanitize_teardown
+
+        def spy(self, strict=False):
+            checks.append(strict)
+            return teardown(self, strict=strict)
+
+        monkeypatch.setattr(Device, "sanitize_teardown", spy)
+        plain = GsnpDetector(engine="gsnp", window=1000).run(small_dataset)
+        for fields in ({"shard_size": 2000}, {"journal": str(tmp_path)}):
+            res = GsnpDetector(
+                engine="gsnp", window=1000, sanitize=True, **fields
+            ).run(small_dataset)
+            assert res.extras["exec"]["n_shards"] > 1
+            assert res.extras["device"].sanitizer is not None
+            assert res.compressed_output == plain.compressed_output
+        assert checks == [True, True]
+
     def test_detector_sanitize_rejects_sharded(self):
         from repro.core.detector import GsnpDetector
 

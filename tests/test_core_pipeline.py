@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench.events import COMPONENTS
 from repro.compress.columnar import decode_table
+from repro.core.detector import GsnpDetector
 from repro.core.pipeline import GsnpPipeline
 from repro.errors import PipelineError
 from repro.soapsnp import SoapsnpPipeline
@@ -65,7 +66,7 @@ class TestCompressedOutput:
 
     def test_output_file_written(self, small_dataset, tmp_path):
         path = tmp_path / "out.gsnp"
-        res = GsnpPipeline(window_size=2000, mode="gpu").run(
+        res = GsnpDetector(engine="gsnp", window=2000).run(
             small_dataset, output_path=path
         )
         assert path.read_bytes() == res.compressed_output

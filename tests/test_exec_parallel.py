@@ -11,7 +11,8 @@ from repro.api import Engine, JobSpec, create_pipeline
 from repro.core.detector import GsnpDetector
 from repro.errors import PipelineError, ShardError
 from repro.exec import align_shard_size, execute, plan_shards
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import DegradationWarning, FaultPlan, FaultSpec
+from repro.formats.cns import format_rows
 
 WINDOW = 512
 ENGINES = ("gsnp", "gsnp_cpu", "soapsnp")
@@ -32,15 +33,23 @@ def _counters(profile):
     return out
 
 
-def _serial(engine, dataset, output_path=None, **toggles):
+def _serial(engine, dataset, **toggles):
+    """A whole-job pipeline run: the serial oracle."""
     pipe = create_pipeline(
         spec=JobSpec(engine=engine, window=WINDOW, **toggles)
     )
-    return pipe.run(dataset, output_path=output_path)
+    return pipe.run(dataset)
+
+
+def _serial_bytes(engine, result) -> bytes:
+    """The file bytes a serial result stands for."""
+    if engine == "soapsnp":
+        return format_rows(result.table)
+    return result.compressed_output
 
 
 #: ``execute`` keywords that are executor tuning, not JobSpec fields.
-_TUNING = ("max_retries", "backoff_base", "force_serial")
+_TUNING = ("max_retries", "backoff_base")
 
 
 def _execute(dataset, engine, output_path=None, **kw):
@@ -105,9 +114,8 @@ class TestParity:
     def test_bitwise_identical(
         self, engine, workers, small_dataset, tmp_path
     ):
-        serial_path = tmp_path / "serial.out"
         par_path = tmp_path / "par.out"
-        serial = _serial(engine, small_dataset, output_path=serial_path)
+        serial = _serial(engine, small_dataset)
         par = _execute(
             small_dataset, engine, output_path=par_path, workers=workers
         )
@@ -115,7 +123,7 @@ class TestParity:
         assert getattr(par, "compressed_output", b"") == getattr(
             serial, "compressed_output", b""
         )
-        assert par_path.read_bytes() == serial_path.read_bytes()
+        assert par_path.read_bytes() == _serial_bytes(engine, serial)
         assert par.output_bytes == serial.output_bytes
         if engine == "gsnp":
             serial = _serial(engine, small_dataset, **PER_WINDOW)
@@ -132,12 +140,20 @@ class TestParity:
         table = CompressedResultReader(path).read_all()
         assert table.equals(par.table)
 
-    def test_serial_fallback_identical(self, small_dataset):
+    def test_serial_fallback_identical(self, small_dataset, monkeypatch):
+        """A 4-worker job on a platform without multiprocessing runs its
+        shards on the serial lane (the ``pool-serial-fallback`` rung)."""
+        import repro.exec.executor as executor
+
+        def broken(self, lane):
+            raise OSError("no semaphores on this platform")
+
+        monkeypatch.setattr(executor._Scheduler, "_start_worker", broken)
         serial = _serial("gsnp_cpu", small_dataset)
-        par = _execute(
-            small_dataset, "gsnp_cpu", workers=4, force_serial=True
-        )
+        with pytest.warns(DegradationWarning, match="pool-serial-fallback"):
+            par = _execute(small_dataset, "gsnp_cpu", workers=4)
         assert par.extras["exec"]["pool"] == "serial"
+        assert par.extras["exec"]["n_shards"] > 1
         assert par.table.equals(serial.table)
         assert _counters(par.profile) == _counters(serial.profile)
 

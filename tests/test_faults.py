@@ -38,18 +38,17 @@ from repro.faults import (
 WINDOW = 512
 
 
-def _run(dataset, output, engine="gsnp_cpu", *, force_serial=True,
-         max_retries=2, journal_dir=None, **spec_kwargs):
-    """Sharded run, in-process by default (deterministic, no worker
-    processes); the ``gpusim.device.alloc`` site needs ``engine="gsnp"``."""
-    spec_kwargs.setdefault("workers", 2)
+def _run(dataset, output, engine="gsnp_cpu", *, max_retries=2,
+         journal_dir=None, **spec_kwargs):
+    """Run of 1024-site shards, on the serial lane unless ``workers`` says
+    otherwise (deterministic, no worker processes); the
+    ``gpusim.device.alloc`` site needs ``engine="gsnp"``."""
     spec = JobSpec(
         engine=engine, window=WINDOW, shard_size=1024, journal=journal_dir,
         **spec_kwargs,
     )
     return execute(
-        dataset, spec=spec, output_path=output,
-        force_serial=force_serial, max_retries=max_retries,
+        dataset, spec=spec, output_path=output, max_retries=max_retries,
     )
 
 
@@ -227,8 +226,7 @@ class TestFaultedExecutionParity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             res = _run(
-                small_dataset, out, faults=plan,
-                force_serial=False, workers=2,
+                small_dataset, out, faults=plan, workers=2,
             )
         assert out.read_bytes() == base_bytes
         assert res.extras["exec"]["retries"] == 1
@@ -248,8 +246,7 @@ class TestFaultedExecutionParity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             res = _run(
-                ds, tmp_path / "crash.out", faults=plan,
-                force_serial=False, workers=2,
+                ds, tmp_path / "crash.out", faults=plan, workers=2,
             )
         attempts = {s["index"]: s["attempts"] for s in res.extras["shards"]}
         assert attempts == {0: 2, **{i: 1 for i in range(1, 8)}}
@@ -279,11 +276,60 @@ class TestFaultedExecutionParity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             res = _run(
-                small_dataset, out, faults=plan,
-                force_serial=False, workers=2, shard_timeout=2.0,
+                small_dataset, out, faults=plan, workers=2,
+                shard_timeout=2.0,
             )
         assert out.read_bytes() == base_bytes
         assert res.extras["exec"]["retries"] >= 1
+
+
+class TestSerialJobFaults:
+    """A serial detector job runs on the serial lane like any other job,
+    so its ``faults`` plan is installed and its rungs are taken."""
+
+    @staticmethod
+    def _detect(dataset, plan, **fields):
+        from repro.core.detector import GsnpDetector
+
+        detector = GsnpDetector(
+            spec=JobSpec(window=1000, faults=plan, **fields)
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegradationWarning)
+            res = detector.run(dataset)
+        return res, [w.message.rung for w in caught
+                     if isinstance(w.message, DegradationWarning)]
+
+    def test_alloc_fault_takes_one_degraded_rung(self, small_dataset):
+        from repro.api import create_pipeline
+
+        oracle = create_pipeline(spec=JobSpec(window=1000)).run(small_dataset)
+        plan = FaultPlan([FaultSpec(site="gpusim.device.alloc", kind="alloc")])
+        res, rungs = self._detect(small_dataset, plan)
+        assert rungs == ["device-degraded"]
+        assert res.compressed_output == oracle.compressed_output
+
+    def test_sanitized_lane_drops_the_device_that_failed(
+        self, small_dataset
+    ):
+        """The failed attempt strands allocations on the sanitizing lane
+        device; the lane goes on with a fresh one, so the strict teardown
+        at scheduler close stays clean."""
+        from repro.api import create_pipeline
+
+        oracle = create_pipeline(spec=JobSpec(window=1000)).run(small_dataset)
+        plan = FaultPlan([FaultSpec(site="gpusim.device.alloc", kind="alloc",
+                                    after=1)])
+        res, rungs = self._detect(small_dataset, plan, sanitize=True,
+                                  shard_size=2000)
+        assert rungs == ["device-degraded"]
+        assert res.compressed_output == oracle.compressed_output
+
+    def test_failing_shard_raises_shard_error(self, small_dataset):
+        plan = FaultPlan([FaultSpec(site="exec.shard.error", times=99)])
+        with pytest.raises(ShardError) as err:
+            self._detect(small_dataset, plan)
+        assert isinstance(err.value.__cause__, InjectedFault)
 
 
 class TestCheckpointResume:
@@ -383,7 +429,7 @@ class TestDegradationLadder:
         out = tmp_path / "fallback.out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DegradationWarning)
-            res = _run(small_dataset, out, force_serial=False, workers=4)
+            res = _run(small_dataset, out, workers=4)
         assert res.extras["exec"]["pool"] == "serial"
         assert out.read_bytes() == base_bytes
         msgs = [w.message for w in caught
@@ -404,10 +450,11 @@ class TestDegradationLadder:
 
         monkeypatch.setattr(executor._Scheduler, "_start_worker", broken)
         with pytest.raises(ValueError):
-            _run(small_dataset, tmp_path / "never.out",
-                 force_serial=False, workers=4)
+            _run(small_dataset, tmp_path / "never.out", workers=4)
 
-    @pytest.mark.parametrize("lanes", [{}, {"engine": "gsnp", "devices": 2}])
+    @pytest.mark.parametrize("lanes", [
+        {}, {"engine": "gsnp", "devices": 2, "workers": 2},
+    ])
     def test_shard_timeout_ignored_on_in_process_lanes(
         self, lanes, small_dataset, tmp_path, caplog
     ):

@@ -71,7 +71,7 @@ class TestFileRoundtripPipeline:
         self, small_dataset, tmp_path
     ):
         path = tmp_path / "out.cns"
-        res = SoapsnpPipeline(window_size=2000).run(
+        res = GsnpDetector(engine="soapsnp", window=2000).run(
             small_dataset, output_path=path
         )
         assert read_cns(path).equals(res.table)
@@ -80,7 +80,7 @@ class TestFileRoundtripPipeline:
         self, small_dataset, tmp_path
     ):
         gsnp_path = tmp_path / "out.gsnp"
-        res = GsnpPipeline(window_size=1700, mode="gpu").run(
+        res = GsnpDetector(engine="gsnp", window=1700).run(
             small_dataset, output_path=gsnp_path
         )
         reader = CompressedResultReader(gsnp_path)

@@ -118,14 +118,15 @@ def env(tmp_path_factory):
 
 
 def shard_bounds(spec: JobSpec) -> tuple:
-    """The shards the executor plans (one, for an in-process job)."""
-    spec = spec.normalized()
-    if not spec.uses_executor:
-        return ((0, N_SITES),)
-    return tuple((s.start, s.end) for s in plan_shards(
-        N_SITES, effective_window(spec.engine, spec.window), spec.shard_size,
-        max(spec.workers, spec.devices + spec.cpu_steal),
-    ))
+    """The shards the executor plans: a serial job is one shard, or one
+    window per shard when journaled."""
+    window = effective_window(spec.engine, spec.window)
+    lanes = max(spec.workers, spec.devices + spec.cpu_steal)
+    size = spec.shard_size
+    if size is None and lanes == 1:
+        size = window if spec.journal else N_SITES
+    return tuple((s.start, s.end)
+                 for s in plan_shards(N_SITES, window, size, lanes))
 
 
 def counter_key(spec: JobSpec, s: int, bounds: tuple):
@@ -223,19 +224,16 @@ def check_job(env: Env, c: dict) -> set:
     if key is not None:
         assert env.counters.setdefault(key, events(res.profile)) \
             == events(res.profile), key
-    meta = res.extras.get("exec")
-    if not spec.normalized().uses_executor:
-        assert meta is None
-        assert ("fusion" in res.extras) == (spec.engine == "gsnp"
-                                            and spec.fusion)
-        if s == 1 and not text:  # a solo run is a cohort of one
-            one = run(env, spec, sample_batches=env.batches[:1])
-            assert events(one.profile) == events(res.profile)
-            assert one.samples[0].table.equals(res.table)
-            for field in ("compressed_output", "sort_stats",
-                          "temp_input_bytes"):
-                assert getattr(one.samples[0], field) == getattr(res, field)
-        return done
+    meta = res.extras["exec"]
+    whole_job = meta["pool"] == "serial" and len(bounds) == 1
+    if whole_job and s == 1 and not text and spec.faults is None \
+            and not spec.journal:  # a solo run is a cohort of one
+        one = run(env, spec, sample_batches=env.batches[:1])
+        assert events(one.profile) == events(res.profile)
+        assert one.samples[0].table.equals(res.table)
+        for field in ("compressed_output", "sort_stats",
+                      "temp_input_bytes"):
+            assert getattr(one.samples[0], field) == getattr(res, field)
     ran = len(bounds) - committed
     assert (meta["resumed"], meta["n_shards"], meta["samples"]) \
         == (committed, len(bounds), s)
@@ -270,6 +268,8 @@ PINNED = [
          cpu_steal=True, workers=2),
     case(variant="w_shared", megabatch=3, shard_size=600, samples=2),
     case(megabatch=1, sanitize=True, samples=4),
+    # a fused cohort of four on the serial lane over several shards
+    case(samples=4, shard_size=600),
     # the host engine sharded and faulted, then serial (same counters);
     # the dense baseline on process lanes; two rejections
     case(engine="gsnp_cpu", variant="w_new_table", window=DEFAULT_WINDOW_GSNP,

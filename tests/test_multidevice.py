@@ -249,7 +249,7 @@ class TestDeviceFailure:
         shards = plan_shards(dataset.n_sites, WINDOW, None, 3)
         sched = _Scheduler(
             job, shards, None, resident=False, max_retries=0,
-            backoff_base=0.0, force_serial=False,
+            backoff_base=0.0,
         )
         try:
             thief, live, dead = sched.lanes

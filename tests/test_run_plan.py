@@ -6,11 +6,12 @@ not move.
 the per-window chains (GPU and host) are launch batches of one.  These
 tests pin the accounting that differs *between* those chains (and so
 could silently drift once they share a body), the output-file contract of
-the write-at-end path every chain shares (the dense baseline's too), and
-that a serial run of any chain stays on the calling thread.
+the merge, the one writer of every chain's files (the dense baseline's
+too), and that a serial run of any chain stays on the calling thread.
 """
 
 import threading
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -18,8 +19,12 @@ import pytest
 from repro.align.records import AlignmentBatch
 from repro.api import JobSpec, create_pipeline
 from repro.core import pipeline as pipeline_mod
+from repro.core.cohort import cohort_output_path
+from repro.core.detector import GsnpDetector
 from repro.core.pipeline import GsnpPipeline
+from repro.errors import ShardError
 from repro.exec.shard import Shard, ShardResult
+from repro.faults import DegradationWarning
 from repro.formats.cns import format_rows
 from repro.formats.window import WindowReader
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
@@ -181,8 +186,8 @@ def _release(pipe):
 
 
 class TestOutputFiles:
-    """One write path: every sample's file appears complete, after the
-    last window, or not at all."""
+    """One write path, the merge's: every sample's file appears complete,
+    after the last shard, or not at all."""
 
     @pytest.mark.parametrize("n_samples", [1, 2])
     @pytest.mark.parametrize("fusion", [False, True])
@@ -205,36 +210,38 @@ class TestOutputFiles:
 
     @staticmethod
     def _check(ds, batches, tmp_path, monkeypatch, job, n_samples):
-        paths = [tmp_path / f"out.s{i}" for i in range(n_samples)]
-
-        def run(pipe):
-            if n_samples == 1:
-                return [pipe.run(ds, paths[0], reads=batches[0])]
-            return pipe.run_cohort(ds, batches[:n_samples], paths).samples
-
-        pipe = _pipe(**job)
+        out = tmp_path / "out"
+        detector = GsnpDetector(spec=JobSpec(window=WINDOW, **job))
+        if n_samples > 1:
+            detector.sample_batches = batches[:n_samples]
+        res = detector.run(ds, output_path=out)
         text = job["engine"] == "soapsnp"
-        for path, res in zip(paths, run(pipe)):
-            want = format_rows(res.table) if text else res.compressed_output
-            assert path.read_bytes() == want
+        for i, member in enumerate(res.samples if n_samples > 1 else [res]):
+            want = format_rows(member.table) if text \
+                else member.compressed_output
+            assert cohort_output_path(out, i).read_bytes() == want
+        for path in tmp_path.iterdir():
             path.unlink()
 
-        # Fail the fifth window decoded: earlier launch batches have
-        # already produced output on every chain.
+        # From the fifth window decoded on, every window fails: earlier
+        # launch batches have already produced output on every chain, and
+        # the shard's retries fail too until the budget is spent.
         module = soapsnp_pipeline_mod if text else pipeline_mod
         real = module.extract_observations
         calls = []
 
         def flaky(window):
             calls.append(window)
-            if len(calls) == 5:
+            if len(calls) >= 5:
                 raise RuntimeError("window 5 failed")
             return real(window)
 
         monkeypatch.setattr(module, "extract_observations", flaky)
-        with pytest.raises(RuntimeError, match="window 5 failed"):
-            run(pipe)
-        _release(pipe)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            with pytest.raises(ShardError, match="3 attempts") as raised:
+                detector.run(ds, output_path=out)
+        assert str(raised.value.__cause__) == "window 5 failed"
         assert list(tmp_path.iterdir()) == []  # no file, no .part litter
 
 

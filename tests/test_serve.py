@@ -200,10 +200,16 @@ class TestJobSpecApi:
         with pytest.raises(ValueError, match="samples"):
             JobSpec.from_wire({"samples": 5})
 
-    def test_normalized_gives_serial_journal_shards(self):
-        spec = JobSpec(window=512, journal="j").normalized()
-        assert spec.shard_size == 512
-        assert JobSpec(window=512).normalized().shard_size is None
+    def test_normalized_gives_serial_journal_shards(
+        self, small_dataset, tmp_path
+    ):
+        """A serial job is one shard; journaled, one window per shard."""
+        def n_shards(**fields):
+            spec = JobSpec(engine="gsnp_cpu", window=512, **fields)
+            return execute(small_dataset, spec=spec).extras["exec"]["n_shards"]
+
+        assert n_shards(journal=str(tmp_path / "j")) == 8  # ceil(4000 / 512)
+        assert n_shards() == 1
 
 
 class TestDeprecationShim:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.events import COMPONENTS
+from repro.core.detector import GsnpDetector
 from repro.soapsnp import SoapsnpPipeline, is_snp_call
 
 
@@ -47,7 +48,7 @@ class TestPipeline:
 
     def test_output_file_written(self, small_dataset, tmp_path):
         path = tmp_path / "out.cns"
-        res = SoapsnpPipeline(window_size=2000).run(
+        res = GsnpDetector(engine="soapsnp", window=2000).run(
             small_dataset, output_path=path
         )
         assert path.stat().st_size == res.output_bytes

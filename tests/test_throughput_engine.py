@@ -44,25 +44,22 @@ def _counters(profile):
 class TestTogglesParity:
     """A run that hits residency is bitwise a fresh pipeline's run."""
 
-    def test_serial_pipeline_on_vs_off(self, small_dataset, tmp_path):
+    def test_serial_pipeline_on_vs_off(self, small_dataset):
         spec = JobSpec(engine="gsnp", window=WINDOW)
         warm = create_pipeline(spec=spec)
         fresh = create_pipeline(spec=spec)
-        warm_path = tmp_path / "warm.gsnp"
-        fresh_path = tmp_path / "fresh.gsnp"
         try:
             warm.run(small_dataset)
             # The second run hits the resident tables and must still match
             # a fresh pipeline's first run bit for bit.
-            hit = warm.run(small_dataset, output_path=warm_path)
+            hit = warm.run(small_dataset)
             assert warm._cached_device.resident.hits == 1
-            ref = fresh.run(small_dataset, output_path=fresh_path)
+            ref = fresh.run(small_dataset)
         finally:
             warm.release_cache()
             fresh.release_cache()
         assert hit.table.equals(ref.table)
         assert hit.compressed_output == ref.compressed_output
-        assert warm_path.read_bytes() == fresh_path.read_bytes()
         assert _counters(hit.profile) == _counters(ref.profile)
 
 
@@ -84,13 +81,11 @@ class TestResidency:
     def test_uploaded_once_per_worker(self, small_dataset, monkeypatch):
         counts = self._upload_counter(monkeypatch)
         reset_new_p_cache()
-        # force_serial keeps all 4 shards in-process: one worker state,
-        # one pipeline, one upload — despite four shard runs.
+        # The serial lane runs all 4 shards in-process: one lane, one
+        # pipeline, one upload — despite four shard runs.
         execute(
             small_dataset,
-            spec=JobSpec(engine="gsnp", window=WINDOW, workers=2,
-                         shard_size=1024),
-            force_serial=True,
+            spec=JobSpec(engine="gsnp", window=WINDOW, shard_size=1024),
         )
         assert counts["new_p_matrix"] == 1
         assert new_p_build_count() == 1
