@@ -16,6 +16,7 @@ from repro import DatasetSpec, GsnpDetector, generate_dataset
 from repro.compress import CompressedResultReader, gzip_compress
 from repro.constants import BASES, GENOTYPES, GENOTYPE_IUPAC
 from repro.formats.cns import format_rows
+from repro.serve import write_job_output
 
 
 def main() -> None:
@@ -26,9 +27,11 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="gsnp_demo_"))
     out_path = workdir / "result.gsnp"
 
-    result = GsnpDetector(engine="gsnp", window=8000).run(
-        dataset, output_path=out_path
+    detector = GsnpDetector(
+        engine="gsnp", window=8000, output=str(out_path), compressed=True
     )
+    result = detector.run(dataset)
+    write_job_output(result, detector.spec)
 
     # --- storage comparison (Fig 9a shape) -------------------------------
     text = format_rows(result.table)

@@ -30,7 +30,7 @@ the :class:`CohortResult` container.  The execution loop itself is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Sequence
 
@@ -120,9 +120,18 @@ class CohortResult:
         return self.samples[i]
 
 
+def solo_result(cohort: CohortResult):
+    """A cohort of one as a solo result: its only sample's result,
+    carrying the run's profile and extras."""
+    return replace(
+        cohort.samples[0], profile=cohort.profile, extras=cohort.extras
+    )
+
+
 __all__ = [
     "CohortResult",
     "cohort_output_path",
     "load_sample_batches",
     "pooled_batch",
+    "solo_result",
 ]

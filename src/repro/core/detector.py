@@ -187,11 +187,9 @@ class GsnpDetector:
         )
         return det
 
-    def run(
-        self, dataset: Optional[SimulatedDataset] = None, output_path=None
-    ):
-        """Run the job on the lane scheduler (:func:`repro.exec.execute`),
-        writing the result file(s) to ``output_path`` when given."""
+    def run(self, dataset: Optional[SimulatedDataset] = None):
+        """Run the job on the lane scheduler (:func:`repro.exec.execute`);
+        :func:`repro.serve.runner.write_job_output` writes its files."""
         from ..exec import execute
 
         if dataset is None:
@@ -203,7 +201,7 @@ class GsnpDetector:
             )
         self.last_result = execute(
             dataset, spec=self.spec, params=self.params,
-            output_path=output_path, sample_reads=self.sample_batches,
+            sample_reads=self.sample_batches,
         )
         return self.last_result
 

@@ -16,7 +16,7 @@ GSNP) produce bitwise identical result tables.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import Optional
 
@@ -258,11 +258,12 @@ class GsnpPipeline:
         A solo run is a cohort of one: its only sample's result, carrying
         the run's profile and extras.
         """
+        from .cohort import solo_result
+
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
-        cohort = self._run_plan(dataset, [reads], site_range, calibration)
-        return replace(
-            cohort.samples[0], profile=cohort.profile, extras=cohort.extras
+        return solo_result(
+            self._run_plan(dataset, [reads], site_range, calibration)
         )
 
     def run_cohort(

@@ -984,7 +984,6 @@ def execute(
     *,
     spec: JobSpec,
     params=None,
-    output_path=None,
     calibration=None,
     resident: bool = False,
     sample_reads=None,
@@ -998,8 +997,9 @@ def execute(
     ``max_retries`` (times a failed shard is re-executed before the run
     is aborted) and ``backoff_base`` (a shard's k-th retry is delayed
     ``backoff_base * 2**(k-1)`` seconds — deterministic, jitter-free).
-    Every result file is written here, by the merge, once the last shard
-    is in: a job that raises leaves no output file.
+    Nothing is written here: the caller renders result files from the
+    returned result with :func:`repro.serve.runner.write_job_output`, so a
+    job that raises leaves no output file.
 
     Returns the engine's own result type with tables, compressed output
     and merged event counters bitwise/exactly equal to the serial path;
@@ -1106,5 +1106,5 @@ def execute(
     }
     return merge_shard_results(
         list(committed.values()) + ran, calibration,
-        output_path=output_path, exec_meta=exec_meta, device=device,
+        cohort=sample_reads is not None, exec_meta=exec_meta, device=device,
     )

@@ -15,8 +15,10 @@ from typing import Optional
 import numpy as np
 
 from ..bench.events import RunProfile
+from ..core.cohort import CohortResult
 from ..errors import PipelineError
 from ..formats.cns import ResultTable
+from ..soapsnp.pipeline import SoapsnpResult
 
 
 @dataclass(frozen=True)
@@ -75,55 +77,60 @@ def plan_shards(
 
 
 @dataclass
+class ShardSample:
+    """One sample's share of a shard's output."""
+
+    table: ResultTable
+    #: GSNP engines: the shard's windows' compressed blobs, in order.
+    compressed: bytes = b""
+    sort_stats: list = field(default_factory=list)
+    #: Bytes the sample's share writes natively (text rows for soapsnp,
+    #: the blob for the GSNP engines).
+    output_bytes: int = 0
+    #: soapsnp with ``collect_nnz``: per-site non-zero counts.
+    nnz: Optional[np.ndarray] = None
+
+
+@dataclass
 class ShardResult:
     """What one executed shard sends back to the parent."""
 
     shard: Shard
-    table: ResultTable
+    #: One entry per sample, in cohort order: a solo run is a cohort of one.
+    samples: list[ShardSample]
     profile: RunProfile
-    #: GSNP engines: the shard's windows' compressed blobs, in order.
-    compressed: bytes = b""
-    #: Output bytes the shard would write (text for soapsnp, blob for gsnp).
-    output_bytes: int = 0
-    sort_stats: list = field(default_factory=list)
-    nnz: Optional[np.ndarray] = None
     peak_gpu_bytes: int = 0
     #: Worker-side wall seconds for this shard (timing/throughput metric).
     wall: float = 0.0
     #: 1 + number of retries it took to produce this result.
     attempts: int = 1
     pid: int = 0
-    #: Cohort runs: per-sample result tables for this shard's range
-    #: (cohort order; ``table``/``compressed`` then mirror sample 0).
-    sample_tables: Optional[list] = None
-    #: Cohort runs: per-sample compressed blobs, aligned with
-    #: ``sample_tables``.
-    sample_compressed: Optional[list] = None
 
     @classmethod
     def from_run(
         cls, shard: Shard, result, *, wall: float, attempts: int, pid: int
     ) -> "ShardResult":
-        """Package a pipeline result (solo or ``CohortResult``) for the
-        parent; a cohort's ``table``/``compressed`` mirror sample 0."""
-        samples = getattr(result, "samples", None)
-        primary = samples[0] if samples else result
+        """Package a pipeline result (solo, ``CohortResult`` or the dense
+        baseline's text rows) for the parent."""
+        if isinstance(result, SoapsnpResult):
+            samples = [ShardSample(
+                result.table, output_bytes=result.output_bytes, nnz=result.nnz,
+            )]
+        else:
+            cohort = isinstance(result, CohortResult)
+            samples = [
+                ShardSample(m.table, m.compressed_output, m.sort_stats,
+                            m.output_bytes)
+                for m in (result.samples if cohort else [result])
+            ]
         return cls(
             shard=shard,
-            table=primary.table,
+            samples=samples,
             profile=result.profile,
-            compressed=getattr(primary, "compressed_output", b""),
-            output_bytes=result.output_bytes,
-            sort_stats=getattr(primary, "sort_stats", []),
-            nnz=getattr(result, "nnz", None),
             peak_gpu_bytes=result.extras.get("peak_gpu_bytes", 0),
             wall=wall,
             attempts=attempts,
             pid=pid,
-            sample_tables=[s.table for s in samples] if samples else None,
-            sample_compressed=(
-                [s.compressed_output for s in samples] if samples else None
-            ),
         )
 
     @property

@@ -85,15 +85,17 @@ def _load_dataset(fasta, soap, prior, max_attempts: int = 3):
 
 
 def _execute(dataset, output, *, max_retries: int = 2, **fields):
-    """One chaos job: ``fields`` are ``JobSpec`` fields on the harness's
-    fixed window/shard shape."""
+    """One chaos job, its compressed output written to ``output``:
+    ``fields`` are ``JobSpec`` fields on the harness's fixed shape."""
     from ..api import JobSpec
     from ..exec import execute
+    from ..serve.runner import write_job_output
 
-    spec = JobSpec(window=WINDOW, shard_size=SHARD_SIZE, **fields)
-    return execute(
-        dataset, spec=spec, output_path=output, max_retries=max_retries
-    )
+    spec = JobSpec(window=WINDOW, shard_size=SHARD_SIZE, output=str(output),
+                   compressed=True, **fields)
+    result = execute(dataset, spec=spec, max_retries=max_retries)
+    write_job_output(result, spec)
+    return result
 
 
 def _demo_plan(seed: int, n_shards: int, *, timeout_demo: bool) -> FaultPlan:

@@ -14,7 +14,7 @@ a shard from a different input, engine or calibration into the merge —
 a stale journal is simply a miss, and the shard re-executes.
 
 :func:`atomic_output` gives final result files the same guarantee: the
-pipeline writes ``<path>.part`` and the name only flips to ``<path>`` once
+writer writes ``<path>.part`` and the name only flips to ``<path>`` once
 every byte is flushed, so a partial/corrupt CNS file can never be mistaken
 for a finished one.
 """
@@ -37,8 +37,9 @@ from ..errors import GsnpError
 
 logger = logging.getLogger(__name__)
 
-#: Journal format version; bumping invalidates old entries.
-JOURNAL_VERSION = 1
+#: Journal format version; bumping invalidates old entries.  Version 2:
+#: a ``ShardResult`` carries one payload per sample.
+JOURNAL_VERSION = 2
 
 
 def run_fingerprint(
@@ -165,15 +166,6 @@ class ShardJournal:
             if entry["start"] != shard.start or entry["end"] != shard.end:
                 continue
             out[shard.index] = entry["result"]
-        return out
-
-    def committed_indices(self) -> list[int]:
-        out = []
-        for p in sorted(self.dir.glob("shard-*.pkl")):
-            try:
-                out.append(int(p.stem.split("-")[1]))
-            except (IndexError, ValueError):
-                continue
         return out
 
 

@@ -71,19 +71,21 @@ def job_input_key(spec: JobSpec) -> tuple:
 
 
 def write_job_output(result, spec: JobSpec) -> bytes:
-    """Render a job's output bytes exactly as ``gsnp call`` would.
+    """Render a job's output bytes; the one writer of result files.
 
-    Returns the rendered bytes (compressed blob or CNS text) and, when
-    the spec names an output path, writes them there atomically.  A solo
-    result renders as a cohort of one: one file per sample (sample 0 at
-    spec.output, sample i at <output>.s<i>); the returned inline bytes
-    are the per-sample renderings concatenated in cohort order.
+    Returns the rendered bytes (CNS text, or the columnar blob with
+    ``spec.compressed``) and, when the spec names an output path, writes
+    them there atomically.  A solo result renders as a cohort of one: one
+    file per sample (sample 0 at spec.output, sample i at <output>.s<i>);
+    the returned inline bytes are the per-sample renderings concatenated
+    in cohort order.
     """
-    from ..core.cohort import cohort_output_path
+    from ..core.cohort import CohortResult, cohort_output_path
     from ..formats.cns import format_rows
 
     blobs = []
-    for si, sres in enumerate(getattr(result, "samples", None) or [result]):
+    cohort = isinstance(result, CohortResult)
+    for si, sres in enumerate(result.samples if cohort else [result]):
         if not spec.compressed:
             blob = format_rows(sres.table)
         elif spec.engine == "soapsnp":

@@ -22,6 +22,7 @@ from repro.exec import execute, plan_shards
 from repro.faults import DegradationWarning, FaultPlan, FaultSpec
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
 from repro.seqsim.reads import simulate_reads
+from repro.serve.runner import write_job_output
 
 WINDOW = 512
 SEED = 77
@@ -172,9 +173,10 @@ class TestBitwiseParity:
 
     def test_output_files_per_sample(self, ds, batches, solo, tmp_path):
         out = tmp_path / "cohort.cns"
-        det = GsnpDetector(engine="gsnp", window=WINDOW, fusion=True)
+        det = GsnpDetector(engine="gsnp", window=WINDOW, fusion=True,
+                           output=str(out), compressed=True)
         det.sample_batches = batches[:4]
-        det.run(ds, output_path=out)
+        write_job_output(det.run(ds), det.spec)
         paths = [cohort_output_path(out, i) for i in range(4)]
         assert sorted(tmp_path.iterdir()) == sorted(paths)
         assert paths[0] == out
@@ -260,23 +262,23 @@ class TestCrashResume:
         jdir = tmp_path / "journal"
         base = JobSpec(
             engine="gsnp", window=WINDOW, fusion=True, shard_size=1024,
-            journal=str(jdir),
+            journal=str(jdir), output=str(out), compressed=True,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             with pytest.raises(ShardError):
-                execute(
+                write_job_output(execute(
                     ds, spec=replace(base, faults=poison),
-                    sample_reads=batches[:2], output_path=out,
-                    max_retries=0,
-                )
+                    sample_reads=batches[:2], max_retries=0,
+                ), base)
             assert not out.exists()  # crash-safe: no partial file
             committed = len(list(jdir.rglob("shard-*.pkl")))
             assert committed > 0
             res = execute(
                 ds, spec=replace(base, resume=True),
-                sample_reads=batches[:2], output_path=out,
+                sample_reads=batches[:2],
             )
+            write_job_output(res, base)
         assert res.extras["exec"]["resumed"] == committed
         for si, (_, blob) in enumerate(solo[2]):
             assert cohort_output_path(out, si).read_bytes() == blob, si

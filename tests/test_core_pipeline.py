@@ -8,6 +8,7 @@ from repro.compress.columnar import decode_table
 from repro.core.detector import GsnpDetector
 from repro.core.pipeline import GsnpPipeline
 from repro.errors import PipelineError
+from repro.serve.runner import write_job_output
 from repro.soapsnp import SoapsnpPipeline
 
 
@@ -66,9 +67,10 @@ class TestCompressedOutput:
 
     def test_output_file_written(self, small_dataset, tmp_path):
         path = tmp_path / "out.gsnp"
-        res = GsnpDetector(engine="gsnp", window=2000).run(
-            small_dataset, output_path=path
-        )
+        det = GsnpDetector(engine="gsnp", window=2000, output=str(path),
+                           compressed=True)
+        res = det.run(small_dataset)
+        write_job_output(res, det.spec)
         assert path.read_bytes() == res.compressed_output
 
 

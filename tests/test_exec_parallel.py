@@ -13,6 +13,7 @@ from repro.errors import PipelineError, ShardError
 from repro.exec import align_shard_size, execute, plan_shards
 from repro.faults import DegradationWarning, FaultPlan, FaultSpec
 from repro.formats.cns import format_rows
+from repro.serve.runner import write_job_output
 
 WINDOW = 512
 ENGINES = ("gsnp", "gsnp_cpu", "soapsnp")
@@ -52,13 +53,18 @@ def _serial_bytes(engine, result) -> bytes:
 _TUNING = ("max_retries", "backoff_base")
 
 
-def _execute(dataset, engine, output_path=None, **kw):
-    """``execute`` with JobSpec fields and executor tuning mixed in ``kw``."""
+def _execute(dataset, engine, output=None, **kw):
+    """``execute`` with JobSpec fields and executor tuning mixed in ``kw``;
+    with ``output``, the engine's own bytes (``_serial_bytes``) are
+    written there."""
     tuning = {k: kw.pop(k) for k in _TUNING if k in kw}
-    return execute(
-        dataset, spec=JobSpec(engine=engine, window=WINDOW, **kw),
-        output_path=output_path, **tuning,
+    spec = JobSpec(
+        engine=engine, window=WINDOW, compressed=engine != "soapsnp",
+        output=str(output) if output else None, **kw,
     )
+    result = execute(dataset, spec=spec, **tuning)
+    write_job_output(result, spec)
+    return result
 
 
 def _fail(shard: int, times: int) -> FaultPlan:
@@ -117,7 +123,7 @@ class TestParity:
         par_path = tmp_path / "par.out"
         serial = _serial(engine, small_dataset)
         par = _execute(
-            small_dataset, engine, output_path=par_path, workers=workers
+            small_dataset, engine, output=par_path, workers=workers
         )
         assert par.table.equals(serial.table)
         assert getattr(par, "compressed_output", b"") == getattr(
@@ -136,7 +142,7 @@ class TestParity:
         from repro.compress.reader import CompressedResultReader
 
         path = tmp_path / "calls.gsnp"
-        par = _execute(small_dataset, "gsnp", output_path=path, workers=2)
+        par = _execute(small_dataset, "gsnp", output=path, workers=2)
         table = CompressedResultReader(path).read_all()
         assert table.equals(par.table)
 

@@ -21,7 +21,8 @@ from repro.errors import (
     InjectedFault,
     ShardError,
 )
-from repro.exec import execute, plan_shards
+from repro.bench.events import RunProfile
+from repro.exec import ShardResult, execute, plan_shards
 from repro.faults import (
     SITES,
     DegradationWarning,
@@ -34,6 +35,8 @@ from repro.faults import (
     install_plan,
     run_fingerprint,
 )
+from repro.faults.journal import JOURNAL_VERSION, seal, unseal
+from repro.serve.runner import write_job_output
 
 WINDOW = 512
 
@@ -42,14 +45,15 @@ def _run(dataset, output, engine="gsnp_cpu", *, max_retries=2,
          journal_dir=None, **spec_kwargs):
     """Run of 1024-site shards, on the serial lane unless ``workers`` says
     otherwise (deterministic, no worker processes); the
-    ``gpusim.device.alloc`` site needs ``engine="gsnp"``."""
+    ``gpusim.device.alloc`` site needs ``engine="gsnp"``.  The file is the
+    merged compressed blob, so byte checks cover it."""
     spec = JobSpec(
         engine=engine, window=WINDOW, shard_size=1024, journal=journal_dir,
-        **spec_kwargs,
+        output=str(output), compressed=True, **spec_kwargs,
     )
-    return execute(
-        dataset, spec=spec, output_path=output, max_retries=max_retries,
-    )
+    result = execute(dataset, spec=spec, max_retries=max_retries)
+    write_job_output(result, spec)
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -371,12 +375,21 @@ class TestCheckpointResume:
         assert out.read_bytes() == base_bytes
 
     def test_torn_journal_entry_is_a_miss(self, tmp_path):
+        """A torn entry, and a sealed entry carrying another journal
+        version (a daemon upgraded mid-job resumes from such entries),
+        both re-execute rather than reach the merge."""
         journal = ShardJournal(tmp_path / "j", "fp00")
         shards = plan_shards(2048, WINDOW, 1024, 1)
-        journal._entry_path(shards[0].index).write_bytes(
-            b"torn garbage, no digest header"
-        )
-        assert journal.load(shards) == {}
+        path = journal.commit(ShardResult(
+            shard=shards[0], samples=[], profile=RunProfile(pipeline="gsnp"),
+        ))
+        assert list(journal.load(shards)) == [0]
+        entry = pickle.loads(unseal(path.read_bytes()))
+        entry["version"] = JOURNAL_VERSION - 1
+        other_version = seal(pickle.dumps(entry))
+        for raw in (b"torn garbage, no digest header", other_version):
+            path.write_bytes(raw)
+            assert journal.load(shards) == {}
 
     def test_fingerprint_sensitivity(self, small_dataset):
         from types import SimpleNamespace

@@ -33,6 +33,7 @@ from repro.formats import (
 )
 from repro.seqsim.datasets import SimulatedDataset
 from repro.seqsim.reads import ReadSet, reverse_complement_view
+from repro.serve.runner import write_job_output
 
 
 class TestFileRoundtripPipeline:
@@ -71,18 +72,19 @@ class TestFileRoundtripPipeline:
         self, small_dataset, tmp_path
     ):
         path = tmp_path / "out.cns"
-        res = GsnpDetector(engine="soapsnp", window=2000).run(
-            small_dataset, output_path=path
-        )
+        det = GsnpDetector(engine="soapsnp", window=2000, output=str(path))
+        res = det.run(small_dataset)
+        write_job_output(res, det.spec)
         assert read_cns(path).equals(res.table)
 
     def test_compressed_output_reader_matches_text(
         self, small_dataset, tmp_path
     ):
         gsnp_path = tmp_path / "out.gsnp"
-        res = GsnpDetector(engine="gsnp", window=1700).run(
-            small_dataset, output_path=gsnp_path
-        )
+        det = GsnpDetector(engine="gsnp", window=1700, output=str(gsnp_path),
+                           compressed=True)
+        res = det.run(small_dataset)
+        write_job_output(res, det.spec)
         reader = CompressedResultReader(gsnp_path)
         assert reader.read_all().equals(res.table)
 

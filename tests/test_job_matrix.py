@@ -4,9 +4,10 @@ typed error — the paper's §IV-G identity, for every way a job can run.
 One axis table over JobSpec fields and one property over it: a spec
 ``validate`` refuses makes the run raise the same ``ValueError`` and
 write nothing; any other spec gives every sample the suite's ``gsnp_cpu``
-oracle table (``verify.check``) and the serial run's bytes; a faulted run
-may instead raise a ``GsnpError`` and leave no file, and a poisoned-shard
-kill resumes to the oracle's bytes.  On regions of the table, event
+oracle table (``verify.check``), the serial run's bytes and the file
+``compressed`` asks for; a faulted run may instead raise a ``GsnpError``
+and leave no file, and a poisoned-shard kill resumes to the oracle's
+bytes.  On regions of the table, event
 counters depend on the launch chain alone and executor/pool bookkeeping
 accounts for every shard.  The suite's accuracy is pinned here too.
 """
@@ -34,6 +35,7 @@ from repro.formats.cns import format_rows
 from repro.formats.soap import read_soap, write_soap
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
 from repro.seqsim.reads import simulate_reads
+from repro.serve.runner import write_job_output
 
 # The suite's oracle check, imported as its own tests import it (appended:
 # the suite's trace.py must not shadow the standard library's).
@@ -57,6 +59,7 @@ AXES = {
     "devices": (1, 2, 4), "cpu_steal": (False, True),
     "sanitize": (False, True), "samples": (1, 2, 4),
     "faults": (None, 0, 1, 2, 3), "resume": (False, True),
+    "compressed": (True, False),
 }
 #: Further values of the tier-2 profile.
 WIDE = {"window": (100, 1600, 4000), "megabatch": (2, 64), "workers": (4,),
@@ -144,12 +147,16 @@ def counter_key(spec: JobSpec, s: int, bounds: tuple):
     return key + ((spec.megabatch, bounds) if fused else ())
 
 
-def run(env: Env, spec: JobSpec, out=None, sample_batches=None):
+def run(env: Env, spec: JobSpec, sample_batches=None):
+    """Run the job and deliver its files (when ``spec.output`` names one)
+    as ``gsnp call`` does."""
     detector = GsnpDetector(spec=spec)
     detector.sample_batches = sample_batches
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degradation rungs, unused toggles
-        return detector.run(env.ds, output_path=out)
+        result = detector.run(env.ds)
+    write_job_output(result, spec)
+    return result
 
 
 def events(profile) -> dict:
@@ -167,12 +174,13 @@ def check_job(env: Env, c: dict) -> set:
                if k not in ("samples", "faults", "resume")},
             samples=env.paths[: c["samples"] - 1],
             journal=str(journal) if c["resume"] else None,
+            output=str(out),
         )
         try:
             spec.validate()
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                run(env, spec, out)
+                run(env, spec)
             assert str(raised.value) == str(exc)
             assert not list(root.iterdir())
             return {"rejected"}
@@ -189,14 +197,14 @@ def check_job(env: Env, c: dict) -> set:
                                key=len(bounds) - 1, times=99)
             with pytest.raises(GsnpError):
                 run(env, replace(spec, faults=(faults() or FaultPlan())
-                                 .with_spec(poison)), out)
+                                 .with_spec(poison)))
             assert not list(root.glob("out*"))
             committed = len(list(journal.rglob("shard-*.pkl")))
             done |= {"typed-error"} | ({"resumed"} if committed else set())
             spec = replace(spec, resume=True)
         spec = replace(spec, faults=faults())
         try:
-            res = run(env, spec, out)
+            res = run(env, spec)
         except GsnpError:
             assert spec.faults is not None, "only a faulted run may fail"
             assert not list(root.glob("out*"))
@@ -208,16 +216,24 @@ def check_job(env: Env, c: dict) -> set:
                  for m in members]
         failures, _ = verify.check(
             Outcome(res, [m.table for m in members], blobs,
-                    None if text else out),
+                    out if spec.compressed else None),
             env.oracle(s), env.inputs(s), enforce_floors=False,
         )
         assert failures == []
-        want = [format_rows(env.oracle(1)[0])] if text else \
+        # The engine's own output (text rows for the dense baseline, the
+        # serial run's blob otherwise), and the file the spec asks for.
+        native = [format_rows(env.oracle(1)[0])] if text else \
             env.serial_streams(effective_window(spec.engine, spec.window), s)
+        if not spec.compressed:
+            want = [format_rows(t) for t in env.oracle(s)]
+        elif text:
+            want = [encode_table(env.oracle(1)[0])]
+        else:
+            want = native
         for i, member in enumerate(members):
-            delivered = cohort_output_path(out, i).read_bytes()
-            assert delivered == want[i] and (text or delivered == blobs[i])
-            assert member.output_bytes == len(delivered)
+            assert text or member.compressed_output == native[i]
+            assert cohort_output_path(out, i).read_bytes() == want[i]
+            assert member.output_bytes == len(native[i])
         assert len(list(root.glob("out*"))) == s
 
     key = counter_key(spec, s, bounds)
@@ -228,7 +244,8 @@ def check_job(env: Env, c: dict) -> set:
     whole_job = meta["pool"] == "serial" and len(bounds) == 1
     if whole_job and s == 1 and not text and spec.faults is None \
             and not spec.journal:  # a solo run is a cohort of one
-        one = run(env, spec, sample_batches=env.batches[:1])
+        one = run(env, replace(spec, output=None),
+                  sample_batches=env.batches[:1])
         assert events(one.profile) == events(res.profile)
         assert one.samples[0].table.equals(res.table)
         for field in ("compressed_output", "sort_stats",
@@ -277,6 +294,10 @@ PINNED = [
     case(engine="gsnp_cpu", variant="w_new_table", window=DEFAULT_WINDOW_GSNP),
     case(engine="soapsnp", window=450, workers=2),
     case(window=0), case(engine="soapsnp", devices=2),
+    # the file a spec asks for, whatever the engine's own output: text
+    # from the fused chain, a columnar blob from the dense baseline
+    case(compressed=False),
+    case(engine="soapsnp", compressed=True, window=450),
 ]
 
 

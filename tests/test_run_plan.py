@@ -6,8 +6,9 @@ not move.
 the per-window chains (GPU and host) are launch batches of one.  These
 tests pin the accounting that differs *between* those chains (and so
 could silently drift once they share a body), the output-file contract of
-the merge, the one writer of every chain's files (the dense baseline's
-too), and that a serial run of any chain stays on the calling thread.
+``write_job_output``, the one writer of every chain's files (the dense
+baseline's too), and that a serial run of any chain stays on the calling
+thread.
 """
 
 import threading
@@ -29,6 +30,7 @@ from repro.formats.cns import format_rows
 from repro.formats.window import WindowReader
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
 from repro.seqsim.reads import simulate_reads
+from repro.serve.runner import write_job_output
 from repro.soapsnp import pipeline as soapsnp_pipeline_mod
 
 WINDOW = 256
@@ -117,6 +119,19 @@ class TestChainAccounting:
             pipe.release_cache()
         return out
 
+    @pytest.fixture(scope="class")
+    def detector_runs(self, ds, batches):
+        """The same cohorts through the executor: one shard per lane
+        payload, merged per sample."""
+        out = {}
+        for fusion in (False, True):
+            detector = GsnpDetector(spec=JobSpec(
+                window=WINDOW, fusion=fusion, megabatch=3,
+            ))
+            detector.sample_batches = batches
+            out[fusion] = detector.run(ds)
+        return out
+
     def test_read_site_charge_rounds_once_per_launch_batch_member(
         self, ds, batches, cohort_runs
     ):
@@ -151,11 +166,17 @@ class TestChainAccounting:
             assert stage["batches"] == 3
         assert "fusion" not in cohort_runs[False].extras
 
-    def test_fused_sort_stats_ride_on_sample_zero(self, cohort_runs):
-        fused = [len(s.sort_stats) for s in cohort_runs[True].samples]
-        assert fused == [3, 0, 0]  # one shared sort per megabatch
-        unfused = [len(s.sort_stats) for s in cohort_runs[False].samples]
-        assert unfused == [N_WINDOWS] * 3
+    def test_fused_sort_stats_ride_on_sample_zero(
+        self, cohort_runs, detector_runs
+    ):
+        """On the pipeline and through the executor's per-sample shard
+        payload alike (the executor used to keep sample 0's only)."""
+        for route, runs in (("pipeline", cohort_runs),
+                            ("executor", detector_runs)):
+            fused = [len(s.sort_stats) for s in runs[True].samples]
+            assert fused == [3, 0, 0], route  # one sort per megabatch
+            unfused = [len(s.sort_stats) for s in runs[False].samples]
+            assert unfused == [N_WINDOWS] * 3, route
 
     def test_unfused_cohort_reports_its_device(self, cohort_runs):
         """Regression: the degraded rung's cohort shards used to read
@@ -166,8 +187,10 @@ class TestChainAccounting:
             Shard(0, 0, 1600), res, wall=1.0, attempts=1, pid=0
         )
         assert sr.peak_gpu_bytes == res.extras["device"].peak_global_used > 0
-        assert [t.n_sites for t in sr.sample_tables] == [1600] * 3
-        assert sr.compressed == res.samples[0].compressed_output
+        for sample, member in zip(sr.samples, res.samples, strict=True):
+            assert sample.table.n_sites == 1600
+            assert sample.compressed == member.compressed_output
+            assert sample.sort_stats == member.sort_stats
 
 
 #: Job fields of every run chain: the GSNP fused and per-window chains,
@@ -186,8 +209,8 @@ def _release(pipe):
 
 
 class TestOutputFiles:
-    """One write path, the merge's: every sample's file appears complete,
-    after the last shard, or not at all."""
+    """One write path, ``write_job_output``'s: every sample's file appears
+    complete, after the job, or not at all."""
 
     @pytest.mark.parametrize("n_samples", [1, 2])
     @pytest.mark.parametrize("fusion", [False, True])
@@ -211,11 +234,14 @@ class TestOutputFiles:
     @staticmethod
     def _check(ds, batches, tmp_path, monkeypatch, job, n_samples):
         out = tmp_path / "out"
-        detector = GsnpDetector(spec=JobSpec(window=WINDOW, **job))
+        text = job["engine"] == "soapsnp"
+        spec = JobSpec(window=WINDOW, output=str(out), compressed=not text,
+                       **job)
+        detector = GsnpDetector(spec=spec)
         if n_samples > 1:
             detector.sample_batches = batches[:n_samples]
-        res = detector.run(ds, output_path=out)
-        text = job["engine"] == "soapsnp"
+        res = detector.run(ds)
+        write_job_output(res, spec)
         for i, member in enumerate(res.samples if n_samples > 1 else [res]):
             want = format_rows(member.table) if text \
                 else member.compressed_output
@@ -240,7 +266,7 @@ class TestOutputFiles:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             with pytest.raises(ShardError, match="3 attempts") as raised:
-                detector.run(ds, output_path=out)
+                write_job_output(detector.run(ds), spec)
         assert str(raised.value.__cause__) == "window 5 failed"
         assert list(tmp_path.iterdir()) == []  # no file, no .part litter
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench.events import COMPONENTS
 from repro.core.detector import GsnpDetector
+from repro.serve.runner import write_job_output
 from repro.soapsnp import SoapsnpPipeline, is_snp_call
 
 
@@ -48,9 +49,9 @@ class TestPipeline:
 
     def test_output_file_written(self, small_dataset, tmp_path):
         path = tmp_path / "out.cns"
-        res = GsnpDetector(engine="soapsnp", window=2000).run(
-            small_dataset, output_path=path
-        )
+        det = GsnpDetector(engine="soapsnp", window=2000, output=str(path))
+        res = det.run(small_dataset)
+        write_job_output(res, det.spec)
         assert path.stat().st_size == res.output_bytes
 
     def test_accuracy_on_planted_snps(self, result, small_dataset):
