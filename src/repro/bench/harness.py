@@ -13,14 +13,13 @@ numbers stay comparable no matter how small the bench run is.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from ..align.records import AlignmentBatch
-from ..api import JobSpec, create_pipeline, effective_window, get_engine_spec
+from ..api import JobSpec, create_pipeline, get_engine_spec
 from ..compress.columnar import encode_alignments, encode_table
 from ..compress.gzipcodec import (
     GZIP_COMPRESS_BW,
@@ -516,53 +515,4 @@ def exp_fig12(
                 res.profile, small
             ).total
         out[spec.name] = row
-    return out
-
-
-def exp_parallel_scaling(
-    name: str = "ch21-sim",
-    fraction: float | None = None,
-    workers=(1, 2, 4, 8),
-    engine="gsnp",
-    window_size: int | None = None,
-) -> dict:
-    """Sharded-executor scaling: wall-clock and consistency per worker count.
-
-    Runs the same dataset serially and through :func:`repro.exec.execute`
-    at each worker count; reports per-count wall seconds, speedup over the
-    1-worker parallel run, shard count, and whether the parallel result is
-    bitwise identical to serial (calls *and* compressed bytes — it must
-    always be).
-    """
-    from ..exec import execute
-
-    ds = bench_dataset(name, fraction)
-    if window_size is None:
-        # Enough windows that every worker count gets multiple shards.
-        window_size = max(ds.n_sites // 32, 256)
-    window = min(effective_window(engine, window_size), ds.n_sites)
-    serial = create_pipeline(
-        spec=JobSpec(engine=engine, window=window)
-    ).run(ds)
-    serial_comp = getattr(serial, "compressed_output", b"")
-    out = {}
-    base_wall = None
-    for w in workers:
-        t0 = time.perf_counter()
-        res = execute(
-            ds, spec=JobSpec(engine=engine, window=window, workers=w)
-        )
-        wall = time.perf_counter() - t0
-        if base_wall is None:
-            base_wall = wall
-        out[w] = {
-            "wall": wall,
-            "speedup": base_wall / wall if wall > 0 else 0.0,
-            "shards": len(res.extras["shards"]),
-            "pool": res.extras["exec"]["pool"],
-            "consistent": (
-                res.table.equals(serial.table)
-                and getattr(res, "compressed_output", b"") == serial_comp
-            ),
-        }
     return out

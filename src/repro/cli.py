@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .align.records import AlignmentBatch
-from .api import JobSpec, engine_names
+from .api import JobSpec
 from .compress.reader import CompressedResultReader
 from .core.detector import GsnpDetector
 from .formats.cns import write_cns
@@ -141,21 +141,7 @@ def main_serve(argv=None) -> int:
         "--max-datasets", type=int, default=4,
         help="parsed-dataset LRU cache size",
     )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the in-process service smoke scenario (two identical "
-        "jobs + an over-quota one; asserts CLI parity, cache hits and "
-        "clean shutdown) and exit",
-    )
     args = p.parse_args(argv)
-
-    if args.smoke:
-        from .serve.smoke import run_smoke
-
-        report = run_smoke()
-        print("serve-smoke:", "OK" if report["ok"] else "FAILED")
-        return 0 if report["ok"] else 1
 
     import signal
 
@@ -363,49 +349,6 @@ def main_verify(argv=None) -> int:
     return 0 if report.passed else 1
 
 
-def main_chaos(argv=None) -> int:
-    """Assert bitwise output parity under a deterministic fault schedule.
-
-    One cycle per seed: crash + truncated record + allocation failure,
-    then kill-mid-stream + resume, then the quarantine rung.
-    """
-    p = _parser(main_chaos)
-    p.add_argument(
-        "--seeds", default="0",
-        help="comma-separated fault-schedule seeds (one full cycle each)",
-    )
-    p.add_argument("--engine", choices=engine_names(), default="gsnp")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument(
-        "--timeout-demo",
-        action="store_true",
-        help="also inject a stalled shard and recover it via "
-        "--shard-timeout deadline enforcement",
-    )
-    p.add_argument(
-        "--keep-dir", default=None,
-        help="run in this directory and keep the artifacts (default: "
-        "a temporary directory, removed afterwards)",
-    )
-    args = p.parse_args(argv)
-
-    from .faults.chaos import format_report, run_chaos
-
-    ok = True
-    for seed in (int(s) for s in args.seeds.split(",")):
-        report = run_chaos(
-            seed,
-            engine=args.engine,
-            workers=args.workers,
-            timeout_demo=args.timeout_demo,
-            keep_dir=args.keep_dir,
-        )
-        print(format_report(report))
-        ok = ok and report["ok"]
-    print("chaos:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
-
-
 def main_audit(argv=None) -> int:
     """Check kernel code statically: SIMT discipline, coalescing, races.
 
@@ -521,7 +464,7 @@ def main_audit(argv=None) -> int:
 #: name minus ``main_``) -> entry function.
 ACTIONS = {fn.__name__.removeprefix("main_"): fn for fn in (
     main_simulate, main_call, main_decompress, main_verify, main_bench,
-    main_audit, main_chaos, main_serve, main_submit,
+    main_audit, main_serve, main_submit,
 )}
 
 

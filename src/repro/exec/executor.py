@@ -1056,7 +1056,8 @@ def execute(
 
     # Crash-safe checkpointing: the journal is keyed by a fingerprint of
     # everything that determines shard bytes, so resume can never splice
-    # results from a different input/engine/calibration into the merge.
+    # results from a different input/engine/calibration/prior/params into
+    # the merge.
     journal = None
     committed: dict[int, ShardResult] = {}
     if spec.journal is not None:
@@ -1068,6 +1069,8 @@ def execute(
             [(s.start, s.end) for s in shards],
             calibration,
             n_samples=n_samples,
+            prior=dataset.prior,
+            params=params,
         )
         journal = ShardJournal(spec.journal, fingerprint)
         if spec.resume:

@@ -10,8 +10,8 @@ Three submodules, importable without pulling in the pipeline:
 * :mod:`repro.faults.journal` — atomic output files, the content-hashed
   shard journal backing ``--resume``, and run fingerprints.
 
-The ``gsnp chaos`` harness lives in :mod:`repro.faults.chaos`; it is
-imported lazily (by the CLI) because it drives the full executor stack.
+The fault schedules these serve are exercised by ``tests/test_faults.py``
+and the fault axis of ``tests/test_job_matrix.py``.
 """
 
 from .degrade import RUNGS, DegradationWarning, degrade

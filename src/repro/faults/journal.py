@@ -8,10 +8,11 @@ any instant leaves either a complete entry or none — never a torn one.
 
 Entries are **content-addressed to the run**: the journal directory is
 keyed by :func:`run_fingerprint`, a hash of everything that determines the
-bytes a shard produces (engine, variant, window size, shard plan, and the
-calibration tables themselves).  ``--resume`` therefore refuses to splice
-a shard from a different input, engine or calibration into the merge —
-a stale journal is simply a miss, and the shard re-executes.
+bytes a shard produces (engine, variant, window size, shard plan, the
+calibration tables themselves, the known-SNP prior and the calling
+parameters).  ``--resume`` therefore refuses to splice a shard from a
+different input, engine, calibration or prior into the merge — a stale
+journal is simply a miss, and the shard re-executes.
 
 :func:`atomic_output` gives final result files the same guarantee: the
 writer writes ``<path>.part`` and the name only flips to ``<path>`` once
@@ -50,6 +51,9 @@ def run_fingerprint(
     shard_bounds,
     calibration,
     n_samples: int = 1,
+    *,
+    prior=None,
+    params=None,
 ) -> str:
     """Hash of everything that determines a shard's output bytes.
 
@@ -58,6 +62,11 @@ def run_fingerprint(
     solo run's committed shard (or a different cohort size's) into the
     merge.  The pooled calibration already differs by sample *content*;
     this covers the degenerate case of identical pooled bytes.
+
+    ``prior`` (the known-SNP prior's positions and rates) and ``params``
+    (the ``CallingParams``; ``None`` means the engine's defaults) shape
+    the posterior but not the calibration, so they are hashed too: a
+    resume under another ``--prior`` re-executes every shard.
     """
     h = hashlib.sha256()
     h.update(f"v{JOURNAL_VERSION}|{engine}|{window_size}|".encode())
@@ -66,11 +75,15 @@ def run_fingerprint(
         h.update(f"cohort{n_samples}|".encode())
     for start, end in shard_bounds:
         h.update(f"{start}:{end},".encode())
-    for arr in (calibration.pm_flat, calibration.penalty):
+    arrays = [calibration.pm_flat, calibration.penalty]
+    if prior is not None:
+        arrays += [prior.positions, prior.rates]
+    for arr in arrays:
         a = np.ascontiguousarray(arr)
         h.update(str(a.dtype).encode())
         h.update(a.tobytes())
     h.update(str(calibration.total_reads).encode())
+    h.update(repr(params).encode())
     return h.hexdigest()[:16]
 
 

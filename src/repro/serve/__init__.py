@@ -34,7 +34,6 @@ from .runner import (
     write_job_output,
 )
 from .scheduler import AdmissionError, Job, JobScheduler, JobState
-from .smoke import run_smoke
 
 __all__ = [
     "AdmissionError",
@@ -55,7 +54,6 @@ __all__ = [
     "encode_chunks",
     "job_summary",
     "read_message",
-    "run_smoke",
     "wait_for_server",
     "write_job_output",
     "write_message",

@@ -122,7 +122,7 @@ class TestActionTable:
     """``gsnp <action>``: one console script dispatching one table."""
 
     def test_every_action_is_a_documented_main_function(self):
-        assert len(ACTIONS) == 9
+        assert len(ACTIONS) == 8
         for name, fn in ACTIONS.items():
             assert fn.__name__ == f"main_{name}"
             assert fn.__doc__ and fn.__doc__.strip()
@@ -143,6 +143,12 @@ class TestActionTable:
         assert "unknown action 'demo.fa'" in capsys.readouterr().err
         assert main(["lint", "src/repro"]) == 2  # every rule is in `audit`
         assert "unknown action 'lint'" in capsys.readouterr().err
+        # The acceptance harnesses are tests now, not actions or flags.
+        assert main(["chaos", "--seeds", "0"]) == 2
+        assert "unknown action 'chaos'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--smoke"])
+        assert exit_.value.code == 2
 
     def test_dispatch_writes_the_bytes_main_call_writes(self, simulated):
         argv = ["demo.fa", "demo.soap", "--engine", "gsnp_cpu", "-o"]

@@ -231,15 +231,3 @@ class TestRetries:
             s["index"]: s["attempts"] for s in par.extras["shards"]
         }
         assert attempts[0] == 3
-
-
-@pytest.mark.tier2
-class TestScaling:
-    def test_parallel_scaling_consistent(self):
-        from repro.bench.harness import exp_parallel_scaling
-
-        rows = exp_parallel_scaling(
-            "ch21-sim", fraction=0.2, workers=(1, 2, 4, 8)
-        )
-        assert all(r["consistent"] for r in rows.values())
-        assert all(r["wall"] > 0 for r in rows.values())

@@ -8,7 +8,9 @@ corrupt result file.
 
 import pickle
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from repro.faults import (
     run_fingerprint,
 )
 from repro.faults.journal import JOURNAL_VERSION, seal, unseal
+from repro.seqsim.datasets import KnownSnpPrior
 from repro.serve.runner import write_job_output
 
 WINDOW = 512
@@ -235,6 +238,28 @@ class TestFaultedExecutionParity:
         assert out.read_bytes() == base_bytes
         assert res.extras["exec"]["retries"] == 1
 
+    def test_mixed_schedule_on_process_lanes(self, small_dataset, tmp_path):
+        """A worker crash, a device allocation failure and a shard error in
+        one run on two worker processes: the crash and the error each cost
+        their shard one retry, the alloc fault takes the degraded rung in
+        the child (no retry), and the bytes are the fault-free run's."""
+        base_out = tmp_path / "mixed-base.out"
+        _run(small_dataset, base_out, engine="gsnp", workers=2)
+        plan = FaultPlan([
+            FaultSpec(site="exec.worker.crash", kind="crash", key=1),
+            FaultSpec(site="gpusim.device.alloc", kind="alloc", key=2),
+            FaultSpec(site="exec.shard.error", key=0),
+        ])
+        out = tmp_path / "mixed.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            res = _run(small_dataset, out, engine="gsnp", workers=2,
+                       faults=plan)
+        assert out.read_bytes() == base_out.read_bytes()
+        attempts = {s["index"]: s["attempts"] for s in res.extras["shards"]}
+        assert attempts == {0: 2, 1: 2, 2: 1, 3: 1}
+        assert res.extras["exec"]["retries"] == 2
+
     def test_dead_worker_charges_only_its_own_shard(self, tmp_path):
         """A worker process is a lane of its own: its death costs the one
         shard it held a retry, never the shards in flight on other lanes
@@ -362,6 +387,33 @@ class TestCheckpointResume:
         assert res.extras["exec"]["resumed"] == committed
         assert out.read_bytes() == base_bytes
 
+    def test_resume_under_another_prior_recomputes(
+        self, small_dataset, baseline, tmp_path
+    ):
+        """The prior changes calls but not the calibration, so a journal
+        written without it must not be spliced into a run with it."""
+        _, base_bytes = baseline
+        no_prior = replace(small_dataset, prior=KnownSnpPrior(
+            positions=np.empty(0, dtype=np.int64),
+            rates=np.empty(0, dtype=np.float64),
+        ))
+        last = len(plan_shards(small_dataset.n_sites, WINDOW, 1024, 1)) - 1
+        poison = FaultPlan([
+            FaultSpec(site="exec.shard.error", key=last, times=99),
+        ])
+        out = tmp_path / "prior.out"
+        jdir = tmp_path / "journal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            with pytest.raises(ShardError):
+                _run(no_prior, out, faults=poison, journal_dir=str(jdir),
+                     max_retries=0)
+            assert len(list(jdir.rglob("shard-*.pkl"))) == last
+            res = _run(small_dataset, out, journal_dir=str(jdir),
+                       resume=True)
+        assert res.extras["exec"]["resumed"] == 0
+        assert out.read_bytes() == base_bytes
+
     def test_resume_without_journal_recomputes(
         self, small_dataset, baseline, tmp_path
     ):
@@ -394,8 +446,6 @@ class TestCheckpointResume:
     def test_fingerprint_sensitivity(self, small_dataset):
         from types import SimpleNamespace
 
-        import numpy as np
-
         cal = SimpleNamespace(
             pm_flat=np.arange(8, dtype=np.float64),
             penalty=np.arange(4, dtype=np.float64),
@@ -407,7 +457,9 @@ class TestCheckpointResume:
         b = run_fingerprint("gsnp_cpu", WINDOW, "opt", 4096, bounds[:-1],
                             cal)
         c = run_fingerprint("gsnp", WINDOW, "opt", 4096, bounds, cal)
-        assert len({a, b, c}) == 3
+        d = run_fingerprint("gsnp_cpu", WINDOW, "opt", 4096, bounds, cal,
+                            prior=small_dataset.prior)
+        assert len({a, b, c, d}) == 4
 
 
 class TestAtomicOutput:
@@ -510,6 +562,32 @@ class TestDegradationLadder:
         rungs = [w.message.rung for w in caught
                  if isinstance(w.message, DegradationWarning)]
         assert rungs == ["record-quarantine"]
+
+
+    def test_truncated_record_fault_carries_coordinates(self, tmp_path):
+        """A ``formats.soap.record`` truncation reaches the caller as a
+        ``FormatError`` with the record's coordinates; the fault is
+        transient, so re-reading under the spent plan parses clean."""
+        from repro.align.records import AlignmentBatch
+        from repro.core.detector import dataset_from_files
+        from repro.formats.fasta import write_fasta
+        from repro.formats.soap import write_soap
+        from repro.seqsim.datasets import DatasetSpec, generate_dataset
+
+        ds = generate_dataset(DatasetSpec(
+            name="chrT", n_sites=600, depth=6.0, coverage=0.9, seed=11,
+        ))
+        fasta, soap = tmp_path / "t.fa", tmp_path / "t.soap"
+        write_fasta(fasta, [ds.reference])
+        write_soap(soap, AlignmentBatch.from_read_set(ds.reads))
+        plan = FaultPlan([FaultSpec(site="formats.soap.record",
+                                    kind="truncate", key=3, arg=0.4)])
+        with fault_plan(plan):
+            with pytest.raises(FormatError) as err:
+                dataset_from_files(fasta, soap)
+            assert str(err.value).startswith(f"{soap}:3:")
+            again = dataset_from_files(fasta, soap)
+        assert again.reads.n_reads == ds.reads.n_reads
 
 
 class TestFaultScheduleProperty:

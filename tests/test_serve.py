@@ -349,6 +349,14 @@ class TestAdmission:
         assert done.status == "done"
         assert out1.read_bytes() == serve_inputs["ref_bytes"]
         assert client.stats()["scheduler"]["rejected"] == 1
+        # A draining shutdown says goodbye with the final counters, and
+        # closing the daemon removes its socket.
+        bye = client.shutdown(drain=True)
+        assert bye["event"] == "bye"
+        sched = bye["stats"]["scheduler"]
+        assert (sched["completed"], sched["rejected"]) == (2, 1)
+        server.close()
+        assert not Path(server.config.socket_path).exists()
 
     def test_invalid_specs_rejected_with_code(
         self, serve_inputs, server_factory
