@@ -37,6 +37,7 @@ from ..constants import (
     N_BASES,
     N_GENOTYPES,
     N_STRANDS,
+    P_ALLELE_SHIFT,
 )
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
@@ -54,6 +55,18 @@ _INSTR_ADJUST = 6
 _INSTR_PER_GENOTYPE = 8
 _INSTR_LOG10 = 6
 _INSTR_DEP_RESET = 32
+
+# Element offsets of the fan-out score gathers, in GENOTYPES order: the
+# ten new_p_matrix slots of one (q, coord, base) row; the p_matrix allele
+# planes of each genotype's first allele, then of its second; and the
+# per-thread type_likely slots (a1 << 2 | a2).
+_GENOTYPE_FAN = np.arange(N_GENOTYPES, dtype=np.int64)
+_ALLELE_FAN = np.array(
+    [a1 << P_ALLELE_SHIFT for a1, _ in GENOTYPES]
+    + [a2 << P_ALLELE_SHIFT for _, a2 in GENOTYPES],
+    dtype=np.int64,
+)
+_TL_SLOTS = np.array([a1 << 2 | a2 for a1, a2 in GENOTYPES], dtype=np.int64)
 
 # One 256-thread block of the fused launch keeps its s_type_likely tile
 # (256 sites x 16 padded genotype slots x 8 bytes = 32 KB) in shared memory
@@ -261,30 +274,39 @@ def _comp_kernel(
         q_adj = np.maximum(0, score.astype(np.int64) - pen.astype(np.int64))
         ctx.instr(_INSTR_ADJUST, active=active)
 
-        for gi, (a1, a2) in enumerate(GENOTYPES):
-            if variant.use_table:
-                idx = new_p_index(q_adj, coord, base_i, gi)
-                val = ctx.gload(tables.newp_dev, idx, active=active)
-            else:
-                i1 = p_matrix_index(q_adj, coord, a1, base_i)
-                i2 = p_matrix_index(q_adj, coord, a2, base_i)
-                p1 = ctx.gload(tables.pm_dev, i1, active=active)
-                p2 = ctx.gload(tables.pm_dev, i2, active=active)
-                with np.errstate(divide="ignore"):
-                    # The baseline variant computes log10 on the fly — the
-                    # very cost the log-free score table removes (Table III).
-                    val = np.log10(0.5 * p1 + 0.5 * p2)  # gsnp-lint: disable=GSNP102 (het strands average in probability space; log_table only covers single-p lookups)
-                ctx.instr(_INSTR_LOG10, active=active)
-            contribution = np.where(active, val, 0.0)
-            if in_shared:
-                ctx.note_shared(loads=1, stores=1, active=active)
-                acc[:, gi] += contribution
-            else:
+        # All ten genotypes at once: one fan-out gather per step returns
+        # the (n, 10) score block (Algorithm 3's ten table reads, or the
+        # baseline's twenty p_matrix reads), charged as the per-genotype
+        # loads it replaces.
+        if variant.use_table:
+            val = ctx.gload(
+                tables.newp_dev, new_p_index(q_adj, coord, base_i, 0),
+                active=active, fan=_GENOTYPE_FAN,
+            )
+        else:
+            p = ctx.gload(
+                tables.pm_dev, p_matrix_index(q_adj, coord, 0, base_i),
+                active=active, fan=_ALLELE_FAN,
+            )
+            with np.errstate(divide="ignore"):
+                # The baseline variant computes log10 on the fly — the
+                # very cost the log-free score table removes (Table III).
+                val = np.log10(0.5 * p[:, :N_GENOTYPES] + 0.5 * p[:, N_GENOTYPES:])  # gsnp-lint: disable=GSNP102 (het strands average in probability space; log_table only covers single-p lookups)
+            ctx.instr(_INSTR_LOG10 * N_GENOTYPES, active=active)
+        # Inactive lanes contribute nothing (their rows keep acc as is).
+        live_rows = active[:, None]
+        if in_shared:
+            ctx.note_shared(
+                loads=N_GENOTYPES, stores=N_GENOTYPES, active=active
+            )
+            np.add(acc, val, out=acc, where=live_rows)
+        else:
+            _ = ctx.gload(tl_dev, tid * 16, active=active, fan=_TL_SLOTS)
+            np.add(acc, val, out=acc, where=live_rows)
+            for gi, (a1, a2) in enumerate(GENOTYPES):
                 tl_idx = tid * 16 + (a1 << 2 | a2)
-                _ = ctx.gload(tl_dev, tl_idx, active=active)
-                acc[:, gi] += contribution
                 ctx.gstore(tl_dev, tl_idx, acc[:, gi], active=active)
-            ctx.instr(_INSTR_PER_GENOTYPE, active=active)
+        ctx.instr(_INSTR_PER_GENOTYPE * N_GENOTYPES, active=active)
 
     if tl_dev is not None and variant.use_shared:
         # Copy s_type_likely to global memory through coalesced writes;

@@ -224,15 +224,16 @@ class KernelContext:
         self.counters.s_store_warp += int(stores) * w
 
     def _observe(
-        self, kind: str, arr: DeviceArray, tx: int, n_live: int, warps: int
+        self, kind: str, arr: DeviceArray, tx: int, n_live: int, warps: int,
+        depth: int = 2,
     ) -> None:
         """Report one routed op to the calibration observer.
 
-        Only called when an observer is installed; the call-site frame two
-        levels up is the kernel body line that issued the op.
+        Only called when an observer is installed; the call-site frame
+        ``depth`` levels up is the kernel body line that issued the op.
         """
         assert _OP_OBSERVER is not None
-        frame = sys._getframe(2)
+        frame = sys._getframe(depth)
         _OP_OBSERVER(OpRecord(
             kind=kind,
             file=frame.f_code.co_filename,
@@ -256,12 +257,33 @@ class KernelContext:
         idx: np.ndarray,
         active: Optional[np.ndarray] = None,
         fill=0,
+        fan: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-thread gather from global memory with coalescing analysis.
 
         ``idx[t]`` is the flat element index read by thread ``t``; inactive
         lanes receive ``fill``.
+
+        ``fan`` (element offsets) makes this a fan-out gather: the result is
+        ``(n_threads, len(fan))`` with column ``i`` equal to
+        ``gload(arr, idx + fan[i], active, fill)``, and the op charges
+        exactly the sum of those per-offset calls.  The transaction count
+        takes one per-warp sort for all offsets; under the sanitizer or the
+        calibration observer the op replays the per-offset loads, so every
+        hook and ``OpRecord`` still sees one access per offset.
         """
+        if fan is not None:
+            return self._gload_fan(arr, idx, active, fill, fan)
+        return self._gload(arr, idx, active, fill, depth=3)
+
+    def _gload(
+        self,
+        arr: DeviceArray,
+        idx: np.ndarray,
+        active: Optional[np.ndarray],
+        fill,
+        depth: int,
+    ) -> np.ndarray:
         self._check_global(arr)
         midx, live, n_live, warps = self._op_info(idx, active)
         tx = count_transactions(
@@ -272,7 +294,7 @@ class KernelContext:
             load_tx=tx, load_bytes=n_live * arr.itemsize, inst=warps
         )
         if _OP_OBSERVER is not None:
-            self._observe("gload", arr, tx, n_live, warps)
+            self._observe("gload", arr, tx, n_live, warps, depth=depth)
         flat = arr.flat_view()
         if live is None:
             self._bounds_check(arr, midx)
@@ -284,6 +306,72 @@ class KernelContext:
             self.sanitizer.on_load(self, arr, midx, live)
         out = np.full(self.n_threads, fill, dtype=arr.dtype)
         out[live] = flat[midx[live]]
+        return out
+
+    def _gload_fan(
+        self,
+        arr: DeviceArray,
+        idx: np.ndarray,
+        active: Optional[np.ndarray],
+        fill,
+        fan: np.ndarray,
+    ) -> np.ndarray:
+        fan = np.asarray(fan, dtype=np.int64).ravel()
+        idx = np.asarray(idx, dtype=np.int64).ravel()
+        if idx.size != self.n_threads:
+            raise KernelError(
+                f"index vector has {idx.size} lanes, launch has "
+                f"{self.n_threads} threads"
+            )
+        act, warps = self._active_info(active)
+        # Smallest live base index (a huge value when no lane is live).
+        if not idx.size:
+            lo = 0
+        elif act is None:
+            lo = int(idx.min())
+        else:
+            lo = int(np.where(act, idx, np.iinfo(np.int64).max).min())
+        if (
+            self.sanitizer is not None
+            or _OP_OBSERVER is not None
+            or not fan.size
+            or min(lo, lo + int(fan.min())) < 0
+        ):
+            # Replay one real load per offset: the hooks and records want
+            # one access each, and a lane whose index is negative at some
+            # offset is live at others only (the fast path below needs
+            # every live lane live at every offset).  An explicit loop:
+            # the observer reads the kernel's frame at a fixed depth,
+            # which a comprehension's own frame would shift.
+            out = np.empty((self.n_threads, fan.size), dtype=arr.dtype)
+            for i, f in enumerate(fan):
+                out[:, i] = self._gload(arr, idx + f, active, fill, depth=4)
+            return out
+        self._check_global(arr)
+        midx = idx if act is None else np.where(act, idx, -1)
+        tx = count_transactions(
+            midx, arr.itemsize, self.warp_size,
+            self.device.spec.segment_bytes, fan=fan,
+        )
+        n_live = fan.size * (
+            idx.size if act is None else int(np.count_nonzero(act))
+        )
+        if not n_live:
+            out = np.full((idx.size, fan.size), fill, dtype=arr.dtype)
+        else:
+            # Dead lanes gather from element 0, then read ``fill``.
+            rows = idx if act is None else np.maximum(midx, 0)
+            block = rows[:, None] + fan[None, :]
+            if int(rows.max()) + int(fan.max()) >= arr.size:
+                self._bounds_check(arr, block)
+            out = arr.flat_view()[block]
+            if act is not None:
+                out[~act] = fill
+        self.counters.bump_global(
+            load_tx=tx, load_bytes=n_live * arr.itemsize,
+            inst=warps * fan.size,
+        )
+        arr._kernel_reads += fan.size
         return out
 
     def gstore(

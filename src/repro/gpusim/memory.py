@@ -11,6 +11,7 @@ vectorized over all warps of a launch.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 import numpy as np
@@ -21,22 +22,34 @@ from ..errors import DeviceError
 SPACES = ("global", "constant")
 
 _SENTINEL_SEG = np.iinfo(np.int64).max
+#: The offsets of a plain (non-fan) access.
+_NO_FAN = np.zeros(1, dtype=np.int64)
 
 # -- engines ------------------------------------------------------------------
 #
 # The coalescing analysis below has two algebraically-equivalent engines: the
 # reference sentinel-sort (always correct, O(n log w) per call) and fast
-# paths for the access shapes kernels actually issue (monotonic live
-# indices; repeated patterns).  :func:`count_transactions` always takes the
-# fast paths and falls back to the reference only for scattered patterns
-# with dead lanes; the reference is also the oracle the property tests
-# compare the fast engine against.
+# paths for the access shapes kernels actually issue: a sort-free pass for
+# monotonic live indices, one per-warp sort (shared by every offset of a
+# fan-out access) for scattered ones, and a memo for small launches.  The
+# reference is the oracle the property tests compare the fast paths
+# against.
 
 _TX_CACHE: dict[tuple, int] = {}
 _TX_CACHE_MAX = 8192
-#: Patterns at most this many lanes are memoized by exact bytes even when
-#: the monotonic path could handle them: small launches are dominated by
-#: per-call overhead, and their index shapes repeat across windows.
+#: Bound on the summed index bytes of the memo keys: a key holds a whole
+#: index vector (up to ``_TX_MEMO_MAX_LANES`` int64 lanes, 16 KiB), so the
+#: entry cap alone lets a long-lived process hold 128 MiB.  Overflow
+#: clears, as the entry cap does.
+_TX_CACHE_MAX_BYTES = 64 << 20
+_tx_cache_bytes = 0
+#: Serializes the memo's check, clear and insert: jobs of one process
+#: (``gsnp serve``) may run on several threads.
+_TX_CACHE_LOCK = threading.Lock()
+#: Patterns of at most this many lanes are memoized by exact bytes, even
+#: when the monotonic path could handle them: small launches are dominated
+#: by per-call overhead, and their index shapes repeat across windows and
+#: jobs.  Larger patterns are counted afresh each call.
 _TX_MEMO_MAX_LANES = 2048
 #: (n, warp_size) -> bool[n-1], True where lane i+1 starts a new warp.
 _BOUNDARY_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -71,30 +84,6 @@ def _count_transactions_reference(
     distinct = (np.diff(seg, axis=1) != 0).sum(axis=1) + 1
     distinct = distinct - (seg[:, -1] == _SENTINEL_SEG)
     return int(distinct.sum())
-
-
-def _count_transactions_scattered_live(
-    idx: np.ndarray, itemsize: int, warp_size: int, segment_bytes: int
-) -> int:
-    """The sentinel-sort analysis specialized for all-live lanes.
-
-    Same result as :func:`_count_transactions_reference` when no index is
-    negative (verified by tests), with the sentinel bookkeeping dropped:
-    only the pad lanes can be dead, and the pad run is exactly one extra
-    distinct value per padded row.
-    """
-    n = idx.size
-    seg = (idx.astype(np.int64, copy=False) * int(itemsize)) // int(
-        segment_bytes
-    )
-    pad = (-n) % warp_size
-    if pad:
-        seg = np.concatenate([seg, np.full(pad, _SENTINEL_SEG, dtype=np.int64)])
-    seg = np.sort(seg.reshape(-1, warp_size), axis=1)
-    changes = int(np.count_nonzero(seg[:, 1:] != seg[:, :-1]))
-    # Each row has (changes-in-row + 1) distinct values; the pad run in the
-    # last row (when present) is one of them and issues no transaction.
-    return changes + seg.shape[0] - (1 if pad else 0)
 
 
 def _count_transactions_monotonic(
@@ -140,12 +129,94 @@ def _count_transactions_monotonic(
     return 1 + int(new_tx.sum())
 
 
+def _count_transactions_fan(
+    idx: np.ndarray,
+    fan: np.ndarray,
+    itemsize: int,
+    warp_size: int,
+    segment_bytes: int,
+) -> int:
+    """Transactions of every access ``idx + f`` (f in ``fan``), summed.
+
+    A negative ``idx`` lane is dead at every offset; a live lane whose
+    ``idx + f`` is negative issues nothing at that offset.  One per-warp
+    sort serves every offset: ``x -> (x + f) * itemsize // segment_bytes``
+    is monotone in ``x``, so a row sorted once is sorted for each ``f``,
+    and a row's transactions are its value changes plus one.  Dead and
+    pad lanes take the value of a live lane of their warp, which adds no
+    segment; a warp with no live lane is subtracted back out.
+    """
+    n = idx.size
+    live = idx >= 0
+    n_live = int(np.count_nonzero(live))
+    if not n_live or not fan.size:
+        return 0
+    lo = int(idx.min()) if n_live == n else int(idx[live].min())
+    if lo + int(fan.min()) < 0:
+        # Some live lane reads a negative index at some offset, where it
+        # is dead: count offset by offset.
+        return sum(
+            _count_transactions_fan(
+                np.where(live, idx + f, -1), _NO_FAN, itemsize, warp_size,
+                segment_bytes,
+            )
+            for f in fan.tolist()
+        )
+    pad = (-n) % warp_size
+    if n_live == n:
+        rows = idx
+        if pad:
+            rows = np.concatenate([idx, np.full(pad, idx[-1], dtype=idx.dtype)])
+        rows = rows.reshape(-1, warp_size)
+        empty = 0
+    else:
+        rows = idx
+        if pad:
+            rows = np.concatenate([idx, np.full(pad, -1, dtype=idx.dtype)])
+        rows = rows.reshape(-1, warp_size)
+        top = rows.max(axis=1)  # a live index wherever the warp has one
+        empty = int(np.count_nonzero(top < 0))
+        rows = np.where(rows >= 0, rows, np.maximum(top, 0)[:, None])
+    # Every address is now non-negative; int32 halves the sort's traffic.
+    small = int(idx.max()) + int(fan.max()) < 1 << 31
+    rows = np.sort(rows.astype(np.int32 if small else np.int64), axis=1)
+    step, rem = divmod(int(segment_bytes), int(itemsize))
+    changes = 0
+    for f in fan.astype(rows.dtype).tolist():
+        addr = rows + f if f else rows
+        if rem:
+            seg = addr.astype(np.int64) * int(itemsize) // int(segment_bytes)
+        elif step & (step - 1) == 0:
+            seg = addr >> (step.bit_length() - 1)
+        else:
+            seg = addr // step
+        changes += int(np.count_nonzero(seg[:, 1:] != seg[:, :-1]))
+    return changes + fan.size * (rows.shape[0] - empty)
+
+
+def _memo_put(key: tuple, total: int) -> None:
+    global _tx_cache_bytes
+    nbytes = len(key[-1])
+    with _TX_CACHE_LOCK:
+        if key in _TX_CACHE:
+            return
+        if (
+            len(_TX_CACHE) >= _TX_CACHE_MAX
+            or _tx_cache_bytes + nbytes > _TX_CACHE_MAX_BYTES
+        ):
+            _TX_CACHE.clear()
+            _tx_cache_bytes = 0
+        _TX_CACHE[key] = total
+        _tx_cache_bytes += nbytes
+
+
 def count_transactions(
     indices: np.ndarray,
     itemsize: int,
     warp_size: int = 32,
     segment_bytes: int = 128,
     all_live: bool = False,
+    fan: Optional[np.ndarray] = None,
 ) -> int:
     """Count the memory transactions a warp-partitioned access generates.
 
@@ -165,17 +236,29 @@ def count_transactions(
         Caller-supplied proof that no index is negative (every lane live);
         lets the fast engine skip liveness extraction.  Purely an
         optimization hint — the result is identical without it.
+    fan:
+        Element offsets of a fan-out access: each live thread ``t``
+        accesses ``indices[t] + f`` for every ``f`` in ``fan``, and the
+        result is the sum of the per-offset counts (an access whose index
+        ``indices[t] + f`` is negative issues no transaction, as in the
+        per-offset call).  One per-warp sort serves all offsets.
 
     Returns
     -------
     int
         Total number of ``segment_bytes``-sized transactions summed over
-        all warps.
+        all warps (and over the offsets of ``fan``).
     """
     idx = np.asarray(indices).ravel()
     n = idx.size
     if n == 0:
         return 0
+    if fan is not None:
+        return _count_transactions_fan(
+            idx.astype(np.int64, copy=False),
+            np.asarray(fan, dtype=np.int64).ravel(), itemsize, warp_size,
+            segment_bytes,
+        )
     key = None
     if n <= _TX_MEMO_MAX_LANES:
         # Small launches (scan levels, histogram bins, per-block passes)
@@ -192,29 +275,13 @@ def count_transactions(
         idx, itemsize, warp_size, segment_bytes, all_live=all_live
     )
     if total is None:
-        # Scattered pattern: the sentinel sort is the only correct
-        # analysis; memoize large ones too (gather shapes repeat across
-        # genotype/window iterations).
-        if key is None:
-            key = (
-                idx.dtype.str, n, int(itemsize), int(warp_size),
-                int(segment_bytes), idx.tobytes(),
-            )
-            cached = _TX_CACHE.get(key)
-            if cached is not None:
-                return cached
-        if all_live:
-            total = _count_transactions_scattered_live(
-                idx, itemsize, warp_size, segment_bytes
-            )
-        else:
-            total = _count_transactions_reference(
-                idx, itemsize, warp_size, segment_bytes
-            )
+        # Scattered pattern: a per-warp sort is the only correct analysis.
+        total = _count_transactions_fan(
+            idx.astype(np.int64, copy=False), _NO_FAN, itemsize, warp_size,
+            segment_bytes,
+        )
     if key is not None:
-        if len(_TX_CACHE) >= _TX_CACHE_MAX:
-            _TX_CACHE.clear()
-        _TX_CACHE[key] = total
+        _memo_put(key, total)
     return total
 
 

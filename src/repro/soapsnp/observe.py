@@ -24,7 +24,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constants import MAX_READ_LEN, N_BASES, N_SCORES, N_STRANDS
 from ..formats.window import Window
+
+# Bit fields of the packed canonical key (see canonical_key).
+_STRAND_BITS, _COORD_SHIFT, _SCORE_SHIFT = 1, 1, 16
+_BASE_SHIFT, _SITE_SHIFT = 22, 24
+assert N_STRANDS <= 1 << _STRAND_BITS
+assert MAX_READ_LEN <= 1 << (_SCORE_SHIFT - _COORD_SHIFT)
+assert N_SCORES <= 1 << (_BASE_SHIFT - _SCORE_SHIFT)
+assert N_BASES <= 1 << (_SITE_SHIFT - _BASE_SHIFT)
+
+
+def canonical_key(
+    site: np.ndarray,
+    base: np.ndarray,
+    score: np.ndarray,
+    coord: np.ndarray,
+    strand: np.ndarray,
+) -> np.ndarray:
+    """Pack (site, base, score DESC, coord, strand) into one int64.
+
+    ``site<<24 | base<<22 | (63-score)<<16 | coord<<1 | strand``: the
+    fields are disjoint and ordered by significance, so ascending keys are
+    the canonical order and equal keys are identical observations.
+    """
+    top = N_SCORES - 1
+    return (
+        site.astype(np.int64) << _SITE_SHIFT
+        | base.astype(np.int64) << _BASE_SHIFT
+        | (top - score.astype(np.int64)) << _SCORE_SHIFT
+        | coord.astype(np.int64) << _COORD_SHIFT
+        | strand.astype(np.int64)
+    )
 
 
 @dataclass
@@ -99,10 +131,12 @@ def extract_observations(window: Window) -> Observations:
     strand = np.broadcast_to(reads.strand[:, None], (n, read_len))[in_window]
     hits = np.broadcast_to(reads.hits[:, None], (n, read_len))[in_window]
 
-    # Canonical sort: site, base asc, score DESC, coord asc, strand asc.
-    order = np.lexsort(
-        (strand, coord, 63 - score.astype(np.int16), base, site)
-    )
+    # Canonical sort: site, base asc, score DESC, coord asc, strand asc —
+    # one stable argsort of the packed key, the same permutation as the
+    # five-key lexsort.
+    key = canonical_key(site, base, score, coord, strand)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     arrival = np.arange(site.size, dtype=np.int64)[order]
     site = site[order]
     base = base[order]
@@ -117,14 +151,8 @@ def extract_observations(window: Window) -> Observations:
     counted = unique.copy()
     u = np.nonzero(unique)[0]
     if u.size:
-        key = (
-            site[u].astype(np.int64) << 32
-            | base[u].astype(np.int64) << 24
-            | score[u].astype(np.int64) << 16
-            | coord[u].astype(np.int64) << 8
-            | strand[u].astype(np.int64)
-        )
         # Equal keys are adjacent after the canonical sort.
+        key = key[u]
         change = np.concatenate([[True], key[1:] != key[:-1]])
         run_id = np.cumsum(change) - 1
         run_start = np.nonzero(change)[0]

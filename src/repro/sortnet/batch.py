@@ -2,8 +2,9 @@
 
 This is the primitive of Section IV-C: each CUDA thread block sorts one (or
 several) small arrays with a bitonic network running in shared memory.  The
-simulated kernel performs the real sort (via the shared network schedule)
-and accounts
+simulated kernel performs the real sort (in shared memory: one row sort,
+identical to the network for the integer keys it sorts; in global memory:
+the network, op by op) and accounts
 
 * one coalesced global load + one coalesced global store for the batch,
 * two shared loads + two shared stores per compare-exchange step when the
@@ -19,7 +20,7 @@ import numpy as np
 from ..errors import KernelError
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
-from .bitonic import bitonic_steps, compare_exchange_indices, next_pow2
+from .bitonic import bitonic_steps
 
 
 def _batch_bitonic_kernel(
@@ -41,16 +42,13 @@ def _batch_bitonic_kernel(
         # Stage the batch into shared memory: coalesced read per element.
         _ = ctx.gload(batch, elem_idx, active=active)
         ctx.note_shared(stores=1, active=active)
-        # Shared-memory stand-in: the network runs on the backing store in
-        # place of the (unmaterialized) shared buffer.
+        # Shared-memory stand-in: the backing store plays the
+        # (unmaterialized) shared buffer, and one row sort produces what
+        # the network does — for integer keys, bit for bit.  Each network
+        # step is still charged as the lockstep network would issue it.
         view = batch.data.reshape(n_arrays, m)  # gsnp-lint: disable=GSNP101
-        for k, j in bitonic_steps(m):
-            i, partner, ascending = compare_exchange_indices(m, k, j)
-            a = view[:, i]
-            b = view[:, partner]
-            swap = np.where(ascending[None, :], a > b, a < b)
-            view[:, i] = np.where(swap, b, a)
-            view[:, partner] = np.where(swap, a, b)
+        view.sort(axis=1)
+        for _, j in bitonic_steps(m):
             # Half the threads own a pair; in lockstep the whole warp still
             # issues the instructions (divergence!).
             pair_owner = active & ((col ^ j) > col)
@@ -94,14 +92,18 @@ def batch_sort(
 ) -> np.ndarray:
     """Sort each row of a host batch on the simulated GPU.
 
-    ``batch`` is ``(n_arrays, m)`` with ``m`` a power of two (pre-padded
-    with sentinels).  Returns the sorted batch (host array).  Shared memory
-    is used when one array fits in a block's 48 KB, matching the heuristic
-    of Section IV-C.
+    ``batch`` is ``(n_arrays, m)`` integer keys with ``m`` a power of two
+    (pre-padded with sentinels).  Returns the sorted batch (host array).
+    Shared memory is used when one array fits in a block's 48 KB, matching
+    the heuristic of Section IV-C.  Integer keys only: the shared-memory
+    body sorts with ``np.sort``, which equals the network's result for
+    integers but not for floats (NaN, signed zeros).
     """
     batch = np.ascontiguousarray(batch)
     if batch.ndim != 2:
         raise KernelError("batch must be 2-D")
+    if not np.issubdtype(batch.dtype, np.integer):
+        raise KernelError(f"batch keys must be integers, got {batch.dtype}")
     n_arrays, m = batch.shape
     if m & (m - 1):
         raise KernelError(f"batch width must be a power of 2, got {m}")

@@ -11,7 +11,8 @@ from repro.soapsnp.base_occ import (
     nonzero_counts,
     sparsity_histogram,
 )
-from repro.soapsnp.observe import extract_observations
+from repro.constants import DEFAULT_WINDOW_GSNP
+from repro.soapsnp.observe import canonical_key, extract_observations
 
 
 class TestExtraction:
@@ -79,6 +80,46 @@ class TestExtraction:
             np.arange(small_obs.n_sites), np.diff(offsets)
         )
         assert np.array_equal(small_obs.site[sel], site_of)
+
+
+class TestPackedKey:
+    """One stable argsort of the packed key is the five-key lexsort."""
+
+    @staticmethod
+    def _fields(rng, n, site_max):
+        # Small domains force ties on every field prefix; the extremes
+        # (score 0/63, coord 255, base 3, strand 1, the last window
+        # site) are always present.
+        site = rng.integers(0, site_max + 1, n)
+        site[:4] = site_max
+        base = rng.integers(0, 4, n).astype(np.uint8)
+        score = rng.choice(np.array([0, 1, 30, 62, 63], dtype=np.uint8), n)
+        coord = rng.choice(np.array([0, 1, 128, 254, 255], dtype=np.uint8), n)
+        strand = rng.integers(0, 2, n).astype(np.uint8)
+        base[:2], score[:2], coord[:2], strand[:2] = 3, 63, 255, 1
+        return site, base, score, coord, strand
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("site_max", [0, 7, DEFAULT_WINDOW_GSNP])
+    def test_order_equals_lexsort(self, seed, site_max):
+        rng = np.random.default_rng(seed)
+        site, base, score, coord, strand = self._fields(rng, 5000, site_max)
+        want = np.lexsort(
+            (strand, coord, 63 - score.astype(np.int16), base, site)
+        )
+        key = canonical_key(site, base, score, coord, strand)
+        assert np.array_equal(np.argsort(key, kind="stable"), want)
+
+    def test_equal_keys_are_equal_observations(self):
+        rng = np.random.default_rng(9)
+        fields = self._fields(rng, 4000, 3)
+        key = canonical_key(*fields)
+        order = np.argsort(key, kind="stable")
+        rows = np.stack([f.astype(np.int64) for f in fields], axis=1)[order]
+        key = key[order]
+        assert np.array_equal(
+            key[1:] != key[:-1], np.any(rows[1:] != rows[:-1], axis=1)
+        )
 
 
 class TestCap255:
