@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import KernelError
 from ..gpusim.device import Device
 from ..gpusim.primitives.reduce import device_reduce
 from ..gpusim.primitives.segmented import (
@@ -67,7 +68,11 @@ def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> None:
     for a in (vals_dev, first_dev, flags):
         device.free(a)
     runs = [rle_encode(c) for c in cols]
-    assert n_runs == sum(rv.size for rv, _ in runs)
+    host_runs = sum(rv.size for rv, _ in runs)
+    if n_runs != host_runs:
+        raise KernelError(
+            f"fused RLE counted {n_runs} runs, the host encoder {host_runs}"
+        )
     # --- DICT level: one segmented chain per run array ------------------
     for seg_keys, host in (
         ([_rank_keys(rv) for rv, _ in runs], [rv for rv, _ in runs]),
@@ -79,15 +84,22 @@ def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> None:
         local_idx, dict_sizes = segmented_dict_indices(device, seg_keys)
         # Parity check against the per-window dictionary lookup: the
         # composite-key chain must reproduce each window's searchsorted
-        # indices exactly.
+        # indices and dictionary size exactly.
         off = 0
-        for seg, arr in zip(seg_keys, host):
+        for w, (seg, arr) in enumerate(zip(seg_keys, host)):
             got = local_idx[off : off + seg.size]
             off += seg.size
-            assert np.array_equal(
-                got, np.searchsorted(np.unique(arr), arr)
+            if not np.array_equal(got, np.searchsorted(np.unique(arr), arr)):
+                raise KernelError(
+                    f"fused DICT indices of window {w} differ from the "
+                    "per-window lookup"
+                )
+        host_sizes = [int(np.unique(a).size) for a in host]
+        if dict_sizes != host_sizes:
+            raise KernelError(
+                f"fused DICT sizes {dict_sizes} differ from the per-window "
+                f"dictionaries' {host_sizes}"
             )
-        assert [int(np.unique(a).size) for a in host] == dict_sizes
 
 
 def encode_tables_fused(device: Device | None, tables: list) -> list[bytes]:

@@ -70,6 +70,17 @@ def set_op_observer(
     return prev
 
 
+def require_global(arr: DeviceArray) -> None:
+    """Raise as a routed global op does on ``arr``: :class:`DeviceError`
+    when it is freed, :class:`KernelError` when it is not in global
+    memory."""
+    arr.require_live()
+    if arr.space != "global":
+        raise KernelError(
+            f"global access to array {arr.name!r} in space {arr.space!r}"
+        )
+
+
 class KernelContext:
     """Execution context handed to a simulated kernel body."""
 
@@ -482,12 +493,7 @@ class KernelContext:
 
     # -- internal -----------------------------------------------------------
 
-    def _check_global(self, arr: DeviceArray) -> None:
-        arr.require_live()
-        if arr.space != "global":
-            raise KernelError(
-                f"global access to array {arr.name!r} in space {arr.space!r}"
-            )
+    _check_global = staticmethod(require_global)
 
     @staticmethod
     def _bounds_check(arr: DeviceArray, idx: np.ndarray) -> None:

@@ -115,10 +115,12 @@ def segmented_dict_indices(
         device.free(a)
 
     # Segment-local indices: subtract each segment's dictionary offset.
-    dict_sizes = [int(np.unique(np.asarray(s)).size) for s in segments]
+    # The sizes come from the device dictionary itself (its entries'
+    # segment bits), so a short or long ``uniq`` shows in them.
+    sizes_dev = np.bincount(table64 >> key_bits, minlength=len(segments))
     offsets = np.zeros(len(segments), dtype=np.int64)
-    np.cumsum(dict_sizes[:-1], out=offsets[1:])
-    return global_idx - offsets[seg_ids], dict_sizes
+    np.cumsum(sizes_dev[: len(segments) - 1], out=offsets[1:])
+    return global_idx - offsets[seg_ids], sizes_dev.tolist()
 
 
 __all__ = [

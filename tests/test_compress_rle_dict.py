@@ -105,3 +105,35 @@ class TestGpu:
         )
         device = Device()
         assert rle_dict_encode_gpu(device, col) == rle_dict_encode(col)
+
+
+class TestFusedParity:
+    """The fused codec's parity checks compare the device chain against
+    the host encoders, not the host encoders against themselves."""
+
+    def _cols(self, rng):
+        return [_runny_column(rng, n=400, n_values=9) for _ in range(3)]
+
+    def test_fused_chain_passes_its_checks(self, rng):
+        from repro.compress.fusedcodec import _fused_rle_dict_column
+
+        _fused_rle_dict_column(Device(), self._cols(rng))
+
+    def test_short_device_dictionary_raises(self, rng, monkeypatch):
+        """A ``device_unique`` that drops its last key must fail loudly:
+        the dictionary sizes come from the device result."""
+        import repro.gpusim.primitives.segmented as segmented
+        from repro.compress.fusedcodec import _fused_rle_dict_column
+        from repro.errors import KernelError
+
+        real = segmented.device_unique
+
+        def drops_last_key(device, keys):
+            full = real(device, keys)
+            short = device.to_device(full.data[:-1], "unique")
+            device.free(full)
+            return short
+
+        monkeypatch.setattr(segmented, "device_unique", drops_last_key)
+        with pytest.raises(KernelError, match="DICT sizes"):
+            _fused_rle_dict_column(Device(), self._cols(rng))
