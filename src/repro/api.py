@@ -1,15 +1,15 @@
-"""The unified pipeline API: engines, the registry, and :class:`JobSpec`.
+"""The unified pipeline API: engines and :class:`JobSpec`.
 
 Three engines produce bitwise-identical calls (§IV-G): the dense SOAPsnp
 baseline, the sparse GSNP algorithm on the CPU, and the same algorithm on
-the simulated GPU.  This module names them with :class:`Engine`, describes
-how to build each one in a registry of :class:`EngineSpec` entries, and
+the simulated GPU.  This module names them with the closed
+:class:`Engine` enum, builds each one in :func:`create_pipeline`, and
 pins the interface they share as the :class:`Pipeline` protocol — so the
 detector facade, the sharded executor (:mod:`repro.exec`) and the bench
 harness all dispatch through one code path instead of per-engine branches.
 
 :class:`JobSpec` is the single source of truth for every calling-job knob
-(engine, window, variant, throughput toggles, parallelism, robustness).
+(engine, window, variant, fusion, parallelism, robustness).
 One frozen dataclass feeds all four former spellings:
 
 * ``create_pipeline(spec=...)`` builds a pipeline from it;
@@ -22,24 +22,22 @@ One frozen dataclass feeds all four former spellings:
 
 There is no second spelling: a loose engine name or config keyword is a
 ``TypeError`` in both calls, and ``GsnpDetector`` holds a :class:`JobSpec`
-rather than mirroring its fields.  The registry is open:
-:func:`register_engine` admits additional engines (e.g. an experimental
-backend) and every error message and CLI choice list derives from it.
+rather than mirroring its fields.  Every error message and CLI choice list
+derives from :class:`Engine`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from os import PathLike
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Optional, Protocol, runtime_checkable
 
 from .constants import DEFAULT_WINDOW_GSNP, DEFAULT_WINDOW_SOAPSNP
 from .core.likelihood import ALL_VARIANTS, LikelihoodVariant
 from .core.pipeline import GsnpPipeline
 from .faults.plan import FaultPlan, FaultSpec
-from .gpusim.launchplan import FUSION_DEFAULT, MEGABATCH_WINDOWS
+from .gpusim.launchplan import FUSION_DEFAULT
 from .soapsnp.pipeline import SoapsnpPipeline
 
 
@@ -52,6 +50,17 @@ class Engine(str, Enum):
 
     def __str__(self) -> str:  # argparse/message friendliness
         return self.value
+
+    @property
+    def label(self) -> str:
+        """The engine's name in bench tables and figures (Fig. 12)."""
+        return _LABELS[self]
+
+
+_LABELS = {
+    Engine.GSNP: "GSNP", Engine.GSNP_CPU: "GSNP_CPU",
+    Engine.SOAPSNP: "SOAPsnp",
+}
 
 
 @runtime_checkable
@@ -81,104 +90,28 @@ class Pipeline(Protocol):
     ) -> Any: ...
 
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """Registry entry describing how to build one engine's pipeline."""
-
-    name: str
-    summary: str
-    factory: Callable[..., Pipeline]
-    #: Hard window-size cap (the dense baseline cannot afford big windows).
-    max_window: Optional[int] = None
-    #: Display name used by bench tables/figures (defaults to ``name``).
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            object.__setattr__(self, "label", self.name)
-
-
-def _gsnp_factory(params, window_size, variant, device) -> Pipeline:
-    return GsnpPipeline(
-        params=params, window_size=window_size, mode="gpu",
-        variant=variant, device=device,
-    )
-
-
-def _gsnp_cpu_factory(params, window_size, variant, device) -> Pipeline:
-    return GsnpPipeline(
-        params=params, window_size=window_size, mode="cpu", variant=variant
-    )
-
-
-def _soapsnp_factory(params, window_size, variant, device) -> Pipeline:
-    return SoapsnpPipeline(params=params, window_size=window_size)
-
-
-_REGISTRY: dict[str, EngineSpec] = {}
-
-
-def register_engine(spec: EngineSpec) -> None:
-    """Add (or replace) an engine in the registry."""
-    _REGISTRY[spec.name] = spec
-
-
-register_engine(EngineSpec(
-    name=Engine.GSNP.value,
-    summary="sparse base_word algorithm on the simulated GPU",
-    factory=_gsnp_factory,
-    label="GSNP",
-))
-register_engine(EngineSpec(
-    name=Engine.GSNP_CPU.value,
-    summary="sparse base_word algorithm on the host CPU",
-    factory=_gsnp_cpu_factory,
-    label="GSNP_CPU",
-))
-register_engine(EngineSpec(
-    name=Engine.SOAPSNP.value,
-    summary="dense base_occ baseline (SOAPsnp)",
-    factory=_soapsnp_factory,
-    max_window=DEFAULT_WINDOW_SOAPSNP,
-    label="SOAPsnp",
-))
-
-
 def engine_names() -> tuple[str, ...]:
-    """Registered engine names, in registration order."""
-    return tuple(_REGISTRY)
+    """The engine names, in :class:`Engine` order (the CLI choices)."""
+    return tuple(e.value for e in Engine)
 
 
-def resolve_engine(engine: Engine | str) -> Engine | str:
-    """Normalize an engine argument against the registry.
-
-    Accepts an :class:`Engine` member or its string value (the legacy
-    spelling); returns the :class:`Engine` member when one exists, else the
-    validated registered name.  Raises ``ValueError`` naming every
-    registered engine otherwise.
-    """
-    name = engine.value if isinstance(engine, Engine) else engine
-    if name not in _REGISTRY:
+def resolve_engine(engine: Engine | str) -> Engine:
+    """The :class:`Engine` an engine argument names (a member or its
+    string value); a ``ValueError`` naming every engine otherwise."""
+    try:
+        return Engine(engine)
+    except ValueError:
         raise ValueError(
             f"unknown engine {engine!r}: valid engines are "
             + ", ".join(repr(n) for n in engine_names())
-        )
-    try:
-        return Engine(name)
-    except ValueError:
-        return name  # registered extension engine without an enum member
-
-
-def get_engine_spec(engine: Engine | str) -> EngineSpec:
-    """The registry entry for an engine (after name resolution)."""
-    return _REGISTRY[str(resolve_engine(engine))]
+        ) from None
 
 
 def effective_window(engine: Engine | str, window_size: int) -> int:
-    """The window size the engine will actually run (registry cap applied)."""
-    spec = get_engine_spec(engine)
-    if spec.max_window is not None:
-        return min(window_size, spec.max_window)
+    """The window size the engine will actually run: the dense baseline
+    cannot afford big windows, so its window is capped."""
+    if resolve_engine(engine) is Engine.SOAPSNP:
+        return min(window_size, DEFAULT_WINDOW_SOAPSNP)
     return window_size
 
 
@@ -278,10 +211,6 @@ class JobSpec:
         "and one kernel chain per megabatch of windows; --no-fusion runs "
         "the per-window chain kept as the parity oracle (gsnp engine "
         "only; results are bitwise identical either way)",
-    ))
-    megabatch: int = field(default=MEGABATCH_WINDOWS, metadata=_cli(
-        "throughput", "--megabatch", type=int,
-        help="windows concatenated per fused launch plan",
     ))
 
     # -- parallel execution ------------------------------------------------
@@ -429,7 +358,7 @@ class JobSpec:
             raise ValueError("resume=True requires a journal directory")
         # Counts first: every clause below compares them, and the window
         # reader / shard planner divide by them.
-        counts = ("window", "workers", "devices", "megabatch", "shard_size")
+        counts = ("window", "workers", "devices", "shard_size")
         for name in counts:
             value = getattr(self, name)
             if name == "shard_size" and value is None:
@@ -582,55 +511,38 @@ def _faults_from_wire(payload) -> FaultPlan:
         raise ValueError(f"malformed fault spec: {exc}") from None
 
 
-#: Field defaults, for "was a non-default value requested?" checks.
-_SPEC_DEFAULTS = JobSpec()
-
-
 def create_pipeline(
     spec: Optional[JobSpec] = None, *, params=None, device=None
 ) -> Pipeline:
-    """Build the pipeline a :class:`JobSpec` describes, through the registry.
+    """Build the pipeline a :class:`JobSpec` describes.
 
     ``create_pipeline(spec=JobSpec(...))`` is the only spelling (no spec
     is the default job) — ``params`` (a
     :class:`~repro.soapsnp.model.CallingParams`) and ``device`` (a prebuilt
-    simulated device) stay separate because they are runtime objects, not
-    job configuration.  A loose engine name or config keyword is a
-    ``TypeError``.
-
-    Registered extension factories keep the 4-argument signature —
-    ``fusion`` and ``megabatch`` are applied as attributes only when the
-    built pipeline exposes them.  Asking an engine to switch *on* a toggle it
-    does not expose (a non-default spec value) raises a ``RuntimeWarning``
-    instead of being silently dropped; defaults and "off" describe what
-    such an engine does anyway and stay silent.
+    simulated device, used by the ``gsnp`` engine only) stay separate
+    because they are runtime objects, not job configuration.  A loose
+    engine name or config keyword is a ``TypeError``.
     """
     if spec is None:
-        spec = _SPEC_DEFAULTS
+        spec = JobSpec()
     elif not isinstance(spec, JobSpec):
         raise TypeError(
             f"create_pipeline takes a JobSpec, got {type(spec).__name__}"
         )
-    engine_spec = get_engine_spec(spec.engine)
-    window = effective_window(spec.engine, spec.window)
-    pipe = engine_spec.factory(params, window, spec.resolved_variant(), device)
-    for attr in ("fusion", "megabatch"):
-        value = getattr(spec, attr)
-        if hasattr(pipe, attr):
-            setattr(pipe, attr, value)
-        elif value and value != getattr(_SPEC_DEFAULTS, attr):
-            warnings.warn(
-                f"engine {spec.engine!r} does not expose {attr!r}; the "
-                f"requested {attr}={value!r} is ignored",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return pipe
+    engine = resolve_engine(spec.engine)
+    window = effective_window(engine, spec.window)
+    if engine is Engine.SOAPSNP:
+        return SoapsnpPipeline(params=params, window_size=window)
+    gpu = engine is Engine.GSNP
+    return GsnpPipeline(
+        params=params, window_size=window, mode="gpu" if gpu else "cpu",
+        variant=spec.resolved_variant(), device=device if gpu else None,
+        fusion=spec.fusion,
+    )
 
 
 __all__ = [
     "Engine",
-    "EngineSpec",
     "JOBSPEC_WIRE_VERSION",
     "JobSpec",
     "Pipeline",
@@ -638,7 +550,5 @@ __all__ = [
     "create_pipeline",
     "effective_window",
     "engine_names",
-    "get_engine_spec",
-    "register_engine",
     "resolve_engine",
 ]

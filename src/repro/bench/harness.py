@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..align.records import AlignmentBatch
-from ..api import JobSpec, create_pipeline, get_engine_spec
+from ..api import Engine, JobSpec, create_pipeline
 from ..compress.columnar import encode_alignments, encode_table
 from ..compress.gzipcodec import (
     GZIP_COMPRESS_BW,
@@ -497,8 +497,8 @@ def exp_fig12(
 ) -> dict:
     """Fig 12: end-to-end time for all 24 chromosomes, three systems.
 
-    Engines dispatch through the registry (:mod:`repro.api`) — any
-    registered engine name works, labeled by its ``EngineSpec.label``.
+    Engines dispatch through :func:`repro.api.create_pipeline`, labeled
+    by their ``Engine.label``.
     """
     frac = fraction if fraction is not None else DEFAULT_FRACTIONS["genome"]
     out = {}
@@ -511,7 +511,7 @@ def exp_fig12(
                 spec=JobSpec(engine=engine, window=ds.n_sites, fusion=False)
             )
             res = pipe.run(ds)
-            row[get_engine_spec(engine).label] = extrapolate(
+            row[Engine(engine).label] = extrapolate(
                 res.profile, small
             ).total
         out[spec.name] = row

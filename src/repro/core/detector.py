@@ -2,7 +2,7 @@
 
 :class:`GsnpDetector` is the facade downstream users program against; the
 examples and CLI are built on it.  It holds one :class:`~repro.api.JobSpec`
-and runs it on any registered engine (:mod:`repro.api`) through the lane
+and runs it on any :class:`~repro.api.Engine` through the lane
 scheduler (:mod:`repro.exec`) — one serial lane, worker processes or a
 device pool, as the spec asks — and exposes the calls, the compressed
 output, and truth-scoring helpers.

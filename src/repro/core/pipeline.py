@@ -71,9 +71,7 @@ from .posterior import gsnp_posterior
 from .recycle import gsnp_recycle
 from .score_table import cached_new_p_matrix, table_contributions
 
-# CPU_COMPRESS_BW now lives with the other M2050/testbed model numbers in
-# repro.gpusim.spec; re-exported here for backwards compatibility.
-__all__ = ["CPU_COMPRESS_BW", "GsnpCalibration", "GsnpPipeline", "GsnpResult"]
+__all__ = ["GsnpCalibration", "GsnpPipeline", "GsnpResult"]
 
 
 @dataclass
@@ -165,25 +163,21 @@ class GsnpPipeline:
         variant: LikelihoodVariant = OPTIMIZED,
         device: Optional[Device] = None,
         fusion: bool = FUSION_DEFAULT,
-        megabatch: int = MEGABATCH_WINDOWS,
     ) -> None:
         if mode not in ("gpu", "cpu"):
             raise PipelineError(f"unknown mode {mode!r}")
-        if megabatch < 1:
-            raise PipelineError("megabatch must be >= 1")
         self.params = params
         self.window_size = window_size
         self.mode = mode
         self.variant = variant
         self.device = device
-        #: Fused ragged-megabatch execution: concatenate ``megabatch``
-        #: windows into one flat launch plan so every kernel chain
-        #: (counting, cross-window-rebucketed sort, fused
+        #: Fused ragged-megabatch execution: concatenate
+        #: ``MEGABATCH_WINDOWS`` windows into one flat launch plan so every
+        #: kernel chain (counting, cross-window-rebucketed sort, fused
         #: likelihood+posterior, segmented output codec, recycle)
         #: launches once per megabatch instead of once per window.
         #: GPU mode only; results stay bitwise identical.
         self.fusion = fusion
-        self.megabatch = megabatch
         #: Persistent device residency: the device (and its uploaded score
         #: tables) kept across run() calls until :meth:`release_cache`.
         self._cached_device: Optional[Device] = None
@@ -299,8 +293,8 @@ class GsnpPipeline:
         S lockstep :class:`WindowReader` streams — window boundaries
         depend only on ``(n_sites, window_size, start, stop)``, so every
         step's S windows cover the same reference window — are chunked
-        into groups of ``megabatch`` reference windows (one when not
-        fused).  Each group is flattened sample-major and split into
+        into groups of ``MEGABATCH_WINDOWS`` reference windows (one when
+        not fused).  Each group is flattened sample-major and split into
         *launch batches*: the whole group when fused, one (window,
         sample) each otherwise.  A batch is laid out on one
         :func:`build_launch_plan` and runs counting -> likelihood ->
@@ -360,7 +354,7 @@ class GsnpPipeline:
         start, stop = (
             site_range if site_range is not None else (0, dataset.n_sites)
         )
-        group_size = self.megabatch if fused else 1
+        group_size = MEGABATCH_WINDOWS if fused else 1
         streams = [
             WindowReader(
                 batch, dataset.n_sites, self.window_size,
@@ -559,7 +553,7 @@ class GsnpPipeline:
         }
         if fused:
             extras["fusion"] = {
-                "megabatch_windows": self.megabatch,
+                "megabatch_windows": MEGABATCH_WINDOWS,
                 "megabatches": n_groups,
                 "samples": n_samples,
                 "launches": tally.total_launches(),

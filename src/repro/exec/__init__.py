@@ -13,7 +13,6 @@ from .executor import (
     pool_stats,
     release_resident,
     resident_stats,
-    run_shards,
 )
 from .merge import merge_profiles, merge_shard_results
 from .shard import Shard, ShardResult, align_shard_size, plan_shards
@@ -30,5 +29,4 @@ __all__ = [
     "pool_stats",
     "release_resident",
     "resident_stats",
-    "run_shards",
 ]

@@ -22,11 +22,13 @@ deque:
   pipelines keep hitting).  Like a pool lane it owns its device: a
   sanitizing one when ``spec.sanitize``.
 
-``GsnpDetector.run`` and ``gsnp call`` come here for every job, so the
-shard plan has one rule (:func:`execute`): a serial job is one shard —
-fused megabatches are cut exactly where a whole-job run cuts them —
-unless it asks for a journal or a shard deadline, which need one window
-per shard to checkpoint or preempt between.
+``GsnpDetector.run``, ``gsnp call`` and ``gsnp serve`` come here for
+every job, so the shard plan has one rule (:func:`execute`): a serial job
+is one shard, and a journaled one is cut every ``MEGABATCH_WINDOWS``
+windows so it can checkpoint between shards.  Either way fused
+megabatches are cut exactly where a whole-job run cuts them, so launches
+and per-phase records equal the whole-job run's.  A shard deadline does
+not cut a serial job: the serial lane cannot preempt a shard.
 
 Each lane drains its own deque from the front while idle lanes steal from
 the *back* of a dead lane's deque, else the fullest (the classic
@@ -56,8 +58,8 @@ Failure handling (exercised deliberately by :mod:`repro.faults`):
 
 * a failing shard is re-queued at the head of its lane's deque after a
   deterministic, jitter-free exponential backoff
-  (``backoff_base * 2**attempt``) up to ``max_retries`` times, then
-  surfaced as :class:`~repro.errors.ShardError` chaining the last
+  (``BACKOFF_BASE * 2**attempt`` seconds) up to ``MAX_RETRIES`` times,
+  then surfaced as :class:`~repro.errors.ShardError` chaining the last
   exception;
 * with ``shard_timeout`` set (process lanes only), a shard that overruns
   its deadline has its lane's worker killed and is retried like any
@@ -128,6 +130,7 @@ from ..gpusim.costmodel import (
     predict_split,
 )
 from ..gpusim.device import Device
+from ..gpusim.launchplan import MEGABATCH_WINDOWS
 from ..gpusim.pool import DevicePool, acquire_device
 from .merge import merge_shard_results
 from .shard import Shard, ShardResult, plan_shards
@@ -147,10 +150,7 @@ def _resident_pipelines() -> dict:
 
 
 def _resident_key(spec: JobSpec) -> tuple:
-    return (
-        spec.engine, spec.window, spec.variant_name, spec.fusion,
-        spec.megabatch,
-    )
+    return spec.engine, spec.window, spec.variant_name, spec.fusion
 
 
 def resident_stats() -> dict:
@@ -192,6 +192,12 @@ def release_resident() -> None:
 
 #: Lane id of the host-engine (gsnp_cpu) steal lane.
 CPU_LANE = -1
+
+#: Times a failed shard is re-run before the job fails with ShardError.
+MAX_RETRIES = 2
+#: A shard's k-th retry waits ``BACKOFF_BASE * 2**(k-1)`` seconds
+#: (deterministic, jitter-free).
+BACKOFF_BASE = 0.02
 
 
 @dataclass
@@ -387,14 +393,10 @@ class _Scheduler:
         journal,
         *,
         resident: bool,
-        max_retries: int,
-        backoff_base: float,
     ) -> None:
         self.job = job
         self.shards = shards
         self.journal = journal
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
         self.lock = threading.Lock()
         self.results: dict[int, ShardResult] = {}
         self.error: Optional[BaseException] = None
@@ -700,7 +702,7 @@ class _Scheduler:
                 if self.pool is not None and _is_device_death(exc):
                     self._retire(lane, shard, attempt, exc)
                     return False
-                if attempt >= self.max_retries:
+                if attempt >= MAX_RETRIES:
                     with self.lock:
                         if self.error is None:
                             self.error = ShardError(
@@ -713,12 +715,12 @@ class _Scheduler:
                             )
                             self.error.__cause__ = exc
                     return False
-                delay = self.backoff_base * (2 ** attempt)
+                delay = BACKOFF_BASE * (2 ** attempt)
                 degrade(
                     "shard-retry",
                     action=f"re-queueing on lane {lane.name} in "
                     f"{delay:.3f}s (attempt {attempt + 2}/"
-                    f"{self.max_retries + 1})",
+                    f"{MAX_RETRIES + 1})",
                     reason=repr(exc),
                     shard=shard.index,
                 )
@@ -895,48 +897,6 @@ class _Scheduler:
             self.pool.release()
 
 
-def run_shards(
-    dataset,
-    spec: JobSpec,
-    params,
-    calibration,
-    shards: list[Shard],
-    *,
-    journal=None,
-    sample_reads=None,
-    resident: bool = False,
-    max_retries: int = 2,
-    backoff_base: float = 0.02,
-) -> tuple[list[ShardResult], dict, Optional[Device]]:
-    """Execute ``shards`` on the lanes ``spec`` describes.
-
-    Returns the completed :class:`ShardResult` list (unordered — the
-    caller's merge restores genomic order), the scheduler metadata dict
-    (``pool`` kind; for device pools also the ``hetero`` block) and the
-    device of a one-lane in-process run (else ``None``).  Raises
-    :class:`~repro.errors.ShardError` if any shard exhausts its retry
-    budget.
-    """
-    job = _Job(dataset, spec, params, calibration, sample_reads)
-    # Installing the plan is process-global; skip the install entirely for
-    # plan-free jobs so concurrent serve threads don't clear each other's
-    # schedules.
-    ambient = contextlib.nullcontext()
-    if spec.faults is not None:
-        ambient = fault_plan(spec.faults)
-    with ambient:
-        run = _Scheduler(
-            job, shards, journal, resident=resident, max_retries=max_retries,
-            backoff_base=backoff_base,
-        )
-        try:
-            counts = run.deal()
-            run.run()
-            return list(run.results.values()), run.meta(counts), run.device()
-        finally:
-            run.close()
-
-
 # -- cumulative pool stats (the serve daemon's /stats "devices" section) ---
 
 _STATS_LOCK = threading.Lock()
@@ -987,19 +947,16 @@ def execute(
     calibration=None,
     resident: bool = False,
     sample_reads=None,
-    max_retries: int = 2,
-    backoff_base: float = 0.02,
 ):
     """Run a calling job as window-aligned shards on the lane scheduler.
 
-    ``spec`` carries every job-level knob.  The remaining keywords are
-    executor tuning that no job should need to carry on the wire:
-    ``max_retries`` (times a failed shard is re-executed before the run
-    is aborted) and ``backoff_base`` (a shard's k-th retry is delayed
-    ``backoff_base * 2**(k-1)`` seconds — deterministic, jitter-free).
-    Nothing is written here: the caller renders result files from the
-    returned result with :func:`repro.serve.runner.write_job_output`, so a
-    job that raises leaves no output file.
+    ``spec`` carries every job-level knob; the retry budget and backoff
+    are the module constants ``MAX_RETRIES`` and ``BACKOFF_BASE``, and a
+    shard that exhausts the budget raises
+    :class:`~repro.errors.ShardError`.  Nothing is written here: the
+    caller renders result files from the returned result with
+    :func:`repro.serve.runner.write_job_output`, so a job that raises
+    leaves no output file.
 
     Returns the engine's own result type with tables, compressed output
     and merged event counters bitwise/exactly equal to the serial path;
@@ -1043,13 +1000,13 @@ def execute(
     # The one shard-plan rule.  A device pool needs enough shards for
     # every lane (N devices + the optional host lane) to hold a deque
     # worth stealing from, so lanes count as workers.  A serial job is
-    # one shard, unless a journal or a deadline needs one window per
-    # shard to checkpoint or preempt between.
+    # one shard; a journaled one checkpoints every megabatch, so its
+    # shards cut the fused chain where a whole-job run cuts it.
     lanes = max(spec.workers, spec.devices + spec.cpu_steal)
     shard_size = spec.shard_size
     if shard_size is None and lanes == 1:
         shard_size = (
-            eff_window if spec.journal or spec.shard_timeout
+            MEGABATCH_WINDOWS * eff_window if spec.journal
             else dataset.n_sites
         )
     shards = plan_shards(dataset.n_sites, eff_window, shard_size, lanes)
@@ -1083,18 +1040,28 @@ def execute(
                 )
 
     t0 = time.perf_counter()
-    ran, sched_meta, device = run_shards(
-        dataset,
-        replace(spec, window=eff_window, variant=variant_obj),
-        params,
-        calibration.strip(),
-        [s for s in shards if s.index not in committed],
-        journal=journal,
-        sample_reads=sample_reads,
-        resident=resident,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
+    job = _Job(
+        dataset, replace(spec, window=eff_window, variant=variant_obj),
+        params, calibration.strip(), sample_reads,
     )
+    # Installing the plan is process-global; skip the install entirely for
+    # plan-free jobs so concurrent serve threads don't clear each other's
+    # schedules.
+    ambient = contextlib.nullcontext()
+    if spec.faults is not None:
+        ambient = fault_plan(spec.faults)
+    with ambient:
+        run = _Scheduler(
+            job, [s for s in shards if s.index not in committed], journal,
+            resident=resident,
+        )
+        try:
+            counts = run.deal()
+            run.run()
+            ran = list(run.results.values())
+            sched_meta, device = run.meta(counts), run.device()
+        finally:
+            run.close()
     exec_meta = {
         "workers": spec.workers,
         "shard_size": shards[0].n_sites if shards else 0,

@@ -30,10 +30,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Windows concatenated into one ragged megabatch.  Matches the shard
-#: granularity the executor hands the fused path; 16 windows of ~3k
-#: sites keeps every flat array well under the M2050 memory model while
-#: amortising launch overhead ~16x for the per-window kernel chain.
+#: Windows concatenated into one ragged megabatch, and the shard size (in
+#: windows) of a journaled serial job.  16 windows of ~3k sites keeps every
+#: flat array well under the M2050 memory model while amortising launch
+#: overhead ~16x for the per-window kernel chain; DESIGN.md records the
+#: sweep that chose it.
 MEGABATCH_WINDOWS = 16
 
 #: Whether a job runs the fused megabatch path when it does not say.  The

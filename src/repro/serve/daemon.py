@@ -31,7 +31,7 @@ import queue
 import socket
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -49,6 +49,9 @@ from .runner import ResidentRunner
 from .scheduler import AdmissionError, Job, JobScheduler
 
 logger = logging.getLogger(__name__)
+
+#: Worker/acceptor/stream poll interval in seconds.
+POLL_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,6 @@ class ServeConfig:
     tenant_quota: Optional[int] = None
     #: Parsed-dataset LRU size in the resident runner.
     max_datasets: int = 4
-    #: Worker/acceptor poll interval in seconds.
-    poll: float = 0.05
-    #: Extra fields merged into every ``stats`` reply (smoke/test hook).
-    extra_stats: dict = field(default_factory=dict)
 
 
 class GsnpServer:
@@ -150,7 +149,7 @@ class GsnpServer:
                 "caps socket paths at ~107 bytes"
             ) from exc
         listener.listen(64)
-        listener.settimeout(self.config.poll)
+        listener.settimeout(POLL_SECONDS)
         self._listener = listener
         for i in range(self.config.workers):
             t = threading.Thread(
@@ -199,7 +198,7 @@ class GsnpServer:
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
-            job = self.scheduler.next_job(timeout=self.config.poll)
+            job = self.scheduler.next_job(timeout=POLL_SECONDS)
             if job is None:
                 continue
             self._run_job(job)
@@ -369,7 +368,7 @@ class GsnpServer:
         try:
             while True:
                 try:
-                    event = q.get(timeout=self.config.poll)
+                    event = q.get(timeout=POLL_SECONDS)
                 except queue.Empty:
                     if self._stop.is_set():
                         return
@@ -391,7 +390,6 @@ class GsnpServer:
             "devices": pool_stats(),
             "recovered_jobs": list(self.recovered_jobs),
             "accepting": self._accepting,
-            **self.config.extra_stats,
         }
 
 

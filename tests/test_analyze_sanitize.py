@@ -365,7 +365,8 @@ class TestEndToEnd:
     ):
         """A serial job with shards or a journal runs sanitized on the
         serial lane's own device, leak-checked when the scheduler
-        closes."""
+        closes.  20 windows of 200 sites: a journal cuts them into
+        megabatch-sized shards of 16 and 4."""
         from repro.core.detector import GsnpDetector
         from repro.gpusim.device import Device
 
@@ -377,10 +378,10 @@ class TestEndToEnd:
             return teardown(self, strict=strict)
 
         monkeypatch.setattr(Device, "sanitize_teardown", spy)
-        plain = GsnpDetector(engine="gsnp", window=1000).run(small_dataset)
+        plain = GsnpDetector(engine="gsnp", window=200).run(small_dataset)
         for fields in ({"shard_size": 2000}, {"journal": str(tmp_path)}):
             res = GsnpDetector(
-                engine="gsnp", window=1000, sanitize=True, **fields
+                engine="gsnp", window=200, sanitize=True, **fields
             ).run(small_dataset)
             assert res.extras["exec"]["n_shards"] > 1
             assert res.extras["device"].sanitizer is not None

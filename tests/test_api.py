@@ -1,17 +1,15 @@
-"""The unified pipeline API: Engine enum, registry, Pipeline protocol."""
+"""The unified pipeline API: the closed Engine enum, create_pipeline,
+the Pipeline protocol."""
 
 import pytest
 
 from repro.api import (
     Engine,
-    EngineSpec,
     JobSpec,
     Pipeline,
     create_pipeline,
     effective_window,
     engine_names,
-    get_engine_spec,
-    register_engine,
     resolve_engine,
 )
 from repro.constants import DEFAULT_WINDOW_SOAPSNP
@@ -38,16 +36,21 @@ class TestEngine:
             assert repr(name) in str(err.value)
 
     def test_registry_lists_all_three(self):
-        assert set(engine_names()) >= {"gsnp", "gsnp_cpu", "soapsnp"}
+        assert engine_names() == ("gsnp", "gsnp_cpu", "soapsnp")
 
 
 class TestRegistry:
     def test_specs_resolve(self):
+        """Every engine name resolves to its member, which carries the
+        bench label Fig. 12 prints."""
+        labels = {}
         for name in engine_names():
-            spec = get_engine_spec(name)
-            assert spec.name == name
-            assert spec.summary
-            assert spec.label
+            engine = resolve_engine(name)
+            assert engine.value == name
+            labels[name] = engine.label
+        assert labels == {
+            "gsnp": "GSNP", "gsnp_cpu": "GSNP_CPU", "soapsnp": "SOAPsnp",
+        }
 
     def test_soapsnp_window_cap(self):
         assert (
@@ -68,24 +71,9 @@ class TestRegistry:
         assert isinstance(build(Engine.SOAPSNP), SoapsnpPipeline)
         assert build(Engine.GSNP).mode == "gpu"
         assert build(Engine.GSNP_CPU).mode == "cpu"
-
-    def test_extension_engine_registration(self):
-        name = "test_ext_engine"
-        register_engine(EngineSpec(
-            name=name,
-            summary="registry extension for this test",
-            factory=lambda params, window_size, variant, device:
-                GsnpPipeline(window_size=window_size, mode="cpu"),
-        ))
-        try:
-            assert name in engine_names()
-            assert resolve_engine(name) == name  # no enum member: raw name
-            pipe = create_pipeline(spec=JobSpec(engine=name, window=2000))
-            assert pipe.window_size == 2000
-        finally:
-            from repro import api
-
-            del api._REGISTRY[name]
+        assert build(Engine.GSNP).fusion is True
+        no_fusion = create_pipeline(spec=JobSpec(fusion=False))
+        assert no_fusion.fusion is False  # the constructor takes it
 
 
 class TestProtocol:
@@ -94,7 +82,7 @@ class TestProtocol:
         assert isinstance(SoapsnpPipeline(window_size=1000), Pipeline)
 
     def test_protocol_dispatch_uniform(self, tiny_dataset):
-        """One loop over the registry, zero per-engine branches."""
+        """One loop over the engines, zero per-engine branches."""
         tables = []
         for name in ("gsnp", "gsnp_cpu", "soapsnp"):
             pipe = create_pipeline(spec=JobSpec(engine=name, window=1000))

@@ -251,8 +251,11 @@ class TestResidency:
 
 class TestCrashResume:
     def test_crashed_shard_resumes_to_identical_bytes(
-        self, ds, batches, solo, tmp_path
+        self, ds, batches, solo, tmp_path, monkeypatch
     ):
+        from repro.exec import executor
+
+        monkeypatch.setattr(executor, "MAX_RETRIES", 0)
         shards = plan_shards(ds.n_sites, WINDOW, 1024, 2)
         poison = FaultPlan([
             FaultSpec(site="exec.shard.error", key=len(shards) - 1,
@@ -269,7 +272,7 @@ class TestCrashResume:
             with pytest.raises(ShardError):
                 write_job_output(execute(
                     ds, spec=replace(base, faults=poison),
-                    sample_reads=batches[:2], max_retries=0,
+                    sample_reads=batches[:2],
                 ), base)
             assert not out.exists()  # crash-safe: no partial file
             committed = len(list(jdir.rglob("shard-*.pkl")))

@@ -79,14 +79,14 @@ class TestDetector:
 
     def test_every_spec_field_reaches_the_pipeline(self, small_dataset):
         # The old facade re-packed 18 of JobSpec's fields and dropped the
-        # rest: a spec's megabatch never reached the engine.
-        def launches(megabatch):
+        # rest: a spec's launch-chain toggle never reached the engine.
+        def launches(fusion):
             res = GsnpDetector(
-                spec=JobSpec(window=500, megabatch=megabatch)
+                spec=JobSpec(window=500, fusion=fusion)
             ).run(small_dataset)
             return res.extras["device"].counters.total().launches
 
-        assert launches(1) > launches(8)
+        assert launches(False) > launches(True)
 
     def test_detect_snps_convenience(self, small_dataset):
         table, calls = detect_snps(

@@ -49,20 +49,14 @@ def _serial_bytes(engine, result) -> bytes:
     return result.compressed_output
 
 
-#: ``execute`` keywords that are executor tuning, not JobSpec fields.
-_TUNING = ("max_retries", "backoff_base")
-
-
 def _execute(dataset, engine, output=None, **kw):
-    """``execute`` with JobSpec fields and executor tuning mixed in ``kw``;
-    with ``output``, the engine's own bytes (``_serial_bytes``) are
-    written there."""
-    tuning = {k: kw.pop(k) for k in _TUNING if k in kw}
+    """``execute`` with the JobSpec fields in ``kw``; with ``output``, the
+    engine's own bytes (``_serial_bytes``) are written there."""
     spec = JobSpec(
         engine=engine, window=WINDOW, compressed=engine != "soapsnp",
         output=str(output) if output else None, **kw,
     )
-    result = execute(dataset, spec=spec, **tuning)
+    result = execute(dataset, spec=spec)
     write_job_output(result, spec)
     return result
 
@@ -209,11 +203,16 @@ class TestRetries:
         assert attempts[0] == 1
         assert par.extras["exec"]["retries"] == 1
 
-    def test_exhausted_retries_surface_shard_context(self, small_dataset):
+    def test_exhausted_retries_surface_shard_context(
+        self, small_dataset, monkeypatch
+    ):
+        from repro.exec import executor
+
+        monkeypatch.setattr(executor, "MAX_RETRIES", 1)
         with pytest.raises(ShardError) as err:
             _execute(
                 small_dataset, "gsnp_cpu", workers=2, shard_size=1024,
-                max_retries=1, faults=_fail(2, 10),
+                faults=_fail(2, 10),
             )
         assert err.value.shard_index == 2
         assert err.value.site_range == (2048, 3072)

@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.bench.events import RunProfile
 from repro.exec import ShardResult, execute, plan_shards
+from repro.exec import executor as executor_mod
 from repro.faults import (
     SITES,
     DegradationWarning,
@@ -44,8 +45,8 @@ from repro.serve.runner import write_job_output
 WINDOW = 512
 
 
-def _run(dataset, output, engine="gsnp_cpu", *, max_retries=2,
-         journal_dir=None, **spec_kwargs):
+def _run(dataset, output, engine="gsnp_cpu", *, journal_dir=None,
+         **spec_kwargs):
     """Run of 1024-site shards, on the serial lane unless ``workers`` says
     otherwise (deterministic, no worker processes); the
     ``gpusim.device.alloc`` site needs ``engine="gsnp"``.  The file is the
@@ -54,9 +55,15 @@ def _run(dataset, output, engine="gsnp_cpu", *, max_retries=2,
         engine=engine, window=WINDOW, shard_size=1024, journal=journal_dir,
         output=str(output), compressed=True, **spec_kwargs,
     )
-    result = execute(dataset, spec=spec, max_retries=max_retries)
+    result = execute(dataset, spec=spec)
     write_job_output(result, spec)
     return result
+
+
+@pytest.fixture
+def no_retries(monkeypatch):
+    """A retry budget of 0: a shard's first failure fails the job."""
+    monkeypatch.setattr(executor_mod, "MAX_RETRIES", 0)
 
 
 @pytest.fixture(scope="module")
@@ -281,14 +288,16 @@ class TestFaultedExecutionParity:
         assert attempts == {0: 2, **{i: 1 for i in range(1, 8)}}
         assert res.extras["exec"]["retries"] == 1
 
-    def test_exhausted_budget_chains_cause(self, small_dataset, tmp_path):
+    def test_exhausted_budget_chains_cause(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(executor_mod, "MAX_RETRIES", 1)
         plan = FaultPlan([FaultSpec(site="exec.shard.error", key=1,
                                     times=99)])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             with pytest.raises(ShardError) as err:
-                _run(small_dataset, tmp_path / "dead.out", faults=plan,
-                     max_retries=1)
+                _run(small_dataset, tmp_path / "dead.out", faults=plan)
         assert err.value.shard_index == 1
         assert isinstance(err.value.__cause__, InjectedFault)
         assert not (tmp_path / "dead.out").exists()
@@ -364,7 +373,7 @@ class TestSerialJobFaults:
 class TestCheckpointResume:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_resume_after_mid_run_failure(
-        self, workers, small_dataset, baseline, tmp_path
+        self, workers, small_dataset, baseline, tmp_path, no_retries
     ):
         _, base_bytes = baseline
         shards = plan_shards(small_dataset.n_sites, WINDOW, 1024, workers)
@@ -378,7 +387,7 @@ class TestCheckpointResume:
             warnings.simplefilter("ignore", DegradationWarning)
             with pytest.raises(ShardError):
                 _run(small_dataset, out, faults=poison, workers=workers,
-                     journal_dir=str(jdir), max_retries=0)
+                     journal_dir=str(jdir))
             assert not out.exists()  # crash-safe: no partial file
             committed = len(list(jdir.rglob("shard-*.pkl")))
             assert committed > 0
@@ -388,7 +397,7 @@ class TestCheckpointResume:
         assert out.read_bytes() == base_bytes
 
     def test_resume_under_another_prior_recomputes(
-        self, small_dataset, baseline, tmp_path
+        self, small_dataset, baseline, tmp_path, no_retries
     ):
         """The prior changes calls but not the calibration, so a journal
         written without it must not be spliced into a run with it."""
@@ -406,8 +415,7 @@ class TestCheckpointResume:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             with pytest.raises(ShardError):
-                _run(no_prior, out, faults=poison, journal_dir=str(jdir),
-                     max_retries=0)
+                _run(no_prior, out, faults=poison, journal_dir=str(jdir))
             assert len(list(jdir.rglob("shard-*.pkl"))) == last
             res = _run(small_dataset, out, journal_dir=str(jdir),
                        resume=True)
@@ -526,7 +534,9 @@ class TestDegradationLadder:
         """Only a worker process can be preempted; the serial lane and
         device-pool lanes say once that the deadline does nothing.  Pool
         lanes are stepped on the calling thread, so they also say once
-        that ``workers`` (2 here) buys no concurrency."""
+        that ``workers`` (2 here) buys no concurrency.  Nor does the
+        deadline cut a serial job into shards: it stays one shard, with
+        the launch chain of the same job without a deadline."""
         with caplog.at_level("INFO", logger="repro.faults"):
             _run(small_dataset, tmp_path / "t.out", shard_timeout=5.0,
                  **lanes)
@@ -534,6 +544,20 @@ class TestDegradationLadder:
         assert sum("shard_timeout=5.0 ignored" in m for m in messages) == 1
         assert sum("workers=2 ignored on pool lanes" in m
                    for m in messages) == ("devices" in lanes)
+        if lanes:
+            return
+
+        def shards_and_launches(**fields):
+            res = execute(small_dataset, spec=JobSpec(
+                engine="gsnp", window=WINDOW, **fields,
+            ))
+            records = res.profile.records.values()
+            launches = sum(r.gpu.launches for r in records)
+            return res.extras["exec"]["n_shards"], launches
+
+        untimed = shards_and_launches()
+        assert untimed[0] == 1
+        assert shards_and_launches(shard_timeout=5.0) == untimed
 
     def test_quarantine_collects_coordinates(self, tmp_path):
         from repro.align.records import AlignmentBatch

@@ -2,8 +2,8 @@
 
 The fused path must be invisible in the output: ResultTable rows and
 compressed bytes bitwise identical to the per-window launch chain (the
-toggle combinations — megabatch, workers, sanitizer —
-are pinned cases of ``test_job_matrix``), while launching strictly fewer
+toggle combinations — shard cuts, workers, sanitizer — are pinned cases
+of ``test_job_matrix``), while launching strictly fewer
 kernels and moving strictly fewer global-memory bytes through the
 likelihood/posterior stage.
 """
@@ -84,7 +84,7 @@ class TestLaunchReduction:
         """Launches are O(megabatches), not O(windows): four times the
         windows inside one megabatch add at most half again to any stage.
         A launcher called once per window scales every stage with the
-        windows instead (``megabatch=1`` here: 3.9x in total, 4x for
+        windows instead (one window per megabatch: 3.9x in total, 4x for
         counting)."""
 
         def stage_launches(n_windows):
@@ -93,7 +93,7 @@ class TestLaunchReduction:
                 coverage=0.9, seed=7,
             ))
             res = create_pipeline(spec=JobSpec(
-                engine="gsnp", window=500, fusion=True, megabatch=12,
+                engine="gsnp", window=500, fusion=True,
             )).run(ds)
             return {
                 k: int(v["launches"])

@@ -30,6 +30,7 @@ from repro.core.cohort import cohort_output_path, pooled_batch
 from repro.core.detector import GsnpDetector
 from repro.errors import GsnpError
 from repro.exec import plan_shards
+from repro.gpusim.launchplan import MEGABATCH_WINDOWS
 from repro.faults import FaultPlan, FaultSpec
 from repro.formats.cns import format_rows
 from repro.formats.soap import read_soap, write_soap
@@ -54,7 +55,7 @@ AXES = {
     "engine": ("gsnp", "gsnp_cpu", "soapsnp"),
     "variant": ("optimized", "baseline", "w_shared", "w_new_table"),
     "window": (256, 450, DEFAULT_WINDOW_GSNP),
-    "fusion": (True, False), "megabatch": (16, 1, 3),
+    "fusion": (True, False),
     "workers": (1, 2), "shard_size": (None, 600),
     "devices": (1, 2, 4), "cpu_steal": (False, True),
     "sanitize": (False, True), "samples": (1, 2, 4),
@@ -62,7 +63,7 @@ AXES = {
     "compressed": (True, False),
 }
 #: Further values of the tier-2 profile.
-WIDE = {"window": (100, 1600, 4000), "megabatch": (2, 64), "workers": (4,),
+WIDE = {"window": (100, 1600, 4000), "workers": (4,),
         "shard_size": (256, 1024, 5000), "devices": (3,),
         "faults": tuple(range(4, 64))}
 
@@ -122,12 +123,12 @@ def env(tmp_path_factory):
 
 def shard_bounds(spec: JobSpec) -> tuple:
     """The shards the executor plans: a serial job is one shard, or one
-    window per shard when journaled."""
+    megabatch of windows per shard when journaled."""
     window = effective_window(spec.engine, spec.window)
     lanes = max(spec.workers, spec.devices + spec.cpu_steal)
     size = spec.shard_size
     if size is None and lanes == 1:
-        size = window if spec.journal else N_SITES
+        size = MEGABATCH_WINDOWS * window if spec.journal else N_SITES
     return tuple((s.start, s.end)
                  for s in plan_shards(N_SITES, window, size, lanes))
 
@@ -137,14 +138,14 @@ def counter_key(spec: JobSpec, s: int, bounds: tuple):
     (pool lanes hand shards to the host engine, and a fault's degraded
     rung reruns a fused shard per window).  Per-window and host chains sum
     per window, so sharding, retries and resumes drop out; a fused chain
-    cuts megabatches at shard boundaries."""
+    cuts megabatches at shard boundaries too."""
     fused = spec.engine == "gsnp" and spec.fusion
     if spec.uses_pool or (fused and spec.faults is not None):
         return None
     key = (spec.engine, effective_window(spec.engine, spec.window), s)
     if spec.engine != "soapsnp":
         key += (spec.variant_name,)
-    return key + ((spec.megabatch, bounds) if fused else ())
+    return key + ((bounds,) if fused else ())
 
 
 def run(env: Env, spec: JobSpec, sample_batches=None):
@@ -270,21 +271,20 @@ def check_job(env: Env, c: dict) -> set:
 #: matrices this table replaced, then cases that cross axes no such matrix
 #: crosses; together they give every axis value and every outcome.
 PINNED = [
-    # the fused chain at window 256, one and three windows per launch
-    # batch, on process lanes, under the sanitizer
-    case(), case(megabatch=1), case(megabatch=3),
-    case(workers=2, shard_size=600), case(sanitize=True),
+    # the fused chain at window 256, on process lanes, under the sanitizer
+    case(), case(workers=2, shard_size=600), case(sanitize=True),
     # a cohort on a pool, sanitized and faulted; a journaled pool with a
     # steal lane killed, then resumed; a journaled cohort on process lanes
     case(samples=4, devices=2, sanitize=True, faults=1),
     case(resume=True, devices=2, cpu_steal=True, faults=3),
     case(resume=True, workers=2, samples=2, faults=2),
     # a kernel variant on four devices; fused cohort megabatches cut at
-    # shard bounds; a sanitized cohort one window per launch batch
+    # shard bounds (inside a megabatch); a sanitized cohort one window
+    # per launch batch
     case(variant="baseline", window=450, fusion=False, devices=4,
          cpu_steal=True, workers=2),
-    case(variant="w_shared", megabatch=3, shard_size=600, samples=2),
-    case(megabatch=1, sanitize=True, samples=4),
+    case(variant="w_shared", shard_size=600, samples=2),
+    case(fusion=False, sanitize=True, samples=4),
     # a fused cohort of four on the serial lane over several shards
     case(samples=4, shard_size=600),
     # the host engine sharded and faulted, then serial (same counters);

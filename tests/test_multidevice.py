@@ -247,10 +247,7 @@ class TestDeviceFailure:
             None, None, None,
         )
         shards = plan_shards(dataset.n_sites, WINDOW, None, 3)
-        sched = _Scheduler(
-            job, shards, None, resident=False, max_retries=0,
-            backoff_base=0.0,
-        )
+        sched = _Scheduler(job, shards, None, resident=False)
         try:
             thief, live, dead = sched.lanes
             live.deque.extend((s, 0) for s in shards[:3])
@@ -317,7 +314,12 @@ class TestDeviceFailure:
         assert [r["index"] for r in retried] == [2]
         assert retried[0]["pid"] in (0, 1)
 
-    def test_journal_resume_on_pool(self, dataset, serial, tmp_path):
+    def test_journal_resume_on_pool(
+        self, dataset, serial, tmp_path, monkeypatch
+    ):
+        from repro.exec import executor
+
+        monkeypatch.setattr(executor, "MAX_RETRIES", 0)
         spec = JobSpec(
             engine="gsnp", window=WINDOW, devices=2, cpu_steal=True,
             journal=str(tmp_path / "journal"),
@@ -328,10 +330,7 @@ class TestDeviceFailure:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             with pytest.raises(ShardError):
-                execute(
-                    dataset, spec=replace(spec, faults=poison),
-                    max_retries=0,
-                )
+                execute(dataset, spec=replace(spec, faults=poison))
         committed = len(list((tmp_path / "journal").rglob("shard-*.pkl")))
         res = execute(dataset, spec=replace(spec, resume=True))
         assert 0 < committed < res.extras["exec"]["n_shards"]

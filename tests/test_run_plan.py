@@ -72,9 +72,12 @@ class TestSoloIsCohortOfOne:
     @pytest.mark.parametrize("fusion", [False, True])
     @pytest.mark.parametrize("engine", ["gsnp", "gsnp_cpu"])
     def test_records_bytes_and_sort_stats_identical(
-        self, ds, batches, engine, fusion, megabatch
+        self, ds, batches, engine, fusion, megabatch, monkeypatch
     ):
-        pipe = _pipe(engine=engine, fusion=fusion, megabatch=megabatch)
+        """At any group size: ``MEGABATCH_WINDOWS`` is patched to cut the
+        7 windows into groups of 1, 3 or 16."""
+        monkeypatch.setattr(pipeline_mod, "MEGABATCH_WINDOWS", megabatch)
+        pipe = _pipe(engine=engine, fusion=fusion)
         cal = pipe.calibrate(ds, reads=batches[0])
         for kw in ({}, {"site_range": (512, 1280), "calibration": cal}):
             solo = pipe.run(ds, **kw)
@@ -108,15 +111,18 @@ class TestSoloIsCohortOfOne:
 
 class TestChainAccounting:
     """What legitimately differs between a megabatch launch batch and a
-    launch batch of one."""
+    launch batch of one.  Megabatches of 3 windows (``MEGABATCH_WINDOWS``
+    patched) cut the 7 windows into three groups."""
 
     @pytest.fixture(scope="class")
     def cohort_runs(self, ds, batches):
         out = {}
-        for fusion in (False, True):
-            pipe = _pipe(fusion=fusion, megabatch=3)
-            out[fusion] = pipe.run_cohort(ds, batches)
-            pipe.release_cache()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline_mod, "MEGABATCH_WINDOWS", 3)
+            for fusion in (False, True):
+                pipe = _pipe(fusion=fusion)
+                out[fusion] = pipe.run_cohort(ds, batches)
+                pipe.release_cache()
         return out
 
     @pytest.fixture(scope="class")
@@ -124,12 +130,14 @@ class TestChainAccounting:
         """The same cohorts through the executor: one shard per lane
         payload, merged per sample."""
         out = {}
-        for fusion in (False, True):
-            detector = GsnpDetector(spec=JobSpec(
-                window=WINDOW, fusion=fusion, megabatch=3,
-            ))
-            detector.sample_batches = batches
-            out[fusion] = detector.run(ds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline_mod, "MEGABATCH_WINDOWS", 3)
+            for fusion in (False, True):
+                detector = GsnpDetector(
+                    spec=JobSpec(window=WINDOW, fusion=fusion)
+                )
+                detector.sample_batches = batches
+                out[fusion] = detector.run(ds)
         return out
 
     def test_read_site_charge_rounds_once_per_launch_batch_member(
@@ -196,7 +204,7 @@ class TestChainAccounting:
 #: Job fields of every run chain: the GSNP fused and per-window chains,
 #: the host chain and the dense baseline.
 CHAINS = {
-    "fused": {"fusion": True, "megabatch": 2},
+    "fused": {"fusion": True},
     "per-window": {"fusion": False},
     "gsnp_cpu": {"engine": "gsnp_cpu"},
     "soapsnp": {"engine": "soapsnp"},
@@ -218,10 +226,11 @@ class TestOutputFiles:
     def test_written_once_complete_or_not_at_all(
         self, ds, batches, tmp_path, monkeypatch, host, fusion, n_samples
     ):
-        """GSNP on the GPU or the host, fused or per window, solo or a
-        cohort of two."""
-        job = {"engine": "gsnp_cpu" if host else "gsnp",
-               "fusion": fusion, "megabatch": 2}
+        """GSNP on the GPU or the host, fused (megabatches of two windows,
+        ``MEGABATCH_WINDOWS`` patched) or per window, solo or a cohort of
+        two."""
+        monkeypatch.setattr(pipeline_mod, "MEGABATCH_WINDOWS", 2)
+        job = {"engine": "gsnp_cpu" if host else "gsnp", "fusion": fusion}
         self._check(ds, batches, tmp_path, monkeypatch, job, n_samples)
 
     def test_dense_baseline_written_once_complete_or_not_at_all(

@@ -68,15 +68,11 @@ class TestGsnpLinearity:
             ), comp
 
     def test_launches_scale_with_window_count(self, two_scales):
-        # The default path launches once per megabatch, so hold the
-        # megabatch at 2 windows: 1 launch chain vs 4.
+        # The default path launches once per megabatch of 16 windows, so
+        # cut 125-site windows: 16 windows (1 launch chain) vs 64 (4).
         small, large = two_scales
-        rs = GsnpPipeline(
-            window_size=1000, mode="gpu", megabatch=2
-        ).run(small).profile
-        rl = GsnpPipeline(
-            window_size=1000, mode="gpu", megabatch=2
-        ).run(large).profile
+        rs = GsnpPipeline(window_size=125, mode="gpu").run(small).profile
+        rl = GsnpPipeline(window_size=125, mode="gpu").run(large).profile
         ls = sum(r.gpu.launches for r in rs.records.values())
         ll = sum(r.gpu.launches for r in rl.records.values())
         assert ll / ls == pytest.approx(4.0, rel=0.3)

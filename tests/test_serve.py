@@ -28,7 +28,6 @@ import tempfile
 import threading
 import time
 import types
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -126,14 +125,14 @@ class TestJobSpecApi:
         args = p.parse_args([
             "a.fa", "a.soap", "--prior", "a.prior", "--engine", "gsnp_cpu",
             "--window", "1000", "--workers", "3", "--shard-size", "500",
-            "--fusion", "--megabatch", "4",
+            "--fusion",
             "--compressed", "--min-quality", "20", "--variant", "optimized",
         ])
         spec = JobSpec.from_cli_args(args)
         assert spec.engine == "gsnp_cpu"
         assert spec.window == 1000
         assert spec.workers == 3 and spec.shard_size == 500
-        assert spec.fusion is True and spec.megabatch == 4
+        assert spec.fusion is True
         assert spec.compressed is True and spec.min_quality == 20
         assert JobSpec.from_wire(spec.to_wire()) == spec
 
@@ -171,7 +170,7 @@ class TestJobSpecApi:
         ({"window": 0}, "window must be >= 1"),
         ({"window": 0, "workers": 2}, "window must be >= 1"),
         ({"shard_size": 0}, "shard_size must be >= 1"),
-        ({"megabatch": 2.5}, "megabatch must be an integer"),
+        ({"megabatch": 4}, "unknown JobSpec field"),
         ({"window": "abc"}, "window must be an integer"),
         ({"workers": "2", "sanitize": True}, "workers must be an integer"),
         ({"shard_timeout": 0, "workers": 2}, "shard_timeout"),
@@ -203,13 +202,69 @@ class TestJobSpecApi:
     def test_normalized_gives_serial_journal_shards(
         self, small_dataset, tmp_path
     ):
-        """A serial job is one shard; journaled, one window per shard."""
+        """A serial job is one shard; journaled, one megabatch of windows
+        per shard."""
         def n_shards(**fields):
-            spec = JobSpec(engine="gsnp_cpu", window=512, **fields)
+            spec = JobSpec(engine="gsnp_cpu", **fields)
             return execute(small_dataset, spec=spec).extras["exec"]["n_shards"]
 
-        assert n_shards(journal=str(tmp_path / "j")) == 8  # ceil(4000 / 512)
-        assert n_shards() == 1
+        # 4000 sites: 16 windows of 128 per shard -> ceil(4000 / 2048)
+        assert n_shards(window=128, journal=str(tmp_path / "j")) == 2
+        assert n_shards(window=512, journal=str(tmp_path / "k")) == 1
+        assert n_shards(window=128) == 1
+
+
+def _events(profile) -> dict:
+    """Per-phase records with the measured wall clock blanked."""
+    return {k: replace(r, wall=0.0) for k, r in profile.records.items()}
+
+
+class TestJournaledShards:
+    """A journal checkpoints every ``MEGABATCH_WINDOWS`` windows, where a
+    whole-job run cuts its megabatches anyway: journaling (and so every
+    served job) keeps the whole job's launch chain and event book."""
+
+    def test_journaled_serial_job_keeps_the_whole_job_event_book(
+        self, small_dataset, tmp_path
+    ):
+        spec = JobSpec(window=128)  # 4000 sites: 32 windows, two shards
+        whole = execute(small_dataset, spec=spec)
+        journaled = execute(
+            small_dataset, spec=replace(spec, journal=str(tmp_path / "j"))
+        )
+        assert whole.extras["exec"]["n_shards"] == 1
+        assert journaled.extras["exec"]["n_shards"] == 2
+        assert _events(journaled.profile) == _events(whole.profile)
+        assert journaled.compressed_output == whole.compressed_output
+
+    def test_serve_job_keeps_the_call_jobs_event_book(
+        self, serve_inputs, tmp_path, monkeypatch
+    ):
+        from repro.serve import runner as runner_mod
+        from repro.serve.scheduler import Job
+
+        real, seen = runner_mod.execute, []
+
+        def spy(dataset, **kwargs):
+            seen.append((dataset, kwargs["spec"], real(dataset, **kwargs)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(runner_mod, "execute", spy)
+        # 1200 sites at window 64: 19 windows, two journaled shards.
+        spec = replace(_spec(serve_inputs), window=64)
+        try:
+            runner_mod.ResidentRunner(tmp_path / "state").run_job(
+                Job("job-1", spec)
+            )
+        finally:
+            release_resident()
+        (dataset, run_spec, served), = seen
+        assert run_spec.journal is not None
+        assert served.extras["exec"]["n_shards"] == 2
+        call = execute(dataset, spec=spec)
+        assert call.extras["exec"]["n_shards"] == 1
+        assert _events(served.profile) == _events(call.profile)
+        assert served.compressed_output == call.compressed_output
 
 
 class TestDeprecationShim:
@@ -223,16 +278,6 @@ class TestDeprecationShim:
             create_pipeline(spec=JobSpec(), fusion=True)
         with pytest.raises(TypeError, match="takes a JobSpec"):
             create_pipeline("gsnp")
-
-    def test_unexposed_toggle_warns_instead_of_silent_drop(self):
-        # A non-default "on" request the engine cannot honour warns ...
-        with pytest.warns(RuntimeWarning, match="does not expose 'megabatch'"):
-            create_pipeline(spec=JobSpec(engine="soapsnp", megabatch=4))
-        # ... defaults and the off value describe what it does anyway.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            create_pipeline(spec=JobSpec(engine="soapsnp"))
-            create_pipeline(spec=JobSpec(engine="soapsnp", fusion=False))
 
 
 class TestServeParity:
@@ -412,8 +457,11 @@ class TestCrashRecovery:
             stall = FaultPlan((FaultSpec(
                 site="exec.shard.slow", kind="slow", key=1, times=1, arg=3.0,
             ),))
+            # One window per shard: the job's three windows would
+            # otherwise be one journaled shard.
             r = client.submit(
-                _spec(serve_inputs, output=str(out), faults=stall),
+                _spec(serve_inputs, output=str(out), faults=stall,
+                      shard_size=WINDOW),
                 wait=False,
             )
             assert r.status == "accepted"
@@ -567,3 +615,21 @@ def test_unreadable_ledger_records_stay_on_disk_unrun(serve_inputs, tmp_path,
     server.ledger.mark_done("good")
     assert server.ledger.get("good")["spec"]["window"] == 400
     assert [e["job_id"] for e in server.ledger.pending()] == ["type"]
+
+
+def test_pending_record_naming_megabatch_is_refused(serve_inputs, tmp_path,
+                                                    caplog):
+    """Upgrade path: a pending ledger record written when ``megabatch`` was
+    a JobSpec field is refused as an unknown field — logged, left on disk,
+    not run — like any other unreadable record."""
+    server = GsnpServer(ServeConfig(
+        socket_path=str(tmp_path / "s.sock"), state_dir=str(tmp_path / "st"),
+    ))
+    old = {**_spec(serve_inputs, output=str(tmp_path / "o.cns")).to_wire(),
+           "megabatch": 16}
+    server.ledger.record("old", {"spec": old, "tenant": "t"})
+    with caplog.at_level("WARNING"):
+        assert server.recover() == []
+    assert any("'old'" in r.getMessage() and "megabatch" in r.getMessage()
+               for r in caplog.records)
+    assert [e["job_id"] for e in server.ledger.pending()] == ["old"]
