@@ -34,6 +34,7 @@ from os import PathLike
 from typing import Any, Optional, Protocol, runtime_checkable
 
 from .constants import DEFAULT_WINDOW_GSNP, DEFAULT_WINDOW_SOAPSNP
+from .content import digest
 from .core.likelihood import ALL_VARIANTS, LikelihoodVariant
 from .core.pipeline import GsnpPipeline
 from .faults.plan import FaultPlan, FaultSpec
@@ -127,6 +128,25 @@ JOBSPEC_WIRE_VERSION = 1
 _PATH_FIELDS = (
     "fasta", "soap", "samples", "prior", "output", "journal", "quarantine",
 )
+
+#: Why a :func:`job_key` may leave a JobSpec field out, one group per
+#: reason (DESIGN.md, "Content address").  A key covers every field no
+#: group its consumer names holds, so a new field is in every key.
+KEY_EXCLUSIONS = {
+    # A path names bytes: an input's bytes enter a key as content, and
+    # where an output goes never decides it.
+    "paths": frozenset((
+        "fasta", "soap", "samples", "prior", "output", "quarantine")),
+    # A killed run and its resume differ here and must share a key.
+    "run control": frozenset(("journal", "resume", "faults")),
+    # Every value gives the same bytes (tests/test_job_matrix.py).
+    "byte-invariant": frozenset((
+        "compressed", "sanitize", "workers", "shard_size", "devices",
+        "cpu_steal")),
+    # ``calibrate()`` never reads these.
+    "not calibrated": frozenset((
+        "window", "variant", "fusion", "min_quality", "shard_timeout")),
+}
 
 
 def _cli(group: str, *flags: str, positional: bool = False, **kwargs):
@@ -490,6 +510,23 @@ class JobSpec:
         return cls(**values)
 
 
+def job_key(spec: JobSpec, exclude=(), **content) -> str:
+    """The content address of what ``spec`` computes from ``content``.
+
+    :func:`~repro.content.digest` over every field of ``spec`` that no
+    :data:`KEY_EXCLUSIONS` group named in ``exclude`` holds, then the
+    ``content`` parts by name.  A consumer names reasons, never fields: a
+    field it forgets costs a cache miss, not a stale result.
+    """
+    left_out = set().union(*(KEY_EXCLUSIONS[reason] for reason in exclude))
+    named = [
+        (f.name, spec.variant_name if f.name == "variant"
+         else getattr(spec, f.name))
+        for f in fields(spec) if f.name not in left_out
+    ]
+    return digest(named, sorted(content.items()))
+
+
 def _faults_from_wire(payload) -> FaultPlan:
     """The :class:`FaultPlan` of a wire ``faults`` entry; a malformed one
     is a ``ValueError`` like every other bad field."""
@@ -545,10 +582,12 @@ __all__ = [
     "Engine",
     "JOBSPEC_WIRE_VERSION",
     "JobSpec",
+    "KEY_EXCLUSIONS",
     "Pipeline",
     "VARIANTS_BY_NAME",
     "create_pipeline",
     "effective_window",
     "engine_names",
+    "job_key",
     "resolve_engine",
 ]

@@ -5,9 +5,9 @@ the *same* fixed-size windows.  The cohort execution mode exploits that:
 
 * **one calibration** — the score-table inputs (``p_matrix``, the rank
   penalty) are built from the pooled reads of all S samples, giving one
-  ``pm_flat`` fingerprint and therefore exactly one resident table set
-  per device (:mod:`repro.gpusim.residency` keys by calibration
-  fingerprint, never by sample);
+  calibration digest and therefore exactly one resident table set per
+  device (:mod:`repro.gpusim.residency` entries are keyed by that digest,
+  never by sample);
 * **one decode per window** — S lockstep :class:`WindowReader` streams
   advance together, so each reference window's boundary bookkeeping is
   paid once;

@@ -28,6 +28,7 @@ counters differ, exactly the paper's point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from ..constants import (
     N_STRANDS,
     P_ALLELE_SHIFT,
 )
+from ..content import digest
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
 from ..soapsnp.likelihood import occurrence_ordinals
@@ -108,34 +110,29 @@ class GsnpTables:
         pm_flat: np.ndarray,
         penalty: np.ndarray,
         cache: bool = True,
+        key: Optional[str] = None,
     ) -> "GsnpTables":
         """The ``load_table`` component of Figure 2.
 
         With ``cache`` (default), the bundle is made resident on the device
-        keyed by the calibration fingerprint *and the device identity*:
-        repeat loads for the same calibration on the same device reuse the
-        uploaded tables instead of re-transferring — the paper's
+        keyed by ``key`` (the calibration digest) *and the device
+        identity*: repeat loads for the same calibration on the same device
+        reuse the uploaded tables instead of re-transferring — the paper's
         keep-hot-tables-resident recipe.  The device id in the key is what
         keeps two pool devices from ever sharing one upload: each device
         of a :class:`~repro.gpusim.pool.DevicePool` holds arrays only it
-        can legally touch, so a fingerprint-only key would alias entry
-        lookups across devices the moment any code consults a residency
-        view wider than one device.  ``cache=False`` always builds and
-        uploads fresh (the caller then owns the free).
+        can legally touch, so a digest-only key would alias entry lookups
+        across devices the moment any code consults a residency view wider
+        than one device.  ``cache=False`` always builds and uploads fresh
+        (the caller then owns the free).
         """
-        from ..gpusim.residency import array_fingerprint
-
-        key = None
+        key = key or digest(pm_flat, penalty)
+        slot = ("gsnp_tables", getattr(device, "device_id", 0), key)
         if cache:
-            key = (
-                "gsnp_tables",
-                getattr(device, "device_id", 0),
-                array_fingerprint(pm_flat, penalty),
-            )
-            hit = device.resident.get(key)
+            hit = device.resident.get(slot)
             if hit is not None:
                 return hit
-        newp = cached_new_p_matrix(pm_flat)
+        newp = cached_new_p_matrix(pm_flat, key)
         # Both score tables are uploaded regardless of kernel variant (the
         # paper's GSNP keeps them resident); a run using only the
         # new_p_matrix lookup never reads p_matrix, and vice versa.
@@ -153,17 +150,19 @@ class GsnpTables:
             penalty_dev=penalty_dev,
         )
         if cache:
-            device.resident.put(key, tables, (pm_dev, newp_dev, penalty_dev))
+            device.resident.put(slot, tables, (pm_dev, newp_dev, penalty_dev))
         return tables
 
     @staticmethod
-    def upload_bytes(pm_flat: np.ndarray, penalty: np.ndarray) -> int:
+    def upload_bytes(
+        pm_flat: np.ndarray, penalty: np.ndarray, key: str
+    ) -> int:
         """PCIe bytes one ``load_table`` upload moves (both score tables
         plus the constant-memory penalty table) — the analytic charge
         ``calibrate()`` records without re-building or re-uploading."""
         return (
             pm_flat.nbytes
-            + cached_new_p_matrix(pm_flat).nbytes
+            + cached_new_p_matrix(pm_flat, key).nbytes
             + penalty.astype(np.int32).nbytes
         )
 

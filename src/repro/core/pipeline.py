@@ -16,7 +16,7 @@ GSNP) produce bitwise identical result tables.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from typing import Optional
 
@@ -25,6 +25,7 @@ import numpy as np
 from ..align.records import AlignmentBatch
 from ..bench.events import PhaseRecord, PhaseScope, RunProfile
 from ..constants import DEFAULT_WINDOW_GSNP
+from ..content import digest
 from ..errors import PipelineError
 from ..formats.cns import ResultTable
 from ..formats.soap import soap_line_bytes
@@ -99,6 +100,10 @@ class GsnpCalibration:
     params: CallingParams
     pm_flat: np.ndarray
     penalty: np.ndarray
+    #: :func:`~repro.content.digest` of ``(pm_flat, penalty)``: the key of
+    #: the resident score tables and the ``new_p_matrix`` memo, and the
+    #: calibration's part of a journal key.
+    digest: str
     #: Expanded host tables for ``mode='cpu'`` (None in GPU mode).
     new_p_flat: Optional[np.ndarray]
     #: Compressed temporary copy of the input (Section V-A).
@@ -114,17 +119,7 @@ class GsnpCalibration:
 
     def strip(self) -> "GsnpCalibration":
         """Copy without the temp blob (cheap to ship to worker processes)."""
-        return GsnpCalibration(
-            params=self.params,
-            pm_flat=self.pm_flat,
-            penalty=self.penalty,
-            new_p_flat=self.new_p_flat,
-            temp_blob=b"",
-            temp_len=self.temp_len,
-            input_bytes=self.input_bytes,
-            total_reads=self.total_reads,
-            record=self.record,
-        )
+        return replace(self, temp_blob=b"")
 
 
 def _host_likelihood(
@@ -202,16 +197,19 @@ class GsnpPipeline:
             p_matrix = build_p_matrix(reads, dataset.reference, params)
             pm_flat = flatten_p_matrix(p_matrix)
             penalty = params.penalty_table()
+            key = digest(pm_flat, penalty)
             temp_blob = encode_alignments(reads)
             if self.mode == "gpu":
                 # Charge the one serial-equivalent load_table upload
                 # analytically — run() performs the single real upload
                 # (outside any phase scope), so nothing is built or
                 # transferred twice just to record the bytes.
-                rec.transfer_bytes += GsnpTables.upload_bytes(pm_flat, penalty)
+                rec.transfer_bytes += GsnpTables.upload_bytes(
+                    pm_flat, penalty, key
+                )
                 newp_flat = None
             else:
-                newp_flat = cached_new_p_matrix(pm_flat)
+                newp_flat = cached_new_p_matrix(pm_flat, key)
         rec.disk.read_bytes += input_bytes
         rec.disk.parsed_bytes += input_bytes
         rec.disk.write_bytes += len(temp_blob)
@@ -223,6 +221,7 @@ class GsnpPipeline:
             params=params,
             pm_flat=pm_flat,
             penalty=penalty,
+            digest=key,
             new_p_flat=newp_flat,
             temp_blob=temp_blob,
             temp_len=len(temp_blob),
@@ -271,7 +270,7 @@ class GsnpPipeline:
         """Call SNPs for an S-sample cohort sharing one reference.
 
         All samples share the same fixed-size reference windows, one
-        pooled calibration (one ``pm_flat`` fingerprint, one resident
+        pooled calibration (one calibration digest, one resident
         score-table set per device) and — with fusion — one sample-major
         launch chain per megabatch, so launches per stage stay
         O(megabatches) rather than O(S * megabatches).  Returns a
@@ -348,7 +347,7 @@ class GsnpPipeline:
             # nothing — per-phase records are identical either way.
             tables = GsnpTables.load(
                 device, calibration.pm_flat, calibration.penalty,
-                cache=use_cache,
+                cache=use_cache, key=calibration.digest,
             )
 
         start, stop = (

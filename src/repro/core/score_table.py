@@ -28,24 +28,21 @@ from ..constants import (
 
 # Process-level build cache: the ~20 MB (full-scale) new_p_matrix depends
 # only on the calibration's p_matrix, so each worker process expands it at
-# most once per calibration fingerprint and every pipeline/shard/run reuses
-# the same read-only array.  ``new_p_build_count`` exposes the build tally
+# most once per calibration digest and every pipeline/shard/run reuses the
+# same read-only array.  ``new_p_build_count`` exposes the build tally
 # for the built-exactly-once residency tests.
 _NEWP_CACHE: dict[str, np.ndarray] = {}
 _NEWP_CACHE_MAX = 4
 _NEWP_BUILDS = 0
 
 
-def cached_new_p_matrix(pm_flat: np.ndarray) -> np.ndarray:
-    """``build_new_p_matrix`` memoized by calibration fingerprint.
+def cached_new_p_matrix(pm_flat: np.ndarray, key: str) -> np.ndarray:
+    """``build_new_p_matrix`` memoized by ``key``, the calibration's digest.
 
     Returns a read-only array shared by every caller in the process; device
     uploads copy it, and CPU-mode lookups only read it.
     """
     global _NEWP_BUILDS
-    from ..gpusim.residency import array_fingerprint
-
-    key = array_fingerprint(pm_flat)
     hit = _NEWP_CACHE.get(key)
     if hit is not None:
         return hit

@@ -106,7 +106,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..api import JobSpec, create_pipeline, effective_window
+from ..api import JobSpec, create_pipeline, effective_window, job_key
 from ..errors import (
     AllocationError,
     InjectedFault,
@@ -115,7 +115,7 @@ from ..errors import (
     ShardTimeout,
 )
 from ..faults.degrade import degrade, logger as fault_logger
-from ..faults.journal import ShardJournal, run_fingerprint
+from ..faults.journal import ShardJournal
 from ..faults.plan import (
     fault_plan,
     fault_point,
@@ -149,8 +149,8 @@ def _resident_pipelines() -> dict:
         return _RESIDENT.setdefault(ident, {})
 
 
-def _resident_key(spec: JobSpec) -> tuple:
-    return spec.engine, spec.window, spec.variant_name, spec.fusion
+#: What the journal key and a resident pipeline's key leave out.
+SHARD_KEY_EXCLUDES = ("paths", "run control", "byte-invariant")
 
 
 def resident_stats() -> dict:
@@ -270,25 +270,26 @@ def _lane_pipeline(job: _Job, lane: _Lane):
         # The host steal lane is the sparse CPU engine; fusion is a
         # device-side concept and stays off there.  The shared calibration
         # was produced by the GPU engine, which leaves the expanded host
-        # tables unbuilt; the CPU lane expands them once (memoized by
-        # pm_flat fingerprint) and reuses the rest.
+        # tables unbuilt; the CPU lane expands them once (memoized by the
+        # calibration digest) and reuses the rest.
         from ..core.score_table import cached_new_p_matrix
 
         spec = replace(spec, engine="gsnp_cpu", fusion=False)
+        cal = job.calibration
         lane.calibration = replace(
-            job.calibration,
-            new_p_flat=cached_new_p_matrix(job.calibration.pm_flat),
+            cal, new_p_flat=cached_new_p_matrix(cal.pm_flat, cal.digest),
         )
     if lane.resident:
         # Outlive this job: a later job with the same pipeline shape
         # reuses the device and its uploaded tables.
-        lane.pipeline = _resident_pipelines().get(_resident_key(spec))
+        key = job_key(spec, exclude=SHARD_KEY_EXCLUDES, params=job.params)
+        lane.pipeline = _resident_pipelines().get(key)
     if lane.pipeline is None:
         lane.pipeline = create_pipeline(
             spec=spec, params=job.params, device=lane.device
         )
         if lane.resident:
-            _resident_pipelines()[_resident_key(spec)] = lane.pipeline
+            _resident_pipelines()[key] = lane.pipeline
     return lane.pipeline
 
 
@@ -338,9 +339,10 @@ def _run_shard(
                 shard=shard.index,
                 attempt=attempt,
             )
-            lane.pipeline = None
             if lane.resident:
-                _resident_pipelines().pop(_resident_key(job.spec), None)
+                _resident_pipelines().pop(job_key(
+                    job.spec, SHARD_KEY_EXCLUDES, params=job.params), None)
+            lane.pipeline = None
             if lane.device is not None:
                 # The failed attempt's allocations are stranded on the
                 # sanitizing device; like a retired pool device it is
@@ -927,8 +929,8 @@ def pool_stats() -> dict:
 def calibrate_job(dataset, spec: JobSpec, params=None, sample_reads=None):
     """The one-time ``cal_p_matrix`` input pass for one job.
 
-    A cohort calibrates over the pooled reads of all samples: one pm_flat
-    fingerprint, one resident score-table set per device.
+    A cohort calibrates over the pooled reads of all samples: one
+    calibration digest, one resident score-table set per device.
     """
     reads = None  # the dataset's own reads
     if sample_reads is not None:
@@ -981,7 +983,6 @@ def execute(
     """
     spec = spec.validate()
     eff_window = effective_window(spec.engine, spec.window)
-    variant_obj = spec.resolved_variant()
 
     if sample_reads is None and spec.is_cohort:
         from ..core.cohort import load_sample_batches
@@ -1011,25 +1012,21 @@ def execute(
         )
     shards = plan_shards(dataset.n_sites, eff_window, shard_size, lanes)
 
-    # Crash-safe checkpointing: the journal is keyed by a fingerprint of
-    # everything that determines shard bytes, so resume can never splice
-    # results from a different input/engine/calibration/prior/params into
-    # the merge.
+    # Crash-safe checkpointing: the journal is keyed by the job's content
+    # address, so resume can never splice results of another run.
     journal = None
     committed: dict[int, ShardResult] = {}
     if spec.journal is not None:
-        fingerprint = run_fingerprint(
-            spec.engine,
-            eff_window,
-            variant_obj.name,
-            dataset.n_sites,
-            [(s.start, s.end) for s in shards],
-            calibration,
-            n_samples=n_samples,
-            prior=dataset.prior,
-            params=params,
+        key = job_key(
+            spec, exclude=SHARD_KEY_EXCLUDES,
+            reference=dataset.reference.codes,
+            reads=sample_reads if sample_reads is not None
+            else [dataset.reads],
+            prior=dataset.prior, params=calibration.params,
+            calibration=calibration.digest,
+            shards=[(s.start, s.end) for s in shards],
         )
-        journal = ShardJournal(spec.journal, fingerprint)
+        journal = ShardJournal(spec.journal, key)
         if spec.resume:
             committed = journal.load(shards)
             if committed:
@@ -1041,7 +1038,8 @@ def execute(
 
     t0 = time.perf_counter()
     job = _Job(
-        dataset, replace(spec, window=eff_window, variant=variant_obj),
+        dataset,
+        replace(spec, window=eff_window, variant=spec.resolved_variant()),
         params, calibration.strip(), sample_reads,
     )
     # Installing the plan is process-global; skip the install entirely for

@@ -7,15 +7,16 @@ Three submodules, importable without pulling in the pipeline:
   schedules and the seeded, picklable :class:`FaultPlan`;
 * :mod:`repro.faults.degrade` — :class:`DegradationWarning` and the
   :func:`degrade` reporter for the four ladder rungs;
-* :mod:`repro.faults.journal` — atomic output files, the content-hashed
-  shard journal backing ``--resume``, and run fingerprints.
+* :mod:`repro.faults.journal` — atomic output files, sealed records, the
+  job ledger, and the shard journal backing ``--resume``, keyed by the
+  job's content address (:func:`repro.api.job_key`).
 
 The fault schedules these serve are exercised by ``tests/test_faults.py``
 and the fault axis of ``tests/test_job_matrix.py``.
 """
 
 from .degrade import RUNGS, DegradationWarning, degrade
-from .journal import JournalError, ShardJournal, atomic_output, run_fingerprint
+from .journal import JournalError, ShardJournal, atomic_output
 from .plan import (
     KINDS,
     SITES,
@@ -45,6 +46,5 @@ __all__ = [
     "fault_plan",
     "fault_point",
     "install_plan",
-    "run_fingerprint",
     "scope",
 ]

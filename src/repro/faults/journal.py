@@ -7,12 +7,12 @@ shard entries, each written atomically (tmp + ``os.replace``) so a kill at
 any instant leaves either a complete entry or none — never a torn one.
 
 Entries are **content-addressed to the run**: the journal directory is
-keyed by :func:`run_fingerprint`, a hash of everything that determines the
-bytes a shard produces (engine, variant, window size, shard plan, the
-calibration tables themselves, the known-SNP prior and the calling
-parameters).  ``--resume`` therefore refuses to splice a shard from a
-different input, engine, calibration or prior into the merge — a stale
-journal is simply a miss, and the shard re-executes.
+named by the executor's :func:`repro.api.job_key` over the job's fields and
+everything that determines a shard's bytes (the reference, every sample's
+reads in sample order, the prior, the calling parameters, the calibration
+digest and the shard plan).  ``--resume`` therefore never splices a shard
+of another run into the merge — a stale journal is simply a miss, and the
+shard re-executes.
 
 :func:`atomic_output` gives final result files the same guarantee: the
 writer writes ``<path>.part`` and the name only flips to ``<path>`` once
@@ -22,7 +22,6 @@ for a finished one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -32,72 +31,27 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
+from ..content import digest
 from ..errors import GsnpError
 
 logger = logging.getLogger(__name__)
 
-#: Journal format version; bumping invalidates old entries.  Version 2:
-#: a ``ShardResult`` carries one payload per sample.
-JOURNAL_VERSION = 2
-
-
-def run_fingerprint(
-    engine: str,
-    window_size: int,
-    variant_name: str,
-    n_sites: int,
-    shard_bounds,
-    calibration,
-    n_samples: int = 1,
-    *,
-    prior=None,
-    params=None,
-) -> str:
-    """Hash of everything that determines a shard's output bytes.
-
-    ``n_samples`` separates cohort journals from solo ones: a cohort
-    shard result carries S payloads, so a resume must never splice a
-    solo run's committed shard (or a different cohort size's) into the
-    merge.  The pooled calibration already differs by sample *content*;
-    this covers the degenerate case of identical pooled bytes.
-
-    ``prior`` (the known-SNP prior's positions and rates) and ``params``
-    (the ``CallingParams``; ``None`` means the engine's defaults) shape
-    the posterior but not the calibration, so they are hashed too: a
-    resume under another ``--prior`` re-executes every shard.
-    """
-    h = hashlib.sha256()
-    h.update(f"v{JOURNAL_VERSION}|{engine}|{window_size}|".encode())
-    h.update(f"{variant_name}|{n_sites}|".encode())
-    if n_samples != 1:
-        h.update(f"cohort{n_samples}|".encode())
-    for start, end in shard_bounds:
-        h.update(f"{start}:{end},".encode())
-    arrays = [calibration.pm_flat, calibration.penalty]
-    if prior is not None:
-        arrays += [prior.positions, prior.rates]
-    for arr in arrays:
-        a = np.ascontiguousarray(arr)
-        h.update(str(a.dtype).encode())
-        h.update(a.tobytes())
-    h.update(str(calibration.total_reads).encode())
-    h.update(repr(params).encode())
-    return h.hexdigest()[:16]
+#: Journal format version; bumping invalidates old entries.  Version 3:
+#: the journal key is :func:`repro.api.job_key` over the run's content.
+JOURNAL_VERSION = 3
 
 
 def seal(blob: bytes) -> bytes:
     """``blob`` behind the sha256 digest line every durable record here
     carries (journal entries, ledger records, stored calibrations)."""
-    return hashlib.sha256(blob).hexdigest().encode() + b"\n" + blob
+    return digest(blob).encode() + b"\n" + blob
 
 
 def unseal(raw: bytes) -> Optional[bytes]:
     """The blob of a :func:`seal`-ed record, or ``None`` when the record
     is torn or any bit of it flipped."""
-    digest, _, blob = raw.partition(b"\n")
-    if hashlib.sha256(blob).hexdigest().encode() != digest:
+    sealed, _, blob = raw.partition(b"\n")
+    if digest(blob).encode() != sealed:
         return None
     return blob
 
@@ -107,7 +61,7 @@ class JournalError(GsnpError):
 
 
 class ShardJournal:
-    """One-file-per-shard checkpoint store under ``root/<fingerprint>/``.
+    """One-file-per-shard checkpoint store under ``root/<key>/``.
 
     ``commit`` is atomic and idempotent; ``load`` returns the committed
     :class:`~repro.exec.shard.ShardResult` objects whose shard ranges
@@ -115,9 +69,9 @@ class ShardJournal:
     (a torn entry re-executes — it never corrupts the merge).
     """
 
-    def __init__(self, root, fingerprint: str) -> None:
-        self.fingerprint = fingerprint
-        self.dir = Path(root) / fingerprint
+    def __init__(self, root, key: str) -> None:
+        self.key = key
+        self.dir = Path(root) / key
         self.dir.mkdir(parents=True, exist_ok=True)
 
     def _entry_path(self, shard_index: int) -> Path:
@@ -129,7 +83,7 @@ class ShardJournal:
         blob = pickle.dumps(
             {
                 "version": JOURNAL_VERSION,
-                "fingerprint": self.fingerprint,
+                "key": self.key,
                 "start": result.shard.start,
                 "end": result.shard.end,
                 "result": result,
@@ -160,7 +114,7 @@ class ShardJournal:
             return None
         if (
             entry.get("version") != JOURNAL_VERSION
-            or entry.get("fingerprint") != self.fingerprint
+            or entry.get("key") != self.key
         ):
             return None
         return entry
@@ -308,7 +262,6 @@ __all__ = [
     "JournalError",
     "ShardJournal",
     "atomic_output",
-    "run_fingerprint",
     "seal",
     "unseal",
 ]

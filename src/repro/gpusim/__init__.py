@@ -24,7 +24,7 @@ from .device import Device, TransferLog
 from .kernel import KernelContext
 from .memory import DeviceArray, count_transactions
 from .pool import DevicePool, HostLink, LinkUsage, acquire_device
-from .residency import DeviceResidency, array_fingerprint
+from .residency import DeviceResidency
 from .spec import (
     BGI_PLATFORM,
     CpuSpec,
@@ -61,7 +61,6 @@ __all__ = [
     "PoolCostModel",
     "TransferLog",
     "acquire_device",
-    "array_fingerprint",
     "count_transactions",
     "predict_lane_rates",
     "predict_split",

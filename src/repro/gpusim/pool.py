@@ -229,7 +229,7 @@ class DevicePool:
 
         With device identity folded into cache keys every list has
         exactly one element; a key shared by two devices would mean the
-        pool aliased one calibration-fingerprinted upload across
+        pool aliased one calibration-keyed upload across
         devices (the bug the keying fix closes).
         """
         summary: dict[object, list[int]] = {}

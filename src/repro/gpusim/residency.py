@@ -5,8 +5,9 @@ and upload — over an entire run (§IV-G, §VI-E).  :class:`DeviceResidency`
 gives each simulated :class:`~repro.gpusim.device.Device` a keyed cache of
 allocations that outlive a single pipeline run, so fixed tables are
 uploaded once per device and reused across windows, shards and ``run()``
-calls.  Keys are content fingerprints (:func:`array_fingerprint`), so a
-changed calibration naturally misses and re-uploads; explicit invalidation
+calls.  Keys are content digests (the score tables' is the calibration's,
+computed once in ``calibrate()``), so a changed calibration naturally
+misses and re-uploads; explicit invalidation
 (:meth:`DeviceResidency.clear`) releases everything before a strict
 sanitizer teardown.
 
@@ -17,21 +18,6 @@ identical to the uncached engine.
 """
 
 from __future__ import annotations
-
-import hashlib
-
-import numpy as np
-
-
-def array_fingerprint(*arrays: np.ndarray) -> str:
-    """Content hash of one or more arrays (dtype, shape and bytes)."""
-    h = hashlib.sha1()
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        h.update(str(a.dtype).encode())
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
 
 
 class DeviceResidency:
@@ -85,4 +71,4 @@ class DeviceResidency:
             self.invalidate(key, free=free)
 
 
-__all__ = ["DeviceResidency", "array_fingerprint"]
+__all__ = ["DeviceResidency"]

@@ -5,16 +5,16 @@ costs (the ``cal_p_matrix`` input pass, the device score-table upload)
 must be paid once per *dataset*, not once per *job*.  This module keeps
 that state resident between jobs:
 
-* :class:`DatasetCache` — parsed (fasta, soap, prior) inputs, keyed by
-  content fingerprint, with a small LRU bound.
+* :class:`DatasetCache` — parsed inputs, keyed by the digest of their
+  files' bytes, with a small LRU bound.
 * :class:`CalibrationCache` — the calibration product, keyed by
-  (engine, input fingerprints).  Two layers: in-memory for a live daemon,
+  :func:`~repro.api.job_key`.  Two layers: in-memory for a live daemon,
   and an on-disk store under the daemon's state directory so a restarted
   daemon still skips the calibration pass (the kill/restart recovery path
   keeps its cache hits).
 * :class:`ResidentRunner` — runs one job through the sharded executor
   with ``resident=True``, so the worker pipeline (device + uploaded
-  tables, keyed by the calibration fingerprint via
+  tables, keyed by the calibration digest via
   :mod:`repro.gpusim.residency`) survives across jobs on each worker
   thread.
 
@@ -26,48 +26,29 @@ bitwise identical to CLI bytes.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import shutil
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
-from ..api import JobSpec
+from ..api import JobSpec, job_key
+from ..content import digest
 from ..core.detector import dataset_from_files
 from ..exec import calibrate_job, execute
 from ..faults.journal import atomic_output, seal, unseal
 
-#: On-disk calibration entry format version.
-CALIBRATION_STORE_VERSION = 1
+#: On-disk calibration entry format version; entries of another are
+#: misses.  Version 2: keys are :func:`~repro.api.job_key` addresses.
+CALIBRATION_STORE_VERSION = 2
 
-
-def file_fingerprint(path) -> str:
-    """Content hash of one input file (sha1 over raw bytes)."""
-    h = hashlib.sha1()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def job_input_key(spec: JobSpec) -> tuple:
-    """Content-derived identity of a job's parsed inputs.
-
-    The first three entries (fasta, primary soap, prior) identify the
-    parsed *dataset*; cohort jobs append one fingerprint per extra
-    sample.  Callers that cache the dataset key on the primary triple
-    (``key[:3]``) therefore share parsed inputs between a solo job and
-    any cohort led by the same sample.
-    """
-    key = (
-        file_fingerprint(spec.fasta),
-        file_fingerprint(spec.soap),
-        file_fingerprint(spec.prior) if spec.prior else "none",
-    )
-    return key + tuple(file_fingerprint(p) for p in spec.samples)
+#: What a calibration key leaves out: ``calibrate()`` reads only the
+#: engine and the inputs' bytes.
+CALIBRATION_KEY_EXCLUDES = (
+    "paths", "run control", "byte-invariant", "not calibrated")
 
 
 def write_job_output(result, spec: JobSpec) -> bytes:
@@ -118,18 +99,24 @@ def job_summary(result, spec: JobSpec, wall: float) -> str:
 
 
 class DatasetCache:
-    """LRU cache of parsed input datasets, keyed by content fingerprint."""
+    """LRU cache of parsed inputs, keyed by the digest of their files."""
 
     def __init__(self, max_entries: int = 4) -> None:
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._entries: OrderedDict[str, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def _lookup(self, key: tuple, parse):
-        """The entry under ``key``, calling ``parse()`` on a miss (outside
-        the lock: concurrent misses may parse twice, never block)."""
+    def get(self, key: str, parse, quarantine=None):
+        """The parsed input under ``key``, calling ``parse()`` on a miss
+        (outside the lock: concurrent misses may parse twice, never block).
+
+        A parse with a ``quarantine`` file bypasses the cache: its side
+        effect is what the caller asked for.
+        """
+        if quarantine:
+            return parse(quarantine=quarantine)
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -144,33 +131,6 @@ class DatasetCache:
                 self._entries.popitem(last=False)
         return value
 
-    def get(self, spec: JobSpec, key: tuple):
-        """The parsed dataset for a job (parsing on miss).
-
-        Jobs with a quarantine file bypass the cache: their parse has the
-        side effect the caller asked for.
-        """
-        if spec.quarantine:
-            return dataset_from_files(
-                spec.fasta, spec.soap, spec.prior, quarantine=spec.quarantine
-            )
-        return self._lookup(
-            key, lambda: dataset_from_files(spec.fasta, spec.soap, spec.prior)
-        )
-
-    def get_sample(self, path, fingerprint: str, quarantine=None):
-        """A parsed cohort sample batch, keyed by content fingerprint.
-
-        Shares this cache's LRU (sample keys are tagged so they can
-        never collide with dataset keys); quarantine parses bypass the
-        cache like dataset parses do.
-        """
-        from ..formats.soap import read_soap
-
-        if quarantine:
-            return read_soap(path, quarantine=quarantine)
-        return self._lookup(("sample", fingerprint), lambda: read_soap(path))
-
     def stats(self) -> dict:
         """Hit/miss counters and current size."""
         with self._lock:
@@ -184,10 +144,9 @@ class DatasetCache:
 class CalibrationCache:
     """Two-layer (memory + disk) cache of stripped calibration products.
 
-    Keys combine the engine with the input fingerprints; the disk layer
-    lives under the daemon's state directory so calibration survives a
-    daemon restart — the recovery path's repeated job still skips the
-    input pass.
+    The disk layer lives under the daemon's state directory so calibration
+    survives a daemon restart — the recovery path's repeated job still
+    skips the input pass.
     """
 
     def __init__(self, root) -> None:
@@ -199,15 +158,6 @@ class CalibrationCache:
         self.hits_disk = 0
         self.misses = 0
 
-    @staticmethod
-    def cache_key(spec: JobSpec, input_key: tuple) -> str:
-        """Stable fingerprint for one (engine, inputs) calibration."""
-        h = hashlib.sha256()
-        h.update(f"cal{CALIBRATION_STORE_VERSION}|{spec.engine}|".encode())
-        for part in input_key:
-            h.update(f"{part}|".encode())
-        return h.hexdigest()[:24]
-
     def _path(self, key: str) -> Path:
         return self.dir / f"{key}.pkl"
 
@@ -216,12 +166,14 @@ class CalibrationCache:
             blob = unseal(self._path(key).read_bytes())
             if blob is None:
                 return None  # torn entry: recompute
-            return pickle.loads(blob)
-        except (OSError, pickle.PickleError, EOFError, ValueError):
+            version, calibration = pickle.loads(blob)
+        except (OSError, pickle.PickleError, EOFError, ValueError, TypeError):
             return None
+        return calibration if version == CALIBRATION_STORE_VERSION else None
 
     def _store_disk(self, key: str, calibration) -> None:
-        blob = pickle.dumps(calibration, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps((CALIBRATION_STORE_VERSION, calibration),
+                            protocol=pickle.HIGHEST_PROTOCOL)
         with atomic_output(self._path(key)) as f:
             f.write(seal(blob))
 
@@ -298,26 +250,33 @@ class ResidentRunner:
         """
         spec = job.spec.validate(require_inputs=True)
         t0 = time.perf_counter()
-        input_key = job_input_key(spec)
-        # The dataset is identified by the primary (fasta, soap, prior)
-        # triple alone, so a solo job and a cohort led by the same sample
-        # hit the same parsed entry; the calibration key keeps the full
-        # cohort identity (pooled reads differ per cohort).
-        dataset = self.datasets.get(spec, input_key[:3])
-
+        # Each input file is read and hashed once per job.  The dataset
+        # entry covers (fasta, soap, prior) alone, so a solo job and a
+        # cohort led by the same sample share it; each sample file has its
+        # own entry, and the calibration key names every one in order.
+        dataset_key = digest(
+            Path(spec.fasta), Path(spec.soap),
+            Path(spec.prior) if spec.prior else None,
+        )
+        sample_keys = [digest(Path(p)) for p in spec.samples]
+        dataset = self.datasets.get(dataset_key, partial(
+            dataset_from_files, spec.fasta, spec.soap, spec.prior,
+        ), spec.quarantine)
         sample_reads = None
         if spec.is_cohort:
             from ..align.records import AlignmentBatch
+            from ..formats.soap import read_soap
 
-            sample_reads = [AlignmentBatch.from_read_set(dataset.reads)]
-            for path, fp in zip(spec.samples, input_key[3:]):
-                sample_reads.append(
-                    self.datasets.get_sample(
-                        path, fp, quarantine=spec.quarantine
-                    )
-                )
+            sample_reads = [AlignmentBatch.from_read_set(dataset.reads)] + [
+                self.datasets.get(key, partial(read_soap, path),
+                                  spec.quarantine)
+                for path, key in zip(spec.samples, sample_keys)
+            ]
 
-        cal_key = self.calibrations.cache_key(spec, input_key)
+        cal_key = job_key(
+            spec, exclude=CALIBRATION_KEY_EXCLUDES, dataset=dataset_key,
+            samples=sample_keys,
+        )
         calibration = self.calibrations.get(cal_key)
         if calibration is None:
             calibration = calibrate_job(
@@ -356,13 +315,12 @@ class ResidentRunner:
 
 
 __all__ = [
+    "CALIBRATION_KEY_EXCLUDES",
     "CALIBRATION_STORE_VERSION",
     "CalibrationCache",
     "DatasetCache",
     "ResidentRunner",
     "RunOutcome",
-    "file_fingerprint",
-    "job_input_key",
     "job_summary",
     "write_job_output",
 ]

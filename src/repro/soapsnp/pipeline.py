@@ -20,6 +20,7 @@ import numpy as np
 from ..align.records import AlignmentBatch
 from ..bench.events import PhaseRecord, PhaseScope, RunProfile
 from ..constants import BASE_OCC_SIZE, DEFAULT_WINDOW_SOAPSNP, N_GENOTYPES
+from ..content import digest
 from ..formats.cns import ResultTable, format_rows
 from ..formats.soap import soap_line_bytes
 from ..formats.window import WindowReader
@@ -54,6 +55,8 @@ class SoapsnpCalibration:
     p_matrix: np.ndarray
     pm_flat: np.ndarray
     penalty: np.ndarray
+    #: :func:`~repro.content.digest` of ``(pm_flat, penalty)``.
+    digest: str
     input_bytes: int
     total_reads: int
     record: PhaseRecord
@@ -97,6 +100,7 @@ class SoapsnpPipeline:
             p_matrix=p_matrix,
             pm_flat=pm_flat,
             penalty=penalty,
+            digest=digest(pm_flat, penalty),
             input_bytes=input_bytes,
             total_reads=reads.n_reads,
             record=rec,

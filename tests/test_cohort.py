@@ -286,15 +286,38 @@ class TestCrashResume:
         for si, (_, blob) in enumerate(solo[2]):
             assert cohort_output_path(out, si).read_bytes() == blob, si
 
-    def test_cohort_journal_never_splices_into_solo(self, cals):
-        from repro.faults import run_fingerprint
+    @pytest.mark.parametrize("order", [(1, 0), (0,)],
+                             ids=["reordered", "solo"])
+    def test_resume_as_another_cohort_recomputes(
+        self, ds, batches, tmp_path, monkeypatch, order
+    ):
+        """The journal of cohort (A, B) is spliced neither into (B, A) —
+        the pooled calibration does not depend on read order — nor into
+        A alone."""
+        from repro.exec import executor
 
-        kw = dict(
-            engine="gsnp", window_size=WINDOW, variant_name="optimized",
-            n_sites=3000, shard_bounds=[(0, 1024)], calibration=cals[4],
-        )
-        assert run_fingerprint(**kw) != run_fingerprint(**kw, n_samples=4)
-        assert run_fingerprint(**kw) == run_fingerprint(**kw, n_samples=1)
+        monkeypatch.setattr(executor, "MAX_RETRIES", 0)
+        last = len(plan_shards(ds.n_sites, WINDOW, 1024, 1)) - 1
+        poison = FaultPlan([
+            FaultSpec(site="exec.shard.error", key=last, times=99),
+        ])
+        jdir = tmp_path / "journal"
+        base = JobSpec(engine="gsnp", window=WINDOW, shard_size=1024)
+        journaled = replace(base, journal=str(jdir))
+        resumed = [batches[i] for i in order]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            with pytest.raises(ShardError):
+                execute(ds, spec=replace(journaled, faults=poison),
+                        sample_reads=batches[:2])
+            assert len(list(jdir.rglob("shard-*.pkl"))) == last
+            res = execute(ds, spec=replace(journaled, resume=True),
+                          sample_reads=resumed)
+        fresh = execute(ds, spec=base, sample_reads=resumed)
+        assert res.extras["exec"]["resumed"] == 0
+        for si in range(len(order)):
+            assert res.sample_result(si).compressed_output \
+                == fresh.sample_result(si).compressed_output, si
 
 
 class TestSpecAndHelpers:

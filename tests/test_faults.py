@@ -36,26 +36,28 @@ from repro.faults import (
     fault_plan,
     fault_point,
     install_plan,
-    run_fingerprint,
 )
 from repro.faults.journal import JOURNAL_VERSION, seal, unseal
 from repro.seqsim.datasets import KnownSnpPrior
+from repro.seqsim.reference import Reference
+from repro.soapsnp.model import CallingParams
 from repro.serve.runner import write_job_output
 
 WINDOW = 512
 
 
 def _run(dataset, output, engine="gsnp_cpu", *, journal_dir=None,
-         **spec_kwargs):
-    """Run of 1024-site shards, on the serial lane unless ``workers`` says
-    otherwise (deterministic, no worker processes); the
+         params=None, shard_size=1024, **spec_kwargs):
+    """Run of ``shard_size``-site shards, on the serial lane unless
+    ``workers`` says otherwise (deterministic, no worker processes); the
     ``gpusim.device.alloc`` site needs ``engine="gsnp"``.  The file is the
     merged compressed blob, so byte checks cover it."""
     spec = JobSpec(
-        engine=engine, window=WINDOW, shard_size=1024, journal=journal_dir,
-        output=str(output), compressed=True, **spec_kwargs,
+        engine=engine, window=WINDOW, shard_size=shard_size,
+        journal=journal_dir, output=str(output), compressed=True,
+        **spec_kwargs,
     )
-    result = execute(dataset, spec=spec)
+    result = execute(dataset, spec=spec, params=params)
     write_job_output(result, spec)
     return result
 
@@ -422,6 +424,54 @@ class TestCheckpointResume:
         assert res.extras["exec"]["resumed"] == 0
         assert out.read_bytes() == base_bytes
 
+    @pytest.mark.parametrize("change", [
+        "reference", "params", "engine", "shard_plan",
+    ])
+    def test_resume_under_another_input_recomputes(
+        self, change, small_dataset, tmp_path, no_retries
+    ):
+        """A journal is spliced only into the run that wrote it.  The
+        reference edit flips a base no read covers: the calibration stays
+        the same, but that site's row carries the base."""
+        n = small_dataset.n_sites
+        other, run_kw = small_dataset, {}
+        if change == "reference":
+            reads = small_dataset.reads
+            edges = np.zeros(n + reads.read_len + 1, dtype=np.int64)
+            np.add.at(edges, reads.pos, 1)
+            np.add.at(edges, reads.pos + reads.read_len, -1)
+            site = int(np.flatnonzero(np.cumsum(edges)[:n] == 0)[0])
+            assert site < 1024  # inside the shard the kill commits first
+            codes = small_dataset.reference.codes.copy()
+            codes[site] = (codes[site] + 1) % 4
+            other = replace(small_dataset, reference=Reference(
+                small_dataset.reference.name, codes,
+            ))
+        else:
+            run_kw = {
+                "params": dict(params=CallingParams(
+                    read_len=small_dataset.reads.read_len, novel_rate=2e-3,
+                )),
+                "engine": dict(engine="gsnp"),
+                "shard_plan": dict(shard_size=2048),
+            }[change]
+        last = len(plan_shards(n, WINDOW, 1024, 1)) - 1
+        poison = FaultPlan([
+            FaultSpec(site="exec.shard.error", key=last, times=99),
+        ])
+        out, jdir = tmp_path / "other.out", tmp_path / "journal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            with pytest.raises(ShardError):
+                _run(small_dataset, out, faults=poison, journal_dir=str(jdir))
+            assert len(list(jdir.rglob("shard-*.pkl"))) == last
+            res = _run(other, out, journal_dir=str(jdir), resume=True,
+                       **run_kw)
+            fresh = _run(other, tmp_path / "fresh.out", **run_kw)
+        assert res.extras["exec"]["resumed"] == 0
+        assert out.read_bytes() == (tmp_path / "fresh.out").read_bytes()
+        assert res.table.equals(fresh.table)
+
     def test_resume_without_journal_recomputes(
         self, small_dataset, baseline, tmp_path
     ):
@@ -450,24 +500,6 @@ class TestCheckpointResume:
         for raw in (b"torn garbage, no digest header", other_version):
             path.write_bytes(raw)
             assert journal.load(shards) == {}
-
-    def test_fingerprint_sensitivity(self, small_dataset):
-        from types import SimpleNamespace
-
-        cal = SimpleNamespace(
-            pm_flat=np.arange(8, dtype=np.float64),
-            penalty=np.arange(4, dtype=np.float64),
-            total_reads=100,
-        )
-        shards = plan_shards(small_dataset.n_sites, WINDOW, 1024, 2)
-        bounds = [(s.start, s.end) for s in shards]
-        a = run_fingerprint("gsnp_cpu", WINDOW, "opt", 4096, bounds, cal)
-        b = run_fingerprint("gsnp_cpu", WINDOW, "opt", 4096, bounds[:-1],
-                            cal)
-        c = run_fingerprint("gsnp", WINDOW, "opt", 4096, bounds, cal)
-        d = run_fingerprint("gsnp_cpu", WINDOW, "opt", 4096, bounds, cal,
-                            prior=small_dataset.prior)
-        assert len({a, b, c, d}) == 4
 
 
 class TestAtomicOutput:

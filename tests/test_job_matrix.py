@@ -10,12 +10,19 @@ and leave no file, and a poisoned-shard kill resumes to the oracle's
 bytes.  On regions of the table, event
 counters depend on the launch chain alone and executor/pool bookkeeping
 accounts for every shard.  The suite's accuracy is pinned here too.
+
+The content keys (``repro.api.job_key``) are derived from the same table:
+every field a key keeps changes it, and every field it leaves out is
+proven harmless for the reason its group names — a byte-invariant axis
+gives the same bytes at every value, a field ``calibrate()`` never reads
+leaves the calibration alone.
 """
 
 import sys
 import tempfile
+import typing
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -23,20 +30,23 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.align.records import AlignmentBatch
-from repro.api import JobSpec, create_pipeline, effective_window
+from repro.api import (
+    KEY_EXCLUSIONS, JobSpec, create_pipeline, effective_window, job_key,
+)
 from repro.compress.columnar import encode_table
 from repro.constants import DEFAULT_WINDOW_GSNP
 from repro.core.cohort import cohort_output_path, pooled_batch
 from repro.core.detector import GsnpDetector
 from repro.errors import GsnpError
-from repro.exec import plan_shards
+from repro.exec import calibrate_job, plan_shards
+from repro.exec.executor import SHARD_KEY_EXCLUDES
 from repro.gpusim.launchplan import MEGABATCH_WINDOWS
 from repro.faults import FaultPlan, FaultSpec
 from repro.formats.cns import format_rows
 from repro.formats.soap import read_soap, write_soap
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
 from repro.seqsim.reads import simulate_reads
-from repro.serve.runner import write_job_output
+from repro.serve.runner import CALIBRATION_KEY_EXCLUDES, write_job_output
 
 # The suite's oracle check, imported as its own tests import it (appended:
 # the suite's trace.py must not shadow the standard library's).
@@ -66,6 +76,7 @@ AXES = {
 WIDE = {"window": (100, 1600, 4000), "workers": (4,),
         "shard_size": (256, 1024, 5000), "devices": (3,),
         "faults": tuple(range(4, 64))}
+WIDE_AXES = {a: v + WIDE.get(a, ()) for a, v in AXES.items()}
 
 
 def case(**values):
@@ -330,12 +341,144 @@ class TestJobMatrix:
 
     @pytest.mark.tier2
     def test_any_spec_is_oracle_bytes_or_typed_error_wide(self, env):
-        @profile({a: v + WIDE.get(a, ()) for a, v in AXES.items()}, n=400,
-                 derandomize=False)
+        @profile(WIDE_AXES, n=400, derandomize=False)
         def prop(c):
             check_job(env, c)
 
         prop()
+
+
+#: Each content key -> the reasons it leaves fields out, and what a stale
+#: hit would splice: a run's bytes, or a calibration.
+KEYS = {
+    "journal and resident pipeline": (SHARD_KEY_EXCLUDES, "bytes"),
+    "calibration": (CALIBRATION_KEY_EXCLUDES, "calibration"),
+}
+#: A value of each field type other than the default; ``None`` defaults
+#: take their annotation's type.
+TYPED = {bool: lambda d: not d, int: lambda d: d + 1,
+         float: lambda d: 1.5, str: lambda d: "other",
+         tuple: lambda d: ("other",), FaultPlan: lambda d: FaultPlan()}
+
+
+def perturbations(name: str, axes: dict, base: JobSpec) -> list:
+    """Values of field ``name`` other than ``base``'s: the ``axes``
+    table's where it holds field values, else one derived from the
+    field's type."""
+    default = getattr(base, name)
+    if name in axes and name not in ("samples", "faults"):
+        values = axes[name]
+    else:
+        hint = typing.get_type_hints(JobSpec)[name]
+        kind = next(t for t in typing.get_args(hint) or (hint,)
+                    if t is not type(None))
+        values = (TYPED[kind](default),)
+    return [v for v in values if v != default]
+
+
+def job_bytes(env: Env, spec: JobSpec) -> list:
+    """Every sample's text rows and compressed stream."""
+    res = run(env, spec)
+    return [(format_rows(m.table), m.compressed_output)
+            for m in (res.samples if spec.is_cohort else [res])]
+
+
+def calibration_of(env: Env, spec: JobSpec) -> tuple:
+    """What a stored calibration holds, the measured wall clock blanked."""
+    cal = calibrate_job(env.ds, spec)
+    return (cal.digest, cal.temp_len, cal.total_reads,
+            replace(cal.record, wall=0.0), cal.new_p_flat is None)
+
+
+def left_out(excludes) -> set:
+    return set().union(*(KEY_EXCLUSIONS[r] for r in excludes))
+
+
+def to_prove(spliced: str, axes: dict, base: JobSpec) -> list:
+    """(key, field, value) for every field a key splicing ``spliced``
+    leaves out, at every value but ``base``'s: paths and run control have
+    their own proofs."""
+    own = KEY_EXCLUSIONS["paths"] | KEY_EXCLUSIONS["run control"]
+    return [(name, f, v) for name, (excludes, what) in KEYS.items()
+            if what == spliced
+            for f in sorted(left_out(excludes) - own)
+            for v in perturbations(f, axes, base)]
+
+
+TABLES = [pytest.param(AXES, id="axes"),
+          pytest.param(WIDE_AXES, id="wide", marks=pytest.mark.tier2)]
+
+
+class TestContentAddress:
+    @pytest.mark.parametrize("name", list(KEYS))
+    def test_key_changes_with_every_field_it_keeps(self, name):
+        excludes, _ = KEYS[name]
+        base = JobSpec()
+        kept = [f.name for f in fields(JobSpec)
+                if f.name not in left_out(excludes)]
+        assert kept
+        for field in kept:
+            for value in perturbations(field, WIDE_AXES, base):
+                other = replace(base, **{field: value})
+                assert job_key(other, excludes) != job_key(base, excludes), \
+                    (field, value)
+
+    def test_every_exclusion_is_one_named_reason(self):
+        names = {f.name for f in fields(JobSpec)}
+        seen: set = set()
+        for reason, group in KEY_EXCLUSIONS.items():
+            assert group <= names, reason
+            assert not group & seen, reason
+            seen |= group
+        for excludes, _ in KEYS.values():
+            assert set(excludes) <= set(KEY_EXCLUSIONS)
+
+    def test_paths_are_the_fields_validate_reads_as_paths(self):
+        def is_path(name):
+            try:
+                replace(JobSpec(), **{
+                    name: (3,) if name == "samples" else 3,
+                }).validate()
+            except ValueError as exc:
+                return f"{name} must be a path" in str(exc)
+            return False
+
+        path_fields = {f.name for f in fields(JobSpec) if is_path(f.name)}
+        assert KEY_EXCLUSIONS["paths"] \
+            == path_fields - KEY_EXCLUSIONS["run control"]
+
+    def test_run_control_is_what_a_kill_and_resume_set(self):
+        plain = JobSpec(fasta="ref.fa", soap="reads.soap")
+        poison = FaultSpec(site="exec.shard.error", key=0, times=99)
+        killed = replace(plain, journal="j",
+                         faults=FaultPlan().with_spec(poison))
+        resumed = replace(plain, journal="j", resume=True)
+        changed = {f.name for f in fields(JobSpec)
+                   for spec in (killed, resumed)
+                   if getattr(spec, f.name) != getattr(plain, f.name)}
+        assert KEY_EXCLUSIONS["run control"] == changed
+        assert job_key(killed, SHARD_KEY_EXCLUDES) \
+            == job_key(resumed, SHARD_KEY_EXCLUDES)
+
+    @pytest.mark.parametrize("axes", TABLES)
+    def test_byte_invariant_exclusions_keep_bytes(self, env, axes):
+        """Each is an axis of the matrix, and every value of it gives
+        the bytes of the default."""
+        base = JobSpec(**{a: v for a, v in case().items()
+                          if a not in ("samples", "faults", "resume")})
+        want = job_bytes(env, base)
+        for name, field, value in to_prove("bytes", axes, base):
+            assert field in AXES, (name, field)
+            other = replace(base, **{field: value})
+            assert job_bytes(env, other) == want, (name, field, value)
+
+    @pytest.mark.parametrize("axes", TABLES)
+    def test_calibration_key_exclusions_keep_the_calibration(self, env, axes):
+        base = JobSpec(engine="gsnp", window=256)
+        want = calibration_of(env, base)
+        for name, field, value in to_prove("calibration", axes, base):
+            other = replace(base, **{field: value})
+            assert calibration_of(env, other) == want, (name, field, value)
 
 
 #: (precision, recall) of each suite workload at seed 0, scale 8: exact

@@ -1,10 +1,14 @@
 """Unit coverage for the remaining small pieces: recycle, GPU posterior
-accounting, fixed-cost scaling, CLI edge cases."""
+accounting, fixed-cost scaling, CLI edge cases, the content hash."""
+
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench.events import PhaseRecord
+from repro.content import digest
 from repro.core.recycle import gsnp_recycle
 from repro.gpusim.device import Device
 
@@ -138,3 +142,35 @@ class TestWholeGenomeSpecs:
         by_name = {s.name: s.n_sites for s in specs}
         assert by_name["chr1-sim"] == max(by_name.values())
         assert by_name["chr21-sim"] == min(by_name.values())
+
+
+class TestDigest:
+    def test_framing_is_prefix_free(self):
+        assert digest("ab", "c") != digest("a", "bc")
+        assert digest(("a",), "b") != digest("a", ("b",))
+        a = np.arange(4, dtype=np.int32)
+        assert len({digest(a), digest(a.view(np.int16)),
+                    digest(a.reshape(2, 2))}) == 3
+        assert len({digest(True), digest(1), digest(1.0), digest(None),
+                    digest("1")}) == 5
+
+    def test_a_file_stands_for_its_bytes(self, tmp_path):
+        a, b = tmp_path / "a.soap", tmp_path / "b.soap"
+        a.write_bytes(b"reads")
+        b.write_bytes(b"reads")
+        assert digest(Path(a)) == digest(Path(b)) != digest(str(a))
+        b.write_bytes(b"other reads")
+        assert digest(Path(a)) != digest(Path(b))
+
+    def test_unknown_types_are_refused(self):
+        with pytest.raises(TypeError, match="cannot digest"):
+            digest(object())
+
+    def test_a_sealed_record_keeps_the_plain_sha256_line(self):
+        """Ledger records sealed by any version stay readable."""
+        from repro.faults.journal import seal, unseal
+
+        blob = b'{"job_id": "j1", "state": "pending"}'
+        sealed = hashlib.sha256(blob).hexdigest().encode() + b"\n" + blob
+        assert seal(blob) == sealed
+        assert unseal(sealed) == blob

@@ -4,7 +4,7 @@ The load-bearing guarantees (ISSUE acceptance):
 
 * jobs served by the resident daemon — including concurrent ones — are
   bitwise identical to a one-shot ``gsnp call`` over the same inputs;
-* a repeated job hits the cross-job caches (calibration fingerprint and
+* a repeated job hits the cross-job caches (the calibration store and
   device score-table residency), visible in ``/stats``;
 * per-tenant admission quotas reject at submit time;
 * a daemon killed mid-job resumes it on restart from the ledger + shard
@@ -340,6 +340,78 @@ class TestResidentCaches:
             > stats0["resident"]["table_hits"]
         )
         assert out.read_bytes() == serve_inputs["ref_bytes"]
+
+    def test_cohort_jobs_share_parsed_inputs_and_key_sample_order(
+        self, serve_inputs, tmp_path
+    ):
+        """Cohort jobs reuse the solo job's parsed dataset and parse each
+        sample file once, but cohorts (A, B) and (B, A) are two
+        calibration entries; each job's bytes are the ``gsnp call``
+        job's."""
+        from repro.align.records import AlignmentBatch
+        from repro.core.cohort import cohort_output_path
+        from repro.formats.soap import write_soap
+        from repro.seqsim.datasets import DatasetSpec, generate_dataset
+        from repro.serve.runner import ResidentRunner
+
+        a, b = str(tmp_path / "a.soap"), str(tmp_path / "b.soap")
+        for path, seed in ((a, 12), (b, 13)):
+            write_soap(path, AlignmentBatch.from_read_set(generate_dataset(
+                DatasetSpec(name="chrServe", n_sites=SITES, depth=4.0,
+                            coverage=0.9, read_len=60, seed=seed),
+            ).reads))
+        runner = ResidentRunner(tmp_path / "state")
+        try:
+            outcomes = [
+                runner.run_job(types.SimpleNamespace(
+                    spec=_spec(serve_inputs, samples=samples),
+                    job_id=f"job{i}", recovered=False,
+                ))
+                for i, samples in enumerate(((), (a, b), (b, a), (a, b)))
+            ]
+        finally:
+            release_resident()
+        assert outcomes[0].blob == serve_inputs["ref_bytes"]
+        out = tmp_path / "call.cns"
+        assert main_call([
+            serve_inputs["fasta"], serve_inputs["soap"], "--prior",
+            serve_inputs["prior"], "--window", str(WINDOW), "-o", str(out),
+            "--samples", b, a,
+        ]) == 0
+        assert outcomes[2].blob == b"".join(
+            cohort_output_path(out, i).read_bytes() for i in range(3))
+        assert outcomes[3].blob == outcomes[1].blob != outcomes[2].blob
+        stats = runner.stats()
+        assert (stats["datasets"]["misses"], stats["datasets"]["hits"]) \
+            == (3, 7)
+        assert (stats["calibration"]["misses"], stats["calibration"]["hits"]) \
+            == (3, 1)
+
+    def test_calibration_entry_of_another_store_version_is_a_miss(
+        self, tmp_path
+    ):
+        """A stored calibration of another store version (a daemon
+        upgraded mid-job finds such entries) or a torn one is a miss."""
+        import pickle
+
+        from repro.faults.journal import seal, unseal
+        from repro.serve.runner import (
+            CALIBRATION_STORE_VERSION,
+            CalibrationCache,
+        )
+
+        CalibrationCache(tmp_path).put("key", ["calibration"])
+        assert CalibrationCache(tmp_path).get("key") == ["calibration"]
+        (path,) = tmp_path.glob("*.pkl")
+        version, calibration = pickle.loads(unseal(path.read_bytes()))
+        assert version == CALIBRATION_STORE_VERSION
+        for raw in (seal(pickle.dumps((version - 1, calibration))),
+                    seal(pickle.dumps(calibration)),  # version 1's layout
+                    b"torn garbage, no digest header"):
+            path.write_bytes(raw)
+            cache = CalibrationCache(tmp_path)
+            assert cache.get("key") is None
+            assert cache.stats()["misses"] == 1
 
     def test_serial_lane_runs_on_the_callers_thread(
         self, small_dataset, monkeypatch
