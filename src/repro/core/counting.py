@@ -56,17 +56,19 @@ def gsnp_counting(
     :func:`repro.core.base_word.words_from_observations` exactly (tested),
     while charging realistic device traffic.
     """
-    sel = np.nonzero(obs.counted)[0]
-    m = sel.size
     n_sites = obs.n_sites
+    # Arrival order: the raw input order the counting kernel sees.
+    # ``arrival`` is a permutation of the observations, so inverting it is
+    # one scatter; the counted entries then keep their arrival order.
+    by_arrival = np.empty(obs.n_obs, dtype=np.int64)
+    by_arrival[obs.arrival] = np.arange(obs.n_obs)
+    sel = by_arrival[obs.counted[by_arrival]]
+    m = sel.size
     if m == 0:
         return (
             np.empty(0, dtype=np.uint32),
             np.zeros(n_sites + 1, dtype=np.int64),
         )
-    # Arrival order: the raw input order the counting kernel sees.
-    arr_order = np.argsort(obs.arrival[sel], kind="stable")
-    sel = sel[arr_order]
     site_h = obs.site[sel]
     words_h = pack_words(
         obs.base[sel], obs.score[sel], obs.coord[sel], obs.strand[sel]
@@ -88,8 +90,9 @@ def gsnp_counting(
     # the site (what per-site atomicAdd on a cursor array yields for
     # arrival-ordered threads).
     # site_h is NOT sorted (arrival order), so the ordinal must be computed
-    # by stable grouping, not adjacency.
-    order = np.argsort(site_h, kind="stable")
+    # by grouping, not adjacency: one sort of the unique packed key
+    # (site, arrival rank) groups each site's threads in arrival order.
+    order = np.argsort(site_h.astype(np.int64) * m + np.arange(m))
     sorted_site = site_h[order]
     grp_change = np.concatenate([[True], sorted_site[1:] != sorted_site[:-1]])
     run_start = np.nonzero(grp_change)[0]

@@ -232,9 +232,10 @@ def _comp_kernel(
     in-kernel, accounted by :func:`repro.core.fused.fused_posterior_tail`.
 
     ``dep_rank`` (:func:`dep_count_ranks`, indexed like ``words_dev``) is
-    what the ``dep_count`` read-modify-write yields.  The load and store
-    on ``dep_dev`` are still issued, so counters and the sanitizer see
-    the real traffic while the host keeps no mirror of the array.
+    what the ``dep_count`` read-modify-write yields.  ``dep_dev`` and the
+    unfused ``tl_dev`` are value-free arrays: their loads and stores are
+    still issued, so counters and the sanitizer see the real traffic,
+    but no value of either is kept (the results come home via ``acc``).
     """
     n = ctx.n_threads
     tid = ctx.tid
@@ -346,12 +347,14 @@ def _launch_comp(
         n = rows.size
         tl_dev = None
         if not fused:
-            tl_dev = device.alloc(n * 16, np.float64, "type_likely")
             # The kernel stores the real global-memory output here (charged
             # as traffic); the simulator hands results back through ``acc``.
-            tl_dev.mark_consumed()
+            tl_dev = device.alloc(
+                n * 16, np.float64, "type_likely", value_free=True
+            )
         dep_dev = device.alloc(
-            n * N_STRANDS * MAX_READ_LEN, np.int32, "dep_count"
+            n * N_STRANDS * MAX_READ_LEN, np.int32, "dep_count",
+            value_free=True,
         )
         acc = np.empty((n, N_GENOTYPES), dtype=np.float64)
         device.launch(

@@ -119,6 +119,7 @@ class Device:
         name: str = "anon",
         space: str = "global",
         init: bool = True,
+        value_free: bool = False,
     ) -> DeviceArray:
         """Allocate a device array.
 
@@ -128,10 +129,18 @@ class Device:
         simulator never produces garbage), but under ``sanitize=True``
         reading an element before any kernel stores to it is reported as
         an uninitialized read.
+
+        ``value_free=True`` is for an array whose values no output depends
+        on (see :class:`~repro.gpusim.memory.DeviceArray`): it is charged
+        in full but, off the sanitizer, backed by no store.
         """
-        data = np.zeros(shape, dtype=dtype)
+        if value_free and not self.sanitize:
+            data = np.broadcast_to(np.zeros((), dtype=dtype), shape)
+        else:
+            data = np.zeros(shape, dtype=dtype)
         return self._register(
-            DeviceArray(name, data, space, self), initialized=init
+            DeviceArray(name, data, space, self, value_free=value_free),
+            initialized=init,
         )
 
     def to_device(
@@ -163,6 +172,7 @@ class Device:
     def from_device(self, arr: DeviceArray) -> np.ndarray:
         """Copy a device array back to the host, accounting PCIe traffic."""
         arr.require_live()
+        arr._require_values()
         self.transfers.d2h_bytes += arr.nbytes
         self.transfers.d2h_count += 1
         if self.link is not None:

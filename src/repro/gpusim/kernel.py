@@ -7,7 +7,9 @@ SIMT execution, and exactly the "vectorize your loops" idiom the scientific
 Python optimization guide prescribes.  Every device-memory access goes
 through the :class:`KernelContext`, which
 
-* performs the real gather/scatter on the backing NumPy array, and
+* performs the real gather/scatter on the backing NumPy array (a
+  value-free array has none: its loads return ``fill`` and its stores
+  write nothing), and
 * runs per-warp coalescing analysis so the device's hardware counters
   reflect what a Fermi GPU would have done.
 
@@ -306,6 +308,11 @@ class KernelContext:
         )
         if _OP_OBSERVER is not None:
             self._observe("gload", arr, tx, n_live, warps, depth=depth)
+        if not arr._stored:
+            # Value-free array: charged and checked, nothing to read.
+            self._bounds_check(arr, midx if live is None else midx[live])
+            arr._kernel_reads += 1
+            return np.full(self.n_threads, fill, dtype=arr.dtype)
         flat = arr.flat_view()
         if live is None:
             self._bounds_check(arr, midx)
@@ -367,17 +374,16 @@ class KernelContext:
         n_live = fan.size * (
             idx.size if act is None else int(np.count_nonzero(act))
         )
-        if not n_live:
-            out = np.full((idx.size, fan.size), fill, dtype=arr.dtype)
-        else:
-            # Dead lanes gather from element 0, then read ``fill``.
-            rows = idx if act is None else np.maximum(midx, 0)
-            block = rows[:, None] + fan[None, :]
-            if int(rows.max()) + int(fan.max()) >= arr.size:
-                self._bounds_check(arr, block)
-            out = arr.flat_view()[block]
+        # Dead lanes gather from element 0, then read ``fill``.
+        rows = idx if act is None else np.maximum(midx, 0)
+        if n_live and int(rows.max()) + int(fan.max()) >= arr.size:
+            self._bounds_check(arr, rows[:, None] + fan[None, :])
+        if n_live and arr._stored:
+            out = arr.flat_view()[rows[:, None] + fan[None, :]]
             if act is not None:
                 out[~act] = fill
+        else:
+            out = np.full((idx.size, fan.size), fill, dtype=arr.dtype)
         self.counters.bump_global(
             load_tx=tx, load_bytes=n_live * arr.itemsize,
             inst=warps * fan.size,
@@ -409,6 +415,10 @@ class KernelContext:
         )
         if _OP_OBSERVER is not None:
             self._observe("gstore", arr, tx, n_live, warps)
+        if not arr._stored:
+            self._bounds_check(arr, midx if live is None else midx[live])
+            arr._writes += 1
+            return
         vals = np.broadcast_to(
             np.asarray(values, dtype=arr.dtype), (self.n_threads,)
         )
@@ -445,6 +455,10 @@ class KernelContext:
         )
         if _OP_OBSERVER is not None:
             self._observe("gatomic_add", arr, tx, n_live, warps)
+        if not arr._stored:
+            self._bounds_check(arr, midx if live is None else midx[live])
+            arr._writes += 1
+            return
         vals = np.broadcast_to(
             np.asarray(values, dtype=arr.dtype), (self.n_threads,)
         )

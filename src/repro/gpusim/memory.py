@@ -301,6 +301,18 @@ class DeviceArray:
     from elements whose shadow bit is clear are reported as uninitialized
     reads.  ``_host_reads``/``_kernel_reads``/``_writes`` feed the device
     teardown leak check.
+
+    A *value-free* array (``Device.alloc(..., value_free=True)``) is one
+    whose values no output depends on: the simulator charges its traffic
+    but never needs its bytes.  It keeps its name, shape, dtype, size,
+    global-memory charge and read/write tallies, and is exempt from the
+    never-read teardown check (modeled code consumes it).  Its store is
+    a read-only zero-stride view (``_stored`` is false): kernel loads
+    return the ``fill`` block and kernel stores write nothing.  A
+    sanitizing device materializes it instead (the shadow bitmaps need
+    per-element state), so sanitized runs execute every access for
+    real.  Either way, host reads (``.data``, ``copy_to_host``,
+    ``Device.from_device``) raise :class:`DeviceError`.
     """
 
     __slots__ = (
@@ -314,6 +326,8 @@ class DeviceArray:
         "_kernel_reads",
         "_writes",
         "_consumed",
+        "value_free",
+        "_stored",
     )
 
     def __init__(
@@ -322,6 +336,7 @@ class DeviceArray:
         data: np.ndarray,
         space: str = "global",
         device: Optional[object] = None,
+        value_free: bool = False,
     ) -> None:
         if space not in SPACES:
             raise DeviceError(f"unknown memory space {space!r}")
@@ -334,7 +349,9 @@ class DeviceArray:
         self._host_reads = 0
         self._kernel_reads = 0
         self._writes = 0
-        self._consumed = False
+        self._consumed = value_free
+        self.value_free = value_free
+        self._stored = data.flags.writeable or not value_free
 
     # -- backing store ----------------------------------------------------
 
@@ -344,7 +361,9 @@ class DeviceArray:
 
         Host code may read or write through this view, so in sanitize mode
         any access conservatively marks the whole array initialized.
+        A value-free array has no values to give: :class:`DeviceError`.
         """
+        self._require_values()
         self._host_reads += 1
         if self._shadow is not None:
             self._shadow[:] = True
@@ -352,6 +371,7 @@ class DeviceArray:
 
     @data.setter
     def data(self, value: np.ndarray) -> None:
+        self._require_values()
         self._data = value
         self._writes += 1
         if self._shadow is not None:
@@ -366,10 +386,12 @@ class DeviceArray:
         device code the simulator does not execute.
 
         Some kernels charge realistic traffic for an output whose actual
-        values the simulator then computes on the host (e.g. the radix-sort
-        histogram, whose 256-bin scan consumer is folded into the launch).
-        Calling this suppresses the sanitizer's ``leak-never-read`` teardown
-        check for the array without inflating the read tallies.
+        values the simulator then computes on the host (e.g. the GPU DICT
+        encoder's binary-search result).  Calling this suppresses the
+        sanitizer's ``leak-never-read`` teardown check for the array
+        without inflating the read tallies.  An array whose values nothing
+        reads at all is better allocated value-free (see the class
+        docstring), which implies this.
         """
         self._consumed = True
 
@@ -404,19 +426,33 @@ class DeviceArray:
         if self._freed:
             raise DeviceError(f"use of freed device array {self.name!r}")
 
+    def _require_values(self) -> None:
+        """Raise :class:`DeviceError` on a host access to a value-free
+        array: no output may come to depend on its values."""
+        if self.value_free:
+            raise DeviceError(
+                f"host access to value-free device array {self.name!r}"
+            )
+
     def flat_view(self) -> np.ndarray:
         """Return a flat (1-D) view of the backing store.
 
         This is the *kernel-internal* accessor used by
         :class:`~repro.gpusim.kernel.KernelContext` after its shadow checks;
         it does not mark the shadow bitmap, unlike host ``.data`` access.
+        A value-free array without a store has no view to give.
         """
         self.require_live()
+        if not self._stored:
+            raise DeviceError(
+                f"value-free device array {self.name!r} has no store"
+            )
         return self._data.reshape(-1)
 
     def copy_to_host(self) -> np.ndarray:
         """Raw (unaccounted) copy out; prefer ``Device.from_device``."""
         self.require_live()
+        self._require_values()
         self._host_reads += 1
         return self._data.copy()
 

@@ -67,11 +67,12 @@ def device_radix_sort(
     for shift in range(0, nbits, RADIX_BITS):
         digits = (src.data.astype(np.int64) >> shift) & (RADIX - 1)
         if n:
-            hist = device.alloc(RADIX, np.int64, name="rsort.hist")
             # The 256-bin scan that consumes the histogram is folded into
             # this launch (see docstring); the host computes the actual
             # permutation below.
-            hist.mark_consumed()
+            hist = device.alloc(
+                RADIX, np.int64, name="rsort.hist", value_free=True
+            )
             device.launch(
                 _histogram_kernel, n, src, hist, shift, n, name="radix_histogram"
             )

@@ -56,13 +56,11 @@ def calibration_counts(
     calibration assumption (the polymorphism rate is ~1e-3, so the bias is
     negligible).
     """
-    counts = np.zeros((N_SCORES, MAX_READ_LEN, N_BASES, N_BASES), dtype=np.int64)
-    n, read_len = alignments.n_reads, alignments.read_len
-    if n == 0:
-        return counts
+    shape = (N_SCORES, MAX_READ_LEN, N_BASES, N_BASES)
     uniq = alignments.hits == 1
     if not uniq.any():
-        return counts
+        return np.zeros(shape, dtype=np.int64)
+    read_len = alignments.read_len
     pos = alignments.pos[uniq]
     bases = alignments.bases[uniq]
     quals = alignments.quals[uniq]
@@ -70,12 +68,12 @@ def calibration_counts(
     j = np.arange(read_len)
     cycle = np.where(strand[:, None] == 0, j[None, :], read_len - 1 - j[None, :])
     ref_allele = reference.codes[pos[:, None] + j[None, :]]
-    np.add.at(
-        counts,
+    # ravel_multi_index refuses an out-of-range cell, as indexing would.
+    cell = np.ravel_multi_index(
         (quals.ravel(), cycle.ravel(), ref_allele.ravel(), bases.ravel()),
-        1,
+        shape,
     )
-    return counts
+    return np.bincount(cell, minlength=np.prod(shape)).reshape(shape)
 
 
 def build_p_matrix(

@@ -281,9 +281,10 @@ class TestDepCountRanks:
     def test_comp_launch_keeps_no_host_mirror(
         self, small_pm_flat, small_penalty
     ):
-        """One 20k-site launch allocates the simulated ``dep_count`` array
-        plus per-lane vectors and transaction memos (~1.45x in all); a
-        dense (n, 512) host copy of it, even an int16 one, breaks 1.75x."""
+        """One 20k-site launch charges the simulated ``dep_count`` array
+        but stores none of it (value-free): per-lane vectors and
+        transaction memos peak near 0.32x of its bytes.  A dense (n, 512)
+        host copy of it, even an int16 one (0.5x), breaks 0.6x."""
         n = 20_000
         rng = np.random.default_rng(5)
         offsets = np.arange(0, 4 * n + 1, 4, dtype=np.int64)
@@ -302,4 +303,5 @@ class TestDepCountRanks:
         finally:
             tracemalloc.stop()
         assert device.counters.get("likelihood_comp_optimized").launches == 1
-        assert peak < 1.75 * dep_bytes
+        assert device.peak_global_used >= dep_bytes
+        assert peak < 0.6 * dep_bytes
