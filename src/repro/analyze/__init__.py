@@ -14,21 +14,19 @@ rests on — that *all* simulated kernel memory traffic is routed through
   memory op (GSNP201), provable static races (GSNP202), uninitialized
   global reads (GSNP203), missing-barrier hazards (GSNP204), and
   ``unproven`` said out loud (GSNP205).  :mod:`repro.analyze.lint` holds
-  the shared rule table, diagnostics and suppression grammar plus the
-  module-level rules (GSNP106 fault sites, GSNP109 rationales);
-  :mod:`repro.analyze.calibrate` cross-checks every proven coalescing
-  verdict against the simulator's runtime transaction counters.
+  the shared rule table, diagnostics and suppression grammar.
 * :mod:`repro.analyze.sanitize` — the runtime sanitizer behind
   ``Device(sanitize=True)`` (compute-sanitizer/racecheck-style): data
   races, read-after-write hazards, store/atomic mixing, uninitialized
   reads, and device-teardown leak checks.
 
-Kernel discovery (definitions, launch sites, and aliases) is shared by
-the audit and the calibrator via :mod:`repro.analyze.discover`; output
-formats (text / json / github) via :mod:`repro.analyze.report`.
+Kernel discovery (definitions, launch sites, and aliases) lives in
+:mod:`repro.analyze.discover`; output formats (text / json / github) in
+:mod:`repro.analyze.report`.  The replay that checks every proven
+coalescing verdict against the simulator's runtime transaction counters
+is a test (``tests/test_analyze_audit.py``, ``TestCalibration``).
 """
 
-from .calibrate import CalibrationReport, run_calibration, transaction_bound
 from .dataflow import (
     AbstractValue,
     KernelAudit,
@@ -46,7 +44,6 @@ from .sanitize import Sanitizer, SanitizerIssue
 
 __all__ = [
     "AbstractValue",
-    "CalibrationReport",
     "Diagnostic",
     "DiscoveredKernels",
     "FORMATS",
@@ -67,6 +64,4 @@ __all__ = [
     "extract_module_ir",
     "iter_python_files",
     "render_diagnostics",
-    "run_calibration",
-    "transaction_bound",
 ]

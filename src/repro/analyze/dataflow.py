@@ -37,10 +37,10 @@ Every kernel-local value is classified on a small lattice:
 Verdicts (GSNP201, severity *note*): an affine index with stride 0
 (broadcast) or ±1 is **coalesced**; any other affine stride is
 **strided**; TidPerm/DataDep are **gather**; Unknown is **unproven**.
-Only *coalesced* verdicts are load-bearing claims — ``--calibrate``
-(:mod:`repro.analyze.calibrate`) replays tier-1 kernels and asserts the
-runtime transaction counters stay within the proven bound for every one
-of them.
+Only *coalesced* verdicts are load-bearing claims: the replay in
+``tests/test_analyze_audit.py`` (``TestCalibration``) runs tier-1
+kernels under the op observer and asserts the runtime transaction
+counters stay within the proven bound for every one of them.
 
 Static checks (severity *error*).  GSNP101-105 are queries over the
 IR's sites and store ops; GSNP202-205 are proofs over the lattice:
@@ -72,8 +72,7 @@ GSNP205   unproven-access        an index the lattice cannot classify
 Races and hazards are reported only when *provable* (concrete witness
 thread ids); everything symbolic stays the runtime sanitizer's job —
 the two layers are complementary by design, and DESIGN.md documents the
-soundness contract.  The module-level rules GSNP106/GSNP109 live in
-:mod:`repro.analyze.lint`; :func:`audit_source` runs every rule.
+soundness contract.  :func:`audit_source` runs every rule.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ from .lint import (
     Diagnostic,
     _is_suppressed,
     _suppressions,
-    module_diagnostics,
     normalize_rules,
 )
 
@@ -1165,7 +1163,6 @@ def audit_source(source: str, path: str = "<string>") -> ModuleAudit:
             mod.kernels.append(audit_kernel(kir))
         diags = [d for k in mod.kernels for d in k.diagnostics]
         diags += _check_uninit_reads(tree, [k.ir for k in mod.kernels])
-        diags += module_diagnostics(tree, source, path)
     except SyntaxError as exc:
         diags = [_gsnp100(path, f"file does not parse: {exc.msg}",
                           exc.lineno or 1, (exc.offset or 0) + 1)]
@@ -1218,18 +1215,6 @@ def audit_paths(
     return out
 
 
-def collect_op_verdicts(
-    paths: Sequence[Union[str, Path]],
-) -> dict[tuple[str, int], list[OpVerdict]]:
-    """Index every op verdict by (resolved path, line) for calibration."""
-    out: dict[tuple[str, int], list[OpVerdict]] = {}
-    for mod in audit_paths(paths):
-        for v in mod.verdicts:
-            key = (str(Path(v.path).resolve()), v.line)
-            out.setdefault(key, []).append(v)
-    return out
-
-
 __all__ = [
     "AFFINE", "TIDPERM", "DATADEP", "UNKNOWN",
     "AbstractValue", "ExprEvaluator", "KernelAnalysis",
@@ -1238,5 +1223,4 @@ __all__ = [
     "OpVerdict", "KernelAudit", "ModuleAudit",
     "classify", "join",
     "audit_kernel", "audit_source", "audit_file", "audit_paths",
-    "collect_op_verdicts",
 ]

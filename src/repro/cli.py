@@ -357,10 +357,7 @@ def main_audit(argv=None) -> int:
     masks and NumPy device indexing (GSNP101-105), the coalescing class
     of every routed memory op (GSNP201 notes), provable races (GSNP202),
     static uninit reads (GSNP203), missing-barrier hazards (GSNP204) and
-    unprovable indices (GSNP205); plus the module rules GSNP106 (fault
-    sites) and GSNP109 (suppression rationales).  ``--calibrate`` replays
-    tier-1 kernels under the simulator and cross-checks every proven
-    coalescing verdict against the runtime transaction counters.
+    unprovable indices (GSNP205).
     """
     p = _parser(
         main_audit, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -389,15 +386,6 @@ def main_audit(argv=None) -> int:
         "-v", "--verbose", action="store_true",
         help="also print per-op GSNP201 verdict notes (text format)",
     )
-    p.add_argument(
-        "--calibrate", action="store_true",
-        help="replay tier-1 kernels and assert runtime transaction "
-        "counters agree with every proven coalescing verdict",
-    )
-    p.add_argument(
-        "--calibrate-sites", type=int, default=1500,
-        help="dataset size for the calibration replay (default 1500)",
-    )
     args = p.parse_args(argv)
 
     from .analyze import RULES
@@ -423,23 +411,12 @@ def main_audit(argv=None) -> int:
         counts[v.verdict] = counts.get(v.verdict, 0) + 1
     kernels = sum(len(m.kernels) for m in mods)
 
-    calibration = None
-    if args.calibrate:
-        from .analyze.calibrate import run_calibration
-
-        calibration = run_calibration(
-            args.paths, n_sites=args.calibrate_sites
-        )
-
     shown = diags if (args.verbose or args.fmt != "text") else errors
-    extra: dict[str, object] = {
+    out = render_diagnostics(shown, args.fmt, extra={
         "kernels": kernels,
         "verdicts": counts,
         "ops": [v.to_dict() for v in verdicts],
-    }
-    if calibration is not None:
-        extra["calibration"] = calibration.to_dict()
-    out = render_diagnostics(shown, args.fmt, extra=extra)
+    })
     if out:
         print(out)
     if args.fmt == "text":
@@ -452,12 +429,9 @@ def main_audit(argv=None) -> int:
             f"{summary}",
             file=sys.stderr,
         )
-        if calibration is not None:
-            print(calibration.summary(), file=sys.stderr)
     if errors:
         print(f"{len(errors)} problem(s) found", file=sys.stderr)
-    ok = not errors and (calibration is None or calibration.ok)
-    return 0 if ok else 1
+    return 1 if errors else 0
 
 
 #: The ``gsnp <action>`` table, in help order: action name (the function's

@@ -5,9 +5,9 @@ to trust the retry/degradation machinery that keeps such a run alive is to
 exercise it on purpose.  This module is the chaos-engineering substrate:
 
 * :data:`SITES` — the closed registry of named injection points.  Code
-  under test calls :func:`fault_point` at each site; ``gsnp audit``'s
-  GSNP106 rule enforces that no fault ever enters the system any other
-  way (no ad-hoc ``if FAULT:`` flags).
+  under test calls :func:`fault_point` at each site; a tier-1 scan of
+  the source tree (``tests/test_analyze_lint.py``) checks that no fault
+  ever enters the system any other way (no ad-hoc ``if FAULT:`` flags).
 * :class:`FaultSpec` — one scheduled fault: *where* (site + key), *when*
   (which hit ordinals fire) and *what* (crash, error, slow, alloc,
   truncate).
@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import AllocationError, InjectedFault
 
 #: The closed registry of injection sites.  ``fault_point`` rejects names
-#: outside this table and GSNP106 flags call sites that bypass it.
+#: outside this table; a tier-1 scan flags call sites that bypass it.
 SITES: dict[str, str] = {
     "exec.worker.crash": "worker process dies mid-shard (pool rebuild path)",
     "exec.shard.error": "shard body raises a PipelineError (retry path)",

@@ -35,9 +35,9 @@ from .memory import DeviceArray, count_transactions
 class OpRecord:
     """One routed memory op as observed at runtime.
 
-    ``gsnp audit --calibrate`` installs an observer to collect these and
-    cross-checks them against the static coalescing verdicts: the
-    ``(file, line)`` pair keys the record back to the audited source op.
+    The coalescing replay (``tests/test_analyze_audit.py``) collects these
+    and checks them against the static coalescing verdicts: ``(file,
+    line)`` keys the record back to the audited source op.
     """
 
     kind: str            # gload|gstore|gatomic_add|cload

@@ -4,17 +4,21 @@ Covers the IR extraction layer (ops, masks, barrier regions, ctx-method
 aliases), the affine-in-tid abstract interpretation (coalesced / strided
 / gather / unproven verdicts), the whole-kernel checks (GSNP202 static
 races, GSNP203 uninit reads, GSNP204 missing barriers, GSNP205 honesty),
-the runtime calibration cross-check, and the acceptance gates: the
-repo's own kernels audit with zero errors and zero unproven ops, and
-every proven coalescing verdict agrees with the simulator's transaction
-counters.  Hostile input is a finding, never an exception: a hypothesis
-property audits mutants of every in-tree kernel body.
+the coalescing replay, and the acceptance gates: the repo's own kernels
+audit with zero errors and zero unproven ops, and every proven
+coalescing verdict agrees with the simulator's transaction counters.
+The replay runs once per test run (a module fixture): the pipeline in
+three configurations plus probes of every device primitive, under the
+op observer; a forged verdict shows the bound check can fail.  Hostile
+input is a finding, never an exception: a hypothesis property audits
+mutants of every in-tree kernel body.
 """
 
 import ast
 import functools
 import re
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +26,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analyze import discover_kernels
-from repro.analyze.calibrate import run_calibration, transaction_bound
 from repro.analyze.dataflow import (
     AFFINE,
     DATADEP,
@@ -41,6 +44,7 @@ from repro.analyze.dataflow import (
     unknown,
 )
 from repro.analyze.ir import extract_module_ir
+from repro.gpusim.kernel import set_op_observer
 
 
 def _audit(src):
@@ -447,7 +451,192 @@ class TestSuppression:
         assert len(audit.verdicts) == 1
 
 
+# ---------------------------------------------------------------------------
+# The coalescing replay: runtime transactions against the proven verdicts
+# ---------------------------------------------------------------------------
+
+_REPLAY_SEED = 20110711
+
+
+def transaction_bound(stride, warp_size, itemsize, segment_bytes):
+    """Max segment transactions one active warp can issue for a coalesced
+    access of the given concrete ``|stride|``.
+
+    Stride 0 (broadcast) is one segment: elements never straddle
+    segments, since ``segment_bytes`` is a multiple of every itemsize.
+    Otherwise the warp's footprint spans ``(warp_size - 1) * stride + 1``
+    elements: ``ceil(span_bytes / segment_bytes)`` segments, plus one for
+    an arbitrary alignment of the warp's base address.
+    """
+    if stride == 0:
+        return 1
+    span_bytes = ((warp_size - 1) * stride + 1) * itemsize
+    return -(-span_bytes // segment_bytes) + 1
+
+
+def _run_pipelines(n_sites, seed):
+    """The end-to-end tier-1 surface: optimized, fused, and baseline, each
+    on its own isolated sanitized device."""
+    from repro.core.likelihood import BASELINE, OPTIMIZED
+    from repro.core.pipeline import GsnpPipeline
+    from repro.gpusim.pool import acquire_device
+    from repro.seqsim.datasets import DatasetSpec, generate_dataset
+
+    dataset = generate_dataset(DatasetSpec(
+        name="chrCal", n_sites=n_sites, depth=10.0, coverage=0.9,
+        seed=seed,
+    ))
+    for variant, fusion in ((OPTIMIZED, False), (OPTIMIZED, True),
+                            (BASELINE, False)):
+        GsnpPipeline(
+            window_size=256, mode="gpu", variant=variant,
+            device=acquire_device(sanitize=True), fusion=fusion,
+        ).run(dataset)
+
+
+def _run_primitive_probes(seed):
+    """Direct launches of every device primitive the pipeline composes,
+    including paths small datasets skip (global-memory bitonic,
+    standalone scan/reduce/search)."""
+    import numpy as np
+
+    from repro.compress.rle_dict import rle_dict_encode_gpu
+    from repro.gpusim.pool import acquire_device
+    from repro.gpusim.primitives.reduce import device_reduce, segmented_reduce
+    from repro.gpusim.primitives.scan import device_exclusive_scan
+    from repro.gpusim.primitives.search import device_binary_search
+    from repro.gpusim.primitives.segmented import segmented_dict_indices
+    from repro.gpusim.primitives.sort import device_radix_sort
+    from repro.gpusim.primitives.unique import device_unique
+    from repro.sortnet.batch import batch_sort
+
+    rng = np.random.default_rng(seed)
+    device = acquire_device(sanitize=True)
+
+    keys = rng.integers(0, 1 << 20, size=2000).astype(np.uint32)
+    device_radix_sort(device, device.to_device(keys, "cal_keys"))
+
+    sorted_keys = np.sort(keys)
+    uniq = device_unique(device, device.to_device(sorted_keys, "cal_sorted"))
+    needles = device.to_device(
+        rng.choice(np.unique(sorted_keys), size=500), "cal_needles"
+    )
+    device_binary_search(device, needles, uniq)
+
+    vals = device.to_device(
+        rng.integers(0, 100, size=1500).astype(np.uint32), "cal_vals"
+    )
+    device_reduce(device, vals)
+    device_exclusive_scan(device, vals)
+
+    bounds = np.sort(rng.choice(np.arange(1, 1500), size=30, replace=False))
+    offsets = device.to_device(
+        np.concatenate([[0], bounds, [1500]]).astype(np.int64), "cal_offs"
+    )
+    segmented_reduce(device, vals, offsets)
+    segmented_dict_indices(device, [
+        rng.integers(0, 64, size=200).astype(np.uint32) for _ in range(4)
+    ])
+
+    rle_dict_encode_gpu(
+        device, np.repeat(rng.integers(0, 6, size=60), 25).astype(np.uint8)
+    )
+
+    # Oversized rows force the global-memory bitonic path (shared tile
+    # capacity is 48 KB; 16384 * 4 bytes exceeds it).
+    big = rng.integers(0, 1 << 30, size=(2, 16384)).astype(np.uint32)
+    batch_sort(device, big, elem_bytes=4)
+    # Small rows take the shared-memory tile path.
+    small = rng.integers(0, 1 << 16, size=(8, 64)).astype(np.uint32)
+    batch_sort(device, small, elem_bytes=4)
+
+
+@functools.lru_cache(maxsize=None)
+def _resolved(path):
+    return str(Path(path).resolve())
+
+
+def _key(rec):
+    return _resolved(rec.file), rec.line, rec.kind
+
+
+@pytest.fixture(scope="module")
+def tree_audits():
+    from repro.analyze import audit_paths
+
+    return audit_paths(["src/repro"])
+
+
+@pytest.fixture(scope="module")
+def static_ops(tree_audits):
+    """``(resolved file, line, kind)`` -> the audit's verdict on that op.
+
+    A call through a ctx-method alias (``search.py``'s ``probe =
+    ctx.cload if ... else ctx.gload``) is one op the IR records as
+    ``gload`` (``ir._pick_alias_kind``); it is keyed as ``cload`` too,
+    the one legitimate difference between a runtime and a static kind.
+    """
+    out = {}
+    for m in tree_audits:
+        for k in m.kernels:
+            aliased = {(op.line, op.col) for op in k.ir.ops if op.alias_of}
+            for v in k.verdicts:
+                kinds = [v.kind]
+                if (v.line, v.col) in aliased and v.kind == "gload":
+                    kinds.append("cload")
+                for kind in kinds:
+                    key = (_resolved(v.path), v.line, kind)
+                    # One op per key, so each record names one verdict.
+                    assert key not in out, key
+                    out[key] = v
+    return out
+
+
+@pytest.fixture(scope="module")
+def replay():
+    """The runtime op records of one replay, by part: the pipeline in its
+    three configurations at ``n_sites=300``, then the primitive probes."""
+    records = {"pipeline": [], "probes": []}
+    prev = set_op_observer(records["pipeline"].append)
+    try:
+        _run_pipelines(300, _REPLAY_SEED)
+        set_op_observer(records["probes"].append)
+        _run_primitive_probes(_REPLAY_SEED)
+    finally:
+        set_op_observer(prev)
+    return records
+
+
+def _bounded(static_ops, records):
+    """``(record, bound)`` for each record of an op proven coalesced.
+
+    Constant-cache loads issue no counted transactions and are skipped;
+    gather/strided verdicts make no upper-bound claim.
+    """
+    for rec in records:
+        v = static_ops.get(_key(rec))
+        if v is None or v.verdict != VERDICT_COALESCED or rec.kind == "cload":
+            continue
+        yield rec, rec.warps * transaction_bound(
+            v.stride, rec.warp_size, rec.itemsize, rec.segment_bytes
+        )
+
+
+def _mismatches(static_ops, records):
+    return [
+        f"{rec.file}:{rec.line}: {rec.kind} on {rec.array!r} in "
+        f"{rec.kernel!r} issued {rec.tx} transactions, bound {bound}"
+        for rec, bound in _bounded(static_ops, records)
+        if rec.tx > bound
+    ]
+
+
 class TestCalibration:
+    """Every op the audit proves coalesced stays within the transaction
+    bound its verdict implies when the replay runs it.
+    ``count_transactions`` is the ground truth the paper's Table III
+    numbers come from, so a record above its bound is an analyzer bug."""
+
     def test_transaction_bound_table(self):
         # Broadcast: one segment per warp regardless of geometry.
         assert transaction_bound(0, 32, 4, 128) == 1
@@ -456,56 +645,84 @@ class TestCalibration:
         # Stride 2 doubles the span.
         assert transaction_bound(2, 32, 4, 128) == 3
 
-    def test_probe_replay_agrees(self):
-        report = run_calibration(
-            ["src/repro"], workloads=False, probes=True
-        )
-        assert report.ok
-        assert report.checked > 0
-        assert report.agreements == report.checked
-        assert report.mismatches == []
+    def test_probe_replay_agrees(self, static_ops, replay):
+        assert any(_bounded(static_ops, replay["probes"]))
+        assert _mismatches(static_ops, replay["probes"]) == []
 
-    def test_full_calibration_covers_every_coalesced_op(self):
-        """Acceptance gate: 100% agreement AND 100% coverage — every op
-        the audit proved coalesced is exercised by the tier-1 replay and
-        stays within its transaction bound."""
-        report = run_calibration(["src/repro"], n_sites=300)
-        assert report.ok
-        assert report.observed_ops == report.coalesced_ops
-        assert report.unobserved == []
+    def test_full_calibration_covers_every_coalesced_op(
+        self, tree_audits, static_ops, replay
+    ):
+        """Acceptance gate: 0 mismatches AND full coverage — every op the
+        audit proved coalesced runs in the replay within its bound."""
+        records = replay["pipeline"] + replay["probes"]
+        assert _mismatches(static_ops, records) == []
+        observed = {
+            (_resolved(v.path), v.line, v.col)
+            for v in (static_ops[_key(rec)] for rec in records)
+        }
+        unobserved = [
+            f"{v.path}:{v.line} {v.kind} on {v.array!r} in {v.kernel!r}"
+            for m in tree_audits for v in m.verdicts
+            if v.verdict == VERDICT_COALESCED and v.kind != "cload"
+            and (_resolved(v.path), v.line, v.col) not in observed
+        ]
+        assert observed and unobserved == []
+
+    def test_every_record_matches_a_static_op_on_its_line(
+        self, static_ops, replay
+    ):
+        """A memory op the IR fails to extract has runtime records and no
+        static op on their ``(file, line, kind)``."""
+        records = replay["pipeline"] + replay["probes"]
+        assert records
+        unmatched = sorted({
+            f"{rec.file}:{rec.line} {rec.kind}"
+            for rec in records if _key(rec) not in static_ops
+        })
+        assert unmatched == []
+
+    def test_forged_coalesced_verdict_is_a_mismatch(self, static_ops, replay):
+        """Negative control: had the audit called any in-tree strided op
+        coalesced with stride 1, the bound check on the same records
+        would report it."""
+        records = replay["pipeline"] + replay["probes"]
+        strided = sorted({
+            _key(rec) for rec in records
+            if static_ops[_key(rec)].verdict == VERDICT_STRIDED
+        })
+        assert strided
+        for key in strided:
+            forged = {**static_ops, key: replace(
+                static_ops[key], verdict=VERDICT_COALESCED, stride=1
+            )}
+            assert _mismatches(forged, records), key
 
 
 class TestInTreeGates:
     """The audit's headline acceptance criteria on the repo's own kernels."""
 
-    @pytest.fixture(scope="class")
-    def audits(self):
-        from repro.analyze import audit_paths
-
-        return audit_paths(["src/repro"])
-
-    def test_zero_errors(self, audits):
+    def test_zero_errors(self, tree_audits):
         errs = [
-            d for m in audits for d in m.diagnostics
+            d for m in tree_audits for d in m.diagnostics
             if d.severity == "error"
         ]
         assert errs == []
 
-    def test_zero_unproven(self, audits):
+    def test_zero_unproven(self, tree_audits):
         unproven = [
-            v for m in audits for v in m.verdicts
+            v for m in tree_audits for v in m.verdicts
             if v.verdict == VERDICT_UNPROVEN
         ]
         assert unproven == []
 
-    def test_every_mem_op_classified(self, audits):
+    def test_every_mem_op_classified(self, tree_audits):
         counts = {}
-        for m in audits:
+        for m in tree_audits:
             for v in m.verdicts:
                 counts[v.verdict] = counts.get(v.verdict, 0) + 1
         total = sum(counts.values())
         ops = sum(
-            len(k.ir.mem_ops()) for m in audits for k in m.kernels
+            len(k.ir.mem_ops()) for m in tree_audits for k in m.kernels
         )
         assert total == ops > 0
         assert counts.get(VERDICT_COALESCED, 0) > 0

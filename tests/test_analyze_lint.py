@@ -2,17 +2,30 @@
 
 Seeds each rule's violation into synthetic source and checks the
 diagnostic lands on the right file:line with the right rule id — plus
-kernel discovery, suppression comments and their rationales, rule
-filtering, undecodable files, output formats, the CLI exit codes, and
-the acceptance gate that the repo's own code audits clean.
+kernel discovery, suppression comments, rule filtering, undecodable
+files, output formats, the CLI exit codes, and the acceptance gate that
+the repo's own code audits clean.  Two source-tree hygiene checks are
+scans here rather than audit rules: every fault enters through the
+``faults.plan.SITES`` registry, and every suppression says why.
 """
 
+import ast
+import re
 import textwrap
+import tokenize
 
 import pytest
 
-from repro.analyze import Diagnostic, RULES, audit_paths, audit_source
+from repro.analyze import (
+    Diagnostic,
+    RULES,
+    audit_paths,
+    audit_source,
+    iter_python_files,
+)
+from repro.analyze.lint import _SUPPRESS_RE, _comments
 from repro.cli import main_audit
+from repro.faults.plan import SITES
 
 
 def _errors(diags):
@@ -291,6 +304,15 @@ class TestSuppression:
         )
         assert [d.rule for d in diags] == ["GSNP101"]
 
+    def test_directive_in_a_string_literal_does_not_suppress(self):
+        diags = _audit(
+            """
+            def bad_kernel(ctx, arr):
+                v = arr.data; s = "# gsnp-lint: disable=GSNP101"
+            """
+        )
+        assert [d.rule for d in diags] == ["GSNP101"]
+
     def test_disable_all(self):
         diags = _audit(
             """
@@ -361,42 +383,132 @@ class TestPathsAndFilters:
         assert _tree_errors(["src/repro"]) == []
 
 
+# ---------------------------------------------------------------------------
+# Source-tree hygiene scans: fault sites and suppression rationales
+# ---------------------------------------------------------------------------
+
+_FLAG_RE = re.compile(r"^(FAULT|CHAOS|INJECT)")
+_ENV_KEY_RE = re.compile(r"FAULT|CHAOS|INJECT", re.IGNORECASE)
+_WORD_RE = re.compile(r"[A-Za-z0-9']+")
+_MIN_RATIONALE_WORDS = 3
+
+
+def _is_str(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _is_environ(node):
+    """``os.environ``, or an ``environ`` imported by name."""
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "environ"
+        or isinstance(node, ast.Name) and node.id == "environ"
+    )
+
+
+def fault_site_findings(source):
+    """``(line, message)`` for each way a fault bypasses the registry:
+    a ``fault_point`` site that is not a literal ``faults.plan.SITES`` key,
+    an ALL-CAPS ``FAULT``/``CHAOS``/``INJECT`` flag in an ``if`` test, or
+    an environment lookup of such a key.  Lowercase plumbing
+    (``config.faults``, ``inject_failures=``) is the registry's own."""
+    out = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        env_key = None
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            first = node.args[0] if node.args else None
+            if name == "fault_point":
+                site = next(
+                    (kw.value for kw in node.keywords if kw.arg == "site"),
+                    first,
+                )
+                if not _is_str(site):
+                    out.append((node.lineno, "computed fault_point() site"))
+                elif site.value not in SITES:
+                    out.append(
+                        (node.lineno, f"unregistered site {site.value!r}")
+                    )
+            elif name == "getenv" or (
+                name == "get" and isinstance(func, ast.Attribute)
+                and _is_environ(func.value)
+            ):
+                env_key = first
+        elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+            env_key = node.slice
+        elif isinstance(node, ast.If):
+            for n in ast.walk(node.test):
+                flag = getattr(n, "id", getattr(n, "attr", ""))
+                if _FLAG_RE.match(flag) and flag.isupper():
+                    out.append((n.lineno, f"ad-hoc fault flag {flag!r}"))
+        if _is_str(env_key) and _ENV_KEY_RE.search(env_key.value):
+            out.append(
+                (node.lineno, f"environment fault switch {env_key.value!r}")
+            )
+    return sorted(out)
+
+
+def bare_suppressions(source):
+    """Lines of ``# gsnp-lint: disable=`` comments without a rationale: a
+    comment of three or more words (the directive itself not counted) on
+    the directive's line, up to two lines above, or one line below.
+    Only comment tokens count, never string literals."""
+    comments = _comments(textwrap.dedent(source))
+    words = {
+        line: len(_WORD_RE.findall(_SUPPRESS_RE.sub("", text)))
+        for line, text in comments.items()
+    }
+    return [
+        line for line, text in sorted(comments.items())
+        if _SUPPRESS_RE.search(text) and not any(
+            words.get(line + d, 0) >= _MIN_RATIONALE_WORDS
+            for d in (-2, -1, 0, 1)
+        )
+    ]
+
+
+def _tree_sources():
+    files = list(iter_python_files(["src/repro"]))
+    assert files
+    for f in files:
+        with tokenize.open(f) as fh:
+            yield f, fh.read()
+
+
 class TestGsnp106FaultSites:
-    """Fault injection must go through the chaos registry."""
+    """Fault injection goes through the chaos registry: the fault-site
+    scan over synthetic and in-tree source."""
 
     def test_computed_site_flagged(self):
-        diags = _audit(
+        findings = fault_site_findings(
             """
             from repro.faults.plan import fault_point
             site = "exec." + "shard.error"
             fault_point(site, key=1)
             """
         )
-        assert [d.rule for d in diags] == ["GSNP106"]
-        assert "string literal" in diags[0].message
+        assert findings == [(4, "computed fault_point() site")]
 
     def test_unregistered_literal_site_flagged(self):
-        diags = _audit(
+        findings = fault_site_findings(
             """
             from repro.faults.plan import fault_point
             fault_point("formats.vcf.record", key=1)
             """
         )
-        assert [d.rule for d in diags] == ["GSNP106"]
-        assert "formats.vcf.record" in diags[0].message
+        assert findings == [(3, "unregistered site 'formats.vcf.record'")]
 
     def test_registered_site_is_fine(self):
-        diags = _audit(
+        assert fault_site_findings(
             """
             from repro.faults.plan import fault_point
             fault_point("exec.shard.error", key=1)
             fault_point(site="gpusim.device.alloc", key="buf")
             """
-        )
-        assert diags == []
+        ) == []
 
     def test_adhoc_fault_flag_flagged(self):
-        diags = _audit(
+        findings = fault_site_findings(
             """
             FAULT_CRASH = True
             def f():
@@ -404,22 +516,25 @@ class TestGsnp106FaultSites:
                     raise RuntimeError
             """
         )
-        assert [d.rule for d in diags] == ["GSNP106"]
-        assert "FAULT_CRASH" in diags[0].message
+        assert findings == [(4, "ad-hoc fault flag 'FAULT_CRASH'")]
 
     def test_environment_switch_flagged(self):
-        diags = _audit(
+        findings = fault_site_findings(
             """
             import os
+            from os import environ
             a = os.environ.get("GSNP_CHAOS")
             b = os.environ["FAULT_MODE"]
             c = os.getenv("INJECT_ALLOC")
+            d = environ.get("FAULT_MODE")
+            e = environ["CHAOS"]
             """
         )
-        assert [d.rule for d in diags] == ["GSNP106"] * 3
+        assert [line for line, _ in findings] == [4, 5, 6, 7, 8]
+        assert all("environment fault switch" in m for _, m in findings)
 
     def test_lowercase_plumbing_is_fine(self):
-        diags = _audit(
+        assert fault_site_findings(
             """
             import os
             def run(config, inject_failures=None):
@@ -429,66 +544,84 @@ class TestGsnp106FaultSites:
                     pass
                 return os.environ.get("HOME")
             """
-        )
-        assert diags == []
+        ) == []
 
-    def test_suppression_comment_works(self):
-        diags = _audit(
+    def test_suppression_comment_hides_nothing(self):
+        """The scan is a test, not an audit rule: no directive exempts a
+        bypass from it."""
+        assert fault_site_findings(
             """
             import os
-            x = os.getenv("FAULT_LEGACY")  # gsnp-lint: disable=GSNP106 (legacy switch, read only)
+            x = os.getenv("FAULT_LEGACY")  # gsnp-lint: disable=all (legacy)
             """
-        )
-        assert diags == []
+        ) == [(3, "environment fault switch 'FAULT_LEGACY'")]
+
+    def test_repo_fault_sites_are_registered(self):
+        """Tier-1 gate: no in-tree fault bypasses the registry."""
+        assert [
+            (str(f), line, message)
+            for f, source in _tree_sources()
+            for line, message in fault_site_findings(source)
+        ] == []
 
 
 class TestGsnp109Rationale:
-    """Suppressions must say why."""
+    """Suppressions say why: the rationale scan over synthetic and
+    in-tree source."""
 
     def test_bare_suppression_fires(self):
-        diags = _audit(
+        assert bare_suppressions(
             """
             def k_kernel(ctx, arr):
                 v = arr.data  # gsnp-lint: disable=GSNP101
             """
-        )
-        assert [d.rule for d in diags] == ["GSNP109"]
-        assert diags[0].line == 3
+        ) == [3]
 
     def test_same_line_rationale_is_fine(self):
-        diags = _audit(
+        assert bare_suppressions(
             """
             def k_kernel(ctx, arr):
                 v = arr.data  # gsnp-lint: disable=GSNP101 (host-side debug dump)
             """
-        )
-        assert diags == []
+        ) == []
 
     def test_nearby_comment_rationale_is_fine(self):
-        diags = _audit(
+        assert bare_suppressions(
             """
             def k_kernel(ctx, arr):
                 # Reads the staging copy before upload, not device memory.
                 v = arr.data  # gsnp-lint: disable=GSNP101
             """
-        )
-        assert diags == []
+        ) == []
 
     def test_short_rationale_still_fires(self):
-        diags = _audit(
+        assert bare_suppressions(
             """
             def k_kernel(ctx, arr):
                 # ok
                 v = arr.data  # gsnp-lint: disable=GSNP101
             """
-        )
-        assert [d.rule for d in diags] == ["GSNP109"]
+        ) == [4]
+
+    def test_string_literal_is_not_a_rationale(self):
+        assert bare_suppressions(
+            """
+            def k_kernel(ctx, arr):
+                v = arr.data; s = "# one two three"  # gsnp-lint: disable=GSNP101
+            """
+        ) == [3]
 
     def test_repo_suppressions_carry_rationale(self):
-        """CI gate: in-tree suppressions all explain themselves."""
-        assert not any(
-            d.rule == "GSNP109" for d in _tree_errors(["src/repro"])
-        )
+        """Tier-1 gate: in-tree suppressions all explain themselves."""
+        directives, bare = 0, []
+        for f, source in _tree_sources():
+            directives += sum(
+                bool(_SUPPRESS_RE.search(c))
+                for c in _comments(source).values()
+            )
+            bare += [(str(f), line) for line in bare_suppressions(source)]
+        assert directives > 0
+        assert bare == []
 
 
 # One (fire, suppress) source pair per rule id.  The fire source produces
@@ -555,26 +688,6 @@ _RULE_CASES = {
         def k_kernel(ctx, out):
             v = ctx.gload(out, ctx.tid, active=None)
             out[ctx.tid] = v  # gsnp-lint: disable=GSNP105
-        """,
-    ),
-    "GSNP106": (
-        """
-        from repro.faults.plan import fault_point
-        fault_point("not.a.site", key=1)
-        """,
-        """
-        from repro.faults.plan import fault_point
-        fault_point("not.a.site", key=1)  # gsnp-lint: disable=GSNP106
-        """,
-    ),
-    "GSNP109": (
-        """
-        def k_kernel(ctx, arr):
-            v = arr.data  # gsnp-lint: disable=GSNP101
-        """,
-        """
-        def k_kernel(ctx, arr):
-            v = arr.data  # gsnp-lint: disable=GSNP101,GSNP109
         """,
     ),
     "GSNP201": (
@@ -697,7 +810,7 @@ class TestDiagnostic:
     def test_rule_table_complete(self):
         assert set(RULES) == {
             "GSNP100", "GSNP101", "GSNP102", "GSNP103", "GSNP104",
-            "GSNP105", "GSNP106", "GSNP109",
+            "GSNP105",
             "GSNP201", "GSNP202", "GSNP203", "GSNP204", "GSNP205",
         }
 
