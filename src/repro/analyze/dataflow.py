@@ -83,7 +83,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .discover import iter_python_files
+from .discover import KernelFinder, iter_python_files, launch_target
 from .ir import (
     CTX_MEM_METHODS,
     MASK_FULL_DEFAULT,
@@ -1025,22 +1025,13 @@ def _launch_bindings(
     of scope for the static uninit check (the runtime shadow bitmap
     covers it).
     """
-    from .discover import LAUNCH_ATTRS, LAUNCH_KWARGS, KernelFinder
-
     finder = KernelFinder()
     finder.visit(tree)
     out: list[tuple[KernelIR, dict[str, str]]] = []
     for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in LAUNCH_ATTRS
-        ):
+        if not isinstance(node, ast.Call):
             continue
-        target: Optional[ast.expr] = node.args[0] if node.args else None
-        for kw in node.keywords:
-            if kw.arg in LAUNCH_KWARGS:
-                target = kw.value
+        target = launch_target(node)
         kname: Optional[str] = None
         if isinstance(target, ast.Name):
             kname = finder.resolve(target.id)

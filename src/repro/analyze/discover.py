@@ -4,10 +4,9 @@ Every kernel rule of the audit needs the same answer to "which functions
 in this module are simulated kernel bodies?".  A kernel is
 
 * any function whose name ends in ``_kernel`` (the naming convention), or
-* any function passed to a launch site — ``Device.launch(...)`` or
-  ``DeviceStream.enqueue(...)`` — whether positionally (the first
-  argument), by keyword (``launch(kernel=...)`` / ``enqueue(fn=...)``),
-  or through a local alias (``body = my_kernel; device.launch(body, ...)``).
+* any function passed to ``Device.launch(...)`` — whether positionally
+  (the first argument), by keyword (``launch(kernel=...)``), or through
+  a local alias (``body = my_kernel; device.launch(body, ...)``).
 
 The runtime sanitizer (:mod:`repro.analyze.sanitize`) hooks the same
 launch sites dynamically; this module is the static mirror of that
@@ -22,15 +21,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
-#: Method names that launch a kernel (``Device.launch``,
-#: ``DeviceStream.enqueue``).
-LAUNCH_ATTRS: tuple[str, ...] = ("launch", "enqueue")
-
-#: Keyword names under which launch sites accept the kernel callable.
-LAUNCH_KWARGS: tuple[str, ...] = ("kernel", "fn")
-
 #: Maximum alias-chain length followed during resolution (cycle guard).
 _MAX_ALIAS_DEPTH = 8
+
+
+def launch_target(node: ast.Call) -> ast.expr | None:
+    """The kernel argument of a ``*.launch(...)`` call — ``kernel=`` if
+    given, else the first positional — or ``None`` for any other call."""
+    func = node.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "launch"):
+        return None
+    for kw in node.keywords:
+        if kw.arg == "kernel":
+            return kw.value
+    return node.args[0] if node.args else None
 
 
 def _callable_name(node: ast.expr) -> str | None:
@@ -81,16 +85,11 @@ class KernelFinder(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in LAUNCH_ATTRS:
-            target: ast.expr | None = node.args[0] if node.args else None
-            for kw in node.keywords:
-                if kw.arg in LAUNCH_KWARGS:
-                    target = kw.value
-            if target is not None:
-                name = _callable_name(target)
-                if name is not None:
-                    self.launched.add(name)
+        target = launch_target(node)
+        if target is not None:
+            name = _callable_name(target)
+            if name is not None:
+                self.launched.add(name)
         self.generic_visit(node)
 
     def resolve(self, name: str) -> str:
@@ -135,10 +134,9 @@ def iter_python_files(
 
 
 __all__ = [
-    "LAUNCH_ATTRS",
-    "LAUNCH_KWARGS",
     "DiscoveredKernels",
     "KernelFinder",
     "discover_kernels",
     "iter_python_files",
+    "launch_target",
 ]

@@ -42,7 +42,11 @@ RULES: dict[str, str] = {
 
 _RULE_BY_NAME = {name: rid for rid, name in RULES.items()}
 
-_SUPPRESS_RE = re.compile(r"#\s*gsnp-lint:\s*disable=([A-Za-z0-9_\-, ]+)")
+#: ``disable=`` takes comma-separated rule ids, names or ``all``; the
+#: list ends at the first other word, where the rationale begins.
+_SUPPRESS_RE = re.compile(
+    r"#\s*gsnp-lint:\s*disable=([\w\-]+(?:\s*,\s*[\w\-]+)*)"
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -123,9 +127,7 @@ def _suppressions(source: str) -> dict[int, set[str]]:
     for lineno, text in _comments(source).items():
         m = _SUPPRESS_RE.search(text)
         if m:
-            out[lineno] = {
-                t.strip() for t in m.group(1).split(",") if t.strip()
-            }
+            out[lineno] = {t.strip() for t in m.group(1).split(",")}
     return out
 
 

@@ -251,9 +251,11 @@ class JobSpec:
     devices: int = field(default=1, metadata=_cli(
         "execution", "--devices", type=int,
         help="modeled GPU devices; >1 runs the heterogeneous multi-device "
-        "scheduler (work-stealing shard deques over a DevicePool sharing "
-        "one PCIe link, simulated in modeled-clock order; gsnp engine "
-        "only, output bitwise identical to serial for any count)",
+        "scheduler (one work-stealing shard deque per device, the "
+        "devices' transfers priced on one shared PCIe link, simulated in "
+        "modeled-clock order; shards are planned for these lanes, not "
+        "--workers; gsnp engine only, output bitwise identical to serial "
+        "for any count)",
     ))
     cpu_steal: bool = field(default=False, metadata=_cli(
         "execution", "--cpu-steal", action="boolean_optional",

@@ -17,7 +17,6 @@ import numpy as np
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
 from ..gpusim.primitives.scan import device_exclusive_scan
-from ..gpusim.stream import DeviceStream
 from ..soapsnp.observe import Observations
 from .base_word import pack_words
 
@@ -73,13 +72,10 @@ def gsnp_counting(
     words_h = pack_words(
         obs.base[sel], obs.score[sel], obs.coord[sel], obs.strand[sel]
     )
-    # Both counting kernels go through one stream: in-order like a CUDA
-    # stream, and the pipelined launch path gsnp audit also checks.
-    stream = DeviceStream(device)
     sites_dev = device.to_device(site_h, "obs.site")
     words_in = device.to_device(words_h, "obs.word")
     counts = device.alloc(n_sites, np.int64, "site_counts")
-    stream.enqueue(
+    device.launch(
         _histogram_kernel, m, sites_dev, counts, m, name="counting_histogram"
     )
     offsets_dev = device_exclusive_scan(device, counts)
@@ -105,11 +101,10 @@ def gsnp_counting(
     # init=False: every slot must come from the scatter, never the memset —
     # the sanitizer's uninitialized-read check verifies full coverage.
     out = device.alloc(m, np.uint32, "base_word_out", init=False)
-    stream.enqueue(
+    device.launch(
         _scatter_kernel, m, sites_dev, words_in, slots, out, m,
         name="counting_scatter",
     )
-    stream.synchronize()
     words_out = device.from_device(out)
     for a in (sites_dev, words_in, counts, offsets_dev, slots, out):
         device.free(a)

@@ -144,7 +144,7 @@ class GsnpDetector:
         :func:`repro.exec.execute`'s lane scheduler, and all engines and
         lane shapes produce bitwise identical output: ``workers`` runs
         worker-process lanes, ``devices``/``cpu_steal`` work-stealing
-        :class:`~repro.gpusim.pool.DevicePool` lanes, ``journal``/
+        device-pool lanes (one modeled device each), ``journal``/
         ``resume`` crash-safe checkpointing, ``faults`` a
         :class:`~repro.faults.plan.FaultPlan` chaos schedule.
 

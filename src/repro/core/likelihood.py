@@ -119,8 +119,8 @@ class GsnpTables:
         identity*: repeat loads for the same calibration on the same device
         reuse the uploaded tables instead of re-transferring — the paper's
         keep-hot-tables-resident recipe.  The device id in the key is what
-        keeps two pool devices from ever sharing one upload: each device
-        of a :class:`~repro.gpusim.pool.DevicePool` holds arrays only it
+        keeps two pool devices from ever sharing one upload: each pool
+        lane's device (``device_id`` 0..N-1) holds arrays only it
         can legally touch, so a digest-only key would alias entry lookups
         across devices the moment any code consults a residency view wider
         than one device.  ``cache=False`` always builds and uploads fresh

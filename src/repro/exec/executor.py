@@ -9,10 +9,11 @@ CPU from one dispatcher; here every execution shape is a set of **lanes**
 of one deque scheduler.  A lane is something that owns a pipeline plus a
 deque:
 
-* a **pool lane** — one per :class:`~repro.gpusim.pool.DevicePool` device,
-  plus the optional ``gsnp_cpu`` host-engine lane (``devices > 1`` or
-  ``cpu_steal``), stepped one shard at a time on the calling thread in
-  modeled-clock order: a discrete-event simulation, no lane threads;
+* a **pool lane** — one per modeled device (``device_id`` 0..N-1, each
+  from :func:`~repro.gpusim.pool.acquire_device`), plus the optional
+  ``gsnp_cpu`` host-engine lane (``devices > 1`` or ``cpu_steal``),
+  stepped one shard at a time on the calling thread in modeled-clock
+  order: a discrete-event simulation, no lane threads;
 * a **process lane** — a worker process of its own (``workers > 1``): the
   lane's thread ships ``(shard, attempt)`` down a pipe to *its* child and
   waits, so a dying or overrunning worker costs exactly the shard it held;
@@ -131,7 +132,7 @@ from ..gpusim.costmodel import (
 )
 from ..gpusim.device import Device
 from ..gpusim.launchplan import MEGABATCH_WINDOWS
-from ..gpusim.pool import DevicePool, acquire_device
+from ..gpusim.pool import acquire_device
 from .merge import merge_shard_results
 from .shard import Shard, ShardResult, plan_shards
 
@@ -402,15 +403,14 @@ class _Scheduler:
         self.lock = threading.Lock()
         self.results: dict[int, ShardResult] = {}
         self.error: Optional[BaseException] = None
-        self.pool: Optional[DevicePool] = None
         spec = job.spec
         # Lane construction — the one place devices/cpu_steal/workers are
         # read; everything after it only sees lanes.
         if spec.uses_pool:
-            self.pool = DevicePool(spec.devices, sanitize=spec.sanitize)
             self.lanes = [
-                _Lane(lane_id=dev.device_id, kind="gpu", device=dev)
-                for dev in self.pool
+                _Lane(lane_id=i, kind="gpu", device=acquire_device(
+                    sanitize=spec.sanitize, device_id=i))
+                for i in range(spec.devices)
             ]
             if spec.cpu_steal:
                 self.lanes.append(_Lane(lane_id=CPU_LANE, kind="cpu"))
@@ -433,10 +433,11 @@ class _Scheduler:
                 "on the calling thread and cannot preempt it",
                 spec.shard_timeout,
             )
-        if self.pool is not None and spec.workers > 1:
+        if spec.uses_pool and spec.workers > 1:
             fault_logger.info(
-                "workers=%s ignored on pool lanes: they are stepped one at "
-                "a time on the calling thread", spec.workers,
+                "workers=%s ignored on pool lanes: the shard plan counts "
+                "the pool's %d lanes, stepped one at a time on the calling "
+                "thread", spec.workers, len(self.lanes),
             )
 
     # -- process lanes ---------------------------------------------------
@@ -548,7 +549,7 @@ class _Scheduler:
         # No device clock to predict from: equal unit rates, which
         # predict_split apportions as the even deal.
         gpu_rate = cpu_rate = 1.0
-        if self.pool is not None:
+        if self.lanes[0].pooled:
             gpu_rate, cpu_rate = predict_lane_rates(
                 self.job.dataset.n_sites,
                 self.job.calibration.total_reads
@@ -597,7 +598,7 @@ class _Scheduler:
         model: wall time is the only clock, so an idle lane steals
         whenever a victim has backlog.
         """
-        if self.pool is None:
+        if not thief.pooled:
             return True
         if not thief.shards_run:
             return len(victim.deque) >= (2 if thief.kind == "cpu" else 1)
@@ -701,7 +702,7 @@ class _Scheduler:
                 else:
                     sr = _run_shard(self.job, lane, shard, attempt)
             except Exception as exc:  # noqa: BLE001 — retried below
-                if self.pool is not None and _is_device_death(exc):
+                if lane.pooled and _is_device_death(exc):
                     self._retire(lane, shard, attempt, exc)
                     return False
                 if attempt >= MAX_RETRIES:
@@ -800,7 +801,7 @@ class _Scheduler:
 
     def lane_usages(self) -> list[LaneUsage]:
         """Per-lane modeled usage with transfers separated onto the link."""
-        gpu_model = GpuCostModel(self.pool.spec)
+        gpu_model = GpuCostModel()
         usages = []
         for lane in self.lanes:
             compute = lane.modeled_seconds - gpu_model.transfer_time(
@@ -825,11 +826,25 @@ class _Scheduler:
         counts, link traffic, modeled makespan) exists only for device
         pools — consumers switch their modeled-time formula on it — and
         is also what :func:`pool_stats` accumulates."""
-        if self.pool is None:
+        if not self.lanes[0].pooled:
             return {"pool": self.lanes[0].kind}
-        pool_model = PoolCostModel(self.pool.link.spec)
+        pool_model = PoolCostModel()
         usages = self.lane_usages()
-        link_total = self.pool.link.total()
+        devices = [lane.device for lane in self.lanes if lane.device]
+        per_device = [
+            {
+                "device": dev.device_id,
+                "launches": dev.counters.total().launches,
+                "h2d_bytes": dev.transfers.h2d_bytes,
+                "d2h_bytes": dev.transfers.d2h_bytes,
+                "h2d_count": dev.transfers.h2d_count,
+                "d2h_count": dev.transfers.d2h_count,
+                "resident_entries": len(dev.resident),
+                "resident_hits": dev.resident.hits,
+                "resident_misses": dev.resident.misses,
+            }
+            for dev in devices
+        ]
         lanes_meta = [
             {
                 "lane": lane.name,
@@ -850,16 +865,14 @@ class _Scheduler:
             "initial_split": list(counts),
             "steals": sum(l.steals for l in self.lanes),
             "lanes": lanes_meta,
-            "per_device": self.pool.per_device_stats(),
+            "per_device": per_device,
+            # The devices' own transfer logs summed; the pool's one link
+            # time is ``modeled.link_seconds``.
             "link": {
-                "h2d_bytes": link_total.h2d_bytes,
-                "d2h_bytes": link_total.d2h_bytes,
-                "h2d_count": link_total.h2d_count,
-                "d2h_count": link_total.d2h_count,
-                "launches": link_total.launches,
-                "serialized_seconds": self.pool.link.serialized_seconds(),
+                key: sum(row[key] for row in per_device)
+                for key in ("h2d_bytes", "d2h_bytes", "h2d_count", "d2h_count")
             },
-            "pool_launches": self.pool.total_counters().launches,
+            "pool_launches": sum(row["launches"] for row in per_device),
             "modeled": {
                 "makespan_seconds": pool_model.makespan(usages),
                 "link_seconds": pool_model.link_seconds(usages),
@@ -880,9 +893,9 @@ class _Scheduler:
         return lane.device or getattr(lane.pipeline, "_cached_device", None)
 
     def close(self) -> None:
-        """Join worker processes, release every non-resident lane pipeline
-        and the pool's residency; leak-check every sanitized lane device
-        that survived the run."""
+        """Join worker processes and release every non-resident lane
+        pipeline (with it, a pool device's residency); leak-check every
+        sanitized lane device that survived the run."""
         with self.lock:
             # Lane threads that outlived an interrupted coordinator stop
             # at their next shard instead of draining the job unattended.
@@ -895,8 +908,6 @@ class _Scheduler:
             if dev is not None and dev.sanitizer is not None and not lane.dead:
                 dev.resident.clear()
                 dev.sanitize_teardown(strict=True)
-        if self.pool is not None:
-            self.pool.release()
 
 
 # -- cumulative pool stats (the serve daemon's /stats "devices" section) ---
@@ -998,12 +1009,14 @@ def execute(
     # this dataset/engine/params.
     if calibration is None:
         calibration = calibrate_job(dataset, spec, params, sample_reads)
-    # The one shard-plan rule.  A device pool needs enough shards for
-    # every lane (N devices + the optional host lane) to hold a deque
-    # worth stealing from, so lanes count as workers.  A serial job is
-    # one shard; a journaled one checkpoints every megabatch, so its
-    # shards cut the fused chain where a whole-job run cuts it.
-    lanes = max(spec.workers, spec.devices + spec.cpu_steal)
+    # The one shard-plan rule: shards are planned for the job's lanes —
+    # a device pool's N devices plus the optional host lane (``workers``
+    # does not reach a pool), else ``workers``.  A serial job is one
+    # shard; a journaled one checkpoints every megabatch, so its shards
+    # cut the fused chain where a whole-job run cuts it.
+    lanes = (
+        spec.devices + spec.cpu_steal if spec.uses_pool else spec.workers
+    )
     shard_size = spec.shard_size
     if shard_size is None and lanes == 1:
         shard_size = (

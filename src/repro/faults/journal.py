@@ -3,7 +3,7 @@
 A whole-genome run is hours of wall clock; process death must cost at most
 one shard, not the run.  :class:`ShardJournal` checkpoints every completed
 :class:`~repro.exec.shard.ShardResult` into a directory of one-file-per-
-shard entries, each written atomically (tmp + ``os.replace``) so a kill at
+shard entries, each written by :func:`atomic_output` so a kill at
 any instant leaves either a complete entry or none — never a torn one.
 
 Entries are **content-addressed to the run**: the journal directory is
@@ -90,15 +90,10 @@ class ShardJournal:
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            with open(tmp, "wb") as f:
+            with atomic_output(path) as f:
                 f.write(seal(blob))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
             raise JournalError(
                 f"cannot commit shard {result.shard.index} to {path}: {exc}"
             ) from exc
@@ -233,8 +228,9 @@ class JobLedger:
 @contextmanager
 def atomic_output(path):
     """Open ``<path>.<pid>-<tid>.part`` for binary write; rename to
-    ``path`` only on clean exit.  On error the partial file is removed —
-    a final output file either exists complete or not at all.  The temp
+    ``path`` only on clean exit.  On any error — in the body, or in the
+    flush, fsync or rename after it — the partial file is removed: a
+    final output file either exists complete or not at all.  The temp
     name is process- and thread-unique so concurrent writers of the same
     target (serve worker threads racing on a shared cache entry) cannot
     clobber each other's partial file; last rename wins."""
@@ -244,16 +240,14 @@ def atomic_output(path):
     )
     f = open(tmp, "wb")
     try:
-        yield f
+        with f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
     except BaseException:
-        f.close()
         tmp.unlink(missing_ok=True)
         raise
-    else:
-        f.flush()
-        os.fsync(f.fileno())
-        f.close()
-        os.replace(tmp, path)
 
 
 __all__ = [

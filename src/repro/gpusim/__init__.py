@@ -23,7 +23,7 @@ from .costmodel import (
 from .device import Device, TransferLog
 from .kernel import KernelContext
 from .memory import DeviceArray, count_transactions
-from .pool import DevicePool, HostLink, LinkUsage, acquire_device
+from .pool import acquire_device
 from .residency import DeviceResidency
 from .spec import (
     BGI_PLATFORM,
@@ -33,7 +33,6 @@ from .spec import (
     HostLinkSpec,
     PlatformSpec,
 )
-from .stream import DeviceStream
 
 __all__ = [
     "BGI_PLATFORM",
@@ -43,20 +42,16 @@ __all__ = [
     "CpuSpec",
     "Device",
     "DeviceArray",
-    "DevicePool",
     "DeviceResidency",
-    "DeviceStream",
     "DiskEvents",
     "DiskModel",
     "DiskSpec",
     "GpuCostModel",
     "GpuSpec",
-    "HostLink",
     "HostLinkSpec",
     "KernelContext",
     "KernelCounters",
     "LaneUsage",
-    "LinkUsage",
     "PlatformSpec",
     "PoolCostModel",
     "TransferLog",

@@ -175,7 +175,7 @@ class LaneUsage:
 
 @dataclass(frozen=True)
 class PoolCostModel:
-    """Makespan model for a :class:`~repro.gpusim.pool.DevicePool` run.
+    """Makespan model for a device-pool run (one lane per device).
 
     Lanes compute concurrently, so compute time is the *maximum* over
     lanes; the host link is shared and serializes, so transfer time is

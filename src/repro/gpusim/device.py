@@ -9,10 +9,7 @@ the single object a pipeline threads through all GPU-side components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .pool import HostLink
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -60,19 +57,12 @@ class Device:
         Stable identity of this device within its pool (0 for a
         standalone device).  Residency cache keys include it so two pool
         devices never alias each other's uploads.
-    link:
-        The shared :class:`~repro.gpusim.pool.HostLink` this device's
-        transfers are charged against, or ``None`` for a standalone
-        device.  Per-device accounting in ``transfers`` is unchanged;
-        the link additionally serializes the traffic of every device in
-        a pool for the contention-aware cost model.
     """
 
     spec: GpuSpec = field(default_factory=GpuSpec)
     enforce_memory: bool = True
     sanitize: bool = False
     device_id: int = 0
-    link: Optional["HostLink"] = None
     counters: CounterBook = field(init=False)
     transfers: TransferLog = field(default_factory=TransferLog)
 
@@ -152,8 +142,6 @@ class Device:
         arr._writes += 1
         self.transfers.h2d_bytes += host.nbytes
         self.transfers.h2d_count += 1
-        if self.link is not None:
-            self.link.charge(self.device_id, host.nbytes, "h2d")
         return arr
 
     def to_constant(self, host: np.ndarray, name: str = "anon") -> DeviceArray:
@@ -175,8 +163,6 @@ class Device:
         arr._require_values()
         self.transfers.d2h_bytes += arr.nbytes
         self.transfers.d2h_count += 1
-        if self.link is not None:
-            self.link.charge(self.device_id, arr.nbytes, "d2h")
         return arr.data.copy()
 
     def free(self, arr: DeviceArray) -> None:

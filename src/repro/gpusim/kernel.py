@@ -155,19 +155,6 @@ class KernelContext:
         """Warps with at least one active lane (these issue instructions)."""
         return self._active_info(active)[1]
 
-    def _masked_idx(
-        self, idx: np.ndarray, active: Optional[np.ndarray]
-    ) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64).ravel()
-        if idx.size != self.n_threads:
-            raise KernelError(
-                f"index vector has {idx.size} lanes, launch has "
-                f"{self.n_threads} threads"
-            )
-        if active is not None:
-            idx = np.where(self._active_info(active)[0], idx, -1)
-        return idx
-
     def _op_info(
         self, idx: np.ndarray, active: Optional[np.ndarray]
     ) -> tuple[np.ndarray, Optional[np.ndarray], int, int]:

@@ -54,8 +54,8 @@ class GpuSpec:
 class HostLinkSpec:
     """The shared host<->device interconnect of a multi-GPU node.
 
-    A :class:`~repro.gpusim.pool.DevicePool` hangs every device off one
-    :class:`~repro.gpusim.pool.HostLink` built from this spec.  The model
+    :class:`~repro.gpusim.costmodel.PoolCostModel` prices a device
+    pool's summed transfers on one link built from this spec.  The model
     is the one SOAP3-dp's multi-GPU split assumes: each PCIe slot may be
     x16, but all slots funnel through one I/O hub and host-memory
     controller, so *concurrent* transfers from N devices serialize

@@ -68,18 +68,23 @@ class TestLaunchSites:
         assert found.kernel_names() == ["body"]
 
     def test_enqueue_fn_keyword(self):
+        """``kernel=`` is the one keyword spelling: ``fn=`` names no
+        kernel, not even on ``launch``."""
         found = _discover(
             """
             def body(ctx, out):
                 pass
 
-            def run(stream, out):
+            def run(device, stream, out):
+                device.launch(fn=body, n_threads=32, args=(out,))
                 stream.enqueue(fn=body, n_threads=32, args=(out,))
             """
         )
-        assert found.kernel_names() == ["body"]
+        assert found.kernel_names() == []
 
     def test_enqueue_positional(self):
+        """``launch`` is the one launch method: nothing routes kernels
+        through an ``enqueue`` queue."""
         found = _discover(
             """
             def body(ctx, out):
@@ -89,7 +94,7 @@ class TestLaunchSites:
                 stream.enqueue(body, 32, out)
             """
         )
-        assert found.kernel_names() == ["body"]
+        assert found.kernel_names() == []
 
     def test_unrelated_calls_ignored(self):
         found = _discover(
@@ -202,8 +207,8 @@ class TestLintIntegration:
 
             chosen = body
 
-            def run(stream, arr):
-                stream.enqueue(fn=chosen, n_threads=32, args=(arr,))
+            def run(device, arr):
+                device.launch(chosen, 32, arr)
             """
         ), "t.py").diagnostics
         assert [d.rule for d in diags] == ["GSNP101"]

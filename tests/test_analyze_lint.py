@@ -304,6 +304,26 @@ class TestSuppression:
         )
         assert [d.rule for d in diags] == ["GSNP101"]
 
+    def test_rule_list_ends_where_the_rationale_begins(self):
+        diags = _audit(
+            """
+            def ok_kernel(ctx, arr):
+                v = arr.data  # gsnp-lint: disable=GSNP101 because host staging
+            """
+        )
+        assert diags == []
+
+    def test_spaced_rule_list_suppresses_every_rule(self):
+        diags = _audit(
+            """
+            import numpy as np
+
+            def ok_kernel(ctx, arr):
+                v = np.log(arr.data)  # gsnp-lint: disable=GSNP101, GSNP102 two rules
+            """
+        )
+        assert diags == []
+
     def test_directive_in_a_string_literal_does_not_suppress(self):
         diags = _audit(
             """

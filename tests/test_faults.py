@@ -37,7 +37,7 @@ from repro.faults import (
     fault_point,
     install_plan,
 )
-from repro.faults.journal import JOURNAL_VERSION, seal, unseal
+from repro.faults.journal import JOURNAL_VERSION, JournalError, seal, unseal
 from repro.seqsim.datasets import KnownSnpPrior
 from repro.seqsim.reference import Reference
 from repro.soapsnp.model import CallingParams
@@ -518,6 +518,27 @@ class TestAtomicOutput:
                 raise RuntimeError("killed mid-write")
         assert not p.exists()
         assert not list(tmp_path.glob("*.part"))
+
+    def test_failed_rename_leaves_no_part_file(self, tmp_path, monkeypatch):
+        """A failure after the body (here the rename) cleans up too, and a
+        journal commit, which writes through the same writer, says so as
+        a ``JournalError``."""
+        import repro.faults.journal as journal_mod
+
+        def refuse(src, dst):
+            raise OSError("disk pulled")
+
+        monkeypatch.setattr(journal_mod.os, "replace", refuse)
+        with pytest.raises(OSError):
+            with atomic_output(tmp_path / "out.bin") as f:
+                f.write(b"payload")
+        journal = ShardJournal(tmp_path / "j", "fp00")
+        shard = plan_shards(1024, WINDOW, 1024, 1)[0]
+        with pytest.raises(JournalError, match="disk pulled"):
+            journal.commit(ShardResult(
+                shard=shard, samples=[], profile=RunProfile(pipeline="gsnp"),
+            ))
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 class TestDegradationLadder:

@@ -133,10 +133,11 @@ def env(tmp_path_factory):
 
 
 def shard_bounds(spec: JobSpec) -> tuple:
-    """The shards the executor plans: a serial job is one shard, or one
-    megabatch of windows per shard when journaled."""
+    """The shards the executor plans for the job's lanes (a pool's, else
+    ``workers``): a serial job is one shard, or one megabatch of windows
+    per shard when journaled."""
     window = effective_window(spec.engine, spec.window)
-    lanes = max(spec.workers, spec.devices + spec.cpu_steal)
+    lanes = spec.devices + spec.cpu_steal if spec.uses_pool else spec.workers
     size = spec.shard_size
     if size is None and lanes == 1:
         size = MEGABATCH_WINDOWS * window if spec.journal else N_SITES

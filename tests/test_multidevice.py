@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import JobSpec, create_pipeline
-from repro.errors import DeviceError, ShardError
+from repro.errors import ShardError
 from repro.exec import execute, plan_shards, pool_stats
 from repro.faults.degrade import DegradationWarning
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -27,8 +27,8 @@ from repro.gpusim.costmodel import (
     predict_lane_rates,
     predict_split,
 )
-from repro.gpusim.pool import DevicePool, HostLink, acquire_device
-from repro.gpusim.spec import HostLinkSpec
+from repro.gpusim.pool import acquire_device
+from repro.gpusim.spec import GpuSpec, HostLinkSpec
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
 
 WINDOW = 800
@@ -180,12 +180,36 @@ class TestParityMatrix:
         assert h["steals"] >= 1
         _assert_parity(res, serial)
 
+    def test_workers_do_not_reach_a_pool(self, dataset, serial):
+        """``workers`` neither re-cuts a pool job's shards nor moves its
+        schedule: the shard plan counts pool lanes only."""
+        runs = [_run(dataset, devices=2, workers=w) for w in (1, 4)]
+        for res in runs:
+            _assert_parity(res, serial)
+        one, four = (res.extras["exec"] for res in runs)
+        assert one["n_shards"] == four["n_shards"]
+        assert _schedule(one["hetero"]) == _schedule(four["hetero"])
+        assert one["hetero"]["steals"] == four["hetero"]["steals"]
+        assert one["hetero"]["modeled"] == four["hetero"]["modeled"]
+
+    def test_link_is_the_sum_of_the_devices(self, dataset):
+        """The link block is the devices' own transfer logs summed, and
+        the pool's launches their counter books summed: one ledger."""
+        h = _run(dataset, devices=3, cpu_steal=True).extras["exec"]["hetero"]
+        rows = h["per_device"]
+        assert [r["device"] for r in rows] == [0, 1, 2]
+        assert h["link"] == {
+            key: sum(r[key] for r in rows)
+            for key in ("h2d_bytes", "d2h_bytes", "h2d_count", "d2h_count")
+        }
+        assert h["pool_launches"] == sum(r["launches"] for r in rows)
+
     def test_meta_accounting(self, dataset, serial):
         res = _run(dataset, devices=2, fusion=True)
         h = res.extras["exec"]["hetero"]
         assert h["pool_launches"] > 0
         assert h["link"]["h2d_bytes"] > 0
-        assert h["link"]["serialized_seconds"] > 0
+        assert h["modeled"]["link_seconds"] > 0
         assert h["modeled"]["makespan_seconds"] > 0
         assert len(h["lanes"]) == 2
         assert sum(l["shards"] for l in h["lanes"]) \
@@ -349,9 +373,8 @@ class TestResidencyKeying:
     def test_per_device_upload_and_key(self):
         from repro.core.likelihood import GsnpTables
 
-        pool = DevicePool(2)
         pm, penalty = self._tables()
-        d0, d1 = pool.device(0), pool.device(1)
+        d0, d1 = acquire_device(device_id=0), acquire_device(device_id=1)
         t0 = GsnpTables.load(d0, pm, penalty)
         t1 = GsnpTables.load(d1, pm, penalty)
         # Distinct uploads: each device moved its own copy over the link.
@@ -364,12 +387,11 @@ class TestResidencyKeying:
         assert again is t0
         assert d0.transfers.h2d_bytes == before
         # The resident keys embed the owning device's identity.
-        summary = pool.resident_summary()
-        for key, holders in summary.items():
-            assert len(holders) == 1, (
-                f"resident key {key!r} shared by devices {holders}"
-            )
-        pool.release()
+        keys = [set(dev.resident._entries) for dev in (d0, d1)]
+        assert [{k[1] for k in ks} for ks in keys] == [{0}, {1}]
+        assert not keys[0] & keys[1]
+        for dev in (d0, d1):
+            dev.resident.clear()
 
     def test_acquire_device_standalone(self):
         dev = acquire_device(sanitize=True)
@@ -377,9 +399,9 @@ class TestResidencyKeying:
         dev.sanitize_teardown(strict=True)
 
     def test_devices_are_constructed_only_by_the_pool(self):
-        """Every simulated device in the package comes from the pool
-        layer (``DevicePool`` / ``acquire_device``), so none escapes the
-        shared-link accounting or the device-keyed residency."""
+        """Every simulated device in the package comes from
+        ``acquire_device`` (``gpusim/pool.py``), so every pool lane's
+        device carries its ``device_id`` into the residency keys."""
         root = Path(__file__).parents[1] / "src" / "repro"
         sites = set()
         for path in root.rglob("*.py"):
@@ -414,18 +436,21 @@ class TestCostModel:
         assert gpu > cpu > 0
 
     def test_host_link_serializes(self):
-        spec = HostLinkSpec(bandwidth=1e9, per_transfer_overhead=1e-6)
-        link = HostLink(spec)
-        link.charge(0, 500_000_000, "h2d")
-        link.charge(1, 500_000_000, "d2h")
-        link.note_launch(0)
-        total = link.total()
-        assert total.total_bytes == 1_000_000_000
-        assert total.total_count == 2
-        assert total.launches == 1
-        assert link.serialized_seconds() == pytest.approx(1.0 + 2e-6)
-        with pytest.raises(DeviceError):
-            link.charge(0, 1, "sideways")
+        """Every lane's bytes over the one shared bandwidth, plus the
+        per-transfer overhead of each of their transfers."""
+        model = PoolCostModel(HostLinkSpec(
+            bandwidth=1e9, per_transfer_overhead=1e-6,
+        ))
+        lanes = [
+            LaneUsage(compute_seconds=0.0, transfer_bytes=500_000_000,
+                      transfer_count=1),
+            LaneUsage(compute_seconds=0.0, transfer_bytes=500_000_000,
+                      transfer_count=1),
+        ]
+        assert model.link_seconds(lanes) == pytest.approx(1.0 + 2e-6)
+        assert model.link_seconds([]) == 0.0
+        # The default link is one device's PCIe slot.
+        assert PoolCostModel().link.bandwidth == GpuSpec().pcie_bandwidth
 
     def test_pool_makespan(self):
         model = PoolCostModel(HostLinkSpec(

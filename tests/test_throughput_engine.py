@@ -6,14 +6,13 @@ compressed output and per-phase event counters to a fresh pipeline's run,
 and the simulator's fast transaction engine must agree with the reference
 sentinel sort and a brute-force oracle.  These tests pin that invariant at
 the serial pipeline and the transaction counter, plus the once-per-worker
-residency guarantee and the audit's discovery of enqueued kernels.
+residency guarantee.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze import audit_source
 from repro.api import JobSpec, create_pipeline
 from repro.core.score_table import new_p_build_count, reset_new_p_cache
 from repro.exec import execute
@@ -175,18 +174,3 @@ class TestTransactionFastPaths:
         first = count_transactions(idx, 4, warp_size=4)
         again = count_transactions(idx, 4, warp_size=4)
         assert first == again == _oracle(idx, 4, 4)
-
-
-class TestLintEnqueueDiscovery:
-    """Kernels launched via DeviceStream.enqueue are audited like any other."""
-
-    def test_enqueue_launched_kernel_is_discovered(self):
-        diags = audit_source(
-            "def body(ctx, out):\n"
-            "    x = out.data\n"
-            "\n"
-            "def run(stream, out):\n"
-            "    stream.enqueue(body, 32, out)\n",
-            "test.py",
-        ).diagnostics
-        assert "GSNP101" in [d.rule for d in diags]
