@@ -18,6 +18,11 @@ Quick start::
     for call in detector.calls(result.table):
         print(call.pos, call.quality)
 
+Every engine returns the same :class:`CallResult`: one
+:class:`SampleCalls` per sample (a solo run is a cohort of one) and the
+run's event profile; every engine's calibration pass returns the same
+:class:`Calibration`.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
@@ -31,7 +36,6 @@ from .core import (
     Accuracy,
     GsnpDetector,
     GsnpPipeline,
-    GsnpResult,
     SnpCall,
     detect_snps,
 )
@@ -48,7 +52,8 @@ from .seqsim import (
     whole_genome_specs,
 )
 from .exec import execute
-from .soapsnp import CallingParams, SoapsnpPipeline, SoapsnpResult
+from .soapsnp import CallingParams, SoapsnpPipeline
+from .soapsnp.pipeline import Calibration, CallResult, SampleCalls
 from .validate import VerificationReport, verify_engines
 
 __version__ = "1.0.0"
@@ -58,6 +63,8 @@ __all__ = [
     "BGI_PLATFORM",
     "CH1_SPEC",
     "CH21_SPEC",
+    "Calibration",
+    "CallResult",
     "CallingParams",
     "DatasetSpec",
     "Device",
@@ -67,15 +74,14 @@ __all__ = [
     "GpuCostModel",
     "GsnpDetector",
     "GsnpPipeline",
-    "GsnpResult",
     "N_GENOTYPES",
     "Pipeline",
     "QualityModel",
     "ResultTable",
+    "SampleCalls",
     "SimulatedDataset",
     "SnpCall",
     "SoapsnpPipeline",
-    "SoapsnpResult",
     "VerificationReport",
     "__version__",
     "create_pipeline",

@@ -70,11 +70,12 @@ class Pipeline(Protocol):
 
     ``run`` calls SNPs over a dataset (optionally restricted to a
     ``site_range`` of whole windows, with a shared precomputed
-    ``calibration``) and returns a result carrying ``table`` (the
-    :class:`~repro.formats.cns.ResultTable`) and ``profile`` (the
-    :class:`~repro.bench.events.RunProfile` event records).  ``calibrate``
-    performs the one-time ``cal_p_matrix`` input pass whose product can be
-    shared across shards.
+    ``calibration``) and returns a
+    :class:`~repro.soapsnp.pipeline.CallResult` (per-sample tables plus
+    the run's :class:`~repro.bench.events.RunProfile`).  ``calibrate``
+    performs the one-time ``cal_p_matrix`` input pass whose
+    :class:`~repro.soapsnp.pipeline.Calibration` can be shared across
+    shards.
     """
 
     window_size: int

@@ -23,7 +23,7 @@ from ..gpusim.costmodel import (
     DiskModel,
     GpuCostModel,
 )
-from ..gpusim.counters import KernelCounters
+from ..gpusim.counters import COUNTER_FIELDS, KernelCounters
 from ..gpusim.spec import BGI_PLATFORM, PlatformSpec
 
 if TYPE_CHECKING:
@@ -64,18 +64,13 @@ class PhaseRecord:
 
     def scaled(self, factor: float) -> "PhaseRecord":
         """Record with all linear counts multiplied by ``factor``."""
-        g = KernelCounters(name=self.gpu.name, num_sms=self.gpu.num_sms)
-        g.merge(self.gpu)
+        g = KernelCounters(
+            name=self.gpu.name, num_sms=self.gpu.num_sms,
+            **{f: int(getattr(self.gpu, f) * factor) for f in COUNTER_FIELDS},
+        )
         # A full-scale run keeps the window *size*, so it has factor-times
         # more windows and hence factor-times more kernel launches.
-        g.launches = max(1, int(g.launches * factor))
-        g.inst_warp = int(g.inst_warp * factor)
-        g.g_load = int(g.g_load * factor)
-        g.g_store = int(g.g_store * factor)
-        g.g_load_bytes = int(g.g_load_bytes * factor)
-        g.g_store_bytes = int(g.g_store_bytes * factor)
-        g.s_load_warp = int(g.s_load_warp * factor)
-        g.s_store_warp = int(g.s_store_warp * factor)
+        g.launches = max(1, g.launches)
         return PhaseRecord(
             name=self.name,
             cpu=self.cpu.scaled(factor),
@@ -108,18 +103,11 @@ class PhaseScope:
         self.record.wall += time.perf_counter() - self.t0
         if self.device is not None:
             after = self.device.counters.total()
-            delta = KernelCounters(
-                name=self.record.name, num_sms=after.num_sms
-            )
-            delta.launches = after.launches - self._snap.launches
-            delta.inst_warp = after.inst_warp - self._snap.inst_warp
-            delta.g_load = after.g_load - self._snap.g_load
-            delta.g_store = after.g_store - self._snap.g_store
-            delta.g_load_bytes = after.g_load_bytes - self._snap.g_load_bytes
-            delta.g_store_bytes = after.g_store_bytes - self._snap.g_store_bytes
-            delta.s_load_warp = after.s_load_warp - self._snap.s_load_warp
-            delta.s_store_warp = after.s_store_warp - self._snap.s_store_warp
-            self.record.gpu.merge(delta)
+            self.record.gpu.merge(KernelCounters(
+                name=self.record.name, num_sms=after.num_sms,
+                **{f: getattr(after, f) - getattr(self._snap, f)
+                   for f in COUNTER_FIELDS},
+            ))
             xfer_now = (
                 self.device.transfers.h2d_bytes + self.device.transfers.d2h_bytes
             )

@@ -21,7 +21,7 @@ from .likelihood import (
     gsnp_likelihood_comp,
     gsnp_likelihood_sort,
 )
-from .pipeline import GsnpPipeline, GsnpResult
+from .pipeline import GsnpPipeline
 from .posterior import gsnp_posterior
 from .recycle import gsnp_recycle
 from .score_table import build_new_p_matrix, new_p_index, table_contributions
@@ -32,7 +32,6 @@ __all__ = [
     "BASELINE",
     "GsnpDetector",
     "GsnpPipeline",
-    "GsnpResult",
     "GsnpTables",
     "LikelihoodVariant",
     "OPTIMIZED",

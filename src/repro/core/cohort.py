@@ -23,21 +23,20 @@ disjoint segments, and every fused kernel in this codebase is
 segment-local by construction (an existing tested invariant).
 
 This module holds the parts that do not need pipeline internals — the
-pooled-reads helper, cohort input loading, output-path conventions and
-the :class:`CohortResult` container.  The execution loop itself is
-``GsnpPipeline.run_cohort`` in :mod:`repro.core.pipeline`.
+pooled-reads helper, cohort input loading and output-path conventions.
+The execution loop itself is ``GsnpPipeline.run_cohort`` in
+:mod:`repro.core.pipeline`; it returns the
+:class:`~repro.soapsnp.pipeline.CallResult` every engine returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Sequence
 
 import numpy as np
 
 from ..align.records import AlignmentBatch
-from ..bench.events import RunProfile
 from ..errors import PipelineError
 
 
@@ -84,54 +83,8 @@ def cohort_output_path(base, sample: int) -> Path:
     return base.with_name(f"{base.name}.s{sample}")
 
 
-@dataclass
-class CohortResult:
-    """What one cohort run produced: a per-sample result list plus the
-    cohort-level profile (events for the shared decode/launch chain are
-    attributed once, at the cohort level, not faked per sample)."""
-
-    samples: List  # per-sample GsnpResult, cohort order
-    profile: RunProfile
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
-
-    @property
-    def table(self):
-        """Primary-sample (sample 0) result table.
-
-        Lets single-result consumers (``job_summary``, smoke checks)
-        treat a cohort like a solo run of its primary sample.
-        """
-        return self.samples[0].table
-
-    @property
-    def compressed_output(self) -> bytes:
-        """All samples' compressed streams, concatenated in cohort order."""
-        return b"".join(s.compressed_output or b"" for s in self.samples)
-
-    @property
-    def output_bytes(self) -> int:
-        return sum(int(s.output_bytes) for s in self.samples)
-
-    def sample_result(self, i: int):
-        return self.samples[i]
-
-
-def solo_result(cohort: CohortResult):
-    """A cohort of one as a solo result: its only sample's result,
-    carrying the run's profile and extras."""
-    return replace(
-        cohort.samples[0], profile=cohort.profile, extras=cohort.extras
-    )
-
-
 __all__ = [
-    "CohortResult",
     "cohort_output_path",
     "load_sample_batches",
     "pooled_batch",
-    "solo_result",
 ]

@@ -16,7 +16,6 @@ GSNP) produce bitwise identical result tables.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from typing import Optional
 
@@ -25,10 +24,8 @@ import numpy as np
 from ..align.records import AlignmentBatch
 from ..bench.events import PhaseRecord, PhaseScope, RunProfile
 from ..constants import DEFAULT_WINDOW_GSNP
-from ..content import digest
 from ..errors import PipelineError
 from ..formats.cns import ResultTable
-from ..formats.soap import soap_line_bytes
 from ..formats.window import WindowReader
 from ..compress.columnar import encode_alignments, encode_table
 from ..compress.fusedcodec import encode_tables_fused
@@ -50,7 +47,12 @@ from ..soapsnp.likelihood import (
 )
 from ..soapsnp.model import CallingParams
 from ..soapsnp.observe import extract_observations
-from ..soapsnp.p_matrix import build_p_matrix, flatten_p_matrix
+from ..soapsnp.pipeline import (
+    Calibration,
+    CallResult,
+    SampleCalls,
+    calibration_pass,
+)
 from ..soapsnp.posterior import summarize_window
 from ..sortnet.cpu_sort import quicksort_per_site
 from .base_word import canonical_keys, decode_keys, extract_words, words_from_observations
@@ -72,61 +74,14 @@ from .posterior import gsnp_posterior
 from .recycle import gsnp_recycle
 from .score_table import cached_new_p_matrix, table_contributions
 
-__all__ = ["GsnpCalibration", "GsnpPipeline", "GsnpResult"]
-
-
-@dataclass
-class GsnpResult:
-    """Output of one GSNP run."""
-
-    table: ResultTable
-    profile: RunProfile
-    compressed_output: bytes = b""
-    output_bytes: int = 0
-    temp_input_bytes: int = 0
-    sort_stats: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass
-class GsnpCalibration:
-    """Product of the one-time ``cal_p_matrix`` input pass.
-
-    Sharded execution (:mod:`repro.exec`) computes this once in the parent
-    and shares it with every shard, so calibration work — and its event
-    record — is charged exactly once, as in a serial run.
-    """
-
-    params: CallingParams
-    pm_flat: np.ndarray
-    penalty: np.ndarray
-    #: :func:`~repro.content.digest` of ``(pm_flat, penalty)``: the key of
-    #: the resident score tables and the ``new_p_matrix`` memo, and the
-    #: calibration's part of a journal key.
-    digest: str
-    #: Expanded host tables for ``mode='cpu'`` (None in GPU mode).
-    new_p_flat: Optional[np.ndarray]
-    #: Compressed temporary copy of the input (Section V-A).
-    temp_blob: bytes
-    #: Length of ``temp_blob`` — kept separately so :meth:`strip` can drop
-    #: the blob before pickling to workers without losing the size that
-    #: the per-window ``read_site`` accounting needs.
-    temp_len: int
-    input_bytes: int
-    total_reads: int
-    #: The ``cal_p_matrix`` phase events (wall, disk, cpu, table upload).
-    record: PhaseRecord
-
-    def strip(self) -> "GsnpCalibration":
-        """Copy without the temp blob (cheap to ship to worker processes)."""
-        return replace(self, temp_blob=b"")
+__all__ = ["GsnpPipeline"]
 
 
 def _host_likelihood(
     rec: PhaseRecord,
     words: np.ndarray,
     offsets: np.ndarray,
-    calibration: GsnpCalibration,
+    calibration: Calibration,
 ) -> np.ndarray:
     """``mode='cpu'`` likelihood for one window: quicksort for the sort
     half, the table lookups evaluated on the host for the comp half; the
@@ -179,67 +134,49 @@ class GsnpPipeline:
 
     def calibrate(
         self, dataset: SimulatedDataset, reads: Optional[AlignmentBatch] = None
-    ) -> GsnpCalibration:
+    ) -> Calibration:
         """The ``cal_p_matrix`` pass: read the whole input once, build the
         score tables and the compressed temporary input copy.
 
         Charges the pass's events (including the device table upload in GPU
-        mode) to the returned :attr:`GsnpCalibration.record`, so a sharded
-        run that shares one calibration reports the same counters as a
-        serial run that calibrates inline.
+        mode) to the returned :attr:`Calibration.record`, so a sharded run
+        that shares one calibration reports the same counters as a serial
+        run that calibrates inline.
         """
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
-        params = self.params or CallingParams(read_len=reads.read_len or 100)
-        input_bytes = reads.n_reads * soap_line_bytes(reads.read_len)
-        rec = PhaseRecord(name="cal_p_matrix")
+        cal = calibration_pass(dataset, reads, self.params)
+        rec = cal.record
         with PhaseScope(rec, None):
-            p_matrix = build_p_matrix(reads, dataset.reference, params)
-            pm_flat = flatten_p_matrix(p_matrix)
-            penalty = params.penalty_table()
-            key = digest(pm_flat, penalty)
-            temp_blob = encode_alignments(reads)
+            cal.temp_blob = encode_alignments(reads)
             if self.mode == "gpu":
                 # Charge the one serial-equivalent load_table upload
                 # analytically — run() performs the single real upload
                 # (outside any phase scope), so nothing is built or
                 # transferred twice just to record the bytes.
                 rec.transfer_bytes += GsnpTables.upload_bytes(
-                    pm_flat, penalty, key
+                    cal.pm_flat, cal.penalty, cal.digest
                 )
-                newp_flat = None
             else:
-                newp_flat = cached_new_p_matrix(pm_flat, key)
-        rec.disk.read_bytes += input_bytes
-        rec.disk.parsed_bytes += input_bytes
-        rec.disk.write_bytes += len(temp_blob)
-        rec.cpu.instructions += reads.n_reads * reads.read_len * 4
+                cal.new_p_flat = cached_new_p_matrix(cal.pm_flat, cal.digest)
+        cal.temp_len = len(cal.temp_blob)
+        rec.disk.write_bytes += cal.temp_len
         # Score-table generation + upload is dataset-size independent; the
         # paper measures ~2s for new_p_matrix + log_table (Section VI-E).
         rec.fixed_seconds += 2.0
-        return GsnpCalibration(
-            params=params,
-            pm_flat=pm_flat,
-            penalty=penalty,
-            digest=key,
-            new_p_flat=newp_flat,
-            temp_blob=temp_blob,
-            temp_len=len(temp_blob),
-            input_bytes=input_bytes,
-            total_reads=reads.n_reads,
-            record=rec,
-        )
+        return cal
 
     def run(
         self,
         dataset: SimulatedDataset,
         *,
         site_range: Optional[tuple[int, int]] = None,
-        calibration: Optional[GsnpCalibration] = None,
+        calibration: Optional[Calibration] = None,
         reads: Optional[AlignmentBatch] = None,
-    ) -> GsnpResult:
+    ) -> CallResult:
         """Call SNPs; the compressed result stream is ``compressed_output``
-        (result files are written by :func:`repro.exec.execute`).
+        (result files are written by
+        :func:`repro.serve.runner.write_job_output`).
 
         ``site_range`` restricts the run to the windows covering
         ``[start, stop)`` (shard execution); ``calibration`` supplies a
@@ -248,16 +185,11 @@ class GsnpPipeline:
         overrides the alignment batch (e.g. a streamed shard batch holding
         only the reads overlapping ``site_range``).
 
-        A solo run is a cohort of one: its only sample's result, carrying
-        the run's profile and extras.
+        A solo run is a cohort of one.
         """
-        from .cohort import solo_result
-
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
-        return solo_result(
-            self._run_plan(dataset, [reads], site_range, calibration)
-        )
+        return self._run_plan(dataset, [reads], site_range, calibration)
 
     def run_cohort(
         self,
@@ -265,16 +197,15 @@ class GsnpPipeline:
         sample_reads,
         *,
         site_range: Optional[tuple[int, int]] = None,
-        calibration: Optional[GsnpCalibration] = None,
-    ):
+        calibration: Optional[Calibration] = None,
+    ) -> CallResult:
         """Call SNPs for an S-sample cohort sharing one reference.
 
         All samples share the same fixed-size reference windows, one
         pooled calibration (one calibration digest, one resident
         score-table set per device) and — with fusion — one sample-major
         launch chain per megabatch, so launches per stage stay
-        O(megabatches) rather than O(S * megabatches).  Returns a
-        :class:`repro.core.cohort.CohortResult`.
+        O(megabatches) rather than O(S * megabatches).
         """
         return self._run_plan(
             dataset, list(sample_reads), site_range, calibration
@@ -285,8 +216,8 @@ class GsnpPipeline:
         dataset: SimulatedDataset,
         sample_reads: list,
         site_range: Optional[tuple[int, int]],
-        calibration: Optional[GsnpCalibration],
-    ):
+        calibration: Optional[Calibration],
+    ) -> CallResult:
         """The one run loop (Figure 2), driven by launch plans.
 
         S lockstep :class:`WindowReader` streams — window boundaries
@@ -308,7 +239,7 @@ class GsnpPipeline:
         once.  The tally counts *reference* windows, so ``launches /
         windows`` exposes the cost the sample axis amortises.
         """
-        from .cohort import CohortResult, pooled_batch
+        from .cohort import pooled_batch
 
         n_samples = len(sample_reads)
         if n_samples == 0:
@@ -529,21 +460,18 @@ class GsnpPipeline:
             if gpu and not use_cache:
                 tables.free(device)
 
-        samples = []
-        for tables_out, sample_blobs, stats in zip(
-            per_tables, per_blobs, per_stats
-        ):
-            compressed = b"".join(sample_blobs)
-            samples.append(GsnpResult(
+        samples = [
+            SampleCalls(
                 table=reduce(ResultTable.concat, tables_out),
-                # Events live on the run's profile; the shared launch
-                # chain is not faked per sample.
-                profile=RunProfile(pipeline=profile.pipeline),
-                compressed_output=compressed,
-                output_bytes=len(compressed),
+                compressed_output=b"".join(sample_blobs),
+                output_bytes=sum(map(len, sample_blobs)),
                 temp_input_bytes=temp_len,
                 sort_stats=stats,
-            ))
+            )
+            for tables_out, sample_blobs, stats in zip(
+                per_tables, per_blobs, per_stats
+            )
+        ]
         extras = {
             "cohort": {"samples": n_samples, "fused": fused},
             "input_bytes": calibration.input_bytes,
@@ -558,7 +486,7 @@ class GsnpPipeline:
                 "launches": tally.total_launches(),
                 "stages": tally.summary(),
             }
-        return CohortResult(samples=samples, profile=profile, extras=extras)
+        return CallResult(samples=samples, profile=profile, extras=extras)
 
     def release_cache(self) -> None:
         """Free the persistent residency: resident tables + cached device.

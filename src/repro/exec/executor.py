@@ -971,10 +971,11 @@ def execute(
     :func:`repro.serve.runner.write_job_output`, so a job that raises
     leaves no output file.
 
-    Returns the engine's own result type with tables, compressed output
-    and merged event counters bitwise/exactly equal to the serial path;
-    ``extras['shards']`` carries per-shard timing/throughput metrics and
-    ``extras['exec']`` the scheduler configuration.
+    Returns a :class:`~repro.soapsnp.pipeline.CallResult` with tables,
+    compressed output and merged event counters bitwise/exactly equal to
+    the serial path; ``extras['shards']`` carries per-shard
+    timing/throughput metrics and ``extras['exec']`` the scheduler
+    configuration.
 
     Long-lived callers pass ``calibration=`` (a previously computed
     calibration for this dataset/engine/params, skipping the input pass)
@@ -1087,5 +1088,5 @@ def execute(
     }
     return merge_shard_results(
         list(committed.values()) + ran, calibration,
-        cohort=sample_reads is not None, exec_meta=exec_meta, device=device,
+        exec_meta=exec_meta, device=device,
     )

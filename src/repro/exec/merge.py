@@ -15,14 +15,10 @@ from __future__ import annotations
 from functools import reduce
 from typing import Optional
 
-import numpy as np
-
 from ..bench.events import RunProfile
-from ..core.cohort import CohortResult, solo_result
-from ..core.pipeline import GsnpResult
 from ..errors import PipelineError
 from ..formats.cns import ResultTable
-from ..soapsnp.pipeline import SoapsnpResult
+from ..soapsnp.pipeline import CallResult, SampleCalls
 from .shard import ShardResult
 
 
@@ -55,24 +51,18 @@ def merge_shard_results(
     results: list[ShardResult],
     calibration,
     *,
-    cohort: bool,
     exec_meta: Optional[dict] = None,
     device=None,
-):
-    """Merge shard results into the engine's own result type.
+) -> CallResult:
+    """Merge shard results into one :class:`CallResult`.
 
     One loop over the samples concatenates each one's tables, blobs and
     sort statistics in genomic order: sample ``i``'s merged output is
     exactly what its solo run (with the pooled calibration) would have
-    produced.  With ``cohort`` (the job has ``sample_reads``; a cohort of
-    one stays a cohort) the result is a
-    :class:`~repro.core.cohort.CohortResult`, else the one sample's
-    :class:`~repro.core.pipeline.GsnpResult` or
-    :class:`~repro.soapsnp.pipeline.SoapsnpResult` — each
-    indistinguishable from a whole-job pipeline run's except for wall
-    clock and the exec metadata in ``extras`` (``device`` is reported as
-    ``extras["device"]``).  Files are written by
-    :func:`repro.serve.runner.write_job_output`, not here.
+    produced, and the result is indistinguishable from a whole-job
+    pipeline run's except for wall clock and the exec metadata in
+    ``extras`` (``device`` is reported as ``extras["device"]``).  Files
+    are written by :func:`repro.serve.runner.write_job_output`, not here.
     """
     if not results:
         raise PipelineError("no shard results to merge")
@@ -80,36 +70,17 @@ def merge_shard_results(
     n_samples = len(results[0].samples)
     if any(len(sr.samples) != n_samples for sr in results):
         raise PipelineError("shard results disagree on cohort size")
-    family = results[0].profile.pipeline
-    text = family not in ("gsnp", "gsnp_cpu")
 
-    members = []
-    for parts in zip(*(sr.samples for sr in results)):
-        table = reduce(ResultTable.concat, [p.table for p in parts])
-        # A sample's events live on the run's profile, as in a pipeline
-        # run; the shared launch chain is not faked per sample.
-        own = RunProfile(pipeline=family)
-        output_bytes = sum(p.output_bytes for p in parts)
-        if text:
-            nnz = [p.nnz for p in parts if p.nnz is not None]
-            member = SoapsnpResult(
-                table=table,
-                profile=own,
-                nnz=np.concatenate(nnz) if nnz else None,
-                output_bytes=output_bytes,
-                p_matrix=calibration.p_matrix,
-            )
-        else:
-            member = GsnpResult(
-                table=table,
-                profile=own,
-                compressed_output=b"".join(p.compressed for p in parts),
-                output_bytes=output_bytes,
-                temp_input_bytes=calibration.temp_len,
-                sort_stats=[s for p in parts for s in p.sort_stats],
-            )
-        members.append(member)
-
+    samples = [
+        SampleCalls(
+            table=reduce(ResultTable.concat, [p.table for p in parts]),
+            compressed_output=b"".join(p.compressed_output for p in parts),
+            output_bytes=sum(p.output_bytes for p in parts),
+            temp_input_bytes=calibration.temp_len,
+            sort_stats=[s for p in parts for s in p.sort_stats],
+        )
+        for parts in zip(*(sr.samples for sr in results))
+    ]
     extras = {
         "input_bytes": calibration.input_bytes,
         "shards": [sr.metrics() for sr in results],
@@ -119,9 +90,8 @@ def merge_shard_results(
     }
     if exec_meta:
         extras["exec"] = dict(exec_meta)
-    merged = CohortResult(
-        samples=members,
+    return CallResult(
+        samples=samples,
         profile=merge_profiles(results, calibration.record),
         extras=extras,
     )
-    return merged if cohort else solo_result(merged)

@@ -9,16 +9,12 @@ serial run bit for bit — calls *and* compressed bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..bench.events import RunProfile
-from ..core.cohort import CohortResult
 from ..errors import PipelineError
-from ..formats.cns import ResultTable
-from ..soapsnp.pipeline import SoapsnpResult
+from ..soapsnp.pipeline import CallResult, SampleCalls
 
 
 @dataclass(frozen=True)
@@ -77,27 +73,12 @@ def plan_shards(
 
 
 @dataclass
-class ShardSample:
-    """One sample's share of a shard's output."""
-
-    table: ResultTable
-    #: GSNP engines: the shard's windows' compressed blobs, in order.
-    compressed: bytes = b""
-    sort_stats: list = field(default_factory=list)
-    #: Bytes the sample's share writes natively (text rows for soapsnp,
-    #: the blob for the GSNP engines).
-    output_bytes: int = 0
-    #: soapsnp with ``collect_nnz``: per-site non-zero counts.
-    nnz: Optional[np.ndarray] = None
-
-
-@dataclass
 class ShardResult:
     """What one executed shard sends back to the parent."""
 
     shard: Shard
-    #: One entry per sample, in cohort order: a solo run is a cohort of one.
-    samples: list[ShardSample]
+    #: The run's samples, in cohort order: a solo run is a cohort of one.
+    samples: list[SampleCalls]
     profile: RunProfile
     peak_gpu_bytes: int = 0
     #: Worker-side wall seconds for this shard (timing/throughput metric).
@@ -108,24 +89,13 @@ class ShardResult:
 
     @classmethod
     def from_run(
-        cls, shard: Shard, result, *, wall: float, attempts: int, pid: int
+        cls, shard: Shard, result: CallResult, *, wall: float, attempts: int,
+        pid: int,
     ) -> "ShardResult":
-        """Package a pipeline result (solo, ``CohortResult`` or the dense
-        baseline's text rows) for the parent."""
-        if isinstance(result, SoapsnpResult):
-            samples = [ShardSample(
-                result.table, output_bytes=result.output_bytes, nnz=result.nnz,
-            )]
-        else:
-            cohort = isinstance(result, CohortResult)
-            samples = [
-                ShardSample(m.table, m.compressed_output, m.sort_stats,
-                            m.output_bytes)
-                for m in (result.samples if cohort else [result])
-            ]
+        """Package any engine's run result for the parent."""
         return cls(
             shard=shard,
-            samples=samples,
+            samples=result.samples,
             profile=result.profile,
             peak_gpu_bytes=result.extras.get("peak_gpu_bytes", 0),
             wall=wall,

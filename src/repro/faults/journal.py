@@ -36,9 +36,9 @@ from ..errors import GsnpError
 
 logger = logging.getLogger(__name__)
 
-#: Journal format version; bumping invalidates old entries.  Version 3:
-#: the journal key is :func:`repro.api.job_key` over the run's content.
-JOURNAL_VERSION = 3
+#: Journal format version; bumping invalidates old entries.  Version 4:
+#: a shard result carries the engines' one ``SampleCalls`` type.
+JOURNAL_VERSION = 4
 
 
 def seal(blob: bytes) -> bytes:
@@ -54,6 +54,18 @@ def unseal(raw: bytes) -> Optional[bytes]:
     if digest(blob).encode() != sealed:
         return None
     return blob
+
+
+def load_sealed(path: Path) -> object:
+    """The object pickled in the :func:`seal`-ed record at ``path``, or
+    ``None`` when it is missing, torn or written by a build whose classes
+    no longer resolve (a miss the caller recomputes, never a crash)."""
+    try:
+        blob = unseal(path.read_bytes())
+        return None if blob is None else pickle.loads(blob)
+    except (OSError, pickle.PickleError, EOFError, ValueError, TypeError,
+            AttributeError, ImportError):
+        return None
 
 
 class JournalError(GsnpError):
@@ -100,15 +112,10 @@ class ShardJournal:
         return path
 
     def _load_entry(self, path: Path) -> Optional[dict]:
-        try:
-            blob = unseal(path.read_bytes())
-            if blob is None:
-                return None  # torn/corrupt entry: treat as a miss
-            entry = pickle.loads(blob)
-        except (OSError, pickle.PickleError, EOFError, ValueError):
-            return None
+        entry = load_sealed(path)
         if (
-            entry.get("version") != JOURNAL_VERSION
+            not isinstance(entry, dict)
+            or entry.get("version") != JOURNAL_VERSION
             or entry.get("key") != self.key
         ):
             return None
@@ -256,6 +263,7 @@ __all__ = [
     "JournalError",
     "ShardJournal",
     "atomic_output",
+    "load_sealed",
     "seal",
     "unseal",
 ]

@@ -13,6 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+#: Every additive counter of :class:`KernelCounters`: what a merge sums,
+#: a scope's delta subtracts and a scaled record multiplies.
+COUNTER_FIELDS = (
+    "launches", "inst_warp", "g_load", "g_store", "g_load_bytes",
+    "g_store_bytes", "s_load_warp", "s_store_warp", "c_load",
+)
+
+
 @dataclass
 class KernelCounters:
     """Mutable counter set for one kernel (or one accumulation scope)."""
@@ -40,17 +48,7 @@ class KernelCounters:
     num_sms: int = 14
 
     def _is_empty(self) -> bool:
-        return (
-            self.launches == 0
-            and self.inst_warp == 0
-            and self.g_load == 0
-            and self.g_store == 0
-            and self.g_load_bytes == 0
-            and self.g_store_bytes == 0
-            and self.s_load_warp == 0
-            and self.s_store_warp == 0
-            and self.c_load == 0
-        )
+        return not any(getattr(self, f) for f in COUNTER_FIELDS)
 
     def bump_global(
         self,
@@ -90,15 +88,8 @@ class KernelCounters:
                     f"across device specs: num_sms {self.num_sms} != "
                     f"{other.num_sms} (PW normalization would be wrong)"
                 )
-        self.launches += other.launches
-        self.inst_warp += other.inst_warp
-        self.g_load += other.g_load
-        self.g_store += other.g_store
-        self.g_load_bytes += other.g_load_bytes
-        self.g_store_bytes += other.g_store_bytes
-        self.s_load_warp += other.s_load_warp
-        self.s_store_warp += other.s_store_warp
-        self.c_load += other.c_load
+        for f in COUNTER_FIELDS:
+            setattr(self, f, getattr(self, f) + getattr(other, f))
 
     # -- Paper-style per-warp views -------------------------------------
 

@@ -39,11 +39,11 @@ from ..api import JobSpec, job_key
 from ..content import digest
 from ..core.detector import dataset_from_files
 from ..exec import calibrate_job, execute
-from ..faults.journal import atomic_output, seal, unseal
+from ..faults.journal import atomic_output, load_sealed, seal
 
 #: On-disk calibration entry format version; entries of another are
-#: misses.  Version 2: keys are :func:`~repro.api.job_key` addresses.
-CALIBRATION_STORE_VERSION = 2
+#: misses.  Version 3: every engine's calibration is one ``Calibration``.
+CALIBRATION_STORE_VERSION = 3
 
 #: What a calibration key leaves out: ``calibrate()`` reads only the
 #: engine and the inputs' bytes.
@@ -56,17 +56,15 @@ def write_job_output(result, spec: JobSpec) -> bytes:
 
     Returns the rendered bytes (CNS text, or the columnar blob with
     ``spec.compressed``) and, when the spec names an output path, writes
-    them there atomically.  A solo result renders as a cohort of one: one
-    file per sample (sample 0 at spec.output, sample i at <output>.s<i>);
-    the returned inline bytes are the per-sample renderings concatenated
-    in cohort order.
+    them there atomically: one file per sample (sample 0 at spec.output,
+    sample i at <output>.s<i>); the returned inline bytes are the
+    per-sample renderings concatenated in cohort order.
     """
-    from ..core.cohort import CohortResult, cohort_output_path
+    from ..core.cohort import cohort_output_path
     from ..formats.cns import format_rows
 
     blobs = []
-    cohort = isinstance(result, CohortResult)
-    for si, sres in enumerate(result.samples if cohort else [result]):
+    for si, sres in enumerate(result.samples):
         if not spec.compressed:
             blob = format_rows(sres.table)
         elif spec.engine == "soapsnp":
@@ -89,9 +87,8 @@ def job_summary(result, spec: JobSpec, wall: float) -> str:
     table = result.table
     snps = is_snp_call(table) & (table.quality >= spec.min_quality)
     cohort = ""
-    n_samples = getattr(result, "n_samples", 1)
-    if n_samples > 1:
-        cohort = f" [cohort of {n_samples} samples; sample-0 counts]"
+    if result.n_samples > 1:
+        cohort = f" [cohort of {result.n_samples} samples; sample-0 counts]"
     return (
         f"{spec.engine}: {table.n_sites} sites, {int(snps.sum())} SNP "
         f"calls (q>={spec.min_quality}) in {wall:.2f}s{cohort}"
@@ -162,13 +159,10 @@ class CalibrationCache:
         return self.dir / f"{key}.pkl"
 
     def _load_disk(self, key: str):
-        try:
-            blob = unseal(self._path(key).read_bytes())
-            if blob is None:
-                return None  # torn entry: recompute
-            version, calibration = pickle.loads(blob)
-        except (OSError, pickle.PickleError, EOFError, ValueError, TypeError):
+        entry = load_sealed(self._path(key))
+        if not isinstance(entry, tuple) or len(entry) != 2:
             return None
+        version, calibration = entry
         return calibration if version == CALIBRATION_STORE_VERSION else None
 
     def _store_disk(self, key: str, calibration) -> None:

@@ -24,14 +24,13 @@ from .p_matrix import (
     p_matrix_index,
     theoretical_p_matrix,
 )
-from .pipeline import SoapsnpPipeline, SoapsnpResult
+from .pipeline import SoapsnpPipeline
 from .posterior import call_posterior, is_snp_call, summarize_window
 
 __all__ = [
     "CallingParams",
     "Observations",
     "SoapsnpPipeline",
-    "SoapsnpResult",
     "adjust_scores",
     "allele_weights",
     "base_occ_cell_index",

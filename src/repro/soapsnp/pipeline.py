@@ -8,11 +8,17 @@ and recycle, Formula 1) is charged to the event records rather than
 executed, because actually scanning zeros in Python would only prove that
 Python is slow.  Event counts are the paper's own analytical quantities,
 so the modeled breakdown reproduces Table I.
+
+The types every engine shares live here, below both pipelines: the
+:class:`Calibration` of the ``cal_p_matrix`` pass (:func:`calibration_pass`
+is the part both engines run) and the :class:`CallResult` of
+:class:`SampleCalls` that every run, shard and merged job returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -25,7 +31,6 @@ from ..formats.cns import ResultTable, format_rows
 from ..formats.soap import soap_line_bytes
 from ..formats.window import WindowReader
 from ..seqsim.datasets import SimulatedDataset
-from .base_occ import nonzero_counts
 from .likelihood import window_type_likely
 from .model import CallingParams
 from .observe import extract_observations
@@ -34,36 +39,117 @@ from .posterior import summarize_window
 
 
 @dataclass
-class SoapsnpResult:
-    """Output of one SOAPsnp run."""
+class SampleCalls:
+    """One sample's calls from any engine's run, shard or merged job."""
 
     table: ResultTable
-    profile: RunProfile
-    #: Per-site non-zero base_occ cell counts (Figure 4b), when collected.
-    nnz: Optional[np.ndarray] = None
-    #: Total plain-text output bytes.
+    #: The GSNP engines' compressed result stream (empty for soapsnp).
+    compressed_output: bytes = b""
+    #: Bytes the sample writes natively: text rows for soapsnp, the
+    #: compressed stream for the GSNP engines.
     output_bytes: int = 0
-    p_matrix: Optional[np.ndarray] = None
-    extras: dict = field(default_factory=dict)
+    #: Size of the calibration's compressed temporary input copy.
+    temp_input_bytes: int = 0
+    sort_stats: list = field(default_factory=list)
 
 
 @dataclass
-class SoapsnpCalibration:
-    """Product of SOAPsnp's ``cal_p_matrix`` pass, shareable across shards."""
+class CallResult:
+    """What every engine's run, every shard and every merged job returns.
+
+    One :class:`SampleCalls` per sample, in cohort order (a solo run is a
+    cohort of one), plus the run's profile: events of the shared launch
+    chain are attributed once, to the run, not faked per sample.
+    """
+
+    samples: list[SampleCalls]
+    profile: RunProfile
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.samples)
+
+    @property
+    def table(self) -> ResultTable:
+        """The primary sample's (sample 0's) result table."""
+        return self.samples[0].table
+
+    @property
+    def compressed_output(self) -> bytes:
+        """All samples' compressed streams, concatenated in cohort order."""
+        return b"".join(s.compressed_output for s in self.samples)
+
+    @property
+    def output_bytes(self) -> int:
+        return sum(s.output_bytes for s in self.samples)
+
+
+@dataclass
+class Calibration:
+    """Product of the one-time ``cal_p_matrix`` input pass.
+
+    Sharded execution (:mod:`repro.exec`) computes this once in the parent
+    and shares it with every shard, so calibration work — and its event
+    record — is charged exactly once, as in a serial run.  SOAPsnp's pass
+    leaves the GSNP-only fields at their defaults.
+    """
 
     params: CallingParams
-    p_matrix: np.ndarray
     pm_flat: np.ndarray
     penalty: np.ndarray
-    #: :func:`~repro.content.digest` of ``(pm_flat, penalty)``.
+    #: :func:`~repro.content.digest` of ``(pm_flat, penalty)``: the key of
+    #: the resident score tables and the ``new_p_matrix`` memo, and the
+    #: calibration's part of a journal key.
     digest: str
     input_bytes: int
     total_reads: int
+    #: The ``cal_p_matrix`` phase events (wall, disk, cpu, table upload).
     record: PhaseRecord
+    #: Expanded host tables for GSNP's ``mode='cpu'``.
+    new_p_flat: Optional[np.ndarray] = None
+    #: GSNP's compressed temporary copy of the input (Section V-A).
+    temp_blob: bytes = b""
+    #: Length of ``temp_blob`` — kept separately so :meth:`strip` can drop
+    #: the blob before pickling to workers without losing the size that
+    #: the per-window ``read_site`` accounting needs.
+    temp_len: int = 0
 
-    def strip(self) -> "SoapsnpCalibration":
-        """Interface parity with the GSNP calibration (nothing to drop)."""
-        return self
+    def strip(self) -> "Calibration":
+        """Copy without the temp blob (cheap to ship to worker processes)."""
+        return replace(self, temp_blob=b"")
+
+
+def calibration_pass(
+    dataset: SimulatedDataset,
+    reads: Optional[AlignmentBatch],
+    params: Optional[CallingParams],
+) -> Calibration:
+    """The ``cal_p_matrix`` pass every engine shares: one full read of the
+    input into the calibrated score tables, with its disk and CPU events."""
+    if reads is None:
+        reads = AlignmentBatch.from_read_set(dataset.reads)
+    params = params or CallingParams(read_len=reads.read_len or 100)
+    input_bytes = reads.n_reads * soap_line_bytes(reads.read_len)
+    rec = PhaseRecord(name="cal_p_matrix")
+    with PhaseScope(rec, None):
+        pm_flat = flatten_p_matrix(
+            build_p_matrix(reads, dataset.reference, params)
+        )
+        penalty = params.penalty_table()
+        key = digest(pm_flat, penalty)
+    rec.disk.read_bytes += input_bytes
+    rec.disk.parsed_bytes += input_bytes
+    rec.cpu.instructions += reads.n_reads * reads.read_len * 4
+    return Calibration(
+        params=params,
+        pm_flat=pm_flat,
+        penalty=penalty,
+        digest=key,
+        input_bytes=input_bytes,
+        total_reads=reads.n_reads,
+        record=rec,
+    )
 
 
 class SoapsnpPipeline:
@@ -73,54 +159,31 @@ class SoapsnpPipeline:
         self,
         params: Optional[CallingParams] = None,
         window_size: int = DEFAULT_WINDOW_SOAPSNP,
-        collect_nnz: bool = False,
     ) -> None:
         self.params = params
         self.window_size = window_size
-        self.collect_nnz = collect_nnz
 
     def calibrate(
         self, dataset: SimulatedDataset, reads: Optional[AlignmentBatch] = None
-    ) -> SoapsnpCalibration:
+    ) -> Calibration:
         """The ``cal_p_matrix`` pass: one full read of the input."""
-        if reads is None:
-            reads = AlignmentBatch.from_read_set(dataset.reads)
-        params = self.params or CallingParams(read_len=reads.read_len or 100)
-        input_bytes = reads.n_reads * soap_line_bytes(reads.read_len)
-        rec = PhaseRecord(name="cal_p_matrix")
-        with PhaseScope(rec, None):
-            p_matrix = build_p_matrix(reads, dataset.reference, params)
-            pm_flat = flatten_p_matrix(p_matrix)
-            penalty = params.penalty_table()
-        rec.disk.read_bytes += input_bytes
-        rec.disk.parsed_bytes += input_bytes
-        rec.cpu.instructions += reads.n_reads * reads.read_len * 4
-        return SoapsnpCalibration(
-            params=params,
-            p_matrix=p_matrix,
-            pm_flat=pm_flat,
-            penalty=penalty,
-            digest=digest(pm_flat, penalty),
-            input_bytes=input_bytes,
-            total_reads=reads.n_reads,
-            record=rec,
-        )
+        return calibration_pass(dataset, reads, self.params)
 
     def run(
         self,
         dataset: SimulatedDataset,
         *,
         site_range: Optional[tuple[int, int]] = None,
-        calibration: Optional[SoapsnpCalibration] = None,
+        calibration: Optional[Calibration] = None,
         reads: Optional[AlignmentBatch] = None,
-    ) -> SoapsnpResult:
+    ) -> CallResult:
         """Call SNPs over a dataset.
 
         ``site_range``/``calibration``/``reads`` have the same contract as
         :meth:`repro.core.pipeline.GsnpPipeline.run` — they let the sharded
         executor run one shard of whole windows with a shared calibration.
-        As there, the ``.cns`` text file is written by
-        :func:`repro.exec.execute`; ``output_bytes`` counts its bytes.
+        As there, nothing is written: ``output_bytes`` counts the bytes
+        of the ``.cns`` text rows.
         """
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
@@ -139,7 +202,6 @@ class SoapsnpPipeline:
         )
         tables: list[ResultTable] = []
         output_bytes = 0
-        nnz_parts: list[np.ndarray] = []
         for window in reader:
             # ---- read_site: second, OS-buffered pass -------------------
             rec = profile.phase("read_site")
@@ -153,8 +215,6 @@ class SoapsnpPipeline:
             rec = profile.phase("counting")
             with PhaseScope(rec, None):
                 obs = extract_observations(window)
-                if self.collect_nnz:
-                    nnz_parts.append(nonzero_counts(obs))
             m = obs.n_obs
             rec.cpu.random_accesses += 2 * m
             rec.cpu.instructions += 10 * m
@@ -199,14 +259,10 @@ class SoapsnpPipeline:
             rec.cpu.seq_write_bytes += window.n_sites * BASE_OCC_SIZE
             rec.cpu.instructions += window.n_sites
 
-        full = tables[0]
-        for t in tables[1:]:
-            full = full.concat(t)
-        return SoapsnpResult(
-            table=full,
+        return CallResult(
+            samples=[SampleCalls(
+                reduce(ResultTable.concat, tables), output_bytes=output_bytes
+            )],
             profile=profile,
-            nnz=np.concatenate(nnz_parts) if self.collect_nnz else None,
-            output_bytes=output_bytes,
-            p_matrix=calibration.p_matrix,
             extras={"input_bytes": calibration.input_bytes},
         )

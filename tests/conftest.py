@@ -6,6 +6,9 @@ expensive parts; tests treat them as read-only.
 
 from __future__ import annotations
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -77,3 +80,26 @@ def device():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(params=["class", "module"])
+def stale_class(request, monkeypatch):
+    """``(Payload, gone)``: a picklable class of an older build, and a call
+    that removes it — the class alone (unpickling then raises
+    ``AttributeError``) or its whole module (``ModuleNotFoundError``)."""
+    module = types.ModuleType("repro_older_build")
+
+    class Payload:
+        pass
+
+    Payload.__module__, Payload.__qualname__ = module.__name__, "Payload"
+    module.Payload = Payload
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+
+    def gone():
+        if request.param == "class":
+            del module.Payload
+        else:
+            del sys.modules[module.__name__]
+
+    return Payload, gone

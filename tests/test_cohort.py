@@ -76,13 +76,13 @@ def solo(ds, batches, cals):
     """The parity oracle: per cohort size, each sample's solo serial
     non-fused run with the pooled calibration -> (table, bytes)."""
     out = {}
-    for s, cal in cals.items():
+    for s in (2, 4):
         runs = []
         for batch in batches[:s]:
             pipe = create_pipeline(
                 spec=JobSpec(engine="gsnp", window=WINDOW, fusion=False)
             )
-            res = pipe.run(ds, calibration=cal, reads=batch)
+            res = pipe.run(ds, calibration=cals[s], reads=batch)
             if hasattr(pipe, "release_cache"):
                 pipe.release_cache()
             runs.append((res.table, res.compressed_output))
@@ -93,25 +93,12 @@ def solo(ds, batches, cals):
 def _assert_parity(cohort_res, oracle, ctx):
     assert cohort_res.n_samples == len(oracle), ctx
     for si, (table, blob) in enumerate(oracle):
-        sres = cohort_res.sample_result(si)
+        sres = cohort_res.samples[si]
         assert sres.table.equals(table), (ctx, si)
         assert sres.compressed_output == blob, (ctx, si)
 
 
 class TestBitwiseParity:
-    @pytest.mark.parametrize("s", [1, 2, 4])
-    @pytest.mark.parametrize("fusion", [False, True])
-    def test_serial_cohort_matches_solo_runs(
-        self, s, fusion, ds, batches, cals, solo
-    ):
-        pipe = create_pipeline(
-            spec=JobSpec(engine="gsnp", window=WINDOW, fusion=fusion)
-        )
-        res = pipe.run_cohort(ds, batches[:s], calibration=cals[s])
-        if hasattr(pipe, "release_cache"):
-            pipe.release_cache()
-        _assert_parity(res, solo[s], (s, fusion))
-
     def test_multidevice_cohort_matches_solo_runs(self, ds, batches, solo):
         self._check_multidevice_cohort(ds, batches, solo, dying=())
 
@@ -316,8 +303,8 @@ class TestCrashResume:
         fresh = execute(ds, spec=base, sample_reads=resumed)
         assert res.extras["exec"]["resumed"] == 0
         for si in range(len(order)):
-            assert res.sample_result(si).compressed_output \
-                == fresh.sample_result(si).compressed_output, si
+            assert res.samples[si].compressed_output \
+                == fresh.samples[si].compressed_output, si
 
 
 class TestSpecAndHelpers:

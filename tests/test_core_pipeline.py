@@ -63,7 +63,7 @@ class TestCompressedOutput:
 
     def test_temp_input_smaller_than_raw(self, three_results):
         _, _, gpu = three_results
-        assert gpu.temp_input_bytes < gpu.extras["input_bytes"] / 2
+        assert gpu.samples[0].temp_input_bytes < gpu.extras["input_bytes"] / 2
 
     def test_output_file_written(self, small_dataset, tmp_path):
         path = tmp_path / "out.gsnp"
@@ -132,11 +132,12 @@ class TestAccounting:
         # One SortStats per sort launch chain: per megabatch on the default
         # fused path, per window on the fusion=False oracle.
         _, _, gpu = three_results
-        assert len(gpu.sort_stats) == 1
+        assert len(gpu.samples[0].sort_stats) == 1
         oracle = GsnpPipeline(
             window_size=2000, mode="gpu", fusion=False
         ).run(small_dataset)
-        assert len(oracle.sort_stats) == -(-small_dataset.n_sites // 2000)
+        assert len(oracle.samples[0].sort_stats) \
+            == -(-small_dataset.n_sites // 2000)
         assert oracle.table.equals(gpu.table)
 
 

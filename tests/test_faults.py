@@ -501,6 +501,20 @@ class TestCheckpointResume:
             path.write_bytes(raw)
             assert journal.load(shards) == {}
 
+    def test_entry_of_an_older_build_is_a_miss(self, tmp_path, stale_class):
+        """An entry whose pickled classes this build no longer has (a
+        renamed payload type, or its whole module gone) re-executes."""
+        payload, gone = stale_class
+        journal = ShardJournal(tmp_path / "j", "fp00")
+        shards = plan_shards(2048, WINDOW, 1024, 1)
+        journal.commit(ShardResult(
+            shard=shards[0], samples=[payload()],
+            profile=RunProfile(pipeline="gsnp"),
+        ))
+        assert list(journal.load(shards)) == [0]
+        gone()
+        assert journal.load(shards) == {}
+
 
 class TestAtomicOutput:
     def test_clean_exit_commits(self, tmp_path):

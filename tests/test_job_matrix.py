@@ -224,7 +224,7 @@ def check_job(env: Env, c: dict) -> set:
             return (done - {"oracle"}) | {"typed-error"}
 
         s, text = c["samples"], spec.engine == "soapsnp"
-        members = res.samples if s > 1 else [res]
+        members = res.samples
         blobs = [encode_table(m.table) if text else m.compressed_output
                  for m in members]
         failures, _ = verify.check(
@@ -260,10 +260,11 @@ def check_job(env: Env, c: dict) -> set:
         one = run(env, replace(spec, output=None),
                   sample_batches=env.batches[:1])
         assert events(one.profile) == events(res.profile)
-        assert one.samples[0].table.equals(res.table)
+        assert one.samples[0].table.equals(res.samples[0].table)
         for field in ("compressed_output", "sort_stats",
                       "temp_input_bytes"):
-            assert getattr(one.samples[0], field) == getattr(res, field)
+            assert getattr(one.samples[0], field) \
+                == getattr(res.samples[0], field)
     ran = len(bounds) - committed
     assert (meta["resumed"], meta["n_shards"], meta["samples"]) \
         == (committed, len(bounds), s)
@@ -297,6 +298,8 @@ PINNED = [
          cpu_steal=True, workers=2),
     case(variant="w_shared", shard_size=600, samples=2),
     case(fusion=False, sanitize=True, samples=4),
+    # a cohort of two one window per launch batch on the serial lane
+    case(fusion=False, samples=2),
     # a fused cohort of four on the serial lane over several shards
     case(samples=4, shard_size=600),
     # the host engine sharded and faulted, then serial (same counters);
@@ -381,7 +384,7 @@ def job_bytes(env: Env, spec: JobSpec) -> list:
     """Every sample's text rows and compressed stream."""
     res = run(env, spec)
     return [(format_rows(m.table), m.compressed_output)
-            for m in (res.samples if spec.is_cohort else [res])]
+            for m in res.samples]
 
 
 def calibration_of(env: Env, spec: JobSpec) -> tuple:

@@ -28,6 +28,8 @@ from repro.exec.shard import Shard, ShardResult
 from repro.faults import DegradationWarning
 from repro.formats.cns import format_rows
 from repro.formats.window import WindowReader
+from repro.gpusim.counters import COUNTER_FIELDS, KernelCounters
+from repro.gpusim.pool import acquire_device
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
 from repro.seqsim.reads import simulate_reads
 from repro.serve.runner import write_job_output
@@ -88,12 +90,12 @@ class TestSoloIsCohortOfOne:
         for kw in ({}, {"site_range": (512, 1280), "calibration": cal}):
             solo = pipe.run(ds, **kw)
             cohort = pipe.run_cohort(ds, [batches[0]], **kw)
-            member = cohort.samples[0]
+            (one,), (member,) = solo.samples, cohort.samples
             assert _events(solo.profile) == _events(cohort.profile), kw
-            assert solo.compressed_output == member.compressed_output, kw
-            assert solo.table.equals(member.table), kw
-            assert solo.sort_stats == member.sort_stats, kw
-            assert solo.temp_input_bytes == member.temp_input_bytes, kw
+            assert one.compressed_output == member.compressed_output, kw
+            assert one.table.equals(member.table), kw
+            assert one.sort_stats == member.sort_stats, kw
+            assert one.temp_input_bytes == member.temp_input_bytes, kw
         pipe.release_cache()
 
     def test_solo_calibration_is_fed_the_reads_themselves(
@@ -201,10 +203,25 @@ class TestChainAccounting:
             Shard(0, 0, 1600), res, wall=1.0, attempts=1, pid=0
         )
         assert sr.peak_gpu_bytes == res.extras["device"].peak_global_used > 0
-        for sample, member in zip(sr.samples, res.samples, strict=True):
-            assert sample.table.n_sites == 1600
-            assert sample.compressed == member.compressed_output
-            assert sample.sort_stats == member.sort_stats
+        assert sr.samples is res.samples
+        assert [s.table.n_sites for s in sr.samples] == [1600] * 3
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_phase_records_sum_to_the_device_book(self, ds, fusion):
+        """Every counter a kernel bumps reaches a phase record: summed over
+        the phases, the records equal the device book, field by field
+        (constant-memory loads included)."""
+        device = acquire_device()
+        pipe = GsnpPipeline(window_size=WINDOW, fusion=fusion, device=device)
+        res = pipe.run(ds)
+        pipe.release_cache()
+        summed = KernelCounters()
+        for rec in res.profile.records.values():
+            summed.merge(rec.gpu)
+        book = device.counters.total()
+        assert book.c_load > 0
+        assert {f: getattr(summed, f) for f in COUNTER_FIELDS} \
+            == {f: getattr(book, f) for f in COUNTER_FIELDS}
 
 
 #: Job fields of every run chain: the GSNP fused and per-window chains,
@@ -257,7 +274,7 @@ class TestOutputFiles:
             detector.sample_batches = batches[:n_samples]
         res = detector.run(ds)
         write_job_output(res, spec)
-        for i, member in enumerate(res.samples if n_samples > 1 else [res]):
+        for i, member in enumerate(res.samples):
             want = format_rows(member.table) if text \
                 else member.compressed_output
             assert cohort_output_path(out, i).read_bytes() == want

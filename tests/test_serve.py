@@ -413,6 +413,21 @@ class TestResidentCaches:
             assert cache.get("key") is None
             assert cache.stats()["misses"] == 1
 
+    def test_calibration_entry_of_an_older_build_is_a_miss(
+        self, tmp_path, stale_class
+    ):
+        """A stored calibration whose pickled classes this build no longer
+        has (a restarted daemon of a newer build) is recomputed."""
+        from repro.serve.runner import CalibrationCache
+
+        payload, gone = stale_class
+        CalibrationCache(tmp_path).put("key", payload())
+        assert isinstance(CalibrationCache(tmp_path).get("key"), payload)
+        gone()
+        cache = CalibrationCache(tmp_path)
+        assert cache.get("key") is None
+        assert cache.stats()["misses"] == 1
+
     def test_serial_lane_runs_on_the_callers_thread(
         self, small_dataset, monkeypatch
     ):

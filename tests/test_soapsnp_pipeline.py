@@ -12,9 +12,7 @@ from repro.soapsnp import SoapsnpPipeline, is_snp_call
 class TestPipeline:
     @pytest.fixture(scope="class")
     def result(self, small_dataset):
-        return SoapsnpPipeline(window_size=1000, collect_nnz=True).run(
-            small_dataset
-        )
+        return SoapsnpPipeline(window_size=1000).run(small_dataset)
 
     def test_covers_every_site(self, result, small_dataset):
         assert result.table.n_sites == small_dataset.n_sites
@@ -44,9 +42,6 @@ class TestPipeline:
     def test_output_bytes_positive_and_text(self, result):
         assert result.output_bytes > result.table.n_sites * 30
 
-    def test_nnz_collected(self, result, small_dataset):
-        assert result.nnz.size == small_dataset.n_sites
-
     def test_output_file_written(self, small_dataset, tmp_path):
         path = tmp_path / "out.cns"
         det = GsnpDetector(engine="soapsnp", window=2000, output=str(path))
@@ -64,9 +59,6 @@ class TestPipeline:
             if result.table.depth[int(p)] >= 4
         }
         assert len(calls & truth) / max(len(truth), 1) > 0.8
-
-    def test_p_matrix_attached(self, result):
-        assert result.p_matrix.shape == (64, 256, 4, 4)
 
     def test_wall_times_recorded(self, result):
         assert result.profile.total_wall() > 0
