@@ -148,7 +148,7 @@ class GsnpPipeline:
         cal = calibration_pass(dataset, reads, self.params)
         rec = cal.record
         with PhaseScope(rec, None):
-            cal.temp_blob = encode_alignments(reads)
+            cal.temp_len = len(encode_alignments(reads))
             if self.mode == "gpu":
                 # Charge the one serial-equivalent load_table upload
                 # analytically — run() performs the single real upload
@@ -159,7 +159,6 @@ class GsnpPipeline:
                 )
             else:
                 cal.new_p_flat = cached_new_p_matrix(cal.pm_flat, cal.digest)
-        cal.temp_len = len(cal.temp_blob)
         rec.disk.write_bytes += cal.temp_len
         # Score-table generation + upload is dataset-size independent; the
         # paper measures ~2s for new_p_matrix + log_table (Section VI-E).

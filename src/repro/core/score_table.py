@@ -29,11 +29,9 @@ from ..constants import (
 # Process-level build cache: the ~20 MB (full-scale) new_p_matrix depends
 # only on the calibration's p_matrix, so each worker process expands it at
 # most once per calibration digest and every pipeline/shard/run reuses the
-# same read-only array.  ``new_p_build_count`` exposes the build tally
-# for the built-exactly-once residency tests.
+# same read-only array.
 _NEWP_CACHE: dict[str, np.ndarray] = {}
 _NEWP_CACHE_MAX = 4
-_NEWP_BUILDS = 0
 
 
 def cached_new_p_matrix(pm_flat: np.ndarray, key: str) -> np.ndarray:
@@ -42,7 +40,6 @@ def cached_new_p_matrix(pm_flat: np.ndarray, key: str) -> np.ndarray:
     Returns a read-only array shared by every caller in the process; device
     uploads copy it, and CPU-mode lookups only read it.
     """
-    global _NEWP_BUILDS
     hit = _NEWP_CACHE.get(key)
     if hit is not None:
         return hit
@@ -53,20 +50,7 @@ def cached_new_p_matrix(pm_flat: np.ndarray, key: str) -> np.ndarray:
     if len(_NEWP_CACHE) >= _NEWP_CACHE_MAX:
         _NEWP_CACHE.clear()
     _NEWP_CACHE[key] = newp
-    _NEWP_BUILDS += 1
     return newp
-
-
-def new_p_build_count() -> int:
-    """How many times this process actually expanded a new_p_matrix."""
-    return _NEWP_BUILDS
-
-
-def reset_new_p_cache() -> None:
-    """Drop the build cache and zero the build tally (test isolation)."""
-    global _NEWP_BUILDS
-    _NEWP_CACHE.clear()
-    _NEWP_BUILDS = 0
 
 
 def build_new_p_matrix(p_matrix: np.ndarray) -> np.ndarray:

@@ -7,13 +7,7 @@ output and event counters into a result bitwise identical to the serial
 run.  Entry point: :func:`execute`.
 """
 
-from .executor import (
-    calibrate_job,
-    execute,
-    pool_stats,
-    release_resident,
-    resident_stats,
-)
+from .executor import calibrate_job, execute
 from .merge import merge_profiles, merge_shard_results
 from .shard import Shard, ShardResult, align_shard_size, plan_shards
 
@@ -26,7 +20,4 @@ __all__ = [
     "merge_profiles",
     "merge_shard_results",
     "plan_shards",
-    "pool_stats",
-    "release_resident",
-    "resident_stats",
 ]

@@ -17,10 +17,10 @@ deque:
 * a **process lane** — a worker process of its own (``workers > 1``): the
   lane's thread ships ``(shard, attempt)`` down a pipe to *its* child and
   waits, so a dying or overrunning worker costs exactly the shard it held;
-* the **serial lane** — ``workers == 1``, ``resident``, or the
+* the **serial lane** — ``workers == 1``, a ``resident`` dict, or the
   ``pool-serial-fallback`` rung: exactly one lane, run on the calling
-  thread (no thread is spawned, so the serve daemon's per-thread resident
-  pipelines keep hitting).  Like a pool lane it owns its device: a
+  thread (no thread is spawned, so the caller's resident pipelines stay
+  on the thread that owns them).  Like a pool lane it owns its device: a
   sanitizing one when ``spec.sanitize``.
 
 ``GsnpDetector.run``, ``gsnp call`` and ``gsnp serve`` come here for
@@ -48,12 +48,18 @@ Jobs are described by a :class:`~repro.api.JobSpec` —
 ``execute(dataset, spec=spec)`` is the only spelling, and the scheduler
 reads the spec's fields directly.
 
-Long-lived callers (the ``gsnp-serve`` daemon) pass ``resident=True`` and
-an optional precomputed ``calibration``: the serial lane's pipeline is
-then kept in a per-thread resident cache across ``execute`` calls, so a
+Long-lived callers (the ``gsnp-serve`` daemon's
+:class:`~repro.serve.runner.ResidentRunner`) pass a ``resident`` dict of
+their own and an optional precomputed ``calibration``: the serial lane's
+pipeline is then kept in that dict across ``execute`` calls, so a
 repeated job over the same dataset skips both the calibration pass and the
-device score-table upload (the hit/miss counters surface through
-:func:`resident_stats`).
+device score-table upload.  The caller owns the dict, its counters and
+the release of its pipelines; nothing here outlives the call.
+
+A job's ``spec.faults`` plan is active for exactly that job
+(:func:`~repro.faults.plan.fault_plan`, a context variable): a concurrent
+job on another thread runs without it, and a process lane's child enters
+its own copy.
 
 Failure handling (exercised deliberately by :mod:`repro.faults`):
 
@@ -117,12 +123,7 @@ from ..errors import (
 )
 from ..faults.degrade import degrade, logger as fault_logger
 from ..faults.journal import ShardJournal
-from ..faults.plan import (
-    fault_plan,
-    fault_point,
-    install_plan,
-    scope as fault_scope,
-)
+from ..faults.plan import fault_plan, fault_point, scope as fault_scope
 from ..gpusim.costmodel import (
     GpuCostModel,
     LaneUsage,
@@ -136,59 +137,15 @@ from ..gpusim.pool import acquire_device
 from .merge import merge_shard_results
 from .shard import Shard, ShardResult, plan_shards
 
-# Resident lane pipelines that outlive a single ``execute`` call, keyed
-# by thread ident then pipeline identity.  Devices are only ever touched
-# by their owning thread; the lock guards the outer map so a stats reader
-# on another thread can aggregate the counters safely.
-_RESIDENT_LOCK = threading.Lock()
-_RESIDENT: dict[int, dict] = {}
-
-
-def _resident_pipelines() -> dict:
-    ident = threading.get_ident()
-    with _RESIDENT_LOCK:
-        return _RESIDENT.setdefault(ident, {})
-
-
 #: What the journal key and a resident pipeline's key leave out.
 SHARD_KEY_EXCLUDES = ("paths", "run control", "byte-invariant")
 
 
-def resident_stats() -> dict:
-    """Aggregate counters over every thread's resident lane pipelines.
-
-    ``table_hits``/``table_misses`` come from the underlying
-    :class:`~repro.gpusim.residency.DeviceResidency` caches — a hit means
-    a job reused already-uploaded score tables instead of re-uploading.
-    """
-    with _RESIDENT_LOCK:
-        per_thread = [dict(p) for p in _RESIDENT.values()]
-    stats = {"pipelines": 0, "table_hits": 0, "table_misses": 0}
-    for pipes in per_thread:
-        stats["pipelines"] += len(pipes)
-        for pipe in pipes.values():
-            res = getattr(getattr(pipe, "_cached_device", None), "resident",
-                          None)
-            if res is not None:
-                stats["table_hits"] += res.hits
-                stats["table_misses"] += res.misses
-    return stats
-
-
-def _release(pipeline) -> None:
+def release_pipeline(pipeline) -> None:
+    """Free a pipeline's device residency, if its engine keeps any."""
     release = getattr(pipeline, "release_cache", None)
     if release is not None:
         release()
-
-
-def release_resident() -> None:
-    """Drop every thread's resident pipelines (and their device caches)."""
-    with _RESIDENT_LOCK:
-        per_thread = list(_RESIDENT.values())
-        _RESIDENT.clear()
-    for pipes in per_thread:
-        for pipe in pipes.values():
-            _release(pipe)
 
 
 #: Lane id of the host-engine (gsnp_cpu) steal lane.
@@ -213,9 +170,9 @@ class _Lane:
     #: a process lane's child) and kept for every later shard.
     pipeline: object = None
     calibration: object = None
-    #: The serial lane of a long-lived caller: keep the pipeline in the
-    #: per-thread resident cache instead of releasing it with the job.
-    resident: bool = False
+    #: The serial lane of a long-lived caller: the caller's pipeline dict,
+    #: which keeps the pipeline instead of releasing it with the job.
+    resident: Optional[dict] = None
     #: Process lanes: the lane's own child and the parent end of its pipe.
     proc: object = None
     conn: object = None
@@ -280,17 +237,17 @@ def _lane_pipeline(job: _Job, lane: _Lane):
         lane.calibration = replace(
             cal, new_p_flat=cached_new_p_matrix(cal.pm_flat, cal.digest),
         )
-    if lane.resident:
+    if lane.resident is not None:
         # Outlive this job: a later job with the same pipeline shape
         # reuses the device and its uploaded tables.
         key = job_key(spec, exclude=SHARD_KEY_EXCLUDES, params=job.params)
-        lane.pipeline = _resident_pipelines().get(key)
+        lane.pipeline = lane.resident.get(key)
     if lane.pipeline is None:
         lane.pipeline = create_pipeline(
             spec=spec, params=job.params, device=lane.device
         )
-        if lane.resident:
-            _resident_pipelines()[key] = lane.pipeline
+        if lane.resident is not None:
+            lane.resident[key] = lane.pipeline
     return lane.pipeline
 
 
@@ -340,8 +297,8 @@ def _run_shard(
                 shard=shard.index,
                 attempt=attempt,
             )
-            if lane.resident:
-                _resident_pipelines().pop(job_key(
+            if lane.resident is not None:
+                lane.resident.pop(job_key(
                     job.spec, SHARD_KEY_EXCLUDES, params=job.params), None)
             lane.pipeline = None
             if lane.device is not None:
@@ -357,7 +314,7 @@ def _run_shard(
                 try:
                     result = _invoke(job, degraded, job.calibration, shard)
                 finally:
-                    _release(degraded)
+                    release_pipeline(degraded)
         wall = time.perf_counter() - t0
     return ShardResult.from_run(
         shard, result, wall=wall, attempts=attempt + 1,
@@ -368,10 +325,9 @@ def _run_shard(
 def _worker_main(job: _Job, lane_id: int, conn, parent_end) -> None:
     """A process lane's child: run the shards its lane thread ships."""
     parent_end.close()  # inherited by fork; EOF must mean the parent left
-    install_plan(job.spec.faults)
     lane = _Lane(lane_id=lane_id, kind="process")
-    with contextlib.suppress(EOFError):  # the parent left without a word
-        for task in iter(conn.recv, None):
+    with fault_plan(job.spec.faults), contextlib.suppress(EOFError):
+        for task in iter(conn.recv, None):  # EOF: the parent left silently
             try:
                 outcome = ("ok", _run_shard(job, lane, *task))
             except Exception as exc:  # noqa: BLE001 — forwarded to retry
@@ -395,7 +351,7 @@ class _Scheduler:
         shards: list[Shard],
         journal,
         *,
-        resident: bool,
+        resident: Optional[dict],
     ) -> None:
         self.job = job
         self.shards = shards
@@ -414,7 +370,7 @@ class _Scheduler:
             ]
             if spec.cpu_steal:
                 self.lanes.append(_Lane(lane_id=CPU_LANE, kind="cpu"))
-        elif resident or spec.workers <= 1:
+        elif resident is not None or spec.workers <= 1:
             # A resident pipeline's device must stay thread-confined, so
             # ``resident`` implies the serial lane.
             self.lanes = [_Lane(
@@ -825,7 +781,7 @@ class _Scheduler:
         """Scheduler metadata; the ``hetero`` block (per-lane stats, steal
         counts, link traffic, modeled makespan) exists only for device
         pools — consumers switch their modeled-time formula on it — and
-        is also what :func:`pool_stats` accumulates."""
+        is also what the serve daemon's runner tallies."""
         if not self.lanes[0].pooled:
             return {"pool": self.lanes[0].kind}
         pool_model = PoolCostModel()
@@ -881,7 +837,6 @@ class _Scheduler:
                 ),
             },
         }
-        _note_job(hetero)
         return {"pool": "hetero", "hetero": hetero}
 
     def device(self) -> Optional[Device]:
@@ -902,39 +857,12 @@ class _Scheduler:
             self.error = self.error or PipelineError("scheduler closed")
         self._stop_workers()
         for lane in self.lanes:
-            if not lane.resident:
-                _release(lane.pipeline)
+            if lane.resident is None:
+                release_pipeline(lane.pipeline)
             dev = lane.device
             if dev is not None and dev.sanitizer is not None and not lane.dead:
                 dev.resident.clear()
                 dev.sanitize_teardown(strict=True)
-
-
-# -- cumulative pool stats (the serve daemon's /stats "devices" section) ---
-
-_STATS_LOCK = threading.Lock()
-_POOL_STATS: dict = {"jobs": 0, "shards": 0, "steals": 0, "last": None}
-
-
-def _note_job(meta: dict) -> None:
-    with _STATS_LOCK:
-        _POOL_STATS["jobs"] += 1
-        _POOL_STATS["shards"] += sum(l["shards"] for l in meta["lanes"])
-        _POOL_STATS["steals"] += meta["steals"]
-        _POOL_STATS["last"] = {
-            "devices": meta["devices"],
-            "cpu_steal": meta["cpu_steal"],
-            "steals": meta["steals"],
-            "per_device": meta["per_device"],
-            "modeled": meta["modeled"],
-        }
-
-
-def pool_stats() -> dict:
-    """Cumulative multi-device scheduler stats (plus the last job's
-    per-device breakdown), for ``gsnp-serve`` ``/stats``."""
-    with _STATS_LOCK:
-        return dict(_POOL_STATS)
 
 
 def calibrate_job(dataset, spec: JobSpec, params=None, sample_reads=None):
@@ -958,7 +886,7 @@ def execute(
     spec: JobSpec,
     params=None,
     calibration=None,
-    resident: bool = False,
+    resident: Optional[dict] = None,
     sample_reads=None,
 ):
     """Run a calling job as window-aligned shards on the lane scheduler.
@@ -979,9 +907,10 @@ def execute(
 
     Long-lived callers pass ``calibration=`` (a previously computed
     calibration for this dataset/engine/params, skipping the input pass)
-    and ``resident=True`` (keep the serial lane's pipeline, device and
-    uploaded tables in a per-thread cache across calls; implies the
-    serial lane so the resident device stays thread-confined).
+    and ``resident=`` (a dict of their own that keeps the serial lane's
+    pipeline, device and uploaded tables across calls; implies the serial
+    lane, so the resident device stays on the caller's thread).  With
+    ``resident=None`` the pipeline is released with the job.
 
     ``sample_reads`` switches the job to cohort mode: a list of full
     alignment batches (sample 0 first) that every shard slices by its own
@@ -1054,15 +983,9 @@ def execute(
     job = _Job(
         dataset,
         replace(spec, window=eff_window, variant=spec.resolved_variant()),
-        params, calibration.strip(), sample_reads,
+        params, calibration, sample_reads,
     )
-    # Installing the plan is process-global; skip the install entirely for
-    # plan-free jobs so concurrent serve threads don't clear each other's
-    # schedules.
-    ambient = contextlib.nullcontext()
-    if spec.faults is not None:
-        ambient = fault_plan(spec.faults)
-    with ambient:
+    with fault_plan(spec.faults):
         run = _Scheduler(
             job, [s for s in shards if s.index not in committed], journal,
             resident=resident,

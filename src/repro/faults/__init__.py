@@ -23,10 +23,8 @@ from .plan import (
     FaultClock,
     FaultPlan,
     FaultSpec,
-    active_plan,
     fault_plan,
     fault_point,
-    install_plan,
     scope,
 )
 
@@ -40,11 +38,9 @@ __all__ = [
     "RUNGS",
     "SITES",
     "ShardJournal",
-    "active_plan",
     "atomic_output",
     "degrade",
     "fault_plan",
     "fault_point",
-    "install_plan",
     "scope",
 ]

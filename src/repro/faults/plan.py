@@ -17,15 +17,21 @@ exercise it on purpose.  This module is the chaos-engineering substrate:
   the same seed, and firing decisions depend only on hit ordinals — never
   on wall clock or randomness at fire time.
 
-With no plan installed, :func:`fault_point` is a dictionary lookup and an
-``is None`` test — cheap enough to leave in hot paths permanently.
+A plan belongs to one job.  The active ``(plan, ambient context)`` pair
+is one :class:`~contextvars.ContextVar`, set by :func:`fault_plan` for a
+job and narrowed by :func:`scope` for a shard, so concurrent jobs on
+other threads never see it (a new thread starts with no plan).  With no
+plan active, :func:`fault_point` is a dictionary lookup, a context-variable
+read and an ``is None`` test — cheap enough to leave in hot paths
+permanently.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,11 +121,12 @@ class FaultClock:
 class FaultPlan:
     """A picklable, seeded schedule of :class:`FaultSpec` entries.
 
-    The plan ships to worker processes inside the executor's worker state;
-    each process installs its copy with :func:`install_plan`.  Ambient
-    context (shard index, retry attempt) is pushed by the executor with
-    :meth:`scope`, so deep sites — a device allocation five frames below
-    the shard body — still fire against the right shard and attempt.
+    Plain data: the plan ships to worker processes inside the executor's
+    worker state, and each process enters its copy with
+    :func:`fault_plan`.  Ambient context (shard index, retry attempt) is
+    pushed by the executor with :func:`scope`, so deep sites — a device
+    allocation five frames below the shard body — still fire against the
+    right shard and attempt.
     """
 
     def __init__(self, specs=(), seed: Optional[int] = None) -> None:
@@ -127,7 +134,6 @@ class FaultPlan:
         self.seed = seed
         self.clock = FaultClock(len(self.specs))
         self.parent_pid = os.getpid()
-        self._local = threading.local()
         #: Sites that fired, as (site, key, ordinal, kind) — audit trail.
         self.fired: list[tuple] = []
 
@@ -173,35 +179,25 @@ class FaultPlan:
     def with_spec(self, spec: FaultSpec) -> "FaultPlan":
         return FaultPlan(self.specs + (spec,), seed=self.seed)
 
-    # -- ambient context ---------------------------------------------------
-
-    @property
-    def ambient(self) -> dict:
-        return getattr(self._local, "ctx", {})
-
-    def scope(self, **ctx):
-        """Context manager installing ambient context for deep sites."""
-        return _Scope(self, ctx)
-
     def in_worker_process(self) -> bool:
         return os.getpid() != self.parent_pid
 
     # -- firing ------------------------------------------------------------
 
     def check(self, site: str, key, value, ctx: dict):
-        """Run every matching spec for one hit; returns (possibly
-        transformed) ``value``.  Faults raise; ``truncate`` transforms."""
-        eff = {**self.ambient, **ctx}
+        """Run every matching spec for one hit under the ambient ``ctx``;
+        returns (possibly transformed) ``value``.  Faults raise;
+        ``truncate`` transforms."""
         for idx, spec in enumerate(self.specs):
-            if spec.site != site or not spec.matches(key, eff):
+            if spec.site != site or not spec.matches(key, ctx):
                 continue
-            if spec.kind == "alloc" and eff.get("degraded"):
+            if spec.kind == "alloc" and ctx.get("degraded"):
                 # The degraded rerun models a smaller device footprint:
                 # allocation succeeds there, or the ladder could never
                 # terminate.
                 continue
-            if site.startswith(_ATTEMPT_ORDERED) and "attempt" in eff:
-                ordinal = int(eff["attempt"])
+            if site.startswith(_ATTEMPT_ORDERED) and "attempt" in ctx:
+                ordinal = int(ctx["attempt"])
             else:
                 ordinal = self.clock.tick(idx)
             if not spec.fires_at(ordinal):
@@ -234,66 +230,36 @@ class FaultPlan:
             f"injected shard failure at {where}", site=site, key=key
         )
 
-    # -- pickling (thread-local can't cross process boundaries) ------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._local = threading.local()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FaultPlan(seed={self.seed}, specs={list(self.specs)!r})"
 
 
-class _Scope:
-    def __init__(self, plan: FaultPlan, ctx: dict) -> None:
-        self.plan = plan
-        self.ctx = ctx
-
-    def __enter__(self):
-        self._prev = self.plan.ambient
-        self.plan._local.ctx = {**self._prev, **self.ctx}
-        return self
-
-    def __exit__(self, *exc):
-        self.plan._local.ctx = self._prev
-        return False
+#: The running job's plan and the ambient context its sites see.
+_CURRENT: ContextVar[tuple[Optional[FaultPlan], dict]] = ContextVar(
+    "gsnp_fault_plan", default=(None, {})
+)
 
 
-# -- the process-global active plan ---------------------------------------
-
-_ACTIVE: Optional[FaultPlan] = None
-
-
-def install_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install ``plan`` process-wide (``None`` clears); returns the old."""
-    global _ACTIVE
-    prev, _ACTIVE = _ACTIVE, plan
-    return prev
-
-
-def active_plan() -> Optional[FaultPlan]:
-    """The process-wide installed plan, or ``None``."""
-    return _ACTIVE
+@contextmanager
+def fault_plan(plan: Optional[FaultPlan]):
+    """``with fault_plan(plan): ...`` — ``plan`` (``None``: no plan) is
+    the block's only plan, with no ambient context; restored on exit."""
+    token = _CURRENT.set((plan, {}))
+    try:
+        yield plan
+    finally:
+        _CURRENT.reset(token)
 
 
-class fault_plan:
-    """``with fault_plan(plan): ...`` — install for a block, then restore."""
-
-    def __init__(self, plan: Optional[FaultPlan]) -> None:
-        self.plan = plan
-
-    def __enter__(self) -> Optional[FaultPlan]:
-        self._prev = install_plan(self.plan)
-        return self.plan
-
-    def __exit__(self, *exc):
-        install_plan(self._prev)
-        return False
+@contextmanager
+def scope(**ctx):
+    """Ambient context for the block's deep fault sites."""
+    plan, ambient = _CURRENT.get()
+    token = _CURRENT.set((plan, {**ambient, **ctx}))
+    try:
+        yield
+    finally:
+        _CURRENT.reset(token)
 
 
 def fault_point(site: str, key=None, value=None, **ctx):
@@ -302,30 +268,14 @@ def fault_point(site: str, key=None, value=None, **ctx):
     Call at a registered site with a stable ``key`` (shard index, line
     number...).  Returns ``value`` unchanged unless an active plan
     schedules a ``truncate`` here; scheduled faults raise or stall
-    instead.  With no plan installed this is a no-op.
+    instead.  With no plan active this is a no-op.
     """
     if site not in SITES:
         raise ValueError(f"unregistered fault site {site!r}")
-    plan = _ACTIVE
+    plan, ambient = _CURRENT.get()
     if plan is None:
         return value
-    return plan.check(site, key, value, ctx)
-
-
-def scope(**ctx):
-    """Ambient-context scope on the active plan (no-op without one)."""
-    plan = _ACTIVE
-    if plan is None:
-        return _NullScope()
-    return plan.scope(**ctx)
-
-
-class _NullScope:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    return plan.check(site, key, value, {**ambient, **ctx})
 
 
 __all__ = [
@@ -334,9 +284,7 @@ __all__ = [
     "FaultSpec",
     "KINDS",
     "SITES",
-    "active_plan",
     "fault_plan",
     "fault_point",
-    "install_plan",
     "scope",
 ]

@@ -9,8 +9,9 @@ crash-recovery ledger (:class:`repro.faults.journal.JobLedger`).
 Thread model: one acceptor thread owns the listening socket and spawns a
 short-lived handler thread per connection; ``workers`` long-lived worker
 threads claim jobs off the scheduler and run them in-process through the
-serial executor (each thread keeps its own resident pipeline/device — the
-simulated device is thread-confined by design).
+serial executor (each thread keeps its own resident pipeline/device in a
+dict the runner hands it — the simulated device is thread-confined by
+design — and releases them when it exits).
 
 Durability contract: a job with an output path is recorded in the ledger
 *before* it is admitted and marked done only *after* its output bytes are
@@ -36,7 +37,6 @@ from pathlib import Path
 from typing import Optional
 
 from ..api import JobSpec
-from ..exec import pool_stats, resident_stats
 from ..faults.journal import JobLedger
 from .protocol import (
     PROTOCOL_VERSION,
@@ -182,7 +182,8 @@ class GsnpServer:
         return drained
 
     def close(self) -> None:
-        """Release the socket and wait for service threads to exit."""
+        """Release the socket and wait for service threads to exit (each
+        worker releases its resident pipelines as it goes)."""
         self._stop.set()
         if self._listener is not None:
             with contextlib.suppress(OSError):
@@ -197,17 +198,18 @@ class GsnpServer:
     # -- job execution -----------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.scheduler.next_job(timeout=POLL_SECONDS)
-            if job is None:
-                continue
-            self._run_job(job)
+        with self.runner.pipelines() as pipelines:
+            while not self._stop.is_set():
+                job = self.scheduler.next_job(timeout=POLL_SECONDS)
+                if job is None:
+                    continue
+                self._run_job(job, pipelines)
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job, pipelines: dict) -> None:
         job.emit({"event": "started", "job_id": job.job_id})
         ledgered = job.spec.output is not None
         try:
-            outcome = self.runner.run_job(job)
+            outcome = self.runner.run_job(job, pipelines)
         except Exception as exc:  # surface any failure to the client
             if ledgered:
                 self.ledger.mark_failed(job.job_id)
@@ -385,9 +387,7 @@ class GsnpServer:
         """The ``/stats`` payload: scheduler, caches, residency, recovery."""
         return {
             "scheduler": self.scheduler.stats(),
-            "runner": self.runner.stats(),
-            "resident": resident_stats(),
-            "devices": pool_stats(),
+            **self.runner.stats(),
             "recovered_jobs": list(self.recovered_jobs),
             "accepting": self._accepting,
         }

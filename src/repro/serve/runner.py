@@ -13,10 +13,12 @@ that state resident between jobs:
   daemon still skips the calibration pass (the kill/restart recovery path
   keeps its cache hits).
 * :class:`ResidentRunner` — runs one job through the sharded executor
-  with ``resident=True``, so the worker pipeline (device + uploaded
-  tables, keyed by the calibration digest via
-  :mod:`repro.gpusim.residency`) survives across jobs on each worker
-  thread.
+  with the calling worker thread's own ``resident`` pipeline dict, so the
+  worker pipeline (device + uploaded tables, keyed by the calibration
+  digest via :mod:`repro.gpusim.residency`) survives across jobs on that
+  thread and is released when the worker exits.  The runner owns that
+  state and the device-pool tallies ``/stats`` reports: no job state
+  lives in a module global.
 
 Output rendering is shared with ``gsnp call`` (:func:`write_job_output`,
 :func:`job_summary`): the daemon and the one-shot CLI post-process results
@@ -26,6 +28,7 @@ bitwise identical to CLI bytes.
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import shutil
 import threading
@@ -39,11 +42,12 @@ from ..api import JobSpec, job_key
 from ..content import digest
 from ..core.detector import dataset_from_files
 from ..exec import calibrate_job, execute
+from ..exec.executor import release_pipeline
 from ..faults.journal import atomic_output, load_sealed, seal
 
 #: On-disk calibration entry format version; entries of another are
-#: misses.  Version 3: every engine's calibration is one ``Calibration``.
-CALIBRATION_STORE_VERSION = 3
+#: misses.  Version 4: a ``Calibration`` keeps the temp copy's length only.
+CALIBRATION_STORE_VERSION = 4
 
 #: What a calibration key leaves out: ``calibrate()`` reads only the
 #: engine and the inputs' bytes.
@@ -139,7 +143,7 @@ class DatasetCache:
 
 
 class CalibrationCache:
-    """Two-layer (memory + disk) cache of stripped calibration products.
+    """Two-layer (memory + disk) cache of calibration products.
 
     The disk layer lives under the daemon's state directory so calibration
     survives a daemon restart — the recovery path's repeated job still
@@ -219,23 +223,49 @@ class ResidentRunner:
     """Execute jobs with cross-job state kept resident.
 
     Every job routes through the sharded executor
-    (:func:`repro.exec.execute`) with ``resident=True`` — output is
-    bitwise identical to a one-shot serial run (the executor's standing
-    parity invariant) while the worker pipeline, its simulated device and
-    the uploaded score tables persist on the worker thread between jobs.
+    (:func:`repro.exec.execute`) with the worker thread's ``resident``
+    dict from :meth:`pipelines` — output is bitwise identical to a
+    one-shot serial run (the executor's standing parity invariant) while
+    the worker pipeline, its simulated device and the uploaded score
+    tables persist on the worker thread between jobs.
     """
 
     def __init__(self, state_dir, max_datasets: int = 4) -> None:
         self.state_dir = Path(state_dir)
         self.datasets = DatasetCache(max_entries=max_datasets)
         self.calibrations = CalibrationCache(self.state_dir / "cal")
+        self._lock = threading.Lock()
+        #: Every live worker's resident pipeline dict.
+        self._resident: list[dict] = []
+        #: Cumulative device-pool tallies plus the last pool job's rows.
+        self._pool = {"jobs": 0, "shards": 0, "steals": 0, "last": None}
+
+    @contextlib.contextmanager
+    def pipelines(self):
+        """One worker thread's resident pipeline dict, for :meth:`run_job`.
+
+        A simulated device is confined to its thread, so each worker holds
+        its own dict for as long as it runs jobs; leaving the block
+        releases every pipeline in it (device and uploaded tables).
+        """
+        pipes: dict = {}
+        with self._lock:
+            self._resident.append(pipes)
+        try:
+            yield pipes
+        finally:
+            with self._lock:
+                self._resident = [p for p in self._resident if p is not pipes]
+            for pipe in pipes.values():
+                release_pipeline(pipe)
 
     def journal_dir(self, job_id: str) -> Path:
         """The per-job shard-journal directory (the crash-recovery unit)."""
         return self.state_dir / "journal" / job_id
 
-    def run_job(self, job) -> RunOutcome:
-        """Run one admitted job to rendered output bytes.
+    def run_job(self, job, pipelines: dict) -> RunOutcome:
+        """Run one admitted job to rendered output bytes, keeping its
+        pipeline in the calling worker's ``pipelines`` dict.
 
         The job's shard journal lives under the daemon state directory for
         the duration of the run: a daemon killed mid-job resumes from the
@@ -275,7 +305,7 @@ class ResidentRunner:
         if calibration is None:
             calibration = calibrate_job(
                 dataset, spec, sample_reads=sample_reads
-            ).strip()
+            )
             self.calibrations.put(cal_key, calibration)
 
         jdir = self.journal_dir(job.job_id)
@@ -287,9 +317,19 @@ class ResidentRunner:
             resume=bool(job.recovered),
         )
         result = execute(
-            dataset, spec=run_spec, calibration=calibration, resident=True,
-            sample_reads=sample_reads,
+            dataset, spec=run_spec, calibration=calibration,
+            resident=pipelines, sample_reads=sample_reads,
         )
+        hetero = result.extras["exec"].get("hetero")
+        if hetero is not None:
+            with self._lock:
+                self._pool["jobs"] += 1
+                self._pool["shards"] += sum(
+                    lane["shards"] for lane in hetero["lanes"])
+                self._pool["steals"] += hetero["steals"]
+                self._pool["last"] = {key: hetero[key] for key in (
+                    "devices", "cpu_steal", "steals", "per_device",
+                    "modeled")}
         blob = write_job_output(result, spec)
         wall = time.perf_counter() - t0
         shutil.rmtree(jdir, ignore_errors=True)
@@ -301,10 +341,29 @@ class ResidentRunner:
         )
 
     def stats(self) -> dict:
-        """Cache counters for the ``/stats`` protocol request."""
+        """The runner's ``/stats`` sections: cache counters (``runner``),
+        the resident pipelines (``resident``; a table hit is a job that
+        reused already-uploaded score tables) and the cumulative
+        device-pool tallies with the last pool job's per-device rows
+        (``devices``)."""
+        with self._lock:
+            pipes = [pipe for p in self._resident for pipe in list(p.values())]
+            devices = dict(self._pool)
+        resident = {"pipelines": len(pipes), "table_hits": 0,
+                    "table_misses": 0}
+        for pipe in pipes:
+            res = getattr(getattr(pipe, "_cached_device", None), "resident",
+                          None)
+            if res is not None:
+                resident["table_hits"] += res.hits
+                resident["table_misses"] += res.misses
         return {
-            "datasets": self.datasets.stats(),
-            "calibration": self.calibrations.stats(),
+            "runner": {
+                "datasets": self.datasets.stats(),
+                "calibration": self.calibrations.stats(),
+            },
+            "resident": resident,
+            "devices": devices,
         }
 
 

@@ -17,7 +17,7 @@ is the part both engines run) and the :class:`CallResult` of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
@@ -108,16 +108,9 @@ class Calibration:
     record: PhaseRecord
     #: Expanded host tables for GSNP's ``mode='cpu'``.
     new_p_flat: Optional[np.ndarray] = None
-    #: GSNP's compressed temporary copy of the input (Section V-A).
-    temp_blob: bytes = b""
-    #: Length of ``temp_blob`` — kept separately so :meth:`strip` can drop
-    #: the blob before pickling to workers without losing the size that
-    #: the per-window ``read_site`` accounting needs.
+    #: Bytes of GSNP's compressed temporary copy of the input (Section
+    #: V-A), which the per-window ``read_site`` accounting charges.
     temp_len: int = 0
-
-    def strip(self) -> "Calibration":
-        """Copy without the temp blob (cheap to ship to worker processes)."""
-        return replace(self, temp_blob=b"")
 
 
 def calibration_pass(

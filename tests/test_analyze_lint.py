@@ -4,9 +4,10 @@ Seeds each rule's violation into synthetic source and checks the
 diagnostic lands on the right file:line with the right rule id — plus
 kernel discovery, suppression comments, rule filtering, undecodable
 files, output formats, the CLI exit codes, and the acceptance gate that
-the repo's own code audits clean.  Two source-tree hygiene checks are
+the repo's own code audits clean.  Three source-tree hygiene checks are
 scans here rather than audit rules: every fault enters through the
-``faults.plan.SITES`` registry, and every suppression says why.
+``faults.plan.SITES`` registry, no job or daemon state lives in a module
+global, and every suppression says why.
 """
 
 import ast
@@ -404,7 +405,8 @@ class TestPathsAndFilters:
 
 
 # ---------------------------------------------------------------------------
-# Source-tree hygiene scans: fault sites and suppression rationales
+# Source-tree hygiene scans: fault sites, module state and suppression
+# rationales
 # ---------------------------------------------------------------------------
 
 _FLAG_RE = re.compile(r"^(FAULT|CHAOS|INJECT)")
@@ -583,6 +585,157 @@ class TestGsnp106FaultSites:
             for f, source in _tree_sources()
             for line, message in fault_site_findings(source)
         ] == []
+
+
+#: The module state ``src/repro`` may keep, as ``<module>.<name>``, each
+#: with why it is not job or daemon state.
+MODULE_STATE_ALLOWED = {
+    "memory._TX_CACHE": "value-keyed memo: an equal key gives an equal "
+    "transaction count",
+    "memory._tx_cache_bytes": "the size bound of the _TX_CACHE memo",
+    "memory._BOUNDARY_CACHE": "value-keyed memo of segment boundary masks",
+    "sweep._RECORD": "value-keyed memo of a primitive's recorded counters",
+    "score_table._NEWP_CACHE": "value-keyed memo keyed by the calibration "
+    "digest",
+    "kernel._OP_OBSERVER": "test-only op tap, kept for the span recorder",
+}
+
+_EMPTY_FACTORIES = ("dict", "set", "list", "OrderedDict")
+
+
+def _is_call_to(node, *names):
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) in names
+
+
+def _is_empty_container(node):
+    return (
+        isinstance(node, ast.Dict) and not node.keys
+        or isinstance(node, ast.List) and not node.elts
+        or _is_call_to(node, *_EMPTY_FACTORIES) and not node.args
+        or _is_call_to(node, "defaultdict", "local")
+    )
+
+
+def module_state_findings(source):
+    """``(line, name, kind)`` for each piece of mutable module state: a
+    ``global`` statement, a module-level binding to an empty container
+    (``{}``, ``[]``, ``dict()``, ``set()``...) or a ``threading.local``,
+    and a map keyed by ``threading.get_ident()`` (directly or through a
+    name bound to it)."""
+    tree = ast.parse(textwrap.dedent(source))
+    out = []
+    for node in tree.body:
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        if targets and _is_empty_container(node.value):
+            out += [(node.lineno, t.id, "empty module container")
+                    for t in targets if isinstance(t, ast.Name)]
+    idents = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            out += [(node.lineno, name, "global statement")
+                    for name in node.names]
+        elif isinstance(node, ast.Assign) and _is_call_to(
+                node.value, "get_ident"):
+            idents |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            table, key = node.value, node.slice
+        elif (_is_call_to(node, "get", "setdefault", "pop")
+              and isinstance(node.func, ast.Attribute) and node.args):
+            table, key = node.func.value, node.args[0]
+        else:
+            continue
+        if _is_call_to(key, "get_ident") or (
+                isinstance(key, ast.Name) and key.id in idents):
+            out.append((node.lineno, ast.unparse(table), "thread-keyed map"))
+    return sorted(out)
+
+
+class TestModuleState:
+    """Job and daemon state lives in a job's context or its owner, never
+    in a module global: the module-state scan over synthetic and in-tree
+    source."""
+
+    def test_global_statement_flagged(self):
+        assert module_state_findings(
+            """
+            _COUNT = 0
+            def bump():
+                global _COUNT
+                _COUNT += 1
+            """
+        ) == [(4, "_COUNT", "global statement")]
+
+    def test_empty_module_containers_flagged(self):
+        findings = module_state_findings(
+            """
+            import threading
+            from collections import defaultdict
+            _A = {}
+            _B: list = []
+            _C = dict()
+            _D = set()
+            _E = defaultdict(int)
+            _F = threading.local()
+            """
+        )
+        assert [(line, name) for line, name, _ in findings] == [
+            (4, "_A"), (5, "_B"), (6, "_C"), (7, "_D"), (8, "_E"), (9, "_F"),
+        ]
+
+    def test_constant_tables_and_local_state_are_fine(self):
+        assert module_state_findings(
+            """
+            SITES = {"a": "why"}
+            KINDS = ("error",)
+            _EMPTY = ()
+            class Runner:
+                cache = {}
+                def __init__(self):
+                    self.jobs = []
+            def f():
+                seen = set()
+                return seen
+            """
+        ) == []
+
+    def test_thread_keyed_map_flagged(self):
+        findings = module_state_findings(
+            """
+            import threading
+            def mine(registry, per_thread):
+                ident = threading.get_ident()
+                registry.setdefault(ident, {})
+                return per_thread[threading.get_ident()]
+            """
+        )
+        assert findings == [
+            (5, "registry", "thread-keyed map"),
+            (6, "per_thread", "thread-keyed map"),
+        ]
+
+    def test_thread_ident_in_a_name_is_fine(self):
+        assert module_state_findings(
+            """
+            import os, threading
+            def part(path):
+                return f"{path}.{os.getpid()}-{threading.get_ident()}.part"
+            """
+        ) == []
+
+    def test_repo_module_state_is_allowlisted(self):
+        """Tier-1 gate: the only module state in ``src/repro`` is on the
+        allowlist, and every allowlisted name still exists."""
+        found = {
+            (f"{f.stem}.{name}", kind)
+            for f, source in _tree_sources()
+            for _, name, kind in module_state_findings(source)
+        }
+        assert {q for q, _ in found} == set(MODULE_STATE_ALLOWED), found
 
 
 class TestGsnp109Rationale:

@@ -7,6 +7,8 @@ corrupt result file.
 """
 
 import pickle
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -35,7 +37,7 @@ from repro.faults import (
     atomic_output,
     fault_plan,
     fault_point,
-    install_plan,
+    scope,
 )
 from repro.faults.journal import JOURNAL_VERSION, JournalError, seal, unseal
 from repro.seqsim.datasets import KnownSnpPrior
@@ -92,8 +94,8 @@ class TestFaultPlan:
             fault_point("some.other.site")
 
     def test_no_plan_is_noop(self):
-        install_plan(None)
-        assert fault_point("exec.shard.error", key=0, value=b"x") == b"x"
+        with fault_plan(None):
+            assert fault_point("exec.shard.error", key=0, value=b"x") == b"x"
 
     def test_generate_is_deterministic(self):
         a = FaultPlan.generate(7, n_shards=4)
@@ -115,13 +117,13 @@ class TestFaultPlan:
         plan = FaultPlan([FaultSpec(site="exec.shard.error", key=3, times=2)])
         with fault_plan(plan):
             # Attempt 0 and 1 fire no matter how often they're polled...
-            with plan.scope(shard=3, attempt=0):
+            with scope(shard=3, attempt=0):
                 with pytest.raises(InjectedFault):
                     fault_point("exec.shard.error", key=3)
                 with pytest.raises(InjectedFault):
                     fault_point("exec.shard.error", key=3)
             # ...and attempt 2 is past the schedule.
-            with plan.scope(shard=3, attempt=2):
+            with scope(shard=3, attempt=2):
                 fault_point("exec.shard.error", key=3)
 
     def test_truncate_transforms_value(self):
@@ -137,12 +139,15 @@ class TestFaultPlan:
             ) == b"abcdefgh"
 
     def test_plan_pickles_across_process_boundary(self):
-        plan = FaultPlan.generate(3, n_shards=4)
+        plan = FaultPlan([FaultSpec(site="exec.shard.error", key=1)])
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.specs == plan.specs
         assert clone.parent_pid == plan.parent_pid
-        with clone.scope(shard=1):
-            assert clone.ambient == {"shard": 1}
+        with fault_plan(clone), scope(shard=1, attempt=0):
+            with pytest.raises(InjectedFault):
+                fault_point("exec.shard.error", key=None)
+        assert clone.fired == [("exec.shard.error", None, 0, "error")]
+        assert plan.fired == []
 
     def test_degraded_scope_suppresses_alloc_faults(self):
         plan = FaultPlan([FaultSpec(site="gpusim.device.alloc", kind="alloc",
@@ -150,12 +155,77 @@ class TestFaultPlan:
         with fault_plan(plan):
             with pytest.raises(AllocationError):
                 fault_point("gpusim.device.alloc", key="buf")
-            with plan.scope(degraded=True):
+            with scope(degraded=True):
                 fault_point("gpusim.device.alloc", key="buf")
 
     def test_registry_documents_every_site(self):
         for site, doc in SITES.items():
             assert doc
+
+
+def _on_thread(name, fn):
+    """``fn()`` on a fresh thread called ``name``, joined: its return
+    value, or its exception re-raised here."""
+    out = {}
+
+    def body():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            out["error"] = exc
+
+    thread = threading.Thread(target=body, name=name, daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), f"{name} did not finish"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+class TestConcurrentJobs:
+    """A plan belongs to its job: a job running beside it on another
+    thread neither stalls on it nor ticks its clock."""
+
+    @staticmethod
+    def _plan(alloc):
+        specs = [FaultSpec(site="exec.shard.slow", kind="slow", arg=1.0)]
+        if alloc:
+            specs.append(FaultSpec(site="gpusim.device.alloc", kind="alloc",
+                                   after=3))
+        return FaultPlan(specs)
+
+    @pytest.mark.parametrize("alloc", [False, True],
+                             ids=["stall", "alloc-clock"])
+    def test_plan_stays_with_its_job(self, small_dataset, monkeypatch,
+                                     alloc):
+        """Job A's stall runs job B to completion on its own thread (a
+        spy stands in for the sleep), so all of B overlaps A; A's fired
+        faults and clock then equal A's run alone."""
+        stalls, beside = [], []
+
+        def stall(seconds):
+            stalls.append(threading.current_thread().name)
+            while beside:
+                _on_thread("job-b", beside.pop())
+
+        def job(plan):
+            spec = JobSpec(engine="gsnp", window=WINDOW, faults=plan)
+            return lambda: execute(small_dataset, spec=spec)
+
+        monkeypatch.setattr(time, "sleep", stall)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            solo = self._plan(alloc)
+            alone = _on_thread("job-a", job(solo))
+            plan = self._plan(alloc)
+            beside.append(job(None))
+            together = _on_thread("job-a", job(plan))
+        assert not beside
+        assert len(solo.fired) == 1 + alloc
+        assert (stalls, plan.fired, plan.clock.counts) == (
+            ["job-a", "job-a"], solo.fired, solo.clock.counts)
+        assert together.compressed_output == alone.compressed_output
 
 
 class TestFaultedExecutionParity:

@@ -35,7 +35,7 @@ import pytest
 
 from repro.api import JobSpec, create_pipeline
 from repro.cli import main_call
-from repro.exec import execute, release_resident, resident_stats
+from repro.exec import execute
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.serve import (
     GsnpServer,
@@ -113,7 +113,6 @@ def server_factory():
     for server in servers:
         server.shutdown(drain=False)
         server.close()
-    release_resident()
     for root in dirs:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -252,12 +251,9 @@ class TestJournaledShards:
         monkeypatch.setattr(runner_mod, "execute", spy)
         # 1200 sites at window 64: 19 windows, two journaled shards.
         spec = replace(_spec(serve_inputs), window=64)
-        try:
-            runner_mod.ResidentRunner(tmp_path / "state").run_job(
-                Job("job-1", spec)
-            )
-        finally:
-            release_resident()
+        runner = runner_mod.ResidentRunner(tmp_path / "state")
+        with runner.pipelines() as pipelines:
+            runner.run_job(Job("job-1", spec), pipelines)
         (dataset, run_spec, served), = seen
         assert run_spec.journal is not None
         assert served.extras["exec"]["n_shards"] == 2
@@ -339,7 +335,12 @@ class TestResidentCaches:
             stats1["resident"]["table_hits"]
             > stats0["resident"]["table_hits"]
         )
+        assert stats1["resident"]["pipelines"] == 1
         assert out.read_bytes() == serve_inputs["ref_bytes"]
+        # The server owns its workers' pipelines: closing releases them.
+        server.shutdown(drain=True)
+        server.close()
+        assert server.stats()["resident"]["pipelines"] == 0
 
     def test_cohort_jobs_share_parsed_inputs_and_key_sample_order(
         self, serve_inputs, tmp_path
@@ -361,16 +362,14 @@ class TestResidentCaches:
                             coverage=0.9, read_len=60, seed=seed),
             ).reads))
         runner = ResidentRunner(tmp_path / "state")
-        try:
+        with runner.pipelines() as pipelines:
             outcomes = [
                 runner.run_job(types.SimpleNamespace(
                     spec=_spec(serve_inputs, samples=samples),
                     job_id=f"job{i}", recovered=False,
-                ))
+                ), pipelines)
                 for i, samples in enumerate(((), (a, b), (b, a), (a, b)))
             ]
-        finally:
-            release_resident()
         assert outcomes[0].blob == serve_inputs["ref_bytes"]
         out = tmp_path / "call.cns"
         assert main_call([
@@ -381,7 +380,7 @@ class TestResidentCaches:
         assert outcomes[2].blob == b"".join(
             cohort_output_path(out, i).read_bytes() for i in range(3))
         assert outcomes[3].blob == outcomes[1].blob != outcomes[2].blob
-        stats = runner.stats()
+        stats = runner.stats()["runner"]
         assert (stats["datasets"]["misses"], stats["datasets"]["hits"]) \
             == (3, 7)
         assert (stats["calibration"]["misses"], stats["calibration"]["hits"]) \
@@ -431,9 +430,10 @@ class TestResidentCaches:
     def test_serial_lane_runs_on_the_callers_thread(
         self, small_dataset, monkeypatch
     ):
-        """The resident cache is keyed by thread ident, so the serial lane
-        must run where ``execute`` was called: no lane thread, one cache
-        entry however many jobs, and the repeat job's tables are a hit."""
+        """A resident pipeline's device belongs to the thread that owns
+        the caller's dict, so the serial lane must run where ``execute``
+        was called: no lane thread, one dict entry however many jobs, and
+        the repeat job's tables are a hit."""
         from repro.core.pipeline import GsnpPipeline
 
         seen = []
@@ -444,19 +444,20 @@ class TestResidentCaches:
             return run(self, *args, **kwargs)
 
         monkeypatch.setattr(GsnpPipeline, "run", spying_run)
-        release_resident()
-        spec = JobSpec(engine="gsnp", window=512)
+        spec = JobSpec(engine="gsnp", window=512, workers=2)
         n_threads = threading.active_count()
+        pipelines = {}
+        execute(small_dataset, spec=spec, resident=pipelines)
+        (pipe,) = pipelines.values()
+        tables = pipe._cached_device.resident
+        hits0 = tables.hits
         try:
-            execute(small_dataset, spec=spec, resident=True)
-            stats0 = resident_stats()
-            execute(small_dataset, spec=spec, resident=True)
-            stats1 = resident_stats()
+            execute(small_dataset, spec=spec, resident=pipelines)
         finally:
-            release_resident()
+            pipe.release_cache()
         assert set(seen) == {(threading.get_ident(), n_threads)}
-        assert stats1["pipelines"] == stats0["pipelines"] == 1
-        assert stats1["table_hits"] > stats0["table_hits"]
+        assert list(pipelines.values()) == [pipe]
+        assert tables.hits > hits0
 
 
 class TestAdmission:
@@ -594,10 +595,32 @@ class TestServeStats:
         pong = client.ping()
         assert pong["event"] == "pong" and pong["accepting"] is True
         stats = client.stats()
-        for key in ("scheduler", "runner", "resident", "recovered_jobs"):
+        for key in ("scheduler", "runner", "resident", "devices",
+                    "recovered_jobs"):
             assert key in stats
         assert stats["scheduler"]["submitted"] == 0
-        assert resident_stats()["pipelines"] >= 0
+        assert stats["resident"] == {
+            "pipelines": 0, "table_hits": 0, "table_misses": 0}
+        assert stats["devices"] == {
+            "jobs": 0, "shards": 0, "steals": 0, "last": None}
+
+    def test_pool_job_tallies_in_its_servers_stats(
+        self, serve_inputs, server_factory
+    ):
+        """A served device-pool job adds to its own server's ``devices``
+        tallies; a plain job does not."""
+        server, client = server_factory()
+        assert client.submit(_spec(serve_inputs)).status == "done"
+        assert client.stats()["devices"]["jobs"] == 0
+        r = client.submit(_spec(serve_inputs, devices=2, cpu_steal=True))
+        assert r.status == "done"
+        assert r.output == serve_inputs["ref_bytes"]
+        devices = client.stats()["devices"]
+        assert devices["jobs"] == 1 and devices["shards"] >= 2
+        assert devices["last"]["devices"] == 2
+        assert devices["last"]["cpu_steal"] is True
+        assert [row["device"] for row in devices["last"]["per_device"]] \
+            == [0, 1]
 
 
 

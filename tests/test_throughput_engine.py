@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import JobSpec, create_pipeline
-from repro.core.score_table import new_p_build_count, reset_new_p_cache
+from repro.core import score_table
 from repro.exec import execute
 from repro.gpusim.device import Device
 from repro.gpusim.memory import (
@@ -79,7 +79,15 @@ class TestResidency:
 
     def test_uploaded_once_per_worker(self, small_dataset, monkeypatch):
         counts = self._upload_counter(monkeypatch)
-        reset_new_p_cache()
+        builds = []
+        build = score_table.build_new_p_matrix
+
+        def counting_build(p_matrix):
+            builds.append(1)
+            return build(p_matrix)
+
+        monkeypatch.setattr(score_table, "build_new_p_matrix", counting_build)
+        monkeypatch.setattr(score_table, "_NEWP_CACHE", {})
         # The serial lane runs all 4 shards in-process: one lane, one
         # pipeline, one upload — despite four shard runs.
         execute(
@@ -87,7 +95,7 @@ class TestResidency:
             spec=JobSpec(engine="gsnp", window=WINDOW, shard_size=1024),
         )
         assert counts["new_p_matrix"] == 1
-        assert new_p_build_count() == 1
+        assert len(builds) == 1
 
     def test_release_cache_frees_resident_tables(self, small_dataset):
         pipe = create_pipeline(
