@@ -54,20 +54,15 @@ def main() -> None:
     print(f"wrote {nbytes} bytes of SOAP alignments to {soap_path}")
     batch2 = read_soap(soap_path)
 
-    # 4. Call SNPs from the aligner's output.  dataset_from_alignments
-    # wraps the parsed batch; planted truth is grafted back for scoring.
-    from dataclasses import replace
-
-    aligned_dataset = replace(
-        dataset_from_alignments(
-            dataset.reference, batch2, prior=dataset.prior
-        ),
-        spec=dataset.spec,
-        diploid=dataset.diploid,
+    # 4. Call SNPs from the aligner's output (dataset_from_alignments
+    # wraps the parsed batch; parsed inputs carry no truth), then score
+    # the calls against the simulated dataset that planted the SNPs.
+    aligned_dataset = dataset_from_alignments(
+        dataset.reference, batch2, prior=dataset.prior
     )
     detector = GsnpDetector(engine=Engine.GSNP_CPU, min_quality=13)
     result = detector.run(aligned_dataset)
-    acc = detector.score(result.table, aligned_dataset, min_quality=13)
+    acc = detector.score(result.table, dataset, min_quality=13)
     print(
         f"\ncalls from aligner output: precision={acc.precision:.2f} "
         f"recall={acc.recall:.2f} "

@@ -12,7 +12,6 @@ Run:  python examples/gpu_kernel_profiling.py
 import numpy as np
 
 from repro import DatasetSpec, generate_dataset
-from repro.align.records import AlignmentBatch
 from repro.core import (
     ALL_VARIANTS,
     GsnpTables,
@@ -35,7 +34,7 @@ def main() -> None:
         DatasetSpec(name="chrP", n_sites=20_000, depth=11.0, coverage=0.88,
                     seed=33)
     )
-    reads = AlignmentBatch.from_read_set(dataset.reads)
+    reads = dataset.reads
     params = CallingParams(read_len=reads.read_len)
     pm_flat = flatten_p_matrix(
         build_p_matrix(reads, dataset.reference, params)

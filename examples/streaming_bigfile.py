@@ -15,7 +15,6 @@ import tempfile
 from pathlib import Path
 
 from repro import DatasetSpec, generate_dataset
-from repro.align.records import AlignmentBatch
 from repro.compress import CompressedResultReader, encode_table
 from repro.formats.soap import write_soap
 from repro.formats.stream import StreamingSoapReader
@@ -37,7 +36,7 @@ def main() -> None:
     )
     workdir = Path(tempfile.mkdtemp(prefix="gsnp_stream_"))
     soap_path = workdir / "aligned.soap"
-    batch = AlignmentBatch.from_read_set(dataset.reads)
+    batch = dataset.reads
     nbytes = write_soap(soap_path, batch)
     print(f"input file: {nbytes / 1e6:.1f} MB, {batch.n_reads} reads")
 

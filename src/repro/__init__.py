@@ -33,7 +33,6 @@ from .constants import GENOTYPES, GENOTYPE_IUPAC, N_GENOTYPES
 # which in turn only needs core *sub-modules* (resolvable while the core
 # package is still initializing), not the core package itself.
 from .core import (
-    Accuracy,
     GsnpDetector,
     GsnpPipeline,
     SnpCall,
@@ -59,7 +58,6 @@ from .validate import VerificationReport, verify_engines
 __version__ = "1.0.0"
 
 __all__ = [
-    "Accuracy",
     "BGI_PLATFORM",
     "CH1_SPEC",
     "CH21_SPEC",

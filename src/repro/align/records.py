@@ -1,10 +1,10 @@
-"""Alignment record types bridging the aligner, file formats and pipelines.
+"""The one aligned-reads type: the aligner, the read simulator, the SOAP
+parser and every pipeline produce or consume an :class:`AlignmentBatch`.
 
-The SNP-calling pipelines consume *alignment batches*: column-oriented
-NumPy arrays mirroring :class:`~repro.seqsim.reads.ReadSet`, because the
-main input file ("hundreds of gigabytes of short read alignment results
-ordered by their matched positions") streams through the pipeline window by
-window and a row-of-objects representation would dominate runtime.
+A batch is column-oriented NumPy arrays, because the main input file
+("hundreds of gigabytes of short read alignment results ordered by their
+matched positions") streams through the pipeline window by window and a
+row-of-objects representation would dominate runtime.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..seqsim.reads import ReadSet
 
 
 @dataclass
@@ -23,8 +21,8 @@ class AlignmentBatch:
     chrom: str
     read_len: int
     pos: np.ndarray  # int64, 0-based leftmost match, sorted ascending
-    strand: np.ndarray  # uint8
-    hits: np.ndarray  # uint8
+    strand: np.ndarray  # uint8, 0=forward 1=reverse
+    hits: np.ndarray  # uint8, number of alignment hits (1 = unique)
     bases: np.ndarray  # uint8 (n, read_len), forward orientation
     quals: np.ndarray  # uint8 (n, read_len), forward orientation
 
@@ -45,17 +43,26 @@ class AlignmentBatch:
         )
 
     @staticmethod
-    def from_read_set(rs: ReadSet) -> "AlignmentBatch":
-        """Adopt a simulated read set (already position-sorted)."""
-        return AlignmentBatch(
-            chrom=rs.chrom,
-            read_len=rs.read_len,
-            pos=rs.pos,
-            strand=rs.strand,
-            hits=rs.hits,
-            bases=rs.bases,
-            quals=rs.quals,
-        )
+    def from_read_set(batch: "AlignmentBatch") -> "AlignmentBatch":
+        """Identity, kept for the benchmark suite's callers: simulated
+        reads are already a batch."""
+        return batch
+
+    def validate(self) -> None:
+        """Raise ValueError on any internal inconsistency."""
+        n = self.n_reads
+        for name in ("strand", "hits"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} shape mismatch")
+        for name in ("bases", "quals"):
+            if getattr(self, name).shape != (n, self.read_len):
+                raise ValueError(f"{name} shape mismatch")
+        if n and np.any(np.diff(self.pos) < 0):
+            raise ValueError("reads must be sorted by position")
+        if np.any(self.bases >= 4):
+            raise ValueError("base codes must be in 0..3")
+        if np.any(self.quals >= 64):
+            raise ValueError("quality scores must fit 6 bits")
 
     def slice(self, lo: int, hi: int) -> "AlignmentBatch":
         """Rows [lo, hi) as a view-backed batch."""

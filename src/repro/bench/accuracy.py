@@ -23,7 +23,7 @@ from ..soapsnp.posterior import is_snp_call
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Accuracy at one quality threshold."""
+    """Calling accuracy at one quality threshold."""
 
     min_quality: int
     true_positives: int
@@ -65,8 +65,13 @@ def quality_sweep(
     """Score calls at each quality threshold.
 
     Planted SNPs at sites with depth below ``min_depth`` are excluded from
-    the false-negative count (undetectable by construction).
+    the false-negative count (undetectable by construction).  A dataset
+    parsed from files has no planted truth and is a ``ValueError``.
     """
+    if dataset.diploid is None:
+        raise ValueError(
+            "dataset has no planted truth to score against (parsed inputs)"
+        )
     snp_mask = is_snp_call(table)
     pos0 = table.pos - 1
     depth_at = np.zeros(dataset.n_sites, dtype=np.int64)

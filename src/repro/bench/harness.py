@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..align.records import AlignmentBatch
 from ..api import Engine, JobSpec, create_pipeline
 from ..compress.columnar import encode_alignments, encode_table
 from ..compress.gzipcodec import (
@@ -112,7 +111,7 @@ def window_words(name: str, fraction: float | None = None):
     """(words, offsets, tables-ready inputs) of the whole dataset as one
     window — shared by the kernel-level experiments."""
     ds = bench_dataset(name, fraction)
-    reads = AlignmentBatch.from_read_set(ds.reads)
+    reads = ds.reads
     params = CallingParams(read_len=reads.read_len)
     pm_flat = flatten_p_matrix(build_p_matrix(reads, ds.reference, params))
     penalty = params.penalty_table()
@@ -144,7 +143,7 @@ def exp_table2(fraction: float | None = None) -> dict:
     for name in _SPECS:
         ds = bench_dataset(name, fraction)
         summary = dataset_summary(ds)
-        reads = AlignmentBatch.from_read_set(ds.reads)
+        reads = ds.reads
         summary["input_bytes"] = reads.n_reads * soap_line_bytes(reads.read_len)
         out[name] = summary
     return out
@@ -222,11 +221,10 @@ def exp_fig4a(name: str, fraction: float | None = None) -> dict:
 def exp_fig4b(name: str, fraction: float | None = None) -> dict:
     """Fig 4b: % of sites by number of non-zero base_occ cells."""
     ds = bench_dataset(name, fraction)
-    reads = AlignmentBatch.from_read_set(ds.reads)
     # The windows soapsnp_result runs over.
     nnz = np.concatenate([
         nonzero_counts(extract_observations(w))
-        for w in WindowReader(reads, ds.n_sites, 4000)
+        for w in WindowReader(ds.reads, ds.n_sites, 4000)
     ])
     return {
         "histogram": sparsity_histogram(nnz),
@@ -443,7 +441,7 @@ def exp_fig10(name: str, fraction: float | None = None) -> dict:
     }
     # Temporary input file.
     ds = bench_dataset(name, fraction)
-    reads = AlignmentBatch.from_read_set(ds.reads)
+    reads = ds.reads
     raw = reads.n_reads * soap_line_bytes(reads.read_len)
     soap_text_approx = raw
     temp = gs.samples[0].temp_input_bytes

@@ -26,7 +26,6 @@ import time
 
 import numpy as np
 
-from .align.records import AlignmentBatch
 from .api import JobSpec
 from .compress.reader import CompressedResultReader
 from .core.detector import GsnpDetector
@@ -69,7 +68,7 @@ def main_simulate(argv=None) -> int:
     )
     ds = generate_dataset(spec)
     write_fasta(f"{args.prefix}.fa", [ds.reference])
-    write_soap(f"{args.prefix}.soap", AlignmentBatch.from_read_set(ds.reads))
+    write_soap(f"{args.prefix}.soap", ds.reads)
     write_prior(f"{args.prefix}.prior", ds.reference.name, ds.prior)
     np.savetxt(
         f"{args.prefix}.truth",

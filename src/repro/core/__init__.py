@@ -8,7 +8,7 @@ from .base_word import (
     words_from_observations,
 )
 from .counting import gsnp_counting
-from .detector import Accuracy, GsnpDetector, SnpCall, detect_snps
+from .detector import GsnpDetector, SnpCall, detect_snps
 from .likelihood import (
     ALL_VARIANTS,
     BASELINE,
@@ -28,7 +28,6 @@ from .score_table import build_new_p_matrix, new_p_index, table_contributions
 
 __all__ = [
     "ALL_VARIANTS",
-    "Accuracy",
     "BASELINE",
     "GsnpDetector",
     "GsnpPipeline",

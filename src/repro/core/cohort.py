@@ -22,8 +22,11 @@ that share the pooled calibration: the flat layout only ever juxtaposes
 disjoint segments, and every fused kernel in this codebase is
 segment-local by construction (an existing tested invariant).
 
-This module holds the parts that do not need pipeline internals — the
-pooled-reads helper, cohort input loading and output-path conventions.
+A solo job is a cohort of one at every layer: the executor, the daemon's
+runner and the run loop all hold a job's samples as one list.  This module
+holds the parts that do not need pipeline internals — the pooled-reads
+helper, cohort input loading, the reads-against-reference check and
+output-path conventions.
 The execution loop itself is ``GsnpPipeline.run_cohort`` in
 :mod:`repro.core.pipeline`; it returns the
 :class:`~repro.soapsnp.pipeline.CallResult` every engine returns.
@@ -37,7 +40,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..align.records import AlignmentBatch
-from ..errors import PipelineError
+from ..errors import FormatError, PipelineError
 
 
 def pooled_batch(sample_reads: Sequence[AlignmentBatch]) -> AlignmentBatch:
@@ -48,9 +51,12 @@ def pooled_batch(sample_reads: Sequence[AlignmentBatch]) -> AlignmentBatch:
     tables; the pooled batch is re-sorted by position (stable) only so
     the compressed temp-input copy's delta codec sees a sorted column.
     It is never used for windowing — each sample windows its own batch.
+    A cohort of one pools to its own batch, uncopied.
     """
     if not sample_reads:
         raise PipelineError("cohort needs at least one sample")
+    if len(sample_reads) == 1:
+        return sample_reads[0]
     read_lens = {b.read_len for b in sample_reads if b.n_reads}
     if len(read_lens) > 1:
         raise PipelineError(
@@ -68,10 +74,32 @@ def load_sample_batches(dataset, spec) -> List[AlignmentBatch]:
     primary soap input) are sample 0, then one parse per ``spec.samples``."""
     from ..formats.soap import read_soap
 
-    batches = [AlignmentBatch.from_read_set(dataset.reads)]
-    for path in spec.samples:
-        batches.append(read_soap(path, quarantine=spec.quarantine))
-    return batches
+    return [dataset.reads] + [
+        read_soap(path, quarantine=spec.quarantine) for path in spec.samples
+    ]
+
+
+def check_sample_reads(reference, sample_reads) -> None:
+    """Refuse, as a :class:`~repro.errors.FormatError` naming the sample
+    and the read, a sample whose reads name another chromosome than the
+    reference or run past its end — before any pass indexes the
+    reference with them."""
+    for i, batch in enumerate(sample_reads):
+        if not batch.n_reads:
+            continue
+        if batch.chrom != reference.name:
+            raise FormatError(
+                f"sample {i}: read 0 is aligned to {batch.chrom!r}, but "
+                f"the reference is {reference.name!r}"
+            )
+        last = reference.length - batch.read_len
+        if batch.pos[-1] > last:
+            j = int(np.searchsorted(batch.pos, last, side="right"))
+            raise FormatError(
+                f"sample {i}: read {j} at {batch.chrom}:"
+                f"{int(batch.pos[j]) + 1} (length {batch.read_len}) runs "
+                f"past the end of the {reference.length}-site reference"
+            )
 
 
 def cohort_output_path(base, sample: int) -> Path:
@@ -84,6 +112,7 @@ def cohort_output_path(base, sample: int) -> Path:
 
 
 __all__ = [
+    "check_sample_reads",
     "cohort_output_path",
     "load_sample_batches",
     "pooled_batch",

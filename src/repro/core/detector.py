@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from ..api import JobSpec
+from ..bench.accuracy import OperatingPoint, quality_sweep
 from ..formats.cns import ResultTable
-from ..seqsim.datasets import DatasetSpec, KnownSnpPrior, SimulatedDataset
+from ..seqsim.datasets import KnownSnpPrior, SimulatedDataset
 from ..soapsnp.model import CallingParams
 from ..soapsnp.posterior import is_snp_call
 
@@ -28,41 +29,15 @@ def dataset_from_alignments(
     prior: Optional[KnownSnpPrior] = None,
 ) -> SimulatedDataset:
     """Wrap a parsed reference + alignment batch in the dataset container
-    the pipelines consume (no planted truth: haplotypes = reference)."""
-    from ..seqsim.diploid import Diploid
-    from ..seqsim.reads import ReadSet
-
+    the pipelines consume; parsed inputs carry no planted truth, so the
+    dataset's ``spec`` and ``diploid`` are ``None``."""
     if prior is None:
         prior = KnownSnpPrior(
             positions=np.empty(0, dtype=np.int64),
             rates=np.empty(0, dtype=np.float64),
         )
-    rs = ReadSet(
-        chrom=reference.name,
-        read_len=batch.read_len,
-        pos=batch.pos,
-        strand=batch.strand,
-        hits=batch.hits,
-        bases=batch.bases,
-        quals=batch.quals,
-    )
     return SimulatedDataset(
-        spec=DatasetSpec(
-            name=reference.name,
-            n_sites=reference.length,
-            depth=0.0,
-            coverage=1.0,
-            read_len=batch.read_len,
-        ),
-        reference=reference,
-        diploid=Diploid(
-            reference=reference,
-            hap1=reference.codes,
-            hap2=reference.codes,
-            snp_positions=np.empty(0, dtype=np.int64),
-            snp_genotypes=np.empty((0, 2), dtype=np.uint8),
-        ),
-        reads=rs,
+        spec=None, reference=reference, diploid=None, reads=batch,
         prior=prior,
     )
 
@@ -98,25 +73,6 @@ class SnpCall:
     genotype: int
     quality: int
     depth: int
-
-
-@dataclass
-class Accuracy:
-    """Scoring of calls against planted truth."""
-
-    true_positives: int
-    false_positives: int
-    false_negatives: int
-
-    @property
-    def precision(self) -> float:
-        d = self.true_positives + self.false_positives
-        return self.true_positives / d if d else 1.0
-
-    @property
-    def recall(self) -> float:
-        d = self.true_positives + self.false_negatives
-        return self.true_positives / d if d else 1.0
 
 
 class GsnpDetector:
@@ -227,30 +183,18 @@ class GsnpDetector:
         dataset: SimulatedDataset,
         min_quality: int = 0,
         covered_only: bool = True,
-    ) -> Accuracy:
-        """Score calls against the planted truth of a simulated dataset.
+    ) -> OperatingPoint:
+        """Score calls against the planted truth of a simulated dataset:
+        the :func:`repro.bench.accuracy.quality_sweep` operating point at
+        ``min_quality`` (a ``ValueError`` for a dataset without truth).
 
         With ``covered_only`` (default), planted SNPs at sites with zero
         sequencing depth are excluded from the false-negative count — no
         caller can find a variant it never saw a read for.
         """
-        mask = is_snp_call(table) & (table.quality >= min_quality)
-        called = set((table.pos[mask] - 1).tolist())
-        truth_pos = dataset.diploid.snp_positions
-        if covered_only:
-            pos0 = table.pos - 1
-            depth_at = dict(zip(pos0.tolist(), table.depth.tolist()))
-            truth = {
-                int(p) for p in truth_pos if depth_at.get(int(p), 0) > 0
-            }
-        else:
-            truth = {int(p) for p in truth_pos}
-        tp = len(called & truth)
-        return Accuracy(
-            true_positives=tp,
-            false_positives=len(called - truth),
-            false_negatives=len(truth - called),
-        )
+        return quality_sweep(
+            table, dataset, (min_quality,), min_depth=int(covered_only)
+        )[0]
 
 
 def detect_snps(

@@ -144,7 +144,7 @@ class GsnpPipeline:
         run that calibrates inline.
         """
         if reads is None:
-            reads = AlignmentBatch.from_read_set(dataset.reads)
+            reads = dataset.reads
         cal = calibration_pass(dataset, reads, self.params)
         rec = cal.record
         with PhaseScope(rec, None):
@@ -187,7 +187,7 @@ class GsnpPipeline:
         A solo run is a cohort of one.
         """
         if reads is None:
-            reads = AlignmentBatch.from_read_set(dataset.reads)
+            reads = dataset.reads
         return self._run_plan(dataset, [reads], site_range, calibration)
 
     def run_cohort(
@@ -241,18 +241,12 @@ class GsnpPipeline:
         from .cohort import pooled_batch
 
         n_samples = len(sample_reads)
-        if n_samples == 0:
-            raise PipelineError("cohort needs at least one sample")
         gpu = self.mode == "gpu"
         fused = self.fusion and gpu
         profile = RunProfile(pipeline="gsnp" if gpu else "gsnp_cpu")
         if calibration is None:
             calibration = self.calibrate(
-                dataset,
-                reads=(
-                    sample_reads[0] if n_samples == 1
-                    else pooled_batch(sample_reads)
-                ),
+                dataset, reads=pooled_batch(sample_reads)
             )
             profile.records["cal_p_matrix"] = calibration.record
         params = calibration.params

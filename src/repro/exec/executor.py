@@ -212,9 +212,10 @@ class _Job:
     spec: JobSpec
     params: object
     calibration: object
-    #: Cohort mode: full per-sample alignment batches (sample 0 first);
-    #: every lane windows all S samples for its shard range.
-    sample_reads: Optional[list]
+    #: Full per-sample alignment batches (sample 0 first; a solo job is
+    #: a cohort of one); every lane windows all S samples for its shard
+    #: range.
+    sample_reads: list
 
 
 def _lane_pipeline(job: _Job, lane: _Lane):
@@ -253,9 +254,9 @@ def _lane_pipeline(job: _Job, lane: _Lane):
 
 def _invoke(job: _Job, pipeline, calibration, shard: Shard):
     where = dict(site_range=(shard.start, shard.end), calibration=calibration)
-    if job.sample_reads is not None:
+    if len(job.sample_reads) > 1:  # SOAPsnp has no cohort path
         return pipeline.run_cohort(job.dataset, job.sample_reads, **where)
-    return pipeline.run(job.dataset, **where)
+    return pipeline.run(job.dataset, reads=job.sample_reads[0], **where)
 
 
 def _run_shard(
@@ -865,19 +866,19 @@ class _Scheduler:
                 dev.sanitize_teardown(strict=True)
 
 
-def calibrate_job(dataset, spec: JobSpec, params=None, sample_reads=None):
-    """The one-time ``cal_p_matrix`` input pass for one job.
+def calibrate_job(dataset, spec: JobSpec, sample_reads: list, params=None):
+    """The one-time ``cal_p_matrix`` input pass for one job, where its
+    reads first meet its reference: every sample is checked against the
+    reference first (a typed :class:`~repro.errors.FormatError`).
 
     A cohort calibrates over the pooled reads of all samples: one
     calibration digest, one resident score-table set per device.
     """
-    reads = None  # the dataset's own reads
-    if sample_reads is not None:
-        from ..core.cohort import pooled_batch
+    from ..core.cohort import check_sample_reads, pooled_batch
 
-        reads = pooled_batch(sample_reads)
+    check_sample_reads(dataset.reference, sample_reads)
     pipeline = create_pipeline(spec=spec, params=params)
-    return pipeline.calibrate(dataset, reads=reads)
+    return pipeline.calibrate(dataset, reads=pooled_batch(sample_reads))
 
 
 def execute(
@@ -912,33 +913,28 @@ def execute(
     lane, so the resident device stays on the caller's thread).  With
     ``resident=None`` the pipeline is released with the job.
 
-    ``sample_reads`` switches the job to cohort mode: a list of full
-    alignment batches (sample 0 first) that every shard slices by its own
-    site range via the window reader.  When the spec names ``samples``
-    paths and ``sample_reads`` is not given, the extra samples are parsed
-    here (sample 0 stays the dataset's own reads).  Cohort mode shards
-    by site range exactly like a solo run — every shard calls
-    ``run_cohort`` over all S samples for its windows — so per-sample
-    merged outputs are bitwise identical to S solo runs sharing the
-    pooled calibration.
+    ``sample_reads`` is the job's list of full alignment batches (sample
+    0 first) that every shard slices by its own site range via the window
+    reader; by default the dataset's own reads, then one parse per
+    ``spec.samples`` path, so a solo job is a cohort of one.  Every shard
+    calls ``run_cohort`` over all S samples for its windows (``run`` for
+    S = 1), so per-sample merged outputs are bitwise identical to S solo
+    runs sharing the pooled calibration.
     """
+    from ..core.cohort import load_sample_batches
+
     spec = spec.validate()
     eff_window = effective_window(spec.engine, spec.window)
-
-    if sample_reads is None and spec.is_cohort:
-        from ..core.cohort import load_sample_batches
-
+    if sample_reads is None:
         sample_reads = load_sample_batches(dataset, spec)
-    if sample_reads is not None:
-        sample_reads = list(sample_reads)
-        if not sample_reads:
-            raise ValueError("sample_reads must name at least one sample")
-    n_samples = len(sample_reads) if sample_reads is not None else 1
+    sample_reads = list(sample_reads)
+    if not sample_reads:
+        raise ValueError("sample_reads must name at least one sample")
 
     # Skipped entirely when the caller supplies a cached calibration for
     # this dataset/engine/params.
     if calibration is None:
-        calibration = calibrate_job(dataset, spec, params, sample_reads)
+        calibration = calibrate_job(dataset, spec, sample_reads, params)
     # The one shard-plan rule: shards are planned for the job's lanes —
     # a device pool's N devices plus the optional host lane (``workers``
     # does not reach a pool), else ``workers``.  A serial job is one
@@ -963,8 +959,7 @@ def execute(
         key = job_key(
             spec, exclude=SHARD_KEY_EXCLUDES,
             reference=dataset.reference.codes,
-            reads=sample_reads if sample_reads is not None
-            else [dataset.reads],
+            reads=sample_reads,
             prior=dataset.prior, params=calibration.params,
             calibration=calibration.digest,
             shards=[(s.start, s.end) for s in shards],
@@ -1005,7 +1000,7 @@ def execute(
         "retries": sum(sr.attempts - 1 for sr in ran),
         "resumed": len(committed),
         "shard_timeout": spec.shard_timeout,
-        "samples": n_samples,
+        "samples": len(sample_reads),
         "wall": time.perf_counter() - t0,
         **sched_meta,
     }

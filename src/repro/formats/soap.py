@@ -156,7 +156,7 @@ def read_soap(
     With ``quarantine`` set, a malformed record is appended to that file
     (with ``file:line: reason`` coordinates) and skipped instead of
     aborting the parse; structural problems spanning records (mixed read
-    lengths, an empty file) still raise.
+    lengths or chromosomes, an empty file) still raise.
     """
     pos_l: list[int] = []
     strand_l: list[int] = []
@@ -188,6 +188,11 @@ def read_soap(
                 raise FormatError(
                     f"{path}:{lineno}: mixed read lengths not supported "
                     f"(expected {read_len}, got {codes.size})"
+                )
+            elif rec_chrom != chrom:
+                raise FormatError(
+                    f"{path}:{lineno}: mixed chromosomes not supported "
+                    f"(expected {chrom!r}, got {rec_chrom!r})"
                 )
             pos_l.append(pos0)
             strand_l.append(strand)

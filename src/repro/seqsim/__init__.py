@@ -15,7 +15,7 @@ from .datasets import (
 )
 from .diploid import Diploid, simulate_diploid
 from .quality import QualityModel
-from .reads import ReadSet, covered_blocks, reverse_complement_view, simulate_reads
+from .reads import covered_blocks, reverse_complement_view, simulate_reads
 from .reference import Reference, synthesize_reference
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "HG_CHROM_MBP",
     "KnownSnpPrior",
     "QualityModel",
-    "ReadSet",
     "Reference",
     "SimulatedDataset",
     "TABLE2_FULL",

@@ -12,13 +12,15 @@ full-scale modeled times are ``scaled counts x 1000``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from ..align.records import AlignmentBatch
 from .diploid import Diploid, simulate_diploid
 from .quality import QualityModel
-from .reads import ReadSet, simulate_reads
+from .reads import simulate_reads
 from .reference import Reference, synthesize_reference
 
 #: Linear scale factor between simulated datasets and the paper's.
@@ -68,12 +70,13 @@ class KnownSnpPrior:
 
 @dataclass
 class SimulatedDataset:
-    """Everything one SNP-calling run needs, plus ground truth."""
+    """Everything one SNP-calling run needs, plus ground truth where it was
+    planted: ``spec`` and ``diploid`` are ``None`` for parsed input files."""
 
-    spec: DatasetSpec
+    spec: Optional[DatasetSpec]
     reference: Reference
-    diploid: Diploid
-    reads: ReadSet
+    diploid: Optional[Diploid]
+    reads: AlignmentBatch
     prior: KnownSnpPrior
 
     @property

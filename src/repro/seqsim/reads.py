@@ -10,53 +10,12 @@ what the ``coord`` dimension of ``base_occ``/``base_word`` records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..align.records import AlignmentBatch
 from ..constants import COMPLEMENT_CODE
 from .diploid import Diploid
 from .quality import QualityModel
-
-
-@dataclass
-class ReadSet:
-    """A set of aligned reads over one reference sequence."""
-
-    chrom: str
-    read_len: int
-    pos: np.ndarray  # int64 (n,), 0-based leftmost match position, sorted
-    strand: np.ndarray  # uint8 (n,), 0=forward 1=reverse
-    hits: np.ndarray  # uint8 (n,), number of alignment hits (1 = unique)
-    bases: np.ndarray  # uint8 (n, read_len), forward orientation
-    quals: np.ndarray  # uint8 (n, read_len), forward orientation
-
-    @property
-    def n_reads(self) -> int:
-        return int(self.pos.size)
-
-    def validate(self) -> None:
-        """Raise ValueError on any internal inconsistency."""
-        n = self.n_reads
-        for name in ("strand", "hits"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("bases", "quals"):
-            if getattr(self, name).shape != (n, self.read_len):
-                raise ValueError(f"{name} shape mismatch")
-        if n and np.any(np.diff(self.pos) < 0):
-            raise ValueError("reads must be sorted by position")
-        if np.any(self.bases >= 4):
-            raise ValueError("base codes must be in 0..3")
-        if np.any(self.quals >= 64):
-            raise ValueError("quality scores must fit 6 bits")
-
-    def machine_cycle(self) -> np.ndarray:
-        """Machine cycle of each (read, forward-offset) pair."""
-        j = np.arange(self.read_len)
-        return np.where(
-            self.strand[:, None] == 0, j[None, :], self.read_len - 1 - j[None, :]
-        )
 
 
 def covered_blocks(
@@ -97,8 +56,9 @@ def simulate_reads(
     multihit_fraction: float = 0.05,
     block_size: int = 2000,
     seed: int = 2,
-) -> ReadSet:
-    """Simulate a position-sorted read set at the given sequencing depth.
+) -> AlignmentBatch:
+    """Simulate a position-sorted batch of aligned reads at the given
+    sequencing depth.
 
     ``depth`` is total read bases / reference length (the paper's
     definition), so the *covered-region* depth is ``depth / coverage``.
@@ -153,7 +113,7 @@ def simulate_reads(
     multi = rng.random(n_reads) < multihit_fraction
     hits[multi] = rng.integers(2, 10, size=int(multi.sum()))
 
-    rs = ReadSet(
+    batch = AlignmentBatch(
         chrom=ref.name,
         read_len=read_len,
         pos=pos,
@@ -162,19 +122,21 @@ def simulate_reads(
         bases=bases,
         quals=quals,
     )
-    rs.validate()
-    return rs
+    batch.validate()
+    return batch
 
 
-def reverse_complement_view(read_set: ReadSet, i: int) -> tuple[np.ndarray, np.ndarray]:
+def reverse_complement_view(
+    batch: AlignmentBatch, i: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Bases/quals of read ``i`` as the machine actually read them.
 
     Forward reads return the stored arrays; reverse reads return the
     reverse complement with reversed qualities (useful for writing FASTQ
     or SOAP alignment text).
     """
-    b = read_set.bases[i]
-    q = read_set.quals[i]
-    if read_set.strand[i] == 0:
+    b = batch.bases[i]
+    q = batch.quals[i]
+    if batch.strand[i] == 0:
         return b.copy(), q.copy()
     return COMPLEMENT_CODE[b[::-1]].copy(), q[::-1].copy()

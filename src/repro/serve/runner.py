@@ -44,6 +44,7 @@ from ..core.detector import dataset_from_files
 from ..exec import calibrate_job, execute
 from ..exec.executor import release_pipeline
 from ..faults.journal import atomic_output, load_sealed, seal
+from ..formats.soap import read_soap
 
 #: On-disk calibration entry format version; entries of another are
 #: misses.  Version 4: a ``Calibration`` keeps the temp copy's length only.
@@ -286,16 +287,10 @@ class ResidentRunner:
         dataset = self.datasets.get(dataset_key, partial(
             dataset_from_files, spec.fasta, spec.soap, spec.prior,
         ), spec.quarantine)
-        sample_reads = None
-        if spec.is_cohort:
-            from ..align.records import AlignmentBatch
-            from ..formats.soap import read_soap
-
-            sample_reads = [AlignmentBatch.from_read_set(dataset.reads)] + [
-                self.datasets.get(key, partial(read_soap, path),
-                                  spec.quarantine)
-                for path, key in zip(spec.samples, sample_keys)
-            ]
+        sample_reads = [dataset.reads] + [
+            self.datasets.get(key, partial(read_soap, path), spec.quarantine)
+            for path, key in zip(spec.samples, sample_keys)
+        ]
 
         cal_key = job_key(
             spec, exclude=CALIBRATION_KEY_EXCLUDES, dataset=dataset_key,
@@ -303,9 +298,7 @@ class ResidentRunner:
         )
         calibration = self.calibrations.get(cal_key)
         if calibration is None:
-            calibration = calibrate_job(
-                dataset, spec, sample_reads=sample_reads
-            )
+            calibration = calibrate_job(dataset, spec, sample_reads)
             self.calibrations.put(cal_key, calibration)
 
         jdir = self.journal_dir(job.job_id)

@@ -121,7 +121,7 @@ def calibration_pass(
     """The ``cal_p_matrix`` pass every engine shares: one full read of the
     input into the calibrated score tables, with its disk and CPU events."""
     if reads is None:
-        reads = AlignmentBatch.from_read_set(dataset.reads)
+        reads = dataset.reads
     params = params or CallingParams(read_len=reads.read_len or 100)
     input_bytes = reads.n_reads * soap_line_bytes(reads.read_len)
     rec = PhaseRecord(name="cal_p_matrix")
@@ -179,7 +179,7 @@ class SoapsnpPipeline:
         of the ``.cns`` text rows.
         """
         if reads is None:
-            reads = AlignmentBatch.from_read_set(dataset.reads)
+            reads = dataset.reads
         profile = RunProfile(pipeline="soapsnp")
 
         if calibration is None:

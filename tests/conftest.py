@@ -12,7 +12,6 @@ import types
 import numpy as np
 import pytest
 
-from repro.align.records import AlignmentBatch
 from repro.formats.window import Window, WindowReader
 from repro.gpusim.device import Device
 from repro.seqsim.datasets import DatasetSpec, generate_dataset
@@ -41,7 +40,7 @@ def tiny_dataset():
 
 @pytest.fixture(scope="session")
 def small_batch(small_dataset):
-    return AlignmentBatch.from_read_set(small_dataset.reads)
+    return small_dataset.reads
 
 
 @pytest.fixture(scope="session")

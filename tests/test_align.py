@@ -130,13 +130,13 @@ class TestAlignBatch:
 
 
 class TestAlignmentBatch:
-    def test_from_read_set(self, reference):
+    def test_simulated_reads_are_a_batch(self, reference):
         d = simulate_diploid(reference, seed=40)
         from repro.seqsim import simulate_reads
 
-        rs = simulate_reads(d, depth=3.0, seed=41)
-        batch = AlignmentBatch.from_read_set(rs)
-        assert batch.n_reads == rs.n_reads
+        batch = simulate_reads(d, depth=3.0, seed=41)
+        assert isinstance(batch, AlignmentBatch)
+        assert batch.n_reads == round(3.0 * reference.length / 100)
         assert batch.chrom == reference.name
 
     def test_slice_and_select(self):

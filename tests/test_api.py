@@ -108,7 +108,6 @@ class TestDetectorApi:
         assert table.n_sites == tiny_dataset.n_sites
 
     def test_from_files(self, tiny_dataset, tmp_path):
-        from repro.align.records import AlignmentBatch
         from repro.formats.fasta import write_fasta
         from repro.formats.prior import write_prior
         from repro.formats.soap import write_soap
@@ -117,7 +116,7 @@ class TestDetectorApi:
         soap = tmp_path / "reads.soap"
         prior = tmp_path / "known.prior"
         write_fasta(fasta, [tiny_dataset.reference])
-        write_soap(soap, AlignmentBatch.from_read_set(tiny_dataset.reads))
+        write_soap(soap, tiny_dataset.reads)
         write_prior(
             prior, tiny_dataset.reference.name, tiny_dataset.prior
         )

@@ -9,7 +9,6 @@ calibration is a refinement, not a crutch.
 import numpy as np
 import pytest
 
-from repro.align.records import AlignmentBatch
 from repro.soapsnp import (
     CallingParams,
     build_p_matrix,
@@ -66,7 +65,7 @@ class TestTheoryOnlyCalling:
         from repro.soapsnp.p_matrix import flatten_p_matrix
 
         params = CallingParams(read_len=100)
-        reads = AlignmentBatch.from_read_set(small_dataset.reads)
+        reads = small_dataset.reads
         obs = extract_observations(
             Window(start=0, end=small_dataset.n_sites, reads=reads)
         )

@@ -3,12 +3,15 @@
 import importlib
 import os
 import tomllib
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.cli import ACTIONS, main, main_call, main_decompress, main_simulate
+from repro.errors import FormatError
 from repro.formats.cns import read_cns
 
 
@@ -85,6 +88,57 @@ class TestCall:
             main_call(["demo.fa", "demo.soap", *flags])
         assert exc.value.code == 2
         assert f"gsnp call: error: {message}" in capsys.readouterr().err
+
+
+class TestInputsMeetReference:
+    """A job's reads are checked against its reference before any pass
+    indexes the reference with them: a typed error on every path."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        from repro.formats.fasta import write_fasta
+        from repro.formats.soap import write_soap
+        from repro.seqsim import DatasetSpec, generate_dataset
+
+        d = tmp_path_factory.mktemp("fit")
+        ds = generate_dataset(DatasetSpec(
+            name="chrFit", n_sites=1500, depth=6.0, coverage=1.0,
+            read_len=50, seed=4,
+        ))
+        ref = ds.reference
+        write_fasta(d / "ref.fa", [ref])
+        write_fasta(d / "other.fa", [replace(ref, name="chrOther")])
+        write_soap(d / "reads.soap", ds.reads)
+        # The same reads placed 100 sites further right: the last ones
+        # run past the reference end.
+        write_soap(d / "past.soap", replace(ds.reads, pos=ds.reads.pos + 100))
+        return {name: str(d / name) for name in (
+            "ref.fa", "other.fa", "reads.soap", "past.soap")}
+
+    def test_reads_past_the_reference_end_fail_typed(self, inputs, tmp_path):
+        from repro.api import JobSpec
+        from repro.serve.runner import ResidentRunner
+
+        ref, past = inputs["ref.fa"], inputs["past.soap"]
+        for engine in ("soapsnp", "gsnp_cpu", "gsnp"):
+            with pytest.raises(FormatError, match="sample 0: read .* runs "
+                               "past the end of the 1500-site reference"):
+                main_call([ref, past, "--engine", engine])
+        # Every cohort sample is checked, and named.
+        with pytest.raises(FormatError, match="sample 1: read"):
+            main_call([ref, inputs["reads.soap"], "--samples", past])
+        runner = ResidentRunner(tmp_path / "state")
+        job = SimpleNamespace(spec=JobSpec(fasta=ref, soap=past),
+                              job_id="past-end", recovered=False)
+        with runner.pipelines() as pipelines:
+            with pytest.raises(FormatError, match="sample 0: read"):
+                runner.run_job(job, pipelines)
+
+    def test_reads_of_another_chromosome_are_refused(self, inputs):
+        with pytest.raises(FormatError, match="'chrFit', but the reference "
+                           "is 'chrOther'"):
+            main_call([inputs["other.fa"], inputs["reads.soap"]])
+        assert main_call([inputs["ref.fa"], inputs["reads.soap"]]) == 0
 
 
 class TestDecompress:

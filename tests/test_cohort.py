@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.align.records import AlignmentBatch
 from repro.api import JobSpec, create_pipeline
 from repro.core.cohort import cohort_output_path, pooled_batch
 from repro.core.detector import GsnpDetector
@@ -48,13 +47,13 @@ def ds():
 def batches(ds):
     """Four cohort members: the dataset's own reads plus three fresh
     sequencing runs of the same individual (distinct seeds)."""
-    out = [AlignmentBatch.from_read_set(ds.reads)]
+    out = [ds.reads]
     for i in range(1, 4):
         rs = simulate_reads(
             ds.diploid, depth=8.0, coverage=0.9, read_len=40,
             seed=SEED * 7 + 3 + 1000 * i,
         )
-        out.append(AlignmentBatch.from_read_set(rs))
+        out.append(rs)
     return out
 
 
@@ -320,10 +319,10 @@ class TestSpecAndHelpers:
             JobSpec(engine="soapsnp", samples=("a.soap",)).validate()
 
     def test_pooled_batch_rejects_mixed_read_lengths(self, ds):
-        a = AlignmentBatch.from_read_set(ds.reads)
-        b = AlignmentBatch.from_read_set(simulate_reads(
+        a = ds.reads
+        b = simulate_reads(
             ds.diploid, depth=2.0, coverage=0.5, read_len=36, seed=9,
-        ))
+        )
         with pytest.raises(PipelineError, match="read length"):
             pooled_batch([a, b])
         with pytest.raises(PipelineError, match="at least one"):

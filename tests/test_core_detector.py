@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import JobSpec
-from repro.core.detector import Accuracy, GsnpDetector, detect_snps
+from repro.core.detector import GsnpDetector, detect_snps
 
 
 class TestDetector:
@@ -34,6 +34,22 @@ class TestDetector:
         acc = det.score(res.table, small_dataset, min_quality=13)
         assert acc.recall > 0.6
         assert acc.precision > 0.6
+
+    def test_score_without_planted_truth_raises(self, tiny_dataset, tmp_path):
+        """A dataset parsed from files has no truth: scoring it is an
+        error, not a table of false positives."""
+        from repro.formats.fasta import write_fasta
+        from repro.formats.soap import write_soap
+
+        write_fasta(tmp_path / "ref.fa", [tiny_dataset.reference])
+        write_soap(tmp_path / "reads.soap", tiny_dataset.reads)
+        det = GsnpDetector.from_files(
+            tmp_path / "ref.fa", tmp_path / "reads.soap", engine="gsnp_cpu"
+        )
+        assert det.dataset.spec is None and det.dataset.diploid is None
+        table = det.run().table
+        with pytest.raises(ValueError, match="no planted truth"):
+            det.score(table, det.dataset)
 
     def test_all_engines_same_calls(self, small_dataset):
         tables = {}
@@ -96,13 +112,3 @@ class TestDetector:
         assert table.n_sites == small_dataset.n_sites
         assert isinstance(calls, list)
 
-
-class TestAccuracy:
-    def test_precision_recall(self):
-        a = Accuracy(true_positives=8, false_positives=2, false_negatives=4)
-        assert a.precision == pytest.approx(0.8)
-        assert a.recall == pytest.approx(8 / 12)
-
-    def test_degenerate_cases(self):
-        a = Accuracy(0, 0, 0)
-        assert a.precision == 1.0 and a.recall == 1.0

@@ -697,7 +697,6 @@ class TestDegradationLadder:
         assert shards_and_launches(shard_timeout=5.0) == untimed
 
     def test_quarantine_collects_coordinates(self, tmp_path):
-        from repro.align.records import AlignmentBatch
         from repro.formats.soap import read_soap, write_soap
         from repro.seqsim.datasets import DatasetSpec, generate_dataset
 
@@ -705,7 +704,7 @@ class TestDegradationLadder:
             name="chrQ", n_sites=600, depth=6.0, coverage=0.9, seed=11,
         ))
         soap = tmp_path / "q.soap"
-        write_soap(soap, AlignmentBatch.from_read_set(ds.reads))
+        write_soap(soap, ds.reads)
         lines = soap.read_bytes().splitlines(keepends=True)
         lines[1] = b"only\ttwo\n"
         soap.write_bytes(b"".join(lines))
@@ -729,7 +728,6 @@ class TestDegradationLadder:
         """A ``formats.soap.record`` truncation reaches the caller as a
         ``FormatError`` with the record's coordinates; the fault is
         transient, so re-reading under the spent plan parses clean."""
-        from repro.align.records import AlignmentBatch
         from repro.core.detector import dataset_from_files
         from repro.formats.fasta import write_fasta
         from repro.formats.soap import write_soap
@@ -740,7 +738,7 @@ class TestDegradationLadder:
         ))
         fasta, soap = tmp_path / "t.fa", tmp_path / "t.soap"
         write_fasta(fasta, [ds.reference])
-        write_soap(soap, AlignmentBatch.from_read_set(ds.reads))
+        write_soap(soap, ds.reads)
         plan = FaultPlan([FaultSpec(site="formats.soap.record",
                                     kind="truncate", key=3, arg=0.4)])
         with fault_plan(plan):

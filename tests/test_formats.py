@@ -59,7 +59,7 @@ class TestFasta:
 
 class TestSoap:
     def test_roundtrip(self, tmp_path, dataset):
-        batch = AlignmentBatch.from_read_set(dataset.reads)
+        batch = dataset.reads
         path = tmp_path / "x.soap"
         nbytes = write_soap(path, batch)
         assert nbytes == path.stat().st_size
@@ -88,6 +88,17 @@ class TestSoap:
         p.write_text("r\tACGT\t!!!!\t1\t5\t+\tchr\t1\n")
         with pytest.raises(FormatError, match="length"):
             read_soap(p)
+
+    def test_second_chromosome_rejected(self, tmp_path):
+        """One file is one chromosome's stream: the first record of a
+        second one is a structural error, even with a quarantine set."""
+        p = tmp_path / "two.soap"
+        p.write_text("r\tACGT\t!!!!\t1\t4\t+\tchrA\t1\n"
+                     "r\tACGT\t!!!!\t1\t4\t+\tchrB\t9\n")
+        q = tmp_path / "q.txt"
+        with pytest.raises(FormatError, match=r"two\.soap:2: mixed chrom"):
+            read_soap(p, quarantine=q)
+        assert not q.exists()
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "e.soap"
@@ -198,7 +209,7 @@ class TestResultTable:
 
 class TestWindowReader:
     def test_window_count(self, dataset):
-        batch = AlignmentBatch.from_read_set(dataset.reads)
+        batch = dataset.reads
         reader = WindowReader(batch, dataset.n_sites, 1000)
         assert reader.n_windows == 3
         windows = list(reader)
@@ -206,7 +217,7 @@ class TestWindowReader:
         assert windows[-1].end == dataset.n_sites
 
     def test_every_read_delivered_to_its_windows(self, dataset):
-        batch = AlignmentBatch.from_read_set(dataset.reads)
+        batch = dataset.reads
         reader = WindowReader(batch, dataset.n_sites, 700)
         seen = 0
         for w in reader:
@@ -219,13 +230,13 @@ class TestWindowReader:
         assert seen >= batch.n_reads
 
     def test_single_window_covers_everything(self, dataset):
-        batch = AlignmentBatch.from_read_set(dataset.reads)
+        batch = dataset.reads
         reader = WindowReader(batch, dataset.n_sites, dataset.n_sites)
         (w,) = list(reader)
         assert w.reads.n_reads == batch.n_reads
 
     def test_invalid_window_size(self, dataset):
-        batch = AlignmentBatch.from_read_set(dataset.reads)
+        batch = dataset.reads
         with pytest.raises(PipelineError):
             WindowReader(batch, dataset.n_sites, 0)
 

@@ -11,7 +11,6 @@ likelihood/posterior stage.
 import numpy as np
 import pytest
 
-from repro.align.records import AlignmentBatch
 from repro.api import JobSpec, create_pipeline
 from repro.core.detector import GsnpDetector
 from repro.core.fused import merge_observations
@@ -208,7 +207,7 @@ class TestLaunchPlan:
 
 class TestMergedCounting:
     def test_merge_equals_per_window_concat(self, ds):
-        reads = AlignmentBatch.from_read_set(ds.reads)
+        reads = ds.reads
         reader = WindowReader(reads, ds.n_sites, 256)
         windows = list(reader)
         obs_list = [extract_observations(w) for w in windows]

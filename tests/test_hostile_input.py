@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.align.records import AlignmentBatch
 from repro.api import JobSpec, create_pipeline
 from repro.compress import (
     decode_alignments, decode_table, delta_decode, delta_encode,
@@ -59,8 +58,7 @@ def cns_text() -> bytes:
 def soap_text() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "valid.soap"
-        write_soap(path, AlignmentBatch.from_read_set(run()[0].reads)
-                   .slice(0, 60))
+        write_soap(path, run()[0].reads.slice(0, 60))
         return path.read_bytes()
 
 
@@ -97,8 +95,7 @@ def text(parse):
 DECODERS = {
     "decode_table": (stream, codec(decode_stream, container=True)),
     "decode_alignments": (
-        lambda: encode_alignments(AlignmentBatch.from_read_set(
-            run()[0].reads)),
+        lambda: encode_alignments(run()[0].reads),
         codec(decode_alignments, container=True),
     ),
     "sparse": (lambda: sparse_encode(COLUMN, 0),

@@ -6,6 +6,8 @@ decompress, and compare against planted truth — including under
 hypothesis-randomized dataset parameters.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from repro import (
     SoapsnpPipeline,
     generate_dataset,
 )
-from repro.align.records import AlignmentBatch
 from repro.compress import CompressedResultReader
 from repro.formats import (
     read_cns,
@@ -31,8 +32,7 @@ from repro.formats import (
     write_prior,
     write_soap,
 )
-from repro.seqsim.datasets import SimulatedDataset
-from repro.seqsim.reads import ReadSet, reverse_complement_view
+from repro.seqsim.reads import reverse_complement_view
 from repro.serve.runner import write_job_output
 
 
@@ -42,26 +42,14 @@ class TestFileRoundtripPipeline:
     @pytest.fixture(scope="class")
     def file_dataset(self, small_dataset, tmp_path_factory):
         d = tmp_path_factory.mktemp("files")
-        batch = AlignmentBatch.from_read_set(small_dataset.reads)
         write_fasta(d / "ref.fa", [small_dataset.reference])
-        write_soap(d / "aln.soap", batch)
+        write_soap(d / "aln.soap", small_dataset.reads)
         write_prior(d / "known.prior", small_dataset.reference.name,
                     small_dataset.prior)
         ref = read_fasta(d / "ref.fa")[0]
         aln = read_soap(d / "aln.soap")
         prior = read_prior(d / "known.prior")
-        rebuilt = SimulatedDataset(
-            spec=small_dataset.spec,
-            reference=ref,
-            diploid=small_dataset.diploid,
-            reads=ReadSet(
-                chrom=aln.chrom, read_len=aln.read_len, pos=aln.pos,
-                strand=aln.strand, hits=aln.hits, bases=aln.bases,
-                quals=aln.quals,
-            ),
-            prior=prior,
-        )
-        return rebuilt
+        return replace(small_dataset, reference=ref, reads=aln, prior=prior)
 
     def test_file_path_equals_memory_path(self, file_dataset, small_dataset):
         mem = GsnpPipeline(window_size=2000, mode="cpu").run(small_dataset)
@@ -123,15 +111,8 @@ class TestFastqLoop:
         b, q, _ = read_fastq(path)
         batch = Aligner(ds.reference, max_mismatches=3).align_batch(b, q)
         assert batch.n_reads > 0.7 * rs.n_reads
-        aligned_ds = SimulatedDataset(
-            spec=ds.spec, reference=ds.reference, diploid=ds.diploid,
-            reads=ReadSet(
-                chrom=batch.chrom, read_len=batch.read_len, pos=batch.pos,
-                strand=batch.strand, hits=batch.hits, bases=batch.bases,
-                quals=batch.quals,
-            ),
-            prior=ds.prior,
-        )
+        # The simulated individual with its reads re-aligned from FASTQ.
+        aligned_ds = replace(ds, reads=batch)
         det = GsnpDetector(engine="gsnp_cpu", min_quality=13)
         res = det.run(aligned_ds)
         acc = det.score(res.table, aligned_ds, min_quality=13)

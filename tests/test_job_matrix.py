@@ -29,7 +29,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.align.records import AlignmentBatch
 from repro.api import (
     KEY_EXCLUSIONS, JobSpec, create_pipeline, effective_window, job_key,
 )
@@ -91,13 +90,13 @@ class Env:
             name="matrix", n_sites=N_SITES, depth=6.0, coverage=0.92,
             read_len=40, seed=31,
         ))
-        self.batches = [AlignmentBatch.from_read_set(self.ds.reads)]
+        self.batches = [self.ds.reads]
         self.paths = [str(root / f"sample{i}.soap") for i in (1, 2, 3)]
         for i, path in enumerate(self.paths, 1):
-            write_soap(path, AlignmentBatch.from_read_set(simulate_reads(
+            write_soap(path, simulate_reads(
                 self.ds.diploid, depth=6.0, coverage=0.92, read_len=40,
                 seed=1000 + i,
-            )))
+            ))
             self.batches.append(read_soap(path))
         self.memo: dict = {}
         self.counters: dict = {}  # launch-chain key -> first events seen
@@ -389,7 +388,7 @@ def job_bytes(env: Env, spec: JobSpec) -> list:
 
 def calibration_of(env: Env, spec: JobSpec) -> tuple:
     """What a stored calibration holds, the measured wall clock blanked."""
-    cal = calibrate_job(env.ds, spec)
+    cal = calibrate_job(env.ds, spec, [env.ds.reads])
     return (cal.digest, cal.temp_len, cal.total_reads,
             replace(cal.record, wall=0.0), cal.new_p_flat is None)
 

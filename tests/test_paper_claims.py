@@ -105,14 +105,13 @@ class TestSection4Claims:
             extract_observations,
             flatten_p_matrix,
         )
-        from repro.align.records import AlignmentBatch
         from repro.formats.window import Window
 
         ds = generate_dataset(
             DatasetSpec(name="c", n_sites=600, depth=10, coverage=1.0,
                         seed=91)
         )
-        reads = AlignmentBatch.from_read_set(ds.reads)
+        reads = ds.reads
         params = CallingParams(read_len=reads.read_len)
         pmf = flatten_p_matrix(build_p_matrix(reads, ds.reference, params))
         obs = extract_observations(

@@ -17,7 +17,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.align.records import AlignmentBatch
 from repro.api import JobSpec, create_pipeline
 from repro.core import pipeline as pipeline_mod
 from repro.core.cohort import cohort_output_path
@@ -50,11 +49,11 @@ def ds():
 @pytest.fixture(scope="module")
 def batches(ds):
     """Three cohort members: the dataset's reads + two fresh runs."""
-    out = [AlignmentBatch.from_read_set(ds.reads)]
+    out = [ds.reads]
     for seed in (1031, 2031):
-        out.append(AlignmentBatch.from_read_set(simulate_reads(
+        out.append(simulate_reads(
             ds.diploid, depth=6.0, coverage=0.92, read_len=40, seed=seed,
-        )))
+        ))
     return out
 
 

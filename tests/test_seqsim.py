@@ -212,13 +212,6 @@ class TestReads:
         with pytest.raises(ValueError):
             broken.validate()
 
-    def test_machine_cycle_orientation(self, setup):
-        _, rs = setup
-        mc = rs.machine_cycle()
-        fwd = rs.strand == 0
-        assert np.all(mc[fwd][:, 0] == 0)
-        assert np.all(mc[~fwd][:, 0] == rs.read_len - 1)
-
     def test_reverse_complement_view(self, setup):
         _, rs = setup
         rev = np.nonzero(rs.strand == 1)[0]

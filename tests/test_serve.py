@@ -53,7 +53,6 @@ SITES = 1200
 def serve_inputs():
     """Simulated input files, plus one-shot CLI reference bytes."""
     root = Path(tempfile.mkdtemp(prefix="gsnp-serve-test-"))
-    from repro.align.records import AlignmentBatch
     from repro.formats.fasta import write_fasta
     from repro.formats.prior import write_prior
     from repro.formats.soap import write_soap
@@ -67,7 +66,7 @@ def serve_inputs():
         str(root / "d.fa"), str(root / "d.soap"), str(root / "d.prior")
     )
     write_fasta(fasta, [ds.reference])
-    write_soap(soap, AlignmentBatch.from_read_set(ds.reads))
+    write_soap(soap, ds.reads)
     write_prior(prior, ds.reference.name, ds.prior)
     ref = root / "ref.cns"
     assert main_call([
@@ -349,7 +348,6 @@ class TestResidentCaches:
         sample file once, but cohorts (A, B) and (B, A) are two
         calibration entries; each job's bytes are the ``gsnp call``
         job's."""
-        from repro.align.records import AlignmentBatch
         from repro.core.cohort import cohort_output_path
         from repro.formats.soap import write_soap
         from repro.seqsim.datasets import DatasetSpec, generate_dataset
@@ -357,10 +355,10 @@ class TestResidentCaches:
 
         a, b = str(tmp_path / "a.soap"), str(tmp_path / "b.soap")
         for path, seed in ((a, 12), (b, 13)):
-            write_soap(path, AlignmentBatch.from_read_set(generate_dataset(
+            write_soap(path, generate_dataset(
                 DatasetSpec(name="chrServe", n_sites=SITES, depth=4.0,
                             coverage=0.9, read_len=60, seed=seed),
-            ).reads))
+            ).reads)
         runner = ResidentRunner(tmp_path / "state")
         with runner.pipelines() as pipelines:
             outcomes = [

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.records import AlignmentBatch
 from repro.constants import N_GENOTYPES
 from repro.formats.window import Window
 from repro.soapsnp import (
@@ -28,7 +27,7 @@ def tiny_setup(tiny_dataset):
     from repro.soapsnp.model import CallingParams
     from repro.soapsnp.p_matrix import build_p_matrix, flatten_p_matrix
 
-    batch = AlignmentBatch.from_read_set(tiny_dataset.reads)
+    batch = tiny_dataset.reads
     params = CallingParams(read_len=batch.read_len)
     pm = build_p_matrix(batch, tiny_dataset.reference, params)
     pm_flat = flatten_p_matrix(pm)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.align.records import AlignmentBatch
 from repro.errors import FormatError, PipelineError
 from repro.formats.soap import write_soap
 from repro.formats.stream import StreamingSoapReader
@@ -15,7 +14,7 @@ from repro.soapsnp.observe import extract_observations
 @pytest.fixture(scope="module")
 def soap_file(small_dataset, tmp_path_factory):
     path = tmp_path_factory.mktemp("stream") / "aln.soap"
-    write_soap(path, AlignmentBatch.from_read_set(small_dataset.reads))
+    write_soap(path, small_dataset.reads)
     return path
 
 
@@ -24,7 +23,7 @@ class TestEquivalence:
     def test_same_windows_as_memory_reader(
         self, soap_file, small_dataset, window_size
     ):
-        batch = AlignmentBatch.from_read_set(small_dataset.reads)
+        batch = small_dataset.reads
         mem = list(WindowReader(batch, small_dataset.n_sites, window_size))
         streamed = list(
             StreamingSoapReader(
@@ -48,7 +47,7 @@ class TestEquivalence:
         streamed = list(
             StreamingSoapReader(soap_file, small_dataset.n_sites, 1000)
         )
-        batch = AlignmentBatch.from_read_set(small_dataset.reads)
+        batch = small_dataset.reads
         mem = list(WindowReader(batch, small_dataset.n_sites, 1000))
         for sw, mw in zip(streamed, mem):
             so = extract_observations(sw)
