@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from repro.api import JobSpec
+from repro.bench.accuracy import OperatingPoint
 from repro.core.detector import GsnpDetector, detect_snps
 
 
-class TestDetector:
-    @pytest.fixture(scope="class")
-    def detector_result(self, small_dataset):
-        det = GsnpDetector(engine="gsnp_cpu", min_quality=13)
-        res = det.run(small_dataset)
-        return det, res
+@pytest.fixture(scope="module")
+def detector_result(small_dataset):
+    det = GsnpDetector(engine="gsnp_cpu", min_quality=13)
+    res = det.run(small_dataset)
+    return det, res
 
+
+class TestDetector:
     def test_run_returns_table(self, detector_result, small_dataset):
         _, res = detector_result
         assert res.table.n_sites == small_dataset.n_sites
@@ -112,3 +114,35 @@ class TestDetector:
         assert table.n_sites == small_dataset.n_sites
         assert isinstance(calls, list)
 
+
+class TestAccuracy:
+    """``GsnpDetector.score`` reports the quality-sweep operating point."""
+
+    def test_precision_recall(self, detector_result, small_dataset):
+        a = OperatingPoint(13, true_positives=8, false_positives=2,
+                           false_negatives=4, genotype_exact=8)
+        assert a.precision == pytest.approx(0.8)
+        assert a.recall == pytest.approx(8 / 12)
+
+        det, res = detector_result
+        p = det.score(res.table, small_dataset, min_quality=13)
+        assert isinstance(p, OperatingPoint) and p.min_quality == 13
+        assert p.precision == pytest.approx(
+            p.true_positives / (p.true_positives + p.false_positives)
+        )
+        assert p.recall == pytest.approx(
+            p.true_positives / (p.true_positives + p.false_negatives)
+        )
+
+    def test_degenerate_cases(self, detector_result, small_dataset):
+        a = OperatingPoint(0, 0, 0, 0, 0)
+        assert a.precision == 1.0 and a.recall == 1.0
+
+        # Above every call's quality nothing is called: precision is
+        # vacuously 1 and every covered planted SNP is a false negative.
+        det, res = detector_result
+        top = int(res.table.quality.max()) + 1
+        p = det.score(res.table, small_dataset, min_quality=top)
+        assert p.true_positives == 0 and p.false_positives == 0
+        assert p.precision == 1.0
+        assert p.false_negatives > 0 and p.recall == 0.0
