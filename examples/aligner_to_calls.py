@@ -48,11 +48,11 @@ def main() -> None:
     print(f"placement agreement with simulation truth: {100 * placed:.1f}%")
 
     # 3. Round-trip through the SOAP alignment text format.
-    workdir = Path(tempfile.mkdtemp(prefix="gsnp_aln_"))
-    soap_path = workdir / "aligned.soap"
-    nbytes = write_soap(soap_path, batch)
-    print(f"wrote {nbytes} bytes of SOAP alignments to {soap_path}")
-    batch2 = read_soap(soap_path)
+    with tempfile.TemporaryDirectory(prefix="gsnp_aln_") as workdir:
+        soap_path = Path(workdir) / "aligned.soap"
+        nbytes = write_soap(soap_path, batch)
+        print(f"wrote {nbytes} bytes of SOAP alignments to {soap_path}")
+        batch2 = read_soap(soap_path)
 
     # 4. Call SNPs from the aligner's output (dataset_from_alignments
     # wraps the parsed batch; parsed inputs carry no truth), then score

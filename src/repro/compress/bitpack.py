@@ -2,7 +2,8 @@
 
 After dictionary encoding, indices are packed with the minimum bit width —
 "we encode the index using least bits through a map".  Packing is
-vectorized via ``np.packbits`` over an explicit bit matrix.
+vectorized: ``np.unpackbits`` of the values' big-endian bytes, cut to
+``width`` bits per value, then ``np.packbits``.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
         raise CodecError(
             f"value {int(v.max())} does not fit in {width} bits"
         )
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = ((v[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    return np.packbits(bits.reshape(-1)).tobytes()
+    # Each value's low ``width`` bits, MSB first: the tail of the bits of
+    # its big-endian bytes, in the narrowest word that holds ``width``.
+    word = next(b for b in (1, 2, 4, 8) if width <= 8 * b)
+    be = v.astype(f">u{word}").view(np.uint8).reshape(v.size, word)
+    return np.packbits(np.unpackbits(be, axis=1)[:, 8 * word - width :]).tobytes()
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:

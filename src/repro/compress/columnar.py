@@ -103,13 +103,34 @@ def _dequantize100(values: np.ndarray) -> np.ndarray:
     return (values.astype(np.float64) / 100.0).astype(np.float32)
 
 
-def encode_table(table: ResultTable, device: Device | None = None) -> bytes:
-    """Encode one window's table into a container block."""
-    rd = (
-        (lambda v: rle_dict_encode_gpu(device, v))
-        if device is not None
-        else rle_dict_encode
-    )
+def column_values(table: ResultTable, name: str) -> np.ndarray:
+    """An RLE-DICT column as encoded (two-decimal floats quantized)."""
+    v = np.asarray(getattr(table, name))
+    if name in ("rank_sum", "copy_num"):
+        return _quantize100(v)
+    return v
+
+
+def encode_table(
+    table: ResultTable,
+    device: Device | None = None,
+    rle_dict: dict[str, bytes] | None = None,
+) -> bytes:
+    """Encode one window's table into a container block.
+
+    ``rle_dict`` maps RLE-DICT column names to payloads already encoded
+    (by the fused codec, :mod:`.fusedcodec`); those are emitted as given.
+    """
+    encoded = rle_dict or {}
+
+    def rd(name: str) -> bytes:
+        if name in encoded:
+            return encoded[name]
+        values = column_values(table, name)
+        if device is not None:
+            return rle_dict_encode_gpu(device, values)
+        return rle_dict_encode(values)
+
     n = table.n_sites
     if n:
         if np.any(np.diff(table.pos) != 1):
@@ -117,20 +138,20 @@ def encode_table(table: ResultTable, device: Device | None = None) -> bytes:
     blocks: list[tuple[str, bytes]] = [
         ("ref_base", twobit_encode(table.ref_base)),
         ("genotype", exception_encode(table.genotype, _HOM_REF[table.ref_base])),
-        ("quality", rd(table.quality)),
+        ("quality", rd("quality")),
         ("best_base", twobit_encode(table.best_base)),
-        ("avg_qual_best", rd(table.avg_qual_best)),
+        ("avg_qual_best", rd("avg_qual_best")),
         # RLE-DICT, but host-side: only the six quality-related columns go
         # through the GPU kernels (Section V-B); bytes are identical.
         ("count_uni_best", rle_dict_encode(table.count_uni_best)),
-        ("count_all_best", rd(table.count_all_best)),
+        ("count_all_best", rd("count_all_best")),
         ("second_base", sparse_encode(table.second_base, NO_BASE)),
         ("avg_qual_second", sparse_encode(table.avg_qual_second, 0)),
         ("count_uni_second", sparse_encode(table.count_uni_second, 0)),
         ("count_all_second", sparse_encode(table.count_all_second, 0)),
-        ("depth", rd(table.depth)),
-        ("rank_sum", rd(_quantize100(table.rank_sum))),
-        ("copy_num", rd(_quantize100(table.copy_num))),
+        ("depth", rd("depth")),
+        ("rank_sum", rd("rank_sum")),
+        ("copy_num", rd("copy_num")),
         ("known_snp", sparse_encode(table.known_snp, 0)),
     ]
     chrom_b = table.chrom.encode()

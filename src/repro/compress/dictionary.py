@@ -60,11 +60,18 @@ def dict_encode(values: np.ndarray) -> bytes:
     if values.size == 0:
         return struct.pack("<IBHB", 0, tag, 0, 1)
     table = np.unique(values)
+    return dict_blob(values, table, np.searchsorted(table, values))
+
+
+def dict_blob(values: np.ndarray, table: np.ndarray, idx: np.ndarray) -> bytes:
+    """:func:`dict_encode` of non-empty ``values`` whose dictionary
+    (``np.unique``) and indices (``searchsorted``) are already known."""
     if table.size > 65535:
         raise CodecError("dictionary too large (>65535 entries)")
-    idx = np.searchsorted(table, values)
     width = bits_needed(table.size - 1)
-    header = struct.pack("<IBHB", values.size, tag, table.size, width)
+    header = struct.pack(
+        "<IBHB", values.size, dtype_tag(values.dtype), table.size, width
+    )
     return header + table.tobytes() + pack_bits(idx, width)
 
 

@@ -15,11 +15,12 @@ chain *once*, using the segmented primitives:
   single sort/unique/search yields every window's private dictionary
   and segment-local indices.
 
-The emitted bytes still come from the host encoders via
-:func:`repro.compress.columnar.encode_table` — the same bytes the
-per-window GPU encoder produces (byte-parity between the host and GPU
-encoders is an existing tested invariant) — so fusing the device work
-cannot perturb the output stream.
+The parity checks' host results (each window's runs, dictionaries and
+indices) are what the emitted RLE-DICT payloads are made of, handed to
+:func:`repro.compress.columnar.encode_table` once per table — the same
+bytes the per-window host and GPU encoders produce (byte-parity between
+them is an existing tested invariant), so fusing the device work cannot
+perturb the output stream.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from ..gpusim.primitives.segmented import (
     segmented_dict_indices,
     segmented_flag_runs,
 )
-from .columnar import RLE_DICT_COLUMNS, _quantize100, encode_table
+from .columnar import RLE_DICT_COLUMNS, column_values, encode_table
+from .dictionary import dict_blob
 from .rle import rle_encode
+from .rle_dict import rle_dict_join
 
 
 def _rank_keys(values: np.ndarray) -> np.ndarray:
@@ -45,18 +48,10 @@ def _rank_keys(values: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.unique(values), values).astype(np.uint32)
 
 
-def _column_values(table, name: str) -> np.ndarray:
-    v = np.asarray(getattr(table, name))
-    if name in ("rank_sum", "copy_num"):
-        return _quantize100(v)
-    return v
-
-
-def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> None:
-    """Device work for one column across all windows, in one chain."""
-    cols = [np.asarray(c) for c in cols if np.asarray(c).size]
-    if not cols:
-        return
+def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> list:
+    """Device work for one column across all windows, in one chain;
+    returns each window's RLE-DICT payload, made of the host runs,
+    dictionaries and indices the device results are checked against."""
     # --- RLE level: one segmented run-flag launch + one reduction -------
     values = np.concatenate([_rank_keys(c) for c in cols])
     seg_first = np.zeros(values.size, dtype=np.uint8)
@@ -74,6 +69,7 @@ def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> None:
             f"fused RLE counted {n_runs} runs, the host encoder {host_runs}"
         )
     # --- DICT level: one segmented chain per run array ------------------
+    blobs = []
     for seg_keys, host in (
         ([_rank_keys(rv) for rv, _ in runs], [rv for rv, _ in runs]),
         (
@@ -85,21 +81,26 @@ def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> None:
         # Parity check against the per-window dictionary lookup: the
         # composite-key chain must reproduce each window's searchsorted
         # indices and dictionary size exactly.
+        tables = [np.unique(a) for a in host]
         off = 0
-        for w, (seg, arr) in enumerate(zip(seg_keys, host)):
-            got = local_idx[off : off + seg.size]
-            off += seg.size
-            if not np.array_equal(got, np.searchsorted(np.unique(arr), arr)):
+        level = []
+        for w, (arr, table) in enumerate(zip(host, tables)):
+            idx = np.searchsorted(table, arr)
+            if not np.array_equal(local_idx[off : off + arr.size], idx):
                 raise KernelError(
                     f"fused DICT indices of window {w} differ from the "
                     "per-window lookup"
                 )
-        host_sizes = [int(np.unique(a).size) for a in host]
+            off += arr.size
+            level.append(dict_blob(arr, table, idx))
+        host_sizes = [t.size for t in tables]
         if dict_sizes != host_sizes:
             raise KernelError(
                 f"fused DICT sizes {dict_sizes} differ from the per-window "
                 f"dictionaries' {host_sizes}"
             )
+        blobs.append(level)
+    return list(map(rle_dict_join, *blobs))
 
 
 def encode_tables_fused(device: Device | None, tables: list) -> list[bytes]:
@@ -108,14 +109,19 @@ def encode_tables_fused(device: Device | None, tables: list) -> list[bytes]:
     Returns one container blob per table, byte-identical to per-window
     :func:`encode_table` output.  With a device, the six RLE-DICT quality
     columns charge their codec kernels once per megabatch instead of
-    once per window.
+    once per window, and their payloads come from that chain's host
+    parity results.
     """
-    if device is not None and tables:
+    encoded: list[dict[str, bytes]] = [{} for _ in tables]
+    live = [i for i, t in enumerate(tables) if t.n_sites]
+    if device is not None and live:
         for name in RLE_DICT_COLUMNS:
-            _fused_rle_dict_column(
-                device, [_column_values(t, name) for t in tables]
+            payloads = _fused_rle_dict_column(
+                device, [column_values(tables[i], name) for i in live]
             )
-    return [encode_table(t) for t in tables]
+            for i, payload in zip(live, payloads):
+                encoded[i][name] = payload
+    return [encode_table(t, rle_dict=enc) for t, enc in zip(tables, encoded)]
 
 
 __all__ = ["encode_tables_fused"]

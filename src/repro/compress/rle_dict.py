@@ -28,8 +28,13 @@ def rle_dict_encode(values: np.ndarray) -> bytes:
     run_values, run_lengths = rle_encode(np.asarray(values))
     if run_lengths.size and int(run_lengths.max()) >= 1 << 32:
         raise CodecError("run too long for uint32 length storage")
-    v_blob = dict_encode(run_values)
-    l_blob = dict_encode(run_lengths.astype(np.uint32))
+    return rle_dict_join(
+        dict_encode(run_values), dict_encode(run_lengths.astype(np.uint32))
+    )
+
+
+def rle_dict_join(v_blob: bytes, l_blob: bytes) -> bytes:
+    """The RLE-DICT payload of DICT-encoded run values and run lengths."""
     return struct.pack("<II", len(v_blob), len(l_blob)) + v_blob + l_blob
 
 
@@ -100,4 +105,4 @@ def rle_dict_encode_gpu(device: Device, values: np.ndarray) -> bytes:
     else:
         v_blob = dict_encode(values)
         l_blob = dict_encode(np.empty(0, dtype=np.uint32))
-    return struct.pack("<II", len(v_blob), len(l_blob)) + v_blob + l_blob
+    return rle_dict_join(v_blob, l_blob)

@@ -41,6 +41,7 @@ from ..constants import (
     P_ALLELE_SHIFT,
 )
 from ..content import digest
+from ..gpusim import kernel
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
 from ..soapsnp.likelihood import occurrence_ordinals
@@ -69,6 +70,13 @@ _ALLELE_FAN = np.array(
     dtype=np.int64,
 )
 _TL_SLOTS = np.array([a1 << 2 | a2 for a1, a2 in GENOTYPES], dtype=np.int64)
+
+#: Lane budget of one step block of :func:`_comp_kernel`: a launch of n
+#: lanes walks its j-loop ``LANES // n`` steps at a time, so small launches
+#: pay one op per block instead of one per step, and launches of more than
+#: half of it walk step by step (a whole ``(width, 10, n)`` block is
+#: memory-bound at 36 k lanes; DESIGN.md "Simulator fast paths").
+LANES = 32768
 
 # One 256-thread block of the fused launch keeps its s_type_likely tile
 # (256 sites x 16 padded genotype slots x 8 bytes = 32 KB) in shared memory
@@ -242,10 +250,17 @@ def _comp_kernel(
     in_shared = tl_dev is None or variant.use_shared
     acc = np.zeros((n, N_GENOTYPES), dtype=np.float64)
     last_base = np.zeros(n, dtype=np.int64)
-    for j in range(width):
+    # Steps per block: one under the sanitizer or an op observer, whose
+    # hooks and records want one op per step.
+    block = max(1, LANES // max(n, 1))
+    if ctx.sanitizer is not None or kernel._OP_OBSERVER is not None:
+        block = 1
+    for j0 in range(0, width, block):
+        # The block's steps j are its rows (one step: plain 1-D ops).
         # Out-of-range lanes are masked inactive, never clamped: a clamped
-        # phantom gather would issue real transactions and inflate
-        # g_load / g_load_bytes with reads no thread performs.
+        # phantom gather would issue real transactions and inflate g_load /
+        # g_load_bytes with reads no thread performs.
+        j = j0 if block == 1 else np.arange(j0, min(j0 + block, width))[:, None]
         word_idx = starts + j
         active = (j < lens) & (word_idx < words_dev.size)
         w = ctx.gload(words_dev, word_idx, active=active)
@@ -253,10 +268,14 @@ def _comp_kernel(
         base_i = base.astype(np.int64)
         ctx.instr(_INSTR_EXTRACT, active=active)
 
-        # Algorithm 4 lines 8-10: reset dep_count when the base advances.
-        ctx.instr(_INSTR_DEP_RESET, active=active & (base_i > last_base))
-        # Masked lanes read base 0, which never raises the maximum.
-        last_base = np.maximum(last_base, base_i)
+        # Algorithm 4 lines 8-10: reset dep_count when the base advances
+        # past the lane's running maximum (masked lanes read base 0, which
+        # never raises it).
+        prev = np.empty_like(base_i)
+        for before, row in zip(prev.reshape(-1, n), base_i.reshape(-1, n)):
+            before[:] = last_base
+            last_base = np.maximum(last_base, row)
+        ctx.instr(_INSTR_DEP_RESET, active=active & (base_i > prev))
 
         # dep_count[strand*read_len + coord] += 1 (global memory array).
         slot = strand.astype(np.int64) * MAX_READ_LEN + coord
@@ -291,21 +310,29 @@ def _comp_kernel(
             with np.errstate(divide="ignore"):
                 # The baseline variant computes log10 on the fly — the
                 # very cost the log-free score table removes (Table III).
-                val = np.log10(0.5 * p[:, :N_GENOTYPES] + 0.5 * p[:, N_GENOTYPES:])  # gsnp-lint: disable=GSNP102 (het strands average in probability space; log_table only covers single-p lookups)
+                val = np.log10(0.5 * p[..., :N_GENOTYPES] + 0.5 * p[..., N_GENOTYPES:])  # gsnp-lint: disable=GSNP102 (het strands average in probability space; log_table only covers single-p lookups)
             ctx.instr(_INSTR_LOG10 * N_GENOTYPES, active=active)
-        # Inactive lanes contribute nothing (their rows keep acc as is).
-        live_rows = active[:, None]
+        # One step at a time, in j order (§IV-G): inactive lanes contribute
+        # nothing (their rows keep acc as is); ``sums`` keeps each step's
+        # sums for the global type_likely stores.
+        rows = active.reshape(-1, n)
+        sums = None if in_shared else np.empty(rows.shape + (N_GENOTYPES,))
+        for r, v in enumerate(val.reshape(rows.shape + (N_GENOTYPES,))):
+            np.add(acc, v, out=acc, where=rows[r][:, None])
+            if sums is not None:
+                sums[r] = acc
         if in_shared:
             ctx.note_shared(
                 loads=N_GENOTYPES, stores=N_GENOTYPES, active=active
             )
-            np.add(acc, val, out=acc, where=live_rows)
         else:
             _ = ctx.gload(tl_dev, tid * 16, active=active, fan=_TL_SLOTS)
-            np.add(acc, val, out=acc, where=live_rows)
             for gi, (a1, a2) in enumerate(GENOTYPES):
                 tl_idx = tid * 16 + (a1 << 2 | a2)
-                ctx.gstore(tl_dev, tl_idx, acc[:, gi], active=active)
+                ctx.gstore(
+                    tl_dev, tl_idx, sums[..., gi].reshape(active.shape),
+                    active=active,
+                )
         ctx.instr(_INSTR_PER_GENOTYPE * N_GENOTYPES, active=active)
 
     if tl_dev is not None and variant.use_shared:

@@ -921,7 +921,7 @@ def execute(
     S = 1), so per-sample merged outputs are bitwise identical to S solo
     runs sharing the pooled calibration.
     """
-    from ..core.cohort import load_sample_batches
+    from ..core.cohort import check_sample_reads, load_sample_batches
 
     spec = spec.validate()
     eff_window = effective_window(spec.engine, spec.window)
@@ -930,6 +930,8 @@ def execute(
     sample_reads = list(sample_reads)
     if not sample_reads:
         raise ValueError("sample_reads must name at least one sample")
+    # Every job, also one with a supplied calibration (O(samples)).
+    check_sample_reads(dataset.reference, sample_reads)
 
     # Skipped entirely when the caller supplies a cached calibration for
     # this dataset/engine/params.

@@ -16,6 +16,10 @@ through the :class:`KernelContext`, which
 Inactive lanes are expressed with an ``active`` boolean mask (the SIMT
 equivalent of a divergent branch): masked lanes read as 0 and issue no
 transactions, but the warp still issues the instruction.
+
+An op may also take a ``(steps, n_threads)`` index or mask, one row per
+lockstep step (a *step block*): it charges exactly its per-row ops, each
+row padded with dead lanes to whole warps.
 """
 
 from __future__ import annotations
@@ -83,6 +87,22 @@ def require_global(arr: DeviceArray) -> None:
         )
 
 
+def _fan_gather(flat: np.ndarray, rows: np.ndarray, fan: np.ndarray):
+    """``flat[rows[:, None] + fan]`` for in-bounds rows; an evenly spaced
+    ``fan`` gathers whole rows of a strided window view instead of
+    building the index matrix."""
+    step = int(fan[1] - fan[0]) if fan.size > 1 else 1
+    if fan[0] < 0 or step < 1 or (
+        fan.size > 2 and (np.diff(fan) != step).any()
+    ):
+        return flat[rows[:, None] + fan[None, :]]
+    window = np.lib.stride_tricks.as_strided(
+        flat[int(fan[0]):], shape=(flat.size - int(fan[-1]), fan.size),
+        strides=(flat.strides[0], step * flat.strides[0]), writeable=False,
+    )
+    return window[rows]
+
+
 class KernelContext:
     """Execution context handed to a simulated kernel body."""
 
@@ -110,6 +130,13 @@ class KernelContext:
         # recycled to a different object; masks must not be mutated in
         # place between accesses (lockstep kernels build fresh masks).
         self._mask_memo: dict[int, tuple] = {}
+        # The last op's (index, mask, itemsize, transactions), and the step
+        # blocks' padded row, flat launches, flat masks and last index.
+        self._last_tx: tuple = (None, None, 0, 0)
+        self._row_lanes = self.n_warps * self.warp_size
+        self._views: dict[int, KernelContext] = {}
+        self._block_masks: dict[tuple, tuple] = {}
+        self._last_block: tuple = (None, None)
 
     # -- helpers ------------------------------------------------------------
 
@@ -188,6 +215,107 @@ class KernelContext:
         live = midx >= 0
         return midx, live, int(np.count_nonzero(live)), warps
 
+    def _count(self, idx, active, arr: DeviceArray, midx, live) -> int:
+        """Transactions of one op; the same index and mask objects on an
+        array of the same itemsize as the op before (a read-modify-write
+        pair) reuse its count: index vectors, like masks, are never
+        mutated in place."""
+        last = self._last_tx
+        if last[0] is idx and last[1] is active and last[2] == arr.itemsize:
+            return last[3]
+        tx = count_transactions(
+            midx, arr.itemsize, self.warp_size,
+            self.device.spec.segment_bytes, all_live=live is None,
+        )
+        self._last_tx = (idx, active, arr.itemsize, tx)
+        return tx
+
+    # -- step blocks ----------------------------------------------------------
+
+    def _view(self, steps: int) -> "KernelContext":
+        """The flat launch of a ``steps``-row block: rows of
+        ``_row_lanes`` lanes back to back, so no warp spans two steps."""
+        if steps not in self._views:
+            self._views[steps] = KernelContext(
+                self.device, self.counters, steps * self._row_lanes,
+            )
+        return self._views[steps]
+
+    def _flat(self, a, steps: int, fill) -> np.ndarray:
+        """A block operand (one row, or one per step) as the view's flat
+        vector: each row padded to ``_row_lanes`` with ``fill``."""
+        a = np.asarray(a)
+        if a.shape[-1:] != (self.n_threads,) or a.ndim > 2 or (
+            a.ndim == 2 and a.shape[0] != steps
+        ):
+            raise KernelError(
+                f"block operand of shape {a.shape} in a {steps}-step block "
+                f"of {self.n_threads} threads"
+            )
+        out = np.full((steps, self._row_lanes), fill, dtype=a.dtype)
+        out[:, : self.n_threads] = a
+        return out.reshape(-1)
+
+    def _block_mask(self, active, steps: int) -> np.ndarray:
+        """The flat mask of a block op (pad lanes dead), memoized per mask
+        object like ``_mask_memo``, so the view's memo hits too."""
+        memo = self._block_masks.get((id(active), steps))
+        if memo is None or memo[0] is not active:
+            live = np.ones(self.n_threads, bool) if active is None else active
+            flat = self._flat(np.asarray(live, dtype=bool), steps, False)
+            memo = self._block_masks[(id(active), steps)] = (active, flat)
+        return memo[1]
+
+    def _block_index(self, idx, steps: int) -> np.ndarray:
+        """The flat index of a block op (pad lanes -1); the op after it
+        reuses it (a read-modify-write pair shares its count)."""
+        if self._last_block[0] is not idx:
+            flat = self._flat(np.asarray(idx, dtype=np.int64), steps, -1)
+            self._last_block = (idx, flat)
+        return self._last_block[1]
+
+    @staticmethod
+    def _steps(*operands) -> int:
+        """Rows of a block op (the first 2-D operand's), or 0 for a 1-D op."""
+        for a in operands:
+            if getattr(a, "ndim", 0) == 2:
+                return a.shape[0]
+        return 0
+
+    def _block_op(self, op: str, steps: int, arr, idx, active, *args, fan=None):
+        """Run ``op`` on a ``steps``-row block: one op of the flat view,
+        with the per-row tallies, or under a sanitizer or an op observer
+        the per-row 1-D ops (one hook or record per row)."""
+        load = op in ("gload", "cload")
+        kw = {} if fan is None else {"fan": fan}
+        shape = (steps, self.n_threads)
+        if not load:
+            args = (np.broadcast_to(np.asarray(args[0]), shape),)
+        if self.sanitizer is not None or _OP_OBSERVER is not None:
+            rows = np.broadcast_to(np.asarray(idx), shape)
+            acts = [None] * steps if active is None else np.broadcast_to(
+                active, shape)
+            if load:
+                return np.stack([
+                    getattr(self, op)(arr, i, a, *args, **kw)
+                    for i, a in zip(rows, acts)
+                ])
+            for i, v, a in zip(rows, args[0], acts):
+                getattr(self, op)(arr, i, v, a)
+            return None
+        view = self._view(steps)
+        flat_idx = self._block_index(idx, steps)
+        flat_act = self._block_mask(active, steps)
+        if load:
+            out = getattr(view, op)(arr, flat_idx, flat_act, *args, **kw)
+            arr._kernel_reads += (steps - 1) * (1 if fan is None else np.size(fan))
+            return out.reshape(steps, self._row_lanes, *out.shape[1:])[
+                :, : self.n_threads
+            ]
+        getattr(view, op)(arr, flat_idx, self._flat(args[0], steps, 0), flat_act)
+        arr._writes += steps - 1
+        return None
+
     # -- instruction accounting ----------------------------------------------
 
     def instr(self, per_thread: int, active: Optional[np.ndarray] = None) -> None:
@@ -198,6 +326,10 @@ class KernelContext:
         paper's sparse packing (all lanes doing identical work on packed
         non-zeros) matters.
         """
+        steps = self._steps(active)
+        if steps:
+            self._view(steps).instr(per_thread, self._block_mask(active, steps))
+            return
         self.counters.inst_warp += int(per_thread) * self._active_warps(active)
 
     def syncthreads(self) -> None:
@@ -219,21 +351,28 @@ class KernelContext:
         active: Optional[np.ndarray] = None,
     ) -> None:
         """Account shared-memory traffic (per-thread op counts)."""
+        steps = self._steps(active)
+        if steps:
+            self._view(steps).note_shared(
+                loads, stores, self._block_mask(active, steps)
+            )
+            return
         w = self._active_warps(active)
         self.counters.s_load_warp += int(loads) * w
         self.counters.s_store_warp += int(stores) * w
 
     def _observe(
         self, kind: str, arr: DeviceArray, tx: int, n_live: int, warps: int,
-        depth: int = 2,
     ) -> None:
         """Report one routed op to the calibration observer.
 
-        Only called when an observer is installed; the call-site frame
-        ``depth`` levels up is the kernel body line that issued the op.
+        Only called when an observer is installed; the first frame outside
+        this module is the kernel body line that issued the op.
         """
         assert _OP_OBSERVER is not None
-        frame = sys._getframe(depth)
+        frame = sys._getframe(2)
+        while frame.f_code.co_filename == __file__:
+            frame = frame.f_back
         _OP_OBSERVER(OpRecord(
             kind=kind,
             file=frame.f_code.co_filename,
@@ -270,11 +409,17 @@ class KernelContext:
         exactly the sum of those per-offset calls.  The transaction count
         takes one per-warp sort for all offsets; under the sanitizer or the
         calibration observer the op replays the per-offset loads, so every
-        hook and ``OpRecord`` still sees one access per offset.
+        hook and ``OpRecord`` still sees one access per offset.  A step
+        block returns ``(steps, n_threads[, len(fan)])``.
         """
+        steps = self._steps(idx, active)
+        if steps:
+            return self._block_op(
+                "gload", steps, arr, idx, active, fill, fan=fan
+            )
         if fan is not None:
             return self._gload_fan(arr, idx, active, fill, fan)
-        return self._gload(arr, idx, active, fill, depth=3)
+        return self._gload(arr, idx, active, fill)
 
     def _gload(
         self,
@@ -282,19 +427,15 @@ class KernelContext:
         idx: np.ndarray,
         active: Optional[np.ndarray],
         fill,
-        depth: int,
     ) -> np.ndarray:
         self._check_global(arr)
         midx, live, n_live, warps = self._op_info(idx, active)
-        tx = count_transactions(
-            midx, arr.itemsize, self.warp_size,
-            self.device.spec.segment_bytes, all_live=live is None,
-        )
+        tx = self._count(idx, active, arr, midx, live)
         self.counters.bump_global(
             load_tx=tx, load_bytes=n_live * arr.itemsize, inst=warps
         )
         if _OP_OBSERVER is not None:
-            self._observe("gload", arr, tx, n_live, warps, depth=depth)
+            self._observe("gload", arr, tx, n_live, warps)
         if not arr._stored:
             # Value-free array: charged and checked, nothing to read.
             self._bounds_check(arr, midx if live is None else midx[live])
@@ -345,12 +486,10 @@ class KernelContext:
             # Replay one real load per offset: the hooks and records want
             # one access each, and a lane whose index is negative at some
             # offset is live at others only (the fast path below needs
-            # every live lane live at every offset).  An explicit loop:
-            # the observer reads the kernel's frame at a fixed depth,
-            # which a comprehension's own frame would shift.
+            # every live lane live at every offset).
             out = np.empty((self.n_threads, fan.size), dtype=arr.dtype)
             for i, f in enumerate(fan):
-                out[:, i] = self._gload(arr, idx + f, active, fill, depth=4)
+                out[:, i] = self._gload(arr, idx + f, active, fill)
             return out
         self._check_global(arr)
         midx = idx if act is None else np.where(act, idx, -1)
@@ -366,7 +505,7 @@ class KernelContext:
         if n_live and int(rows.max()) + int(fan.max()) >= arr.size:
             self._bounds_check(arr, rows[:, None] + fan[None, :])
         if n_live and arr._stored:
-            out = arr.flat_view()[rows[:, None] + fan[None, :]]
+            out = _fan_gather(arr.flat_view(), rows, fan)
             if act is not None:
                 out[~act] = fill
         else:
@@ -389,14 +528,14 @@ class KernelContext:
 
         Lanes writing the same address are serialized in thread-id order
         (last lane wins), matching CUDA's undefined-but-single-winner
-        semantics deterministically.
+        semantics deterministically; in a step block, later rows win.
         """
+        steps = self._steps(idx, active)
+        if steps:
+            return self._block_op("gstore", steps, arr, idx, active, values)
         self._check_global(arr)
         midx, live, n_live, warps = self._op_info(idx, active)
-        tx = count_transactions(
-            midx, arr.itemsize, self.warp_size,
-            self.device.spec.segment_bytes, all_live=live is None,
-        )
+        tx = self._count(idx, active, arr, midx, live)
         self.counters.bump_global(
             store_tx=tx, store_bytes=n_live * arr.itemsize, inst=warps
         )
@@ -428,12 +567,12 @@ class KernelContext:
         active: Optional[np.ndarray] = None,
     ) -> None:
         """Per-thread atomic add to global memory (np.add.at semantics)."""
+        steps = self._steps(idx, active)
+        if steps:
+            return self._block_op("gatomic_add", steps, arr, idx, active, values)
         self._check_global(arr)
         midx, live, n_live, warps = self._op_info(idx, active)
-        tx = count_transactions(
-            midx, arr.itemsize, self.warp_size,
-            self.device.spec.segment_bytes, all_live=live is None,
-        )
+        tx = self._count(idx, active, arr, midx, live)
         # An atomic RMW costs a load and a store transaction.
         nbytes = n_live * arr.itemsize
         self.counters.bump_global(
@@ -470,6 +609,9 @@ class KernelContext:
         fill=0,
     ) -> np.ndarray:
         """Gather from cached constant memory (no transaction counting)."""
+        steps = self._steps(idx, active)
+        if steps:
+            return self._block_op("cload", steps, arr, idx, active, fill)
         arr.require_live()
         if arr.space != "constant":
             raise KernelError(

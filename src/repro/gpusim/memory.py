@@ -93,11 +93,13 @@ def _count_transactions_monotonic(
     segment_bytes: int,
     all_live: bool = False,
 ):
-    """Sort-free count when the live indices are monotonic, else ``None``.
+    """Sort-free count when the live indices are monotonic within every
+    warp (all ascending, or all descending), else ``None``.
 
     Monotonic live lanes (``ctx.tid``-shaped loads, prefix masks, strided
-    per-thread slots) put equal segments adjacent within each warp, so
-    distinct segments per warp reduce to counting value changes between
+    per-thread slots, and the rows of a step block, each row its own
+    warps) put equal segments adjacent within each warp, so distinct
+    segments per warp reduce to counting value changes between
     consecutive live lanes of the same warp — one vectorized pass instead
     of a per-warp sort.  ``all_live`` (caller-proven: no negative lane)
     skips liveness extraction and uses a cached warp-boundary mask.
@@ -107,26 +109,22 @@ def _count_transactions_monotonic(
         if k == 1:
             return 1
         lv = idx
-        if not (lv[1:] >= lv[:-1]).all():
-            if not (lv[1:] <= lv[:-1]).all():
-                return None
-        seg = lv * int(itemsize) // int(segment_bytes)
-        new_tx = (seg[1:] != seg[:-1]) | _warp_boundaries(k, warp_size)
-        return 1 + int(np.count_nonzero(new_tx))
-    live_pos = np.nonzero(idx >= 0)[0]
-    k = live_pos.size
-    if k == 0:
-        return 0
-    lv = idx[live_pos].astype(np.int64)
-    if k == 1:
-        return 1
-    if not (lv[1:] >= lv[:-1]).all():
-        if not (lv[1:] <= lv[:-1]).all():
+        new_warp = _warp_boundaries(k, warp_size)
+    else:
+        live_pos = np.nonzero(idx >= 0)[0]
+        k = live_pos.size
+        if k == 0:
+            return 0
+        lv = idx[live_pos].astype(np.int64)
+        if k == 1:
+            return 1
+        row = live_pos // warp_size
+        new_warp = row[1:] != row[:-1]
+    if not ((lv[1:] >= lv[:-1]) | new_warp).all():
+        if not ((lv[1:] <= lv[:-1]) | new_warp).all():
             return None
     seg = lv * int(itemsize) // int(segment_bytes)
-    row = live_pos // warp_size
-    new_tx = (row[1:] != row[:-1]) | (seg[1:] != seg[:-1])
-    return 1 + int(new_tx.sum())
+    return 1 + int(np.count_nonzero((seg[1:] != seg[:-1]) | new_warp))
 
 
 def _count_transactions_fan(

@@ -54,6 +54,19 @@ def _downsweep_level(work: DeviceArray, stride: int, left: np.ndarray) -> None:
     work._writes += 2
 
 
+def _scan_whole(work: DeviceArray, m: int) -> None:
+    """Every level of an integer scan at once: the exclusive ``cumsum``
+    (integer sums wrap, so any order of the tree's additions gives these
+    values), with the levels' read/write tallies and the root reset's
+    host access."""
+    w = work.data
+    w[1:] = np.cumsum(w[:-1], dtype=w.dtype)
+    w[0] = 0
+    levels = m.bit_length() - 1
+    work._kernel_reads += 4 * levels
+    work._writes += 3 * levels
+
+
 def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
     """Exclusive prefix sum of a device array.
 
@@ -62,7 +75,8 @@ def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
     implementation pads to the next power of two and runs the classic
     up-sweep / down-sweep passes, each a coalesced strided kernel.  Once a
     (spec, padded size, dtype) has been launched, later scans compute the
-    levels on NumPy slices and replay its counters (:mod:`.sweep`).
+    levels on NumPy slices and replay its counters (:mod:`.sweep`); an
+    integer scan computes all levels as one ``cumsum``.
     """
     arr.require_live()
     n = arr.size
@@ -72,22 +86,25 @@ def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
     sweep = LevelSweep(device, ("scan", m, arr.dtype, "sum"))
     work = device.alloc(m, arr.dtype, name=f"{arr.name}.scanwork")
     work.data[:n] = arr.data.reshape(-1)
-    stride = 1
-    while stride < m:
-        sweep.level(
-            "scan_upsweep", lambda: _upsweep_level(work, stride),
-            _upsweep_kernel, m // (2 * stride), work, stride, m,
-        )
-        stride *= 2
-    work.data[m - 1] = 0
-    left = np.empty(m // 2, dtype=arr.dtype) if sweep.fast else None
-    stride = m // 2
-    while stride >= 1:
-        sweep.level(
-            "scan_downsweep", lambda: _downsweep_level(work, stride, left),
-            _downsweep_kernel, m // (2 * stride), work, stride, m,
-        )
-        stride //= 2
+    if sweep.fast and arr.dtype.kind in "iu":
+        sweep.whole(lambda: _scan_whole(work, m))
+    else:
+        stride = 1
+        while stride < m:
+            sweep.level(
+                "scan_upsweep", lambda: _upsweep_level(work, stride),
+                _upsweep_kernel, m // (2 * stride), work, stride, m,
+            )
+            stride *= 2
+        work.data[m - 1] = 0
+        left = np.empty(m // 2, dtype=arr.dtype) if sweep.fast else None
+        stride = m // 2
+        while stride >= 1:
+            sweep.level(
+                "scan_downsweep", lambda: _downsweep_level(work, stride, left),
+                _downsweep_kernel, m // (2 * stride), work, stride, m,
+            )
+            stride //= 2
     sweep.close()
     out = device.alloc(n, arr.dtype, name=f"{arr.name}.scan")
     out.data[:] = work.data[:n]

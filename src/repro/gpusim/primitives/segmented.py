@@ -24,6 +24,7 @@ from ..device import Device
 from ..memory import DeviceArray
 from .search import device_binary_search
 from .sort import device_radix_sort
+from .sweep import charge, counts_only
 from .unique import device_unique
 
 
@@ -52,13 +53,23 @@ def segmented_flag_runs(
     (including position 0).  The returned int64 flag array sums to the
     total run count across all segments — identical to running the
     per-window ``rle_flag`` kernel on each segment separately, but in a
-    single launch.
+    single launch.  Off the sanitizer and the op observer the launch is
+    counted, not run (:mod:`.sweep`).
     """
     n = values.size
     flags = device.alloc(n, np.int64, name="segrle.flags")
-    device.launch(
-        _seg_flag_kernel, n, values, seg_first, flags, n, name="seg_rle_flag"
-    )
+    if counts_only(device):
+        charge(device, "seg_rle_flag", n, 3, ("gload", values, 0),
+               ("gload", values, 1), ("gload", seg_first, 0),
+               ("gstore", flags, 0))
+        v, f = values.flat_view(), flags.flat_view()
+        f[:] = seg_first.flat_view()[:n] != 0
+        f[1:] |= v[1:] != v[:-1]
+    else:
+        device.launch(
+            _seg_flag_kernel, n, values, seg_first, flags, n,
+            name="seg_rle_flag",
+        )
     return flags
 
 

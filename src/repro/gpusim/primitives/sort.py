@@ -13,6 +13,7 @@ import numpy as np
 from ...errors import KernelError
 from ..device import Device
 from ..memory import DeviceArray
+from .sweep import charge, counts_only
 
 #: Digit width in bits for the LSD passes.
 RADIX_BITS = 8
@@ -52,6 +53,9 @@ def device_radix_sort(
     occupy only the low bits of the word (e.g. the megabatch codec's
     composite segment keys) skip the all-zero high-digit passes, exactly
     as a real radix sort configured with ``begin_bit``/``end_bit`` would.
+
+    Off the sanitizer and the op observer the passes are counted, not
+    launched (:mod:`.sweep`).
     """
     if keys.dtype.kind != "u":
         raise KernelError("device_radix_sort requires an unsigned dtype")
@@ -64,6 +68,7 @@ def device_radix_sort(
     src = device.alloc(n, keys.dtype, name=f"{keys.name}.rsortA")
     src.data[:] = keys.data.reshape(-1)
     dst = device.alloc(n, keys.dtype, name=f"{keys.name}.rsortB")
+    counted = counts_only(device)
     for shift in range(0, nbits, RADIX_BITS):
         digits = (src.data.astype(np.int64) >> shift) & (RADIX - 1)
         if n:
@@ -73,18 +78,29 @@ def device_radix_sort(
             hist = device.alloc(
                 RADIX, np.int64, name="rsort.hist", value_free=True
             )
-            device.launch(
-                _histogram_kernel, n, src, hist, shift, n, name="radix_histogram"
-            )
+            if counted:
+                charge(device, "radix_histogram", n, 2, ("gload", src, 0),
+                       ("gatomic_add", hist, digits))
+            else:
+                device.launch(
+                    _histogram_kernel, n, src, hist, shift, n,
+                    name="radix_histogram",
+                )
             # Stable partition permutation for this digit (host computes the
             # permutation; device traffic is what we account).
             perm_host = np.empty(n, dtype=np.int64)
             order = np.argsort(digits, kind="stable")
             perm_host[order] = np.arange(n)
             perm = device.to_device(perm_host, name="rsort.perm")
-            device.launch(
-                _scatter_kernel, n, src, dst, perm, n, name="radix_scatter"
-            )
+            if counted:
+                charge(device, "radix_scatter", n, 1, ("gload", src, 0),
+                       ("gload", perm, 0), ("gstore", dst, perm_host))
+                dst.flat_view()[perm_host] = src.flat_view()
+            else:
+                device.launch(
+                    _scatter_kernel, n, src, dst, perm, n,
+                    name="radix_scatter",
+                )
             device.free(hist)
             device.free(perm)
         src, dst = dst, src

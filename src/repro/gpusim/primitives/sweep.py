@@ -9,10 +9,15 @@ kernels and records the counters each launch added to the device's book;
 later calls compute each level on NumPy slices of the work array, in the
 kernel's order, and merge the level's recorded counters.
 
+A replayed integer scan computes one exclusive ``cumsum`` and merges one
+pre-summed record per kernel name.  The dictionary chain's launches are
+data-dependent, so they are *counted* instead (:func:`charge`).
+
 The kernels stay the only route under the sanitizer and under the
-calibration observer, whose hooks want one event per routed op; they are
-also the recorder and the oracle the tests compare the slices against
-(``tests/test_gpusim_sweeps.py``).
+calibration observer, whose hooks want one event per routed op
+(:func:`counts_only`); they are also the recorder and the oracle the
+tests compare the slices and counts against
+(``tests/test_gpusim_sweeps.py``, ``tests/test_gpusim_counted.py``).
 """
 
 from __future__ import annotations
@@ -20,8 +25,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Hashable, Optional, Sequence
 
+import numpy as np
+
 from .. import kernel
 from ..counters import KernelCounters
+from ..memory import count_transactions
 
 #: Counter fields a launch adds to (``name``/``num_sms`` are identity).
 _FIELDS = tuple(
@@ -38,12 +46,100 @@ _FIELDS = tuple(
 #: job threads recording one key store equal values, and a lookup that
 #: races a clear only misses and records again.  The stored counters are
 #: never mutated (replay merges from them), so no lock is needed.
-_RECORD: dict[tuple, tuple[KernelCounters, ...]] = {}
+_RECORD: dict[tuple, "_Record"] = {}
 _RECORD_MAX = 256
+
+
+class _Record(tuple):
+    """One key's launches' counters, in launch order; ``summed`` adds
+    them up per kernel name, in first-launch order (what
+    :meth:`LevelSweep.whole` merges)."""
+
+    def __new__(cls, launches):
+        rec = super().__new__(cls, launches)
+        by_name: dict[str, KernelCounters] = {}
+        for c in rec:
+            by_name.setdefault(c.name, KernelCounters(
+                name=c.name, num_sms=c.num_sms
+            )).merge(c)
+        rec.summed = tuple(by_name.values())
+        return rec
 
 
 def _counts(c: Optional[KernelCounters]) -> tuple[int, ...]:
     return tuple(0 if c is None else getattr(c, f) for f in _FIELDS)
+
+
+def counts_only(device) -> bool:
+    """True when a primitive may charge its kernels without running them:
+    no sanitizer on the device and no op observer installed."""
+    return device.sanitizer is None and kernel._OP_OBSERVER is None
+
+
+def charge(device, name: str, n: int, instr: int, *ops) -> None:
+    """Merge one launch of kernel ``name`` over ``n`` live threads without
+    running it: ``instr`` instructions a thread, then each memory op
+    ``(kind, arr, idx)`` in kernel order, checked, counted and tallied as
+    the routed op would be.  ``idx`` is a lag ``k`` (thread ``t`` reads
+    element ``max(t - k, 0)``), an index vector (negative: a dead lane),
+    or for a ``cload`` the number of probes."""
+    entry = device.counters.get(name)  # a launch creates its entry first
+    spec = device.spec
+    w = -(-n // spec.warp_size)
+    c = KernelCounters(
+        name=name, num_sms=spec.num_sms, launches=1, inst_warp=instr * w
+    )
+    for kind, arr, idx in ops:
+        if kind == "cload":
+            arr.require_live()
+            c.c_load += idx * n
+            c.inst_warp += idx * w
+            arr._kernel_reads += idx
+            continue
+        kernel.require_global(arr)
+        if isinstance(idx, int):
+            live, lanes, top = n, w, max(n - 1 - idx, 0)
+            tx = span_tx(device, n, arr.itemsize, idx)
+        else:
+            alive = idx >= 0
+            live = int(np.count_nonzero(alive))
+            lanes = int(np.pad(alive, (0, -n % spec.warp_size)).reshape(
+                -1, spec.warp_size).any(axis=1).sum())
+            top = int(idx.max(initial=-1))
+            tx = count_transactions(
+                idx, arr.itemsize, spec.warp_size, spec.segment_bytes
+            )
+        if live and top >= arr.size:
+            kernel.KernelContext._bounds_check(arr, np.array([top]))
+        c.inst_warp += lanes
+        nbytes = live * arr.itemsize
+        if kind != "gstore":
+            c.g_load += tx
+            c.g_load_bytes += nbytes
+        if kind != "gload":
+            c.g_store += tx
+            c.g_store_bytes += nbytes
+        if kind == "gload":
+            arr._kernel_reads += 1
+        else:
+            arr._writes += 1
+    entry.merge(c)
+
+
+def span_tx(device, n: int, itemsize: int, lag: int = 0) -> int:
+    """Transactions of every thread ``t < n`` loading element
+    ``max(t - lag, 0)``: each warp touches the segments between its first
+    and its last element."""
+    if n <= 0:
+        return 0
+    ws, seg = device.spec.warp_size, device.spec.segment_bytes
+    if itemsize > seg:  # then every element starts its own segment
+        itemsize = seg = 1
+    first = np.arange(0, n, ws, dtype=np.int64)
+    last = np.minimum(first + ws, n) - 1
+    first = np.maximum(first - lag, 0) * itemsize // seg
+    last = np.maximum(last - lag, 0) * itemsize // seg
+    return int((last - first).sum()) + first.size
 
 
 class LevelSweep:
@@ -62,10 +158,7 @@ class LevelSweep:
     def __init__(self, device, key: Sequence[Hashable]) -> None:
         self.device = device
         self.key = (*key, device.spec)
-        eligible = (
-            device.sanitizer is None
-            and kernel._OP_OBSERVER is None
-        )
+        eligible = counts_only(device)
         self.replay = _RECORD.get(self.key) if eligible else None
         self._levels = 0
         self._charged: Optional[list[KernelCounters]] = (
@@ -103,12 +196,22 @@ class LevelSweep:
             ))
         self._levels += 1
 
+    def whole(self, numpy_call: Callable[[], None]) -> None:
+        """A replayed call in one step: ``numpy_call()`` computes every
+        level's values, and each kernel name merges the sum of its
+        levels' records (as many launches)."""
+        sums = self.replay.summed
+        entries = [self.device.counters.get(c.name) for c in sums]
+        numpy_call()
+        for entry, total in zip(entries, sums):
+            entry.merge(total)
+
     def close(self) -> None:
         """Store the record of a completed first call of its key."""
         if self._charged is not None:
             if len(_RECORD) >= _RECORD_MAX:
                 _RECORD.clear()
-            _RECORD[self.key] = tuple(self._charged)
+            _RECORD[self.key] = _Record(self._charged)
 
 
-__all__ = ["LevelSweep"]
+__all__ = ["LevelSweep", "charge", "counts_only"]

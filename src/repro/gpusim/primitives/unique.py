@@ -8,6 +8,7 @@ from ...errors import KernelError
 from ..device import Device
 from ..memory import DeviceArray
 from .scan import device_exclusive_scan
+from .sweep import charge, counts_only
 
 
 def _flag_kernel(ctx, keys, flags, n: int):
@@ -36,6 +37,8 @@ def device_unique(device: Device, sorted_keys: DeviceArray) -> DeviceArray:
 
     Classic flag -> scan -> scatter compaction; raises if the input is not
     sorted (the precondition real Thrust ``unique`` silently assumes).
+    Off the sanitizer and the op observer the flag and compaction
+    launches are counted, not run (:mod:`.sweep`).
     """
     n = sorted_keys.size
     if n == 0:
@@ -43,22 +46,35 @@ def device_unique(device: Device, sorted_keys: DeviceArray) -> DeviceArray:
     flat = sorted_keys.data.reshape(-1)
     if np.any(flat[1:] < flat[:-1]):
         raise KernelError("device_unique requires sorted input")
+    counted = counts_only(device)
     flags = device.alloc(n, np.int64, name="unique.flags")
-    device.launch(_flag_kernel, n, sorted_keys, flags, n, name="unique_flag")
+    if counted:
+        charge(device, "unique_flag", n, 2, ("gload", sorted_keys, 0),
+               ("gload", sorted_keys, 1), ("gstore", flags, 0))
+        flags.flat_view()[0] = 1
+        flags.flat_view()[1:] = flat[1:] != flat[:-1]
+    else:
+        device.launch(
+            _flag_kernel, n, sorted_keys, flags, n, name="unique_flag"
+        )
     positions = device_exclusive_scan(device, flags)
     n_unique = int(positions.data[-1] + flags.data[-1])
     # init=False: compaction must populate every output slot itself.
     out = device.alloc(n_unique, sorted_keys.dtype, name="unique", init=False)
-    device.launch(
-        _compact_kernel,
-        n,
-        sorted_keys,
-        flags,
-        positions,
-        out,
-        n,
-        name="unique_compact",
-    )
+    if counted:
+        # The flagged lanes load their key and position and store there.
+        emit = flags.flat_view() != 0
+        lanes = np.where(emit, np.arange(n), -1)
+        dest = np.where(emit, positions.flat_view(), -1)
+        charge(device, "unique_compact", n, 1, ("gload", flags, 0),
+               ("gload", sorted_keys, lanes), ("gload", positions, lanes),
+               ("gstore", out, dest))
+        out.flat_view()[dest[emit]] = flat[emit]
+    else:
+        device.launch(
+            _compact_kernel, n, sorted_keys, flags, positions, out, n,
+            name="unique_compact",
+        )
     device.free(flags)
     device.free(positions)
     return out

@@ -140,6 +140,22 @@ class TestInputsMeetReference:
             main_call([inputs["other.fa"], inputs["reads.soap"]])
         assert main_call([inputs["ref.fa"], inputs["reads.soap"]]) == 0
 
+    def test_a_supplied_calibration_does_not_skip_the_check(self):
+        from repro.api import JobSpec
+        from repro.exec import calibrate_job, execute
+        from repro.seqsim import DatasetSpec, generate_dataset
+
+        ds = generate_dataset(DatasetSpec(
+            name="chrA", n_sites=1500, depth=6.0, coverage=1.0, seed=4,
+        ))
+        spec = JobSpec(window=500)
+        cal = calibrate_job(ds, spec, [ds.reads])
+        other = replace(ds, reference=replace(ds.reference, name="chrB"))
+        with pytest.raises(FormatError, match="'chrA', but the reference "
+                           "is 'chrB'"):
+            execute(other, spec=spec, calibration=cal)
+        assert execute(ds, spec=spec, calibration=cal).samples[0].table
+
 
 class TestDecompress:
     def test_full_roundtrip(self, simulated):

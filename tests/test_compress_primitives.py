@@ -52,6 +52,45 @@ class TestBitpack:
         with pytest.raises(CodecError):
             unpack_bits(b"\x00", 8, 100)
 
+    @staticmethod
+    def _shift_matrix_pack(values, width):
+        """The former ``pack_bits``: an ``(n, width)`` uint64 shift matrix."""
+        v = np.asarray(values).astype(np.uint64)
+        if v.size == 0:
+            return b""
+        if int(v.max()) >= (1 << width):
+            raise CodecError("overflow")
+        shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+        bits = ((v[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+        return np.packbits(bits.reshape(-1)).tobytes()
+
+    @given(
+        width=st.integers(1, 64),
+        n=st.one_of(st.just(0), st.integers(1, 70)),
+        seed=st.integers(0, 2**32 - 1),
+        overflow=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_bytes_as_the_shift_matrix(self, width, n, seed, overflow):
+        rng = np.random.default_rng(seed)
+        top = (1 << width) - 1
+        v = rng.integers(0, top, n, dtype=np.uint64, endpoint=True)
+        if n:
+            v[rng.integers(0, n)] = top  # the widest value fits
+        if overflow and n and width < 64:
+            v[rng.integers(0, n)] = top + 1  # one value does not
+            with pytest.raises(CodecError):
+                self._shift_matrix_pack(v, width)
+            with pytest.raises(CodecError):
+                pack_bits(v, width)
+            return
+        assert pack_bits(v, width) == self._shift_matrix_pack(v, width)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+            if n and top <= np.iinfo(dtype).max:
+                assert pack_bits(v.astype(dtype), width) == (
+                    self._shift_matrix_pack(v, width)
+                )
+
     @given(
         st.lists(st.integers(0, 2**16 - 1), min_size=0, max_size=300),
     )

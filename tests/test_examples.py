@@ -4,6 +4,7 @@ The heavyweight sweeps (whole-genome, aligner) are exercised with reduced
 arguments; the rest run as shipped.
 """
 
+import os
 import runpy
 import subprocess
 import sys
@@ -14,12 +15,13 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
-def _run(name: str, *args: str, timeout: int = 240) -> str:
+def _run(name: str, *args: str, timeout: int = 240, env=None) -> str:
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout
@@ -51,6 +53,12 @@ class TestExamples:
         out = _run("streaming_bigfile.py")
         assert "streamed" in out
         assert "SNP rows" in out
+
+    def test_aligner_to_calls_leaves_no_temp_files(self, tmp_path):
+        env = {**os.environ, "TMPDIR": str(tmp_path)}
+        out = _run("aligner_to_calls.py", env=env)
+        assert "calls from aligner output" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_examples_exist_and_documented(self):
         scripts = sorted(p.name for p in EXAMPLES.glob("*.py"))
