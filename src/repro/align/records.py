@@ -88,16 +88,23 @@ class AlignmentBatch:
             quals=self.quals[mask_or_index],
         )
 
+    @staticmethod
+    def concat_all(batches) -> "AlignmentBatch":
+        """Concatenate one or more batches (caller guarantees sortedness)."""
+        first = batches[0]
+        if any(b.read_len != first.read_len for b in batches):
+            raise ValueError("read length mismatch in concat")
+        if len(batches) == 1:
+            return first
+        return AlignmentBatch(
+            chrom=first.chrom,
+            read_len=first.read_len,
+            **{
+                name: np.concatenate([getattr(b, name) for b in batches])
+                for name in ("pos", "strand", "hits", "bases", "quals")
+            },
+        )
+
     def concat(self, other: "AlignmentBatch") -> "AlignmentBatch":
         """Concatenate two batches (caller guarantees sortedness)."""
-        if other.read_len != self.read_len:
-            raise ValueError("read length mismatch in concat")
-        return AlignmentBatch(
-            chrom=self.chrom,
-            read_len=self.read_len,
-            pos=np.concatenate([self.pos, other.pos]),
-            strand=np.concatenate([self.strand, other.strand]),
-            hits=np.concatenate([self.hits, other.hits]),
-            bases=np.vstack([self.bases, other.bases]),
-            quals=np.vstack([self.quals, other.quals]),
-        )
+        return AlignmentBatch.concat_all([self, other])

@@ -93,7 +93,7 @@ class PhaseScope:
     def __enter__(self):
         self.t0 = time.perf_counter()
         if self.device is not None:
-            self._snap = self.device.counters.total()
+            self._snap = self.device.counters.sums()
             self._xfer = (
                 self.device.transfers.h2d_bytes + self.device.transfers.d2h_bytes
             )
@@ -102,11 +102,11 @@ class PhaseScope:
     def __exit__(self, *exc):
         self.record.wall += time.perf_counter() - self.t0
         if self.device is not None:
-            after = self.device.counters.total()
+            after = self.device.counters.sums()
             self.record.gpu.merge(KernelCounters(
-                name=self.record.name, num_sms=after.num_sms,
-                **{f: getattr(after, f) - getattr(self._snap, f)
-                   for f in COUNTER_FIELDS},
+                name=self.record.name, num_sms=self.device.counters.num_sms,
+                **{f: a - b for f, a, b in zip(COUNTER_FIELDS, after,
+                                                self._snap)},
             ))
             xfer_now = (
                 self.device.transfers.h2d_bytes + self.device.transfers.d2h_bytes

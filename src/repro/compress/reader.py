@@ -38,11 +38,7 @@ class CompressedResultReader:
 
     def read_all(self) -> ResultTable:
         """Decode and concatenate every block."""
-        tables = list(self)
-        full = tables[0]
-        for t in tables[1:]:
-            full = full.concat(t)
-        return full
+        return ResultTable.concat_all(list(self))
 
     def query_range(self, lo: int, hi: int) -> ResultTable:
         """All rows with 1-based position in [lo, hi)."""
@@ -57,10 +53,7 @@ class CompressedResultReader:
             parts.append(_select(table, mask))
         if not parts:
             raise CodecError(f"no rows in range [{lo}, {hi})")
-        full = parts[0]
-        for t in parts[1:]:
-            full = full.concat(t)
-        return full
+        return ResultTable.concat_all(parts)
 
     def query_snps(self) -> ResultTable:
         """Only rows whose consensus differs from hom-reference."""
@@ -75,10 +68,7 @@ class CompressedResultReader:
                 parts.append(_select(table, mask))
         if not parts:
             return ResultTable.empty(chrom)
-        full = parts[0]
-        for t in parts[1:]:
-            full = full.concat(t)
-        return full
+        return ResultTable.concat_all(parts)
 
 
 def _select(table: ResultTable, mask: np.ndarray) -> ResultTable:

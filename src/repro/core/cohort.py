@@ -62,9 +62,7 @@ def pooled_batch(sample_reads: Sequence[AlignmentBatch]) -> AlignmentBatch:
         raise PipelineError(
             f"cohort samples mix read lengths {sorted(read_lens)}"
         )
-    pooled = sample_reads[0]
-    for batch in sample_reads[1:]:
-        pooled = pooled.concat(batch)
+    pooled = AlignmentBatch.concat_all(sample_reads)
     order = np.argsort(pooled.pos, kind="stable")
     return pooled.select(order)
 

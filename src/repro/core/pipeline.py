@@ -16,7 +16,7 @@ GSNP) produce bitwise identical result tables.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from functools import partial, reduce
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -455,7 +455,7 @@ class GsnpPipeline:
 
         samples = [
             SampleCalls(
-                table=reduce(ResultTable.concat, tables_out),
+                table=ResultTable.concat_all(tables_out),
                 compressed_output=b"".join(sample_blobs),
                 output_bytes=sum(map(len, sample_blobs)),
                 temp_input_bytes=temp_len,

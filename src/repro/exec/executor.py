@@ -791,7 +791,7 @@ class _Scheduler:
         per_device = [
             {
                 "device": dev.device_id,
-                "launches": dev.counters.total().launches,
+                "launches": dev.counters.launches,
                 "h2d_bytes": dev.transfers.h2d_bytes,
                 "d2h_bytes": dev.transfers.d2h_bytes,
                 "h2d_count": dev.transfers.h2d_count,

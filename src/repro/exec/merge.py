@@ -12,7 +12,6 @@ invariance).  It writes no files.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Optional
 
 from ..bench.events import RunProfile
@@ -73,7 +72,7 @@ def merge_shard_results(
 
     samples = [
         SampleCalls(
-            table=reduce(ResultTable.concat, [p.table for p in parts]),
+            table=ResultTable.concat_all([p.table for p in parts]),
             compressed_output=b"".join(p.compressed_output for p in parts),
             output_bytes=sum(p.output_bytes for p in parts),
             temp_input_bytes=calibration.temp_len,

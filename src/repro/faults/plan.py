@@ -278,6 +278,13 @@ def fault_point(site: str, key=None, value=None, **ctx):
     return plan.check(site, key, value, {**ambient, **ctx})
 
 
+def site_planned(site: str) -> bool:
+    """True when the running job's plan has a spec at ``site``: a hot
+    loop checks once, and calls :func:`fault_point` per item only then."""
+    plan, _ = _CURRENT.get()
+    return plan is not None and any(s.site == site for s in plan.specs)
+
+
 __all__ = [
     "FaultClock",
     "FaultPlan",
@@ -287,4 +294,5 @@ __all__ = [
     "fault_plan",
     "fault_point",
     "scope",
+    "site_planned",
 ]

@@ -129,16 +129,20 @@ class ResultTable:
             known_snp=z8.copy(),
         )
 
+    @staticmethod
+    def concat_all(tables) -> "ResultTable":
+        """One or more tables' rows in order (the first one's chromosome),
+        one ``np.concatenate`` per column."""
+        if len(tables) == 1:
+            return tables[0]
+        return ResultTable(chrom=tables[0].chrom, **{
+            f.name: np.concatenate([getattr(t, f.name) for t in tables])
+            for f in fields(ResultTable) if f.name != "chrom"
+        })
+
     def concat(self, other: "ResultTable") -> "ResultTable":
         """Append another table's rows (same chromosome)."""
-        kwargs = {"chrom": self.chrom}
-        for f in fields(self):
-            if f.name == "chrom":
-                continue
-            kwargs[f.name] = np.concatenate(
-                [getattr(self, f.name), getattr(other, f.name)]
-            )
-        return ResultTable(**kwargs)
+        return ResultTable.concat_all([self, other])
 
     def row(self, i: int) -> dict:
         """Row i as a plain dict (for tests and spot checks)."""

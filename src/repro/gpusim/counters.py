@@ -11,6 +11,7 @@ output is directly comparable with the paper's table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 #: Every additive counter of :class:`KernelCounters`: what a merge sums,
@@ -19,6 +20,8 @@ COUNTER_FIELDS = (
     "launches", "inst_warp", "g_load", "g_store", "g_load_bytes",
     "g_store_bytes", "s_load_warp", "s_store_warp", "c_load",
 )
+
+_COUNTS = attrgetter(*COUNTER_FIELDS)
 
 
 @dataclass
@@ -148,6 +151,17 @@ class CounterBook:
         for c in self.entries.values():
             out.merge(c)
         return out
+
+    def sums(self) -> tuple[int, ...]:
+        """The :data:`COUNTER_FIELDS` of :meth:`total`, summed in one pass
+        without building it: a scope's snapshot."""
+        rows = [_COUNTS(c) for c in self.entries.values()]
+        return tuple(map(sum, zip(*rows))) or (0,) * len(COUNTER_FIELDS)
+
+    @property
+    def launches(self) -> int:
+        """Launches over every kernel."""
+        return sum(c.launches for c in self.entries.values())
 
     def reset(self) -> None:
         """Drop all accumulated counters."""

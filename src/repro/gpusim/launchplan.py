@@ -194,10 +194,9 @@ class LaunchTally:
     @contextmanager
     def measure(self, device, stage: str, windows: int):
         """Attribute launches issued inside the block to ``stage``."""
-        before = device.counters.total().launches
+        before = device.counters.launches
         yield
-        after = device.counters.total().launches
-        self.note(stage, after - before, windows)
+        self.note(stage, device.counters.launches - before, windows)
 
     def total_launches(self) -> int:
         return sum(st.launches for st in self.stages.values())

@@ -85,15 +85,15 @@ def charge(device, name: str, n: int, instr: int, *ops) -> None:
     or for a ``cload`` the number of probes."""
     entry = device.counters.get(name)  # a launch creates its entry first
     spec = device.spec
-    w = -(-n // spec.warp_size)
-    c = KernelCounters(
-        name=name, num_sms=spec.num_sms, launches=1, inst_warp=instr * w
-    )
+    ws = spec.warp_size
+    w = -(-n // ws)
+    inst, cload = instr * w, 0
+    load_tx = store_tx = load_bytes = store_bytes = 0
     for kind, arr, idx in ops:
         if kind == "cload":
             arr.require_live()
-            c.c_load += idx * n
-            c.inst_warp += idx * w
+            cload += idx * n
+            inst += idx * w
             arr._kernel_reads += idx
             continue
         kernel.require_global(arr)
@@ -101,45 +101,79 @@ def charge(device, name: str, n: int, instr: int, *ops) -> None:
             live, lanes, top = n, w, max(n - 1 - idx, 0)
             tx = span_tx(device, n, arr.itemsize, idx)
         else:
-            alive = idx >= 0
-            live = int(np.count_nonzero(alive))
-            lanes = int(np.pad(alive, (0, -n % spec.warp_size)).reshape(
-                -1, spec.warp_size).any(axis=1).sum())
+            warps = np.flatnonzero(idx >= 0) // ws
+            live = warps.size
+            lanes = int(np.count_nonzero(np.diff(warps))) + 1 if live else 0
             top = int(idx.max(initial=-1))
             tx = count_transactions(
-                idx, arr.itemsize, spec.warp_size, spec.segment_bytes
+                idx, arr.itemsize, ws, spec.segment_bytes
             )
         if live and top >= arr.size:
             kernel.KernelContext._bounds_check(arr, np.array([top]))
-        c.inst_warp += lanes
+        inst += lanes
         nbytes = live * arr.itemsize
         if kind != "gstore":
-            c.g_load += tx
-            c.g_load_bytes += nbytes
+            load_tx += tx
+            load_bytes += nbytes
         if kind != "gload":
-            c.g_store += tx
-            c.g_store_bytes += nbytes
+            store_tx += tx
+            store_bytes += nbytes
         if kind == "gload":
             arr._kernel_reads += 1
         else:
             arr._writes += 1
-    entry.merge(c)
+    if entry.num_sms == spec.num_sms:
+        entry.launches += 1
+    else:  # adopt the spec or raise, as a merge does
+        entry.merge(KernelCounters(
+            name=name, num_sms=spec.num_sms, launches=1
+        ))
+    entry.bump_global(load_tx, store_tx, load_bytes, store_bytes, inst)
+    entry.c_load += cload
 
 
 def span_tx(device, n: int, itemsize: int, lag: int = 0) -> int:
     """Transactions of every thread ``t < n`` loading element
     ``max(t - lag, 0)``: each warp touches the segments between its first
-    and its last element."""
+    and its last element, a floor sum over warps in closed form."""
     if n <= 0:
         return 0
     ws, seg = device.spec.warp_size, device.spec.segment_bytes
     if itemsize > seg:  # then every element starts its own segment
         itemsize = seg = 1
-    first = np.arange(0, n, ws, dtype=np.int64)
-    last = np.minimum(first + ws, n) - 1
-    first = np.maximum(first - lag, 0) * itemsize // seg
-    last = np.maximum(last - lag, 0) * itemsize // seg
-    return int((last - first).sum()) + first.size
+
+    def segments(count: int, start: int) -> int:
+        """Sum over warps ``k < count`` of the segment holding element
+        ``max(start + k * ws, 0)``."""
+        skip = max(0, -(start // ws))
+        if count <= skip:
+            return 0
+        return _floor_sum(
+            count - skip, seg, ws * itemsize, (start + ws * skip) * itemsize
+        )
+
+    full, tail = divmod(n, ws)
+    last = segments(full, ws - 1 - lag)
+    if tail:
+        last += max(n - 1 - lag, 0) * itemsize // seg
+    return full + (tail > 0) + last - segments(full + (tail > 0), -lag)
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum(floor((a * i + b) / m) for i in range(n))`` for ``a, b >= 0``
+    in O(log) steps (the Euclidean-like floor-sum reduction)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
 
 
 class LevelSweep:

@@ -18,7 +18,6 @@ is the part both engines run) and the :class:`CallResult` of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -254,7 +253,7 @@ class SoapsnpPipeline:
 
         return CallResult(
             samples=[SampleCalls(
-                reduce(ResultTable.concat, tables), output_bytes=output_bytes
+                ResultTable.concat_all(tables), output_bytes=output_bytes
             )],
             profile=profile,
             extras={"input_bytes": calibration.input_bytes},

@@ -118,24 +118,26 @@ class TestGzipBaseline:
         assert stats.throughput > 0
 
 
+def _rows(table, lo, hi):
+    """Rows ``[lo, hi)`` of a result table."""
+    from dataclasses import fields
+
+    from repro.formats.cns import ResultTable
+
+    return ResultTable(chrom=table.chrom, **{
+        f.name: getattr(table, f.name)[lo:hi]
+        for f in fields(table) if f.name != "chrom"
+    })
+
+
 class TestReader:
     @pytest.fixture(scope="class")
     def compressed_file(self, result, tmp_path_factory):
         path = tmp_path_factory.mktemp("cr") / "out.gsnp"
         # Two window blocks.
         n = result.table.n_sites
-        from dataclasses import fields
-
-        def half(lo, hi):
-            kwargs = {"chrom": result.table.chrom}
-            for f in fields(result.table):
-                if f.name != "chrom":
-                    kwargs[f.name] = getattr(result.table, f.name)[lo:hi]
-            from repro.formats.cns import ResultTable
-
-            return ResultTable(**kwargs)
-
-        blob = encode_table(half(0, n // 2)) + encode_table(half(n // 2, n))
+        blob = (encode_table(_rows(result.table, 0, n // 2))
+                + encode_table(_rows(result.table, n // 2, n)))
         path.write_bytes(blob)
         return path
 
@@ -146,6 +148,32 @@ class TestReader:
     def test_read_all_equals_original(self, compressed_file, result):
         reader = CompressedResultReader(compressed_file)
         assert reader.read_all().equals(result.table)
+
+    def test_read_all_builds_one_table(self, result, tmp_path):
+        """Blocks merge in one concatenation, not a pairwise fold."""
+        from unittest import mock
+
+        from repro.formats.cns import ResultTable
+
+        table, n = result.table, result.table.n_sites
+        cuts = [0, n // 4, n // 2, 3 * n // 4, n]
+        path = tmp_path / "four.gsnp"
+        path.write_bytes(b"".join(
+            encode_table(_rows(table, lo, hi))
+            for lo, hi in zip(cuts, cuts[1:])
+        ))
+        reader = CompressedResultReader(path)
+        built = []
+        init = ResultTable.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with mock.patch.object(ResultTable, "__init__", spy):
+            merged = reader.read_all()
+        assert len(built) == 4 + 1  # four decoded blocks, one merge
+        assert merged.equals(table)
 
     def test_query_range(self, compressed_file, result):
         reader = CompressedResultReader(compressed_file)

@@ -1,5 +1,7 @@
 """File formats: FASTA, SOAP, prior, CNS table, windowed reader."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,21 @@ class TestResultTable:
     def test_concat(self):
         a, b = _toy_table(3), _toy_table(4)
         assert a.concat(b).n_sites == 7
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_concat_all_equals_the_pairwise_fold(self, k):
+        tables = [_toy_table(n) for n in range(1, k + 1)]
+        fold = tables[0]
+        for t in tables[1:]:
+            fold = ResultTable(chrom=fold.chrom, **{
+                f.name: np.concatenate([getattr(fold, f.name),
+                                        getattr(t, f.name)])
+                for f in fields(ResultTable) if f.name != "chrom"
+            })
+        got = ResultTable.concat_all(tables)
+        assert got.equals(fold)
+        assert all(getattr(got, f.name).dtype == getattr(fold, f.name).dtype
+                   for f in fields(ResultTable) if f.name != "chrom")
 
     def test_bad_column_count_rejected(self):
         with pytest.raises(FormatError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim.counters import CounterBook, KernelCounters
+from repro.gpusim.counters import COUNTER_FIELDS, CounterBook, KernelCounters
 
 
 class TestKernelCounters:
@@ -49,6 +49,17 @@ class TestCounterBook:
         book.get("a").g_load = 5
         book.get("b").g_load = 7
         assert book.total().g_load == 12
+
+    def test_sums_and_launches_are_the_total_without_building_it(self):
+        book = CounterBook()
+        assert book.sums() == (0,) * len(COUNTER_FIELDS)
+        assert book.launches == 0
+        for i, name in enumerate(("a", "b", "c")):
+            for j, f in enumerate(COUNTER_FIELDS):
+                setattr(book.get(name), f, (i + 1) * (j + 2))
+        total = book.total()
+        assert book.sums() == tuple(getattr(total, f) for f in COUNTER_FIELDS)
+        assert book.launches == total.launches
 
     def test_reset(self):
         book = CounterBook()
