@@ -138,7 +138,7 @@ def main_serve(argv=None) -> int:
     )
     p.add_argument(
         "--max-datasets", type=int, default=4,
-        help="parsed-dataset LRU cache size",
+        help="parsed-dataset and in-memory calibration LRU size",
     )
     args = p.parse_args(argv)
 

@@ -11,7 +11,6 @@ vectorized over all warps of a launch.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 import numpy as np
@@ -30,39 +29,16 @@ _NO_FAN = np.zeros(1, dtype=np.int64)
 # The coalescing analysis below has two algebraically-equivalent engines: the
 # reference sentinel-sort (always correct, O(n log w) per call) and fast
 # paths for the access shapes kernels actually issue: a sort-free pass for
-# monotonic live indices, one per-warp sort (shared by every offset of a
-# fan-out access) for scattered ones, and a memo for small launches.  The
-# reference is the oracle the property tests compare the fast paths
-# against.
-
-_TX_CACHE: dict[tuple, int] = {}
-_TX_CACHE_MAX = 8192
-#: Bound on the summed index bytes of the memo keys: a key holds a whole
-#: index vector (up to ``_TX_MEMO_MAX_LANES`` int64 lanes, 16 KiB), so the
-#: entry cap alone lets a long-lived process hold 128 MiB.  Overflow
-#: clears, as the entry cap does.
-_TX_CACHE_MAX_BYTES = 64 << 20
-_tx_cache_bytes = 0
-#: Serializes the memo's check, clear and insert: jobs of one process
-#: (``gsnp serve``) may run on several threads.
-_TX_CACHE_LOCK = threading.Lock()
-#: Patterns of at most this many lanes are memoized by exact bytes, even
-#: when the monotonic path could handle them: small launches are dominated
-#: by per-call overhead, and their index shapes repeat across windows and
-#: jobs.  Larger patterns are counted afresh each call.
-_TX_MEMO_MAX_LANES = 2048
-#: (n, warp_size) -> bool[n-1], True where lane i+1 starts a new warp.
-_BOUNDARY_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# monotonic live indices, and one per-warp sort (shared by every offset of a
+# fan-out access) for scattered ones.  Nothing is memoized: every count
+# comes from its own index vector.  The reference is the oracle the property
+# tests compare the fast paths against.
 
 
 def _warp_boundaries(n: int, warp_size: int) -> np.ndarray:
-    key = (n, warp_size)
-    b = _BOUNDARY_CACHE.get(key)
-    if b is None:
-        b = (np.arange(1, n) % warp_size) == 0
-        if len(_BOUNDARY_CACHE) >= 512:
-            _BOUNDARY_CACHE.clear()
-        _BOUNDARY_CACHE[key] = b
+    """bool[n-1], True where lane ``i + 1`` starts a new warp."""
+    b = np.zeros(n - 1, dtype=bool)
+    b[warp_size - 1 :: warp_size] = True
     return b
 
 
@@ -102,7 +78,7 @@ def _count_transactions_monotonic(
     segments per warp reduce to counting value changes between
     consecutive live lanes of the same warp — one vectorized pass instead
     of a per-warp sort.  ``all_live`` (caller-proven: no negative lane)
-    skips liveness extraction and uses a cached warp-boundary mask.
+    skips liveness extraction.
     """
     if all_live:
         k = idx.size
@@ -192,22 +168,6 @@ def _count_transactions_fan(
     return changes + fan.size * (rows.shape[0] - empty)
 
 
-def _memo_put(key: tuple, total: int) -> None:
-    global _tx_cache_bytes
-    nbytes = len(key[-1])
-    with _TX_CACHE_LOCK:
-        if key in _TX_CACHE:
-            return
-        if (
-            len(_TX_CACHE) >= _TX_CACHE_MAX
-            or _tx_cache_bytes + nbytes > _TX_CACHE_MAX_BYTES
-        ):
-            _TX_CACHE.clear()
-            _tx_cache_bytes = 0
-        _TX_CACHE[key] = total
-        _tx_cache_bytes += nbytes
-
-
 def count_transactions(
     indices: np.ndarray,
     itemsize: int,
@@ -257,18 +217,6 @@ def count_transactions(
             np.asarray(fan, dtype=np.int64).ravel(), itemsize, warp_size,
             segment_bytes,
         )
-    key = None
-    if n <= _TX_MEMO_MAX_LANES:
-        # Small launches (scan levels, histogram bins, per-block passes)
-        # are per-call-overhead bound and their index shapes repeat across
-        # windows — memoize every pattern by exact bytes.
-        key = (
-            idx.dtype.str, n, int(itemsize), int(warp_size),
-            int(segment_bytes), idx.tobytes(),
-        )
-        cached = _TX_CACHE.get(key)
-        if cached is not None:
-            return cached
     total = _count_transactions_monotonic(
         idx, itemsize, warp_size, segment_bytes, all_live=all_live
     )
@@ -278,8 +226,6 @@ def count_transactions(
             idx.astype(np.int64, copy=False), _NO_FAN, itemsize, warp_size,
             segment_bytes,
         )
-    if key is not None:
-        _memo_put(key, total)
     return total
 
 

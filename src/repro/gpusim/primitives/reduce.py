@@ -6,9 +6,8 @@ import numpy as np
 
 from ...errors import KernelError
 from ..device import Device
-from ..kernel import require_global
 from ..memory import DeviceArray
-from .sweep import LevelSweep
+from .sweep import charge, counts_only
 
 _OPS = {
     "sum": np.add,
@@ -31,27 +30,13 @@ def _reduce_pass_kernel(ctx, src: DeviceArray, dst: DeviceArray, n: int, op):
     ctx.gstore(dst, ctx.tid, combined, active=None)
 
 
-def _reduce_level(src: DeviceArray, dst: DeviceArray, n: int, op) -> None:
-    """:func:`_reduce_pass_kernel` on NumPy slices: ``dst[t] =
-    op(src[2t], src[2t+1])``, and a trailing odd element copied through."""
-    require_global(src)  # the pass's first load checks its input
-    s = src.flat_view()
-    d = dst.flat_view()
-    half = n // 2
-    op(s[0 : 2 * half : 2], s[1 : 2 * half : 2], out=d[:half])
-    if n % 2:
-        d[half] = s[n - 1]
-    src._kernel_reads += 2
-    dst._writes += 1
-
-
 def device_reduce(device: Device, arr: DeviceArray, op: str = "sum"):
     """Reduce a device array to a scalar with log2(n) kernel passes.
 
-    Returns the reduced value as a NumPy scalar of the array's dtype.
-    Once a (spec, size, dtype, op) has been launched, later reductions
-    compute the passes on NumPy slices and replay its counters
-    (:mod:`.sweep`).
+    Returns the reduced value as a NumPy scalar of the array's dtype.  Off
+    the sanitizer and the op observer each pass is counted, not run
+    (:mod:`.sweep`): NumPy combines ``src[2t]`` and ``src[2t+1]`` on
+    slices and copies a trailing odd element through.
     """
     if op not in _OPS:
         raise KernelError(f"unsupported reduction op {op!r}")
@@ -60,21 +45,27 @@ def device_reduce(device: Device, arr: DeviceArray, op: str = "sum"):
     n = arr.size
     if n == 0:
         raise KernelError("cannot reduce an empty array")
-    sweep = LevelSweep(device, ("reduce", n, arr.dtype, op))
+    counted = counts_only(device)
     src = arr
     scratch = None
     while n > 1:
         m = (n + 1) // 2
         dst = device.alloc(m, arr.dtype, name=f"{arr.name}.reduce")
-        sweep.level(
-            "reduce_pass", lambda: _reduce_level(src, dst, n, ufunc),
-            _reduce_pass_kernel, m, src, dst, n, ufunc,
-        )
+        if counted:
+            charge(device, "reduce_pass", m, 2, ("gload", src, slice(0, n, 2)),
+                   ("gload", src, slice(1, n, 2)), ("gstore", dst, 0))
+            s, d = src.flat_view(), dst.flat_view()
+            half = n // 2
+            ufunc(s[0 : 2 * half : 2], s[1 : 2 * half : 2], out=d[:half])
+            if n % 2:
+                d[half] = s[n - 1]
+        else:
+            device.launch(_reduce_pass_kernel, m, src, dst, n, ufunc,
+                          name="reduce_pass")
         if scratch is not None:
             device.free(scratch)
         scratch = dst
         src, n = dst, m
-    sweep.close()
     out = src.data.reshape(-1)[0].copy()
     if scratch is not None:
         device.free(scratch)

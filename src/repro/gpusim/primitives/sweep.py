@@ -1,73 +1,27 @@
-"""Record and replay of the level-sweep primitives' counters.
+"""Count-only launches: a primitive's kernels charged without running.
 
-:func:`~repro.gpusim.primitives.scan.device_exclusive_scan` and
-:func:`~repro.gpusim.primitives.reduce.device_reduce` launch one kernel
-per tree level.  Every index pattern of those kernels is fixed by the
-array size, so what a call charges is a function of the device spec, the
-size and the dtype alone.  The first call of such a key launches the
-kernels and records the counters each launch added to the device's book;
-later calls compute each level on NumPy slices of the work array, in the
-kernel's order, and merge the level's recorded counters.
-
-A replayed integer scan computes one exclusive ``cumsum`` and merges one
-pre-summed record per kernel name.  The dictionary chain's launches are
-data-dependent, so they are *counted* instead (:func:`charge`).
+Off the sanitizer and the op observer (:func:`counts_only`), a
+primitive computes its values with NumPy and merges (:func:`charge`)
+the counters each of its kernels would add, computed from the index
+patterns the host already holds: a ``tid``-contiguous op as a lag
+(:func:`span_tx`), a strided op of the scan's and the reduce's levels as
+a ``slice`` (:func:`slice_tx`), a data-dependent op as its index vector.
+Nothing is kept between calls: every count comes from the call's own
+inputs.
 
 The kernels stay the only route under the sanitizer and under the
-calibration observer, whose hooks want one event per routed op
-(:func:`counts_only`); they are also the recorder and the oracle the
-tests compare the slices and counts against
+calibration observer, whose hooks want one event per routed op; they
+are also the oracle the tests compare the values and counts against
 (``tests/test_gpusim_sweeps.py``, ``tests/test_gpusim_counted.py``).
 """
 
 from __future__ import annotations
-
-import dataclasses
-from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
 from .. import kernel
 from ..counters import KernelCounters
 from ..memory import count_transactions
-
-#: Counter fields a launch adds to (``name``/``num_sms`` are identity).
-_FIELDS = tuple(
-    f.name
-    for f in dataclasses.fields(KernelCounters)
-    if f.name not in ("name", "num_sms")
-)
-
-#: (primitive, size, dtype, op, spec) -> the counters each of its launches
-#: added, in launch order.  A few keys per job in practice (scan keys
-#: are power-of-two sizes); overflow clears, as ``_TX_CACHE`` does.
-#: Lookups, inserts and the clear are single dict operations, atomic under
-#: the GIL, and a key always maps to equal counters: two ``gsnp serve``
-#: job threads recording one key store equal values, and a lookup that
-#: races a clear only misses and records again.  The stored counters are
-#: never mutated (replay merges from them), so no lock is needed.
-_RECORD: dict[tuple, "_Record"] = {}
-_RECORD_MAX = 256
-
-
-class _Record(tuple):
-    """One key's launches' counters, in launch order; ``summed`` adds
-    them up per kernel name, in first-launch order (what
-    :meth:`LevelSweep.whole` merges)."""
-
-    def __new__(cls, launches):
-        rec = super().__new__(cls, launches)
-        by_name: dict[str, KernelCounters] = {}
-        for c in rec:
-            by_name.setdefault(c.name, KernelCounters(
-                name=c.name, num_sms=c.num_sms
-            )).merge(c)
-        rec.summed = tuple(by_name.values())
-        return rec
-
-
-def _counts(c: Optional[KernelCounters]) -> tuple[int, ...]:
-    return tuple(0 if c is None else getattr(c, f) for f in _FIELDS)
 
 
 def counts_only(device) -> bool:
@@ -81,8 +35,9 @@ def charge(device, name: str, n: int, instr: int, *ops) -> None:
     running it: ``instr`` instructions a thread, then each memory op
     ``(kind, arr, idx)`` in kernel order, checked, counted and tallied as
     the routed op would be.  ``idx`` is a lag ``k`` (thread ``t`` reads
-    element ``max(t - k, 0)``), an index vector (negative: a dead lane),
-    or for a ``cload`` the number of probes."""
+    element ``max(t - k, 0)``), a ``slice`` (thread ``t < len(range(start,
+    stop, step))`` reads element ``start + t * step``), an index vector
+    (negative: a dead lane), or for a ``cload`` the number of probes."""
     entry = device.counters.get(name)  # a launch creates its entry first
     spec = device.spec
     ws = spec.warp_size
@@ -100,6 +55,11 @@ def charge(device, name: str, n: int, instr: int, *ops) -> None:
         if isinstance(idx, int):
             live, lanes, top = n, w, max(n - 1 - idx, 0)
             tx = span_tx(device, n, arr.itemsize, idx)
+        elif isinstance(idx, slice):
+            r = range(idx.start, idx.stop, idx.step)
+            live, top = len(r), r[-1] if r else -1
+            lanes = -(-live // ws)
+            tx = slice_tx(device, r, arr.itemsize)
         else:
             warps = np.flatnonzero(idx >= 0) // ws
             live = warps.size
@@ -159,6 +119,28 @@ def span_tx(device, n: int, itemsize: int, lag: int = 0) -> int:
     return full + (tail > 0) + last - segments(full + (tail > 0), -lag)
 
 
+def slice_tx(device, lanes: range, itemsize: int) -> int:
+    """Transactions of every thread ``t < len(lanes)`` loading element
+    ``lanes[t]`` (a positive step): one per lane when lanes are a
+    segment or more apart, else each warp's segments from its first to
+    its last element, two floor sums over the full warps plus the tail
+    warp."""
+    n = len(lanes)
+    ws, seg = device.spec.warp_size, device.spec.segment_bytes
+    start, step = lanes.start, lanes.step
+    if step * itemsize >= seg:
+        return n
+    full, tail = divmod(n, ws)
+    a = ws * step * itemsize
+    total = full + _floor_sum(
+        full, seg, a, (start + (ws - 1) * step) * itemsize
+    ) - _floor_sum(full, seg, a, start * itemsize)
+    if tail:
+        first = start + full * ws * step
+        total += 1 + lanes[-1] * itemsize // seg - first * itemsize // seg
+    return total
+
+
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """``sum(floor((a * i + b) / m) for i in range(n))`` for ``a, b >= 0``
     in O(log) steps (the Euclidean-like floor-sum reduction)."""
@@ -176,76 +158,4 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         n, b, m, a = top // m, top % m, a, m
 
 
-class LevelSweep:
-    """One primitive call's levels: launched (and recorded), or replayed.
-
-    ``fast`` is true when the key was recorded and the device runs no
-    sanitizer and no op observer is installed.  :meth:`level` then runs
-    the caller's NumPy version of a level and merges the counters its
-    launch charged when recorded, so a call that stops at a failing
-    allocation leaves the book a launched call would.  Otherwise it
-    launches the kernel; on the first call of a key it also notes what
-    each launch added to the book, which :meth:`close` stores once the
-    call completes.
-    """
-
-    def __init__(self, device, key: Sequence[Hashable]) -> None:
-        self.device = device
-        self.key = (*key, device.spec)
-        eligible = counts_only(device)
-        self.replay = _RECORD.get(self.key) if eligible else None
-        self._levels = 0
-        self._charged: Optional[list[KernelCounters]] = (
-            [] if eligible and self.replay is None else None
-        )
-
-    @property
-    def fast(self) -> bool:
-        return self.replay is not None
-
-    def level(
-        self,
-        name: str,
-        numpy_level: Callable[[], None],
-        kernel_fn: Callable,
-        n_threads: int,
-        *args,
-    ) -> None:
-        """One level: ``numpy_level()`` plus the recorded charge, or
-        ``device.launch(kernel_fn, n_threads, *args, name=name)``."""
-        book = self.device.counters
-        if self.replay is not None:
-            entry = book.get(name)  # a launch creates its entry up front
-            numpy_level()
-            entry.merge(self.replay[self._levels])
-        elif self._charged is None:
-            self.device.launch(kernel_fn, n_threads, *args, name=name)
-        else:
-            before = _counts(book.entries.get(name))
-            self.device.launch(kernel_fn, n_threads, *args, name=name)
-            after = _counts(book.entries[name])
-            self._charged.append(KernelCounters(
-                name=name, num_sms=book.num_sms,
-                **{f: a - b for f, a, b in zip(_FIELDS, after, before)},
-            ))
-        self._levels += 1
-
-    def whole(self, numpy_call: Callable[[], None]) -> None:
-        """A replayed call in one step: ``numpy_call()`` computes every
-        level's values, and each kernel name merges the sum of its
-        levels' records (as many launches)."""
-        sums = self.replay.summed
-        entries = [self.device.counters.get(c.name) for c in sums]
-        numpy_call()
-        for entry, total in zip(entries, sums):
-            entry.merge(total)
-
-    def close(self) -> None:
-        """Store the record of a completed first call of its key."""
-        if self._charged is not None:
-            if len(_RECORD) >= _RECORD_MAX:
-                _RECORD.clear()
-            _RECORD[self.key] = _Record(self._charged)
-
-
-__all__ = ["LevelSweep", "charge", "counts_only"]
+__all__ = ["charge", "counts_only"]

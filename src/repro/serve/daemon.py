@@ -69,7 +69,7 @@ class ServeConfig:
     max_queued: int = 16
     #: Admission cap on live jobs per tenant (``None`` = unlimited).
     tenant_quota: Optional[int] = None
-    #: Parsed-dataset LRU size in the resident runner.
+    #: Parsed-dataset and in-memory calibration LRU size in the runner.
     max_datasets: int = 4
 
 

@@ -146,16 +146,18 @@ class DatasetCache:
 class CalibrationCache:
     """Two-layer (memory + disk) cache of calibration products.
 
-    The disk layer lives under the daemon's state directory so calibration
-    survives a daemon restart — the recovery path's repeated job still
-    skips the input pass.
+    The memory layer is an LRU of at most ``max_entries`` calibrations;
+    the disk layer keeps every one, under the daemon's state directory, so
+    an evicted key is a disk hit and calibration survives a daemon
+    restart — the recovery path's repeated job still skips the input pass.
     """
 
-    def __init__(self, root) -> None:
+    def __init__(self, root, max_entries: int = 4) -> None:
         self.dir = Path(root)
         self.dir.mkdir(parents=True, exist_ok=True)
+        self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._memory: dict[str, object] = {}
+        self._memory: OrderedDict[str, object] = OrderedDict()
         self.hits_memory = 0
         self.hits_disk = 0
         self.misses = 0
@@ -181,12 +183,13 @@ class CalibrationCache:
         with self._lock:
             cal = self._memory.get(key)
             if cal is not None:
+                self._memory.move_to_end(key)
                 self.hits_memory += 1
                 return cal
         cal = self._load_disk(key)
         with self._lock:
             if cal is not None:
-                self._memory[key] = cal
+                self._keep(key, cal)
                 self.hits_disk += 1
             else:
                 self.misses += 1
@@ -195,8 +198,16 @@ class CalibrationCache:
     def put(self, key: str, calibration) -> None:
         """Make a calibration resident in both layers."""
         with self._lock:
-            self._memory[key] = calibration
+            self._keep(key, calibration)
         self._store_disk(key, calibration)
+
+    def _keep(self, key: str, calibration) -> None:
+        """Hold ``calibration`` in memory as the newest entry, evicting the
+        least recently used past ``max_entries`` (caller holds the lock)."""
+        self._memory[key] = calibration
+        self._memory.move_to_end(key)
+        while len(self._memory) > self.max_entries:
+            self._memory.popitem(last=False)
 
     def stats(self) -> dict:
         """Hit/miss counters (memory and disk layers separately)."""
@@ -234,7 +245,9 @@ class ResidentRunner:
     def __init__(self, state_dir, max_datasets: int = 4) -> None:
         self.state_dir = Path(state_dir)
         self.datasets = DatasetCache(max_entries=max_datasets)
-        self.calibrations = CalibrationCache(self.state_dir / "cal")
+        self.calibrations = CalibrationCache(
+            self.state_dir / "cal", max_entries=max_datasets
+        )
         self._lock = threading.Lock()
         #: Every live worker's resident pipeline dict.
         self._resident: list[dict] = []

@@ -590,11 +590,6 @@ class TestGsnp106FaultSites:
 #: The module state ``src/repro`` may keep, as ``<module>.<name>``, each
 #: with why it is not job or daemon state.
 MODULE_STATE_ALLOWED = {
-    "memory._TX_CACHE": "value-keyed memo: an equal key gives an equal "
-    "transaction count",
-    "memory._tx_cache_bytes": "the size bound of the _TX_CACHE memo",
-    "memory._BOUNDARY_CACHE": "value-keyed memo of segment boundary masks",
-    "sweep._RECORD": "value-keyed memo of a primitive's recorded counters",
     "score_table._NEWP_CACHE": "value-keyed memo keyed by the calibration "
     "digest",
     "kernel._OP_OBSERVER": "test-only op tap, kept for the span recorder",

@@ -268,11 +268,13 @@ class TestFaultedExecutionParity:
         self, small_dataset, tmp_path
     ):
         """The rung only rebuilds the lane's pipeline: bytes and per-phase
-        counters equal the fault-free ``fusion=False`` run, and the shared
-        transaction memo survives.  Serve worker threads are serial lanes
-        of one process, so a rung that toggled process-global simulator
-        state from inside a lane could race another thread's rung."""
-        from repro.gpusim import memory
+        counters equal the fault-free ``fusion=False`` run, and a plain
+        device still takes the counted paths afterwards.  Serve worker
+        threads are serial lanes of one process, so a rung that toggled
+        process-global simulator state from inside a lane could race
+        another thread's rung."""
+        from repro.gpusim.device import Device
+        from repro.gpusim.primitives.sweep import counts_only
 
         def counters(res):
             return {
@@ -299,7 +301,7 @@ class TestFaultedExecutionParity:
         assert "fast paths" not in str(rung[0])
         assert out.read_bytes() == base_out.read_bytes()
         assert counters(res) == counters(base)
-        assert memory._TX_CACHE
+        assert counts_only(Device())
 
     def test_worker_crash_in_process_pool(
         self, small_dataset, baseline, tmp_path

@@ -45,12 +45,13 @@ from repro.gpusim.primitives import (
     device_binary_search,
     device_radix_sort,
     device_unique,
+    reduce,
+    scan,
     search,
     segmented,
     segmented_dict_indices,
     segmented_flag_runs,
     sort,
-    sweep,
     unique,
 )
 from repro.gpusim.spec import GpuSpec
@@ -456,8 +457,8 @@ def test_block_operand_of_the_wrong_shape_is_a_kernel_error():
 
 def test_sanitizer_and_observer_take_no_fast_path(tiny_dataset):
     """A whole fused job, once on a sanitizing device and once under the
-    op observer: no counted launch, no step block, no replayed sweep (a
-    plain device takes all three)."""
+    op observer: no counted launch, no step block, no counted level sweep.
+    A plain device's first job takes all three."""
     from repro.api import JobSpec, create_pipeline
 
     taken = []
@@ -472,10 +473,11 @@ def test_sanitizer_and_observer_take_no_fast_path(tiny_dataset):
         mock.patch.object(mod, "charge", spy("count", mod.charge))
         for mod in (sort, unique, search, segmented)
     ] + [
+        mock.patch.object(mod, "charge", spy("level", mod.charge))
+        for mod in (scan, reduce)
+    ] + [
         mock.patch.object(KernelContext, "_view",
                           spy("block", KernelContext._view)),
-        mock.patch.object(sweep.LevelSweep, "whole",
-                          spy("whole", sweep.LevelSweep.whole)),
     ]
     for p in patches:
         p.start()
@@ -489,9 +491,8 @@ def test_sanitizer_and_observer_take_no_fast_path(tiny_dataset):
         finally:
             set_op_observer(prev)
         assert taken == []
-        for _ in range(2):  # the second run replays the recorded sweeps
-            create_pipeline(spec=JobSpec(window=400)).run(tiny_dataset)
-        assert set(taken) == {"count", "block", "whole"}
+        create_pipeline(spec=JobSpec(window=400)).run(tiny_dataset)
+        assert set(taken) == {"count", "level", "block"}
     finally:
         for p in patches:
             p.stop()

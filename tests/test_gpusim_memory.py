@@ -1,19 +1,12 @@
 """Coalescing analysis and device arrays."""
 
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JobSpec
-from repro.core.detector import GsnpDetector
 from repro.errors import DeviceError
-from repro.gpusim import memory
 from repro.gpusim.memory import DeviceArray, count_transactions
-from repro.seqsim.datasets import DatasetSpec, generate_dataset
 
 
 class TestCountTransactions:
@@ -113,79 +106,3 @@ class TestDeviceArray:
         h = arr.copy_to_host()
         h[0] = 1.0
         assert arr.data[0] == 0.0
-
-
-class TestMemoByteCap:
-    """The transaction memo is bounded by the bytes its keys hold."""
-
-    def test_shipped_cap_is_64_mib(self):
-        assert memory._TX_CACHE_MAX_BYTES == 64 << 20
-
-    def test_distinct_jobs_stay_under_the_cap(self, monkeypatch):
-        # A small cap makes six small jobs overflow it several times; the
-        # held key bytes must never pass it, and the memo keeps working.
-        cap = 256 << 10
-        inserted = []
-        real_put = memory._memo_put
-
-        def put(key, total):
-            inserted.append(len(key[-1]))
-            real_put(key, total)
-
-        monkeypatch.setattr(memory, "_TX_CACHE_MAX_BYTES", cap)
-        monkeypatch.setattr(memory, "_memo_put", put)
-        memory._TX_CACHE.clear()
-        memory._tx_cache_bytes = 0
-        try:
-            for seed in range(6):
-                ds = generate_dataset(DatasetSpec(
-                    name=f"chrCap{seed}", n_sites=3000, depth=10.0,
-                    coverage=0.9, seed=400 + seed,
-                ))
-                GsnpDetector(spec=JobSpec()).run(ds)
-                held = sum(len(key[-1]) for key in memory._TX_CACHE)
-                assert held <= cap
-                assert held == memory._tx_cache_bytes
-            assert memory._TX_CACHE
-            assert sum(inserted) > 3 * cap
-        finally:
-            memory._TX_CACHE.clear()
-            memory._tx_cache_bytes = 0
-
-    def test_threads_keep_the_byte_count(self, monkeypatch):
-        # Jobs of one serve process run on worker threads.  Two threads
-        # overflow a full memo at once; the clear yields the GIL, so an
-        # unguarded second thread would clear too and reset the counter
-        # after the first one's insert, losing its bytes.
-        class YieldingDict(dict):
-            def clear(self):
-                super().clear()
-                time.sleep(0.01)
-
-        cap = 4 << 10
-        monkeypatch.setattr(memory, "_TX_CACHE_MAX_BYTES", cap)
-        monkeypatch.setattr(memory, "_TX_CACHE", YieldingDict())
-        memory._tx_cache_bytes = 0
-        rng = np.random.default_rng(0)
-        for _ in range(cap // 512):  # 64 int64 lanes: 512 key bytes each
-            count_transactions(rng.integers(0, 1 << 20, size=64), 4)
-        assert memory._tx_cache_bytes == cap
-        start = threading.Barrier(2)
-
-        def insert(seed):
-            idx = np.random.default_rng(seed).integers(0, 1 << 20, size=64)
-            start.wait()
-            count_transactions(idx, 4)
-
-        threads = [
-            threading.Thread(target=insert, args=(s,)) for s in (1, 2)
-        ]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            held = sum(len(key[-1]) for key in memory._TX_CACHE)
-            assert held == memory._tx_cache_bytes == 2 * 512
-        finally:
-            memory._tx_cache_bytes = 0

@@ -1,21 +1,23 @@
-"""The level-sweep fast path equals the kernel path.
+"""The counted level sweeps equal the kernel path.
 
-``device_exclusive_scan`` and ``device_reduce`` launch their level kernels
-on the first call of a (spec, size, dtype, op) key and record what the
-launches charged; later calls compute the levels on NumPy slices and
-replay the record.  The oracle is the same call on
-``Device(sanitize=True)``, which always launches.  Both the recording
-call and a replaying call must match it on the values (bitwise), the
-whole counter book, peak device memory, the sequence of allocated names
-and every array's host-read, kernel-read and write tallies.  Typed
-errors, alloc faults and fault-point hits must not tell the paths apart,
-and the record must be safe under threads and bounded.
+On a device with no sanitizer and no op observer,
+``device_exclusive_scan`` and ``device_reduce`` launch no level kernel:
+NumPy computes each level on slices, and ``sweep.charge`` merges what
+the level's launch would add, its strided ops priced by the closed form
+``sweep.slice_tx``.  The oracle is the same call on
+``Device(sanitize=True)``, which always launches.  The first call on a
+fresh device must match it on the values (bitwise), the whole counter
+book, peak device memory, the sequence of allocated names and every
+array's host-read, kernel-read and write tallies.  Typed errors, alloc
+faults and fault-point hits must not tell the paths apart.  The slice
+form's count equals ``count_transactions`` on the materialized range,
+and a charged slice op equals a launched strided load.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.errors import AllocationError, DeviceError, KernelError
 from repro.faults.plan import FaultPlan, FaultSpec, fault_plan
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import set_op_observer
+from repro.gpusim.memory import count_transactions
 from repro.gpusim.primitives import device_exclusive_scan, device_reduce
 from repro.gpusim.primitives import sweep
 from repro.gpusim.spec import GpuSpec
@@ -86,11 +89,6 @@ def _run(device, prim, host, op):
     }
 
 
-def _key(prim, n, dtype, op, spec):
-    size = 1 << (n - 1).bit_length() if prim == "scan" else n
-    return (prim, size, np.dtype(dtype), op, spec)
-
-
 @st.composite
 def sweep_cases(draw):
     prim = draw(st.sampled_from(["scan", "reduce"]))
@@ -107,16 +105,10 @@ def sweep_cases(draw):
 def check_fast_path_equals_kernels(case):
     prim, n, dtype, op, spec, seed = case
     host = _values(n, dtype, seed)
-    key = _key(prim, n, dtype, op, spec)
-    sweep._RECORD.pop(key, None)
     with np.errstate(all="ignore"):  # inf - inf, wrapped float32 sums
         oracle = _run(Device(spec=spec, sanitize=True), prim, host, op)
-        assert key not in sweep._RECORD  # the sanitizer never records
-        recording = _run(Device(spec=spec), prim, host, op)
-        assert key in sweep._RECORD
-        replaying = _run(Device(spec=spec), prim, host, op)
-    assert recording == oracle
-    assert replaying == oracle
+        counted = _run(Device(spec=spec), prim, host, op)
+    assert counted == oracle
 
 
 @settings(max_examples=120, derandomize=True, deadline=None,
@@ -134,9 +126,22 @@ def test_fast_path_equals_kernel_path_wide(case):
     check_fast_path_equals_kernels(case)
 
 
+@pytest.mark.tier2
+@pytest.mark.parametrize("spec", SPECS, ids=["m2050", "ws16"])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_every_corner_equals_kernel_path(dtype, spec):
+    """The first call of every corner size on a fresh device, scan and
+    each reduce op, equals the sanitizing kernel run."""
+    for i, n in enumerate(CORNERS):
+        check_fast_path_equals_kernels(("scan", n, dtype, "sum", spec, i))
+        op = ("sum", "max", "min")[i % 3]
+        check_fast_path_equals_kernels(("reduce", n, dtype, op, spec, i))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1025])
 def test_replay_accumulates_like_repeated_launches(n):
-    """Three calls on one device: the book sums as three launches do."""
+    """Three calls on one device: the counted book sums as three
+    launched calls do."""
     host = np.arange(n, dtype=np.int64)
 
     def three(device):
@@ -151,12 +156,47 @@ def test_replay_accumulates_like_repeated_launches(n):
     assert three(Device()) == three(Device(sanitize=True))
 
 
+def _launched_names(device, fn):
+    """The kernel names ``fn(device)`` passes to ``Device.launch``."""
+    names = []
+    launch = Device.launch
+
+    def spy(self, kernel, n_threads, *args, **kwargs):
+        names.append(kwargs.get("name"))
+        return launch(self, kernel, n_threads, *args, **kwargs)
+
+    with mock.patch.object(Device, "launch", spy):
+        fn(device)
+    return names
+
+
+@pytest.mark.parametrize("n", [1, 2, 300, 4097])
+def test_first_call_launches_only_under_sanitizer_or_observer(n):
+    """A plain device's first call launches no level kernel; a sanitizing
+    device, or a plain one under an op observer, launches every level:
+    ``log2 m`` levels each way (``m`` the padded size) and
+    ``ceil(log2 n)`` reduce passes."""
+
+    def both(device):
+        device_exclusive_scan(device, device.to_device(np.arange(n), "x"))
+        device_reduce(device, device.to_device(np.arange(n), "y"))
+
+    assert _launched_names(Device(), both) == []
+    levels = (n - 1).bit_length()
+    want = (["scan_upsweep"] * levels + ["scan_downsweep"] * levels
+            + ["reduce_pass"] * levels)
+    assert _launched_names(Device(sanitize=True), both) == want
+    prev = set_op_observer(lambda rec: None)
+    try:
+        assert _launched_names(Device(), both) == want
+    finally:
+        set_op_observer(prev)
+
+
 def test_observer_sees_every_level_op():
-    """A recorded key still launches under the calibration observer: one
+    """Under the calibration observer a plain device launches: one
     ``OpRecord`` per routed op of every level, as on a sanitizing
     device."""
-    _record("scan", 300)
-    _record("reduce", 300)
     seen = []
     for device in (Device(), Device(sanitize=True)):
         recs = []
@@ -180,16 +220,6 @@ def test_observer_sees_every_level_op():
 # -- errors, faults, threads ------------------------------------------------
 
 
-def _record(prim, n, dtype=np.int64, spec=None):
-    """Make sure the plain-device call of this key replays."""
-    device = Device() if spec is None else Device(spec=spec)
-    arr = device.to_device(np.ones(n, dtype=dtype), "warm")
-    if prim == "scan":
-        device_exclusive_scan(device, arr)
-    else:
-        device_reduce(device, arr)
-
-
 def _outcome(fn):
     try:
         out = fn()
@@ -200,7 +230,6 @@ def _outcome(fn):
 
 @pytest.mark.parametrize("prim", ["scan", "reduce"])
 def test_freed_input_raises_device_error_on_both_paths(prim):
-    _record(prim, 64)
     call = device_exclusive_scan if prim == "scan" else device_reduce
     outcomes = []
     for device in (Device(), Device(sanitize=True)):
@@ -217,7 +246,6 @@ def test_constant_input_has_one_outcome_on_both_paths(prim):
     """A reduce pass loads its input in a kernel: ``KernelError``.  The
     scan copies its input to the work array on the host side of the
     launch, as before, so both paths accept it and agree."""
-    _record(prim, 64)
     call = device_exclusive_scan if prim == "scan" else device_reduce
     outcomes = []
     for device in (Device(), Device(sanitize=True)):
@@ -230,7 +258,6 @@ def test_constant_input_has_one_outcome_on_both_paths(prim):
 
 @pytest.mark.parametrize("sanitize", [False, True])
 def test_empty_reduce_and_unknown_op_raise_kernel_error(sanitize):
-    _record("reduce", 8)
     device = Device(sanitize=sanitize)
     with pytest.raises(KernelError):
         device_reduce(device, device.alloc(0, np.int64, "e"))
@@ -242,12 +269,11 @@ def test_empty_reduce_and_unknown_op_raise_kernel_error(sanitize):
     "prim, key, after", [("scan", "x.scanwork", 2), ("reduce", "x.reduce", 8)]
 )
 def test_alloc_fault_fires_at_the_same_hit_on_both_paths(prim, key, after):
-    """Calls of a recorded key until the alloc fault fires at hit
-    ``after`` of ``key`` (the third scan's work array, the second
-    reduce's second level of seven): both paths fail there and leave the
-    same book, allocations and peak."""
+    """Calls until the alloc fault fires at hit ``after`` of ``key``
+    (the third scan's work array, the second reduce's second level of
+    seven): both paths fail there and leave the same book, allocations
+    and peak."""
     call = device_exclusive_scan if prim == "scan" else device_reduce
-    _record(prim, 100)
     seen = []
     for device in (Device(), Device(sanitize=True)):
         plan = FaultPlan([FaultSpec("gpusim.device.alloc", "alloc", key,
@@ -280,11 +306,11 @@ class _SpyPlan(FaultPlan):
 
 @pytest.mark.parametrize("prim", ["scan", "reduce"])
 def test_recording_call_hits_only_the_kernel_paths_fault_points(prim):
+    """A counted call hits the fault points a launched one hits, and so
+    does the next plain device's: no call leaves state behind."""
     call = device_exclusive_scan if prim == "scan" else device_reduce
     n = 777
-    sweep._RECORD.pop(_key(prim, n, "int64", "sum", GpuSpec()), None)
     hits = []
-    # Kernel path (sanitizer), recording call, replaying call.
     for device in (Device(sanitize=True), Device(), Device()):
         spy = _SpyPlan()
         with fault_plan(spy):
@@ -293,56 +319,77 @@ def test_recording_call_hits_only_the_kernel_paths_fault_points(prim):
     assert hits[0] == hits[1] == hits[2]
 
 
-def test_two_threads_record_one_key_at_once():
-    n, spec = 3000, GpuSpec()
-    key = _key("scan", n, "int64", "sum", spec)
-    host = np.arange(n, dtype=np.int64)
-    oracle = _run(Device(sanitize=True), "scan", host, "sum")
-    for _ in range(5):
-        sweep._RECORD.pop(key, None)
-        barrier = threading.Barrier(2)
-        results = [None, None]
+# -- the slice op form ------------------------------------------------------
 
-        def work(i):
-            device = Device()
-            barrier.wait()
-            results[i] = _run(device, "scan", host, "sum")
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results[0] == oracle
-        assert results[1] == oracle
-        assert _run(Device(), "scan", host, "sum") == oracle
+#: Element sizes the slice form is checked at: 129 bytes is more than a
+#: segment of either spec, so every lane starts its own.
+ITEMSIZES = [1, 2, 4, 8, 16, 129]
 
 
-def test_specs_never_share_a_record_entry():
-    n = 5000
-    host = np.arange(n, dtype=np.int32)
-    for spec in SPECS:
-        sweep._RECORD.pop(_key("reduce", n, "int32", "sum", spec), None)
-    for _ in range(2):  # record, then replay
-        for spec in SPECS:
-            got = _run(Device(spec=spec), "reduce", host, "sum")
-            assert got == _run(
-                Device(spec=spec, sanitize=True), "reduce", host, "sum"
-            )
-    entries = [sweep._RECORD[_key("reduce", n, "int32", "sum", s)]
-               for s in SPECS]
-    assert entries[0] != entries[1]
-    assert entries[0][0].num_sms == SPECS[0].num_sms
-    assert entries[1][0].num_sms == SPECS[1].num_sms
+@st.composite
+def slice_cases(draw):
+    start = draw(st.integers(0, 3000))
+    step = draw(st.one_of(st.integers(1, 9), st.integers(1, 700)))
+    stop = draw(st.integers(0, 40_000))
+    itemsize = draw(st.sampled_from(ITEMSIZES))
+    spec = draw(st.sampled_from(SPECS))
+    spare = draw(st.integers(0, 70))  # dead threads past the last lane
+    short = draw(st.booleans())  # an array that ends before the last lane
+    return start, stop, step, itemsize, spec, spare, short
 
 
-def test_record_stays_at_or_below_its_cap(monkeypatch):
-    monkeypatch.setattr(sweep, "_RECORD_MAX", 4)
-    monkeypatch.setattr(sweep, "_RECORD", {})
-    for n in range(2, 40):
-        _record("reduce", n)
-        assert len(sweep._RECORD) <= 4
-    host = np.arange(39, dtype=np.int64)
-    assert _run(Device(), "reduce", host, "sum") == _run(
-        Device(sanitize=True), "reduce", host, "sum"
+def _strided_load_kernel(ctx, arr, start: int, step: int, count: int):
+    """Thread t < count loads element start + t * step."""
+    ctx.gload(arr, start + ctx.tid * step, active=ctx.tid < count)
+
+
+def check_slice_form(case):
+    """``slice_tx`` equals ``count_transactions`` on the materialized
+    range, and a charged slice op leaves the book, tallies and typed
+    errors of the launched strided load."""
+    start, stop, step, itemsize, spec, spare, short = case
+    lanes = range(start, stop, step)
+    want = count_transactions(
+        np.arange(start, stop, step), itemsize, spec.warp_size,
+        spec.segment_bytes,
     )
+    assert sweep.slice_tx(Device(spec=spec), lanes, itemsize) == want
+    size = max(lanes[-1] if lanes else 0, 0) + (0 if short else 1)
+    dtype = np.dtype(f"V{itemsize}")
+    outcomes = []
+    for counted in (True, False):
+        device = Device(spec=spec)
+        arr = device.alloc(size, dtype, "src")
+        threads = len(lanes) + spare
+        try:
+            if counted:
+                sweep.charge(device, "strided", threads, 0,
+                             ("gload", arr, slice(start, stop, step)))
+            else:
+                device.launch(_strided_load_kernel, threads, arr, start,
+                              step, len(lanes), name="strided")
+            error = None
+        except KernelError as exc:
+            error = str(exc)
+        outcomes.append((
+            error,
+            {k: dataclasses.asdict(c)
+             for k, c in device.counters.entries.items()},
+            arr._kernel_reads,
+        ))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          database=None, suppress_health_check=list(HealthCheck))
+@given(slice_cases())
+def test_slice_form_equals_materialized_range(case):
+    check_slice_form(case)
+
+
+@pytest.mark.tier2
+@settings(max_examples=3000, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(slice_cases())
+def test_slice_form_equals_materialized_range_wide(case):
+    check_slice_form(case)

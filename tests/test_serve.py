@@ -410,6 +410,31 @@ class TestResidentCaches:
             assert cache.get("key") is None
             assert cache.stats()["misses"] == 1
 
+    def test_calibration_memory_is_bounded_and_evicts_to_disk(
+        self, tmp_path
+    ):
+        """The memory layer holds at most ``max_entries`` calibrations, least
+        recently used out first; the disk layer keeps all of them, so an
+        evicted key comes back as a disk hit."""
+        from repro.serve.runner import CalibrationCache
+
+        cache = CalibrationCache(tmp_path, max_entries=4)
+        for i in range(6):
+            cache.put(f"key{i}", [f"calibration {i}"])
+        assert cache.stats()["entries"] == 4
+        assert cache.get("key0") == ["calibration 0"]
+        assert cache.get("key5") == ["calibration 5"]
+        stats = cache.stats()
+        assert (stats["hits_disk"], stats["hits_memory"], stats["misses"]) \
+            == (1, 1, 0)
+        assert stats["entries"] == 4
+
+    def test_runner_bounds_calibrations_by_max_datasets(self, tmp_path):
+        from repro.serve.runner import ResidentRunner
+
+        assert ResidentRunner(tmp_path, max_datasets=3) \
+            .calibrations.max_entries == 3
+
     def test_calibration_entry_of_an_older_build_is_a_miss(
         self, tmp_path, stale_class
     ):
