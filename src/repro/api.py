@@ -143,10 +143,9 @@ KEY_EXCLUSIONS = {
     # Every value gives the same bytes (tests/test_job_matrix.py).
     "byte-invariant": frozenset((
         "compressed", "sanitize", "workers", "shard_size", "devices",
-        "cpu_steal")),
+        "cpu_steal", "min_quality", "shard_timeout")),
     # ``calibrate()`` never reads these.
-    "not calibrated": frozenset((
-        "window", "variant", "fusion", "min_quality", "shard_timeout")),
+    "not calibrated": frozenset(("window", "variant", "fusion")),
 }
 
 

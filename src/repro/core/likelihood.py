@@ -37,6 +37,7 @@ from ..constants import (
     MAX_READ_LEN,
     N_BASES,
     N_GENOTYPES,
+    N_SCORES,
     N_STRANDS,
     P_ALLELE_SHIFT,
 )
@@ -48,7 +49,7 @@ from ..soapsnp.likelihood import occurrence_ordinals
 from ..soapsnp.p_matrix import p_matrix_index
 from ..sortnet.multipass import MULTIPASS_BOUNDS, SortStats, multipass_sort, size_class_of
 from .base_word import canonical_keys, decode_keys, extract_words
-from .score_table import build_new_p_matrix, cached_new_p_matrix, new_p_index
+from .score_table import build_new_p_matrix, new_p_index
 
 # Instruction-accounting constants (per aligned base element); tuned so the
 # counter ratios land near Table III.  They represent addressing, loop and
@@ -119,60 +120,46 @@ class GsnpTables:
         penalty: np.ndarray,
         cache: bool = True,
         key: Optional[str] = None,
+        new_p: Optional[np.ndarray] = None,
     ) -> "GsnpTables":
         """The ``load_table`` component of Figure 2.
 
-        With ``cache`` (default), the bundle is made resident on the device
-        keyed by ``key`` (the calibration digest) *and the device
-        identity*: repeat loads for the same calibration on the same device
-        reuse the uploaded tables instead of re-transferring — the paper's
-        keep-hot-tables-resident recipe.  The device id in the key is what
-        keeps two pool devices from ever sharing one upload: each pool
-        lane's device (``device_id`` 0..N-1) holds arrays only it
-        can legally touch, so a digest-only key would alias entry lookups
-        across devices the moment any code consults a residency view wider
-        than one device.  ``cache=False`` always builds and uploads fresh
-        (the caller then owns the free).
+        Uploads ``new_p`` (the calibration's ``new_p_flat``), building it
+        from ``pm_flat`` only for a caller that has none.  With ``cache``
+        (default), the bundle takes the device's one residency slot under
+        ``key`` (the calibration digest): repeat loads for the same
+        calibration reuse the uploaded tables instead of re-transferring
+        — the paper's keep-hot-tables-resident recipe — and another key
+        frees them.  ``cache=False`` always uploads fresh (the caller then
+        owns the free).
         """
         key = key or digest(pm_flat, penalty)
-        slot = ("gsnp_tables", getattr(device, "device_id", 0), key)
         if cache:
-            hit = device.resident.get(slot)
+            hit = device.resident.get(key)
             if hit is not None:
                 return hit
-        newp = cached_new_p_matrix(pm_flat, key)
+        if new_p is None:
+            new_p = build_new_p_matrix(
+                pm_flat.reshape(N_SCORES, MAX_READ_LEN, N_BASES, N_BASES))
         # Both score tables are uploaded regardless of kernel variant (the
         # paper's GSNP keeps them resident); a run using only the
         # new_p_matrix lookup never reads p_matrix, and vice versa.
         pm_dev = device.to_device(pm_flat, "p_matrix")
-        newp_dev = device.to_device(newp, "new_p_matrix")
+        newp_dev = device.to_device(new_p, "new_p_matrix")
         penalty_dev = device.to_constant(penalty.astype(np.int32), "log_table")
         for t in (pm_dev, newp_dev, penalty_dev):
             t.mark_consumed()
         tables = GsnpTables(
             pm_host=pm_flat,
-            newp_host=newp,
+            newp_host=new_p,
             penalty_host=penalty.astype(np.int32),
             pm_dev=pm_dev,
             newp_dev=newp_dev,
             penalty_dev=penalty_dev,
         )
         if cache:
-            device.resident.put(slot, tables, (pm_dev, newp_dev, penalty_dev))
+            device.resident.put(key, tables, (pm_dev, newp_dev, penalty_dev))
         return tables
-
-    @staticmethod
-    def upload_bytes(
-        pm_flat: np.ndarray, penalty: np.ndarray, key: str
-    ) -> int:
-        """PCIe bytes one ``load_table`` upload moves (both score tables
-        plus the constant-memory penalty table) — the analytic charge
-        ``calibrate()`` records without re-building or re-uploading."""
-        return (
-            pm_flat.nbytes
-            + cached_new_p_matrix(pm_flat, key).nbytes
-            + penalty.astype(np.int32).nbytes
-        )
 
     def free(self, device: Device) -> None:
         """Release the device copies (the teardown leak check flags score

@@ -15,15 +15,18 @@ GSNP) produce bitwise identical result tables.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..align.records import AlignmentBatch
 from ..bench.events import PhaseRecord, PhaseScope, RunProfile
-from ..constants import DEFAULT_WINDOW_GSNP
+from ..constants import (
+    DEFAULT_WINDOW_GSNP,
+    MAX_READ_LEN,
+    N_BASES,
+    N_SCORES,
+)
 from ..errors import PipelineError
 from ..formats.cns import ResultTable
 from ..formats.window import WindowReader
@@ -33,7 +36,6 @@ from ..gpusim.device import Device
 from ..gpusim.launchplan import (
     FUSION_DEFAULT,
     MEGABATCH_WINDOWS,
-    LaunchTally,
     build_launch_plan,
     chunk_windows,
 )
@@ -72,7 +74,7 @@ from .fused import (
 )
 from .posterior import gsnp_posterior
 from .recycle import gsnp_recycle
-from .score_table import cached_new_p_matrix, table_contributions
+from .score_table import build_new_p_matrix, table_contributions
 
 __all__ = ["GsnpPipeline"]
 
@@ -138,10 +140,13 @@ class GsnpPipeline:
         """The ``cal_p_matrix`` pass: read the whole input once, build the
         score tables and the compressed temporary input copy.
 
-        Charges the pass's events (including the device table upload in GPU
-        mode) to the returned :attr:`Calibration.record`, so a sharded run
-        that shares one calibration reports the same counters as a serial
-        run that calibrates inline.
+        The calibration owns the host score tables: ``new_p_flat`` is built
+        here, once per calibration, and every lane that runs it (a device
+        upload or the host lookups) uses that one array.  Charges the
+        pass's events (including the device table upload in GPU mode) to
+        the returned :attr:`Calibration.record`, so a sharded run that
+        shares one calibration reports the same counters as a serial run
+        that calibrates inline.
         """
         if reads is None:
             reads = dataset.reads
@@ -149,16 +154,17 @@ class GsnpPipeline:
         rec = cal.record
         with PhaseScope(rec, None):
             cal.temp_len = len(encode_alignments(reads))
-            if self.mode == "gpu":
-                # Charge the one serial-equivalent load_table upload
-                # analytically — run() performs the single real upload
-                # (outside any phase scope), so nothing is built or
-                # transferred twice just to record the bytes.
-                rec.transfer_bytes += GsnpTables.upload_bytes(
-                    cal.pm_flat, cal.penalty, cal.digest
-                )
-            else:
-                cal.new_p_flat = cached_new_p_matrix(cal.pm_flat, cal.digest)
+            cal.new_p_flat = build_new_p_matrix(cal.pm_flat.reshape(
+                N_SCORES, MAX_READ_LEN, N_BASES, N_BASES))
+        if self.mode == "gpu":
+            # Charge the one serial-equivalent load_table upload (both
+            # score tables and the constant-memory penalty table)
+            # analytically: run() performs the single real upload outside
+            # any phase scope.
+            rec.transfer_bytes += (
+                cal.pm_flat.nbytes + cal.new_p_flat.nbytes
+                + cal.penalty.astype(np.int32).nbytes
+            )
         rec.disk.write_bytes += cal.temp_len
         # Score-table generation + upload is dataset-size independent; the
         # paper measures ~2s for new_p_matrix + log_table (Section VI-E).
@@ -235,8 +241,9 @@ class GsnpPipeline:
 
         Phase names and accounting are the same on every chain — a
         :class:`PhaseScope` just covers a batch's worth of the phase at
-        once.  The tally counts *reference* windows, so ``launches /
-        windows`` exposes the cost the sample axis amortises.
+        once, so a fused stage's launches per megabatch (the phase
+        record's ``gpu.launches``) expose the cost the window and sample
+        axes amortise.
         """
         from .cohort import pooled_batch
 
@@ -272,6 +279,7 @@ class GsnpPipeline:
             tables = GsnpTables.load(
                 device, calibration.pm_flat, calibration.penalty,
                 cache=use_cache, key=calibration.digest,
+                new_p=calibration.new_p_flat,
             )
 
         start, stop = (
@@ -285,23 +293,12 @@ class GsnpPipeline:
             )
             for batch in sample_reads
         ]
-        tally = LaunchTally()
         fused_name = f"likelihood_posterior_fused_{self.variant.name}"
-        n_groups = 0
         per_tables: list[list] = [[] for _ in range(n_samples)]
         per_blobs: list[list[bytes]] = [[] for _ in range(n_samples)]
         per_stats: list[list] = [[] for _ in range(n_samples)]
         try:
             for group in chunk_windows(zip(*streams), group_size):
-                n_groups += 1
-                # Fused stages tally their launches against the group's
-                # reference windows; the unfused chains keep no tally
-                # (``nullcontext(stage)`` is a no-op).
-                measure = (
-                    partial(tally.measure, device, windows=len(group))
-                    if fused else nullcontext
-                )
-
                 # ---- read_site: decompress the temp input ------------------
                 rec = profile.phase("read_site")
                 with PhaseScope(rec, device):
@@ -335,8 +332,7 @@ class GsnpPipeline:
                             else obs_list[0]
                         )
                         if gpu:
-                            with measure("counting"):
-                                words, offsets = gsnp_counting(device, obs)
+                            words, offsets = gsnp_counting(device, obs)
                         else:
                             words, offsets = words_from_observations(obs)
                     rec.cpu.instructions += obs.n_obs * 4
@@ -347,19 +343,16 @@ class GsnpPipeline:
                     rec = profile.phase("likelihood")
                     with PhaseScope(rec, device):
                         if gpu:
-                            with measure("likelihood_sort"):
-                                wsorted, stats = gsnp_likelihood_sort(
-                                    device, words, offsets
-                                )
+                            wsorted, stats = gsnp_likelihood_sort(
+                                device, words, offsets
+                            )
                             # A fused batch's stats ride on sample 0: the
                             # shared sort is not faked per sample.
                             per_stats[plan.segments[0].sample].append(stats)
                         if fused:
-                            with measure(fused_name):
-                                type_likely = gsnp_likelihood_posterior_fused(
-                                    device, wsorted, offsets, tables,
-                                    self.variant,
-                                )
+                            type_likely = gsnp_likelihood_posterior_fused(
+                                device, wsorted, offsets, tables, self.variant
+                            )
                         elif gpu:
                             type_likely = gsnp_likelihood_comp(
                                 device, wsorted, offsets, tables, self.variant
@@ -406,8 +399,7 @@ class GsnpPipeline:
                     rec = profile.phase("output")
                     with PhaseScope(rec, device):
                         if fused:
-                            with measure("output_compress"):
-                                blobs = encode_tables_fused(device, seg_tables)
+                            blobs = encode_tables_fused(device, seg_tables)
                         else:
                             blobs = [
                                 encode_table(t, device=device if gpu else None)
@@ -432,11 +424,10 @@ class GsnpPipeline:
                     rec = profile.phase("recycle")
                     with PhaseScope(rec, device):
                         if fused:
-                            with measure("recycle"):
-                                gsnp_recycle_fused(
-                                    device, words.size, plan.n_sites,
-                                    plan.n_windows,
-                                )
+                            gsnp_recycle_fused(
+                                device, words.size, plan.n_sites,
+                                plan.n_windows,
+                            )
                         elif gpu:
                             gsnp_recycle(device, words.size, plan.n_sites)
                     if not gpu:
@@ -466,19 +457,9 @@ class GsnpPipeline:
             )
         ]
         extras = {
-            "cohort": {"samples": n_samples, "fused": fused},
-            "input_bytes": calibration.input_bytes,
             "device": device,
             "peak_gpu_bytes": device.peak_global_used if device else 0,
         }
-        if fused:
-            extras["fusion"] = {
-                "megabatch_windows": MEGABATCH_WINDOWS,
-                "megabatches": n_groups,
-                "samples": n_samples,
-                "launches": tally.total_launches(),
-                "stages": tally.summary(),
-            }
         return CallResult(samples=samples, profile=profile, extras=extras)
 
     def release_cache(self) -> None:
@@ -490,5 +471,5 @@ class GsnpPipeline:
         """
         for dev in (self.device, self._cached_device):
             if dev is not None:
-                dev.resident.clear(free=True)
+                dev.resident.clear()
         self._cached_device = None

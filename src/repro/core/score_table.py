@@ -26,33 +26,6 @@ from ..constants import (
 )
 
 
-# Process-level build cache: the ~20 MB (full-scale) new_p_matrix depends
-# only on the calibration's p_matrix, so each worker process expands it at
-# most once per calibration digest and every pipeline/shard/run reuses the
-# same read-only array.
-_NEWP_CACHE: dict[str, np.ndarray] = {}
-_NEWP_CACHE_MAX = 4
-
-
-def cached_new_p_matrix(pm_flat: np.ndarray, key: str) -> np.ndarray:
-    """``build_new_p_matrix`` memoized by ``key``, the calibration's digest.
-
-    Returns a read-only array shared by every caller in the process; device
-    uploads copy it, and CPU-mode lookups only read it.
-    """
-    hit = _NEWP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    newp = build_new_p_matrix(
-        np.asarray(pm_flat).reshape(N_SCORES, MAX_READ_LEN, N_BASES, N_BASES)
-    )
-    newp.setflags(write=False)
-    if len(_NEWP_CACHE) >= _NEWP_CACHE_MAX:
-        _NEWP_CACHE.clear()
-    _NEWP_CACHE[key] = newp
-    return newp
-
-
 def build_new_p_matrix(p_matrix: np.ndarray) -> np.ndarray:
     """Expand ``p_matrix`` (64,256,4,4) into the flat ``new_p_matrix``.
 

@@ -53,8 +53,10 @@ Long-lived callers (the ``gsnp-serve`` daemon's
 their own and an optional precomputed ``calibration``: the serial lane's
 pipeline is then kept in that dict across ``execute`` calls, so a
 repeated job over the same dataset skips both the calibration pass and the
-device score-table upload.  The caller owns the dict, its counters and
-the release of its pipelines; nothing here outlives the call.
+device score-table upload.  The dict holds one pipeline: a job of another
+shape releases it and keeps its own.  The caller owns the dict, its
+counters and the release of its last pipeline; nothing else here
+outlives the call.
 
 A job's ``spec.faults`` plan is active for exactly that job
 (:func:`~repro.faults.plan.fault_plan`, a context variable): a concurrent
@@ -169,7 +171,6 @@ class _Lane:
     #: Built on first use wherever the lane's shards run (the parent, or
     #: a process lane's child) and kept for every later shard.
     pipeline: object = None
-    calibration: object = None
     #: The serial lane of a long-lived caller: the caller's pipeline dict,
     #: which keeps the pipeline instead of releasing it with the job.
     resident: Optional[dict] = None
@@ -224,25 +225,21 @@ def _lane_pipeline(job: _Job, lane: _Lane):
     if lane.pipeline is not None:
         return lane.pipeline
     spec = job.spec
-    lane.calibration = job.calibration
     if lane.kind == "cpu":
         # The host steal lane is the sparse CPU engine; fusion is a
-        # device-side concept and stays off there.  The shared calibration
-        # was produced by the GPU engine, which leaves the expanded host
-        # tables unbuilt; the CPU lane expands them once (memoized by the
-        # calibration digest) and reuses the rest.
-        from ..core.score_table import cached_new_p_matrix
-
+        # device-side concept and stays off there.  It reads the shared
+        # calibration's host tables as they are.
         spec = replace(spec, engine="gsnp_cpu", fusion=False)
-        cal = job.calibration
-        lane.calibration = replace(
-            cal, new_p_flat=cached_new_p_matrix(cal.pm_flat, cal.digest),
-        )
     if lane.resident is not None:
         # Outlive this job: a later job with the same pipeline shape
-        # reuses the device and its uploaded tables.
+        # reuses the device and its uploaded tables.  The dict holds one
+        # pipeline: a job of another shape releases the one it replaces.
         key = job_key(spec, exclude=SHARD_KEY_EXCLUDES, params=job.params)
         lane.pipeline = lane.resident.get(key)
+        if lane.pipeline is None:
+            for old in lane.resident.values():
+                release_pipeline(old)
+            lane.resident.clear()
     if lane.pipeline is None:
         lane.pipeline = create_pipeline(
             spec=spec, params=job.params, device=lane.device
@@ -278,7 +275,7 @@ def _run_shard(
         pipeline = _lane_pipeline(job, lane)
         t0 = time.perf_counter()
         try:
-            result = _invoke(job, pipeline, lane.calibration, shard)
+            result = _invoke(job, pipeline, job.calibration, shard)
         except AllocationError as exc:
             if lane.pooled:
                 # A pool device that cannot even allocate is treated as
@@ -909,8 +906,8 @@ def execute(
     Long-lived callers pass ``calibration=`` (a previously computed
     calibration for this dataset/engine/params, skipping the input pass)
     and ``resident=`` (a dict of their own that keeps the serial lane's
-    pipeline, device and uploaded tables across calls; implies the serial
-    lane, so the resident device stays on the caller's thread).  With
+    one pipeline, device and uploaded tables across calls; implies the
+    serial lane, so the resident device stays on the caller's thread).  With
     ``resident=None`` the pipeline is released with the job.
 
     ``sample_reads`` is the job's list of full alignment batches (sample

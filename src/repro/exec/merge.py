@@ -81,11 +81,9 @@ def merge_shard_results(
         for parts in zip(*(sr.samples for sr in results))
     ]
     extras = {
-        "input_bytes": calibration.input_bytes,
         "shards": [sr.metrics() for sr in results],
         "device": device,
         "peak_gpu_bytes": max(sr.peak_gpu_bytes for sr in results),
-        "cohort": {"samples": n_samples},
     }
     if exec_meta:
         extras["exec"] = dict(exec_meta)

@@ -71,8 +71,8 @@ class Device:
         self._global_used = 0
         self._constant_used = 0
         self._arrays: list[DeviceArray] = []
-        # Keyed cache of allocations that outlive one pipeline run (score
-        # tables etc.); see repro.gpusim.residency.
+        # The one slot for allocations that outlive one pipeline run (the
+        # score tables); see repro.gpusim.residency.
         from .residency import DeviceResidency
 
         self.resident = DeviceResidency(self)

@@ -11,22 +11,22 @@ windows, the likelihood/posterior pair is fused into a single kernel,
 and the output codec runs segmented over all window columns at once.
 
 This module is the scheduler half: it knows *where* each window lives
-inside the flat layout (:class:`LaunchPlan`) and *what* the fusion saved
-(:class:`LaunchTally`), but contains no kernels itself — those live in
-``repro.gpusim.primitives.segmented`` and ``repro.core.fused``.
+inside the flat layout (:class:`LaunchPlan`), but contains no kernels
+itself — those live in ``repro.gpusim.primitives.segmented`` and
+``repro.core.fused``.
 
 The point of the plan is that a stage's launches grow with megabatches,
-not with the windows or cohort samples inside one.  The tally makes that
-a measured number, and the tests pin it per stage: windows per megabatch
-in ``tests/test_fusion.py``, samples per cohort in ``tests/test_cohort.py``.
+not with the windows or cohort samples inside one.  Each phase record's
+``gpu.launches`` makes that a measured number, and the tests pin it per
+stage: windows per megabatch in ``tests/test_fusion.py``, samples per
+cohort in ``tests/test_cohort.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,55 +166,8 @@ def chunk_windows(windows: Iterable, size: int) -> Iterator[list]:
         yield group
 
 
-@dataclass
-class _StageStat:
-    launches: int = 0
-    windows: int = 0
-    batches: int = 0
-
-
-@dataclass
-class LaunchTally:
-    """Segment-aware launch accounting for the fused path.
-
-    Each fused stage records how many kernel launches it actually issued
-    (measured from the device counter book, not estimated) and how many
-    windows that batch covered, so ``launches / windows`` exposes the
-    per-window launch cost the fusion achieved for every stage.
-    """
-
-    stages: Dict[str, _StageStat] = field(default_factory=dict)
-
-    def note(self, stage: str, launches: int, windows: int) -> None:
-        st = self.stages.setdefault(stage, _StageStat())
-        st.launches += int(launches)
-        st.windows += int(windows)
-        st.batches += 1
-
-    @contextmanager
-    def measure(self, device, stage: str, windows: int):
-        """Attribute launches issued inside the block to ``stage``."""
-        before = device.counters.launches
-        yield
-        self.note(stage, device.counters.launches - before, windows)
-
-    def total_launches(self) -> int:
-        return sum(st.launches for st in self.stages.values())
-
-    def summary(self) -> dict:
-        return {
-            name: {
-                "launches": st.launches,
-                "windows": st.windows,
-                "batches": st.batches,
-            }
-            for name, st in sorted(self.stages.items())
-        }
-
-
 __all__ = [
     "LaunchPlan",
-    "LaunchTally",
     "MEGABATCH_WINDOWS",
     "WindowSegment",
     "build_launch_plan",

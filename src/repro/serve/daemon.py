@@ -218,8 +218,6 @@ class GsnpServer:
                 "event": "error", "job_id": job.job_id, "error": repr(exc),
             })
             return
-        if job.inline:
-            job.result_blob = outcome.blob
         if ledgered:
             # Output bytes are atomically in place; only now is the job
             # allowed to disappear from the recovery set.

@@ -14,9 +14,12 @@ that state resident between jobs:
   keeps its cache hits).
 * :class:`ResidentRunner` — runs one job through the sharded executor
   with the calling worker thread's own ``resident`` pipeline dict, so the
-  worker pipeline (device + uploaded tables, keyed by the calibration
-  digest via :mod:`repro.gpusim.residency`) survives across jobs on that
-  thread and is released when the worker exits.  The runner owns that
+  worker pipeline (device + uploaded tables, the device's one residency
+  slot keyed by the calibration digest via :mod:`repro.gpusim.residency`)
+  survives across jobs on that thread and is released when the worker
+  exits.  A worker holds one pipeline and one table set: a job of another
+  shape or dataset replaces them, so its resident state does not grow
+  with what it has served.  The runner owns that
   state and the device-pool tallies ``/stats`` reports: no job state
   lives in a module global.
 
@@ -47,8 +50,8 @@ from ..faults.journal import atomic_output, load_sealed, seal
 from ..formats.soap import read_soap
 
 #: On-disk calibration entry format version; entries of another are
-#: misses.  Version 4: a ``Calibration`` keeps the temp copy's length only.
-CALIBRATION_STORE_VERSION = 4
+#: misses.  Version 5: a GSNP ``Calibration`` carries its ``new_p_flat``.
+CALIBRATION_STORE_VERSION = 5
 
 #: What a calibration key leaves out: ``calibrate()`` reads only the
 #: engine and the inputs' bytes.
@@ -259,8 +262,9 @@ class ResidentRunner:
         """One worker thread's resident pipeline dict, for :meth:`run_job`.
 
         A simulated device is confined to its thread, so each worker holds
-        its own dict for as long as it runs jobs; leaving the block
-        releases every pipeline in it (device and uploaded tables).
+        its own dict (one pipeline at a time) for as long as it runs jobs;
+        leaving the block releases the pipeline in it (device and uploaded
+        tables).
         """
         pipes: dict = {}
         with self._lock:

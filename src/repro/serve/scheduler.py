@@ -72,9 +72,6 @@ class Job:
         self.state = JobState.QUEUED
         self.summary: Optional[str] = None
         self.error: Optional[str] = None
-        #: Inline jobs park their output bytes here so late subscribers
-        #: can still stream them.
-        self.result_blob: Optional[bytes] = None
         self._lock = threading.Lock()
         self._watchers: list[queue.Queue] = []
         self._history: list[dict] = []

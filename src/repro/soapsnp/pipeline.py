@@ -98,14 +98,15 @@ class Calibration:
     pm_flat: np.ndarray
     penalty: np.ndarray
     #: :func:`~repro.content.digest` of ``(pm_flat, penalty)``: the key of
-    #: the resident score tables and the ``new_p_matrix`` memo, and the
-    #: calibration's part of a journal key.
+    #: a device's resident score tables, and the calibration's part of a
+    #: journal key.
     digest: str
     input_bytes: int
     total_reads: int
     #: The ``cal_p_matrix`` phase events (wall, disk, cpu, table upload).
     record: PhaseRecord
-    #: Expanded host tables for GSNP's ``mode='cpu'``.
+    #: GSNP's expanded ``new_p_matrix``, built once by ``calibrate()``:
+    #: the table every device uploads and the host engine reads.
     new_p_flat: Optional[np.ndarray] = None
     #: Bytes of GSNP's compressed temporary copy of the input (Section
     #: V-A), which the per-window ``read_site`` accounting charges.
@@ -256,5 +257,4 @@ class SoapsnpPipeline:
                 ResultTable.concat_all(tables), output_bytes=output_bytes
             )],
             profile=profile,
-            extras={"input_bytes": calibration.input_bytes},
         )

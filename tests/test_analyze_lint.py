@@ -590,8 +590,6 @@ class TestGsnp106FaultSites:
 #: The module state ``src/repro`` may keep, as ``<module>.<name>``, each
 #: with why it is not job or daemon state.
 MODULE_STATE_ALLOWED = {
-    "score_table._NEWP_CACHE": "value-keyed memo keyed by the calibration "
-    "digest",
     "kernel._OP_OBSERVER": "test-only op tap, kept for the span recorder",
 }
 

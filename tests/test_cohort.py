@@ -191,8 +191,9 @@ class TestAmortization:
             total = cals[s].record.modeled_time() + res.profile.total_modeled()
             per_sample[s] = total / s
             stages[s] = {
-                k: int(v["launches"])
-                for k, v in res.extras["fusion"]["stages"].items()
+                phase: rec.gpu.launches
+                for phase, rec in res.profile.records.items()
+                if rec.gpu.launches
             }
         assert per_sample[1] / per_sample[4] >= 1.5
         assert stages[4].keys() == stages[1].keys()

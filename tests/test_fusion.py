@@ -19,7 +19,6 @@ from repro.formats.window import WindowReader
 from repro.gpusim.device import Device
 from repro.gpusim.launchplan import (
     LaunchPlan,
-    LaunchTally,
     build_launch_plan,
     chunk_windows,
 )
@@ -35,8 +34,27 @@ def ds():
     ))
 
 
+FUSED_KERNEL = "likelihood_posterior_fused_optimized"
+
+
+def stage_launches(res) -> dict:
+    """Launches per fused stage of a run on a fresh device: each phase
+    record's ``gpu.launches``, the likelihood phase split into its sort
+    and the fused kernel by the device's per-kernel counter book."""
+    records = res.profile.records
+    fused = res.extras["device"].counters.entries[FUSED_KERNEL].launches
+    return {
+        "counting": records["counting"].gpu.launches,
+        FUSED_KERNEL: fused,
+        "likelihood_sort": records["likelihood"].gpu.launches - fused,
+        "output_compress": records["output"].gpu.launches,
+        "recycle": records["recycle"].gpu.launches,
+    }
+
+
 def _run(ds, **kw):
-    pipe = create_pipeline(spec=JobSpec(engine="gsnp", window=256, **kw))
+    pipe = create_pipeline(
+        spec=JobSpec(**({"engine": "gsnp", "window": 256} | kw)))
     res = pipe.run(ds)
     if hasattr(pipe, "release_cache"):
         pipe.release_cache()
@@ -86,20 +104,14 @@ class TestLaunchReduction:
         windows instead (one window per megabatch: 3.9x in total, 4x for
         counting)."""
 
-        def stage_launches(n_windows):
+        def launches_at(n_windows):
             ds = generate_dataset(DatasetSpec(
                 name="mb-launch", n_sites=500 * n_windows, depth=12.0,
                 coverage=0.9, seed=7,
             ))
-            res = create_pipeline(spec=JobSpec(
-                engine="gsnp", window=500, fusion=True,
-            )).run(ds)
-            return {
-                k: int(v["launches"])
-                for k, v in res.extras["fusion"]["stages"].items()
-            }
+            return stage_launches(_run(ds, window=500, fusion=True))
 
-        few, many = stage_launches(3), stage_launches(12)
+        few, many = launches_at(3), launches_at(12)
         assert few == {
             "counting": 24, "likelihood_posterior_fused_optimized": 5,
             "likelihood_sort": 4, "output_compress": 358, "recycle": 1,
@@ -111,14 +123,14 @@ class TestLaunchReduction:
         for stage, launches in many.items():
             assert launches <= 1.5 * few[stage], stage
 
-    def test_fusion_extras_reported(self, ds):
+    def test_stage_launches_are_the_device_book(self, ds):
+        """The fused stages account for every launch the run's device
+        made: the phase records' launches sum to the device book."""
         res = _run(ds, fusion=True)
-        info = res.extras["fusion"]
-        assert info["launches"] > 0
-        assert info["megabatches"] >= 1
-        stages = info["stages"]
-        assert "counting" in stages and "output_compress" in stages
-        assert sum(s["launches"] for s in stages.values()) == info["launches"]
+        stages = stage_launches(res)
+        assert min(stages.values()) > 0
+        assert sum(stages.values()) \
+            == res.extras["device"].counters.total().launches
 
     def test_fused_kernel_moves_fewer_global_bytes(self, ds):
         # The fused likelihood+posterior keeps per-site genotype
@@ -187,22 +199,6 @@ class TestLaunchPlan:
         assert groups == [[0, 1, 2], [3, 4, 5], [6]]
         with pytest.raises(ValueError):
             list(chunk_windows(iter(range(3)), 0))
-
-    def test_tally_measures_device_launches(self):
-        device = Device()
-        tally = LaunchTally()
-        arr = device.alloc((64,), np.float64, "t")
-
-        def noop_kernel(ctx, out, n):
-            ctx.instr(1)
-
-        with tally.measure(device, "stage_a", windows=4):
-            device.launch(noop_kernel, 64, arr, 64, name="noop")
-            device.launch(noop_kernel, 64, arr, 64, name="noop")
-        device.free(arr)
-        assert tally.total_launches() == 2
-        s = tally.summary()["stage_a"]
-        assert s == {"launches": 2, "windows": 4, "batches": 1}
 
 
 class TestMergedCounting:

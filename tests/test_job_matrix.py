@@ -70,6 +70,7 @@ AXES = {
     "sanitize": (False, True), "samples": (1, 2, 4),
     "faults": (None, 0, 1, 2, 3), "resume": (False, True),
     "compressed": (True, False),
+    "min_quality": (13, 0, 30), "shard_timeout": (None, 30.0),
 }
 #: Further values of the tier-2 profile.
 WIDE = {"window": (100, 1600, 4000), "workers": (4,),
@@ -283,8 +284,10 @@ def check_job(env: Env, c: dict) -> set:
 #: matrices this table replaced, then cases that cross axes no such matrix
 #: crosses; together they give every axis value and every outcome.
 PINNED = [
-    # the fused chain at window 256, on process lanes, under the sanitizer
-    case(), case(workers=2, shard_size=600), case(sanitize=True),
+    # the fused chain at window 256, on process lanes with a shard
+    # deadline, under the sanitizer
+    case(), case(workers=2, shard_size=600, shard_timeout=30.0),
+    case(sanitize=True),
     # a cohort on a pool, sanitized and faulted; a journaled pool with a
     # steal lane killed, then resumed; a journaled cohort on process lanes
     case(samples=4, devices=2, sanitize=True, faults=1),
@@ -298,7 +301,7 @@ PINNED = [
     case(variant="w_shared", shard_size=600, samples=2),
     case(fusion=False, sanitize=True, samples=4),
     # a cohort of two one window per launch batch on the serial lane
-    case(fusion=False, samples=2),
+    case(fusion=False, samples=2, min_quality=0),
     # a fused cohort of four on the serial lane over several shards
     case(samples=4, shard_size=600),
     # the host engine sharded and faulted, then serial (same counters);
@@ -310,7 +313,7 @@ PINNED = [
     case(window=0), case(engine="soapsnp", devices=2),
     # the file a spec asks for, whatever the engine's own output: text
     # from the fused chain, a columnar blob from the dense baseline
-    case(compressed=False),
+    case(compressed=False, min_quality=30),
     case(engine="soapsnp", compressed=True, window=450),
 ]
 

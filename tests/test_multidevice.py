@@ -379,17 +379,18 @@ class TestResidencyKeying:
         assert d0.transfers.h2d_bytes > 0
         assert d1.transfers.h2d_bytes > 0
         assert t0.pm_dev is not t1.pm_dev
-        # Same-device reload is a residency hit, cross-device never is.
+        # Same-device reload is a residency hit, cross-device never is:
+        # each device holds its own one table set.
         before = d0.transfers.h2d_bytes
         again = GsnpTables.load(d0, pm, penalty)
         assert again is t0
         assert d0.transfers.h2d_bytes == before
-        # The resident keys embed the owning device's identity.
-        keys = [set(dev.resident._entries) for dev in (d0, d1)]
-        assert [{k[1] for k in ks} for ks in keys] == [{0}, {1}]
-        assert not keys[0] & keys[1]
-        for dev in (d0, d1):
-            dev.resident.clear()
+        assert [(len(d.resident), d.resident.hits, d.resident.misses)
+                for d in (d0, d1)] == [(1, 1, 1), (1, 0, 1)]
+        # Freeing one device's slot leaves the other's copy live.
+        d0.resident.clear()
+        assert t0.newp_dev.freed and not t1.newp_dev.freed
+        d1.resident.clear()
 
     def test_acquire_device_standalone(self):
         dev = acquire_device(sanitize=True)
@@ -399,7 +400,7 @@ class TestResidencyKeying:
     def test_devices_are_constructed_only_by_the_pool(self):
         """Every simulated device in the package comes from
         ``acquire_device`` (``gpusim/pool.py``), so every pool lane's
-        device carries its ``device_id`` into the residency keys."""
+        device carries its ``device_id`` and its own residency slot."""
         root = Path(__file__).parents[1] / "src" / "repro"
         sites = set()
         for path in root.rglob("*.py"):

@@ -172,14 +172,20 @@ class TestChainAccounting:
         }
         assert read == {True: pooled, False: split}
 
-    def test_tally_counts_reference_windows(self, cohort_runs):
-        info = cohort_runs[True].extras["fusion"]
-        assert info["samples"] == 3
-        assert info["megabatches"] == 3  # ceil(7 / 3)
-        for stage in info["stages"].values():
-            assert stage["windows"] == N_WINDOWS  # not 3 * N_WINDOWS
-            assert stage["batches"] == 3
-        assert "fusion" not in cohort_runs[False].extras
+    def test_fused_chain_launches_per_megabatch(self, cohort_runs):
+        """Three samples, seven windows, megabatches of three: the recycle
+        launches once per megabatch (ceil(7 / 3)) when fused, once per
+        (window, sample) otherwise, and only the fused chain runs the
+        fused kernel."""
+        fused = "likelihood_posterior_fused_optimized"
+        launches = {
+            fusion: (
+                fused in res.extras["device"].counters.entries,
+                res.profile.records["recycle"].gpu.launches,
+            )
+            for fusion, res in cohort_runs.items()
+        }
+        assert launches == {True: (True, 3), False: (False, 3 * N_WINDOWS)}
 
     def test_fused_sort_stats_ride_on_sample_zero(
         self, cohort_runs, detector_runs

@@ -450,6 +450,45 @@ class TestResidentCaches:
         assert cache.get("key") is None
         assert cache.stats()["misses"] == 1
 
+    def test_worker_holds_one_pipeline_and_one_table_set(self, tmp_path):
+        """A worker's resident state does not grow with what it serves:
+        six datasets and two job shapes (two windows) leave one pipeline,
+        one resident table set and the first job's device bytes.  A job
+        that changes only ``min_quality`` (byte-invariant) reuses the
+        pipeline and its uploaded tables."""
+        from repro.formats.fasta import write_fasta
+        from repro.formats.soap import write_soap
+        from repro.seqsim.datasets import DatasetSpec, generate_dataset
+        from repro.serve.runner import ResidentRunner
+
+        jobs = []
+        for i in range(6):
+            ds = generate_dataset(DatasetSpec(
+                name="chrServe", n_sites=SITES, depth=4.0, coverage=0.9,
+                read_len=60, seed=100 + i,
+            ))
+            fasta, soap = tmp_path / f"d{i}.fa", tmp_path / f"d{i}.soap"
+            write_fasta(str(fasta), [ds.reference])
+            write_soap(str(soap), ds.reads)
+            jobs.append(JobSpec(fasta=str(fasta), soap=str(soap),
+                                window=(WINDOW, 2 * WINDOW)[i % 2]))
+        jobs.append(replace(jobs[-1], min_quality=30))
+        runner = ResidentRunner(tmp_path / "state", max_datasets=2)
+        seen = []
+        with runner.pipelines() as pipelines:
+            for i, spec in enumerate(jobs):
+                runner.run_job(types.SimpleNamespace(
+                    spec=spec, job_id=f"job{i}", recovered=False,
+                ), pipelines)
+                (pipe,) = pipelines.values()
+                device = pipe._cached_device
+                seen.append((pipe, device.resident.hits,
+                             len(device.resident), device.global_used))
+            assert runner.stats()["resident"]["pipelines"] == 1
+        assert {(n, used) for *_, n, used in seen} == {(1, seen[0][3])}
+        assert seen[-1][0] is seen[-2][0]
+        assert seen[-1][1] == seen[-2][1] + 1
+
     def test_serial_lane_runs_on_the_callers_thread(
         self, small_dataset, monkeypatch
     ):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import JobSpec, create_pipeline
-from repro.core import score_table
+from repro.core import likelihood, pipeline
 from repro.exec import execute
 from repro.gpusim.device import Device
 from repro.gpusim.memory import (
@@ -63,7 +63,7 @@ class TestTogglesParity:
 
 
 class TestResidency:
-    """Score tables are built and uploaded exactly once per worker."""
+    """Score tables are built and uploaded exactly once per job."""
 
     def _upload_counter(self, monkeypatch):
         counts = {"new_p_matrix": 0}
@@ -80,22 +80,23 @@ class TestResidency:
     def test_uploaded_once_per_worker(self, small_dataset, monkeypatch):
         counts = self._upload_counter(monkeypatch)
         builds = []
-        build = score_table.build_new_p_matrix
+        build = pipeline.build_new_p_matrix
 
         def counting_build(p_matrix):
             builds.append(1)
             return build(p_matrix)
 
-        monkeypatch.setattr(score_table, "build_new_p_matrix", counting_build)
-        monkeypatch.setattr(score_table, "_NEWP_CACHE", {})
-        # The serial lane runs all 4 shards in-process: one lane, one
-        # pipeline, one upload — despite four shard runs.
-        execute(
-            small_dataset,
-            spec=JobSpec(engine="gsnp", window=WINDOW, shard_size=1024),
-        )
-        assert counts["new_p_matrix"] == 1
-        assert len(builds) == 1
+        # Every module that can build the table: the calibration, and the
+        # upload's fallback for callers without one.
+        for module in (pipeline, likelihood):
+            monkeypatch.setattr(module, "build_new_p_matrix", counting_build)
+        # The serial lane runs all 4 shards in-process: one calibration,
+        # one build, one lane, one pipeline, one upload — despite four
+        # shard runs.  A second job builds and uploads once more.
+        spec = JobSpec(engine="gsnp", window=WINDOW, shard_size=1024)
+        for job in (1, 2):
+            execute(small_dataset, spec=spec)
+            assert (counts["new_p_matrix"], len(builds)) == (job, job)
 
     def test_release_cache_frees_resident_tables(self, small_dataset):
         pipe = create_pipeline(
