@@ -35,7 +35,7 @@ def main() -> None:
 
     # --- storage comparison (Fig 9a shape) -------------------------------
     text = format_rows(result.table)
-    gz, _ = gzip_compress(text)
+    gz = gzip_compress(text)
     print("output storage:")
     print(f"  SOAPsnp text : {len(text):>9d} bytes")
     print(f"  text + gzip  : {len(gz):>9d} bytes "

@@ -104,7 +104,3 @@ class AlignmentBatch:
                 for name in ("pos", "strand", "hits", "bases", "quals")
             },
         )
-
-    def concat(self, other: "AlignmentBatch") -> "AlignmentBatch":
-        """Concatenate two batches (caller guarantees sortedness)."""
-        return AlignmentBatch.concat_all([self, other])

@@ -57,9 +57,6 @@ class DiscoveredKernels:
     #: The function definitions classified as kernel bodies.
     kernels: list[ast.FunctionDef] = field(default_factory=list)
 
-    def kernel_names(self) -> list[str]:
-        return [k.name for k in self.kernels]
-
 
 class KernelFinder(ast.NodeVisitor):
     """Collect function defs, launch-site kernel refs, and name aliases."""

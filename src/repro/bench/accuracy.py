@@ -3,10 +3,9 @@
 The paper evaluates performance, taking accuracy as given ("the Bayesian
 model ... has shown high accuracy in practice" [1]); a reproduction with
 synthetic truth can *measure* it.  This module sweeps the consensus-quality
-threshold and reports precision/recall/F1 per operating point — the
-standard way to characterize a caller — plus genotype-level concordance
-(the called genotype must match the planted one, not merely flag the
-site).
+threshold and reports precision/recall per operating point — the standard
+way to characterize a caller — plus the count of genotype-exact calls (the
+called genotype must match the planted one, not merely flag the site).
 """
 
 from __future__ import annotations
@@ -40,20 +39,6 @@ class OperatingPoint:
     def recall(self) -> float:
         d = self.true_positives + self.false_negatives
         return self.true_positives / d if d else 1.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if (p + r) else 0.0
-
-    @property
-    def genotype_concordance(self) -> float:
-        """Fraction of true positives whose genotype matches the truth."""
-        return (
-            self.genotype_exact / self.true_positives
-            if self.true_positives
-            else 1.0
-        )
 
 
 def quality_sweep(
@@ -111,9 +96,3 @@ def quality_sweep(
         )
     return out
 
-
-def best_f1(points: list[OperatingPoint]) -> OperatingPoint:
-    """The operating point maximizing F1."""
-    if not points:
-        raise ValueError("no operating points")
-    return max(points, key=lambda p: p.f1)

@@ -377,7 +377,7 @@ def exp_fig9(name: str, fraction: float | None = None) -> dict:
     spec = bench_spec(name, fraction)
     factor = spec.scale_factor
     text = format_rows(so.table)
-    gz, _ = gzip_compress(text)
+    gz = gzip_compress(text)
     sizes = {
         "SOAPsnp": len(text) * factor,
         "SOAPsnp_gzip": len(gz) * factor,
@@ -418,7 +418,7 @@ def exp_fig10(name: str, fraction: float | None = None) -> dict:
     spec = bench_spec(name, fraction)
     factor = spec.scale_factor
     text = format_rows(so.table)
-    gz, _ = gzip_compress(text)
+    gz = gzip_compress(text)
     disk = DiskModel()
     # Sequential read of the original text (disk + per-byte text parsing)
     # vs load-compressed + lightweight in-memory decode ("most algorithms

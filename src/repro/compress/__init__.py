@@ -10,13 +10,7 @@ from .columnar import (
 )
 from .delta import delta_decode, delta_encode
 from .dictionary import dict_decode, dict_encode, dict_encode_gpu
-from .gzipcodec import (
-    GZIP_COMPRESS_BW,
-    GZIP_DECOMPRESS_BW,
-    GzipStats,
-    gzip_compress,
-    gzip_decompress,
-)
+from .gzipcodec import GZIP_COMPRESS_BW, GZIP_DECOMPRESS_BW, gzip_compress
 from .reader import CompressedResultReader
 from .rle import mean_run_length, rle_decode, rle_encode
 from .rle_dict import rle_dict_decode, rle_dict_encode, rle_dict_encode_gpu
@@ -32,7 +26,6 @@ __all__ = [
     "CompressedResultReader",
     "GZIP_COMPRESS_BW",
     "GZIP_DECOMPRESS_BW",
-    "GzipStats",
     "RLE_DICT_COLUMNS",
     "bits_needed",
     "decode_alignments",
@@ -47,7 +40,6 @@ __all__ = [
     "exception_decode",
     "exception_encode",
     "gzip_compress",
-    "gzip_decompress",
     "mean_run_length",
     "pack_bits",
     "rle_decode",

@@ -94,6 +94,17 @@ def dict_decode(data: bytes) -> np.ndarray:
     return table[idx.astype(np.int64)]
 
 
+def rank_keys(values: np.ndarray) -> np.ndarray:
+    """uint32 sort keys for the device encoders, which radix-sort
+    unsigned keys: integers of at most 32 bits as they are, anything else
+    (floats) rank-mapped on the host — rank order is value order, so the
+    device builds the same dictionary shape."""
+    values = np.asarray(values)
+    if values.dtype.kind in "ui" and values.itemsize <= 4:
+        return values.astype(np.uint32)
+    return np.searchsorted(np.unique(values), values).astype(np.uint32)
+
+
 def dict_encode_gpu(device: Device, values: np.ndarray) -> bytes:
     """GPU DICT encoder: sort + unique build the dictionary, parallel
     binary search finds indices; constant memory caches small
@@ -105,13 +116,7 @@ def dict_encode_gpu(device: Device, values: np.ndarray) -> bytes:
     values = np.asarray(values)
     if values.size == 0:
         return dict_encode(values)
-    # Radix sort wants unsigned keys.  Integer values sort directly; float
-    # values are first rank-mapped on the host (rank order == value order,
-    # so the device builds the same dictionary shape).
-    if values.dtype.kind in "ui" and values.itemsize <= 4:
-        work = values.astype(np.uint32)
-    else:
-        work = np.searchsorted(np.unique(values), values).astype(np.uint32)
+    work = rank_keys(values)
     keys = device.to_device(work, "dict.keys")
     sorted_keys = device_radix_sort(device, keys)
     uniq = device_unique(device, sorted_keys)

@@ -35,17 +35,9 @@ from ..gpusim.primitives.segmented import (
     segmented_flag_runs,
 )
 from .columnar import RLE_DICT_COLUMNS, column_values, encode_table
-from .dictionary import dict_blob
+from .dictionary import dict_blob, rank_keys
 from .rle import rle_encode
 from .rle_dict import rle_dict_join
-
-
-def _rank_keys(values: np.ndarray) -> np.ndarray:
-    """uint32 sort keys with the rank-map rule of the per-window encoder."""
-    values = np.asarray(values)
-    if values.dtype.kind in "ui" and values.itemsize <= 4:
-        return values.astype(np.uint32)
-    return np.searchsorted(np.unique(values), values).astype(np.uint32)
 
 
 def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> list:
@@ -53,13 +45,13 @@ def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> list:
     returns each window's RLE-DICT payload, made of the host runs,
     dictionaries and indices the device results are checked against."""
     # --- RLE level: one segmented run-flag launch + one reduction -------
-    values = np.concatenate([_rank_keys(c) for c in cols])
+    values = np.concatenate([rank_keys(c) for c in cols])
     seg_first = np.zeros(values.size, dtype=np.uint8)
     seg_first[np.cumsum([0] + [c.size for c in cols[:-1]])] = 1
     vals_dev = device.to_device(values, "fusedrle.values")
     first_dev = device.to_device(seg_first, "fusedrle.first")
     flags = segmented_flag_runs(device, vals_dev, first_dev)
-    n_runs = int(device_reduce(device, flags, op="sum"))
+    n_runs = int(device_reduce(device, flags))
     for a in (vals_dev, first_dev, flags):
         device.free(a)
     runs = [rle_encode(c) for c in cols]
@@ -71,7 +63,7 @@ def _fused_rle_dict_column(device: Device, cols: list[np.ndarray]) -> list:
     # --- DICT level: one segmented chain per run array ------------------
     blobs = []
     for seg_keys, host in (
-        ([_rank_keys(rv) for rv, _ in runs], [rv for rv, _ in runs]),
+        ([rank_keys(rv) for rv, _ in runs], [rv for rv, _ in runs]),
         (
             [rl.astype(np.uint32) for _, rl in runs],
             [rl.astype(np.uint32) for _, rl in runs],

@@ -1,51 +1,18 @@
 """zlib (gzip) baseline codec — the general-purpose comparator of Fig. 9/10.
 
 The paper compares its customized algorithms against gzip through zlib
-[13]; we do the same, recording compressed sizes and (de)compression CPU
-time so the benchmark can model full-scale output speed.
+[13]; we do the same, measuring compressed sizes here and modeling
+full-scale (de)compression speed with the throughputs below.
 """
 
 from __future__ import annotations
 
-import time
 import zlib
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class GzipStats:
-    """Result of one gzip (de)compression run."""
-
-    input_bytes: int
-    output_bytes: int
-    seconds: float
-
-    @property
-    def ratio(self) -> float:
-        if self.output_bytes == 0:
-            return 0.0
-        return self.input_bytes / self.output_bytes
-
-    @property
-    def throughput(self) -> float:
-        """Input bytes per second."""
-        return self.input_bytes / self.seconds if self.seconds > 0 else 0.0
-
-
-def gzip_compress(data: bytes, level: int = 6) -> tuple[bytes, GzipStats]:
-    """Compress with zlib; returns (blob, stats)."""
-    t0 = time.perf_counter()
-    blob = zlib.compress(data, level)
-    dt = time.perf_counter() - t0
-    return blob, GzipStats(len(data), len(blob), dt)
-
-
-def gzip_decompress(blob: bytes) -> tuple[bytes, GzipStats]:
-    """Decompress with zlib; returns (data, stats)."""
-    t0 = time.perf_counter()
-    data = zlib.decompress(blob)
-    dt = time.perf_counter() - t0
-    return data, GzipStats(len(blob), len(data), dt)
+def gzip_compress(data: bytes, level: int = 6) -> bytes:
+    """Compress with zlib."""
+    return zlib.compress(data, level)
 
 
 #: Measured-at-full-scale gzip compression throughput the cost model uses

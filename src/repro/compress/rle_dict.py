@@ -16,9 +16,9 @@ import numpy as np
 
 from ..errors import CodecError
 from ..gpusim.device import Device
-from ..gpusim.memory import DeviceArray
 from ..gpusim.primitives.reduce import device_reduce
-from .dictionary import dict_decode, dict_encode, dict_encode_gpu
+from ..gpusim.primitives.unique import _flag_kernel
+from .dictionary import dict_decode, dict_encode, dict_encode_gpu, rank_keys
 from .rle import rle_decode, rle_encode
 from .wire import at, read_header, take
 
@@ -68,34 +68,22 @@ def rle_dict_decode(data: bytes, count: int) -> np.ndarray:
         return rle_decode(run_values, run_lengths.astype(np.int64))
 
 
-def _flag_runs_kernel(ctx, values: DeviceArray, flags: DeviceArray, n: int):
-    """Thread t flags whether position t starts a new run."""
-    active = ctx.tid < n
-    v = ctx.gload(values, ctx.tid, active=active)
-    left = ctx.gload(values, np.maximum(ctx.tid - 1, 0), active=active)
-    is_new = (ctx.tid == 0) | (v != left)
-    ctx.instr(2, active=active)
-    ctx.gstore(flags, ctx.tid, is_new.astype(flags.dtype), active=active)
-
-
 def rle_dict_encode_gpu(device: Device, values: np.ndarray) -> bytes:
     """GPU RLE-DICT: run flags + reduction for RLE, device DICT for both
-    arrays.  Byte-identical to the CPU encoder."""
+    arrays.  Byte-identical to the CPU encoder.  The run flags are
+    :func:`~repro.gpusim.primitives.unique.device_unique`'s flag kernel,
+    launched as ``rle_flag``."""
     values = np.asarray(values)
     if values.size:
-        if values.dtype.kind in "ui" and values.itemsize <= 4:
-            work = values.astype(np.uint32)
-        else:
-            work = np.searchsorted(np.unique(values), values).astype(np.uint32)
-        vals_dev = device.to_device(work, "rle.values")
+        vals_dev = device.to_device(rank_keys(values), "rle.values")
         flags = device.alloc(values.size, np.int64, "rle.flags")
         device.launch(
-            _flag_runs_kernel, values.size, vals_dev, flags, values.size,
+            _flag_kernel, values.size, vals_dev, flags, values.size,
             name="rle_flag",
         )
         # Number of runs via the reduction primitive (the paper: "RLE is
         # implemented using the primitive reduction on the GPU").
-        _n_runs = int(device_reduce(device, flags, op="sum"))
+        _n_runs = int(device_reduce(device, flags))
         device.free(vals_dev)
         device.free(flags)
         run_values, run_lengths = rle_encode(values)

@@ -42,7 +42,6 @@ from ..constants import (
     P_ALLELE_SHIFT,
 )
 from ..content import digest
-from ..gpusim import kernel
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
 from ..soapsnp.likelihood import occurrence_ordinals
@@ -240,7 +239,7 @@ def _comp_kernel(
     # Steps per block: one under the sanitizer or an op observer, whose
     # hooks and records want one op per step.
     block = max(1, LANES // max(n, 1))
-    if ctx.sanitizer is not None or kernel._OP_OBSERVER is not None:
+    if ctx.sanitizer is not None or ctx.observer is not None:
         block = 1
     for j0 in range(0, width, block):
         # The block's steps j are its rows (one step: plain 1-D ops).

@@ -176,9 +176,6 @@ class FaultPlan:
             )
         return cls(specs, seed=seed)
 
-    def with_spec(self, spec: FaultSpec) -> "FaultPlan":
-        return FaultPlan(self.specs + (spec,), seed=self.seed)
-
     def in_worker_process(self) -> bool:
         return os.getpid() != self.parent_pid
 

@@ -10,7 +10,6 @@ from .cns import (
     write_cns,
 )
 from .fasta import read_fasta, write_fasta
-from .fastq import read_fastq, write_fastq
 from .prior import read_prior, write_prior
 from .soap import read_soap, soap_line_bytes, write_soap
 from .stream import StreamingSoapReader
@@ -27,13 +26,11 @@ __all__ = [
     "parse_rows",
     "read_cns",
     "read_fasta",
-    "read_fastq",
     "read_prior",
     "read_soap",
     "soap_line_bytes",
     "write_cns",
     "write_fasta",
-    "write_fastq",
     "write_prior",
     "write_soap",
 ]

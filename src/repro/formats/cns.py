@@ -89,10 +89,6 @@ class ResultTable:
     def n_sites(self) -> int:
         return int(self.pos.size)
 
-    @property
-    def n_columns(self) -> int:
-        return N_OUTPUT_COLUMNS
-
     def validate(self) -> None:
         """Raise ValueError on shape or domain violations."""
         n = self.n_sites
@@ -143,11 +139,6 @@ class ResultTable:
     def concat(self, other: "ResultTable") -> "ResultTable":
         """Append another table's rows (same chromosome)."""
         return ResultTable.concat_all([self, other])
-
-    def row(self, i: int) -> dict:
-        """Row i as a plain dict (for tests and spot checks)."""
-        return {f.name: getattr(self, f.name)[i] for f in fields(self)
-                if f.name != "chrom"}
 
     def equals(self, other: "ResultTable") -> bool:
         """Exact equality of all columns (the §IV-G consistency check)."""

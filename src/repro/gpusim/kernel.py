@@ -25,6 +25,8 @@ row padded with dead lanes to whole warps.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,22 +60,23 @@ class OpRecord:
     segment_bytes: int
 
 
-#: Module-level op observer; ``None`` keeps the hot path branch-free
-#: beyond a single global check.
-_OP_OBSERVER: Optional[Callable[[OpRecord], None]] = None
+#: The op observer of the current context (``None``: none), set by
+#: :func:`op_observer`.  A new thread starts with none, and each
+#: :class:`KernelContext` reads it once, when it is built.
+_OBSERVER: ContextVar[Optional[Callable[[OpRecord], None]]] = ContextVar(
+    "gsnp_op_observer", default=None
+)
 
 
-def set_op_observer(
-    fn: Optional[Callable[[OpRecord], None]],
-) -> Optional[Callable[[OpRecord], None]]:
-    """Install (or clear, with ``None``) the per-op observer.
-
-    Returns the previous observer so callers can restore it.
-    """
-    global _OP_OBSERVER
-    prev = _OP_OBSERVER
-    _OP_OBSERVER = fn
-    return prev
+@contextmanager
+def op_observer(fn: Callable[[OpRecord], None]):
+    """``with op_observer(fn): ...`` — every op the block's kernels route
+    on this thread is reported to ``fn``; restored on exit."""
+    token = _OBSERVER.set(fn)
+    try:
+        yield fn
+    finally:
+        _OBSERVER.reset(token)
 
 
 def require_global(arr: DeviceArray) -> None:
@@ -120,6 +123,8 @@ class KernelContext:
         self.warp_size = device.spec.warp_size
         #: Runtime sanitizer, or None (``Device(sanitize=True)`` sets it).
         self.sanitizer = getattr(device, "sanitizer", None)
+        #: Op observer of the launching context, or None (:func:`op_observer`).
+        self.observer = _OBSERVER.get()
         #: Global thread ids, the vector every kernel body indexes with.
         self.tid = np.arange(self.n_threads, dtype=np.int64)
         # Per-mask-object memo of (mask object, bool vector, active warps).
@@ -291,7 +296,7 @@ class KernelContext:
         shape = (steps, self.n_threads)
         if not load:
             args = (np.broadcast_to(np.asarray(args[0]), shape),)
-        if self.sanitizer is not None or _OP_OBSERVER is not None:
+        if self.sanitizer is not None or self.observer is not None:
             rows = np.broadcast_to(np.asarray(idx), shape)
             acts = [None] * steps if active is None else np.broadcast_to(
                 active, shape)
@@ -369,11 +374,10 @@ class KernelContext:
         Only called when an observer is installed; the first frame outside
         this module is the kernel body line that issued the op.
         """
-        assert _OP_OBSERVER is not None
         frame = sys._getframe(2)
         while frame.f_code.co_filename == __file__:
             frame = frame.f_back
-        _OP_OBSERVER(OpRecord(
+        self.observer(OpRecord(
             kind=kind,
             file=frame.f_code.co_filename,
             line=frame.f_lineno,
@@ -434,7 +438,7 @@ class KernelContext:
         self.counters.bump_global(
             load_tx=tx, load_bytes=n_live * arr.itemsize, inst=warps
         )
-        if _OP_OBSERVER is not None:
+        if self.observer is not None:
             self._observe("gload", arr, tx, n_live, warps)
         if not arr._stored:
             # Value-free array: charged and checked, nothing to read.
@@ -479,7 +483,7 @@ class KernelContext:
             lo = int(np.where(act, idx, np.iinfo(np.int64).max).min())
         if (
             self.sanitizer is not None
-            or _OP_OBSERVER is not None
+            or self.observer is not None
             or not fan.size
             or min(lo, lo + int(fan.min())) < 0
         ):
@@ -539,7 +543,7 @@ class KernelContext:
         self.counters.bump_global(
             store_tx=tx, store_bytes=n_live * arr.itemsize, inst=warps
         )
-        if _OP_OBSERVER is not None:
+        if self.observer is not None:
             self._observe("gstore", arr, tx, n_live, warps)
         if not arr._stored:
             self._bounds_check(arr, midx if live is None else midx[live])
@@ -579,7 +583,7 @@ class KernelContext:
             load_tx=tx, store_tx=tx, load_bytes=nbytes, store_bytes=nbytes,
             inst=warps,
         )
-        if _OP_OBSERVER is not None:
+        if self.observer is not None:
             self._observe("gatomic_add", arr, tx, n_live, warps)
         if not arr._stored:
             self._bounds_check(arr, midx if live is None else midx[live])
@@ -620,7 +624,7 @@ class KernelContext:
         midx, live, n_live, warps = self._op_info(idx, active)
         self.counters.c_load += n_live
         self.counters.inst_warp += warps
-        if _OP_OBSERVER is not None:
+        if self.observer is not None:
             self._observe("cload", arr, 0, n_live, warps)
         if live is None:
             self._bounds_check(arr, midx)

@@ -28,7 +28,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
 
 #: Windows concatenated into one ragged megabatch, and the shard size (in
 #: windows) of a journaled serial job.  16 windows of ~3k sites keeps every
@@ -73,9 +72,8 @@ class WindowSegment:
 class LaunchPlan:
     """CSR-style layout of a megabatch: segments + flat-axis totals.
 
-    ``site_offsets`` has ``n_windows + 1`` entries (classic CSR row
-    pointers over the flat site axis); :meth:`site_window` expands it to
-    a per-site segment-id array for device-side segmented primitives.
+    Each segment carries its own ``site_offset``/``obs_offset`` (the CSR
+    row pointers over the flat site and observation axes).
     """
 
     segments: Tuple[WindowSegment, ...]
@@ -85,29 +83,6 @@ class LaunchPlan:
     @property
     def n_windows(self) -> int:
         return len(self.segments)
-
-    @property
-    def n_samples(self) -> int:
-        """Number of cohort samples laid out in this plan (1 if solo)."""
-        if not self.segments:
-            return 1
-        return max(seg.sample for seg in self.segments) + 1
-
-    def sample_segments(self, sample: int) -> Tuple[WindowSegment, ...]:
-        """The segments belonging to one cohort sample, in window order."""
-        return tuple(seg for seg in self.segments if seg.sample == sample)
-
-    @property
-    def site_offsets(self) -> np.ndarray:
-        out = np.zeros(self.n_windows + 1, dtype=np.int64)
-        for seg in self.segments:
-            out[seg.index + 1] = seg.site_offset + seg.n_sites
-        return out
-
-    def site_window(self) -> np.ndarray:
-        """Per-site window (segment) ids, shape ``(n_sites,)``."""
-        counts = [seg.n_sites for seg in self.segments]
-        return np.repeat(np.arange(self.n_windows, dtype=np.int32), counts)
 
 
 def build_launch_plan(
@@ -121,7 +96,7 @@ def build_launch_plan(
     sample; a cohort batch arrives sample-major — all of sample 0's
     windows, then all of sample 1's, and so on.  Segment indices stay
     sequential (0 .. S*W-1) because the flat-axis machinery —
-    ``site_offsets``, :func:`repro.core.fused.merge_observations`, the
+    the segment offsets, :func:`repro.core.fused.merge_observations`, the
     segmented primitives — is segment-count agnostic; the tag exists
     only so the host epilogue can route each window's result table back
     to its own sample's output stream.

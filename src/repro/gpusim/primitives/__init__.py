@@ -8,7 +8,7 @@ NumPy and accounts instructions and memory transactions through the
 :class:`~repro.gpusim.kernel.KernelContext`.
 """
 
-from .reduce import device_reduce, segmented_reduce
+from .reduce import device_reduce
 from .scan import device_exclusive_scan
 from .search import device_binary_search
 from .segmented import (
@@ -28,6 +28,5 @@ __all__ = [
     "device_unique",
     "segmented_dict_indices",
     "segmented_flag_runs",
-    "segmented_reduce",
     "sequential_radix_sort_batches",
 ]

@@ -26,8 +26,8 @@ from ..memory import count_transactions
 
 def counts_only(device) -> bool:
     """True when a primitive may charge its kernels without running them:
-    no sanitizer on the device and no op observer installed."""
-    return device.sanitizer is None and kernel._OP_OBSERVER is None
+    no sanitizer on the device and no op observer in this context."""
+    return device.sanitizer is None and kernel._OBSERVER.get() is None
 
 
 def charge(device, name: str, n: int, instr: int, *ops) -> None:

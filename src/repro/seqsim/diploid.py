@@ -41,15 +41,6 @@ class Diploid:
     def n_snps(self) -> int:
         return int(self.snp_positions.size)
 
-    def genotype_at(self, pos: int) -> tuple[int, int]:
-        """True unordered genotype at a position (ref/ref if not a SNP)."""
-        i = np.searchsorted(self.snp_positions, pos)
-        if i < self.n_snps and self.snp_positions[i] == pos:
-            g = self.snp_genotypes[i]
-            return int(g[0]), int(g[1])
-        r = int(self.reference.codes[pos])
-        return r, r
-
 
 def simulate_diploid(
     reference: Reference,

@@ -62,8 +62,3 @@ class QualityModel:
         q = means[None, :] + noise
         q = np.rint(q / self.quant) * self.quant
         return np.clip(q, self.min_q, self.max_q).astype(np.uint8)
-
-    def expected_error_rate(self, read_len: int) -> float:
-        """Mean substitution-error probability over a read (diagnostic)."""
-        means = self.cycle_means(read_len)
-        return float(np.mean(np.power(10.0, -means / 10.0)))

@@ -132,8 +132,8 @@ def reverse_complement_view(
     """Bases/quals of read ``i`` as the machine actually read them.
 
     Forward reads return the stored arrays; reverse reads return the
-    reverse complement with reversed qualities (useful for writing FASTQ
-    or SOAP alignment text).
+    reverse complement with reversed qualities (the aligner's input, and
+    what SOAP alignment text holds).
     """
     b = batch.bases[i]
     q = batch.quals[i]

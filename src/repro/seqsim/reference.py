@@ -26,11 +26,6 @@ class Reference:
     def length(self) -> int:
         return int(self.codes.size)
 
-    def to_string(self) -> str:
-        """Decode to an ACGT string (small references only)."""
-        lut = np.frombuffer(BASES.encode(), dtype=np.uint8)
-        return lut[self.codes].tobytes().decode()
-
     @staticmethod
     def from_string(name: str, seq: str) -> "Reference":
         """Parse an ACGT string (raises on other characters)."""

@@ -34,11 +34,6 @@ class SubmitResult:
     output: Optional[bytes] = None
     events: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        """Whether the job was accepted and (if waited for) succeeded."""
-        return self.status in ("done", "accepted")
-
 
 class ServeClient:
     """Talk to a gsnp-serve daemon over its Unix socket."""

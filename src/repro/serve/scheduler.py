@@ -12,7 +12,9 @@ within a priority level) until a daemon worker thread claims them with
 fan-out: any number of client connections can :meth:`Job.subscribe` and
 receive ``started``/``output``/``done``/``error`` events; terminal events
 replay to late subscribers, so attaching to a finished job still yields
-its outcome.
+its outcome — for the newest :data:`FINISHED_JOBS_KEPT` finished jobs.
+Older ones are forgotten (a ``wait`` on one is an unknown job), because
+an inline job's history holds its whole output.
 
 States move strictly ``QUEUED -> RUNNING -> DONE | FAILED``; per-tenant
 quota counts jobs in the two live states.
@@ -28,6 +30,9 @@ from typing import Optional
 
 from ..api import JobSpec
 from ..errors import GsnpError
+
+#: Finished jobs the scheduler keeps, the newest by finish time.
+FINISHED_JOBS_KEPT = 16
 
 
 class JobState(str, Enum):
@@ -174,18 +179,27 @@ class JobScheduler:
     def mark_done(self, job: Job, summary: str) -> None:
         """Record successful completion."""
         with self._cond:
-            job.state = JobState.DONE
             job.summary = summary
             self.counters["completed"] += 1
-            self._cond.notify_all()
+            self._finish(job, JobState.DONE)
 
     def mark_failed(self, job: Job, error: str) -> None:
         """Record failure (the job frees its queue/quota slot)."""
         with self._cond:
-            job.state = JobState.FAILED
             job.error = error
             self.counters["failed"] += 1
-            self._cond.notify_all()
+            self._finish(job, JobState.FAILED)
+
+    def _finish(self, job: Job, state: JobState) -> None:
+        """Move ``job`` to ``state`` and to the end of the table, then
+        forget all but the newest :data:`FINISHED_JOBS_KEPT` finished
+        jobs (under ``_cond``)."""
+        job.state = state
+        self.jobs[job.job_id] = self.jobs.pop(job.job_id)
+        finished = [i for i, j in self.jobs.items() if not j.live]
+        for job_id in finished[:-FINISHED_JOBS_KEPT]:
+            del self.jobs[job_id]
+        self._cond.notify_all()
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until no job is live; ``False`` on timeout."""

@@ -8,7 +8,7 @@ from .bitonic import (
     n_steps,
     next_pow2,
 )
-from .cpu_sort import ParallelCpuSortModel, quicksort_batch, quicksort_per_site
+from .cpu_sort import ParallelCpuSortModel, quicksort_per_site
 from .multipass import (
     SortStats,
     multipass_sort,
@@ -29,7 +29,6 @@ __all__ = [
     "next_pow2",
     "nonequal_sort",
     "pad_rows",
-    "quicksort_batch",
     "quicksort_per_site",
     "singlepass_sort",
     "size_class_of",

@@ -27,16 +27,6 @@ def quicksort_per_site(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def quicksort_batch(batch: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sort each valid row prefix of a padded batch (CPU reference)."""
-    out = batch.copy()
-    for i in range(batch.shape[0]):
-        m = int(lengths[i])
-        if m > 1:
-            out[i, :m] = np.sort(out[i, :m], kind="quicksort")
-    return out
-
-
 @dataclass(frozen=True)
 class ParallelCpuSortModel:
     """Analytical throughput model for the 16-thread CPU quicksort.

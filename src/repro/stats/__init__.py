@@ -1,20 +1,11 @@
-"""Statistical helpers: host-side log tables and the rank-sum test."""
+"""Statistical helpers: the host-side penalty table and the rank-sum test."""
 
 from .ranksum import rank_sum_pvalue, rank_sum_statistic
-from .tables import (
-    DEFAULT_PCR_DEPENDENCY,
-    dependency_penalty_table,
-    error_to_phred,
-    log10_table,
-    phred_to_error,
-)
+from .tables import DEFAULT_PCR_DEPENDENCY, dependency_penalty_table
 
 __all__ = [
     "DEFAULT_PCR_DEPENDENCY",
     "dependency_penalty_table",
-    "error_to_phred",
-    "log10_table",
-    "phred_to_error",
     "rank_sum_pvalue",
     "rank_sum_statistic",
 ]

@@ -1,20 +1,17 @@
-"""Host-precomputed logarithm tables (Section IV-G).
+"""The host-precomputed dependency penalty table (Section IV-G).
 
 GPUs and CPUs disagree in the last ulp of transcendental functions, which
 the paper found flipped ~0.1% of SNP calls.  GSNP therefore computes every
-logarithm it needs *once on the host* and ships the results to the device:
+logarithm it needs *once on the host* and ships the results to the device.
+:func:`dependency_penalty_table` is the Phred penalty applied by ``adjust``
+to the k-th repeated observation at the same (strand, coord); it is built
+from ``log10`` on the host, so the sparse/GPU path and the dense/CPU path
+apply *identical* integer adjustments.  (The score tables' logarithms are
+taken on the host the same way, in :mod:`repro.core.score_table`.)
 
-* :func:`log10_table` — ``log10`` of the integer scores ``0..n-1`` (the
-  paper's 64-entry ``log_table`` kept in constant memory).
-* :func:`dependency_penalty_table` — the Phred penalty applied by
-  ``adjust`` to the k-th repeated observation at the same (strand, coord);
-  built from ``log10`` on the host so the sparse/GPU path and the dense/CPU
-  path apply *identical* integer adjustments.
-
-Both tables are plain NumPy arrays; every implementation in this package —
-dense baseline, sparse CPU, simulated GPU — reads from the same arrays,
-which is how the reproduction achieves the paper's bitwise-consistency
-guarantee.
+The table is a plain NumPy array that every implementation in this
+package — dense baseline, sparse CPU, simulated GPU — reads, which is how
+the reproduction achieves the paper's bitwise-consistency guarantee.
 """
 
 from __future__ import annotations
@@ -26,21 +23,6 @@ from ..constants import N_SCORES
 #: Default PCR dependency coefficient: each duplicate observation at the
 #: same (strand, coordinate) halves the evidence weight (see DESIGN.md).
 DEFAULT_PCR_DEPENDENCY = 0.5
-
-
-def log10_table(n: int = N_SCORES) -> np.ndarray:
-    """``log10(i)`` for integer scores ``i in [0, n)``; entry 0 is 0.
-
-    The zero entry is defined as 0 rather than ``-inf`` because SOAPsnp only
-    consults the table for positive scores; keeping it finite makes the
-    table safe to ship to constant memory wholesale.
-    """
-    if n <= 0:
-        raise ValueError("table size must be positive")
-    out = np.zeros(n, dtype=np.float64)
-    if n > 1:
-        out[1:] = np.log10(np.arange(1, n, dtype=np.float64))
-    return out
 
 
 def dependency_penalty_table(
@@ -63,15 +45,3 @@ def dependency_penalty_table(
     penalty = np.rint(10.0 * k * np.log10(1.0 / pcr_dependency))
     return penalty.astype(np.int32)
 
-
-def phred_to_error(q: np.ndarray | int) -> np.ndarray | float:
-    """Convert Phred quality to error probability ``10^(-q/10)``."""
-    return np.power(10.0, -np.asarray(q, dtype=np.float64) / 10.0)
-
-
-def error_to_phred(p: np.ndarray | float, cap: int = 99):
-    """Convert error probability to a capped integer Phred score."""
-    p = np.asarray(p, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        q = -10.0 * np.log10(p)
-    return np.minimum(np.rint(q), cap).astype(np.int32)

@@ -1,9 +1,9 @@
-"""Accuracy sweep: precision/recall/F1 and genotype concordance."""
+"""Accuracy sweep: precision/recall and genotype-exact calls."""
 
 import numpy as np
 import pytest
 
-from repro.bench.accuracy import OperatingPoint, best_f1, quality_sweep
+from repro.bench.accuracy import OperatingPoint, quality_sweep
 from repro.soapsnp import SoapsnpPipeline
 
 
@@ -18,13 +18,10 @@ class TestOperatingPoint:
         p = OperatingPoint(13, 8, 2, 4, 7)
         assert p.precision == pytest.approx(0.8)
         assert p.recall == pytest.approx(8 / 12)
-        assert p.f1 == pytest.approx(2 * 0.8 * (8 / 12) / (0.8 + 8 / 12))
-        assert p.genotype_concordance == pytest.approx(7 / 8)
 
     def test_degenerate(self):
         p = OperatingPoint(0, 0, 0, 0, 0)
-        assert p.precision == 1.0 and p.recall == 1.0 and p.f1 == 2 * 1 / 2
-        assert p.genotype_concordance == 1.0
+        assert p.precision == 1.0 and p.recall == 1.0
 
 
 class TestQualitySweep:
@@ -39,24 +36,17 @@ class TestQualitySweep:
 
     def test_reasonable_operating_point_exists(self, sweep):
         points, _ = sweep
-        best = best_f1(points)
-        assert best.f1 > 0.75
-        assert best.precision > 0.7
-        assert best.recall > 0.6
+        assert any(p.precision > 0.75 and p.recall > 0.75 for p in points)
 
     def test_genotype_concordance_high(self, sweep):
         """Called variants at q>=13 carry the right genotype."""
         points, _ = sweep
         q13 = next(p for p in points if p.min_quality == 13)
-        assert q13.genotype_concordance > 0.8
+        assert q13.genotype_exact > 0.8 * q13.true_positives
 
     def test_thresholds_preserved(self, sweep):
         points, _ = sweep
         assert [p.min_quality for p in points] == [0, 5, 13, 20, 30, 50]
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(ValueError):
-            best_f1([])
 
     def test_min_depth_excludes_invisible_truth(self, small_dataset):
         table = SoapsnpPipeline(window_size=4000).run(small_dataset).table

@@ -162,10 +162,10 @@ class TestAlignmentBatch:
             bases=np.zeros((1, 4), dtype=np.uint8),
             quals=np.zeros((1, 4), dtype=np.uint8),
         )
-        assert e.concat(b).n_reads == 1
+        assert AlignmentBatch.concat_all([e, b]).n_reads == 1
 
     def test_concat_read_len_mismatch(self):
         a = AlignmentBatch.empty("c", 4)
         b = AlignmentBatch.empty("c", 8)
         with pytest.raises(ValueError):
-            a.concat(b)
+            AlignmentBatch.concat_all([a, b])

@@ -44,7 +44,7 @@ from repro.analyze.dataflow import (
     unknown,
 )
 from repro.analyze.ir import extract_module_ir
-from repro.gpusim.kernel import set_op_observer
+from repro.gpusim.kernel import op_observer
 
 
 def _audit(src):
@@ -502,7 +502,7 @@ def _run_primitive_probes(seed):
 
     from repro.compress.rle_dict import rle_dict_encode_gpu
     from repro.gpusim.pool import acquire_device
-    from repro.gpusim.primitives.reduce import device_reduce, segmented_reduce
+    from repro.gpusim.primitives.reduce import device_reduce
     from repro.gpusim.primitives.scan import device_exclusive_scan
     from repro.gpusim.primitives.search import device_binary_search
     from repro.gpusim.primitives.segmented import segmented_dict_indices
@@ -529,11 +529,6 @@ def _run_primitive_probes(seed):
     device_reduce(device, vals)
     device_exclusive_scan(device, vals)
 
-    bounds = np.sort(rng.choice(np.arange(1, 1500), size=30, replace=False))
-    offsets = device.to_device(
-        np.concatenate([[0], bounds, [1500]]).astype(np.int64), "cal_offs"
-    )
-    segmented_reduce(device, vals, offsets)
     segmented_dict_indices(device, [
         rng.integers(0, 64, size=200).astype(np.uint32) for _ in range(4)
     ])
@@ -597,13 +592,10 @@ def replay():
     """The runtime op records of one replay, by part: the pipeline in its
     three configurations at ``n_sites=300``, then the primitive probes."""
     records = {"pipeline": [], "probes": []}
-    prev = set_op_observer(records["pipeline"].append)
-    try:
+    with op_observer(records["pipeline"].append):
         _run_pipelines(300, _REPLAY_SEED)
-        set_op_observer(records["probes"].append)
+    with op_observer(records["probes"].append):
         _run_primitive_probes(_REPLAY_SEED)
-    finally:
-        set_op_observer(prev)
     return records
 
 
@@ -761,7 +753,7 @@ class TestCLI:
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "gsnp-audit"
-        assert doc["kernels"] == 2
+        assert doc["kernels"] == 1
         assert doc["verdicts"]["coalesced"] > 0
         assert all("verdict" in op for op in doc["ops"])
 
@@ -860,8 +852,8 @@ class TestHostileInput:
 
     def test_mutants_cover_every_in_tree_kernel(self):
         spans = _kernel_spans()
-        assert len(spans) == 16
-        assert len({path for path, _, _ in spans}) == 11
+        assert len(spans) == 14
+        assert len({path for path, _, _ in spans}) == 10
 
     @given(_kernel_mutants())
     @settings(max_examples=100, derandomize=True, deadline=None,

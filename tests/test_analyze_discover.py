@@ -27,7 +27,7 @@ class TestNamingConvention:
                 pass
             """
         )
-        assert found.kernel_names() == ["scatter_kernel"]
+        assert [k.name for k in found.kernels] == ["scatter_kernel"]
 
     def test_nested_defs_are_scanned(self):
         found = _discover(
@@ -38,7 +38,7 @@ class TestNamingConvention:
                 return inner_kernel
             """
         )
-        assert "inner_kernel" in found.kernel_names()
+        assert "inner_kernel" in [k.name for k in found.kernels]
 
 
 class TestLaunchSites:
@@ -52,7 +52,7 @@ class TestLaunchSites:
                 device.launch(body, 32, out)
             """
         )
-        assert found.kernel_names() == ["body"]
+        assert [k.name for k in found.kernels] == ["body"]
         assert "body" in found.launched
 
     def test_keyword_launch(self):
@@ -65,7 +65,7 @@ class TestLaunchSites:
                 device.launch(kernel=body, n_threads=32, args=(out,))
             """
         )
-        assert found.kernel_names() == ["body"]
+        assert [k.name for k in found.kernels] == ["body"]
 
     def test_enqueue_fn_keyword(self):
         """``kernel=`` is the one keyword spelling: ``fn=`` names no
@@ -80,7 +80,7 @@ class TestLaunchSites:
                 stream.enqueue(fn=body, n_threads=32, args=(out,))
             """
         )
-        assert found.kernel_names() == []
+        assert [k.name for k in found.kernels] == []
 
     def test_enqueue_positional(self):
         """``launch`` is the one launch method: nothing routes kernels
@@ -94,7 +94,7 @@ class TestLaunchSites:
                 stream.enqueue(body, 32, out)
             """
         )
-        assert found.kernel_names() == []
+        assert [k.name for k in found.kernels] == []
 
     def test_unrelated_calls_ignored(self):
         found = _discover(
@@ -122,7 +122,7 @@ class TestAliases:
                 device.launch(chosen, 32, out)
             """
         )
-        assert found.kernel_names() == ["body"]
+        assert [k.name for k in found.kernels] == ["body"]
         assert found.aliases["chosen"] == "body"
 
     def test_transitive_alias_chain(self):
@@ -138,7 +138,7 @@ class TestAliases:
                 device.launch(b, 32, out)
             """
         )
-        assert found.kernel_names() == ["body"]
+        assert [k.name for k in found.kernels] == ["body"]
 
     def test_alias_cycle_terminates(self):
         found = _discover(
@@ -165,7 +165,7 @@ class TestAliases:
                 device.launch(n_threads=32, kernel=chosen)
             """
         )
-        assert found.kernel_names() == ["body"]
+        assert [k.name for k in found.kernels] == ["body"]
 
 
 class TestIterPythonFiles:

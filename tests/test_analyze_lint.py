@@ -589,9 +589,7 @@ class TestGsnp106FaultSites:
 
 #: The module state ``src/repro`` may keep, as ``<module>.<name>``, each
 #: with why it is not job or daemon state.
-MODULE_STATE_ALLOWED = {
-    "kernel._OP_OBSERVER": "test-only op tap, kept for the span recorder",
-}
+MODULE_STATE_ALLOWED: dict = {}
 
 _EMPTY_FACTORIES = ("dict", "set", "list", "OrderedDict")
 

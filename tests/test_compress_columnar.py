@@ -1,5 +1,7 @@
 """17-column container codec, alignment compression, gzip baseline, reader."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.compress import (
     encode_alignments,
     encode_table,
     gzip_compress,
-    gzip_decompress,
 )
 from repro.errors import CodecError
 from repro.formats.cns import format_rows
@@ -49,7 +50,7 @@ class TestTableCodec:
     def test_beats_gzip(self, result):
         """Fig 9a: gzip output ~1.5x larger than GSNP's."""
         text = format_rows(result.table)
-        gz, _ = gzip_compress(text)
+        gz = gzip_compress(text)
         blob = encode_table(result.table)
         assert len(gz) / len(blob) > 1.1
 
@@ -107,15 +108,9 @@ class TestAlignmentCodec:
 class TestGzipBaseline:
     def test_roundtrip(self, result):
         text = format_rows(result.table)
-        gz, cs = gzip_compress(text)
-        back, ds = gzip_decompress(gz)
-        assert back == text
-        assert cs.ratio > 1.0
-        assert ds.input_bytes == len(gz)
-
-    def test_stats_throughput(self):
-        blob, stats = gzip_compress(b"x" * 100_000)
-        assert stats.throughput > 0
+        gz = gzip_compress(text)
+        assert zlib.decompress(gz) == text
+        assert len(gz) < len(text)
 
 
 def _rows(table, lo, hi):

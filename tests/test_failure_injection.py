@@ -17,7 +17,7 @@ from repro.compress import (
     rle_dict_encode,
 )
 from repro.errors import CodecError, FormatError
-from repro.formats import read_fastq, read_soap
+from repro.formats import read_soap
 from repro.soapsnp import SoapsnpPipeline
 
 
@@ -89,27 +89,3 @@ class TestCorruptedTextFormats:
         p.write_text("r\tACGX\t!!!!\t1\t4\t+\tchr\t1\n")
         with pytest.raises(FormatError, match="base"):
             read_soap(p)
-
-    def test_fastq_missing_plus(self, tmp_path):
-        p = tmp_path / "bad.fq"
-        p.write_text("@r0\nACGT\n-\n!!!!\n")
-        with pytest.raises(FormatError, match="'\\+'"):
-            read_fastq(p)
-
-    def test_fastq_ragged_records(self, tmp_path):
-        p = tmp_path / "bad.fq"
-        p.write_text("@r0\nACGT\n+\n!!!!\n@r1\nACGT\n")
-        with pytest.raises(FormatError, match="multiple of 4"):
-            read_fastq(p)
-
-    def test_fastq_mixed_lengths(self, tmp_path):
-        p = tmp_path / "bad.fq"
-        p.write_text("@r0\nACGT\n+\n!!!!\n@r1\nACG\n+\n!!!\n")
-        with pytest.raises(FormatError, match="mixed"):
-            read_fastq(p)
-
-    def test_fastq_empty(self, tmp_path):
-        p = tmp_path / "e.fq"
-        p.write_text("")
-        with pytest.raises(FormatError, match="empty"):
-            read_fastq(p)

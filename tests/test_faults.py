@@ -774,10 +774,10 @@ class TestFaultScheduleProperty:
                    "gpusim.device.alloc"),
         )
         if extra_times:
-            plan = plan.with_spec(FaultSpec(
+            plan = FaultPlan(plan.specs + (FaultSpec(
                 site="exec.shard.error", key=seed % n_shards,
                 times=extra_times,
-            ))
+            ),), seed=plan.seed)
         out = tmp_path / f"prop-{seed}-{extra_times}.out"
         if out.exists():
             out.unlink()

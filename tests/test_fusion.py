@@ -169,23 +169,16 @@ class TestLaunchPlan:
         plan = build_launch_plan(windows, [40, 90, 3])
         assert plan.n_windows == 3
         assert plan.n_sites == 260 and plan.n_obs == 133
-        assert list(plan.site_offsets) == [0, 100, 250, 260]
-        segids = plan.site_window()
-        assert segids.size == 260
-        assert segids[0] == 0 and segids[99] == 0
-        assert segids[100] == 1 and segids[255] == 2
-        assert plan.segments[1].site_offset == 100
+        assert [s.site_offset for s in plan.segments] == [0, 100, 250]
         assert plan.segments[1].obs_offset == 40
         assert plan.segments[2].site_slice == slice(250, 260)
-        assert plan.n_samples == 1
-        assert plan.sample_segments(0) == plan.segments
+        assert {s.sample for s in plan.segments} == {0}
 
         # A sample axis is pure layout: same offsets, tagged segments.
         cohort = build_launch_plan(windows, [40, 90, 3], samples=[0, 0, 1])
-        assert cohort.n_samples == 2
         assert [s.index for s in cohort.segments] == [0, 1, 2]
-        assert list(cohort.site_offsets) == list(plan.site_offsets)
-        assert cohort.sample_segments(1) == (cohort.segments[2],)
+        assert [s.site_offset for s in cohort.segments] == [0, 100, 250]
+        assert [s.sample for s in cohort.segments] == [0, 0, 1]
         assert cohort.segments[2].obs_offset == 130
         with pytest.raises(ValueError, match="sample-major"):
             build_launch_plan(windows, [40, 90, 3], samples=[0, 1, 0])

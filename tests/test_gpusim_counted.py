@@ -40,7 +40,7 @@ from repro.core.likelihood import ALL_VARIANTS, GsnpTables, gsnp_likelihood_comp
 from repro.errors import AllocationError
 from repro.faults.plan import FaultPlan, FaultSpec, fault_plan
 from repro.gpusim.device import Device
-from repro.gpusim.kernel import KernelContext, set_op_observer
+from repro.gpusim.kernel import KernelContext, op_observer
 from repro.gpusim.primitives import (
     device_binary_search,
     device_radix_sort,
@@ -485,11 +485,8 @@ def test_sanitizer_and_observer_take_no_fast_path(tiny_dataset):
         create_pipeline(
             spec=JobSpec(window=400), device=Device(sanitize=True)
         ).run(tiny_dataset)
-        prev = set_op_observer(lambda rec: None)
-        try:
+        with op_observer(lambda rec: None):
             create_pipeline(spec=JobSpec(window=400)).run(tiny_dataset)
-        finally:
-            set_op_observer(prev)
         assert taken == []
         create_pipeline(spec=JobSpec(window=400)).run(tiny_dataset)
         assert set(taken) == {"count", "level", "block"}

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SanitizerError
 from repro.gpusim.device import Device
-from repro.gpusim.kernel import set_op_observer
+from repro.gpusim.kernel import op_observer
 from repro.gpusim.memory import (
     _count_transactions_reference,
     count_transactions,
@@ -124,11 +124,8 @@ def check_fan_matches_loop(case):
     # Observer: one OpRecord per offset, as the loop issues.
     recs = {True: [], False: []}
     for fanned in (True, False):
-        prev = set_op_observer(recs[fanned].append)
-        try:
+        with op_observer(recs[fanned].append):
             _run(case, fanned=fanned)
-        finally:
-            set_op_observer(prev)
     strip = [
         [dataclasses.replace(r, line=0) for r in recs[f]] for f in (True, False)
     ]

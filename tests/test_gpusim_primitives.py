@@ -14,7 +14,6 @@ from repro.gpusim.primitives import (
     device_radix_sort,
     device_reduce,
     device_unique,
-    segmented_reduce,
     sequential_radix_sort_batches,
 )
 
@@ -24,13 +23,6 @@ class TestReduce:
         arr = device.to_device(np.arange(1234, dtype=np.int64))
         assert device_reduce(device, arr) == 1234 * 1233 // 2
 
-    def test_max_min(self, device, rng):
-        data = rng.integers(-1000, 1000, 501)
-        arr = device.to_device(data)
-        assert device_reduce(device, arr, "max") == data.max()
-        arr2 = device.to_device(data)
-        assert device_reduce(device, arr2, "min") == data.min()
-
     def test_single_element(self, device):
         arr = device.to_device(np.array([42], dtype=np.int64))
         assert device_reduce(device, arr) == 42
@@ -39,11 +31,6 @@ class TestReduce:
         arr = device.alloc(0, np.int64)
         with pytest.raises(KernelError):
             device_reduce(device, arr)
-
-    def test_unknown_op_rejected(self, device):
-        arr = device.to_device(np.arange(4))
-        with pytest.raises(KernelError):
-            device_reduce(device, arr, "xor")
 
     def test_input_unmodified(self, device):
         data = np.arange(100, dtype=np.int64)
@@ -57,20 +44,6 @@ class TestReduce:
         device = Device()
         arr = device.to_device(np.asarray(values, dtype=np.int64))
         assert device_reduce(device, arr) == sum(values)
-
-
-class TestSegmentedReduce:
-    def test_basic_segments(self, device):
-        values = device.to_device(np.arange(10, dtype=np.float64))
-        offsets = device.to_device(np.array([0, 3, 3, 10], dtype=np.int64))
-        out = segmented_reduce(device, values, offsets)
-        assert np.allclose(out.data, [0 + 1 + 2, 0.0, sum(range(3, 10))])
-
-    def test_empty_segments_zero(self, device):
-        values = device.to_device(np.arange(4, dtype=np.float64))
-        offsets = device.to_device(np.array([0, 0, 0, 4], dtype=np.int64))
-        out = segmented_reduce(device, values, offsets)
-        assert np.allclose(out.data, [0, 0, 6])
 
 
 class TestScan:

@@ -17,6 +17,7 @@ and a charged slice op equals a launched strided load.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro.errors import AllocationError, DeviceError, KernelError
 from repro.faults.plan import FaultPlan, FaultSpec, fault_plan
 from repro.gpusim.device import Device
-from repro.gpusim.kernel import set_op_observer
+from repro.gpusim.kernel import op_observer
 from repro.gpusim.memory import count_transactions
 from repro.gpusim.primitives import device_exclusive_scan, device_reduce
 from repro.gpusim.primitives import sweep
@@ -66,14 +67,14 @@ def _values(n, dtype, seed):
     return v
 
 
-def _run(device, prim, host, op):
+def _run(device, prim, host):
     """One primitive call; returns everything the two paths must share."""
     arr = device.to_device(host, "x")
     if prim == "scan":
         out = device_exclusive_scan(device, arr)
         value = (out.dtype.str, out.flat_view().tobytes())
     else:
-        out = device_reduce(device, arr, op)
+        out = device_reduce(device, arr)
         value = (out.dtype.str, np.asarray(out).tobytes())
     return {
         "value": value,
@@ -94,20 +95,17 @@ def sweep_cases(draw):
     prim = draw(st.sampled_from(["scan", "reduce"]))
     n = draw(st.one_of(st.sampled_from(CORNERS), st.integers(1, 70_000)))
     dtype = draw(st.sampled_from(DTYPES))
-    op = "sum" if prim == "scan" else draw(
-        st.sampled_from(["sum", "max", "min"])
-    )
     spec = draw(st.sampled_from(SPECS))
     seed = draw(st.integers(0, 2**32 - 1))
-    return prim, n, dtype, op, spec, seed
+    return prim, n, dtype, spec, seed
 
 
 def check_fast_path_equals_kernels(case):
-    prim, n, dtype, op, spec, seed = case
+    prim, n, dtype, spec, seed = case
     host = _values(n, dtype, seed)
     with np.errstate(all="ignore"):  # inf - inf, wrapped float32 sums
-        oracle = _run(Device(spec=spec, sanitize=True), prim, host, op)
-        counted = _run(Device(spec=spec), prim, host, op)
+        oracle = _run(Device(spec=spec, sanitize=True), prim, host)
+        counted = _run(Device(spec=spec), prim, host)
     assert counted == oracle
 
 
@@ -131,11 +129,10 @@ def test_fast_path_equals_kernel_path_wide(case):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_every_corner_equals_kernel_path(dtype, spec):
     """The first call of every corner size on a fresh device, scan and
-    each reduce op, equals the sanitizing kernel run."""
+    reduce, equals the sanitizing kernel run."""
     for i, n in enumerate(CORNERS):
-        check_fast_path_equals_kernels(("scan", n, dtype, "sum", spec, i))
-        op = ("sum", "max", "min")[i % 3]
-        check_fast_path_equals_kernels(("reduce", n, dtype, op, spec, i))
+        check_fast_path_equals_kernels(("scan", n, dtype, spec, i))
+        check_fast_path_equals_kernels(("reduce", n, dtype, spec, i))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1025])
@@ -147,7 +144,7 @@ def test_replay_accumulates_like_repeated_launches(n):
     def three(device):
         for _ in range(3):
             device_exclusive_scan(device, device.to_device(host, "x"))
-            device_reduce(device, device.to_device(host, "y"), "max")
+            device_reduce(device, device.to_device(host, "y"))
         return {
             k: dataclasses.asdict(c)
             for k, c in device.counters.entries.items()
@@ -186,11 +183,8 @@ def test_first_call_launches_only_under_sanitizer_or_observer(n):
     want = (["scan_upsweep"] * levels + ["scan_downsweep"] * levels
             + ["reduce_pass"] * levels)
     assert _launched_names(Device(sanitize=True), both) == want
-    prev = set_op_observer(lambda rec: None)
-    try:
+    with op_observer(lambda rec: None):
         assert _launched_names(Device(), both) == want
-    finally:
-        set_op_observer(prev)
 
 
 def test_observer_sees_every_level_op():
@@ -200,12 +194,9 @@ def test_observer_sees_every_level_op():
     seen = []
     for device in (Device(), Device(sanitize=True)):
         recs = []
-        prev = set_op_observer(recs.append)
-        try:
+        with op_observer(recs.append):
             device_exclusive_scan(device, device.to_device(np.arange(300)))
             device_reduce(device, device.to_device(np.arange(300)))
-        finally:
-            set_op_observer(prev)
         seen.append(recs)
     assert seen[0] == seen[1]
     per_kernel = {}
@@ -215,6 +206,37 @@ def test_observer_sees_every_level_op():
     assert per_kernel == {
         "scan_upsweep": 9 * 3, "scan_downsweep": 9 * 4, "reduce_pass": 9 * 3,
     }
+
+
+def test_observer_belongs_to_its_thread():
+    """An observer installed on one thread neither sends another thread's
+    primitives down the kernel path nor receives its ``OpRecord``s."""
+    installed, other_done = threading.Event(), threading.Event()
+    recs, other = [], {}
+
+    def observed():
+        with op_observer(recs.append):
+            installed.set()
+            assert other_done.wait(30)
+            device = Device()
+            device_reduce(device, device.to_device(np.arange(300), "mine"))
+
+    def plain():
+        assert installed.wait(30)
+        device = Device()
+        other["counted"] = sweep.counts_only(device)
+        device_exclusive_scan(device, device.to_device(np.arange(300), "x"))
+        device_reduce(device, device.to_device(np.arange(300), "theirs"))
+        other_done.set()
+
+    threads = [threading.Thread(target=f) for f in (observed, plain)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+        assert not t.is_alive()
+    assert other == {"counted": True}
+    assert recs and {r.array for r in recs} <= {"mine", "mine.reduce"}
 
 
 # -- errors, faults, threads ------------------------------------------------
@@ -257,12 +279,10 @@ def test_constant_input_has_one_outcome_on_both_paths(prim):
 
 
 @pytest.mark.parametrize("sanitize", [False, True])
-def test_empty_reduce_and_unknown_op_raise_kernel_error(sanitize):
+def test_empty_reduce_raises_kernel_error(sanitize):
     device = Device(sanitize=sanitize)
     with pytest.raises(KernelError):
         device_reduce(device, device.alloc(0, np.int64, "e"))
-    with pytest.raises(KernelError):
-        device_reduce(device, device.to_device(np.ones(8, np.int64)), "xor")
 
 
 @pytest.mark.parametrize(

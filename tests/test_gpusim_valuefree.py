@@ -34,7 +34,7 @@ from repro.core.likelihood import (
 )
 from repro.errors import DeviceError, KernelError
 from repro.gpusim.device import Device
-from repro.gpusim.kernel import set_op_observer
+from repro.gpusim.kernel import op_observer
 from repro.gpusim.primitives import device_radix_sort
 from repro.sortnet.cpu_sort import quicksort_per_site
 
@@ -117,12 +117,9 @@ def check(call):
         plain = make()
         report = _report(plain, call(plain))
         records = []
-        prev = set_op_observer(records.append)
-        try:
+        with op_observer(records.append):
             observed = make()
             report["observed"] = _report(observed, call(observed))
-        finally:
-            set_op_observer(prev)
         report["records"] = records
         return report
 

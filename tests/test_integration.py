@@ -24,11 +24,9 @@ from repro.compress import CompressedResultReader
 from repro.formats import (
     read_cns,
     read_fasta,
-    read_fastq,
     read_prior,
     read_soap,
     write_fasta,
-    write_fastq,
     write_prior,
     write_soap,
 )
@@ -77,24 +75,9 @@ class TestFileRoundtripPipeline:
         assert reader.read_all().equals(res.table)
 
 
-class TestFastqLoop:
-    def test_machine_reads_roundtrip(self, small_dataset, tmp_path):
-        rs = small_dataset.reads
-        n = min(rs.n_reads, 50)
-        reads = np.empty((n, rs.read_len), dtype=np.uint8)
-        quals = np.empty_like(reads)
-        for i in range(n):
-            reads[i], quals[i] = reverse_complement_view(rs, i)
-        path = tmp_path / "reads.fq"
-        nbytes = write_fastq(path, reads, quals)
-        assert nbytes == path.stat().st_size
-        b, q, names = read_fastq(path)
-        assert np.array_equal(b, reads)
-        assert np.array_equal(q, quals)
-        assert len(names) == n
-
-    def test_fastq_to_calls_via_aligner(self, tmp_path):
-        """The full upstream path: FASTQ -> aligner -> caller."""
+class TestAlignerLoop:
+    def test_machine_reads_to_calls_via_aligner(self):
+        """The upstream path: machine-orientation reads -> aligner -> caller."""
         from repro.align import Aligner
 
         ds = generate_dataset(
@@ -106,12 +89,11 @@ class TestFastqLoop:
         quals = np.empty_like(rs.quals)
         for i in range(rs.n_reads):
             reads[i], quals[i] = reverse_complement_view(rs, i)
-        path = tmp_path / "r.fq"
-        write_fastq(path, reads, quals)
-        b, q, _ = read_fastq(path)
-        batch = Aligner(ds.reference, max_mismatches=3).align_batch(b, q)
+        batch = Aligner(ds.reference, max_mismatches=3).align_batch(
+            reads, quals
+        )
         assert batch.n_reads > 0.7 * rs.n_reads
-        # The simulated individual with its reads re-aligned from FASTQ.
+        # The simulated individual with its reads re-aligned.
         aligned_ds = replace(ds, reads=batch)
         det = GsnpDetector(engine="gsnp_cpu", min_quality=13)
         res = det.run(aligned_ds)

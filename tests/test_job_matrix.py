@@ -208,9 +208,10 @@ def check_job(env: Env, c: dict) -> set:
         if c["resume"]:
             poison = FaultSpec(site="exec.shard.error",
                                key=len(bounds) - 1, times=99)
+            base = faults() or FaultPlan()
             with pytest.raises(GsnpError):
-                run(env, replace(spec, faults=(faults() or FaultPlan())
-                                 .with_spec(poison)))
+                run(env, replace(spec, faults=FaultPlan(
+                    base.specs + (poison,), seed=base.seed)))
             assert not list(root.glob("out*"))
             committed = len(list(journal.rglob("shard-*.pkl")))
             done |= {"typed-error"} | ({"resumed"} if committed else set())
@@ -457,7 +458,7 @@ class TestContentAddress:
         plain = JobSpec(fasta="ref.fa", soap="reads.soap")
         poison = FaultSpec(site="exec.shard.error", key=0, times=99)
         killed = replace(plain, journal="j",
-                         faults=FaultPlan().with_spec(poison))
+                         faults=FaultPlan([poison]))
         resumed = replace(plain, journal="j", resume=True)
         changed = {f.name for f in fields(JobSpec)
                    for spec in (killed, resumed)

@@ -26,7 +26,7 @@ class TestSection2Claims:
         an error rate of around 2%.'"""
         from repro.seqsim import QualityModel
 
-        rate = QualityModel().expected_error_rate(100)
+        rate = np.mean(10.0 ** (-QualityModel().cycle_means(100) / 10.0))
         assert 0.002 < rate < 0.05
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench.accuracy import best_f1, quality_sweep
+from repro.bench.accuracy import quality_sweep
 from repro.bench.events import COMPONENTS
 from repro.bench.export import DATASETS, export_all
 from repro.bench.harness import (
@@ -623,6 +623,13 @@ UNSPECIFIED = [
 ]
 
 
+def _f1(point) -> float:
+    """F1 of an accuracy operating point: the harmonic mean of its
+    precision and recall."""
+    p, r = point.precision, point.recall
+    return 2 * p * r / (p + r) if p + r else 0.0
+
+
 @pytest.mark.tier2
 def test_ablation_params():
     """No headline result hinges on DESIGN.md's guesses: under every
@@ -635,7 +642,7 @@ def test_ablation_params():
             params=params, window_size=ds.n_sites, mode="gpu"
         ).run(ds)
         assert soap.table.equals(gsnp.table), params
-        f1.append(quality_sweep(soap.table, ds, thresholds=(13,))[0].f1)
+        f1.append(_f1(quality_sweep(soap.table, ds, thresholds=(13,))[0]))
     assert min(f1) > f1[0] - 0.15
 
 
@@ -646,9 +653,9 @@ def test_ext_accuracy(name, fraction):
     the best quality threshold; the unfiltered point recalls > 0.8."""
     points = quality_sweep(soapsnp_result(name, fraction).table,
                            bench_dataset(name, fraction))
-    best = best_f1(points)
-    assert best.f1 > 0.7
-    assert best.genotype_concordance > 0.8
+    best = max(points, key=_f1)
+    assert _f1(best) > 0.7
+    assert best.genotype_exact > 0.8 * best.true_positives
     assert points[0].recall > 0.8
 
 

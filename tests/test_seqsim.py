@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constants import COMPLEMENT_CODE
+from repro.constants import BASES, COMPLEMENT_CODE
 from repro.seqsim import (
     CH1_SPEC,
     CH21_SPEC,
@@ -42,7 +42,8 @@ class TestReference:
 
     def test_string_roundtrip(self):
         ref = synthesize_reference("x", 500, seed=3)
-        back = Reference.from_string("x", ref.to_string())
+        text = "".join(BASES[c] for c in ref.codes)
+        back = Reference.from_string("x", text)
         assert np.array_equal(back.codes, ref.codes)
 
     def test_invalid_char_rejected(self):
@@ -84,18 +85,11 @@ class TestDiploid:
                 diploid.hap1[p] != ref[p] or diploid.hap2[p] != ref[p]
             )
 
-    def test_genotype_at_matches_haplotypes(self, diploid):
-        for p in diploid.snp_positions[:20]:
-            a1, a2 = diploid.genotype_at(int(p))
+    def test_snp_genotypes_match_haplotypes(self, diploid):
+        for p, g in zip(diploid.snp_positions[:20],
+                        diploid.snp_genotypes[:20]):
             hap = sorted([int(diploid.hap1[p]), int(diploid.hap2[p])])
-            assert [a1, a2] == hap
-
-    def test_genotype_at_non_snp_is_hom_ref(self, diploid):
-        p = 0
-        while p in set(diploid.snp_positions.tolist()):
-            p += 1
-        r = int(diploid.reference.codes[p])
-        assert diploid.genotype_at(p) == (r, r)
+            assert [int(g[0]), int(g[1])] == hap
 
     def test_transition_bias(self):
         ref = synthesize_reference("x", 200_000, seed=6)
@@ -138,7 +132,8 @@ class TestQualityModel:
     def test_error_rate_second_generation(self):
         """~2% error rate regime of second-generation sequencing."""
         qm = QualityModel()
-        assert 0.002 < qm.expected_error_rate(100) < 0.05
+        rate = np.mean(10.0 ** (-qm.cycle_means(100) / 10.0))
+        assert 0.002 < rate < 0.05
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):

@@ -553,6 +553,31 @@ class TestAdmission:
         server.close()
         assert not Path(server.config.socket_path).exists()
 
+    def test_scheduler_keeps_the_newest_finished_jobs(self):
+        """The finished-job table is bounded: past the bound the oldest
+        finished jobs are forgotten, by finish time, and live ones stay."""
+        from repro.serve.scheduler import FINISHED_JOBS_KEPT, Job, JobScheduler
+
+        n = FINISHED_JOBS_KEPT + 5
+        sched = JobScheduler(max_queued=n + 1)
+        for i in range(n + 1):
+            sched.submit(Job(f"j{i}", JobSpec()))
+        claimed = [sched.next_job() for _ in range(n + 1)]
+        live = claimed.pop()
+        # Finish newest-submitted first: j0 finishes last.
+        for k, job in enumerate(reversed(claimed)):
+            if k % 2:
+                sched.mark_failed(job, "boom")
+            else:
+                sched.mark_done(job, "ok")
+        kept = {f"j{i}" for i in range(FINISHED_JOBS_KEPT)} | {live.job_id}
+        assert set(sched.jobs) == kept
+        assert sched.get(f"j{n - 1}") is None
+        assert sched.get("j0").state.value in ("done", "failed")
+        stats = sched.stats()
+        assert stats["completed"] + stats["failed"] == n
+        assert sum(stats["by_state"].values()) == FINISHED_JOBS_KEPT + 1
+
     def test_invalid_specs_rejected_with_code(
         self, serve_inputs, server_factory
     ):

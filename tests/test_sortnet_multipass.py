@@ -11,7 +11,6 @@ from repro.gpusim.device import Device
 from repro.sortnet.batch import batch_sort, pad_rows
 from repro.sortnet.cpu_sort import (
     ParallelCpuSortModel,
-    quicksort_batch,
     quicksort_per_site,
 )
 from repro.sortnet.multipass import (
@@ -164,14 +163,6 @@ class TestCpuSort:
         words, offsets = _random_segments(rng, n_sites=100)
         out = quicksort_per_site(words, offsets)
         _check_all_sorted(out, words, offsets)
-
-    def test_quicksort_batch(self, rng):
-        batch = rng.integers(0, 50, (20, 16)).astype(np.uint32)
-        lengths = rng.integers(0, 17, 20)
-        out = quicksort_batch(batch, lengths)
-        for i in range(20):
-            m = lengths[i]
-            assert np.array_equal(out[i, :m], np.sort(batch[i, :m]))
 
     def test_parallel_model_throughput_decreases_with_size(self):
         m = ParallelCpuSortModel()

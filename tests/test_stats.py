@@ -1,4 +1,4 @@
-"""Host-side log tables and the rank-sum test."""
+"""The host-side penalty table and the rank-sum test."""
 
 import numpy as np
 import pytest
@@ -8,28 +8,10 @@ from scipy import stats as sps
 
 from repro.stats import (
     dependency_penalty_table,
-    error_to_phred,
-    log10_table,
-    phred_to_error,
     rank_sum_pvalue,
     rank_sum_statistic,
 )
 from repro.stats.ranksum import rank_sum_pvalues_segmented
-
-
-class TestLogTable:
-    def test_values(self):
-        t = log10_table(64)
-        assert t[0] == 0.0
-        assert t[10] == pytest.approx(1.0)
-        assert t[1] == 0.0
-
-    def test_default_size_matches_score_range(self):
-        assert log10_table().size == 64
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            log10_table(0)
 
 
 class TestPenaltyTable:
@@ -58,18 +40,6 @@ class TestPenaltyTable:
 
     def test_integer_dtype(self):
         assert dependency_penalty_table().dtype == np.int32
-
-
-class TestPhredConversions:
-    def test_roundtrip(self):
-        q = np.array([10, 20, 30])
-        assert np.array_equal(error_to_phred(phred_to_error(q)), q)
-
-    def test_q10_is_ten_percent(self):
-        assert phred_to_error(10) == pytest.approx(0.1)
-
-    def test_cap(self):
-        assert error_to_phred(1e-30, cap=99) == 99
 
 
 class TestRankSum:
