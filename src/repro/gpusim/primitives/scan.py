@@ -1,4 +1,5 @@
-"""Work-efficient exclusive prefix scan (Blelloch) on the simulated GPU."""
+"""Exclusive prefix scan on the simulated GPU, one tile a block, as CUDPP
+ran it on Fermi (GPU Gems 3 ch. 39; Sengupta et al., GH 2007)."""
 
 from __future__ import annotations
 
@@ -6,83 +7,124 @@ import numpy as np
 
 from ..device import Device
 from ..memory import DeviceArray
-from .sweep import charge, counts_only
+from .sweep import (BLOCK, LEVELS, charge, counts_only, tiles,
+                    tree_levels, tree_warps)
 
 
-def _upsweep_kernel(ctx, arr: DeviceArray, stride: int, n: int):
-    """Up-sweep phase: a[i + 2s - 1] += a[i + s - 1] for strided i."""
-    i = ctx.tid * (2 * stride)
-    active = (i + 2 * stride - 1) < n
-    left = ctx.gload(arr, i + stride - 1, active=active)
-    right = ctx.gload(arr, i + 2 * stride - 1, active=active)
-    ctx.instr(1, active=active)
-    ctx.gstore(arr, i + 2 * stride - 1, left + right, active=active)
+def _scan_tiles(rows: np.ndarray) -> np.ndarray:
+    """Exclusive scan of each row in place; returns the rows' totals.  Up
+    the tree (stride ``s = 1, 2, ...``) ``x[2s-1::2s] = x[s-1::2s] +
+    x[2s-1::2s]``; the total is taken and the root zeroed; down it ``lo,
+    hi = hi, lo + hi`` on the same slices.  Integer sums wrap, so any
+    order gives the tree's values: an integer row is one ``cumsum``."""
+    if rows.dtype.kind in "iu":
+        incl = np.cumsum(rows, axis=1, dtype=rows.dtype)
+        rows[:, 1:] = incl[:, :-1]
+        rows[:, 0] = 0
+        return incl[:, -1]
+    strides = [1 << k for k in range(rows.shape[1].bit_length() - 1)]
+    for s in strides:
+        hi = rows[:, 2 * s - 1 :: 2 * s]
+        np.add(rows[:, s - 1 :: 2 * s], hi, out=hi)
+    totals = rows[:, -1].copy()
+    rows[:, -1] = 0
+    for s in reversed(strides):
+        lo, hi = rows[:, s - 1 :: 2 * s], rows[:, 2 * s - 1 :: 2 * s]
+        left = lo.copy()
+        lo[...] = hi
+        np.add(left, hi, out=hi)
+    return totals
 
 
-def _downsweep_kernel(ctx, arr: DeviceArray, stride: int, n: int):
-    """Down-sweep phase: swap-and-add propagating partial sums down."""
-    i = ctx.tid * (2 * stride)
-    active = (i + 2 * stride - 1) < n
-    left = ctx.gload(arr, i + stride - 1, active=active)
-    right = ctx.gload(arr, i + 2 * stride - 1, active=active)
-    ctx.instr(2, active=active)
-    ctx.gstore(arr, i + stride - 1, right, active=active)
-    ctx.gstore(arr, i + 2 * stride - 1, left + right, active=active)
+def _block_scan_kernel(ctx, src: DeviceArray, dst: DeviceArray, sums,
+                       n: int):
+    """Block ``b`` scans tile ``b`` (thread ``t``: element ``t``) in shared
+    memory; lane 0 writes its total to ``sums[b]`` (``None``: one block)."""
+    live = ctx.tid < n
+    x = ctx.gload(src, ctx.tid, active=live)
+    ctx.note_shared(stores=1)
+    ctx.syncthreads()
+    # Shared-memory stand-in: NumPy walks the tree tree_levels charges.
+    totals = _scan_tiles(x.reshape(-1, BLOCK))
+    tree_levels(ctx, LEVELS, loads=2, stores=1, instr=1)
+    lead = ctx.tid % BLOCK == 0
+    ctx.note_shared(loads=1, stores=1, active=lead)  # take total, clear root
+    if sums is not None:
+        ctx.gstore(sums, ctx.tid // BLOCK, np.repeat(totals, BLOCK),
+                   active=lead)
+    ctx.syncthreads()
+    tree_levels(ctx, reversed(LEVELS), loads=2, stores=2, instr=2)
+    ctx.note_shared(loads=1)
+    ctx.gstore(dst, ctx.tid, x, active=live)
+
+
+def _uniform_add_kernel(ctx, arr: DeviceArray, inc: DeviceArray, n: int):
+    """Block ``b`` adds ``inc[b + 1]``, staged in shared memory by lane 0,
+    to tile ``b + 1``."""
+    lead = ctx.tid % BLOCK == 0
+    u = ctx.gload(inc, ctx.tid // BLOCK + 1, active=lead)
+    ctx.note_shared(stores=1, active=lead)
+    ctx.syncthreads()
+    ctx.note_shared(loads=1)
+    live = ctx.tid < n - BLOCK
+    v = ctx.gload(arr, ctx.tid + BLOCK, active=live)
+    ctx.instr(1, active=live)
+    ctx.gstore(arr, ctx.tid + BLOCK, np.repeat(u[::BLOCK], BLOCK) + v,
+               active=live)
 
 
 def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
-    """Exclusive prefix sum of a device array.
+    """A new device array ``out[i] = sum(arr[:i])``, in 1 launch for
+    ``n <= BLOCK``, 3 to ``BLOCK**2`` and 5 past it: the tile scans, the
+    same scan of the tile totals, and a uniform add.
 
-    Returns a new device array ``out`` with
-    ``out[i] = sum(arr[:i])``; the input is left untouched.  The
-    implementation pads to the next power of two and runs the classic
-    up-sweep / down-sweep passes, each a coalesced strided kernel.  Off
-    the sanitizer and the op observer each level is counted, not run
-    (:mod:`.sweep`): NumPy computes it on slices of the work array in the
-    kernel's operand order, and an integer scan (whose sums wrap, so any
-    order of the tree's additions gives the same values) computes every
-    level as one exclusive ``cumsum``.
-    """
+    One addition order on every path: tile ``b`` (zero-padded) scanned
+    in :func:`_scan_tiles`' order, then its element ``i`` is ``inc[b] +
+    out[i]``, ``inc`` the scan of the totals.  Off the sanitizer and the
+    op observer each launch is one ``charge`` (:mod:`.sweep`), and NumPy
+    computes its values."""
     arr.require_live()
     n = arr.size
-    if n == 0:
-        return device.alloc(0, arr.dtype, name=f"{arr.name}.scan")
-    m = 1 << (n - 1).bit_length()
-    work = device.alloc(m, arr.dtype, name=f"{arr.name}.scanwork")
-    work.data[:n] = arr.data.reshape(-1)
-    counted = counts_only(device)
-    cumulative = counted and arr.dtype.kind in "iu"
-    strides = [1 << k for k in range(m.bit_length() - 1)]
-    w = work.flat_view()
-    for s in strides:
-        if not counted:
-            device.launch(_upsweep_kernel, m // (2 * s), work, s, m,
-                          name="scan_upsweep")
-            continue
-        lo, hi = slice(s - 1, m, 2 * s), slice(2 * s - 1, m, 2 * s)
-        charge(device, "scan_upsweep", m // (2 * s), 1, ("gload", work, lo),
-               ("gload", work, hi), ("gstore", work, hi))
-        if not cumulative:
-            np.add(w[lo], w[hi], out=w[hi])
-    root = work.data  # the root reset, a host access on every path
-    if cumulative:
-        root[1:] = np.cumsum(root[:-1], dtype=root.dtype)
-        root[0] = 0
-    else:
-        root[m - 1] = 0
-    for s in reversed(strides):
-        if not counted:
-            device.launch(_downsweep_kernel, m // (2 * s), work, s, m,
-                          name="scan_downsweep")
-            continue
-        lo, hi = slice(s - 1, m, 2 * s), slice(2 * s - 1, m, 2 * s)
-        charge(device, "scan_downsweep", m // (2 * s), 2, ("gload", work, lo),
-               ("gload", work, hi), ("gstore", work, lo), ("gstore", work, hi))
-        if not cumulative:
-            left = w[lo].copy()
-            w[lo] = w[hi]
-            np.add(left, w[hi], out=w[hi])
     out = device.alloc(n, arr.dtype, name=f"{arr.name}.scan")
-    out.data[:] = work.data[:n]
-    device.free(work)
+    if n == 0:
+        return out
+    blocks = -(-n // BLOCK)
+    sums = None if blocks == 1 else device.alloc(
+        blocks, arr.dtype, name=f"{arr.name}.scansums"
+    )
+    counted = counts_only(device)
+    if counted:
+        total = [] if sums is None else [("gstore", sums, range(blocks))]
+        tree = tree_warps(device, blocks)
+        warps = blocks * BLOCK // device.spec.warp_size
+        charge(device, "scan_block", n, 0, ("gload", arr, 0), *total,
+               ("gstore", out, 0), tree=(3 * tree, warps + 4 * tree + blocks,
+                                         warps + 3 * tree + blocks))
+        rows = tiles(arr)
+        totals = _scan_tiles(rows)
+        if sums is not None:
+            sums.flat_view()[:] = totals
+    else:
+        device.launch(_block_scan_kernel, blocks * BLOCK, arr, out, sums, n,
+                      name="scan_block", block_size=BLOCK,
+                      shared_bytes=BLOCK * arr.itemsize)
+    if sums is not None:
+        inc = device_exclusive_scan(device, sums)
+        threads = (blocks - 1) * BLOCK
+        if counted:
+            charge(device, "scan_add", n - BLOCK, 1,
+                   ("gload", inc, range(1, blocks)), ("gload", out, -BLOCK),
+                   ("gstore", out, -BLOCK),
+                   tree=(0, threads // device.spec.warp_size, blocks - 1))
+            # The kernel's operand shapes: NumPy's NaN payloads follow them.
+            rest = rows[1:].reshape(-1)
+            rest[:] = np.repeat(inc.flat_view()[1:], BLOCK) + rest
+        else:
+            device.launch(_uniform_add_kernel, threads, out, inc, n,
+                          name="scan_add", block_size=BLOCK,
+                          shared_bytes=arr.itemsize)
+        device.free(sums)
+        device.free(inc)
+    if counted:
+        out.flat_view()[:] = rows.reshape(-1)[:n]
     return out

@@ -4,8 +4,9 @@ Off the sanitizer and the op observer (:func:`counts_only`), a
 primitive computes its values with NumPy and merges (:func:`charge`)
 the counters each of its kernels would add, computed from the index
 patterns the host already holds: a ``tid``-contiguous op as a lag
-(:func:`span_tx`), a strided op of the scan's and the reduce's levels as
-a ``slice`` (:func:`slice_tx`), a data-dependent op as its index vector.
+(:func:`span_tx`), a block's lane-0 op as a ``range``, a data-dependent
+op as its index vector, and a block's shared-memory tree in warps
+(:func:`tree_warps`).
 Nothing is kept between calls: every count comes from the call's own
 inputs.
 
@@ -23,6 +24,11 @@ from .. import kernel
 from ..counters import KernelCounters
 from ..memory import count_transactions
 
+#: Threads (and elements, one each) of a scan or reduce block, the
+#: M2050's largest; its tree's level ``k`` runs ``BLOCK >> k`` threads.
+BLOCK = 1024
+LEVELS = range(1, BLOCK.bit_length())
+
 
 def counts_only(device) -> bool:
     """True when a primitive may charge its kernels without running them:
@@ -30,19 +36,21 @@ def counts_only(device) -> bool:
     return device.sanitizer is None and kernel._OBSERVER.get() is None
 
 
-def charge(device, name: str, n: int, instr: int, *ops) -> None:
+def charge(device, name: str, n: int, instr: int, *ops,
+           tree: tuple = (0, 0, 0)) -> None:
     """Merge one launch of kernel ``name`` over ``n`` live threads without
     running it: ``instr`` instructions a thread, then each memory op
     ``(kind, arr, idx)`` in kernel order, checked, counted and tallied as
     the routed op would be.  ``idx`` is a lag ``k`` (thread ``t`` reads
-    element ``max(t - k, 0)``), a ``slice`` (thread ``t < len(range(start,
-    stop, step))`` reads element ``start + t * step``), an index vector
-    (negative: a dead lane), or for a ``cload`` the number of probes."""
+    element ``max(t - k, 0)``; ``-k`` is an offset), a ``range`` (lane 0
+    of block ``b`` reads element ``idx[b]``), an index vector (negative: a
+    dead lane), or for a ``cload`` the number of probes.  ``tree`` adds
+    the (instruction, shared-load, shared-store) warps of a block tree."""
     entry = device.counters.get(name)  # a launch creates its entry first
     spec = device.spec
     ws = spec.warp_size
     w = -(-n // ws)
-    inst, cload = instr * w, 0
+    inst, cload = instr * w + tree[0], 0
     load_tx = store_tx = load_bytes = store_bytes = 0
     for kind, arr, idx in ops:
         if kind == "cload":
@@ -55,11 +63,9 @@ def charge(device, name: str, n: int, instr: int, *ops) -> None:
         if isinstance(idx, int):
             live, lanes, top = n, w, max(n - 1 - idx, 0)
             tx = span_tx(device, n, arr.itemsize, idx)
-        elif isinstance(idx, slice):
-            r = range(idx.start, idx.stop, idx.step)
-            live, top = len(r), r[-1] if r else -1
-            lanes = -(-live // ws)
-            tx = slice_tx(device, r, arr.itemsize)
+        elif isinstance(idx, range):
+            live = lanes = tx = len(idx)
+            top = idx[-1] if idx else -1
         else:
             warps = np.flatnonzero(idx >= 0) // ws
             live = warps.size
@@ -90,12 +96,41 @@ def charge(device, name: str, n: int, instr: int, *ops) -> None:
         ))
     entry.bump_global(load_tx, store_tx, load_bytes, store_bytes, inst)
     entry.c_load += cload
+    entry.s_load_warp += tree[1]
+    entry.s_store_warp += tree[2]
+
+
+def tiles(arr) -> np.ndarray:
+    """A copy of ``arr`` in rows of ``BLOCK``, the last padded with 0."""
+    out = np.zeros((-(-arr.size // BLOCK), BLOCK), dtype=arr.dtype)
+    out.reshape(-1)[: arr.size] = arr.flat_view()
+    return out
+
+
+def tree_levels(ctx, levels, loads: int, stores: int, instr: int) -> None:
+    """A block's shared-memory tree: at each level ``k`` its owner threads
+    make ``loads``/``stores`` accesses and ``instr`` instructions, then
+    the block syncs."""
+    lane = ctx.tid % BLOCK
+    for k in levels:
+        owner = lane < BLOCK >> k
+        ctx.note_shared(loads=loads, stores=stores, active=owner)
+        ctx.instr(instr, active=owner)
+        ctx.syncthreads()
+
+
+def tree_warps(device, blocks: int) -> int:
+    """What one :func:`tree_levels` access a thread costs ``blocks``
+    blocks, in warps."""
+    ws = device.spec.warp_size
+    return blocks * sum(-(-(BLOCK >> k) // ws) for k in LEVELS)
 
 
 def span_tx(device, n: int, itemsize: int, lag: int = 0) -> int:
     """Transactions of every thread ``t < n`` loading element
-    ``max(t - lag, 0)``: each warp touches the segments between its first
-    and its last element, a floor sum over warps in closed form."""
+    ``max(t - lag, 0)`` (a negative lag is an offset): each warp touches
+    the segments between its first and its last element, a floor sum
+    over warps in closed form."""
     if n <= 0:
         return 0
     ws, seg = device.spec.warp_size, device.spec.segment_bytes
@@ -119,28 +154,6 @@ def span_tx(device, n: int, itemsize: int, lag: int = 0) -> int:
     return full + (tail > 0) + last - segments(full + (tail > 0), -lag)
 
 
-def slice_tx(device, lanes: range, itemsize: int) -> int:
-    """Transactions of every thread ``t < len(lanes)`` loading element
-    ``lanes[t]`` (a positive step): one per lane when lanes are a
-    segment or more apart, else each warp's segments from its first to
-    its last element, two floor sums over the full warps plus the tail
-    warp."""
-    n = len(lanes)
-    ws, seg = device.spec.warp_size, device.spec.segment_bytes
-    start, step = lanes.start, lanes.step
-    if step * itemsize >= seg:
-        return n
-    full, tail = divmod(n, ws)
-    a = ws * step * itemsize
-    total = full + _floor_sum(
-        full, seg, a, (start + (ws - 1) * step) * itemsize
-    ) - _floor_sum(full, seg, a, start * itemsize)
-    if tail:
-        first = start + full * ws * step
-        total += 1 + lanes[-1] * itemsize // seg - first * itemsize // seg
-    return total
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """``sum(floor((a * i + b) / m) for i in range(n))`` for ``a, b >= 0``
     in O(log) steps (the Euclidean-like floor-sum reduction)."""
@@ -158,4 +171,5 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         n, b, m, a = top // m, top % m, a, m
 
 
-__all__ = ["charge", "counts_only"]
+__all__ = ["BLOCK", "LEVELS", "charge", "counts_only", "tiles",
+           "tree_levels", "tree_warps"]

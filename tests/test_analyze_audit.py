@@ -721,6 +721,65 @@ class TestInTreeGates:
         assert counts.get(VERDICT_STRIDED, 0) > 0
 
 
+class TestBlockKernels:
+    """The scan and reduce block kernels: the audit proves every tile
+    load and store coalesced (the lane-0 total, increment and partial
+    are one-lane gathers) and finds no race or barrier hazard; the
+    sanitizer, at one, three and 65 blocks, reports nothing either."""
+
+    PRIMITIVES = Path(__file__).parents[1] / "src/repro/gpusim/primitives"
+
+    def test_tile_loads_and_stores_are_coalesced(self):
+        from repro.analyze import audit_paths
+
+        audits = audit_paths([self.PRIMITIVES / "scan.py",
+                              self.PRIMITIVES / "reduce.py"])
+        verdicts = {
+            (v.kernel, v.kind, v.array): v.verdict
+            for m in audits for v in m.verdicts
+        }
+        assert verdicts == {
+            ("_block_scan_kernel", "gload", "src"): VERDICT_COALESCED,
+            ("_block_scan_kernel", "gstore", "dst"): VERDICT_COALESCED,
+            ("_block_scan_kernel", "gstore", "sums"): VERDICT_GATHER,
+            ("_uniform_add_kernel", "gload", "inc"): VERDICT_GATHER,
+            ("_uniform_add_kernel", "gload", "arr"): VERDICT_COALESCED,
+            ("_uniform_add_kernel", "gstore", "arr"): VERDICT_COALESCED,
+            ("_block_reduce_kernel", "gload", "src"): VERDICT_COALESCED,
+            ("_block_reduce_kernel", "gstore", "dst"): VERDICT_GATHER,
+        }
+        assert [d.rule for m in audits for d in m.diagnostics
+                if d.rule != "GSNP201"] == []
+
+    @pytest.mark.parametrize("blocks", [1, 3, 65])
+    def test_sanitizer_reports_no_race_and_no_barrier_finding(self, blocks):
+        import numpy as np
+
+        from repro.gpusim.device import Device
+        from repro.gpusim.primitives import (
+            device_exclusive_scan,
+            device_reduce,
+        )
+        from repro.gpusim.primitives.sweep import BLOCK
+
+        n = (blocks - 1) * BLOCK + 7
+        device = Device(sanitize=True)
+        host = np.arange(n, dtype=np.int64)
+        arr = device.to_device(host, "x")
+        out = device_exclusive_scan(device, arr)
+        assert int(device_reduce(device, arr)) == int(host.sum())
+        assert np.array_equal(out.data, np.cumsum(host) - host)
+        launches = {k: c.launches for k, c in device.counters.entries.items()}
+        assert launches == ({"scan_block": 1, "reduce_block": 1}
+                            if blocks == 1 else
+                            {"scan_block": 2, "scan_add": 1,
+                             "reduce_block": 2})
+        device.free(arr)
+        device.free(out)
+        assert device.sanitizer.issues == []
+        assert device.sanitize_teardown() == []
+
+
 class TestCLI:
     def test_exit_zero_on_clean_tree(self, capsys):
         from repro.cli import main_audit

@@ -27,12 +27,13 @@ WINDOW = 512
 SEED = 77
 
 #: Cohort batching must keep launches per fused stage (near-)independent
-#: of S.  The sort/likelihood/recycle stages are exactly constant; the
-#: counting and codec stages carry data-sized sub-chains (tree reduce,
-#: sort passes) that grow ~logarithmically with pileup volume, so the
-#: per-stage launch ratio S-vs-1 is bounded well below S — an unfused
-#: per-sample loop would sit at exactly S.
-LAUNCH_STAGE_RATIO_BOUND = 1.5
+#: of S.  The counting/sort/likelihood/recycle stages are exactly
+#: constant (counting's scan is one block launch up to 1 024 sites, three
+#: past it); the codec stage carries data-sized sub-chains (sort passes,
+#: a reduce per column) that grow with pileup volume (S=4 against S=1:
+#: 138 / 122 launches), so the per-stage launch ratio S-vs-1 is bounded
+#: well below S — an unfused per-sample loop would sit at exactly S.
+LAUNCH_STAGE_RATIO_BOUND = 1.25
 
 
 @pytest.fixture(scope="module")

@@ -75,7 +75,7 @@ class TestGpu:
         rle_dict_encode_gpu(device, col)
         kernels = set(device.counters.entries)
         assert "rle_flag" in kernels
-        assert "reduce_pass" in kernels
+        assert "reduce_block" in kernels
         assert "radix_histogram" in kernels
         assert "unique_compact" in kernels
         assert "binary_search" in kernels

@@ -113,12 +113,12 @@ class TestLaunchReduction:
 
         few, many = launches_at(3), launches_at(12)
         assert few == {
-            "counting": 24, "likelihood_posterior_fused_optimized": 5,
-            "likelihood_sort": 4, "output_compress": 358, "recycle": 1,
+            "counting": 5, "likelihood_posterior_fused_optimized": 5,
+            "likelihood_sort": 4, "output_compress": 108, "recycle": 1,
         }
         assert many == {
-            "counting": 28, "likelihood_posterior_fused_optimized": 5,
-            "likelihood_sort": 4, "output_compress": 428, "recycle": 1,
+            "counting": 5, "likelihood_posterior_fused_optimized": 5,
+            "likelihood_sort": 4, "output_compress": 130, "recycle": 1,
         }
         for stage, launches in many.items():
             assert launches <= 1.5 * few[stage], stage

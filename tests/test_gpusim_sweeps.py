@@ -1,17 +1,18 @@
-"""The counted level sweeps equal the kernel path.
+"""The counted block launches equal the kernel path.
 
 On a device with no sanitizer and no op observer,
-``device_exclusive_scan`` and ``device_reduce`` launch no level kernel:
-NumPy computes each level on slices, and ``sweep.charge`` merges what
-the level's launch would add, its strided ops priced by the closed form
-``sweep.slice_tx``.  The oracle is the same call on
-``Device(sanitize=True)``, which always launches.  The first call on a
-fresh device must match it on the values (bitwise), the whole counter
-book, peak device memory, the sequence of allocated names and every
-array's host-read, kernel-read and write tallies.  Typed errors, alloc
-faults and fault-point hits must not tell the paths apart.  The slice
-form's count equals ``count_transactions`` on the materialized range,
-and a charged slice op equals a launched strided load.
+``device_exclusive_scan`` and ``device_reduce`` launch no kernel: NumPy
+computes what each block launch would, and ``sweep.charge`` merges the
+launch's counters, its loads and stores priced in closed form
+(``sweep.span_tx`` for a tile's elements, one transaction a lane-0 op,
+``sweep.tree_warps`` for the shared-memory tree).  The oracle is the
+same call on ``Device(sanitize=True)``, which always launches.  The
+first call on a fresh device must match it on the values (bitwise), the
+whole counter book, peak device memory, the sequence of allocated names
+and every array's host-read, kernel-read and write tallies.  Typed
+errors, alloc faults and fault-point hits must not tell the paths apart.
+Float scans and reduces are held to the documented addition order,
+written out here, and a charged offset op to a launched offset load.
 """
 
 from __future__ import annotations
@@ -22,25 +23,29 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AllocationError, DeviceError, KernelError
 from repro.faults.plan import FaultPlan, FaultSpec, fault_plan
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import op_observer
-from repro.gpusim.memory import count_transactions
 from repro.gpusim.primitives import device_exclusive_scan, device_reduce
 from repro.gpusim.primitives import sweep
+from repro.gpusim.primitives.sweep import BLOCK
 from repro.gpusim.spec import GpuSpec
 
 DTYPES = ["int8", "int32", "int64", "uint32", "float32", "float64"]
 #: The default M2050 and a spec with another warp and segment size (and
 #: SM count, which the counters' per-warp views divide by).
 SPECS = [GpuSpec(), GpuSpec(warp_size=16, segment_bytes=96, num_sms=7)]
-CORNERS = [1, 2] + [
+#: Powers of two and their neighbours, the block edges (a tile, one
+#: more, and two tiles and one), and a size of many tiles.
+CORNERS = sorted({1, 2, 70_000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1} | {
     (1 << k) + d for k in range(2, 17) for d in (-1, 0, 1)
-] + [70_000]
+})
+#: Sizes at which each primitive takes one more level of launches.
+SIZE_CLASSES = [1, BLOCK, BLOCK + 1, BLOCK**2, BLOCK**2 + 1]
 
 
 def _values(n, dtype, seed):
@@ -112,6 +117,8 @@ def check_fast_path_equals_kernels(case):
 @settings(max_examples=120, derandomize=True, deadline=None,
           database=None, suppress_health_check=list(HealthCheck))
 @given(sweep_cases())
+# Two NaNs meet: both paths keep the same operand's payload.
+@example(("reduce", 117, "float32", GpuSpec(), 4294967295))
 def test_fast_path_equals_kernel_path(case):
     check_fast_path_equals_kernels(case)
 
@@ -129,10 +136,92 @@ def test_fast_path_equals_kernel_path_wide(case):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_every_corner_equals_kernel_path(dtype, spec):
     """The first call of every corner size on a fresh device, scan and
-    reduce, equals the sanitizing kernel run."""
-    for i, n in enumerate(CORNERS):
+    reduce, equals the sanitizing kernel run; so does one size past
+    ``BLOCK**2``, where each takes its third level of launches."""
+    for i, n in enumerate(CORNERS + [BLOCK**2 + 1]):
         check_fast_path_equals_kernels(("scan", n, dtype, spec, i))
         check_fast_path_equals_kernels(("reduce", n, dtype, spec, i))
+
+
+def _documented_scan(x):
+    """The scan's addition order, written out on NumPy scalars: each tile
+    of ``BLOCK`` elements, padded with zeros, up-sweeps
+    (``t[i] = t[i - s] + t[i]``), takes its total, zeroes its root and
+    down-sweeps; past the first tile each element is then
+    ``inc[b] + element``, ``inc`` the same scan of the totals."""
+    n, zero = x.size, x.dtype.type(0)
+    blocks = -(-n // BLOCK)
+    out = np.zeros(blocks * BLOCK, x.dtype)
+    out[:n] = x
+    totals = np.zeros(blocks, x.dtype)
+    for b in range(blocks):
+        t = list(out[b * BLOCK:(b + 1) * BLOCK])
+        s = 1
+        while s < BLOCK:
+            for i in range(2 * s - 1, BLOCK, 2 * s):
+                t[i] = t[i - s] + t[i]
+            s *= 2
+        totals[b], t[-1] = t[-1], zero
+        while s > 1:
+            s //= 2
+            for i in range(2 * s - 1, BLOCK, 2 * s):
+                t[i - s], t[i] = t[i], t[i - s] + t[i]
+        out[b * BLOCK:(b + 1) * BLOCK] = t
+    out = out[:n]
+    if blocks > 1:
+        inc = _documented_scan(totals)
+        for i in range(BLOCK, n):
+            out[i] = inc[i // BLOCK] + out[i]
+    return out
+
+
+def _documented_reduce(x):
+    """The reduce's addition order, written out: in each tile, for
+    ``s = BLOCK / 2`` down to 1, ``t[i] = t[i] + t[i + s]`` where
+    ``i + s`` is still live; then the partials the same way."""
+    while True:
+        partials = []
+        for b in range(0, x.size, BLOCK):
+            t = list(x[b:b + BLOCK])
+            live, s = len(t), BLOCK // 2
+            while s:
+                for i in range(min(s, live - s)):
+                    t[i] = t[i] + t[i + s]
+                live, s = min(live, s), s // 2
+            partials.append(t[0])
+        x = np.array(partials, x.dtype)
+        if x.size == 1:
+            return x[0]
+
+
+def _same_bits(a, b):
+    """Bitwise equal, except that a NaN may carry any payload: NumPy's
+    loops do not promise one operand's payload."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    nan = np.isnan(a)
+    uint = np.uint32 if a.dtype.itemsize == 4 else np.uint64
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(uint), b[~nan].view(uint)))
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("finite", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n", [1, 5, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_float_scan_and_reduce_follow_the_documented_order(n, dtype, finite,
+                                                          sanitize):
+    """A float scan and a float reduce give the written-out order's bits
+    on both paths: on finite values with signed zeros (where every
+    rounding shows), and with infinities and NaNs mixed in."""
+    host = _values(n, dtype, n)
+    if finite:
+        host[~np.isfinite(host)] = 1.5
+    with np.errstate(all="ignore"):
+        device = Device(sanitize=sanitize)
+        scan = device_exclusive_scan(device, device.to_device(host, "x"))
+        total = device_reduce(device, device.to_device(host, "y"))
+        assert _same_bits(scan.flat_view(), _documented_scan(host))
+        assert _same_bits(total, _documented_reduce(host))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1025])
@@ -167,44 +256,71 @@ def _launched_names(device, fn):
     return names
 
 
+def _launches_per_call(n):
+    """(scan, reduce) launches of an ``n``-element call: 1/3/5 and 1/2/3
+    by size class."""
+    level = 1 if n <= BLOCK else 2 if n <= BLOCK**2 else 3
+    return 2 * level - 1, level
+
+
 @pytest.mark.parametrize("n", [1, 2, 300, 4097])
 def test_first_call_launches_only_under_sanitizer_or_observer(n):
-    """A plain device's first call launches no level kernel; a sanitizing
-    device, or a plain one under an op observer, launches every level:
-    ``log2 m`` levels each way (``m`` the padded size) and
-    ``ceil(log2 n)`` reduce passes."""
+    """A plain device's first call launches no kernel; a sanitizing
+    device, or a plain one under an op observer, launches every block
+    kernel: the tile scan, then (past one tile) the scan of the tile
+    totals and the uniform add, then the reduce's block passes."""
 
     def both(device):
         device_exclusive_scan(device, device.to_device(np.arange(n), "x"))
         device_reduce(device, device.to_device(np.arange(n), "y"))
 
     assert _launched_names(Device(), both) == []
-    levels = (n - 1).bit_length()
-    want = (["scan_upsweep"] * levels + ["scan_downsweep"] * levels
-            + ["reduce_pass"] * levels)
+    scans, reduces = _launches_per_call(n)
+    scan = ["scan_block"] if scans == 1 else [
+        "scan_block", "scan_block", "scan_add"]
+    want = scan + ["reduce_block"] * reduces
     assert _launched_names(Device(sanitize=True), both) == want
     with op_observer(lambda rec: None):
         assert _launched_names(Device(), both) == want
 
 
+@pytest.mark.parametrize("n", SIZE_CLASSES)
+def test_launches_per_size_class(n):
+    """A scan is 1 launch up to one tile, 3 up to ``BLOCK`` tiles and 5
+    past them; a reduce 1, 2 and 3."""
+    device = Device()
+
+    def launches():
+        return sum(c.launches for c in device.counters.entries.values())
+
+    device_exclusive_scan(device, device.to_device(np.ones(n, np.int32)))
+    scans = launches()
+    device_reduce(device, device.to_device(np.ones(n, np.int32)))
+    assert (scans, launches() - scans) == _launches_per_call(n)
+
+
 def test_observer_sees_every_level_op():
     """Under the calibration observer a plain device launches: one
-    ``OpRecord`` per routed op of every level, as on a sanitizing
+    ``OpRecord`` per routed op of every launch at each level of the
+    scan's recursion (the tiles, then their totals), as on a sanitizing
     device."""
     seen = []
     for device in (Device(), Device(sanitize=True)):
         recs = []
         with op_observer(recs.append):
-            device_exclusive_scan(device, device.to_device(np.arange(300)))
-            device_reduce(device, device.to_device(np.arange(300)))
+            device_exclusive_scan(device, device.to_device(np.arange(3000)))
+            device_reduce(device, device.to_device(np.arange(3000)))
         seen.append(recs)
     assert seen[0] == seen[1]
     per_kernel = {}
     for r in seen[0]:
         per_kernel[r.kernel] = per_kernel.get(r.kernel, 0) + 1
-    # 512 padded lanes: 9 levels each way; 300 -> 1 takes 9 passes.
+    # Three tiles: the tile scan's load, total and tile stores, the one
+    # block scan of the totals (load, store), the uniform add's
+    # increment load, element load and store; two reduce launches of a
+    # load and a partial store each.
     assert per_kernel == {
-        "scan_upsweep": 9 * 3, "scan_downsweep": 9 * 4, "reduce_pass": 9 * 3,
+        "scan_block": 3 + 2, "scan_add": 3, "reduce_block": 2 * 2,
     }
 
 
@@ -265,17 +381,15 @@ def test_freed_input_raises_device_error_on_both_paths(prim):
 
 @pytest.mark.parametrize("prim", ["scan", "reduce"])
 def test_constant_input_has_one_outcome_on_both_paths(prim):
-    """A reduce pass loads its input in a kernel: ``KernelError``.  The
-    scan copies its input to the work array on the host side of the
-    launch, as before, so both paths accept it and agree."""
+    """A scan and a reduce load their input in a kernel: both paths
+    raise ``KernelError``."""
     call = device_exclusive_scan if prim == "scan" else device_reduce
     outcomes = []
     for device in (Device(), Device(sanitize=True)):
         arr = device.to_constant(np.arange(64, dtype=np.int64), "c")
         outcomes.append(_outcome(lambda: call(device, arr)))
     assert outcomes[0] == outcomes[1]
-    if prim == "reduce":
-        assert outcomes[0][0] is KernelError
+    assert outcomes[0][0] is KernelError
 
 
 @pytest.mark.parametrize("sanitize", [False, True])
@@ -285,14 +399,15 @@ def test_empty_reduce_raises_kernel_error(sanitize):
         device_reduce(device, device.alloc(0, np.int64, "e"))
 
 
-@pytest.mark.parametrize(
-    "prim, key, after", [("scan", "x.scanwork", 2), ("reduce", "x.reduce", 8)]
-)
+@pytest.mark.parametrize("prim, key, after", [
+    ("scan", "x.scansums.scan", 2), ("scan", "x.scan", 1),
+    ("reduce", "x.reduce", 3),
+])
 def test_alloc_fault_fires_at_the_same_hit_on_both_paths(prim, key, after):
-    """Calls until the alloc fault fires at hit ``after`` of ``key``
-    (the third scan's work array, the second reduce's second level of
-    seven): both paths fail there and leave the same book, allocations
-    and peak."""
+    """Calls on three tiles until the alloc fault fires at hit ``after``
+    of ``key`` (the third scan's scan of its tile totals, the second
+    scan's output, the second reduce's partials): both paths fail there
+    and leave the same book, allocations and peak."""
     call = device_exclusive_scan if prim == "scan" else device_reduce
     seen = []
     for device in (Device(), Device(sanitize=True)):
@@ -300,7 +415,7 @@ def test_alloc_fault_fires_at_the_same_hit_on_both_paths(prim, key, after):
                                     after=after)])
         with fault_plan(plan), pytest.raises(AllocationError):
             for _ in range(4):
-                call(device, device.to_device(np.arange(100), "x"))
+                call(device, device.to_device(np.arange(3000), "x"))
         seen.append((
             plan.fired,
             {k: dataclasses.asdict(c)
@@ -329,7 +444,7 @@ def test_recording_call_hits_only_the_kernel_paths_fault_points(prim):
     """A counted call hits the fault points a launched one hits, and so
     does the next plain device's: no call leaves state behind."""
     call = device_exclusive_scan if prim == "scan" else device_reduce
-    n = 777
+    n = 3000
     hits = []
     for device in (Device(sanitize=True), Device(), Device()):
         spy = _SpyPlan()
@@ -339,55 +454,49 @@ def test_recording_call_hits_only_the_kernel_paths_fault_points(prim):
     assert hits[0] == hits[1] == hits[2]
 
 
-# -- the slice op form ------------------------------------------------------
+# -- the offset op form -----------------------------------------------------
 
-#: Element sizes the slice form is checked at: 129 bytes is more than a
+#: Element sizes the offset form is checked at: 129 bytes is more than a
 #: segment of either spec, so every lane starts its own.
 ITEMSIZES = [1, 2, 4, 8, 16, 129]
 
 
 @st.composite
-def slice_cases(draw):
-    start = draw(st.integers(0, 3000))
-    step = draw(st.one_of(st.integers(1, 9), st.integers(1, 700)))
-    stop = draw(st.integers(0, 40_000))
+def offset_cases(draw):
+    start = draw(st.sampled_from([0, 1, BLOCK]) | st.integers(0, 3000))
+    count = draw(st.integers(0, 40_000))
     itemsize = draw(st.sampled_from(ITEMSIZES))
     spec = draw(st.sampled_from(SPECS))
     spare = draw(st.integers(0, 70))  # dead threads past the last lane
     short = draw(st.booleans())  # an array that ends before the last lane
-    return start, stop, step, itemsize, spec, spare, short
+    return start, count, itemsize, spec, spare, short
 
 
-def _strided_load_kernel(ctx, arr, start: int, step: int, count: int):
-    """Thread t < count loads element start + t * step."""
-    ctx.gload(arr, start + ctx.tid * step, active=ctx.tid < count)
+def _offset_load_kernel(ctx, arr, start: int, count: int):
+    """Thread t < count loads element start + t."""
+    ctx.gload(arr, ctx.tid + start, active=ctx.tid < count)
 
 
-def check_slice_form(case):
-    """``slice_tx`` equals ``count_transactions`` on the materialized
-    range, and a charged slice op leaves the book, tallies and typed
-    errors of the launched strided load."""
-    start, stop, step, itemsize, spec, spare, short = case
-    lanes = range(start, stop, step)
-    want = count_transactions(
-        np.arange(start, stop, step), itemsize, spec.warp_size,
-        spec.segment_bytes,
-    )
-    assert sweep.slice_tx(Device(spec=spec), lanes, itemsize) == want
-    size = max(lanes[-1] if lanes else 0, 0) + (0 if short else 1)
+@settings(max_examples=200, derandomize=True, deadline=None,
+          database=None, suppress_health_check=list(HealthCheck))
+@given(offset_cases())
+def test_offset_form_equals_launched_load(case):
+    """A charged lag ``-start`` op over ``count`` live threads (the block
+    kernels' tile ops) leaves the book, read tally and typed errors of
+    the launched offset load, spare dead threads and all."""
+    start, count, itemsize, spec, spare, short = case
     dtype = np.dtype(f"V{itemsize}")
     outcomes = []
     for counted in (True, False):
         device = Device(spec=spec)
-        arr = device.alloc(size, dtype, "src")
-        threads = len(lanes) + spare
+        arr = device.alloc(max(start + count - short, 0), dtype, "src")
         try:
             if counted:
-                sweep.charge(device, "strided", threads, 0,
-                             ("gload", arr, slice(start, stop, step)))
+                sweep.charge(device, "offset", count, 0,
+                             ("gload", arr, -start))
             else:
-                device.launch(_strided_load_kernel, threads, arr, start,
-                              step, len(lanes), name="strided")
+                device.launch(_offset_load_kernel, count + spare, arr, start,
+                              count, name="offset")
             error = None
         except KernelError as exc:
             error = str(exc)
@@ -398,18 +507,3 @@ def check_slice_form(case):
             arr._kernel_reads,
         ))
     assert outcomes[0] == outcomes[1]
-
-
-@settings(max_examples=200, derandomize=True, deadline=None,
-          database=None, suppress_health_check=list(HealthCheck))
-@given(slice_cases())
-def test_slice_form_equals_materialized_range(case):
-    check_slice_form(case)
-
-
-@pytest.mark.tier2
-@settings(max_examples=3000, deadline=None, database=None,
-          suppress_health_check=list(HealthCheck))
-@given(slice_cases())
-def test_slice_form_equals_materialized_range_wide(case):
-    check_slice_form(case)

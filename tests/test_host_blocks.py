@@ -382,7 +382,8 @@ def per_warp_span_tx(device, n, itemsize, lag=0) -> int:
     return int((last - first).sum()) + first.size
 
 
-LAGS = (0, 1, 2, 31, 32, 33, 100)
+#: Lags, and offsets (negative lags: thread t reads t + offset).
+LAGS = (0, 1, 2, 31, 32, 33, 100, -1, -31, -32, -33, -1024)
 ITEMSIZES = (1, 2, 4, 8, 16, 129)
 DEVICES = [_Device(GpuSpec()),
            _Device(GpuSpec(warp_size=16, segment_bytes=96, num_sms=7))]

@@ -68,18 +68,18 @@ def _schedule(hetero):
 
 #: (lane kwargs, initial_split, steals, makespan_seconds) of three pools.
 PINNED_ARMS = [
-    ({"devices": 2}, [4, 4], 0, 0.015341549390785907),
+    ({"devices": 2}, [4, 4], 0, 0.01001234978102981),
     ({"devices": 2, "cpu_steal": True},
      [4, 4, 0], 2, 0.01573091491904762),
     ({"devices": 4, "cpu_steal": True, "workers": 2},
-     [4, 4, 4, 3, 0], 2, 0.01825383661409214),
+     [4, 4, 4, 3, 0], 2, 0.015741665876190476),
 ]
 
 #: devices -> (initial_split, makespan_seconds) with ``shard_size=WINDOW``
 #: (15 one-window shards): the modeled pool must scale from 2 to 4 devices.
 PINNED_SCALING = {
-    2: ([8, 7], 0.02622351425474255),
-    4: ([4, 4, 4, 3], 0.019087827864498648),
+    2: ([8, 7], 0.016780221376693768),
+    4: ([4, 4, 4, 3], 0.01427256932791328),
 }
 
 
