@@ -64,11 +64,11 @@ def device_reduce(device: Device, arr: DeviceArray):
         blocks = -(-n // BLOCK)
         dst = device.alloc(blocks, arr.dtype, name=f"{arr.name}.reduce")
         if counted:
-            tree = tree_warps(device, blocks)
             warps = blocks * BLOCK // device.spec.warp_size
             charge(device, "reduce_block", n, 0, ("gload", src, 0),
                    ("gstore", dst, range(blocks)),
-                   tree=(2 * tree, 2 * tree + blocks, warps + tree))
+                   shared=(tree_warps(device, blocks, LEVELS, 2, 1, 2),
+                           (0, blocks, warps)))  # tile in, lane 0's sum
             dst.flat_view()[:] = _reduce_tiles(tiles(src), n)
         else:
             device.launch(_block_reduce_kernel, blocks * BLOCK, src, dst, n,

@@ -82,7 +82,8 @@ def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
     in :func:`_scan_tiles`' order, then its element ``i`` is ``inc[b] +
     out[i]``, ``inc`` the scan of the totals.  Off the sanitizer and the
     op observer each launch is one ``charge`` (:mod:`.sweep`), and NumPy
-    computes its values."""
+    computes its values: an integer scan, whose sums wrap, as one
+    exclusive ``cumsum``."""
     arr.require_live()
     n = arr.size
     out = device.alloc(n, arr.dtype, name=f"{arr.name}.scan")
@@ -95,13 +96,23 @@ def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
     counted = counts_only(device)
     if counted:
         total = [] if sums is None else [("gstore", sums, range(blocks))]
-        tree = tree_warps(device, blocks)
-        warps = blocks * BLOCK // device.spec.warp_size
+        # The tile into and out of shared memory, and lane 0's total.
+        tile = blocks * BLOCK // device.spec.warp_size + blocks
         charge(device, "scan_block", n, 0, ("gload", arr, 0), *total,
-               ("gstore", out, 0), tree=(3 * tree, warps + 4 * tree + blocks,
-                                         warps + 3 * tree + blocks))
-        rows = tiles(arr)
-        totals = _scan_tiles(rows)
+               ("gstore", out, 0),
+               shared=(tree_warps(device, blocks, LEVELS, 2, 1, 1),
+                       tree_warps(device, blocks, LEVELS, 2, 2, 2),
+                       (0, tile, tile)))
+        values = arr.flat_view()
+        if values.dtype.kind in "iu":  # sums wrap: one cumsum is the tree's
+            rows = None
+            totals = np.add.reduceat(values, range(0, n, BLOCK),
+                                     dtype=values.dtype)
+            np.cumsum(values[:-1], dtype=values.dtype,
+                      out=out.flat_view()[1:])
+        else:
+            rows = tiles(arr)
+            totals = _scan_tiles(rows)
         if sums is not None:
             sums.flat_view()[:] = totals
     else:
@@ -115,16 +126,18 @@ def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
             charge(device, "scan_add", n - BLOCK, 1,
                    ("gload", inc, range(1, blocks)), ("gload", out, -BLOCK),
                    ("gstore", out, -BLOCK),
-                   tree=(0, threads // device.spec.warp_size, blocks - 1))
-            # The kernel's operand shapes: NumPy's NaN payloads follow them.
-            rest = rows[1:].reshape(-1)
-            rest[:] = np.repeat(inc.flat_view()[1:], BLOCK) + rest
+                   shared=((0, threads // device.spec.warp_size,
+                            blocks - 1),))
+            if rows is not None:
+                # The kernel's operand shapes: NumPy's NaN payloads follow.
+                rest = rows[1:].reshape(-1)
+                rest[:] = np.repeat(inc.flat_view()[1:], BLOCK) + rest
         else:
             device.launch(_uniform_add_kernel, threads, out, inc, n,
                           name="scan_add", block_size=BLOCK,
                           shared_bytes=arr.itemsize)
         device.free(sums)
         device.free(inc)
-    if counted:
+    if counted and rows is not None:
         out.flat_view()[:] = rows.reshape(-1)[:n]
     return out

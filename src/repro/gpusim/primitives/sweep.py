@@ -6,7 +6,7 @@ the counters each of its kernels would add, computed from the index
 patterns the host already holds: a ``tid``-contiguous op as a lag
 (:func:`span_tx`), a block's lane-0 op as a ``range``, a data-dependent
 op as its index vector, and a block's shared-memory tree in warps
-(:func:`tree_warps`).
+(:func:`tree_warps`, from the arguments :func:`tree_levels` takes).
 Nothing is kept between calls: every count comes from the call's own
 inputs.
 
@@ -37,20 +37,22 @@ def counts_only(device) -> bool:
 
 
 def charge(device, name: str, n: int, instr: int, *ops,
-           tree: tuple = (0, 0, 0)) -> None:
+           shared: tuple = ()) -> None:
     """Merge one launch of kernel ``name`` over ``n`` live threads without
     running it: ``instr`` instructions a thread, then each memory op
     ``(kind, arr, idx)`` in kernel order, checked, counted and tallied as
     the routed op would be.  ``idx`` is a lag ``k`` (thread ``t`` reads
     element ``max(t - k, 0)``; ``-k`` is an offset), a ``range`` (lane 0
     of block ``b`` reads element ``idx[b]``), an index vector (negative: a
-    dead lane), or for a ``cload`` the number of probes.  ``tree`` adds
-    the (instruction, shared-load, shared-store) warps of a block tree."""
+    dead lane), or for a ``cload`` the number of probes.  ``shared`` adds
+    (instruction, shared-load, shared-store) warp triples: a block tree's
+    from :func:`tree_warps`, and the kernel's other shared accesses."""
     entry = device.counters.get(name)  # a launch creates its entry first
     spec = device.spec
     ws = spec.warp_size
     w = -(-n // ws)
-    inst, cload = instr * w + tree[0], 0
+    s_inst, s_load, s_store = (sum(t) for t in zip((0, 0, 0), *shared))
+    inst, cload = instr * w + s_inst, 0
     load_tx = store_tx = load_bytes = store_bytes = 0
     for kind, arr, idx in ops:
         if kind == "cload":
@@ -96,8 +98,8 @@ def charge(device, name: str, n: int, instr: int, *ops,
         ))
     entry.bump_global(load_tx, store_tx, load_bytes, store_bytes, inst)
     entry.c_load += cload
-    entry.s_load_warp += tree[1]
-    entry.s_store_warp += tree[2]
+    entry.s_load_warp += s_load
+    entry.s_store_warp += s_store
 
 
 def tiles(arr) -> np.ndarray:
@@ -119,11 +121,14 @@ def tree_levels(ctx, levels, loads: int, stores: int, instr: int) -> None:
         ctx.syncthreads()
 
 
-def tree_warps(device, blocks: int) -> int:
-    """What one :func:`tree_levels` access a thread costs ``blocks``
-    blocks, in warps."""
+def tree_warps(device, blocks: int, levels, loads: int, stores: int,
+               instr: int) -> tuple:
+    """The (instruction, shared-load, shared-store) warps that
+    :func:`tree_levels` with the same arguments charges ``blocks``
+    blocks."""
     ws = device.spec.warp_size
-    return blocks * sum(-(-(BLOCK >> k) // ws) for k in LEVELS)
+    owners = blocks * sum(-(-(BLOCK >> k) // ws) for k in levels)
+    return instr * owners, loads * owners, stores * owners
 
 
 def span_tx(device, n: int, itemsize: int, lag: int = 0) -> int:

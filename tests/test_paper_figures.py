@@ -397,9 +397,8 @@ def test_table4_breakdown(name, fraction):
 @pytest.mark.tier2
 @pytest.mark.parametrize("name", DATASETS)
 def test_table4_speedup_in_the_papers_band(name):
-    """40-75x end to end (paper: 42x and 50x; ours 70.1x and 71.2x, with
-    counting and output modeled cleaner than the paper measured them)."""
-    assert 40 < run(f"table4-{name}", None)["speedup_model"]["total"] < 75
+    """40-70x end to end (paper: 42x and 50x)."""
+    assert 40 < run(f"table4-{name}", None)["speedup_model"]["total"] < 70
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +506,13 @@ def test_fig9_output(name, fraction):
 @pytest.mark.tier2
 @pytest.mark.parametrize("name", DATASETS)
 def test_fig9b_output_speed(name):
-    """At the default fractions GSNP's output is 16.3x (Ch.1) and 14.9x
-    (Ch.21) faster than SOAPsnp's, against the paper's 13-15x.  Known
-    deviation 5 (EXPERIMENTS.md): the output phase's 186 launches are
-    extrapolated with the scale factor, each paying the modeled launch
-    overhead; without them the ratios would be 20.0x and 22.9x."""
+    """GSNP writes its output 13-15x faster than SOAPsnp in the paper;
+    held to that band, 20% either side.  Needs the default fractions:
+    the output phase's launches are extrapolated with the scale factor
+    (Known deviation 5, EXPERIMENTS.md)."""
     speeds = run(f"fig9-{name}", None)["speeds"]
-    assert 13 < speeds["SOAPsnp"] / speeds["GSNP"] < 18
+    assert speeds["GSNP"] < speeds["GSNP_CPU"] < speeds["SOAPsnp_gzip"]
+    assert 13 * 0.8 < speeds["SOAPsnp"] / speeds["GSNP"] < 15 * 1.2
 
 
 @pytest.mark.parametrize("fraction", PROFILES)
