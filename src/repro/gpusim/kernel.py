@@ -19,7 +19,8 @@ transactions, but the warp still issues the instruction.
 
 An op may also take a ``(steps, n_threads)`` index or mask, one row per
 lockstep step (a *step block*): it charges exactly its per-row ops, each
-row padded with dead lanes to whole warps.
+row padded with dead lanes to whole warps.  Step blocks run only off the
+sanitizer and the op observer.
 """
 
 from __future__ import annotations
@@ -288,26 +289,19 @@ class KernelContext:
         return 0
 
     def _block_op(self, op: str, steps: int, arr, idx, active, *args, fan=None):
-        """Run ``op`` on a ``steps``-row block: one op of the flat view,
-        with the per-row tallies, or under a sanitizer or an op observer
-        the per-row 1-D ops (one hook or record per row)."""
+        """Run ``op`` on a ``steps``-row block as one op of the flat view,
+        with the per-row tallies.  Under a sanitizer or an op observer it
+        is a :class:`KernelError`: replayed row by row, a block's ops would
+        reach the hooks out of the kernel's step order (every row's load
+        before any row's store)."""
+        if self.sanitizer is not None or self.observer is not None:
+            raise KernelError(f"{op} on a {steps}-step block: step blocks "
+                              "run only off the sanitizer and op observer")
         load = op in ("gload", "cload")
         kw = {} if fan is None else {"fan": fan}
-        shape = (steps, self.n_threads)
         if not load:
-            args = (np.broadcast_to(np.asarray(args[0]), shape),)
-        if self.sanitizer is not None or self.observer is not None:
-            rows = np.broadcast_to(np.asarray(idx), shape)
-            acts = [None] * steps if active is None else np.broadcast_to(
-                active, shape)
-            if load:
-                return np.stack([
-                    getattr(self, op)(arr, i, a, *args, **kw)
-                    for i, a in zip(rows, acts)
-                ])
-            for i, v, a in zip(rows, args[0], acts):
-                getattr(self, op)(arr, i, v, a)
-            return None
+            args = (np.broadcast_to(np.asarray(args[0]),
+                                    (steps, self.n_threads)),)
         view = self._view(steps)
         flat_idx = self._block_index(idx, steps)
         flat_act = self._block_mask(active, steps)

@@ -7,33 +7,8 @@ import numpy as np
 
 from ..device import Device
 from ..memory import DeviceArray
-from .sweep import (BLOCK, LEVELS, charge, counts_only, tiles,
+from .sweep import (BLOCK, charge, counts_only, require_integer,
                     tree_levels, tree_warps)
-
-
-def _scan_tiles(rows: np.ndarray) -> np.ndarray:
-    """Exclusive scan of each row in place; returns the rows' totals.  Up
-    the tree (stride ``s = 1, 2, ...``) ``x[2s-1::2s] = x[s-1::2s] +
-    x[2s-1::2s]``; the total is taken and the root zeroed; down it ``lo,
-    hi = hi, lo + hi`` on the same slices.  Integer sums wrap, so any
-    order gives the tree's values: an integer row is one ``cumsum``."""
-    if rows.dtype.kind in "iu":
-        incl = np.cumsum(rows, axis=1, dtype=rows.dtype)
-        rows[:, 1:] = incl[:, :-1]
-        rows[:, 0] = 0
-        return incl[:, -1]
-    strides = [1 << k for k in range(rows.shape[1].bit_length() - 1)]
-    for s in strides:
-        hi = rows[:, 2 * s - 1 :: 2 * s]
-        np.add(rows[:, s - 1 :: 2 * s], hi, out=hi)
-    totals = rows[:, -1].copy()
-    rows[:, -1] = 0
-    for s in reversed(strides):
-        lo, hi = rows[:, s - 1 :: 2 * s], rows[:, 2 * s - 1 :: 2 * s]
-        left = lo.copy()
-        lo[...] = hi
-        np.add(left, hi, out=hi)
-    return totals
 
 
 def _block_scan_kernel(ctx, src: DeviceArray, dst: DeviceArray, sums,
@@ -44,16 +19,19 @@ def _block_scan_kernel(ctx, src: DeviceArray, dst: DeviceArray, sums,
     x = ctx.gload(src, ctx.tid, active=live)
     ctx.note_shared(stores=1)
     ctx.syncthreads()
-    # Shared-memory stand-in: NumPy walks the tree tree_levels charges.
-    totals = _scan_tiles(x.reshape(-1, BLOCK))
-    tree_levels(ctx, LEVELS, loads=2, stores=1, instr=1)
+    # Shared-memory stand-in for the tree: each row's exclusive cumsum.
+    rows = x.reshape(-1, BLOCK)
+    incl = np.cumsum(rows, axis=1, dtype=rows.dtype)
+    rows[:, 1:] = incl[:, :-1]
+    rows[:, 0] = 0
+    tree_levels(ctx, loads=2, stores=1, instr=1)
     lead = ctx.tid % BLOCK == 0
     ctx.note_shared(loads=1, stores=1, active=lead)  # take total, clear root
     if sums is not None:
-        ctx.gstore(sums, ctx.tid // BLOCK, np.repeat(totals, BLOCK),
+        ctx.gstore(sums, ctx.tid // BLOCK, np.repeat(incl[:, -1], BLOCK),
                    active=lead)
     ctx.syncthreads()
-    tree_levels(ctx, reversed(LEVELS), loads=2, stores=2, instr=2)
+    tree_levels(ctx, loads=2, stores=2, instr=2)
     ctx.note_shared(loads=1)
     ctx.gstore(dst, ctx.tid, x, active=live)
 
@@ -74,17 +52,16 @@ def _uniform_add_kernel(ctx, arr: DeviceArray, inc: DeviceArray, n: int):
 
 
 def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
-    """A new device array ``out[i] = sum(arr[:i])``, in 1 launch for
-    ``n <= BLOCK``, 3 to ``BLOCK**2`` and 5 past it: the tile scans, the
-    same scan of the tile totals, and a uniform add.
+    """A new device array ``out[i] = sum(arr[:i])`` of an integer array,
+    in 1 launch for ``n <= BLOCK``, 3 to ``BLOCK**2`` and 5 past it: the
+    tile scans, the same scan of the tile totals, and a uniform add.
 
-    One addition order on every path: tile ``b`` (zero-padded) scanned
-    in :func:`_scan_tiles`' order, then its element ``i`` is ``inc[b] +
-    out[i]``, ``inc`` the scan of the totals.  Off the sanitizer and the
-    op observer each launch is one ``charge`` (:mod:`.sweep`), and NumPy
-    computes its values: an integer scan, whose sums wrap, as one
-    exclusive ``cumsum``."""
+    Integer sums wrap, so any grouping gives the tree's values: off the
+    sanitizer and the op observer each launch is one ``charge``
+    (:mod:`.sweep`) and NumPy computes the scan as one exclusive
+    ``cumsum``."""
     arr.require_live()
+    require_integer(arr)
     n = arr.size
     out = device.alloc(n, arr.dtype, name=f"{arr.name}.scan")
     if n == 0:
@@ -100,21 +77,15 @@ def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
         tile = blocks * BLOCK // device.spec.warp_size + blocks
         charge(device, "scan_block", n, 0, ("gload", arr, 0), *total,
                ("gstore", out, 0),
-               shared=(tree_warps(device, blocks, LEVELS, 2, 1, 1),
-                       tree_warps(device, blocks, LEVELS, 2, 2, 2),
+               shared=(tree_warps(device, blocks, 2, 1, 1),
+                       tree_warps(device, blocks, 2, 2, 2),
                        (0, tile, tile)))
         values = arr.flat_view()
-        if values.dtype.kind in "iu":  # sums wrap: one cumsum is the tree's
-            rows = None
-            totals = np.add.reduceat(values, range(0, n, BLOCK),
-                                     dtype=values.dtype)
-            np.cumsum(values[:-1], dtype=values.dtype,
-                      out=out.flat_view()[1:])
-        else:
-            rows = tiles(arr)
-            totals = _scan_tiles(rows)
+        np.cumsum(values[:-1], dtype=values.dtype, out=out.flat_view()[1:])
         if sums is not None:
-            sums.flat_view()[:] = totals
+            sums.flat_view()[:] = np.add.reduceat(
+                values, range(0, n, BLOCK), dtype=values.dtype
+            )
     else:
         device.launch(_block_scan_kernel, blocks * BLOCK, arr, out, sums, n,
                       name="scan_block", block_size=BLOCK,
@@ -128,16 +99,10 @@ def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
                    ("gstore", out, -BLOCK),
                    shared=((0, threads // device.spec.warp_size,
                             blocks - 1),))
-            if rows is not None:
-                # The kernel's operand shapes: NumPy's NaN payloads follow.
-                rest = rows[1:].reshape(-1)
-                rest[:] = np.repeat(inc.flat_view()[1:], BLOCK) + rest
         else:
             device.launch(_uniform_add_kernel, threads, out, inc, n,
                           name="scan_add", block_size=BLOCK,
                           shared_bytes=arr.itemsize)
         device.free(sums)
         device.free(inc)
-    if counted and rows is not None:
-        out.flat_view()[:] = rows.reshape(-1)[:n]
     return out

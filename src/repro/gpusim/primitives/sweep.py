@@ -6,20 +6,21 @@ the counters each of its kernels would add, computed from the index
 patterns the host already holds: a ``tid``-contiguous op as a lag
 (:func:`span_tx`), a block's lane-0 op as a ``range``, a data-dependent
 op as its index vector, and a block's shared-memory tree in warps
-(:func:`tree_warps`, from the arguments :func:`tree_levels` takes).
-Nothing is kept between calls: every count comes from the call's own
-inputs.
+(:func:`tree_warps`, which the kernel's :func:`tree_levels` charges
+too).  Nothing is kept between calls: every count comes from the call's
+own inputs.
 
 The kernels stay the only route under the sanitizer and under the
 calibration observer, whose hooks want one event per routed op; they
 are also the oracle the tests compare the values and counts against
-(``tests/test_gpusim_sweeps.py``, ``tests/test_gpusim_counted.py``).
+(``tests/test_gpusim_counted.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...errors import KernelError
 from .. import kernel
 from ..counters import KernelCounters
 from ..memory import count_transactions
@@ -34,6 +35,14 @@ def counts_only(device) -> bool:
     """True when a primitive may charge its kernels without running them:
     no sanitizer on the device and no op observer in this context."""
     return device.sanitizer is None and kernel._OBSERVER.get() is None
+
+
+def require_integer(arr) -> None:
+    """Scan and reduce sum integers (counts and flags), whose sums wrap,
+    so any grouping gives the tree's values: any other dtype is a
+    :class:`KernelError`, raised before they allocate."""
+    if arr.dtype.kind not in "iu":
+        raise KernelError(f"scan/reduce of {arr.dtype} array {arr.name!r}")
 
 
 def charge(device, name: str, n: int, instr: int, *ops,
@@ -102,32 +111,26 @@ def charge(device, name: str, n: int, instr: int, *ops,
     entry.s_store_warp += s_store
 
 
-def tiles(arr) -> np.ndarray:
-    """A copy of ``arr`` in rows of ``BLOCK``, the last padded with 0."""
-    out = np.zeros((-(-arr.size // BLOCK), BLOCK), dtype=arr.dtype)
-    out.reshape(-1)[: arr.size] = arr.flat_view()
-    return out
-
-
-def tree_levels(ctx, levels, loads: int, stores: int, instr: int) -> None:
-    """A block's shared-memory tree: at each level ``k`` its owner threads
-    make ``loads``/``stores`` accesses and ``instr`` instructions, then
-    the block syncs."""
-    lane = ctx.tid % BLOCK
-    for k in levels:
-        owner = lane < BLOCK >> k
-        ctx.note_shared(loads=loads, stores=stores, active=owner)
-        ctx.instr(instr, active=owner)
+def tree_levels(ctx, loads: int, stores: int, instr: int) -> None:
+    """A block's shared-memory tree over the launch's blocks: the warps
+    :func:`tree_warps` prices, then a barrier a level."""
+    inst, s_load, s_store = tree_warps(
+        ctx.device, ctx.n_threads // BLOCK, loads, stores, instr
+    )
+    ctx.counters.inst_warp += inst
+    ctx.counters.s_load_warp += s_load
+    ctx.counters.s_store_warp += s_store
+    for _ in LEVELS:
         ctx.syncthreads()
 
 
-def tree_warps(device, blocks: int, levels, loads: int, stores: int,
+def tree_warps(device, blocks: int, loads: int, stores: int,
                instr: int) -> tuple:
-    """The (instruction, shared-load, shared-store) warps that
-    :func:`tree_levels` with the same arguments charges ``blocks``
-    blocks."""
+    """The (instruction, shared-load, shared-store) warps of ``blocks``
+    blocks' trees: at level ``k`` the ``BLOCK >> k`` owner threads make
+    ``loads``/``stores`` accesses and ``instr`` instructions."""
     ws = device.spec.warp_size
-    owners = blocks * sum(-(-(BLOCK >> k) // ws) for k in levels)
+    owners = blocks * sum(-(-(BLOCK >> k) // ws) for k in LEVELS)
     return instr * owners, loads * owners, stores * owners
 
 
@@ -176,5 +179,5 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         n, b, m, a = top // m, top % m, a, m
 
 
-__all__ = ["BLOCK", "LEVELS", "charge", "counts_only", "tiles",
+__all__ = ["BLOCK", "charge", "counts_only", "require_integer",
            "tree_levels", "tree_warps"]
