@@ -16,7 +16,8 @@ it:
   values (bitwise), the whole counter book, peak memory, allocation
   names, every array's tallies, h2d bytes, typed errors, alloc faults
   and fault-point hits must match, on a fresh device's first call and
-  on every later one.
+  on every later one.  ``tests/test_gpusim_sweeps.py`` runs the same
+  harness on scan and reduce alone.
 * (b) The comp kernel walks its steps in blocks of ``LANES // n`` rows;
   with ``LANES = 1`` it walks them one by one.  Both give the same
   ``acc`` bits, counter book and tallies on all four variants, fused and
@@ -81,6 +82,8 @@ CORNERS = sorted({1, 2, 70_000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1} | {
 #: Sizes at which scan and reduce take one more level of launches.
 SIZE_CLASSES = [1, BLOCK, BLOCK + 1, BLOCK**2, BLOCK**2 + 1]
 #: Scan and reduce sum integers (their sums wrap); the chain sorts keys.
+SUM_PRIMS = ("scan", "reduce")
+CHAIN_PRIMS = ("sort", "unique", "search", "search_global", "flags", "segdict")
 SUM_DTYPES = [np.int8, np.int32, np.int64, np.uint32]
 KEY_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
 
@@ -127,12 +130,9 @@ def _keys(rng, n, dtype, distinct):
 
 
 @st.composite
-def cases(draw):
-    prim = draw(st.sampled_from([
-        "scan", "reduce", "sort", "unique", "search", "search_global",
-        "flags", "segdict",
-    ]))
-    summed = prim in ("scan", "reduce")
+def cases(draw, prims=SUM_PRIMS + CHAIN_PRIMS):
+    prim = draw(st.sampled_from(prims))
+    summed = prim in SUM_PRIMS
     dtype = draw(st.sampled_from(SUM_DTYPES if summed else KEY_DTYPES))
     width = np.dtype(dtype).itemsize * 8
     nbits = None if summed else draw(st.one_of(st.none(),
@@ -200,20 +200,16 @@ def check_counted(case):
     assert _outcome(Device(spec=spec), call) == oracle
 
 
-_TIER1 = settings(max_examples=500, derandomize=True, deadline=None,
-                  database=None, suppress_health_check=list(HealthCheck))
-_WIDE = settings(max_examples=1600, deadline=None, database=None,
-                 suppress_health_check=list(HealthCheck))
-
-
-@_TIER1
-@given(cases())
-def test_counted_equals_kernels(case):
+@settings(max_examples=420, derandomize=True, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(cases(CHAIN_PRIMS))
+def test_counted_chain_equals_kernels(case):
     check_counted(case)
 
 
 @pytest.mark.tier2
-@_WIDE
+@settings(max_examples=1600, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
 @given(cases())
 def test_counted_equals_kernels_wide(case):
     check_counted(case)
@@ -398,9 +394,6 @@ def _bad_inputs():
         "flags_short_first": (KernelError, lambda d: segmented_flag_runs(
             d, d.to_device(keys, "v"), d.to_device(np.ones(7, np.uint8))
         )),
-        "reduce_empty": (KernelError, lambda d: device_reduce(
-            d, d.alloc(0, np.int64, "e")
-        )),
     }
     for name, call in (("scan", device_exclusive_scan),
                        ("reduce", device_reduce)):
@@ -424,15 +417,19 @@ def test_typed_errors_match(name):
         assert [a[0] for a in oracle["arrays"]] == ["x"]
 
 
-def _workload(device):
+def _workload(device, parts=("chain", "scan", "reduce")):
     """Three rounds of a dictionary chain, a three-tile scan and a
-    three-tile reduce."""
+    three-tile reduce (of those named in ``parts``)."""
     rng = np.random.default_rng(3)
     segs = [rng.integers(0, 50, 300).astype(np.uint32) for _ in range(4)]
     for _ in range(3):
-        segmented_dict_indices(device, segs)
-        device_exclusive_scan(device, device.to_device(np.arange(3000), "x"))
-        device_reduce(device, device.to_device(np.arange(3000), "x"))
+        if "chain" in parts:
+            segmented_dict_indices(device, segs)
+        if "scan" in parts:
+            device_exclusive_scan(device, device.to_device(np.arange(3000),
+                                                           "x"))
+        if "reduce" in parts:
+            device_reduce(device, device.to_device(np.arange(3000), "x"))
 
 
 @pytest.mark.parametrize("key, after", [
@@ -471,16 +468,20 @@ class _SpyPlan(FaultPlan):
         return value
 
 
-def test_fault_point_hits_match():
+def check_fault_point_hits(parts):
     """A counted workload hits the fault points a launched one hits, and
     so does the next plain device's: no call leaves state behind."""
     hits = []
     for device in (Device(sanitize=True), Device(), Device()):
         spy = _SpyPlan()
         with fault_plan(spy):
-            _workload(device)
+            _workload(device, parts)
         hits.append(spy.hits)
     assert hits[0] == hits[1] == hits[2]
+
+
+def test_fault_point_hits_match():
+    check_fault_point_hits(("chain",))
 
 
 # -- the offset op form -----------------------------------------------------
